@@ -1,0 +1,130 @@
+"""Check that two checkouts of ssdlab give the same outputs, bit for bit.
+
+Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
+
+Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
+checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
+interpreter with BLAS pinned to one thread, on the same seeded inputs:
+``one_ss``, ``materialize_kernel``, ``forward_ssd`` and
+``construct_one_ss_dual``, plus the output files of the CLI commands
+``forward --path all``, ``check-dual --mode representability`` and
+``extract``. Arrays are compared by their bytes; an array whose bytes
+differ but whose values compare equal differs only in the sign of zeros,
+and is reported as such. Exits 1 when anything differs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (0, 1, 2)
+
+
+def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Signed gains in [0.5, 2] with about one in five set to exactly zero."""
+    g = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    g[rng.random(shape) < 0.2] = 0.0
+    g[0] = 1.0
+    return g
+
+
+def dump() -> dict[str, object]:
+    from ssdlab import cli
+    from ssdlab.duality import construct_one_ss_dual
+    from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
+    from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
+    from ssdlab.ssm import sequence_to_csv
+
+    out: dict[str, object] = {}
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        out[f"one_ss/{seed}"] = one_ss(MaskVector(_gains(rng, (64,)))).values
+        zero_model = DiagonalSsm(_gains(rng, (64, 4)), *rng.standard_normal((2, 64, 4)))
+        out[f"materialize_kernel/zero-gains/{seed}"] = materialize_kernel(zero_model).values
+        model, x = random_instance(seed, 128, 8, 3)
+        out[f"materialize_kernel/{seed}"] = materialize_kernel(model).values
+        out[f"forward_ssd/{seed}"] = forward_ssd(model, x)
+        out[f"forward_ssd/zero-gains/{seed}"] = forward_ssd(zero_model, x[:64])
+        # Mask zeros cut the kernel into diagonal blocks of width-3 products.
+        gains = _gains(rng, (48,))
+        gains[gains == 0.0] = 1.0
+        gains[[12, 30]] = 0.0
+        mask = one_ss(MaskVector(gains)).values
+        kernel = mask * (rng.standard_normal((48, 3)) @ rng.standard_normal((48, 3)).T)
+        factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
+        for name in ("p", "Q", "K"):
+            out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            (work / "ssm.json").write_text(model.to_json())
+            (work / "x.csv").write_text(sequence_to_csv(x))
+            (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
+            commands = {
+                "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
+                "check-dual": ["check-dual", "--mode", "representability", "--matrix",
+                               "kernel.csv", "--N", "3"],
+                "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
+            }
+            cwd = os.getcwd()
+            os.chdir(work)
+            try:
+                for name, argv in commands.items():
+                    printed = io.StringIO()
+                    with contextlib.redirect_stdout(printed):
+                        code = cli.main([*argv, "--out", "out.json"])
+                    out[f"cli/{name}/{seed}"] = (
+                        code, printed.getvalue(), (work / "out.json").read_bytes()
+                    )
+            finally:
+                os.chdir(cwd)
+    return out
+
+
+def run_side(src: str) -> dict[str, object]:
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True,
+                          check=True)
+    return pickle.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--dump"]:
+        sys.stdout.buffer.write(pickle.dumps(dump()))
+        return 0
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    head_src = argv[1] if len(argv) == 2 else str(Path(__file__).resolve().parent.parent / "src")
+    base, head = run_side(argv[0]), run_side(head_src)
+    differ = 0
+    for key in sorted(base.keys() | head.keys()):
+        a, b = base.get(key), head.get(key)
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            if a.shape == b.shape and a.tobytes() == b.tobytes():
+                verdict = "bitwise equal"
+            elif a.shape == b.shape and np.array_equal(a, b):
+                verdict = "equal values, zero signs differ"
+                differ += 1
+            else:
+                verdict = "DIFFERENT"
+                differ += 1
+        else:
+            verdict = "byte-identical" if a == b else "DIFFERENT"
+            differ += a != b
+        print(f"{key}: {verdict}")
+    print(f"{differ} of {len(base.keys() | head.keys())} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

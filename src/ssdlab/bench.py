@@ -30,15 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError
-from .ssm import (
-    DiagonalSsm,
-    forward_materialized,
-    forward_recurrence,
-    forward_ssd,
-    random_instance,
-)
+from .ssm import FORWARD_PATHS, DiagonalSsm, forward_ssd, random_instance, scale_rows, scan
 
-PATHS = ("recurrence", "ssd", "materialized")
+PATHS = tuple(FORWARD_PATHS)
 
 
 class FlopCounter:
@@ -221,11 +215,7 @@ _COUNTED = {
     "materialized": _counted_materialized,
 }
 
-_PRODUCTION = {
-    "recurrence": forward_recurrence,
-    "ssd": forward_ssd,
-    "materialized": forward_materialized,
-}
+_PRODUCTION = FORWARD_PATHS
 
 
 def count_flops(path: str, T: int, N: int, d: int, seed: int) -> FlopReport:
@@ -366,12 +356,8 @@ class SpeedupReport:
 
 
 def _mode_channel_task(ssm: DiagonalSsm, x: np.ndarray, n: int, s: int) -> np.ndarray:
-    z = ssm.b[:, n] * x[:, s]
-    out = np.empty_like(z)
-    out[0] = z[0]
-    for t in range(1, z.shape[0]):
-        out[t] = ssm.a_diag[t, n] * out[t - 1] + z[t]
-    return ssm.c[:, n] * out
+    z = scale_rows(ssm.b[:, n], x[:, s : s + 1])
+    return scale_rows(ssm.c[:, n], scan(ssm.a_diag[:, n], z))[:, 0]
 
 
 def parallel_speedup_probe(T: int, N: int, d: int, workers: int, seed: int) -> SpeedupReport:

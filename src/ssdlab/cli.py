@@ -147,11 +147,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def cmd_forward(cfg: RunConfig) -> int:
     model = ssm_mod.DiagonalSsm.from_json(_read(cfg.inputs["ssm"]))
     x = _load_sequence(cfg.inputs["input"])
-    runners = {
-        "recurrence": ssm_mod.forward_recurrence,
-        "ssd": ssm_mod.forward_ssd,
-        "materialized": ssm_mod.forward_materialized,
-    }
+    runners = ssm_mod.FORWARD_PATHS
     path = cfg.options.get("path") or "all"
     if path == "all":
         outputs = {name: fn(model, x) for name, fn in runners.items()}
@@ -161,13 +157,8 @@ def cmd_forward(cfg: RunConfig) -> int:
             for second in names[i + 1 :]:
                 pairwise[f"{first}/{second}"] = _rel_err(outputs[first], outputs[second])
         worst = max(pairwise.values())
-        payload = {
-            "Y_recurrence": outputs["recurrence"].tolist(),
-            "Y_ssd": outputs["ssd"].tolist(),
-            "Y_materialized": outputs["materialized"].tolist(),
-            "pairwise_rel_errors": pairwise,
-            "max_rel_error": worst,
-        }
+        payload = {f"Y_{name}": y.tolist() for name, y in outputs.items()}
+        payload.update(pairwise_rel_errors=pairwise, max_rel_error=worst)
         if cfg.out:
             _write_atomic(cfg.out, json.dumps(payload))
         for pair, err in pairwise.items():
@@ -177,13 +168,12 @@ def cmd_forward(cfg: RunConfig) -> int:
     if path not in runners:
         raise ValueError(f"unknown path {path!r}")
     y = runners[path](model, x)
+    y_json = json.dumps({"Y": y.tolist()})
     if cfg.out:
-        if cfg.fmt == "csv" or cfg.out.endswith(".csv"):
-            _write_atomic(cfg.out, ssm_mod.sequence_to_csv(y))
-        else:
-            _write_atomic(cfg.out, json.dumps({"Y": y.tolist()}))
+        want_csv = cfg.fmt == "csv" or cfg.out.endswith(".csv")
+        _write_atomic(cfg.out, ssm_mod.sequence_to_csv(y) if want_csv else y_json)
     if cfg.fmt == "json":
-        print(json.dumps({"Y": y.tolist()}))
+        print(y_json)
     else:
         print(f"computed {path} output of shape {y.shape[0]}x{y.shape[1]}")
     return EXIT_OK
@@ -354,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_forward.add_argument("--ssm", required=True, help="model JSON file")
     p_forward.add_argument("--input", required=True, help="input sequence (.csv or .json)")
     p_forward.add_argument(
-        "--path", choices=("recurrence", "ssd", "materialized", "all"), default=None
+        "--path", choices=(*ssm_mod.FORWARD_PATHS, "all"), default=None
     )
     common(p_forward)
 

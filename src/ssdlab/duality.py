@@ -252,11 +252,8 @@ def construct_one_ss_dual(
         block = vals[start:end, start:end]
         filled = block.copy()
         for t in range(end - start):
-            below = block[t:, :t]
-            col = block[t:, t]
-            is_new, _, _ = _column_membership(below, col, eps)
-            if not is_new and t > 0 and np.linalg.norm(col) > 0.0:
-                coeffs, *_ = np.linalg.lstsq(below, col, rcond=None)
+            is_new, _, _, coeffs = _column_membership(block[t:, :t], block[t:, t], eps)
+            if not is_new and coeffs is not None:
                 filled[:t, t] = filled[:t, :t] @ coeffs
         u, s, vh, rank = svd_with_rank(filled, eps)
         left, right = balanced_factors(u, s, vh, min(rank, width), width)

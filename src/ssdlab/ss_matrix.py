@@ -63,18 +63,28 @@ class LowerTriangularMatrix:
         return cls(rows)
 
     def to_csv(self) -> str:
-        # repr() is shortest round-trip formatting for Python floats.
-        lines = [",".join(repr(float(v)) for v in row) for row in self.values]
-        return "\n".join(lines) + "\n"
+        return array_to_csv(self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "LowerTriangularMatrix":
-        rows = [
-            [float(field) for field in line.split(",")]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls(np.array(rows, dtype=float))
+        return cls(array_from_csv(text))
+
+
+def array_to_csv(x: np.ndarray) -> str:
+    """One comma-separated line per row of a 2-D float array."""
+    # repr() is shortest round-trip formatting for Python floats.
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+
+def array_from_csv(text: str) -> np.ndarray:
+    """Inverse of ``array_to_csv``; blank lines are skipped."""
+    rows = [
+        [float(field) for field in line.split(",")]
+        for line in text.strip().splitlines()
+        if line.strip()
+    ]
+    return np.array(rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -104,23 +114,36 @@ class MaskVector:
         return cls(np.array(json.loads(text)["a"], dtype=float))
 
 
+def _segment_product_kernel(
+    gains: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> LowerTriangularMatrix:
+    """Lower triangle with entries sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
+
+    All three inputs are (T, K); gains[0] is never read. Row t is produced
+    from row t-1 by one gain multiplication per column k, so zero gains are
+    handled exactly.
+    """
+    n_steps, width = gains.shape
+    m = np.zeros((n_steps, n_steps))
+    right_t = np.ascontiguousarray(right.T)
+    # prods[k, s] holds the gain product from s+1 through the current row.
+    prods = np.zeros((width, n_steps))
+    for t in range(n_steps):
+        if t > 0:
+            prods[:, :t] *= gains[t][:, None]
+        prods[:, t] = 1.0
+        m[t, : t + 1] = left[t] @ (prods[:, : t + 1] * right_t[:, : t + 1])
+    return LowerTriangularMatrix(m)
+
+
 def one_ss(mask: MaskVector) -> LowerTriangularMatrix:
     """Cumulative-product lower triangle of a gain vector.
 
     Entry (t, s) for t >= s is the product a[s+1] * ... * a[t], the empty
-    product on the diagonal being 1. a[0] is never read. Rows are built by
-    the recursion row_t = a[t] * row_{t-1}, which is exact for zero gains.
+    product on the diagonal being 1. a[0] is never read.
     """
-    g = mask.a
-    n = g.shape[0]
-    m = np.zeros((n, n))
-    row = np.zeros(n)
-    for t in range(n):
-        if t > 0:
-            row[:t] = g[t] * row[:t]
-        row[t] = 1.0
-        m[t, : t + 1] = row[: t + 1]
-    return LowerTriangularMatrix(m)
+    ones = np.ones((mask.T, 1))
+    return _segment_product_kernel(mask.a[:, None], ones, ones)
 
 
 def numerical_rank(block: np.ndarray, eps: float = DEFAULT_EPS) -> int:
@@ -173,23 +196,25 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
 
 def _column_membership(
     below: np.ndarray, col: np.ndarray, eps: float
-) -> tuple[bool, float, float]:
+) -> tuple[bool, float, float, np.ndarray | None]:
     """Least-squares span test for one column.
 
-    Returns (is_new, residual, threshold). A column is new when the
+    Returns (is_new, residual, threshold, coeffs). A column is new when the
     residual of fitting it with the earlier columns (restricted to the
     same rows) exceeds eps times the column norm. The empty-span
-    convention at the first column makes any nonzero column new.
+    convention at the first column makes any nonzero column new. ``coeffs``
+    are the fitting coefficients, or None when no fit was needed (a zero
+    column or an empty span).
     """
     col_norm = float(np.linalg.norm(col))
     threshold = eps * col_norm
     if col_norm == 0.0:
-        return False, 0.0, threshold
+        return False, 0.0, threshold, None
     if below.shape[1] == 0:
-        return True, col_norm, threshold
+        return True, col_norm, threshold, None
     coeffs, *_ = np.linalg.lstsq(below, col, rcond=None)
     residual = float(np.linalg.norm(below @ coeffs - col))
-    return residual > threshold, residual, threshold
+    return residual > threshold, residual, threshold, coeffs
 
 
 def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]:
@@ -208,7 +233,7 @@ def _new_columns_detailed(vals: np.ndarray, eps: float) -> tuple[list[int], list
     found: list[int] = []
     borderline: list[int] = []
     for t in range(n):
-        is_new, residual, threshold = _column_membership(vals[t:, :t], vals[t:, t], eps)
+        is_new, residual, threshold, _ = _column_membership(vals[t:, :t], vals[t:, t], eps)
         if is_new:
             found.append(t)
         if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:

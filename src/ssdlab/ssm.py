@@ -1,8 +1,10 @@
 """Diagonal state-space model execution.
 
 Three routes from inputs to outputs: the reference left-to-right
-recurrence, the materialized T x T kernel, and the per-mode
-scale/scan/scale pipeline that costs O(NTd).
+recurrence, the materialized T x T kernel, and the scale/scan/scale
+pipeline that costs O(NTd). The last runs over all (mode, channel) pairs
+at once and then reduces over modes in ascending order. ``FORWARD_PATHS``
+names the three routes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .ss_matrix import LowerTriangularMatrix
+from .ss_matrix import LowerTriangularMatrix, _segment_product_kernel, array_from_csv, array_to_csv
 
 
 @dataclass(frozen=True)
@@ -115,21 +117,8 @@ def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
 
 
 def materialize_kernel(ssm: DiagonalSsm) -> LowerTriangularMatrix:
-    """Dense kernel with entries sum_n c[j,n] * (a[i+1,n]...a[j,n]) * b[i,n].
-
-    Row j is produced from row j-1 by one gain multiplication per mode,
-    so zero gains are handled exactly.
-    """
-    n_steps, n_modes = ssm.a_diag.shape
-    m = np.zeros((n_steps, n_steps))
-    # prods[n, s] holds the gain product from s+1 through the current row.
-    prods = np.zeros((n_modes, n_steps))
-    for j in range(n_steps):
-        if j > 0:
-            prods[:, :j] *= ssm.a_diag[j][:, None]
-        prods[:, j] = 1.0
-        m[j, : j + 1] = ssm.c[j] @ (prods[:, : j + 1] * ssm.b[: j + 1].T)
-    return LowerTriangularMatrix(m)
+    """Dense kernel with entries sum_n c[j,n] * (a[i+1,n]...a[j,n]) * b[i,n]."""
+    return _segment_product_kernel(ssm.a_diag, ssm.c, ssm.b)
 
 
 def forward_materialized(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
@@ -138,28 +127,40 @@ def forward_materialized(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     return materialize_kernel(ssm).values @ x
 
 
-def scale_rows(scale: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multiply row t of ``y`` by ``scale[t]``."""
-    scale = np.asarray(scale, dtype=float)
+def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a per-row vector against rows of ``y``; return it ready to broadcast.
+
+    Either a (T,) vector against a (T, d) matrix, or a (T, N) matrix
+    against a (T, N, d) array with a trailing mode axis.
+    """
+    vec = np.asarray(vec, dtype=float)
     y = np.asarray(y, dtype=float)
-    if scale.ndim != 1 or y.ndim != 2 or scale.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"need a length-T vector and a (T, d) matrix, got {scale.shape} and {y.shape}"
-        )
-    return scale[:, None] * y
+    if vec.ndim not in (1, 2) or y.ndim != vec.ndim + 1 or y.shape[: vec.ndim] != vec.shape:
+        if vec.ndim == 2:
+            want = "a (T, N) matrix and a (T, N, d) array"
+        else:
+            want = "a length-T vector and a (T, d) matrix"
+        raise ShapeMismatchError(f"need {want}, got {vec.shape} and {y.shape}")
+    return vec[..., None], y
+
+
+def scale_rows(scale: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Multiply row t of ``y`` by ``scale[t]``.
+
+    With a (T, N) ``scale`` and a (T, N, d) ``y``, entry (t, n) scales
+    ``y[t, n]``.
+    """
+    scale, y = _check_rows(scale, y)
+    return scale * y
 
 
 def scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Linear recurrence along rows: out_t = gains[t] * out_{t-1} + y_t.
 
-    Row 0 is copied through; gains[0] is never read.
+    Row 0 is copied through; gains[0] is never read. With (T, N) gains and
+    a (T, N, d) ``y``, every mode runs its own recurrence.
     """
-    gains = np.asarray(gains, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if gains.ndim != 1 or y.ndim != 2 or gains.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"need a length-T vector and a (T, d) matrix, got {gains.shape} and {y.shape}"
-        )
+    gains, y = _check_rows(gains, y)
     out = np.empty_like(y)
     out[0] = y[0]
     for t in range(1, y.shape[0]):
@@ -168,18 +169,26 @@ def scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """O(NTd) path: per-mode scale, scan, scale, then an ordered reduction.
+    """O(NTd) path: scale, scan and scale every mode, then an ordered reduction.
 
     Modes are accumulated in ascending order so the result is reproducible
-    regardless of how the per-mode pipelines are scheduled.
+    and equals the counted kernel bit for bit.
     """
     x = _check_sequence(ssm, x)
+    z = scale_rows(ssm.b, np.broadcast_to(x[:, None, :], (ssm.T, ssm.N, x.shape[1])))
+    h = scale_rows(ssm.c, scan(ssm.a_diag, z))
     y = np.zeros_like(x)
     for n in range(ssm.N):
-        z = scale_rows(ssm.b[:, n], x)
-        h = scan(ssm.a_diag[:, n], z)
-        y = y + scale_rows(ssm.c[:, n], h)
+        y = y + h[:, n]
     return y
+
+
+#: Forward paths by name, in the order ``forward --path all`` runs and reports them.
+FORWARD_PATHS = {
+    "recurrence": forward_recurrence,
+    "ssd": forward_ssd,
+    "materialized": forward_materialized,
+}
 
 
 def random_instance(
@@ -210,19 +219,8 @@ def random_instance(
     return DiagonalSsm(a_diag, b, c), x
 
 
-def sequence_to_csv(x: np.ndarray) -> str:
-    x = np.asarray(x, dtype=float)
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(x)]
-    return "\n".join(lines) + "\n"
-
-
-def sequence_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(field) for field in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.array(rows, dtype=float)
+sequence_to_csv = array_to_csv
+sequence_from_csv = array_from_csv
 
 
 def sequence_to_json(x: np.ndarray) -> str:

@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import ssdlab
 from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
+
+#: Directory holding the ssdlab package under test, as an absolute path.
+SRC_DIR = str(Path(ssdlab.__file__).resolve().parent.parent)
+
+
+def run_ssdlab(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m ssdlab`` in a child process that imports this same package.
+
+    The child gets ``SRC_DIR`` first on an absolute ``PYTHONPATH``, so a
+    relative entry inherited from the parent cannot break its import when
+    ``cwd`` differs.
+    """
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, inherited]))}
+    return subprocess.run([sys.executable, "-m", "ssdlab", *argv], cwd=cwd, env=env, **kwargs)
 
 
 def rel_fro(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,8 +5,6 @@ per criterion.
 """
 
 import itertools
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -33,7 +31,7 @@ from ssdlab.ssm import (
     sequence_to_csv,
 )
 from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
-from tests.conftest import random_lower_triangular, rel_fro, representable_matrix
+from tests.conftest import random_lower_triangular, rel_fro, representable_matrix, run_ssdlab
 
 
 def test_criterion_01_three_path_equivalence():
@@ -234,11 +232,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for argv, out_files in commands:
         runs = []
         for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "ssdlab", *argv],
-                capture_output=True,
-                cwd=tmp_path,
-            )
+            proc = run_ssdlab(argv, cwd=tmp_path, capture_output=True)
             assert proc.returncode == 0, f"{argv[0]} failed: {proc.stderr!r}"
             runs.append((proc.stdout, [(tmp_path / f).read_bytes() for f in out_files]))
         assert runs[0] == runs[1], f"{argv[0]} output differs between runs"

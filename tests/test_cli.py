@@ -1,23 +1,17 @@
 """End-to-end tests of the command-line frontend."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ssm import DiagonalSsm, random_instance, sequence_to_csv
+from tests.conftest import run_ssdlab
 
 
 def run_cli(*argv, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "ssdlab", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+    return run_ssdlab(argv, cwd=cwd, capture_output=True, text=True)
 
 
 @pytest.fixture

@@ -91,7 +91,15 @@ class TestMaterializeKernel:
 
     def test_matches_direct_formula_oracle(self):
         ssm, _ = random_instance(4, 10, 3, 1)
-        assert np.allclose(materialize_kernel(ssm).values, ref_kernel(ssm), rtol=1e-12, atol=1e-12)
+        # Exact zero gains, some after negative products, in every mode.
+        a_diag = ssm.a_diag.copy()
+        a_diag[[3, 6], 0] = 0.0
+        a_diag[[2, 9], 1] = 0.0
+        a_diag[5, 2] = 0.0
+        with_zeros = DiagonalSsm(a_diag, ssm.b, ssm.c)
+        for model in (ssm, with_zeros):
+            got = materialize_kernel(model).values
+            assert np.allclose(got, ref_kernel(model), rtol=1e-12, atol=1e-12)
 
     def test_kernel_rank_bounded_by_mode_count(self):
         for seed, modes in ((5, 1), (6, 2), (7, 4)):
@@ -131,6 +139,16 @@ class TestScaleRows:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeMismatchError):
             scale_rows(np.ones(3), np.zeros((4, 2)))
+        for bad in (np.zeros((4, 2, 2)), np.zeros((3, 3, 2)), np.zeros((3, 2))):
+            with pytest.raises(ShapeMismatchError):
+                scale_rows(np.ones((3, 2)), bad)
+
+    def test_mode_axis_is_bitwise_equal_to_per_mode_calls(self):
+        rng = np.random.default_rng(0)
+        scale, y = rng.standard_normal((9, 4)), rng.standard_normal((9, 4, 3))
+        got = scale_rows(scale, y)
+        for n in range(4):
+            assert np.array_equal(got[:, n], scale_rows(scale[:, n], y[:, n]))
 
 
 class TestScan:
@@ -149,6 +167,16 @@ class TestScan:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeMismatchError):
             scan(np.ones(3), np.zeros((4, 2)))
+        for bad in (np.zeros((4, 2, 2)), np.zeros((3, 3, 2)), np.zeros((3, 2))):
+            with pytest.raises(ShapeMismatchError):
+                scan(np.ones((3, 2)), bad)
+
+    def test_mode_axis_is_bitwise_equal_to_per_mode_calls(self):
+        ssm, _ = random_instance(13, 40, 4, 1)
+        y = np.random.default_rng(13).standard_normal((40, 4, 3))
+        got = scan(ssm.a_diag, y)
+        for n in range(4):
+            assert np.array_equal(got[:, n], scan(ssm.a_diag[:, n], y[:, n]))
 
 
 class TestForwardSsd:
