@@ -6,11 +6,14 @@ Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss``, ``materialize_kernel``, ``forward_ssd`` and
-``construct_one_ss_dual``, plus the output files of the CLI commands
-``forward --path all``, ``check-dual --mode representability`` and
-``extract``. Arrays are compared by their bytes; an array whose bytes
-differ but whose values compare equal differs only in the sign of zeros,
-and is reported as such. Exits 1 when anything differs.
+``construct_one_ss_dual``, plus the exit code, stdout, stderr, warning
+messages and output file of the CLI commands ``forward --path all``,
+``check-dual --mode representability`` (on a representable kernel, on a
+matrix it refuses, and on a diagonal-model kernel whose construction
+fails), ``extract`` and ``counterexample non-dualizable``. Arrays are
+compared by their bytes; an array whose bytes differ but whose values
+compare equal differs only in the sign of zeros, and is reported as such.
+Exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,7 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 def dump() -> dict[str, object]:
     from ssdlab import cli
     from ssdlab.duality import construct_one_ss_dual
+    from ssdlab.limits import non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
     from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
     from ssdlab.ssm import sequence_to_csv
@@ -68,21 +73,38 @@ def dump() -> dict[str, object]:
             (work / "ssm.json").write_text(model.to_json())
             (work / "x.csv").write_text(sequence_to_csv(x))
             (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
+            (work / "corner.csv").write_text(non_dualizable_matrix(8).to_csv())
+            # Mode decay rates differ, so the dual construction fails its residual gate.
+            decaying, _ = random_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))
+            (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
+            representability = ["check-dual", "--mode", "representability", "--matrix"]
             commands = {
                 "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
-                "check-dual": ["check-dual", "--mode", "representability", "--matrix",
-                               "kernel.csv", "--N", "3"],
+                "check-dual": [*representability, "kernel.csv", "--N", "3"],
+                "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
+                "check-dual/construct-fails": [*representability, "diag.csv", "--N", "4"],
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
+                "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
             }
             cwd = os.getcwd()
             os.chdir(work)
             try:
                 for name, argv in commands.items():
-                    printed = io.StringIO()
-                    with contextlib.redirect_stdout(printed):
+                    written = work / "out.json"
+                    written.unlink(missing_ok=True)
+                    printed, errors = io.StringIO(), io.StringIO()
+                    # Warnings are kept apart from stderr: their text names the source file.
+                    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(
+                        errors
+                    ), warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
                         code = cli.main([*argv, "--out", "out.json"])
                     out[f"cli/{name}/{seed}"] = (
-                        code, printed.getvalue(), (work / "out.json").read_bytes()
+                        code,
+                        printed.getvalue(),
+                        errors.getvalue(),
+                        [str(w.message) for w in caught],
+                        written.read_bytes() if written.exists() else None,
                     )
             finally:
                 os.chdir(cwd)

@@ -63,7 +63,6 @@ from .limits import (
 from .bench import (
     FlopReport,
     count_flops,
-    parallel_speedup_probe,
     scaling_experiment,
 )
 

@@ -20,11 +20,17 @@ def svd_with_rank(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
         if col[j] < 0.0:
             u[:, i] = -u[:, i]
             vh[i, :] = -vh[i, :]
+    return u, s, vh, rank_of_singular_values(s, eps)
+
+
+def rank_of_singular_values(s: np.ndarray, eps: float) -> int:
+    """Count singular values (descending) above ``eps`` times the largest one.
+
+    The rank is 0 when there are none or the largest is not positive.
+    """
     if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > eps * s[0]))
-    return u, s, vh, rank
+        return 0
+    return int(np.count_nonzero(s > eps * s[0]))
 
 
 def balanced_factors(

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGridError
-from .ssm import FORWARD_PATHS, DiagonalSsm, forward_ssd, random_instance, scale_rows, scan
+from .ssm import FORWARD_PATHS, DiagonalSsm, random_instance
 
 PATHS = tuple(FORWARD_PATHS)
 
@@ -323,82 +322,3 @@ def scaling_experiment(
         report_at(base)
     reports = sorted(cache.values(), key=lambda r: (r.T, r.N, r.d))
     return ScalingResult(path=path, reports=reports, slopes=slopes)
-
-
-@dataclass(frozen=True)
-class SpeedupReport:
-    """Wall-clock comparison of the threaded linear path against sequential."""
-
-    T: int
-    N: int
-    d: int
-    workers: int
-    wall_sequential_s: float
-    wall_parallel_s: float
-    speedup: float
-    max_rel_deviation: float
-    equivalent: bool
-
-    def as_dict(self, timing: bool = True) -> dict:
-        out = {
-            "T": self.T,
-            "N": self.N,
-            "d": self.d,
-            "workers": self.workers,
-            "max_rel_deviation": self.max_rel_deviation,
-            "equivalent": self.equivalent,
-        }
-        if timing:
-            out["wall_sequential_s"] = self.wall_sequential_s
-            out["wall_parallel_s"] = self.wall_parallel_s
-            out["speedup"] = self.speedup
-        return out
-
-
-def _mode_channel_task(ssm: DiagonalSsm, x: np.ndarray, n: int, s: int) -> np.ndarray:
-    z = scale_rows(ssm.b[:, n], x[:, s : s + 1])
-    return scale_rows(ssm.c[:, n], scan(ssm.a_diag[:, n], z))[:, 0]
-
-
-def parallel_speedup_probe(T: int, N: int, d: int, workers: int, seed: int) -> SpeedupReport:
-    """Run the linear path with one worker per (mode, channel) task chunk.
-
-    Only result equivalence carries a requirement (1e-12 against the
-    sequential fixed-order reduction); the speedup is reported without a
-    pass/fail threshold. CPython threading rarely helps these scans, which
-    is part of what the probe documents.
-    """
-    if not 1 <= workers <= N * d:
-        raise ValueError(f"workers must be in [1, N*d] = [1, {N * d}], got {workers}")
-    ssm, x = random_instance(seed, T, N, d)
-    start = time.perf_counter()
-    y_seq = forward_ssd(ssm, x)
-    wall_seq = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            (n, s): pool.submit(_mode_channel_task, ssm, x, n, s)
-            for n in range(N)
-            for s in range(d)
-        }
-        parts = {key: fut.result() for key, fut in futures.items()}
-    y_par = np.zeros_like(x)
-    for n in range(N):
-        y_n = np.column_stack([parts[(n, s)] for s in range(d)])
-        y_par = y_par + y_n
-    wall_par = time.perf_counter() - start
-
-    denom = max(float(np.linalg.norm(y_seq)), 1e-300)
-    deviation = float(np.linalg.norm(y_par - y_seq) / denom)
-    return SpeedupReport(
-        T=T,
-        N=N,
-        d=d,
-        workers=workers,
-        wall_sequential_s=wall_seq,
-        wall_parallel_s=wall_par,
-        speedup=wall_seq / max(wall_par, 1e-12),
-        max_rel_deviation=deviation,
-        equivalent=deviation <= 1e-12,
-    )

@@ -51,12 +51,10 @@ _PRECONDITION_ERRORS = (
 #: Commands that draw random data and therefore demand an explicit seed.
 _RANDOMIZED_COMMANDS = {"bench", "gen"}
 
-_WORKER_CAP_ENV = "SSD_LAB_THREADS"
-
 _INPUT_KEYS = ("ssm", "input", "matrix")
 _DIM_KEYS = ("T", "N", "d")
 _OPTION_KEYS = ("path", "mode", "which", "kind", "a_min", "a_max", "scalar_identity",
-                "summary_out", "probe_workers")
+                "summary_out")
 
 
 @dataclass(frozen=True)
@@ -270,22 +268,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         result = bench.ScalingResult(path=path, reports=[report], slopes={})
     if cfg.out:
         _write_atomic(cfg.out, result.to_csv())
-    summary = json.loads(result.summary_json())
-    if cfg.options.get("probe_workers") is not None:
-        workers = cfg.options["probe_workers"]
-        cap = os.environ.get(_WORKER_CAP_ENV)
-        if cap:
-            workers = min(workers, int(cap))
-        probe = bench.parallel_speedup_probe(
-            t_values[0], n_values[0], d_values[0], workers, cfg.seed
-        )
-        print(
-            f"probe: workers={probe.workers} speedup={probe.speedup:.3f} "
-            f"(seq {probe.wall_sequential_s:.4f}s, par {probe.wall_parallel_s:.4f}s)",
-            file=sys.stderr,
-        )
-        summary["probe"] = probe.as_dict(timing=False)
-    text = json.dumps(summary)
+    text = result.summary_json()
     if cfg.options.get("summary_out"):
         _write_atomic(cfg.options["summary_out"], text)
     print(text)
@@ -374,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--N", default=None, help="comma-separated grid values (default 4)")
     p_bench.add_argument("--d", default=None, help="comma-separated grid values (default 2)")
     p_bench.add_argument("--summary-out", default=None, help="JSON summary file")
-    p_bench.add_argument(
-        "--probe-workers",
-        type=int,
-        default=None,
-        help="also probe threaded execution with this many workers (timing on stderr)",
-    )
     common(p_bench)
 
     p_gen = sub.add_parser("gen", help="generate a random model, sequence, or matrix")

@@ -29,9 +29,7 @@ from .ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
     MaskVector,
-    _column_membership,
-    _new_columns_detailed,
-    blocks_from_cuts,
+    _new_column_sweep,
     diagonal_block_partition,
     one_ss,
 )
@@ -192,12 +190,17 @@ def count_block_new_columns(
     m: LowerTriangularMatrix, eps: float = DEFAULT_EPS
 ) -> list[BlockNewColumns]:
     """Partition into diagonal blocks and count new columns inside each."""
-    vals = m.values
-    out = []
-    for start, end in blocks_from_cuts(m.T, diagonal_block_partition(m, eps)):
-        found, _ = _new_columns_detailed(vals[start:end, start:end], eps)
-        out.append(BlockNewColumns(start, end, len(found)))
-    return out
+    return [
+        BlockNewColumns(b.start, b.end, b.new_columns)
+        for b in _new_column_sweep(m, diagonal_block_partition(m, eps), eps)
+    ]
+
+
+def _within_width(blocks, width: int) -> bool:
+    """Whether every block has at most ``width`` new columns; ``width`` must be positive."""
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
+    return all(b.new_columns <= width for b in blocks)
 
 
 def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_EPS) -> bool:
@@ -206,9 +209,7 @@ def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_E
     True exactly when every diagonal block of the finest partition has at
     most ``width`` new columns.
     """
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
-    return all(block.new_columns <= width for block in count_block_new_columns(m, eps))
+    return _within_width(count_block_new_columns(m, eps), width)
 
 
 def representability_report(
@@ -238,7 +239,8 @@ def construct_one_ss_dual(
     directions are needed. The mask carries a zero at every block start
     and ones elsewhere.
     """
-    if not has_one_ss_dual(m, width, eps):
+    swept = _new_column_sweep(m, diagonal_block_partition(m, eps), eps)
+    if not _within_width(swept, width):
         raise NotRepresentableError(
             f"matrix has a diagonal block with more than {width} new columns"
         )
@@ -247,18 +249,16 @@ def construct_one_ss_dual(
     p = np.ones(size)
     q_rows = np.zeros((size, width))
     k_rows = np.zeros((size, width))
-    for start, end in blocks_from_cuts(size, diagonal_block_partition(m, eps)):
-        p[start] = 0.0
-        block = vals[start:end, start:end]
-        filled = block.copy()
-        for t in range(end - start):
-            is_new, _, _, coeffs = _column_membership(block[t:, :t], block[t:, t], eps)
+    for b in swept:
+        p[b.start] = 0.0
+        filled = vals[b.start : b.end, b.start : b.end].copy()
+        for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
             if not is_new and coeffs is not None:
                 filled[:t, t] = filled[:t, :t] @ coeffs
         u, s, vh, rank = svd_with_rank(filled, eps)
         left, right = balanced_factors(u, s, vh, min(rank, width), width)
-        q_rows[start:end] = left
-        k_rows[start:end] = right.T
+        q_rows[b.start : b.end] = left
+        k_rows[b.start : b.end] = right.T
     factors = MaskedAttentionFactors(p, q_rows, k_rows)
     scale = float(np.linalg.norm(vals))
     residual = float(np.linalg.norm(factors.materialize().values - vals))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import SizeExceededError
-from .duality import count_block_new_columns, has_one_ss_dual
+from .duality import _within_width, count_block_new_columns
 from .sss_extract import extract_sss, materialize_sss
 from .ss_matrix import LowerTriangularMatrix, semiseparable_rank
 
@@ -181,8 +181,8 @@ def verify_non_dualizable(size: int, width: int) -> CounterexampleReport:
     m = non_dualizable_matrix(size)
     applicable = size >= width + 2
     ss_rank = semiseparable_rank(m)
-    dual_exists = has_one_ss_dual(m, width)
     blocks = count_block_new_columns(m)
+    dual_exists = _within_width(blocks, width)
     rep = extract_sss(m, 2)
     back = materialize_sss(rep).values
     roundtrip = float(np.linalg.norm(back - m.values) / np.linalg.norm(m.values))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lowrank import rank_of_singular_values
 from .errors import ShapeMismatchError, SizeExceededError
 
 #: Relative tolerance shared by every rank / span decision in the package.
@@ -151,10 +152,7 @@ def numerical_rank(block: np.ndarray, eps: float = DEFAULT_EPS) -> int:
     block = np.atleast_2d(np.asarray(block, dtype=float))
     if block.size == 0:
         return 0
-    s = np.linalg.svd(block, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > eps * s[0]))
+    return rank_of_singular_values(np.linalg.svd(block, compute_uv=False), eps)
 
 
 def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
@@ -223,27 +221,53 @@ def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]
     A borderline decision (residual within a factor 10 of the threshold)
     emits a warning but still follows the threshold verdict.
     """
-    found, _ = _new_columns_detailed(m.values, eps)
-    return found
+    (whole,) = _new_column_sweep(m, [], eps)
+    return [t for t, is_new in enumerate(whole.new) if is_new]
 
 
-def _new_columns_detailed(vals: np.ndarray, eps: float) -> tuple[list[int], list[int]]:
-    """new_columns plus the list of borderline column indices."""
-    n = vals.shape[0]
-    found: list[int] = []
-    borderline: list[int] = []
-    for t in range(n):
-        is_new, residual, threshold, _ = _column_membership(vals[t:, :t], vals[t:, t], eps)
-        if is_new:
-            found.append(t)
-        if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
-            borderline.append(t)
-            warnings.warn(
-                f"borderline new-column decision at column {t}: "
-                f"residual {residual:.3e} vs threshold {threshold:.3e}",
-                stacklevel=3,
+@dataclass(frozen=True)
+class _SweptBlock:
+    """Membership verdicts for the columns of one diagonal block, rows [start, end).
+
+    ``new[i]`` and ``coeffs[i]`` are what ``_column_membership`` returned
+    for block column i against block columns 0..i-1 on block rows i onward.
+    """
+
+    start: int
+    end: int
+    new: tuple[bool, ...]
+    coeffs: tuple[np.ndarray | None, ...]
+
+    @property
+    def new_columns(self) -> int:
+        return sum(self.new)
+
+
+def _new_column_sweep(m: LowerTriangularMatrix, cuts: list[int], eps: float) -> list[_SweptBlock]:
+    """One membership test per column, each inside its block between ``cuts``.
+
+    Borderline decisions warn as in ``new_columns``; the reported column
+    index is global.
+    """
+    vals = m.values
+    out = []
+    for start, end in blocks_from_cuts(m.T, cuts):
+        block = vals[start:end, start:end]
+        verdicts = []
+        for t in range(end - start):
+            is_new, residual, threshold, fit = _column_membership(
+                block[t:, :t], block[t:, t], eps
             )
-    return found, borderline
+            if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
+                warnings.warn(
+                    f"borderline new-column decision at column {start + t}: "
+                    f"residual {residual:.3e} vs threshold {threshold:.3e}",
+                    stacklevel=3,
+                )
+            verdicts.append((is_new, fit))
+        new, coeffs = zip(*verdicts)
+        out.append(_SweptBlock(start, end, new, coeffs))
+    return out
 
 
 def diagonal_block_partition(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]:
@@ -254,14 +278,12 @@ def diagonal_block_partition(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS)
     is (numerically) zero. The finest partition is returned; merging valid
     blocks only sums their new-column counts, so finer is never wrong.
     """
-    vals = m.values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cuts = []
-    for i in range(1, m.T):
-        region = vals[i:, :i]
-        if region.size == 0 or np.max(np.abs(region)) <= eps * scale:
-            cuts.append(i)
-    return cuts
+    # covered[r, c] = max |M[r:, :c+1]|, so the region left of cut i peaks at covered[i, i-1].
+    covered = np.maximum.accumulate(np.abs(m.values), axis=1)
+    covered = np.maximum.accumulate(covered[::-1], axis=0)[::-1]
+    steps = np.arange(1, m.T)
+    scale = float(covered[0, -1])
+    return steps[covered[steps, steps - 1] <= eps * scale].tolist()
 
 
 def blocks_from_cuts(size: int, cuts: list[int]) -> list[tuple[int, int]]:

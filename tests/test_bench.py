@@ -6,7 +6,6 @@ import pytest
 from ssdlab.bench import (
     count_flops,
     counted_forward,
-    parallel_speedup_probe,
     scaling_experiment,
 )
 from ssdlab.errors import DegenerateGridError
@@ -100,20 +99,3 @@ class TestScalingExperiment:
         assert len(lines) == 1 + 3
         assert lines[0] == "path,T,N,d,multiply_adds,additions,peak_live_elements"
 
-
-class TestParallelSpeedupProbe:
-    def test_single_worker_baseline(self):
-        report = parallel_speedup_probe(64, 2, 2, workers=1, seed=0)
-        assert report.equivalent and report.max_rel_deviation == 0.0
-
-    def test_one_worker_per_mode(self):
-        report = parallel_speedup_probe(64, 4, 2, workers=4, seed=0)
-        assert report.equivalent and report.max_rel_deviation <= 1e-12
-
-    def test_full_mode_channel_split(self):
-        report = parallel_speedup_probe(64, 4, 2, workers=8, seed=0)
-        assert report.equivalent and report.max_rel_deviation <= 1e-12
-
-    def test_rejects_oversubscription(self):
-        with pytest.raises(ValueError):
-            parallel_speedup_probe(64, 2, 2, workers=5, seed=0)

@@ -165,16 +165,6 @@ class TestBenchCommand:
         proc = run_cli("bench", "--path", "ssd", cwd=workdir)
         assert proc.returncode == 2
 
-    def test_probe_prints_timing_to_stderr_only(self, workdir):
-        proc = run_cli(
-            "bench", "--path", "ssd", "--seed", "3", "--probe-workers", "2", cwd=workdir
-        )
-        assert proc.returncode == 0
-        assert "speedup" in proc.stderr
-        summary = json.loads(proc.stdout)
-        assert summary["probe"]["equivalent"] is True
-        assert "speedup" not in summary["probe"]
-
 
 class TestGenCommand:
     def test_seeded_model_is_reproducible(self, workdir):

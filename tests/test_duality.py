@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ssdlab import duality
 from ssdlab.duality import (
     MaskedAttentionFactors,
     attention_like_decomposition,
@@ -22,7 +23,7 @@ from ssdlab.errors import (
     UnstableScalingError,
     ZeroGainError,
 )
-from ssdlab.limits import non_dualizable_matrix
+from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
 from ssdlab.ss_matrix import LowerTriangularMatrix, new_columns
 from ssdlab.ssm import DiagonalSsm, forward_recurrence, materialize_kernel, random_instance
 from tests.conftest import rel_fro, representable_matrix
@@ -254,6 +255,43 @@ class TestConstructOneSsDual:
         assert has_one_ss_dual(m, 1)
         factors = construct_one_ss_dual(m, 1)
         assert np.array_equal(factors.materialize().values, np.zeros((4, 4)))
+
+
+class TestOneSweepPerCall:
+    """Each call partitions once and fits each column at most once."""
+
+    SIZE = 32
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"lstsq": 0, "partition": 0}
+        lstsq, partition = np.linalg.lstsq, duality.diagonal_block_partition
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        def counted_partition(*args, **kwargs):
+            calls["partition"] += 1
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(duality, "diagonal_block_partition", counted_partition)
+        return calls
+
+    def test_construct_one_ss_dual(self, monkeypatch):
+        m = representable_matrix(41, self.SIZE, 3, blocks=3)
+        calls = self.counted(monkeypatch)
+        construct_one_ss_dual(m, 3)
+        assert calls["lstsq"] <= self.SIZE
+        assert calls["partition"] == 1
+
+    def test_verify_non_dualizable(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        report = verify_non_dualizable(self.SIZE, 2)
+        assert report.verdict
+        assert calls["lstsq"] <= self.SIZE
+        assert calls["partition"] == 1
 
 
 class TestFactorsSerialization:

@@ -180,6 +180,22 @@ class TestDiagonalBlockPartition:
         m = LowerTriangularMatrix(np.zeros((4, 4)))
         assert diagonal_block_partition(m) == [1, 2, 3]
 
+    def test_matches_region_definition_on_planted_cuts(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            size = int(rng.integers(1, 65))
+            vals = np.tril(rng.standard_normal((size, size)))
+            for i in rng.choice(np.arange(1, size), size=min(3, size - 1), replace=False):
+                # Scales straddle the eps * max|M| threshold at the default eps = 1e-9.
+                vals[i:, :i] *= rng.choice([0.0, 1e-10, 1e-9, 1e-8])
+            scale = np.max(np.abs(vals))
+            expected = [
+                i for i in range(1, size) if np.max(np.abs(vals[i:, :i])) <= 1e-9 * scale
+            ]
+            cuts = diagonal_block_partition(LowerTriangularMatrix(vals))
+            assert cuts == expected
+            assert all(type(c) is int for c in cuts)
+
 
 class TestIsFineMask:
     def test_first_entry_is_ignored(self):
