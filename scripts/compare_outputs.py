@@ -5,21 +5,25 @@ Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
 Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
-``one_ss``, ``materialize_kernel``, ``forward_ssd`` and
+``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd`` and
 ``construct_one_ss_dual``, plus the exit code, stdout, stderr, warning
-messages and output file of the CLI commands ``forward --path all``,
+messages and output file of the CLI commands ``forward --path all`` (at
+T=128 and at T=600, where the kernel spans several build tiles),
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel whose construction
 fails), ``extract`` and ``counterexample non-dualizable``. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
-Exits 1 when anything differs.
+Arrays, and the arrays in JSON output files, that differ in value are
+reported with their largest relative Frobenius difference. Exits 1 when
+anything differs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -68,10 +72,17 @@ def dump() -> dict[str, object]:
         factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
         for name in ("p", "Q", "K"):
             out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
+        # T=600 spans two full kernel-build tiles and a partial third one.
+        out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
+        wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
+        out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
+        long_model, long_x = random_instance(seed, 600, 4, 2)
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             (work / "ssm.json").write_text(model.to_json())
             (work / "x.csv").write_text(sequence_to_csv(x))
+            (work / "ssm600.json").write_text(long_model.to_json())
+            (work / "x600.csv").write_text(sequence_to_csv(long_x))
             (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
             (work / "corner.csv").write_text(non_dualizable_matrix(8).to_csv())
             # Mode decay rates differ, so the dual construction fails its residual gate.
@@ -80,6 +91,9 @@ def dump() -> dict[str, object]:
             representability = ["check-dual", "--mode", "representability", "--matrix"]
             commands = {
                 "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
+                "forward/600": [
+                    "forward", "--ssm", "ssm600.json", "--input", "x600.csv", "--path", "all"
+                ],
                 "check-dual": [*representability, "kernel.csv", "--N", "3"],
                 "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
                 "check-dual/construct-fails": [*representability, "diag.csv", "--N", "4"],
@@ -111,6 +125,27 @@ def dump() -> dict[str, object]:
     return out
 
 
+def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
+    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    return float(np.linalg.norm(a - b) / denom) if denom else float(np.linalg.norm(a - b))
+
+
+def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> float | None:
+    """Largest relative difference over the list fields of two JSON objects, if both are."""
+    try:
+        first, second = json.loads(a), json.loads(b)
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(first, dict) or not isinstance(second, dict) or first.keys() != second.keys():
+        return None
+    diffs = [
+        _rel_fro(np.array(first[k], dtype=float), np.array(second[k], dtype=float))
+        for k in first
+        if isinstance(first[k], list) and np.shape(first[k]) == np.shape(second[k])
+    ]
+    return max(diffs, default=None)
+
+
 def run_side(src: str) -> dict[str, object]:
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -137,12 +172,19 @@ def main(argv: list[str]) -> int:
             elif a.shape == b.shape and np.array_equal(a, b):
                 verdict = "equal values, zero signs differ"
                 differ += 1
+            elif a.shape == b.shape:
+                verdict = f"DIFFERENT (relative Frobenius difference {_rel_fro(a, b):.1e})"
+                differ += 1
             else:
                 verdict = "DIFFERENT"
                 differ += 1
         else:
             verdict = "byte-identical" if a == b else "DIFFERENT"
             differ += a != b
+            if isinstance(a, tuple) and isinstance(b, tuple) and a != b:
+                largest = _largest_json_rel_diff(a[-1], b[-1])
+                if largest is not None:
+                    verdict += f" (largest relative Frobenius difference in file {largest:.1e})"
         print(f"{key}: {verdict}")
     print(f"{differ} of {len(base.keys() | head.keys())} outputs differ")
     return 1 if differ else 0

@@ -130,7 +130,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file; explicit flags win."""
+    """Fill unset options from a JSON config file; explicit flags win.
+
+    A key that names no option of the command is an input error.
+    """
     if not getattr(args, "config", None):
         return
     loaded = json.loads(_read(args.config))
@@ -138,7 +141,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ValueError("config file must hold a JSON object")
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if not hasattr(args, attr):
+            raise ValueError(f"config key {key!r} names no option of {args.command!r}")
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 

@@ -22,6 +22,9 @@ DEFAULT_EPS = 1e-9
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
 
+#: Row and column extent of the tiles that kernel construction and validation work in.
+_TILE = 256
+
 
 @dataclass(frozen=True)
 class LowerTriangularMatrix:
@@ -41,8 +44,9 @@ class LowerTriangularMatrix:
             raise ShapeMismatchError("matrix size must be at least 1")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        if np.any(arr[np.triu_indices(arr.shape[0], k=1)] != 0.0):
-            raise ValueError("entries above the main diagonal must be exactly zero")
+        for r in range(0, arr.shape[0], _TILE):
+            if np.triu(arr[r : r + _TILE, r:], 1).any():
+                raise ValueError("entries above the main diagonal must be exactly zero")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -115,17 +119,13 @@ class MaskVector:
         return cls(np.array(json.loads(text)["a"], dtype=float))
 
 
-def _segment_product_kernel(
-    gains: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> LowerTriangularMatrix:
-    """Lower triangle with entries sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
+def _row_recursion(gains: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """Fill the lower triangle of ``out`` (T x T) with the segment-product kernel.
 
-    All three inputs are (T, K); gains[0] is never read. Row t is produced
-    from row t-1 by one gain multiplication per column k, so zero gains are
-    handled exactly.
+    Row t is produced from row t-1 by one gain multiplication per column k,
+    so zero gains are handled exactly. gains[0] is never read.
     """
     n_steps, width = gains.shape
-    m = np.zeros((n_steps, n_steps))
     right_t = np.ascontiguousarray(right.T)
     # prods[k, s] holds the gain product from s+1 through the current row.
     prods = np.zeros((width, n_steps))
@@ -133,7 +133,45 @@ def _segment_product_kernel(
         if t > 0:
             prods[:, :t] *= gains[t][:, None]
         prods[:, t] = 1.0
-        m[t, : t + 1] = left[t] @ (prods[:, : t + 1] * right_t[:, : t + 1])
+        out[t, : t + 1] = left[t] @ (prods[:, : t + 1] * right_t[:, : t + 1])
+
+
+def _segment_product_kernel(
+    gains: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> LowerTriangularMatrix:
+    """Lower triangle with entries sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
+
+    All three inputs are (T, K); gains[0] is never read. The kernel is built
+    in ``_TILE`` x ``_TILE`` tiles. Diagonal tiles use the row recursion.
+    Off-diagonal tile (I, J) factors through the gains between the tiles:
+    the product from s+1 to t splits into a[s+1..end_J-1] (tail of J), the
+    whole-tile products of the tiles strictly between, and a[start_I..t]
+    (head of I), so the tile is one rank-K product. Every factor is itself
+    a segment product and nothing is divided, so zero gains stay exact.
+    """
+    n_steps, width = gains.shape
+    m = np.zeros((n_steps, n_steps))
+    starts = range(0, n_steps, _TILE)
+    left_heads, right_tails, whole = [], [], []
+    for start in starts:
+        tile = slice(start, start + _TILE)
+        # head[t] = a[start..t] and tail[s] = a[s+1..end-1], both inside the tile.
+        head = np.cumprod(gains[tile], axis=0)
+        tail = np.ones_like(head)
+        tail[:-1] = np.cumprod(gains[tile][:0:-1], axis=0)[::-1]
+        left_heads.append(left[tile] * head)
+        right_tails.append(right[tile] * tail)
+        whole.append(head[-1])
+    for i, start in enumerate(starts):
+        rows = slice(start, start + _TILE)
+        _row_recursion(gains[rows], left[rows], right[rows], m[rows, rows])
+        between = np.ones(width)
+        for j in range(i - 1, -1, -1):
+            if not between.any():
+                break  # every earlier tile of this row band is exactly zero
+            cols = slice(starts[j], starts[j] + _TILE)
+            np.matmul(left_heads[i] * between, right_tails[j].T, out=m[rows, cols])
+            between = between * whole[j]
     return LowerTriangularMatrix(m)
 
 

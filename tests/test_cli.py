@@ -195,3 +195,11 @@ class TestConfigFile:
         assert summary["points"][0]["T"] == 64
         override = run_cli("bench", "--config", "cfg.json", "--T", "32", cwd=workdir)
         assert json.loads(override.stdout)["points"][0]["T"] == 32
+
+    def test_unknown_key_is_an_input_error(self, workdir):
+        (workdir / "cfg.json").write_text(json.dumps({"probe_workers": 2, "sed": 3}))
+        proc = run_cli("bench", "--seed", "1", "--config", "cfg.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "input error" in proc.stderr
+        assert "'probe_workers'" in proc.stderr and "'bench'" in proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssdlab import ss_matrix
 from ssdlab.errors import ShapeMismatchError, SizeExceededError
 from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
@@ -71,6 +72,20 @@ class TestOneSs:
     def test_matches_direct_product_oracle(self, gains):
         got = one_ss(MaskVector(gains)).values
         assert np.allclose(got, ref_one_ss(gains), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_tiled_build_matches_cumulative_products(self, monkeypatch, tile):
+        monkeypatch.setattr(ss_matrix, "_TILE", tile)
+        rng = np.random.default_rng(tile)
+        for size in sorted({1, max(tile - 1, 1), tile, tile + 1, 3 * tile + 2}):
+            gains = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
+            gains[rng.random(size) < 0.2] = 0.0
+            expected = np.zeros((size, size))
+            for t in range(size):
+                for s in range(t + 1):
+                    expected[t, s] = np.prod(gains[s + 1 : t + 1])
+            got = one_ss(MaskVector(gains)).values
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @given(
         st.lists(
@@ -214,6 +229,17 @@ class TestConstruction:
         bad[0, 2] = 1e-30
         with pytest.raises(ValueError):
             LowerTriangularMatrix(bad)
+
+    @pytest.mark.parametrize("row, col", [(0, 599), (256, 257), (255, 256), (598, 599)])
+    def test_rejects_single_nonzero_in_any_row_block(self, row, col):
+        bad = np.tril(np.random.default_rng(1).standard_normal((600, 600)))
+        bad[row, col] = 1.0
+        with pytest.raises(ValueError, match="above the main diagonal"):
+            LowerTriangularMatrix(bad)
+
+    def test_accepts_lower_triangle_spanning_row_blocks(self):
+        vals = np.tril(np.random.default_rng(2).standard_normal((600, 600)))
+        assert np.array_equal(LowerTriangularMatrix(vals).values, vals)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatchError):

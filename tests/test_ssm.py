@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssdlab import ss_matrix
 from ssdlab.errors import ShapeMismatchError
 from ssdlab.ss_matrix import MaskVector, one_ss, semiseparable_rank
 from ssdlab.ssm import (
@@ -38,6 +39,24 @@ def ref_kernel(ssm):
                 total += ssm.c[j, n] * prod * ssm.b[i, n]
             out[j, i] = total
     return out
+
+
+def row_recursion_kernel(ssm):
+    """Row-by-row evaluation of the kernel formula (test oracle for large T)."""
+    out = np.zeros((ssm.T, ssm.T))
+    prods = np.zeros((ssm.T, ssm.N))
+    for t in range(ssm.T):
+        prods[:t] *= ssm.a_diag[t]
+        prods[t] = 1.0
+        out[t, : t + 1] = (prods[: t + 1] * ssm.b[: t + 1]) @ ssm.c[t]
+    return out
+
+
+def signed_gains_with_zeros(rng, steps, modes):
+    gains = rng.uniform(0.5, 1.5, (steps, modes)) * rng.choice([-1.0, 1.0], (steps, modes))
+    gains[rng.random((steps, modes)) < 0.2] = 0.0
+    gains[0] = 1.0
+    return gains
 
 
 def unit_gain_ssm(steps):
@@ -100,6 +119,35 @@ class TestMaterializeKernel:
         for model in (ssm, with_zeros):
             got = materialize_kernel(model).values
             assert np.allclose(got, ref_kernel(model), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_tiled_build_matches_direct_formula(self, monkeypatch, tile):
+        monkeypatch.setattr(ss_matrix, "_TILE", tile)
+        rng = np.random.default_rng(tile)
+        for steps in sorted({1, max(tile - 1, 1), tile, tile + 1, 3 * tile + 2}):
+            for modes in (1, 3):
+                gains = signed_gains_with_zeros(rng, steps, modes)
+                model = DiagonalSsm(gains, *rng.standard_normal((2, steps, modes)))
+                got = materialize_kernel(model).values
+                assert np.allclose(got, ref_kernel(model), rtol=1e-12, atol=1e-12)
+
+    def test_three_tiles_match_row_recursion(self):
+        # 600 steps span two full tiles and a partial third one.
+        rng = np.random.default_rng(8)
+        gains = rng.uniform(0.9, 1.1, (600, 4)) * rng.choice([-1.0, 1.0], (600, 4))
+        gains[0] = 1.0
+        model = DiagonalSsm(gains, *rng.standard_normal((2, 600, 4)))
+        assert rel_fro(materialize_kernel(model).values, row_recursion_kernel(model)) <= 1e-13
+
+    def test_zero_gain_in_every_mode_gives_exact_zeros(self):
+        rng = np.random.default_rng(9)
+        gains = rng.uniform(0.5, 1.5, (600, 4))
+        gains[0] = 1.0
+        gains[300] = 0.0  # inside the second tile, in every mode
+        model = DiagonalSsm(gains, *rng.standard_normal((2, 600, 4)))
+        got = materialize_kernel(model).values
+        assert np.all(got[300:, :300] == 0.0)
+        assert rel_fro(got, row_recursion_kernel(model)) <= 1e-13
 
     def test_kernel_rank_bounded_by_mode_count(self):
         for seed, modes in ((5, 1), (6, 2), (7, 4)):
