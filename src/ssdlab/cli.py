@@ -10,6 +10,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from . import bench, duality, limits, ssm as ssm_mod
 from .errors import (
     DegenerateGridError,
     InconsistentTransitionError,
-    NotRepresentableError,
     NotScalarIdentityError,
     RankExceedsWidthError,
     ReconstructionError,
@@ -31,7 +31,7 @@ from .errors import (
     UnstableScalingError,
     ZeroGainError,
 )
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix
+from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, rel_err
 from .sss_extract import extract_sss, materialize_sss
 
 EXIT_OK = 0
@@ -43,7 +43,6 @@ _PRECONDITION_ERRORS = (
     NotScalarIdentityError,
     ZeroGainError,
     UnstableScalingError,
-    NotRepresentableError,
     RankExceedsWidthError,
     InconsistentTransitionError,
 )
@@ -118,13 +117,6 @@ def _load_matrix(path: str) -> LowerTriangularMatrix:
     return LowerTriangularMatrix.from_csv(_read(path))
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if denom == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b) / denom)
-
-
 def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in str(text).split(",") if str(part).strip()]
 
@@ -154,11 +146,10 @@ def cmd_forward(cfg: RunConfig) -> int:
     path = cfg.options.get("path") or "all"
     if path == "all":
         outputs = {name: fn(model, x) for name, fn in runners.items()}
-        pairwise = {}
-        names = list(outputs)
-        for i, first in enumerate(names):
-            for second in names[i + 1 :]:
-                pairwise[f"{first}/{second}"] = _rel_err(outputs[first], outputs[second])
+        pairwise = {
+            f"{first}/{second}": rel_err(outputs[first], outputs[second])
+            for first, second in itertools.combinations(outputs, 2)
+        }
         worst = max(pairwise.values())
         payload = {f"Y_{name}": y.tolist() for name, y in outputs.items()}
         payload.update(pairwise_rel_errors=pairwise, max_rel_error=worst)
@@ -208,13 +199,7 @@ def cmd_check_dual(cfg: RunConfig) -> int:
         if "matrix" not in cfg.inputs or "N" not in cfg.dims:
             raise ValueError("--mode representability needs --matrix and --N")
         matrix = _load_matrix(cfg.inputs["matrix"])
-        width = cfg.dims["N"]
-        report = duality.representability_report(matrix, width, cfg.eps)
-        if report["representable"]:
-            factors = duality.construct_one_ss_dual(matrix, width, cfg.eps)
-            back = factors.materialize().values
-            report["reconstruction_rel_residual"] = _rel_err(back, matrix.values)
-            report["factors"] = json.loads(factors.to_json())
+        report = duality.representability_report(matrix, cfg.dims["N"], cfg.eps)
         if cfg.out:
             _write_atomic(cfg.out, json.dumps(report))
         print(json.dumps({k: report[k] for k in ("blocks", "representable")}))
@@ -226,7 +211,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     matrix = _load_matrix(cfg.inputs["matrix"])
     rep = extract_sss(matrix, cfg.dims["N"], cfg.eps)
     back = materialize_sss(rep).values
-    residual = _rel_err(back, matrix.values)
+    residual = rel_err(back, matrix.values)
     payload = {
         "roundtrip_rel_residual": residual,
         "block_ranks": list(rep.r),

@@ -27,11 +27,13 @@ from .errors import (
 )
 from .ss_matrix import (
     DEFAULT_EPS,
+    BlockNewColumns,
     LowerTriangularMatrix,
     MaskVector,
     _new_column_sweep,
     diagonal_block_partition,
     one_ss,
+    rel_err,
 )
 from .ssm import DiagonalSsm, materialize_kernel
 
@@ -100,7 +102,7 @@ class MaskedAttentionFactors:
     def materialize(self) -> LowerTriangularMatrix:
         """Dense value of mask * (Q K^T); exact zeros above the diagonal."""
         mask = one_ss(MaskVector(self.p)).values
-        return LowerTriangularMatrix(mask * (self.Q @ self.K.T))
+        return LowerTriangularMatrix._adopt(mask * (self.Q @ self.K.T))
 
     def to_json(self) -> str:
         return json.dumps({"p": self.p.tolist(), "Q": self.Q.tolist(), "K": self.K.tolist()})
@@ -108,11 +110,7 @@ class MaskedAttentionFactors:
     @classmethod
     def from_json(cls, text: str) -> "MaskedAttentionFactors":
         obj = json.loads(text)
-        return cls(
-            np.array(obj["p"], dtype=float),
-            np.array(obj["Q"], dtype=float),
-            np.array(obj["K"], dtype=float),
-        )
+        return cls(obj["p"], obj["Q"], obj["K"])
 
 
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
@@ -128,21 +126,17 @@ def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
         raise NotScalarIdentityError(
             f"diagonal entries differ across modes at step {bad}"
         )
-    return MaskedAttentionFactors(ssm.a_diag[:, 0].copy(), ssm.c.copy(), ssm.b.copy())
+    return MaskedAttentionFactors(ssm.a_diag[:, 0], ssm.c, ssm.b)
 
 
 def attention_like_decomposition(ssm: DiagonalSsm) -> list[RankOneMaskedTerm]:
     """Per-mode rank-one masked terms; their materializations sum to the kernel."""
-    return [
-        RankOneMaskedTerm(n, ssm.a_diag[:, n].copy(), ssm.c[:, n].copy(), ssm.b[:, n].copy())
-        for n in range(ssm.N)
-    ]
+    return [RankOneMaskedTerm(n, ssm.a_diag[:, n], ssm.c[:, n], ssm.b[:, n]) for n in range(ssm.N)]
 
 
 def materialize_term(term: RankOneMaskedTerm) -> LowerTriangularMatrix:
-    """Dense value of one mode: 1SS(a) * (c b^T) on the lower triangle."""
-    mask = one_ss(MaskVector(term.a)).values
-    return LowerTriangularMatrix(mask * np.outer(term.c, term.b))
+    """Dense value of one mode, 1SS(a) * (c b^T): a width-1 masked-attention product."""
+    return MaskedAttentionFactors(term.a, term.c[:, None], term.b[:, None]).materialize()
 
 
 def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
@@ -177,23 +171,11 @@ def masked_attention_forward(factors: MaskedAttentionFactors, x: np.ndarray) -> 
     return factors.materialize().values @ x
 
 
-@dataclass(frozen=True)
-class BlockNewColumns:
-    """New-column count of one diagonal block, rows [start, end)."""
-
-    start: int
-    end: int
-    new_columns: int
-
-
 def count_block_new_columns(
     m: LowerTriangularMatrix, eps: float = DEFAULT_EPS
 ) -> list[BlockNewColumns]:
     """Partition into diagonal blocks and count new columns inside each."""
-    return [
-        BlockNewColumns(b.start, b.end, b.new_columns)
-        for b in _new_column_sweep(m, diagonal_block_partition(m, eps), eps)
-    ]
+    return _new_column_sweep(m, diagonal_block_partition(m, eps), eps)
 
 
 def _within_width(blocks, width: int) -> bool:
@@ -215,14 +197,23 @@ def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_E
 def representability_report(
     m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_EPS
 ) -> dict:
-    """JSON-ready block/new-column report used by the CLI."""
+    """JSON-ready block/new-column report used by the CLI.
+
+    When representable, it also carries the ``construct_one_ss_dual`` factors, built from
+    the same sweep, and their relative residual; it may raise ``ReconstructionError``.
+    """
     blocks = count_block_new_columns(m, eps)
-    return {
+    report = {
         "blocks": [
             {"start": b.start, "end": b.end, "new_columns": b.new_columns} for b in blocks
         ],
         "representable": all(b.new_columns <= width for b in blocks),
     }
+    if report["representable"]:
+        factors, back = _construct(m, blocks, width, eps)
+        report["reconstruction_rel_residual"] = rel_err(back, m.values)
+        report["factors"] = json.loads(factors.to_json())
+    return report
 
 
 def construct_one_ss_dual(
@@ -239,8 +230,12 @@ def construct_one_ss_dual(
     directions are needed. The mask carries a zero at every block start
     and ones elsewhere.
     """
-    swept = _new_column_sweep(m, diagonal_block_partition(m, eps), eps)
-    if not _within_width(swept, width):
+    return _construct(m, count_block_new_columns(m, eps), width, eps)[0]
+
+
+def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tuple:
+    """``construct_one_ss_dual`` from the sweep ``blocks`` of ``m``, plus its materialization."""
+    if not _within_width(blocks, width):
         raise NotRepresentableError(
             f"matrix has a diagonal block with more than {width} new columns"
         )
@@ -249,7 +244,7 @@ def construct_one_ss_dual(
     p = np.ones(size)
     q_rows = np.zeros((size, width))
     k_rows = np.zeros((size, width))
-    for b in swept:
+    for b in blocks:
         p[b.start] = 0.0
         filled = vals[b.start : b.end, b.start : b.end].copy()
         for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
@@ -260,14 +255,15 @@ def construct_one_ss_dual(
         q_rows[b.start : b.end] = left
         k_rows[b.start : b.end] = right.T
     factors = MaskedAttentionFactors(p, q_rows, k_rows)
+    back = factors.materialize().values
     scale = float(np.linalg.norm(vals))
-    residual = float(np.linalg.norm(factors.materialize().values - vals))
+    residual = float(np.linalg.norm(back - vals))
     if residual > eps * scale:
         raise ReconstructionError(
             f"re-materialization residual {residual:.3e} exceeds "
             f"{eps:.1e} * |M| = {eps * scale:.3e}"
         )
-    return factors
+    return factors, back
 
 
 def kernel_residual(ssm: DiagonalSsm, factors: MaskedAttentionFactors) -> float:

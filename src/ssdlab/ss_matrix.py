@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,17 @@ class LowerTriangularMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
+        """Same checks, no copy: for a fresh float array its builder shares with no one."""
+        matrix = object.__new__(cls)
+        matrix._own(np.asarray(arr, dtype=float))
+        return matrix
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Check ``arr`` and freeze it as this matrix's storage."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -73,6 +83,13 @@ class LowerTriangularMatrix:
     @classmethod
     def from_csv(cls, text: str) -> "LowerTriangularMatrix":
         return cls(array_from_csv(text))
+
+
+def rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of a - b over the larger of the two norms; zero-safe."""
+    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    diff = float(np.linalg.norm(a - b))
+    return diff / denom if denom else diff
 
 
 def array_to_csv(x: np.ndarray) -> str:
@@ -172,7 +189,7 @@ def _segment_product_kernel(
             cols = slice(starts[j], starts[j] + _TILE)
             np.matmul(left_heads[i] * between, right_tails[j].T, out=m[rows, cols])
             between = between * whole[j]
-    return LowerTriangularMatrix(m)
+    return LowerTriangularMatrix._adopt(m)
 
 
 def one_ss(mask: MaskVector) -> LowerTriangularMatrix:
@@ -264,8 +281,8 @@ def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]
 
 
 @dataclass(frozen=True)
-class _SweptBlock:
-    """Membership verdicts for the columns of one diagonal block, rows [start, end).
+class BlockNewColumns:
+    """New-column count of one diagonal block, rows [start, end), and the verdicts behind it.
 
     ``new[i]`` and ``coeffs[i]`` are what ``_column_membership`` returned
     for block column i against block columns 0..i-1 on block rows i onward.
@@ -274,14 +291,14 @@ class _SweptBlock:
     start: int
     end: int
     new: tuple[bool, ...]
-    coeffs: tuple[np.ndarray | None, ...]
+    coeffs: tuple[np.ndarray | None, ...] = field(compare=False, repr=False)
 
     @property
     def new_columns(self) -> int:
         return sum(self.new)
 
 
-def _new_column_sweep(m: LowerTriangularMatrix, cuts: list[int], eps: float) -> list[_SweptBlock]:
+def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
     """One membership test per column, each inside its block between ``cuts``.
 
     Borderline decisions warn as in ``new_columns``; the reported column
@@ -304,7 +321,7 @@ def _new_column_sweep(m: LowerTriangularMatrix, cuts: list[int], eps: float) -> 
                 )
             verdicts.append((is_new, fit))
         new, coeffs = zip(*verdicts)
-        out.append(_SweptBlock(start, end, new, coeffs))
+        out.append(BlockNewColumns(start, end, new, coeffs))
     return out
 
 

@@ -123,7 +123,7 @@ def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
         for j in range(i + 1, steps):
             v = rep.A[j] @ v
             m[j, i] = rep.c[j] @ v
-    return LowerTriangularMatrix(m)
+    return LowerTriangularMatrix._adopt(m)
 
 
 def rank_factor_step(

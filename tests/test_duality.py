@@ -1,9 +1,11 @@
 """Tests for dual constructions and representability decisions."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ssdlab import duality
+from ssdlab import cli, duality
 from ssdlab.duality import (
     MaskedAttentionFactors,
     attention_like_decomposition,
@@ -20,6 +22,7 @@ from ssdlab.duality import (
 from ssdlab.errors import (
     NotRepresentableError,
     NotScalarIdentityError,
+    ReconstructionError,
     UnstableScalingError,
     ZeroGainError,
 )
@@ -166,6 +169,12 @@ class TestBlockNewColumnCounts:
         blocks = count_block_new_columns(LowerTriangularMatrix(np.tril(np.ones((4, 4)))))
         assert [(b.start, b.end, b.new_columns) for b in blocks] == [(0, 4, 1)]
 
+    def test_blocks_compare_by_verdicts_not_coefficients(self):
+        m = representable_matrix(5, 12, 2, blocks=2)
+        first, again = count_block_new_columns(m), count_block_new_columns(m)
+        assert first == again
+        assert all(len(b.new) == b.end - b.start for b in first)
+
 
 class TestHasOneSsDual:
     def test_corner_matrix_thresholds(self):
@@ -193,6 +202,20 @@ class TestHasOneSsDual:
             "blocks": [{"start": 0, "end": 5, "new_columns": 4}],
             "representable": False,
         }
+        m = representable_matrix(17, 12, 2, blocks=2)
+        report = representability_report(m, 2)
+        assert list(report) == ["blocks", "representable", "reconstruction_rel_residual", "factors"]
+        assert report["representable"]
+        assert report["factors"] == json.loads(construct_one_ss_dual(m, 2).to_json())
+        back = MaskedAttentionFactors.from_json(json.dumps(report["factors"])).materialize()
+        assert report["reconstruction_rel_residual"] == rel_fro(back.values, m.values)
+        assert report["reconstruction_rel_residual"] <= 1e-9
+
+    def test_report_raises_when_the_construction_misses_its_gate(self):
+        # Mode decay rates differ, so the width-4 fill grows far past the kernel's scale.
+        ssm, _ = random_instance(0, 64, 4, 1, a_abs=(0.5, 1.0))
+        with pytest.raises(ReconstructionError):
+            representability_report(materialize_kernel(ssm), 4)
 
 
 class TestFineMaskWidthBound:
@@ -264,19 +287,21 @@ class TestOneSweepPerCall:
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"lstsq": 0, "partition": 0}
-        lstsq, partition = np.linalg.lstsq, duality.diagonal_block_partition
+        calls = {"lstsq": 0, "partition": 0, "sweep": 0, "materialize": 0}
 
-        def counted_lstsq(*args, **kwargs):
-            calls["lstsq"] += 1
-            return lstsq(*args, **kwargs)
+        def count(owner, attr, key):
+            original = getattr(owner, attr)
 
-        def counted_partition(*args, **kwargs):
-            calls["partition"] += 1
-            return partition(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        monkeypatch.setattr(duality, "diagonal_block_partition", counted_partition)
+            monkeypatch.setattr(owner, attr, counting)
+
+        count(np.linalg, "lstsq", "lstsq")
+        count(duality, "diagonal_block_partition", "partition")
+        count(duality, "_new_column_sweep", "sweep")
+        count(MaskedAttentionFactors, "materialize", "materialize")
         return calls
 
     def test_construct_one_ss_dual(self, monkeypatch):
@@ -292,6 +317,21 @@ class TestOneSweepPerCall:
         assert report.verdict
         assert calls["lstsq"] <= self.SIZE
         assert calls["partition"] == 1
+
+    def test_check_dual_command(self, monkeypatch, tmp_path):
+        m = representable_matrix(41, self.SIZE, 3, blocks=3)
+        (tmp_path / "m.csv").write_text(m.to_csv())
+        calls = self.counted(monkeypatch)
+        code = cli.main([
+            "check-dual", "--mode", "representability", "--matrix", str(tmp_path / "m.csv"),
+            "--N", "3", "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == cli.EXIT_OK
+        assert "factors" in json.loads((tmp_path / "out.json").read_text())
+        assert calls["lstsq"] <= self.SIZE
+        assert calls["partition"] == 1
+        assert calls["sweep"] == 1
+        assert calls["materialize"] == 1
 
 
 class TestFactorsSerialization:

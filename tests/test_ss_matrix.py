@@ -18,6 +18,7 @@ from ssdlab.ss_matrix import (
     new_columns,
     numerical_rank,
     one_ss,
+    rel_err,
     semiseparable_rank,
     submatrix_rank_oracle,
 )
@@ -253,6 +254,34 @@ class TestConstruction:
         m = LowerTriangularMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
+
+    def test_source_array_changes_do_not_reach_the_matrix(self):
+        source = np.tril(np.ones((4, 4)))
+        m = LowerTriangularMatrix(source)
+        source[3, 0] = 7.0
+        assert np.array_equal(m.values, np.tril(np.ones((4, 4))))
+
+    @pytest.mark.parametrize(
+        "arr, error",
+        [
+            (np.triu(np.ones((3, 3))), "above the main diagonal"),
+            (np.array([[np.inf]]), "finite"),
+            (np.zeros((2, 3)), "square"),
+            (np.zeros((0, 0)), "at least 1"),
+        ],
+    )
+    def test_builders_handover_keeps_every_check(self, arr, error):
+        with pytest.raises(ValueError, match=error):
+            LowerTriangularMatrix._adopt(arr)
+
+
+class TestRelErr:
+    def test_divides_by_the_larger_norm(self):
+        a, b = np.array([3.0, 0.0]), np.array([0.0, 4.0])
+        assert rel_err(a, b) == rel_err(b, a) == 5.0 / 4.0
+
+    def test_zero_arrays_have_zero_error(self):
+        assert rel_err(np.zeros(3), np.zeros(3)) == 0.0
 
 
 class TestSerialization:

@@ -87,6 +87,13 @@ class TestForwardRecurrence:
 
 
 class TestMaterializeKernel:
+    def test_kernel_storage_is_read_only(self):
+        ssm, _ = random_instance(3, 8, 2, 1)
+        kernel = materialize_kernel(ssm).values
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
     def test_single_mode_products(self):
         ssm = DiagonalSsm(
             np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)), np.ones((3, 1))
