@@ -5,8 +5,8 @@ Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
 Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
-``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd`` and
-``construct_one_ss_dual``, plus the exit code, stdout, stderr, warning
+``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``,
+``construct_one_ss_dual`` and ``materialize_sss``, plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel spans several build tiles),
 ``check-dual --mode representability`` (on a representable kernel, on a
@@ -52,6 +52,7 @@ def dump() -> dict[str, object]:
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
     from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
     from ssdlab.ssm import sequence_to_csv
+    from ssdlab.sss_extract import materialize_sss, random_representation
 
     out: dict[str, object] = {}
     for seed in SEEDS:
@@ -72,6 +73,7 @@ def dump() -> dict[str, object]:
         factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
         for name in ("p", "Q", "K"):
             out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
+        out[f"materialize_sss/{seed}"] = materialize_sss(random_representation(seed, 96, 4)).values
         # T=600 spans two full kernel-build tiles and a partial third one.
         out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
@@ -130,20 +132,26 @@ def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom) if denom else float(np.linalg.norm(a - b))
 
 
+def _json_rel_diffs(first: object, second: object) -> list[float]:
+    """Relative differences of the numeric and list fields two JSON objects share, nested too."""
+    if not isinstance(first, dict) or not isinstance(second, dict) or first.keys() != second.keys():
+        return []
+    diffs = []
+    for k in first:
+        if isinstance(first[k], dict):
+            diffs += _json_rel_diffs(first[k], second[k])
+        elif isinstance(first[k], (list, float)) and np.shape(first[k]) == np.shape(second[k]):
+            diffs.append(_rel_fro(np.array(first[k], dtype=float), np.array(second[k], dtype=float)))
+    return diffs
+
+
 def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> float | None:
-    """Largest relative difference over the list fields of two JSON objects, if both are."""
+    """Largest relative difference over the fields of two JSON objects, if both are."""
     try:
         first, second = json.loads(a), json.loads(b)
     except (TypeError, ValueError):
         return None
-    if not isinstance(first, dict) or not isinstance(second, dict) or first.keys() != second.keys():
-        return None
-    diffs = [
-        _rel_fro(np.array(first[k], dtype=float), np.array(second[k], dtype=float))
-        for k in first
-        if isinstance(first[k], list) and np.shape(first[k]) == np.shape(second[k])
-    ]
-    return max(diffs, default=None)
+    return max(_json_rel_diffs(first, second), default=None)
 
 
 def run_side(src: str) -> dict[str, object]:

@@ -5,14 +5,8 @@ three execution paths (recurrence, linear scale/scan, materialized kernel)."""
 import argparse
 import itertools
 
-import numpy as np
-
+from ssdlab.ss_matrix import rel_err
 from ssdlab.ssm import forward_materialized, forward_recurrence, forward_ssd, random_instance
-
-
-def rel(a, b):
-    denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
-    return np.linalg.norm(a - b) / denom
 
 
 def main():
@@ -28,7 +22,7 @@ def main():
         steps, modes, channels = combos[i % len(combos)]
         ssm, x = random_instance(args.seed + i, steps, modes, channels)
         y_rec = forward_recurrence(ssm, x)
-        err = max(rel(y_rec, forward_ssd(ssm, x)), rel(y_rec, forward_materialized(ssm, x)))
+        err = max(rel_err(y_rec, forward_ssd(ssm, x)), rel_err(y_rec, forward_materialized(ssm, x)))
         if err > worst:
             worst, worst_dims = err, (steps, modes, channels)
     print(f"instances: {args.instances}")

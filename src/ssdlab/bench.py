@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridError
+from .ss_matrix import json_record
 from .ssm import FORWARD_PATHS, DiagonalSsm, random_instance
 
 PATHS = tuple(FORWARD_PATHS)
@@ -72,9 +73,23 @@ class CountedValue:
         return CountedValue(self.value + other.value, self.counter)
 
 
+@json_record(
+    {
+        "path": "path",
+        "T": "T",
+        "N": "N",
+        "d": "d",
+        "multiply_adds": "multiply_adds",
+        "additions": "additions",
+        "peak_live_elements": "peak_live_elements",
+    }
+)
 @dataclass(frozen=True)
 class FlopReport:
-    """Exact operation tallies and peak live elements for one run."""
+    """Exact operation tallies and peak live elements for one run.
+
+    The wall time stays out of files, so a report read back has NaN there.
+    """
 
     path: str
     T: int
@@ -83,21 +98,7 @@ class FlopReport:
     multiply_adds: int
     additions: int
     peak_live_elements: int
-    wall_time_s: float
-
-    def as_dict(self, timing: bool = True) -> dict:
-        out = {
-            "path": self.path,
-            "T": self.T,
-            "N": self.N,
-            "d": self.d,
-            "multiply_adds": self.multiply_adds,
-            "additions": self.additions,
-            "peak_live_elements": self.peak_live_elements,
-        }
-        if timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
+    wall_time_s: float = float("nan")
 
 
 def _wrap(arr: np.ndarray, counter: FlopCounter) -> list[list[CountedValue]]:
@@ -275,7 +276,7 @@ class ScalingResult:
             {
                 "path": self.path,
                 "slopes": self.slopes,
-                "points": [rep.as_dict(timing=False) for rep in self.reports],
+                "points": [rep.to_dict() for rep in self.reports],
             }
         )
 

@@ -189,7 +189,7 @@ def cmd_check_dual(cfg: RunConfig) -> int:
         payload = {
             "mode": mode,
             "kernel_rel_residual": residual,
-            "factors": json.loads(factors.to_json()),
+            "factors": factors.to_dict(),
         }
         if cfg.out:
             _write_atomic(cfg.out, json.dumps(payload))
@@ -215,7 +215,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     payload = {
         "roundtrip_rel_residual": residual,
         "block_ranks": list(rep.r),
-        "representation": json.loads(rep.to_json()),
+        "representation": rep.to_dict(),
     }
     if cfg.out:
         _write_atomic(cfg.out, json.dumps(payload))

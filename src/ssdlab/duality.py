@@ -11,7 +11,6 @@ Orientation convention used everywhere: the kernel entry at (t, s) is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,10 @@ from .ss_matrix import (
     BlockNewColumns,
     LowerTriangularMatrix,
     MaskVector,
+    _check_width,
     _new_column_sweep,
     diagonal_block_partition,
+    json_record,
     one_ss,
     rel_err,
 )
@@ -69,6 +70,7 @@ class RankOneMaskedTerm:
         return self.a.shape[0]
 
 
+@json_record({"p": "p", "Q": "Q", "K": "K"})
 @dataclass(frozen=True)
 class MaskedAttentionFactors:
     """A 1SS mask vector plus query/key factors realizing mask * (Q K^T)."""
@@ -103,14 +105,6 @@ class MaskedAttentionFactors:
         """Dense value of mask * (Q K^T); exact zeros above the diagonal."""
         mask = one_ss(MaskVector(self.p)).values
         return LowerTriangularMatrix._adopt(mask * (self.Q @ self.K.T))
-
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p.tolist(), "Q": self.Q.tolist(), "K": self.K.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaskedAttentionFactors":
-        obj = json.loads(text)
-        return cls(obj["p"], obj["Q"], obj["K"])
 
 
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
@@ -180,8 +174,7 @@ def count_block_new_columns(
 
 def _within_width(blocks, width: int) -> bool:
     """Whether every block has at most ``width`` new columns; ``width`` must be positive."""
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
+    _check_width(width)
     return all(b.new_columns <= width for b in blocks)
 
 
@@ -202,17 +195,18 @@ def representability_report(
     When representable, it also carries the ``construct_one_ss_dual`` factors, built from
     the same sweep, and their relative residual; it may raise ``ReconstructionError``.
     """
+    _check_width(width)
     blocks = count_block_new_columns(m, eps)
     report = {
         "blocks": [
             {"start": b.start, "end": b.end, "new_columns": b.new_columns} for b in blocks
         ],
-        "representable": all(b.new_columns <= width for b in blocks),
+        "representable": _within_width(blocks, width),
     }
     if report["representable"]:
         factors, back = _construct(m, blocks, width, eps)
         report["reconstruction_rel_residual"] = rel_err(back, m.values)
-        report["factors"] = json.loads(factors.to_json())
+        report["factors"] = factors.to_dict()
     return report
 
 

@@ -8,7 +8,6 @@ can fail to admit any width-limited masked-attention factorization.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from scipy.special import logsumexp
 from .errors import SizeExceededError
 from .duality import _within_width, count_block_new_columns
 from .sss_extract import extract_sss, materialize_sss
-from .ss_matrix import LowerTriangularMatrix, semiseparable_rank
+from .ss_matrix import LowerTriangularMatrix, json_record, semiseparable_rank
 
 #: Softmax rank checks become meaningless in double precision beyond this size.
 SOFTMAX_MAX_T = 8
@@ -30,6 +29,16 @@ LOG_AGREEMENT_RTOL = 1e-6
 EXTRACT_ROUNDTRIP_RTOL = 1e-8
 
 
+@json_record(
+    {
+        "name": "name",
+        "T": "T",
+        "claim": "claim",
+        "measurements": "measurements",
+        "verdict": "verdict",
+        "applicable": "applicable",
+    }
+)
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Measured quantities and verdict for one demonstration.
@@ -45,18 +54,6 @@ class CounterexampleReport:
     measurements: dict = field(default_factory=dict)
     verdict: bool = False
     applicable: bool = True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "T": self.T,
-                "claim": self.claim,
-                "measurements": self.measurements,
-                "verdict": self.verdict,
-                "applicable": self.applicable,
-            }
-        )
 
 
 def _integer_rank_one(v: np.ndarray) -> bool:

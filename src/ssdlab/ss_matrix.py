@@ -26,6 +26,68 @@ ORACLE_MAX_T = 12
 _TILE = 256
 
 
+def array_to_csv(x: np.ndarray) -> str:
+    """One comma-separated line per row of a 2-D float array."""
+    # repr() is shortest round-trip formatting for Python floats.
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+
+def array_from_csv(text: str) -> np.ndarray:
+    """Inverse of ``array_to_csv``; blank lines are skipped."""
+    rows = [
+        [float(field) for field in line.split(",")]
+        for line in text.strip().splitlines()
+        if line.strip()
+    ]
+    return np.array(rows, dtype=float)
+
+
+def _json_value(value):
+    """``value`` as ``json.loads`` would give it back: arrays and tuples become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
+    """Class decorator: a JSON codec declared as one table of file keys.
+
+    ``keys`` maps each JSON key, in file order, to the attribute it holds.
+    The class gains ``to_dict``, ``to_json`` and a ``from_json`` classmethod
+    in its own namespace. ``from_json`` passes the keys not in ``declared``
+    to the constructor, so every construction check still runs, and raises
+    ``ShapeMismatchError`` when a ``declared`` key (a size the file states)
+    disagrees with the rebuilt record.
+    """
+
+    def to_dict(self) -> dict:
+        return {key: _json_value(getattr(self, attr)) for key, attr in keys.items()}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+    def from_json(cls, text: str):
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object for {cls.__name__}")
+        record = cls(**{attr: obj[key] for key, attr in keys.items() if key not in declared})
+        for key in declared:
+            got = getattr(record, keys[key])
+            if got != obj[key]:
+                raise ShapeMismatchError(
+                    f"declared {key}={obj[key]!r} does not match the data's {got}"
+                )
+        return record
+
+    def decorate(cls):
+        cls.to_dict, cls.to_json, cls.from_json = to_dict, to_json, classmethod(from_json)
+        return cls
+
+    return decorate
+
+
+@json_record({"T": "T", "rows": "values"}, declared=("T",))
 @dataclass(frozen=True)
 class LowerTriangularMatrix:
     """Dense T x T matrix whose strictly-upper entries are exactly zero.
@@ -64,19 +126,6 @@ class LowerTriangularMatrix:
     def T(self) -> int:
         return self.values.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"T": self.T, "rows": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LowerTriangularMatrix":
-        obj = json.loads(text)
-        rows = np.array(obj["rows"], dtype=float)
-        if rows.shape != (obj["T"], obj["T"]):
-            raise ShapeMismatchError(
-                f"declared T={obj['T']} does not match rows of shape {rows.shape}"
-            )
-        return cls(rows)
-
     def to_csv(self) -> str:
         return array_to_csv(self.values)
 
@@ -92,23 +141,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return diff / denom if denom else diff
 
 
-def array_to_csv(x: np.ndarray) -> str:
-    """One comma-separated line per row of a 2-D float array."""
-    # repr() is shortest round-trip formatting for Python floats.
-    rows = np.atleast_2d(np.asarray(x, dtype=float))
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
-
-
-def array_from_csv(text: str) -> np.ndarray:
-    """Inverse of ``array_to_csv``; blank lines are skipped."""
-    rows = [
-        [float(field) for field in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.array(rows, dtype=float)
-
-
+@json_record({"a": "a"})
 @dataclass(frozen=True)
 class MaskVector:
     """Gain vector feeding the 1SS operator; entry 0 is never read."""
@@ -127,13 +160,6 @@ class MaskVector:
     @property
     def T(self) -> int:
         return self.a.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({"a": self.a.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaskVector":
-        return cls(np.array(json.loads(text)["a"], dtype=float))
 
 
 def _row_recursion(gains: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
@@ -339,6 +365,12 @@ def diagonal_block_partition(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS)
     steps = np.arange(1, m.T)
     scale = float(covered[0, -1])
     return steps[covered[steps, steps - 1] <= eps * scale].tolist()
+
+
+def _check_width(width: int) -> None:
+    """The one rule for a factor or representation width: at least 1."""
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
 
 
 def blocks_from_cuts(size: int, cuts: list[int]) -> list[tuple[int, int]]:

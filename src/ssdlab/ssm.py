@@ -15,9 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .ss_matrix import LowerTriangularMatrix, _segment_product_kernel, array_from_csv, array_to_csv
+from .ss_matrix import (
+    LowerTriangularMatrix,
+    _segment_product_kernel,
+    array_from_csv,
+    array_to_csv,
+    json_record,
+)
 
 
+@json_record({"T": "T", "N": "N", "A_diag": "a_diag", "b": "b", "c": "c"}, declared=("T", "N"))
 @dataclass(frozen=True)
 class DiagonalSsm:
     """Time-varying diagonal state-space parameters over T steps.
@@ -65,32 +72,6 @@ class DiagonalSsm:
     def is_scalar_identity(self) -> bool:
         """True when every step's diagonal entries are all equal (exactly)."""
         return bool(np.all(self.a_diag == self.a_diag[:, :1]))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": self.T,
-                "N": self.N,
-                "A_diag": self.a_diag.tolist(),
-                "b": self.b.tolist(),
-                "c": self.c.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagonalSsm":
-        obj = json.loads(text)
-        ssm = cls(
-            np.array(obj["A_diag"], dtype=float),
-            np.array(obj["b"], dtype=float),
-            np.array(obj["c"], dtype=float),
-        )
-        if ssm.T != obj["T"] or ssm.N != obj["N"]:
-            raise ShapeMismatchError(
-                f"declared (T, N)=({obj['T']}, {obj['N']}) does not match arrays "
-                f"of shape ({ssm.T}, {ssm.N})"
-            )
-        return ssm
 
 
 def _check_sequence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ solves, and materializes representations back to dense form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,10 @@ from .errors import (
     RankExceedsWidthError,
     ShapeMismatchError,
 )
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix
+from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, _check_width, json_record
 
 
+@json_record({"T": "T", "N": "N", "A": "A", "b": "b", "c": "c", "r": "r"}, declared=("T", "N"))
 @dataclass(frozen=True)
 class GeneralSssRepresentation:
     """Full transition matrices plus weight rows, with per-step block ranks.
@@ -82,47 +82,20 @@ class GeneralSssRepresentation:
                 return False
         return True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": self.T,
-                "N": self.N,
-                "A": self.A.tolist(),
-                "b": self.b.tolist(),
-                "c": self.c.tolist(),
-                "r": list(self.r),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneralSssRepresentation":
-        obj = json.loads(text)
-        rep = cls(
-            np.array(obj["A"], dtype=float),
-            np.array(obj["b"], dtype=float),
-            np.array(obj["c"], dtype=float),
-            tuple(obj["r"]),
-        )
-        if rep.T != obj["T"] or rep.N != obj["N"]:
-            raise ShapeMismatchError(
-                f"declared (T, N)=({obj['T']}, {obj['N']}) does not match arrays"
-            )
-        return rep
-
 
 def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
-    """Dense matrix with entries c_j' A^j ... A^{i+1} b_i, column by column.
+    """Dense matrix with entries c_j' A^j ... A^{i+1} b_i, row by row.
 
-    Each column keeps a running product vector, so the cost is O(T^2 N^2).
+    Column i of ``states`` carries A^j ... A^{i+1} b_i for the current row j,
+    so each row costs one (N, N) by (N, j) product: O(T^2 N^2) in all.
     """
     steps = rep.T
     m = np.zeros((steps, steps))
-    for i in range(steps):
-        v = rep.b[i].copy()
-        m[i, i] = rep.c[i] @ v
-        for j in range(i + 1, steps):
-            v = rep.A[j] @ v
-            m[j, i] = rep.c[j] @ v
+    states = np.zeros((rep.N, steps))
+    for j in range(steps):
+        states[:, :j] = rep.A[j] @ states[:, :j]
+        states[:, j] = rep.b[j]
+        m[j, : j + 1] = rep.c[j] @ states[:, : j + 1]
     return LowerTriangularMatrix._adopt(m)
 
 
@@ -162,6 +135,13 @@ def solve_transition(
     matrix is semiseparable, so the least-squares solution through the
     pseudo-inverse reproduces it. Entries outside the leading
     r_next x r_cur corner are forced to exact zeros.
+
+    The residual is gated relative to the larger of |w_next| and |w_trunc|.
+    A balanced factor carries rounding error of about machine epsilon times
+    its norm, which is at least sqrt(sigma_1) of its block, and dropping a
+    row keeps that error while the slice's own norm can shrink to it: right
+    after a diagonal-block cut ``w_trunc`` is pure rounding noise. The whole
+    factor ``w_next`` keeps the gate at the scale of the factors.
     """
     w_next = np.asarray(w_next, dtype=float)
     w_trunc = np.asarray(w_trunc, dtype=float)
@@ -169,15 +149,15 @@ def solve_transition(
         raise ShapeMismatchError(
             f"factor shapes {w_next.shape} and {w_trunc.shape} must match"
         )
-    width = w_next.shape[1]
     trans = np.linalg.pinv(w_next, rcond=eps) @ w_trunc
     trans[r_next:, :] = 0.0
     trans[:, r_cur:] = 0.0
-    scale = float(np.linalg.norm(w_trunc))
+    scale = max(float(np.linalg.norm(w_next)), float(np.linalg.norm(w_trunc)))
     residual = float(np.linalg.norm(w_next @ trans - w_trunc))
     if residual > eps * scale:
         raise InconsistentTransitionError(
-            f"row-factor residual {residual:.3e} exceeds {eps:.1e} * |W'| = {eps * scale:.3e}"
+            f"row-factor residual {residual:.3e} exceeds "
+            f"{eps:.1e} * max(|W|, |W'|) = {eps * scale:.3e}"
         )
     return trans
 
@@ -192,9 +172,10 @@ def extract_sss(
     chains consecutive factorizations with transition solves. Each
     transition is verified on both sides: w-side by construction inside
     ``solve_transition``, u-side against the next step's column factor.
+    Like the w-side gate, the u-side gate is relative to the larger of the
+    trimmed slice (of step t+1) and the whole factor (U of step t).
     """
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
+    _check_width(width)
     steps = m.T
     factored = [rank_factor_step(m, t, width, eps) for t in range(steps)]
     ranks = tuple(r for _, _, r in factored)
@@ -211,12 +192,12 @@ def extract_sss(
         a_t = solve_transition(w_next, w_trunc, ranks[t + 1], ranks[t], eps)
         u_cur = factored[t][1]
         u_next_trim = factored[t + 1][1][:, : t + 1]
-        scale = float(np.linalg.norm(u_next_trim))
+        scale = max(float(np.linalg.norm(u_cur)), float(np.linalg.norm(u_next_trim)))
         residual = float(np.linalg.norm(a_t @ u_cur - u_next_trim))
         if residual > eps * scale:
             raise InconsistentTransitionError(
                 f"column-factor residual {residual:.3e} at step {t + 1} exceeds "
-                f"{eps:.1e} * |U'| = {eps * scale:.3e}"
+                f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
             )
         trans[t + 1] = a_t
     return GeneralSssRepresentation(trans, b_rows, c_rows, ranks)

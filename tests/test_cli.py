@@ -86,6 +86,19 @@ class TestCheckDualCommand:
         assert report["reconstruction_rel_residual"] <= 1e-9
         assert len(report["factors"]["p"]) == 5
 
+    @pytest.mark.parametrize("matrix", ["zero", "corner"])
+    def test_representability_rejects_zero_width(self, workdir, matrix):
+        if matrix == "zero":
+            (workdir / "zero.csv").write_text("0.0,0.0\n0.0,0.0\n")
+        path = {"zero": "zero.csv", "corner": "corner5.csv"}[matrix]
+        proc = run_cli(
+            "check-dual", "--mode", "representability", "--matrix", path, "--N", "0",
+            "--out", "rep0.json", cwd=workdir,
+        )
+        assert proc.returncode == 2
+        assert "width must be at least 1" in proc.stderr
+        assert not (workdir / "rep0.json").exists()
+
     def test_full_rank_mode(self, workdir, tmp_path):
         ssm, _ = random_instance(23, 12, 3, 1, a_abs=(0.5, 2.0))
         (tmp_path / "fr.json").write_text(ssm.to_json())

@@ -1,6 +1,7 @@
 """Tests for the semiseparable-matrix primitives."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdlab import ss_matrix
+from ssdlab.bench import FlopReport
+from ssdlab.duality import MaskedAttentionFactors
 from ssdlab.errors import ShapeMismatchError, SizeExceededError
+from ssdlab.limits import CounterexampleReport
 from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
     MaskVector,
@@ -22,6 +26,8 @@ from ssdlab.ss_matrix import (
     semiseparable_rank,
     submatrix_rank_oracle,
 )
+from ssdlab.ssm import DiagonalSsm
+from ssdlab.sss_extract import GeneralSssRepresentation
 from tests.conftest import random_lower_triangular
 
 
@@ -305,3 +311,76 @@ class TestSerialization:
         mask = MaskVector([0.1, -2.5, 1e-12])
         again = MaskVector.from_json(mask.to_json())
         assert np.array_equal(mask.a, again.a)
+
+
+#: One tiny instance of every JSON record type and its file text, key order included.
+TINY_RECORDS = [
+    (
+        LowerTriangularMatrix([[1.0, 0.0], [0.5, -2.0]]),
+        '{"T": 2, "rows": [[1.0, 0.0], [0.5, -2.0]]}',
+    ),
+    (MaskVector([1.0, 0.25]), '{"a": [1.0, 0.25]}'),
+    (
+        DiagonalSsm([[1.0], [0.5]], [[2.0], [-1.0]], [[3.0], [0.25]]),
+        '{"T": 2, "N": 1, "A_diag": [[1.0], [0.5]], "b": [[2.0], [-1.0]], "c": [[3.0], [0.25]]}',
+    ),
+    (
+        MaskedAttentionFactors([0.0, 1.0], [[1.0], [2.0]], [[3.0], [-4.0]]),
+        '{"p": [0.0, 1.0], "Q": [[1.0], [2.0]], "K": [[3.0], [-4.0]]}',
+    ),
+    (
+        GeneralSssRepresentation([[[1.0]], [[0.5]]], [[1.0], [2.0]], [[3.0], [4.0]], (1, 1)),
+        '{"T": 2, "N": 1, "A": [[[1.0]], [[0.5]]], "b": [[1.0], [2.0]], "c": [[3.0], [4.0]], '
+        '"r": [1, 1]}',
+    ),
+    (
+        CounterexampleReport("demo", 3, "a claim", {"rank": 2, "err": 1.5e-17}, True, False),
+        '{"name": "demo", "T": 3, "claim": "a claim", "measurements": {"rank": 2, '
+        '"err": 1.5e-17}, "verdict": true, "applicable": false}',
+    ),
+    (
+        FlopReport("ssd", 4, 2, 1, 24, 16, 40, wall_time_s=0.5),
+        '{"path": "ssd", "T": 4, "N": 2, "d": 1, "multiply_adds": 24, "additions": 16, '
+        '"peak_live_elements": 40}',
+    ),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in TINY_RECORDS]
+
+
+class TestJsonRecords:
+    @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
+    def test_file_text_is_pinned(self, record, text):
+        assert record.to_json() == text
+        assert record.to_dict() == json.loads(text)
+
+    @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
+    def test_round_trip_gives_the_same_file(self, record, text):
+        again = type(record).from_json(text)
+        assert again.to_json() == text
+
+    @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
+    def test_codec_lives_in_each_class(self, record, text):
+        # Span wrappers look the loader up in the class's own namespace.
+        cls = type(record)
+        assert isinstance(cls.__dict__["from_json"], classmethod)
+        assert {"to_dict", "to_json"} <= set(cls.__dict__)
+
+    def test_diagonal_ssm_rejects_inconsistent_declared_sizes(self):
+        arrays = '"A_diag": [[1.0], [0.5]], "b": [[2.0], [-1.0]], "c": [[3.0], [0.25]]'
+        for declared in ('"T": 3, "N": 1', '"T": 2, "N": 2'):
+            with pytest.raises(ShapeMismatchError):
+                DiagonalSsm.from_json("{" + declared + ", " + arrays + "}")
+
+    def test_general_representation_rejects_inconsistent_declared_sizes(self):
+        arrays = '"A": [[[1.0]], [[0.5]]], "b": [[1.0], [2.0]], "c": [[3.0], [4.0]], "r": [1, 1]'
+        for declared in ('"T": 1, "N": 1', '"T": 2, "N": 3'):
+            with pytest.raises(ShapeMismatchError):
+                GeneralSssRepresentation.from_json("{" + declared + ", " + arrays + "}")
+
+    def test_constructor_checks_still_run(self):
+        with pytest.raises(ValueError, match="above the main diagonal"):
+            LowerTriangularMatrix.from_json('{"T": 2, "rows": [[1.0, 1.0], [0.0, 1.0]]}')
+
+    def test_rejects_a_file_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            MaskVector.from_json("[1.0, 2.0]")

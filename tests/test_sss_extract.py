@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from ssdlab.errors import RankExceedsWidthError, ShapeMismatchError
+from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
-from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, numerical_rank, one_ss, semiseparable_rank
+from ssdlab.ss_matrix import (
+    LowerTriangularMatrix,
+    MaskVector,
+    diagonal_block_partition,
+    numerical_rank,
+    one_ss,
+    semiseparable_rank,
+)
 from ssdlab.ssm import materialize_kernel, random_instance
 from ssdlab.sss_extract import (
     GeneralSssRepresentation,
@@ -29,7 +36,46 @@ def diagonal_as_general(ssm):
     return GeneralSssRepresentation(trans, ssm.b, ssm.c, ranks)
 
 
+def direct_sss(rep):
+    """Entry-by-entry c_j' A_j ... A_{i+1} b_i (test oracle)."""
+    out = np.zeros((rep.T, rep.T))
+    for j in range(rep.T):
+        for i in range(j + 1):
+            prod = np.eye(rep.N)
+            for k in range(j, i, -1):
+                prod = prod @ rep.A[k]
+            out[j, i] = rep.c[j] @ prod @ rep.b[i]
+    return out
+
+
+def masked_kernel_with_zero_gains(seed, size, width, zeros):
+    """mask * (Q K^T) whose mask gains are exactly zero at ``zeros`` (so cuts sit there)."""
+    rng = np.random.default_rng(seed)
+    gains = rng.uniform(0.95, 1.05, size) * rng.choice([-1.0, 1.0], size)
+    gains[list(zeros)] = 0.0
+    mask = one_ss(MaskVector(gains)).values
+    q, k = rng.standard_normal((2, size, width))
+    return LowerTriangularMatrix(mask * (q @ k.T))
+
+
 class TestMaterializeSss:
+    def test_matches_the_direct_formula_with_padded_corners(self):
+        # T < 2N, so every rank and every transition's live corner is clipped by padding.
+        for seed in range(4):
+            rep = random_representation(seed, 7, 4)
+            assert not all(rank == rep.N for rank in rep.r)
+            expected = direct_sss(rep)
+            assert rel_fro(materialize_sss(rep).values, expected) <= 1e-14
+
+    def test_zero_transition_gives_exact_zeros(self):
+        rep = random_representation(60, 9, 3)
+        trans = rep.A.copy()
+        trans[5] = 0.0
+        cut = GeneralSssRepresentation(trans, rep.b, rep.c, rep.r)
+        got = materialize_sss(cut).values
+        assert np.array_equal(got[5:, :5], np.zeros((4, 5)))
+        assert rel_fro(got, direct_sss(cut)) <= 1e-14
+
     def test_identity_transitions_give_outer_products(self):
         rng = np.random.default_rng(50)
         steps = 5
@@ -148,6 +194,46 @@ class TestExtractSss:
         rep = extract_sss(m, 3)
         for t in range(m.T):
             assert rep.r[t] == numerical_rank(m.values[t:, : t + 1])
+
+    def test_refuses_a_chain_that_no_transition_carries(self):
+        # A strong and a weak mode plus noise below the rank threshold: every block
+        # has rank 2, yet consecutive factors disagree far above rounding level.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            left, right = rng.uniform(1.0, 2.0, (2, 16, 2))
+            left[:, 1] *= 1e-3
+            right[:, 1] *= 1e-3
+            noise = 3e-11 * rng.standard_normal((16, 16))
+            m = LowerTriangularMatrix(np.tril(left @ right.T + noise))
+            assert semiseparable_rank(m) == 2
+            with pytest.raises(InconsistentTransitionError):
+                extract_sss(m, 2)
+
+    def test_refuses_a_rank_jump_above_the_width(self):
+        vals = np.tril(np.ones((6, 6)))
+        vals[5, 0] = 3.0  # the blocks that hold this entry have rank 2
+        with pytest.raises(RankExceedsWidthError):
+            extract_sss(LowerTriangularMatrix(vals), 1)
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [(40,), (40, 41), (40, 42), (1, 2, 63), (20, 21, 22, 50)],
+        ids=["at", "next-to", "two-after", "edges", "run"],
+    )
+    def test_round_trip_with_zero_gains_around_cuts(self, zeros):
+        for seed in range(3):
+            m = masked_kernel_with_zero_gains(seed, 64, 3, zeros)
+            assert diagonal_block_partition(m) == sorted(zeros)
+            rep = extract_sss(m, 3)
+            assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-12
+
+    def test_round_trip_on_block_diagonal_kernels(self):
+        # Three cuts at T=256, width 4: each transition next to a cut used to be refused.
+        for seed in range(3):
+            cuts = np.random.default_rng(100 + seed).choice(np.arange(1, 256), 3, replace=False)
+            m = masked_kernel_with_zero_gains(seed, 256, 4, cuts)
+            rep = extract_sss(m, 4)
+            assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-12
 
     def test_refuses_insufficient_width(self):
         with pytest.raises(RankExceedsWidthError):
