@@ -6,7 +6,9 @@ Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``,
-``construct_one_ss_dual`` and ``materialize_sss``, plus the exit code, stdout, stderr, warning
+``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r)
+and ``semiseparable_rank`` of a random width-4 representation and of a
+kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel spans several build tiles),
 ``check-dual --mode representability`` (on a representable kernel, on a
@@ -49,10 +51,10 @@ def dump() -> dict[str, object]:
     from ssdlab import cli
     from ssdlab.duality import construct_one_ss_dual
     from ssdlab.limits import non_dualizable_matrix
-    from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
+    from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
     from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
     from ssdlab.ssm import sequence_to_csv
-    from ssdlab.sss_extract import materialize_sss, random_representation
+    from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 
     out: dict[str, object] = {}
     for seed in SEEDS:
@@ -124,6 +126,20 @@ def dump() -> dict[str, object]:
                     )
             finally:
                 os.chdir(cwd)
+    # Drawn after every input above, from a generator of their own, so those stay the same.
+    rng = np.random.default_rng(len(SEEDS))
+    gains = rng.uniform(0.95, 1.05, 256) * rng.choice([-1.0, 1.0], 256)
+    gains[rng.choice(np.arange(1, 256), 3, replace=False)] = 0.0
+    q, k = rng.standard_normal((2, 256, 4))
+    extraction_inputs = {
+        "random": materialize_sss(random_representation(len(SEEDS), 256, 4)),
+        "masked": LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T)),
+    }
+    for name, m in extraction_inputs.items():
+        rep = extract_sss(m, 4)
+        for attr in ("A", "b", "c", "r"):
+            out[f"extract_sss/{name}/{attr}"] = getattr(rep, attr)
+        out[f"semiseparable_rank/{name}"] = semiseparable_rank(m)
     return out
 
 

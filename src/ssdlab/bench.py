@@ -7,8 +7,7 @@ uniform loops with zero-initialized accumulators (the first scan step
 multiplies the zero carry, reductions start from zeros), so the three
 paths charge the same operation slots they would in a branch-free
 implementation and the linear path counts scale exactly with T, N and d.
-Timing runs use the production numpy paths and are kept separate so the
-wrappers cannot distort them.
+Nothing here is timed: the tallies are the machine-independent measure.
 
 Counting convention: ``multiply_adds`` tallies multiplications (each is
 one multiply-accumulate slot); ``additions`` tallies scalar additions.
@@ -23,7 +22,6 @@ deliberately does not assume.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +84,7 @@ class CountedValue:
 )
 @dataclass(frozen=True)
 class FlopReport:
-    """Exact operation tallies and peak live elements for one run.
-
-    The wall time stays out of files, so a report read back has NaN there.
-    """
+    """Exact operation tallies and peak live elements for one run."""
 
     path: str
     T: int
@@ -98,7 +93,6 @@ class FlopReport:
     multiply_adds: int
     additions: int
     peak_live_elements: int
-    wall_time_s: float = float("nan")
 
 
 def _wrap(arr: np.ndarray, counter: FlopCounter) -> list[list[CountedValue]]:
@@ -215,23 +209,21 @@ _COUNTED = {
     "materialized": _counted_materialized,
 }
 
+#: The production forward paths; perfbench's traced run wraps them under this name.
 _PRODUCTION = FORWARD_PATHS
 
 
 def count_flops(path: str, T: int, N: int, d: int, seed: int) -> FlopReport:
-    """Run one path on a seeded instance in counting mode, timing separately.
+    """Run one path on a seeded instance in counting mode.
 
     The tallies depend only on (path, T, N, d); the seed fixes the values
-    the production run is timed on.
+    they are counted on.
     """
     if path not in _COUNTED:
         raise ValueError(f"unknown path {path!r}, expected one of {PATHS}")
     ssm, x = random_instance(seed, T, N, d)
     counter = FlopCounter()
     _COUNTED[path](ssm, x, counter)
-    start = time.perf_counter()
-    _PRODUCTION[path](ssm, x)
-    wall = time.perf_counter() - start
     return FlopReport(
         path=path,
         T=T,
@@ -240,7 +232,6 @@ def count_flops(path: str, T: int, N: int, d: int, seed: int) -> FlopReport:
         multiply_adds=counter.madds,
         additions=counter.adds,
         peak_live_elements=counter.peak_live,
-        wall_time_s=wall,
     )
 
 

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 from .errors import SizeExceededError
 from .duality import _within_width, count_block_new_columns
 from .sss_extract import extract_sss, materialize_sss
-from .ss_matrix import LowerTriangularMatrix, json_record, semiseparable_rank
+from .ss_matrix import LowerTriangularMatrix, json_record
 
 #: Softmax rank checks become meaningless in double precision beyond this size.
 SOFTMAX_MAX_T = 8
@@ -172,15 +172,16 @@ def verify_non_dualizable(size: int, width: int) -> CounterexampleReport:
     The corner entry welds all rows into a single diagonal block with T-1
     new columns, so no factorization of width < T-1 exists, even though
     the matrix is 2-semiseparable and a width-2 recurrence realizes it
-    (witnessed by a successful extraction round trip). Applicable only for
+    (witnessed by a successful extraction round trip, whose block ranks
+    give the semiseparable rank). Applicable only for
     T >= width + 2; smaller T leaves enough new-column room for a dual.
     """
     m = non_dualizable_matrix(size)
     applicable = size >= width + 2
-    ss_rank = semiseparable_rank(m)
+    rep = extract_sss(m, 2)
+    ss_rank = max(rep.r)
     blocks = count_block_new_columns(m)
     dual_exists = _within_width(blocks, width)
-    rep = extract_sss(m, 2)
     back = materialize_sss(rep).values
     roundtrip = float(np.linalg.norm(back - m.values) / np.linalg.norm(m.values))
     measurements = {

@@ -13,11 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lowrank import rank_of_singular_values
+from ._lowrank import rank_of_singular_values, svd_with_rank
 from .errors import ShapeMismatchError, SizeExceededError
 
 #: Relative tolerance shared by every rank / span decision in the package.
 DEFAULT_EPS = 1e-9
+
+#: Share of the rank threshold that content dropped by ``_block_sweep`` may reach
+#: before the sweep factors a block whole.
+_SWEEP_DROP_SHARE = 1e-2
 
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
@@ -236,19 +240,57 @@ def numerical_rank(block: np.ndarray, eps: float = DEFAULT_EPS) -> int:
     return rank_of_singular_values(np.linalg.svd(block, compute_uv=False), eps)
 
 
+def _block_sweep(m: LowerTriangularMatrix, eps: float):
+    """SVD of every lower-left block ``M[t:, :t+1]``, most of them from a thin matrix.
+
+    Block t is block t-1 without its first row and with column t appended.
+    Block t-1 = L Vh, where L = U S and Vh has orthonormal rows. So block
+    t = G_t blockdiag(Vh, 1) for G_t = [L[1:], M[t:, t]], and as the second
+    factor has orthonormal rows, G_t has block t's singular values and
+    (sign-normalized) left vectors, and its right vectors times that factor
+    are block t's. G_t stays thin because L only carries the singular
+    values above the rounding level of block t-1, max(shape) * machine
+    epsilon * s[0], not just those above its rank threshold: a later,
+    smaller block can need a direction below that threshold.
+
+    What the carry drops is gone for good, and a later block may be far
+    smaller than the one it was dropped from. So the sweep sums the largest
+    dropped singular value of every step: by Weyl's inequality G_t's
+    singular values are within that sum of block t's, rounding aside. Once
+    the sum exceeds ``_SWEEP_DROP_SHARE`` of block t's rank threshold,
+    block t is factored whole instead and the sum restarts at zero. A rank
+    can thus differ from the dense per-block rank only for a singular value
+    within that share of the threshold.
+    Yields ``svd_with_rank`` of block t for t = 0, ..., T-1, right vectors
+    in column coordinates.
+    """
+    vals = m.values
+    carried = vals[:, :0]
+    basis = np.zeros((0, 0))
+    dropped = 0.0
+    for t in range(m.T):
+        u, s, vh, rank = svd_with_rank(np.column_stack([carried, vals[t:, t]]), eps)
+        if dropped > _SWEEP_DROP_SHARE * eps * s[0]:
+            u, s, vh, rank = svd_with_rank(vals[t:, : t + 1], eps)
+            dropped = 0.0
+        else:
+            vh = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
+        yield u, s, vh, rank
+        keep = rank_of_singular_values(s, np.finfo(float).eps * max(m.T - t, t + 1))
+        dropped += s[keep] if keep < s.size else 0.0
+        carried = u[1:, :keep] * s[:keep]
+        basis = vh[:keep]
+
+
 def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
     """Semiseparable rank: the largest rank over on-or-below-diagonal submatrices.
 
     Only the T maximal blocks ``M[t:, :t+1]`` need to be inspected: any
     submatrix with row set R and column set C on or below the diagonal has
     max(C) <= min(R), so it sits inside ``M[min(R):, :max(C)+1]`` and its
-    rank is bounded by that block's rank.
+    rank is bounded by that block's rank. One ``_block_sweep`` yields them.
     """
-    vals = m.values
-    best = 0
-    for t in range(m.T):
-        best = max(best, numerical_rank(vals[t:, : t + 1], eps))
-    return best
+    return max(rank for *_, rank in _block_sweep(m, eps))
 
 
 def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:

@@ -209,4 +209,7 @@ def sequence_to_json(x: np.ndarray) -> str:
 
 
 def sequence_from_json(text: str) -> np.ndarray:
-    return np.array(json.loads(text)["X"], dtype=float)
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object for a sequence")
+    return np.array(obj["X"], dtype=float)

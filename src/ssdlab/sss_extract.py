@@ -3,8 +3,10 @@
 Any lower triangular matrix whose lower-left blocks have rank at most N
 factors as c_j' A^j ... A^{i+1} b_i with full (not necessarily diagonal)
 transition matrices. This module recovers such a representation from the
-dense matrix via per-block rank factorizations chained by transition
-solves, and materializes representations back to dense form.
+dense matrix in one sweep over its lower-left blocks (each step factors a
+thin matrix, see ``ss_matrix._block_sweep``) whose consecutive factorizations
+are chained by transition solves, and materializes representations back
+to dense form.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from .errors import (
     RankExceedsWidthError,
     ShapeMismatchError,
 )
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, _check_width, json_record
+from .ss_matrix import (
+    DEFAULT_EPS,
+    LowerTriangularMatrix,
+    _block_sweep,
+    _check_width,
+    json_record,
+)
 
 
 @json_record({"T": "T", "N": "N", "A": "A", "b": "b", "c": "c", "r": "r"}, declared=("T", "N"))
@@ -99,6 +107,14 @@ def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
     return LowerTriangularMatrix._adopt(m)
 
 
+def _check_rank(t: int, rank: int, width: int) -> None:
+    """Refuse a block at step t whose rank exceeds the representation width."""
+    if rank > width:
+        raise RankExceedsWidthError(
+            f"block at step {t} has rank {rank}, above the requested width {width}"
+        )
+
+
 def rank_factor_step(
     m: LowerTriangularMatrix, t: int, width: int, eps: float = DEFAULT_EPS
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -108,15 +124,15 @@ def rank_factor_step(
     (width, t+1) and W @ U reproducing ``M[t:, :t+1]``. Exactly the
     leading r columns of W and rows of U are nonzero. Raises when the
     block's numerical rank exceeds ``width``.
+
+    This is the dense per-block oracle: it factors the whole block with
+    one SVD. ``extract_sss`` gets the same rank and factors from its sweep.
     """
     if not 0 <= t < m.T:
         raise ValueError(f"step index {t} outside [0, {m.T})")
     block = m.values[t:, : t + 1]
     u, s, vh, rank = svd_with_rank(block, eps)
-    if rank > width:
-        raise RankExceedsWidthError(
-            f"block at step {t} has rank {rank}, above the requested width {width}"
-        )
+    _check_rank(t, rank, width)
     left, right = balanced_factors(u, s, vh, rank, width)
     return left, right, rank
 
@@ -167,40 +183,43 @@ def extract_sss(
 ) -> GeneralSssRepresentation:
     """Recover a width-``width`` representation of a semiseparable matrix.
 
-    Factors every lower-left block as W U, reads the weights off the
-    factor edges (c from W's first row, b from U's last column), and
-    chains consecutive factorizations with transition solves. Each
-    transition is verified on both sides: w-side by construction inside
-    ``solve_transition``, u-side against the next step's column factor.
-    Like the w-side gate, the u-side gate is relative to the larger of the
-    trimmed slice (of step t+1) and the whole factor (U of step t).
+    One ``_block_sweep`` factors every lower-left block balanced as W U;
+    the weights are read off the factor edges (c from W's first row, b
+    from U's last column), and consecutive factorizations are chained by
+    transition solves. Each transition is verified on both sides: w-side
+    by construction inside ``solve_transition``, u-side against the next
+    step's column factor. The u-side gate refuses a block that keeps a
+    direction the previous block's rank threshold dropped, which happens
+    when the previous block is much larger. Like the w-side gate, it is
+    relative to the larger of the trimmed slice (of step t+1) and the whole
+    factor (U of step t).
     """
     _check_width(width)
     steps = m.T
-    factored = [rank_factor_step(m, t, width, eps) for t in range(steps)]
-    ranks = tuple(r for _, _, r in factored)
+    ranks = []
     b_rows = np.zeros((steps, width))
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
-    for t, (w_fac, u_fac, _) in enumerate(factored):
+    for t, (u, s, vh, rank) in enumerate(_block_sweep(m, eps)):
+        _check_rank(t, rank, width)
+        w_fac, u_fac = balanced_factors(u, s, vh, rank, width)
         c_rows[t] = w_fac[0, :]
         b_rows[t] = u_fac[:, -1]
-    for t in range(steps - 1):
-        w_next = factored[t + 1][0]
-        w_trunc = factored[t][0][1:, :]
-        a_t = solve_transition(w_next, w_trunc, ranks[t + 1], ranks[t], eps)
-        u_cur = factored[t][1]
-        u_next_trim = factored[t + 1][1][:, : t + 1]
-        scale = max(float(np.linalg.norm(u_cur)), float(np.linalg.norm(u_next_trim)))
-        residual = float(np.linalg.norm(a_t @ u_cur - u_next_trim))
-        if residual > eps * scale:
-            raise InconsistentTransitionError(
-                f"column-factor residual {residual:.3e} at step {t + 1} exceeds "
-                f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
-            )
-        trans[t + 1] = a_t
-    return GeneralSssRepresentation(trans, b_rows, c_rows, ranks)
+        if t > 0:
+            a_t = solve_transition(w_fac, w_prev[1:, :], rank, ranks[-1], eps)
+            u_trim = u_fac[:, :t]
+            scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))
+            residual = float(np.linalg.norm(a_t @ u_prev - u_trim))
+            if residual > eps * scale:
+                raise InconsistentTransitionError(
+                    f"column-factor residual {residual:.3e} at step {t} exceeds "
+                    f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
+                )
+            trans[t] = a_t
+        ranks.append(rank)
+        w_prev, u_prev = w_fac, u_fac
+    return GeneralSssRepresentation(trans, b_rows, c_rows, tuple(ranks))
 
 
 def random_representation(seed: int, T: int, N: int) -> GeneralSssRepresentation:

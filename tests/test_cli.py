@@ -48,6 +48,12 @@ class TestForwardCommand:
         proc = run_cli("forward", "--ssm", "bad.json", "--input", "x.csv", cwd=workdir)
         assert proc.returncode == 2
 
+    def test_sequence_json_that_is_not_an_object_is_an_input_error(self, workdir):
+        (workdir / "x.json").write_text("[1, 2]")
+        proc = run_cli("forward", "--ssm", "ssm.json", "--input", "x.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert "input error" in proc.stderr
+
     def test_shape_mismatch_is_an_input_error(self, workdir):
         (workdir / "short.csv").write_text("1.0,1.0,1.0\n2.0,2.0,2.0\n")
         proc = run_cli("forward", "--ssm", "ssm.json", "--input", "short.csv", cwd=workdir)

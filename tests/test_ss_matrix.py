@@ -339,7 +339,7 @@ TINY_RECORDS = [
         '"err": 1.5e-17}, "verdict": true, "applicable": false}',
     ),
     (
-        FlopReport("ssd", 4, 2, 1, 24, 16, 40, wall_time_s=0.5),
+        FlopReport("ssd", 4, 2, 1, 24, 16, 40),
         '{"path": "ssd", "T": 4, "N": 2, "d": 1, "multiply_adds": 24, "additions": 16, '
         '"peak_live_elements": 40}',
     ),

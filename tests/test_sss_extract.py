@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+from ssdlab import sss_extract
+from ssdlab._lowrank import balanced_factors
 from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import (
+    DEFAULT_EPS,
+    ORACLE_MAX_T,
     LowerTriangularMatrix,
     MaskVector,
+    _block_sweep,
     diagonal_block_partition,
     numerical_rank,
     one_ss,
     semiseparable_rank,
+    submatrix_rank_oracle,
 )
 from ssdlab.ssm import materialize_kernel, random_instance
 from ssdlab.sss_extract import (
@@ -22,7 +28,7 @@ from ssdlab.sss_extract import (
     rank_factor_step,
     solve_transition,
 )
-from tests.conftest import rel_fro
+from tests.conftest import random_lower_triangular, rel_fro
 
 
 def diagonal_as_general(ssm):
@@ -248,6 +254,129 @@ class TestExtractSss:
         rep = extract_sss(m, 1)
         assert np.array_equal(materialize_sss(rep).values, m.values)
         assert rep.r == (1,)
+
+
+def big_row_matrix(big):
+    """Block 1 has singular values ``big`` and 1; block 2, the identity, needs the 1."""
+    vals = np.zeros((5, 5))
+    vals[1, 0] = big
+    vals[2, 0] = vals[3, 1] = vals[4, 2] = 1.0
+    return LowerTriangularMatrix(vals)
+
+
+def noisy_representation(seed, size, width, level):
+    """A width-``width`` matrix plus entrywise noise of relative size ``level``."""
+    vals = materialize_sss(random_representation(seed, size, width)).values
+    noise = np.random.default_rng(seed).standard_normal((size, size))
+    return LowerTriangularMatrix(vals + level * np.abs(vals).max() * np.tril(noise))
+
+
+def graded_matrix(seed, size, width, decades_per_row):
+    """tril(C B') whose rows shrink by ``decades_per_row`` powers of ten each."""
+    rng = np.random.default_rng(seed)
+    c, b = rng.standard_normal((2, size, width))
+    c *= 10.0 ** (-decades_per_row * np.arange(size))[:, None]
+    return LowerTriangularMatrix(np.tril(c @ b.T))
+
+
+#: (matrix, width) over which the block sweep is checked against the dense blocks.
+SWEEP_FAMILIES = [
+    *[
+        pytest.param(materialize_sss(random_representation(seed, 24, 3)), 3, id=f"random-rep-{seed}")
+        for seed in range(3)
+    ],
+    *[
+        pytest.param(
+            masked_kernel_with_zero_gains(1, 48, 3, zeros), 3, id=f"masked-{'-'.join(map(str, zeros))}"
+        )
+        for zeros in [(20,), (20, 21), (1, 2, 47)]
+    ],
+    pytest.param(LowerTriangularMatrix(np.zeros((6, 6))), 2, id="zero"),
+    pytest.param(LowerTriangularMatrix([[3.5]]), 1, id="single-step"),
+    # From T=6 on, the corner matrix's middle blocks have two equal singular values;
+    # their basis is then a free choice that the two factorizations may order apart.
+    pytest.param(non_dualizable_matrix(5), 2, id="corner"),
+    pytest.param(random_lower_triangular(70, 12), 6, id="full-rank"),
+    pytest.param(noisy_representation(74, 12, 3, 1e-8), 6, id="noise-near-threshold"),
+    # Rows shrink past the rounding level of the blocks above them.
+    pytest.param(graded_matrix(75, 12, 3, 2.0), 3, id="graded"),
+]
+
+#: (matrix, width): a block keeps a direction that the block before it, much larger,
+#: has below its rank threshold, so no transition carries it and extraction refuses.
+CHAIN_BREAKING = [
+    pytest.param(big_row_matrix(1e10), 3, id="big-row-1e10"),
+    # Here the 1 is below rounding level in block 1, so the thin carry drops it.
+    pytest.param(big_row_matrix(1e16), 3, id="big-row-1e16"),
+    pytest.param(noisy_representation(73, 12, 3, 1e-12), 3, id="noise-below-threshold"),
+]
+
+
+class TestBlockSweep:
+    """The thin sweep against the dense per-block oracle ``rank_factor_step``."""
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
+    def test_each_step_matches_the_dense_block(self, m, width):
+        for t, (u, s, vh, rank) in enumerate(_block_sweep(m, DEFAULT_EPS)):
+            w_dense, u_dense, rank_dense = rank_factor_step(m, t, width)
+            w_sweep, u_sweep = balanced_factors(u, s, vh, rank, width)
+            assert rank == rank_dense
+            assert rel_fro(w_sweep, w_dense) <= 1e-10
+            assert rel_fro(u_sweep, u_dense) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "m, width", [p for p in SWEEP_FAMILIES + CHAIN_BREAKING if p.values[0].T <= ORACLE_MAX_T]
+    )
+    def test_semiseparable_rank_matches_the_oracle(self, m, width):
+        assert semiseparable_rank(m) == submatrix_rank_oracle(m)
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
+    def test_transitions_carry_the_dense_column_factors(self, m, width):
+        rep = extract_sss(m, width)
+        u_cur = rank_factor_step(m, 0, width)[1]
+        for t in range(m.T - 1):
+            u_next = rank_factor_step(m, t + 1, width)[1]
+            moved, trimmed = rep.A[t + 1] @ u_cur, u_next[:, : t + 1]
+            scale = max(np.linalg.norm(moved), np.linalg.norm(trimmed))
+            assert np.linalg.norm(moved - trimmed) <= 1e-9 * scale
+            u_cur = u_next
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
+    def test_semiseparable_rank_is_the_largest_extracted_rank(self, m, width):
+        assert semiseparable_rank(m) == max(extract_sss(m, width).r)
+
+    @pytest.mark.parametrize("m, width", CHAIN_BREAKING)
+    def test_refuses_a_direction_the_previous_block_dropped(self, m, width):
+        with pytest.raises(InconsistentTransitionError, match="column-factor"):
+            extract_sss(m, width)
+
+    def test_refuses_a_width_that_only_a_dropped_direction_exceeds(self):
+        with pytest.raises(RankExceedsWidthError):
+            extract_sss(big_row_matrix(1e16), 2)
+
+    def test_extraction_factors_only_thin_matrices(self, monkeypatch):
+        size, width = 64, 4
+        m = materialize_sss(random_representation(71, size, width))
+        columns = []
+        original = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            columns.append(np.shape(a)[1])
+            return original(a, *args, **kwargs)
+
+        def dense_step(*args, **kwargs):
+            raise AssertionError("extract_sss factored a whole block")
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(sss_extract, "rank_factor_step", dense_step)
+        extract_sss(m, width)
+        assert len(columns) <= size
+        assert max(columns) <= width + 1
+
+    def test_long_representation_round_trips(self):
+        m = materialize_sss(random_representation(72, 1024, 4))
+        rep = extract_sss(m, 4)
+        assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-12
 
 
 class TestRepresentationProperties:
