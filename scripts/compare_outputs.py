@@ -10,7 +10,7 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 and ``semiseparable_rank`` of a random width-4 representation and of a
 kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
-T=128 and at T=600, where the kernel spans several build tiles),
+T=128 and at T=600, where the kernel build recurses through several splits),
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel whose construction
 fails), ``extract`` and ``counterexample non-dualizable``. Arrays are
@@ -76,7 +76,7 @@ def dump() -> dict[str, object]:
         for name in ("p", "Q", "K"):
             out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
         out[f"materialize_sss/{seed}"] = materialize_sss(random_representation(seed, 96, 4)).values
-        # T=600 spans two full kernel-build tiles and a partial third one.
+        # At T=600 the kernel build splits at 300, 150 and 450 and further down.
         out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
@@ -157,7 +157,11 @@ def _json_rel_diffs(first: object, second: object) -> list[float]:
         if isinstance(first[k], dict):
             diffs += _json_rel_diffs(first[k], second[k])
         elif isinstance(first[k], (list, float)) and np.shape(first[k]) == np.shape(second[k]):
-            diffs.append(_rel_fro(np.array(first[k], dtype=float), np.array(second[k], dtype=float)))
+            try:
+                a, b = np.array(first[k], dtype=float), np.array(second[k], dtype=float)
+                diffs.append(_rel_fro(a, b))
+            except (TypeError, ValueError):  # a list of records, not of numbers
+                diffs += [d for x, y in zip(first[k], second[k]) for d in _json_rel_diffs(x, y)]
     return diffs
 
 

@@ -118,25 +118,47 @@ def _load_matrix(path: str) -> LowerTriangularMatrix:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if str(part).strip()]
+    values = [int(part) for part in str(text).split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"grid {text!r} holds no values")
+    return values
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` converted and checked as the option's own flag would be."""
+    try:
+        if action.nargs == 0:  # a switch such as --scalar-identity
+            valid = isinstance(value, bool)
+        else:
+            value = (action.type or str)(str(value))
+            valid = action.choices is None or value in action.choices
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"config key {key!r}: {value!r} is not a value of its flag")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill unset options from a JSON config file; explicit flags win.
 
-    A key that names no option of the command is an input error.
+    Each value goes through its option's type and choices. A key that names
+    no option of the command, or a value its flag would reject, is an input
+    error.
     """
     if not getattr(args, "config", None):
         return
     loaded = json.loads(_read(args.config))
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {action.dest: action for action in commands.choices[args.command]._actions}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"config key {key!r} names no option of {args.command!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if getattr(args, attr) is None and value is not None:
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def cmd_forward(cfg: RunConfig) -> int:
@@ -376,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return _HANDLERS[args.command](_build_config(args))
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition: {exc}", file=sys.stderr)

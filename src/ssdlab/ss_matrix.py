@@ -26,8 +26,8 @@ _SWEEP_DROP_SHARE = 1e-2
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
 
-#: Row and column extent of the tiles that kernel construction and validation work in.
-_TILE = 256
+#: Rows of the kernel builder's base ranges and of the upper-triangle check's bands.
+_TILE = 32
 
 
 def array_to_csv(x: np.ndarray) -> str:
@@ -166,59 +166,36 @@ class MaskVector:
         return self.a.shape[0]
 
 
-def _row_recursion(gains: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
-    """Fill the lower triangle of ``out`` (T x T) with the segment-product kernel.
-
-    Row t is produced from row t-1 by one gain multiplication per column k,
-    so zero gains are handled exactly. gains[0] is never read.
-    """
-    n_steps, width = gains.shape
-    right_t = np.ascontiguousarray(right.T)
-    # prods[k, s] holds the gain product from s+1 through the current row.
-    prods = np.zeros((width, n_steps))
-    for t in range(n_steps):
-        if t > 0:
-            prods[:, :t] *= gains[t][:, None]
-        prods[:, t] = 1.0
-        out[t, : t + 1] = left[t] @ (prods[:, : t + 1] * right_t[:, : t + 1])
-
-
 def _segment_product_kernel(
     gains: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> LowerTriangularMatrix:
     """Lower triangle with entries sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
 
-    All three inputs are (T, K); gains[0] is never read. The kernel is built
-    in ``_TILE`` x ``_TILE`` tiles. Diagonal tiles use the row recursion.
-    Off-diagonal tile (I, J) factors through the gains between the tiles:
-    the product from s+1 to t splits into a[s+1..end_J-1] (tail of J), the
-    whole-tile products of the tiles strictly between, and a[start_I..t]
-    (head of I), so the tile is one rank-K product. Every factor is itself
-    a segment product and nothing is divided, so zero gains stay exact.
+    All three inputs are (T, K); gains[0] is never read. A range of more than
+    ``_TILE`` rows is halved at ``mid``: across the split the product is
+    gains[s+1..mid-1] (tail) times gains[mid..t] (head), one rank-K product.
+    Smaller ranges take their segment products from one cumulative product.
+    Nothing is divided, so zero gains stay exact.
     """
-    n_steps, width = gains.shape
-    m = np.zeros((n_steps, n_steps))
-    starts = range(0, n_steps, _TILE)
-    left_heads, right_tails, whole = [], [], []
-    for start in starts:
-        tile = slice(start, start + _TILE)
-        # head[t] = a[start..t] and tail[s] = a[s+1..end-1], both inside the tile.
-        head = np.cumprod(gains[tile], axis=0)
-        tail = np.ones_like(head)
-        tail[:-1] = np.cumprod(gains[tile][:0:-1], axis=0)[::-1]
-        left_heads.append(left[tile] * head)
-        right_tails.append(right[tile] * tail)
-        whole.append(head[-1])
-    for i, start in enumerate(starts):
-        rows = slice(start, start + _TILE)
-        _row_recursion(gains[rows], left[rows], right[rows], m[rows, rows])
-        between = np.ones(width)
-        for j in range(i - 1, -1, -1):
-            if not between.any():
-                break  # every earlier tile of this row band is exactly zero
-            cols = slice(starts[j], starts[j] + _TILE)
-            np.matmul(left_heads[i] * between, right_tails[j].T, out=m[rows, cols])
-            between = between * whole[j]
+    m = np.zeros((gains.shape[0],) * 2)
+
+    def fill(lo: int, hi: int) -> None:
+        if hi - lo <= _TILE:
+            # Row u of column s contributes gains[u] once u > s: rows cumprod to gains[s+1..t].
+            u = np.arange(hi - lo)
+            factors = np.where((u[:, None] > u)[..., None], gains[lo:hi, None], 1.0)
+            seg = np.cumprod(factors, axis=0) * right[lo:hi]
+            m[lo:hi, lo:hi] = np.tril(np.einsum("tsk,tk->ts", seg, left[lo:hi]))
+            return
+        mid = (lo + hi) // 2
+        fill(lo, mid)
+        fill(mid, hi)
+        head = np.cumprod(gains[mid:hi], axis=0)
+        tail = np.ones((mid - lo, gains.shape[1]))
+        tail[:-1] = np.cumprod(gains[mid - 1 : lo : -1], axis=0)[::-1]
+        np.matmul(left[mid:hi] * head, (right[lo:mid] * tail).T, out=m[mid:hi, lo:mid])
+
+    fill(0, gains.shape[0])
     return LowerTriangularMatrix._adopt(m)
 
 

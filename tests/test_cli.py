@@ -184,6 +184,11 @@ class TestBenchCommand:
         proc = run_cli("bench", "--path", "ssd", cwd=workdir)
         assert proc.returncode == 2
 
+    def test_empty_grid_is_an_input_error(self, workdir):
+        proc = run_cli("bench", "--seed", "1", "--T", ",", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error")
+
 
 class TestGenCommand:
     def test_seeded_model_is_reproducible(self, workdir):
@@ -222,3 +227,38 @@ class TestConfigFile:
         assert proc.stdout == ""
         assert "input error" in proc.stderr
         assert "'probe_workers'" in proc.stderr and "'bench'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, config, flag",
+        [
+            (("check-dual", "--mode", "representability", "--matrix", "corner5.csv"),
+             {"N": "2"}, ("--N", "2")),
+            (("extract", "--matrix", "corner5.csv", "--N", "2"),
+             {"eps": "1e-9"}, ("--eps", "1e-9")),
+        ],
+        ids=["check-dual-N", "extract-eps"],
+    )
+    def test_string_values_convert_like_their_flags(self, workdir, argv, config, flag):
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        via_file = run_cli(*argv, "--config", "cfg.json", cwd=workdir)
+        via_flag = run_cli(*argv, *flag, cwd=workdir)
+        assert "Traceback" not in via_file.stderr
+        assert (via_file.returncode, via_file.stdout) == (via_flag.returncode, via_flag.stdout)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("check-dual", "--mode", "representability", "--matrix", "corner5.csv"),
+             {"N": "two"}),
+            (("extract", "--matrix", "corner5.csv", "--N", "2"), {"eps": [1e-9]}),
+            (("bench", "--seed", "1"), {"format": "xml"}),
+            (("gen", "ssm", "--seed", "1"), {"scalar_identity": "no"}),
+        ],
+        ids=["check-dual-N", "extract-eps", "bench-format", "gen-switch"],
+    )
+    def test_values_their_flags_reject_are_input_errors(self, workdir, argv, config):
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        proc = run_cli(*argv, "--config", "cfg.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr

@@ -139,7 +139,8 @@ class TestMaterializeKernel:
                 assert np.allclose(got, ref_kernel(model), rtol=1e-12, atol=1e-12)
 
     def test_three_tiles_match_row_recursion(self):
-        # 600 steps span two full tiles and a partial third one.
+        # 600 steps: the recursive build splits at 300, then at 150 and 450, and
+        # so on down to base ranges of at most _TILE rows.
         rng = np.random.default_rng(8)
         gains = rng.uniform(0.9, 1.1, (600, 4)) * rng.choice([-1.0, 1.0], (600, 4))
         gains[0] = 1.0
@@ -150,11 +151,15 @@ class TestMaterializeKernel:
         rng = np.random.default_rng(9)
         gains = rng.uniform(0.5, 1.5, (600, 4))
         gains[0] = 1.0
-        gains[300] = 0.0  # inside the second tile, in every mode
-        model = DiagonalSsm(gains, *rng.standard_normal((2, 600, 4)))
-        got = materialize_kernel(model).values
-        assert np.all(got[300:, :300] == 0.0)
-        assert rel_fro(got, row_recursion_kernel(model)) <= 1e-13
+        b, c = rng.standard_normal((2, 600, 4))
+        # Zero rows on and next to the splits at 150, 300 and 450, in every mode.
+        for zero_row in (150, 299, 300, 301, 450, 451):
+            with_zero = gains.copy()
+            with_zero[zero_row] = 0.0
+            model = DiagonalSsm(with_zero, b, c)
+            got = materialize_kernel(model).values
+            assert np.all(got[zero_row:, :zero_row] == 0.0), zero_row
+            assert rel_fro(got, row_recursion_kernel(model)) <= 1e-13, zero_row
 
     def test_kernel_rank_bounded_by_mode_count(self):
         for seed, modes in ((5, 1), (6, 2), (7, 4)):
