@@ -6,8 +6,9 @@ Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``,
-``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r)
-and ``semiseparable_rank`` of a random width-4 representation and of a
+``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
+``semiseparable_rank`` and the per-block new-column verdicts of
+``count_block_new_columns`` of a random width-4 representation and of a
 kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel build recurses through several splits),
@@ -49,7 +50,7 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 def dump() -> dict[str, object]:
     from ssdlab import cli
-    from ssdlab.duality import construct_one_ss_dual
+    from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
     from ssdlab.limits import non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
     from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
@@ -140,6 +141,9 @@ def dump() -> dict[str, object]:
         for attr in ("A", "b", "c", "r"):
             out[f"extract_sss/{name}/{attr}"] = getattr(rep, attr)
         out[f"semiseparable_rank/{name}"] = semiseparable_rank(m)
+        out[f"count_block_new_columns/{name}"] = [
+            (b.start, b.end, b.new) for b in count_block_new_columns(m)
+        ]
     return out
 
 

@@ -193,7 +193,8 @@ def representability_report(
     """JSON-ready block/new-column report used by the CLI.
 
     When representable, it also carries the ``construct_one_ss_dual`` factors, built from
-    the same sweep, and their relative residual; it may raise ``ReconstructionError``.
+    the same sweep, and their relative residual; it may raise ``ReconstructionError`` or
+    ``UnstableScalingError``.
     """
     _check_width(width)
     blocks = count_block_new_columns(m, eps)
@@ -222,7 +223,8 @@ def construct_one_ss_dual(
     The filled block then has rank at most ``width`` and is factored by a
     truncated singular-value split, padded with zero columns when fewer
     directions are needed. The mask carries a zero at every block start
-    and ones elsewhere.
+    and ones elsewhere. A fill that overflows raises ``UnstableScalingError``
+    before the factorization.
     """
     return _construct(m, count_block_new_columns(m, eps), width, eps)[0]
 
@@ -241,9 +243,16 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
     for b in blocks:
         p[b.start] = 0.0
         filled = vals[b.start : b.end, b.start : b.end].copy()
-        for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
-            if not is_new and coeffs is not None:
-                filled[:t, t] = filled[:t, :t] @ coeffs
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by block
+            for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
+                if not is_new and coeffs is not None:
+                    filled[:t, t] = filled[:t, :t] @ coeffs
+        finite = np.isfinite(filled).all(axis=0)
+        if not finite.all():
+            raise UnstableScalingError(
+                f"the fill of block [{b.start}, {b.end}) overflows first at column "
+                f"{b.start + int(np.argmin(finite))}"
+            )
         u, s, vh, rank = svd_with_rank(filled, eps)
         left, right = balanced_factors(u, s, vh, min(rank, width), width)
         q_rows[b.start : b.end] = left

@@ -19,8 +19,8 @@ from .errors import ShapeMismatchError, SizeExceededError
 #: Relative tolerance shared by every rank / span decision in the package.
 DEFAULT_EPS = 1e-9
 
-#: Share of the rank threshold that content dropped by ``_block_sweep`` may reach
-#: before the sweep factors a block whole.
+#: Share of a rank or span threshold that content dropped by ``_block_sweep`` may
+#: reach before the sweep refactors its carry whole.
 _SWEEP_DROP_SHARE = 1e-2
 
 #: Largest T the combinatorial rank oracle will accept.
@@ -121,7 +121,8 @@ class LowerTriangularMatrix:
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         for r in range(0, arr.shape[0], _TILE):
-            if np.triu(arr[r : r + _TILE, r:], 1).any():
+            end = r + _TILE
+            if np.triu(arr[r:end, r:end], 1).any() or arr[r:end, end:].any():
                 raise ValueError("entries above the main diagonal must be exactly zero")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -217,8 +218,8 @@ def numerical_rank(block: np.ndarray, eps: float = DEFAULT_EPS) -> int:
     return rank_of_singular_values(np.linalg.svd(block, compute_uv=False), eps)
 
 
-def _block_sweep(m: LowerTriangularMatrix, eps: float):
-    """SVD of every lower-left block ``M[t:, :t+1]``, most of them from a thin matrix.
+def _block_sweep(vals: np.ndarray, eps: float):
+    """SVD of every lower-left block ``vals[t:, :t+1]``, most of them from a thin matrix.
 
     Block t is block t-1 without its first row and with column t appended.
     Block t-1 = L Vh, where L = U S and Vh has orthonormal rows. So block
@@ -227,33 +228,34 @@ def _block_sweep(m: LowerTriangularMatrix, eps: float):
     (sign-normalized) left vectors, and its right vectors times that factor
     are block t's. G_t stays thin because L only carries the singular
     values above the rounding level of block t-1, max(shape) * machine
-    epsilon * s[0], not just those above its rank threshold: a later,
-    smaller block can need a direction below that threshold.
+    epsilon * s[0] (where ``lstsq``'s default cutoff lies too), not just
+    those above its rank threshold: a later, smaller block can need them.
 
     What the carry drops is gone for good, and a later block may be far
     smaller than the one it was dropped from. So the sweep sums the largest
     dropped singular value of every step: by Weyl's inequality G_t's
     singular values are within that sum of block t's, rounding aside. Once
-    the sum exceeds ``_SWEEP_DROP_SHARE`` of block t's rank threshold,
-    block t is factored whole instead and the sum restarts at zero. A rank
-    can thus differ from the dense per-block rank only for a singular value
-    within that share of the threshold.
-    Yields ``svd_with_rank`` of block t for t = 0, ..., T-1, right vectors
-    in column coordinates.
+    the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
+    (at most block t's s[0], which stands in for a zero column), L[1:] and
+    Vh are refactored whole from ``vals[t:, :t]`` and the sum restarts at
+    zero. So a rank or a span verdict can differ from the dense one only
+    within that share of its threshold. Yields (L[1:], Vh), whose product
+    is ``vals[t:, :t]`` up to the drops, and ``svd_with_rank`` of block t,
+    right vectors in column coordinates, for t = 0, ..., T-1.
     """
-    vals = m.values
     carried = vals[:, :0]
     basis = np.zeros((0, 0))
     dropped = 0.0
-    for t in range(m.T):
-        u, s, vh, rank = svd_with_rank(np.column_stack([carried, vals[t:, t]]), eps)
-        if dropped > _SWEEP_DROP_SHARE * eps * s[0]:
-            u, s, vh, rank = svd_with_rank(vals[t:, : t + 1], eps)
-            dropped = 0.0
-        else:
-            vh = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
-        yield u, s, vh, rank
-        keep = rank_of_singular_values(s, np.finfo(float).eps * max(m.T - t, t + 1))
+    for t in range(len(vals)):
+        col = vals[t:, t]
+        u, s, vh, rank = svd_with_rank(np.column_stack([carried, col]), eps)
+        if dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
+            u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
+            carried, dropped = u * s, 0.0
+            u, s, vh, rank = svd_with_rank(np.column_stack([carried, col]), eps)
+        vh = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
+        yield carried, basis, u, s, vh, rank
+        keep = rank_of_singular_values(s, np.finfo(float).eps * max(len(vals) - t, t + 1))
         dropped += s[keep] if keep < s.size else 0.0
         carried = u[1:, :keep] * s[:keep]
         basis = vh[:keep]
@@ -267,7 +269,7 @@ def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> in
     max(C) <= min(R), so it sits inside ``M[min(R):, :max(C)+1]`` and its
     rank is bounded by that block's rank. One ``_block_sweep`` yields them.
     """
-    return max(rank for *_, rank in _block_sweep(m, eps))
+    return max(rank for *_, rank in _block_sweep(m.values, eps))
 
 
 def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
@@ -295,14 +297,13 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
 def _column_membership(
     below: np.ndarray, col: np.ndarray, eps: float
 ) -> tuple[bool, float, float, np.ndarray | None]:
-    """Least-squares span test for one column.
+    """Least-squares span test for one column against the columns of ``below``.
 
     Returns (is_new, residual, threshold, coeffs). A column is new when the
-    residual of fitting it with the earlier columns (restricted to the
-    same rows) exceeds eps times the column norm. The empty-span
-    convention at the first column makes any nonzero column new. ``coeffs``
-    are the fitting coefficients, or None when no fit was needed (a zero
-    column or an empty span).
+    residual of its fit exceeds eps times the column norm. ``below`` is the
+    sweep's factor L of the earlier columns on the same rows, so
+    ``coeffs`` are in its coordinates, or None when no fit was needed (a
+    zero column, or an empty span, where any nonzero column is new).
     """
     col_norm = float(np.linalg.norm(col))
     threshold = eps * col_norm
@@ -329,8 +330,9 @@ def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]
 class BlockNewColumns:
     """New-column count of one diagonal block, rows [start, end), and the verdicts behind it.
 
-    ``new[i]`` and ``coeffs[i]`` are what ``_column_membership`` returned
-    for block column i against block columns 0..i-1 on block rows i onward.
+    ``new[i]`` is the ``_column_membership`` verdict for block column i against
+    block columns 0..i-1 on block rows i onward; ``coeffs[i]`` is its fit on those
+    columns, the minimum-norm one a dense ``lstsq`` gives, or None.
     """
 
     start: int
@@ -346,25 +348,23 @@ class BlockNewColumns:
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
     """One membership test per column, each inside its block between ``cuts``.
 
-    Borderline decisions warn as in ``new_columns``; the reported column
-    index is global.
+    Each block runs one ``_block_sweep``, which hands column t a thin factor
+    L B of the columns before it: the fit z against L is the fit B' z on
+    them. Borderline decisions warn as in ``new_columns``, by global index.
     """
-    vals = m.values
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
-        block = vals[start:end, start:end]
+        block = m.values[start:end, start:end]
         verdicts = []
-        for t in range(end - start):
-            is_new, residual, threshold, fit = _column_membership(
-                block[t:, :t], block[t:, t], eps
-            )
+        for t, (below, basis, *_) in enumerate(_block_sweep(block, eps)):
+            is_new, residual, threshold, fit = _column_membership(below, block[t:, t], eps)
             if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
                 warnings.warn(
                     f"borderline new-column decision at column {start + t}: "
                     f"residual {residual:.3e} vs threshold {threshold:.3e}",
                     stacklevel=3,
                 )
-            verdicts.append((is_new, fit))
+            verdicts.append((is_new, None if fit is None else basis.T @ fit))
         new, coeffs = zip(*verdicts)
         out.append(BlockNewColumns(start, end, new, coeffs))
     return out

@@ -201,7 +201,7 @@ def extract_sss(
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
-    for t, (u, s, vh, rank) in enumerate(_block_sweep(m, eps)):
+    for t, (_, _, u, s, vh, rank) in enumerate(_block_sweep(m.values, eps)):
         _check_rank(t, rank, width)
         w_fac, u_fac = balanced_factors(u, s, vh, rank, width)
         c_rows[t] = w_fac[0, :]

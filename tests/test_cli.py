@@ -7,6 +7,7 @@ import pytest
 
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ssm import DiagonalSsm, random_instance, sequence_to_csv
+from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import run_ssdlab
 
 
@@ -104,6 +105,17 @@ class TestCheckDualCommand:
         assert proc.returncode == 2
         assert "width must be at least 1" in proc.stderr
         assert not (workdir / "rep0.json").exists()
+
+    def test_representability_refuses_an_overflowing_fill(self, tmp_path):
+        m = materialize_sss(random_representation(0, 512, 4))
+        (tmp_path / "sss.csv").write_text(m.to_csv())
+        proc = run_cli(
+            "check-dual", "--mode", "representability", "--matrix", "sss.csv", "--N", "4",
+            "--out", "rep.json", cwd=tmp_path,
+        )
+        assert proc.returncode == 3
+        assert "precondition: the fill of block [0, 512) overflows first" in proc.stderr
+        assert not (tmp_path / "rep.json").exists()
 
     def test_full_rank_mode(self, workdir, tmp_path):
         ssm, _ = random_instance(23, 12, 3, 1, a_abs=(0.5, 2.0))

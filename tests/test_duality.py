@@ -27,8 +27,9 @@ from ssdlab.errors import (
     ZeroGainError,
 )
 from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
-from ssdlab.ss_matrix import LowerTriangularMatrix, new_columns
+from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, new_columns, one_ss
 from ssdlab.ssm import DiagonalSsm, forward_recurrence, materialize_kernel, random_instance
+from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import rel_fro, representable_matrix
 
 
@@ -267,6 +268,20 @@ class TestConstructOneSsDual:
             assert np.linalg.norm(back - m.values) <= 1e-8 * np.linalg.norm(m.values)
             assert factors.Q.shape == (10, width)
 
+    def test_long_masked_kernel_round_trips(self):
+        rng = np.random.default_rng(9)
+        gains = rng.uniform(0.95, 1.05, 1024) * rng.choice([-1.0, 1.0], 1024)
+        q, k = rng.standard_normal((2, 1024, 4))
+        m = LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+        factors = construct_one_ss_dual(m, 4)
+        assert rel_fro(factors.materialize().values, m.values) <= 1e-9
+
+    def test_refuses_a_fill_that_overflows(self):
+        # This general representation's fill passes the largest double at column 318.
+        m = materialize_sss(random_representation(0, 512, 4))
+        with pytest.raises(UnstableScalingError, match=r"block \[0, 512\) overflows first"):
+            construct_one_ss_dual(m, 4)
+
     def test_mask_zeros_at_block_starts(self):
         m = representable_matrix(123, 10, 2, blocks=3)
         starts = [b.start for b in count_block_new_columns(m)]
@@ -287,13 +302,15 @@ class TestOneSweepPerCall:
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"lstsq": 0, "partition": 0, "sweep": 0, "materialize": 0}
+        calls = {"lstsq": 0, "partition": 0, "sweep": 0, "materialize": 0, "lstsq_width": 0}
 
         def count(owner, attr, key):
             original = getattr(owner, attr)
 
             def counting(*args, **kwargs):
                 calls[key] += 1
+                if key == "lstsq":
+                    calls["lstsq_width"] = max(calls["lstsq_width"], np.shape(args[0])[1])
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, counting)
@@ -332,6 +349,18 @@ class TestOneSweepPerCall:
         assert calls["partition"] == 1
         assert calls["sweep"] == 1
         assert calls["materialize"] == 1
+
+    def test_check_dual_fits_each_column_against_a_thin_factor(self, monkeypatch, tmp_path):
+        m = representable_matrix(41, self.SIZE, 3, blocks=3)
+        (tmp_path / "m.csv").write_text(m.to_csv())
+        calls = self.counted(monkeypatch)
+        code = cli.main([
+            "check-dual", "--mode", "representability", "--matrix", str(tmp_path / "m.csv"),
+            "--N", "3", "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == cli.EXIT_OK
+        assert calls["lstsq"] > 0
+        assert calls["lstsq_width"] <= 3 + 1
 
 
 class TestFactorsSerialization:

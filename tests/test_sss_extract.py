@@ -5,6 +5,7 @@ import pytest
 
 from ssdlab import sss_extract
 from ssdlab._lowrank import balanced_factors
+from ssdlab.duality import count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import (
@@ -13,6 +14,7 @@ from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
     MaskVector,
     _block_sweep,
+    blocks_from_cuts,
     diagonal_block_partition,
     numerical_rank,
     one_ss,
@@ -311,13 +313,38 @@ CHAIN_BREAKING = [
     pytest.param(noisy_representation(73, 12, 3, 1e-12), 3, id="noise-below-threshold"),
 ]
 
+#: (matrix, width) on which the span verdicts are also checked: larger graded and noisy matrices.
+SPAN_FAMILIES = [
+    *[
+        pytest.param(graded_matrix(76, size, 3, decades), 3, id=f"graded-{size}-{decades}")
+        for size, decades in [(48, 0.5), (96, 1.0), (96, 4.0)]
+    ],
+    *[
+        pytest.param(noisy_representation(77, 48, 3, level), 6, id=f"noise-{level:.0e}")
+        for level in (1e-11, 1e-10, 1e-9)
+    ],
+    pytest.param(masked_kernel_with_zero_gains(2, 48, 3, (19, 20, 21)), 3, id="masked-19-20-21"),
+]
+
+
+def dense_span_verdicts(m, eps):
+    """New-column verdicts of one dense ``lstsq`` per column on ``block[t:, :t]`` (test oracle)."""
+    verdicts = []
+    for start, end in blocks_from_cuts(m.T, diagonal_block_partition(m, eps)):
+        block = m.values[start:end, start:end]
+        for t in range(end - start):
+            below, col = block[t:, :t], block[t:, t]
+            coeffs = np.linalg.lstsq(below, col, rcond=None)[0]
+            verdicts.append(bool(np.linalg.norm(below @ coeffs - col) > eps * np.linalg.norm(col)))
+    return verdicts
+
 
 class TestBlockSweep:
     """The thin sweep against the dense per-block oracle ``rank_factor_step``."""
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
     def test_each_step_matches_the_dense_block(self, m, width):
-        for t, (u, s, vh, rank) in enumerate(_block_sweep(m, DEFAULT_EPS)):
+        for t, (_, _, u, s, vh, rank) in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
             w_dense, u_dense, rank_dense = rank_factor_step(m, t, width)
             w_sweep, u_sweep = balanced_factors(u, s, vh, rank, width)
             assert rank == rank_dense
@@ -340,6 +367,26 @@ class TestBlockSweep:
             scale = max(np.linalg.norm(moved), np.linalg.norm(trimmed))
             assert np.linalg.norm(moved - trimmed) <= 1e-9 * scale
             u_cur = u_next
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_span_verdicts_match_a_dense_lstsq_oracle(self, m, width, eps):
+        blocks = count_block_new_columns(m, eps)
+        assert [new for b in blocks for new in b.new] == dense_span_verdicts(m, eps)
+
+    # Not at eps=1e-12: there a fit with coefficients of norm 1e3 (random-rep-1, column 15)
+    # misses the dense block by their rounding error, though its verdict agrees.
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_coefficients_reproduce_each_spanned_column(self, m, width, eps):
+        for b in count_block_new_columns(m, eps):
+            block = m.values[b.start : b.end, b.start : b.end]
+            for t, (new, coeffs) in enumerate(zip(b.new, b.coeffs)):
+                col = block[t:, t]
+                if not new and coeffs is not None:
+                    assert np.linalg.norm(block[t:, :t] @ coeffs - col) <= eps * np.linalg.norm(col)
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
     def test_semiseparable_rank_is_the_largest_extracted_rank(self, m, width):
