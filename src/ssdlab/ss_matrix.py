@@ -237,11 +237,9 @@ def _block_sweep(vals: np.ndarray, eps: float):
     singular values are within that sum of block t's, rounding aside. Once
     the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
     (at most block t's s[0], which stands in for a zero column), L[1:] and
-    Vh are refactored whole from ``vals[t:, :t]`` and the sum restarts at
-    zero. So a rank or a span verdict can differ from the dense one only
-    within that share of its threshold. Yields (L[1:], Vh), whose product
-    is ``vals[t:, :t]`` up to the drops, and ``svd_with_rank`` of block t,
-    right vectors in column coordinates, for t = 0, ..., T-1.
+    Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
+    Yields (L[1:], Vh), whose product is ``vals[t:, :t]`` up to the drops,
+    and ``svd_with_rank`` of block t, right vectors in column coordinates.
     """
     carried = vals[:, :0]
     basis = np.zeros((0, 0))
@@ -295,15 +293,16 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
 
 
 def _column_membership(
-    below: np.ndarray, col: np.ndarray, eps: float
+    below: np.ndarray, col: np.ndarray, eps: float, thin: np.ndarray, basis: np.ndarray
 ) -> tuple[bool, float, float, np.ndarray | None]:
     """Least-squares span test for one column against the columns of ``below``.
 
-    Returns (is_new, residual, threshold, coeffs). A column is new when the
-    residual of its fit exceeds eps times the column norm. ``below`` is the
-    sweep's factor L of the earlier columns on the same rows, so
-    ``coeffs`` are in its coordinates, or None when no fit was needed (a
-    zero column, or an empty span, where any nonzero column is new).
+    ``thin @ basis`` is the sweep's factor of ``below``. The fit against
+    ``thin`` (cut where ``lstsq``'s default cutoff lies) is mapped to columns
+    by ``basis`` and refined once on its miss on ``below``. Returns (is_new,
+    residual, threshold, coeffs): new when the residual of ``coeffs`` on
+    ``below`` exceeds eps times the column norm; ``coeffs`` is None for a zero
+    column or an empty span, where any nonzero column is new.
     """
     col_norm = float(np.linalg.norm(col))
     threshold = eps * col_norm
@@ -311,7 +310,9 @@ def _column_membership(
         return False, 0.0, threshold, None
     if below.shape[1] == 0:
         return True, col_norm, threshold, None
-    coeffs, *_ = np.linalg.lstsq(below, col, rcond=None)
+    solve = np.linalg.pinv(thin, rcond=np.finfo(float).eps * max(thin.shape))
+    coeffs = basis.T @ (solve @ col)
+    coeffs += basis.T @ (solve @ (col - below @ coeffs))
     residual = float(np.linalg.norm(below @ coeffs - col))
     return residual > threshold, residual, threshold, coeffs
 
@@ -330,9 +331,8 @@ def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]
 class BlockNewColumns:
     """New-column count of one diagonal block, rows [start, end), and the verdicts behind it.
 
-    ``new[i]`` is the ``_column_membership`` verdict for block column i against
-    block columns 0..i-1 on block rows i onward; ``coeffs[i]`` is its fit on those
-    columns, the minimum-norm one a dense ``lstsq`` gives, or None.
+    ``new[i]`` and ``coeffs[i]`` are what ``_column_membership`` returned
+    for block column i against block columns 0..i-1 on block rows i onward.
     """
 
     start: int
@@ -348,23 +348,24 @@ class BlockNewColumns:
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
     """One membership test per column, each inside its block between ``cuts``.
 
-    Each block runs one ``_block_sweep``, which hands column t a thin factor
-    L B of the columns before it: the fit z against L is the fit B' z on
-    them. Borderline decisions warn as in ``new_columns``, by global index.
+    Each block runs one ``_block_sweep``, whose thin factors the fits use.
+    Borderline decisions warn as in ``new_columns``, by global index.
     """
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
         block = m.values[start:end, start:end]
         verdicts = []
-        for t, (below, basis, *_) in enumerate(_block_sweep(block, eps)):
-            is_new, residual, threshold, fit = _column_membership(below, block[t:, t], eps)
+        for t, (thin, basis, *_) in enumerate(_block_sweep(block, eps)):
+            is_new, residual, threshold, coeffs = _column_membership(
+                block[t:, :t], block[t:, t], eps, thin, basis
+            )
             if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
                 warnings.warn(
                     f"borderline new-column decision at column {start + t}: "
                     f"residual {residual:.3e} vs threshold {threshold:.3e}",
                     stacklevel=3,
                 )
-            verdicts.append((is_new, None if fit is None else basis.T @ fit))
+            verdicts.append((is_new, coeffs))
         new, coeffs = zip(*verdicts)
         out.append(BlockNewColumns(start, end, new, coeffs))
     return out

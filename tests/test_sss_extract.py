@@ -5,12 +5,13 @@ import pytest
 
 from ssdlab import sss_extract
 from ssdlab._lowrank import balanced_factors
-from ssdlab.duality import count_block_new_columns
+from ssdlab.duality import _construct, count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import (
     DEFAULT_EPS,
     ORACLE_MAX_T,
+    BlockNewColumns,
     LowerTriangularMatrix,
     MaskVector,
     _block_sweep,
@@ -327,16 +328,19 @@ SPAN_FAMILIES = [
 ]
 
 
-def dense_span_verdicts(m, eps):
-    """New-column verdicts of one dense ``lstsq`` per column on ``block[t:, :t]`` (test oracle)."""
-    verdicts = []
+def dense_span_fits(m, eps):
+    """``BlockNewColumns`` of one dense ``lstsq`` per column on ``block[t:, :t]`` (test oracle)."""
+    blocks = []
     for start, end in blocks_from_cuts(m.T, diagonal_block_partition(m, eps)):
         block = m.values[start:end, start:end]
+        fits = []
         for t in range(end - start):
             below, col = block[t:, :t], block[t:, t]
             coeffs = np.linalg.lstsq(below, col, rcond=None)[0]
-            verdicts.append(bool(np.linalg.norm(below @ coeffs - col) > eps * np.linalg.norm(col)))
-    return verdicts
+            residual = np.linalg.norm(below @ coeffs - col)
+            fits.append((bool(residual > eps * np.linalg.norm(col)), coeffs))
+        blocks.append(BlockNewColumns(start, end, *zip(*fits)))
+    return blocks
 
 
 class TestBlockSweep:
@@ -372,12 +376,9 @@ class TestBlockSweep:
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
     @pytest.mark.filterwarnings("ignore:borderline new-column decision")
     def test_span_verdicts_match_a_dense_lstsq_oracle(self, m, width, eps):
-        blocks = count_block_new_columns(m, eps)
-        assert [new for b in blocks for new in b.new] == dense_span_verdicts(m, eps)
+        assert count_block_new_columns(m, eps) == dense_span_fits(m, eps)
 
-    # Not at eps=1e-12: there a fit with coefficients of norm 1e3 (random-rep-1, column 15)
-    # misses the dense block by their rounding error, though its verdict agrees.
-    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
     @pytest.mark.filterwarnings("ignore:borderline new-column decision")
     def test_coefficients_reproduce_each_spanned_column(self, m, width, eps):
@@ -387,6 +388,17 @@ class TestBlockSweep:
                 col = block[t:, t]
                 if not new and coeffs is not None:
                     assert np.linalg.norm(block[t:, :t] @ coeffs - col) <= eps * np.linalg.norm(col)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dual_factors_match_a_dense_lstsq_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(0.95, 1.05, 256) * rng.choice([-1.0, 1.0], 256)
+        q, k = rng.standard_normal((2, 256, 4))
+        m = LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+        sweep, _ = _construct(m, count_block_new_columns(m), 4, DEFAULT_EPS)
+        dense, _ = _construct(m, dense_span_fits(m, DEFAULT_EPS), 4, DEFAULT_EPS)
+        assert rel_fro(sweep.Q, dense.Q) <= 1e-13
+        assert rel_fro(sweep.K, dense.K) <= 1e-13
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
     def test_semiseparable_rank_is_the_largest_extracted_rank(self, m, width):
