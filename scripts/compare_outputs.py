@@ -11,7 +11,7 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``count_block_new_columns`` of a random width-4 representation and of a
 kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
-T=128 and at T=600, where the kernel build recurses through several splits),
+T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel whose construction
 fails), ``extract`` and ``counterexample non-dualizable``. Arrays are
@@ -77,7 +77,7 @@ def dump() -> dict[str, object]:
         for name in ("p", "Q", "K"):
             out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
         out[f"materialize_sss/{seed}"] = materialize_sss(random_representation(seed, 96, 4)).values
-        # At T=600 the kernel build splits at 300, 150 and 450 and further down.
+        # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
         out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values

@@ -16,7 +16,10 @@ the algorithm materializes, with all per-mode intermediates of the linear
 path held simultaneously; the caller-owned input sequence is not charged.
 A streaming implementation that drops each mode's intermediates after its
 reduction step would need only O(Td) extra, which the all-live model here
-deliberately does not assume.
+deliberately does not assume. Likewise the counted materialized path
+charges the whole T x T kernel as live (peak T^2), while the production
+path streams it one row panel at a time; the counts and budgets keep the
+all-live model.
 """
 
 from __future__ import annotations

@@ -161,13 +161,21 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             setattr(args, attr, _config_value(actions[attr], key, value))
 
 
+def _run_forward(path: str, model: ssm_mod.DiagonalSsm, x: np.ndarray) -> np.ndarray:
+    """One forward path's output; a non-finite entry (an overflowing model) is an input error."""
+    y = ssm_mod.FORWARD_PATHS[path](model, x)
+    if not np.isfinite(y).all():
+        raise ValueError(f"the {path} output has non-finite entries")
+    return y
+
+
 def cmd_forward(cfg: RunConfig) -> int:
     model = ssm_mod.DiagonalSsm.from_json(_read(cfg.inputs["ssm"]))
     x = _load_sequence(cfg.inputs["input"])
     runners = ssm_mod.FORWARD_PATHS
     path = cfg.options.get("path") or "all"
     if path == "all":
-        outputs = {name: fn(model, x) for name, fn in runners.items()}
+        outputs = {name: _run_forward(name, model, x) for name in runners}
         pairwise = {
             f"{first}/{second}": rel_err(outputs[first], outputs[second])
             for first, second in itertools.combinations(outputs, 2)
@@ -183,7 +191,7 @@ def cmd_forward(cfg: RunConfig) -> int:
         return EXIT_OK if worst <= cfg.eps else EXIT_PROPERTY
     if path not in runners:
         raise ValueError(f"unknown path {path!r}")
-    y = runners[path](model, x)
+    y = _run_forward(path, model, x)
     y_json = json.dumps({"Y": y.tolist()})
     if cfg.out:
         want_csv = cfg.fmt == "csv" or cfg.out.endswith(".csv")

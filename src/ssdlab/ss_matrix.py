@@ -26,7 +26,7 @@ _SWEEP_DROP_SHARE = 1e-2
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
 
-#: Rows of the kernel builder's base ranges and of the upper-triangle check's bands.
+#: Rows of the kernel builder's panels and of the upper-triangle check's bands.
 _TILE = 32
 
 
@@ -91,6 +91,12 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     return decorate
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    """The one finiteness rule for matrix entries, built or read."""
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+
+
 @json_record({"T": "T", "rows": "values"}, declared=("T",))
 @dataclass(frozen=True)
 class LowerTriangularMatrix:
@@ -118,8 +124,7 @@ class LowerTriangularMatrix:
             raise ShapeMismatchError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeMismatchError("matrix size must be at least 1")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
+        _check_finite(arr)
         for r in range(0, arr.shape[0], _TILE):
             end = r + _TILE
             if np.triu(arr[r:end, r:end], 1).any() or arr[r:end, end:].any():
@@ -167,36 +172,42 @@ class MaskVector:
         return self.a.shape[0]
 
 
+def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Row panels of the lower triangle sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
+
+    All three inputs are (T, K); gains[0] is never read. Yields (lo, hi,
+    panel) for every ``_TILE`` rows in order, the panel holding rows [lo, hi)
+    and columns [0, hi) of the kernel. The diagonal tile takes its segment
+    products from one cumulative product. Left of it the product is
+    gains[s+1..lo-1] (tail) times gains[lo..t] (head), one rank-K product.
+    The next panel's tail is this tail times gains[lo..hi-1], followed by
+    the tile's last row of products: multiplication only, so nothing is
+    divided and zero gains stay exact. A panel with a non-finite entry
+    raises ``ValueError``.
+    """
+    tail = np.ones((0, gains.shape[1]))
+    for lo in range(0, gains.shape[0], _TILE):
+        hi = min(lo + _TILE, gains.shape[0])
+        # Row u of column s contributes gains[u] once u > s: rows cumprod to gains[s+1..t].
+        u = np.arange(hi - lo)
+        factors = np.where((u[:, None] > u)[..., None], gains[lo:hi, None], 1.0)
+        prods = np.cumprod(factors, axis=0)
+        panel = np.empty((hi - lo, hi))
+        panel[:, lo:] = np.tril(np.einsum("tsk,tk->ts", prods * right[lo:hi], left[lo:hi]))
+        head = prods[:, 0] * gains[lo] if lo else prods[:, 0]  # gains[0] is never read
+        np.matmul(left[lo:hi] * head, (right[:lo] * tail).T, out=panel[:, :lo])
+        _check_finite(panel)
+        yield lo, hi, panel
+        tail = np.concatenate([tail * head[-1], prods[-1]])
+
+
 def _segment_product_kernel(
     gains: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> LowerTriangularMatrix:
-    """Lower triangle with entries sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
-
-    All three inputs are (T, K); gains[0] is never read. A range of more than
-    ``_TILE`` rows is halved at ``mid``: across the split the product is
-    gains[s+1..mid-1] (tail) times gains[mid..t] (head), one rank-K product.
-    Smaller ranges take their segment products from one cumulative product.
-    Nothing is divided, so zero gains stay exact.
-    """
+    """The whole lower triangle of ``_segment_product_panels``, as one matrix."""
     m = np.zeros((gains.shape[0],) * 2)
-
-    def fill(lo: int, hi: int) -> None:
-        if hi - lo <= _TILE:
-            # Row u of column s contributes gains[u] once u > s: rows cumprod to gains[s+1..t].
-            u = np.arange(hi - lo)
-            factors = np.where((u[:, None] > u)[..., None], gains[lo:hi, None], 1.0)
-            seg = np.cumprod(factors, axis=0) * right[lo:hi]
-            m[lo:hi, lo:hi] = np.tril(np.einsum("tsk,tk->ts", seg, left[lo:hi]))
-            return
-        mid = (lo + hi) // 2
-        fill(lo, mid)
-        fill(mid, hi)
-        head = np.cumprod(gains[mid:hi], axis=0)
-        tail = np.ones((mid - lo, gains.shape[1]))
-        tail[:-1] = np.cumprod(gains[mid - 1 : lo : -1], axis=0)[::-1]
-        np.matmul(left[mid:hi] * head, (right[lo:mid] * tail).T, out=m[mid:hi, lo:mid])
-
-    fill(0, gains.shape[0])
+    for lo, hi, panel in _segment_product_panels(gains, left, right):
+        m[lo:hi, :hi] = panel
     return LowerTriangularMatrix._adopt(m)
 
 

@@ -18,6 +18,7 @@ from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
     _segment_product_kernel,
+    _segment_product_panels,
     array_from_csv,
     array_to_csv,
     json_record,
@@ -103,9 +104,15 @@ def materialize_kernel(ssm: DiagonalSsm) -> LowerTriangularMatrix:
 
 
 def forward_materialized(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """Quadratic path: materialize the kernel, then one dense matmul."""
+    """Quadratic path: each row panel of the kernel is applied to x as it is built.
+
+    Only one panel is held at a time, never the whole T x T kernel.
+    """
     x = _check_sequence(ssm, x)
-    return materialize_kernel(ssm).values @ x
+    y = np.empty_like(x)
+    for lo, hi, panel in _segment_product_panels(ssm.a_diag, ssm.c, ssm.b):
+        np.matmul(panel, x[:hi], out=y[lo:hi])
+    return y
 
 
 def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

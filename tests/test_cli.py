@@ -70,6 +70,21 @@ class TestForwardCommand:
         assert proc.returncode == 2
         assert not (workdir / "never.json").exists()
 
+    @pytest.mark.parametrize("path", ["recurrence", "ssd", "materialized", "all"])
+    def test_overflowing_model_is_an_input_error(self, tmp_path, path):
+        ones = np.ones((64, 2))
+        gains = np.full((64, 2), 1e12)
+        gains[0] = 1.0
+        (tmp_path / "ssm.json").write_text(DiagonalSsm(gains, ones, ones).to_json())
+        (tmp_path / "x.csv").write_text(sequence_to_csv(np.ones((64, 1))))
+        proc = run_cli(
+            "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", path,
+            "--out", "y.json", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "input error" in proc.stderr and "finite" in proc.stderr
+        assert not (tmp_path / "y.json").exists()
+
 
 class TestCheckDualCommand:
     def test_representability_failure_exit_code(self, workdir):

@@ -1,5 +1,7 @@
 """Tests for the three execution paths of diagonal state-space models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,10 +139,13 @@ class TestMaterializeKernel:
                 model = DiagonalSsm(gains, *rng.standard_normal((2, steps, modes)))
                 got = materialize_kernel(model).values
                 assert np.allclose(got, ref_kernel(model), rtol=1e-12, atol=1e-12)
+                x = rng.standard_normal((steps, 2))
+                y = forward_materialized(model, x)
+                assert np.allclose(y, ref_kernel(model) @ x, rtol=1e-12, atol=1e-12)
 
     def test_three_tiles_match_row_recursion(self):
-        # 600 steps: the recursive build splits at 300, then at 150 and 450, and
-        # so on down to base ranges of at most _TILE rows.
+        # 600 steps: the panel walk builds 18 full panels of _TILE rows and a
+        # ragged last panel of 24 rows, carrying the tail across every edge.
         rng = np.random.default_rng(8)
         gains = rng.uniform(0.9, 1.1, (600, 4)) * rng.choice([-1.0, 1.0], (600, 4))
         gains[0] = 1.0
@@ -152,14 +157,21 @@ class TestMaterializeKernel:
         gains = rng.uniform(0.5, 1.5, (600, 4))
         gains[0] = 1.0
         b, c = rng.standard_normal((2, 600, 4))
-        # Zero rows on and next to the splits at 150, 300 and 450, in every mode.
-        for zero_row in (150, 299, 300, 301, 450, 451):
+        x, other_x = rng.standard_normal((2, 600, 3))
+        # Zero rows in every mode: inside panels, on and next to the panel edges
+        # at 32 and 288, and in the last row of the ragged last panel.
+        for zero_row in (150, 299, 300, 301, 450, 451, 31, 32, 33, 287, 288, 289, 599):
             with_zero = gains.copy()
             with_zero[zero_row] = 0.0
             model = DiagonalSsm(with_zero, b, c)
             got = materialize_kernel(model).values
             assert np.all(got[zero_row:, :zero_row] == 0.0), zero_row
             assert rel_fro(got, row_recursion_kernel(model)) <= 1e-13, zero_row
+            # Inputs before the zero gain cannot reach outputs from it on.
+            changed = x.copy()
+            changed[:zero_row] = other_x[:zero_row]
+            y, y_changed = forward_materialized(model, x), forward_materialized(model, changed)
+            assert y[zero_row:].tobytes() == y_changed[zero_row:].tobytes(), zero_row
 
     def test_kernel_rank_bounded_by_mode_count(self):
         for seed, modes in ((5, 1), (6, 2), (7, 4)):
@@ -181,6 +193,25 @@ class TestForwardMaterialized:
     def test_agrees_with_recurrence(self):
         ssm, x = random_instance(10, 24, 4, 2)
         assert rel_fro(forward_materialized(ssm, x), forward_recurrence(ssm, x)) <= 1e-10
+
+    def test_never_holds_the_whole_kernel(self):
+        steps = 2048
+        ssm, x = random_instance(11, steps, 4, 2)
+        tracemalloc.start()
+        try:
+            forward_materialized(ssm, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The T x T kernel alone would take 8 * T^2 bytes.
+        assert peak < 8 * steps**2 / 4
+
+    def test_overflowing_model_is_refused(self):
+        ones = np.ones((64, 2))
+        gains = np.full((64, 2), 1e12)
+        gains[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            forward_materialized(DiagonalSsm(gains, ones, ones), np.ones((64, 1)))
 
 
 class TestScaleRows:
