@@ -13,8 +13,8 @@ kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stder
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
 ``check-dual --mode representability`` (on a representable kernel, on a
-matrix it refuses, and on a diagonal-model kernel whose construction
-fails), ``extract`` and ``counterexample non-dualizable``. Arrays are
+matrix it refuses, and on a diagonal-model kernel with spread decay
+rates), ``extract`` and ``counterexample non-dualizable``. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
 Arrays, and the arrays in JSON output files, that differ in value are
@@ -90,7 +90,7 @@ def dump() -> dict[str, object]:
             (work / "x600.csv").write_text(sequence_to_csv(long_x))
             (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
             (work / "corner.csv").write_text(non_dualizable_matrix(8).to_csv())
-            # Mode decay rates differ, so the dual construction fails its residual gate.
+            # Mode decay rates differ, so a filled upper triangle would outgrow the kernel.
             decaying, _ = random_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))
             (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
             representability = ["check-dual", "--mode", "representability", "--matrix"]
@@ -101,7 +101,7 @@ def dump() -> dict[str, object]:
                 ],
                 "check-dual": [*representability, "kernel.csv", "--N", "3"],
                 "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
-                "check-dual/construct-fails": [*representability, "diag.csv", "--N", "4"],
+                "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
                 "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
             }

@@ -11,11 +11,11 @@ Orientation convention used everywhere: the kernel entry at (t, s) is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lowrank import balanced_factors, svd_with_rank
 from .errors import (
     NotRepresentableError,
     NotScalarIdentityError,
@@ -28,12 +28,14 @@ from .ss_matrix import (
     DEFAULT_EPS,
     BlockNewColumns,
     LowerTriangularMatrix,
-    MaskVector,
     _check_width,
     _new_column_sweep,
+    _segment_product_apply,
+    _segment_product_kernel,
+    _segment_product_panels,
     diagonal_block_partition,
     json_record,
-    one_ss,
+    one_ss,  # noqa: F401 -- perfbench/spans.py times duality.one_ss
     rel_err,
 )
 from .ssm import DiagonalSsm, materialize_kernel
@@ -102,9 +104,8 @@ class MaskedAttentionFactors:
         return self.Q.shape[1]
 
     def materialize(self) -> LowerTriangularMatrix:
-        """Dense value of mask * (Q K^T); exact zeros above the diagonal."""
-        mask = one_ss(MaskVector(self.p)).values
-        return LowerTriangularMatrix._adopt(mask * (self.Q @ self.K.T))
+        """Dense value of mask * (Q K^T); the upper triangle of Q K^T is never formed."""
+        return _segment_product_kernel(self.p[:, None], self.Q, self.K)
 
 
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
@@ -156,13 +157,13 @@ def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
 
 
 def masked_attention_forward(factors: MaskedAttentionFactors, x: np.ndarray) -> np.ndarray:
-    """Apply mask * (Q K^T) to an input sequence; dense O(T^2 (N+d)) path."""
+    """Apply mask * (Q K^T) to an input sequence, one row panel at a time; O(T^2 (N+d))."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != factors.T:
         raise ShapeMismatchError(
             f"input of shape {x.shape} does not match factors with T={factors.T}"
         )
-    return factors.materialize().values @ x
+    return _segment_product_apply(factors.p[:, None], factors.Q, factors.K, x)
 
 
 def count_block_new_columns(
@@ -216,17 +217,69 @@ def construct_one_ss_dual(
 ) -> MaskedAttentionFactors:
     """Build masked-attention factors for a representable kernel.
 
-    Within each diagonal block, the strictly-upper entries are filled in
-    column by column: a column that is not new gets the combination of the
-    already-filled earlier columns given by its least-squares coefficients
-    on the rows below the diagonal, while new columns keep zeros above.
-    The filled block then has rank at most ``width`` and is factored by a
-    truncated singular-value split, padded with zero columns when fewer
-    directions are needed. The mask carries a zero at every block start
-    and ones elsewhere. A fill that overflows raises ``UnstableScalingError``
-    before the factorization.
+    The mask carries a zero at every block start and ones elsewhere. Within
+    a diagonal block B, Q holds the new columns of B themselves, exactly zero
+    above their diagonals, and K the coefficients C of every column of B in
+    that basis, so that tril(Q C^T) = B. A new column's row of C is a unit
+    vector and a zero column's row is zero. A spanned column t composes its
+    sweep coefficients through the rows of the earlier columns, then refines
+    the result once by a thin least-squares fit of its miss on B[t:, t]
+    against the at most ``width`` new columns before t. Nothing fills the
+    upper triangle and nothing factors the block, so the cost is O(T^2 width).
+
+    Before re-materializing, the construction sums its error budget against
+    eps times |M|: the mass of M outside the diagonal blocks, the refined
+    fits' residuals in quadrature, and a rounding bound of
+    width * unit roundoff * |tril(|Q| |K|^T)|. When the budget exceeds the
+    gate, or a coefficient is not finite, it raises ``UnstableScalingError``
+    naming the largest term. ``ReconstructionError`` is the last check.
     """
     return _construct(m, count_block_new_columns(m, eps), width, eps)[0]
+
+
+def _block_factors(block: np.ndarray, b: BlockNewColumns) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q and K of one block, and the norm of its refined fits' residuals."""
+    q = block[:, list(b.new)]
+    k = np.zeros(q.shape)
+    cols = block.T.copy()  # cols[t, t:] is column t on and below the diagonal
+    misses = []
+    live = 0  # new columns before t
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+        for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
+            if is_new:
+                k[t, live] = 1.0
+                live += 1
+                continue
+            if coeffs is None:  # a zero column
+                continue
+            basis, col = q[t:, :live], cols[t, t:]
+            row = coeffs @ k[:t, :live]
+            miss = col - basis @ row
+            if not (np.isfinite(row).all() and np.isfinite(miss).all()):
+                raise UnstableScalingError(
+                    f"error budget term finiteness fails: the coefficients of block "
+                    f"[{b.start}, {b.end}) overflow first at column {b.start + t}"
+                )
+            if live:
+                row += np.linalg.lstsq(basis, miss, rcond=None)[0]
+                miss = col - basis @ row
+            k[t, :live] = row
+            misses.append(float(np.linalg.norm(miss)))
+    return q, k, math.hypot(*misses)
+
+
+def _rounding_bound(p: np.ndarray, q: np.ndarray, k: np.ndarray) -> float:
+    """width * unit roundoff * |mask * tril(|Q| |K|^T)|, the walk's rounding bound.
+
+    The walk runs on |Q| and |K| scaled to unit maxima, so it cannot overflow.
+    """
+    q_max, k_max = float(np.abs(q).max()), float(np.abs(k).max())
+    if q_max == 0.0 or k_max == 0.0:
+        return 0.0
+    square = 0.0
+    for _, _, panel in _segment_product_panels(p[:, None], np.abs(q) / q_max, np.abs(k) / k_max):
+        square += float(np.vdot(panel, panel))
+    return q.shape[1] * np.finfo(float).eps / 2 * q_max * k_max * np.sqrt(square)
 
 
 def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tuple:
@@ -236,35 +289,38 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
             f"matrix has a diagonal block with more than {width} new columns"
         )
     vals = m.values
-    size = m.T
-    p = np.ones(size)
-    q_rows = np.zeros((size, width))
-    k_rows = np.zeros((size, width))
+    p = np.ones(m.T)
+    q = np.zeros((m.T, width))
+    k = np.zeros((m.T, width))
+    dropped = misses = 0.0
     for b in blocks:
+        block = vals[b.start : b.end, b.start : b.end]
+        q_block, k_block, block_misses = _block_factors(block, b)
         p[b.start] = 0.0
-        filled = vals[b.start : b.end, b.start : b.end].copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by block
-            for t, (is_new, coeffs) in enumerate(zip(b.new, b.coeffs)):
-                if not is_new and coeffs is not None:
-                    filled[:t, t] = filled[:t, :t] @ coeffs
-        finite = np.isfinite(filled).all(axis=0)
-        if not finite.all():
-            raise UnstableScalingError(
-                f"the fill of block [{b.start}, {b.end}) overflows first at column "
-                f"{b.start + int(np.argmin(finite))}"
-            )
-        u, s, vh, rank = svd_with_rank(filled, eps)
-        left, right = balanced_factors(u, s, vh, min(rank, width), width)
-        q_rows[b.start : b.end] = left
-        k_rows[b.start : b.end] = right.T
-    factors = MaskedAttentionFactors(p, q_rows, k_rows)
+        q[b.start : b.end, : q_block.shape[1]] = q_block
+        k[b.start : b.end, : k_block.shape[1]] = k_block
+        dropped = np.hypot(dropped, np.linalg.norm(vals[b.start : b.end, : b.start]))
+        misses = np.hypot(misses, block_misses)
+    gate = eps * float(np.linalg.norm(vals))
+    budget = {
+        "dropped mass": float(dropped),
+        "fit residuals": float(misses),
+        "rounding": _rounding_bound(p, q, k),
+    }
+    if np.hypot(budget["dropped mass"], budget["fit residuals"]) + budget["rounding"] > gate:
+        name = max(budget, key=budget.get)
+        terms = ", ".join(f"{key} {value:.3e}" for key, value in budget.items())
+        raise UnstableScalingError(
+            f"error budget term {name} dominates: {terms} sum past "
+            f"{eps:.1e} * |M| = {gate:.3e}"
+        )
+    factors = MaskedAttentionFactors(p, q, k)
     back = factors.materialize().values
-    scale = float(np.linalg.norm(vals))
     residual = float(np.linalg.norm(back - vals))
-    if residual > eps * scale:
+    if residual > gate:
         raise ReconstructionError(
             f"re-materialization residual {residual:.3e} exceeds "
-            f"{eps:.1e} * |M| = {eps * scale:.3e}"
+            f"{eps:.1e} * |M| = {gate:.3e}"
         )
     return factors, back
 

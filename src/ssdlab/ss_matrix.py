@@ -118,6 +118,18 @@ class LowerTriangularMatrix:
         matrix._own(np.asarray(arr, dtype=float))
         return matrix
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
+        """No checks, no copy: only for ``_segment_product_kernel``'s fresh float array.
+
+        The panel walk has checked every panel for finiteness and writes
+        nothing above the diagonal, so ``_own``'s two scans would re-prove both.
+        """
+        arr.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", arr)
+        return matrix
+
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr`` and freeze it as this matrix's storage."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -208,7 +220,20 @@ def _segment_product_kernel(
     m = np.zeros((gains.shape[0],) * 2)
     for lo, hi, panel in _segment_product_panels(gains, left, right):
         m[lo:hi, :hi] = panel
-    return LowerTriangularMatrix._adopt(m)
+    return LowerTriangularMatrix._trusted(m)
+
+
+def _segment_product_apply(
+    gains: np.ndarray, left: np.ndarray, right: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The lower triangle of ``_segment_product_panels`` times ``x``, one panel at a time.
+
+    Only one panel is held at a time, never the whole T x T matrix.
+    """
+    y = np.empty((gains.shape[0], x.shape[1]))
+    for lo, hi, panel in _segment_product_panels(gains, left, right):
+        np.matmul(panel, x[:hi], out=y[lo:hi])
+    return y
 
 
 def one_ss(mask: MaskVector) -> LowerTriangularMatrix:

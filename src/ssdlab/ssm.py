@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
+    _segment_product_apply,
     _segment_product_kernel,
-    _segment_product_panels,
     array_from_csv,
     array_to_csv,
     json_record,
@@ -108,11 +108,7 @@ def forward_materialized(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
 
     Only one panel is held at a time, never the whole T x T kernel.
     """
-    x = _check_sequence(ssm, x)
-    y = np.empty_like(x)
-    for lo, hi, panel in _segment_product_panels(ssm.a_diag, ssm.c, ssm.b):
-        np.matmul(panel, x[:hi], out=y[lo:hi])
-    return y
+    return _segment_product_apply(ssm.a_diag, ssm.c, ssm.b, _check_sequence(ssm, x))
 
 
 def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,7 +129,21 @@ class TestCheckDualCommand:
             "--out", "rep.json", cwd=tmp_path,
         )
         assert proc.returncode == 3
-        assert "precondition: the fill of block [0, 512) overflows first" in proc.stderr
+        assert (
+            "precondition: error budget term finiteness fails: "
+            "the coefficients of block [0, 512) overflow first" in proc.stderr
+        )
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_representability_refuses_a_general_representation(self, tmp_path):
+        m = materialize_sss(random_representation(0, 128, 4))
+        (tmp_path / "sss.csv").write_text(m.to_csv())
+        proc = run_cli(
+            "check-dual", "--mode", "representability", "--matrix", "sss.csv", "--N", "4",
+            "--out", "rep.json", cwd=tmp_path,
+        )
+        assert proc.returncode == 3
+        assert "precondition: error budget term rounding dominates" in proc.stderr
         assert not (tmp_path / "rep.json").exists()
 
     def test_full_rank_mode(self, workdir, tmp_path):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdlab import cli, duality
 from ssdlab.duality import (
@@ -22,7 +24,6 @@ from ssdlab.duality import (
 from ssdlab.errors import (
     NotRepresentableError,
     NotScalarIdentityError,
-    ReconstructionError,
     UnstableScalingError,
     ZeroGainError,
 )
@@ -31,6 +32,7 @@ from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, new_columns, one
 from ssdlab.ssm import DiagonalSsm, forward_recurrence, materialize_kernel, random_instance
 from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import rel_fro, representable_matrix
+from tests.test_sss_extract import noisy_representation
 
 
 class TestScalarIdentityDual:
@@ -153,6 +155,27 @@ class TestMaskedAttentionForward:
         assert np.allclose(masked_attention_forward(factors, x), expected, rtol=1e-13)
 
 
+class TestMaterializeFactors:
+    def test_never_forms_the_upper_triangle_of_q_k(self):
+        # Q[0] K[1] = 1e400 overflows above the diagonal; every entry on or below it is finite.
+        q = np.array([[1e200], [0.0]])
+        k = np.array([[1e-200], [1e200]])
+        factors = MaskedAttentionFactors(np.ones(2), q, k)
+        assert np.array_equal(factors.materialize().values, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(masked_attention_forward(factors, np.ones((2, 1))), [[1.0], [0.0]])
+
+    def test_panels_match_the_dense_product(self):
+        rng = np.random.default_rng(38)
+        p = rng.uniform(0.5, 1.5, 100) * rng.choice([-1.0, 0.0, 1.0], 100, p=[0.45, 0.1, 0.45])
+        q, k = rng.standard_normal((2, 100, 3))
+        x = rng.standard_normal((100, 2))
+        factors = MaskedAttentionFactors(p, q, k)
+        dense = one_ss(MaskVector(p)).values * (q @ k.T)
+        assert rel_fro(factors.materialize().values, dense) <= 1e-14
+        assert np.array_equal(np.triu(factors.materialize().values, 1), np.zeros((100, 100)))
+        assert rel_fro(masked_attention_forward(factors, x), dense @ x) <= 1e-14
+
+
 class TestBlockNewColumnCounts:
     def test_identity_splits_into_unit_blocks(self):
         blocks = count_block_new_columns(LowerTriangularMatrix(np.eye(3)))
@@ -212,11 +235,19 @@ class TestHasOneSsDual:
         assert report["reconstruction_rel_residual"] == rel_fro(back.values, m.values)
         assert report["reconstruction_rel_residual"] <= 1e-9
 
-    def test_report_raises_when_the_construction_misses_its_gate(self):
-        # Mode decay rates differ, so the width-4 fill grows far past the kernel's scale.
-        ssm, _ = random_instance(0, 64, 4, 1, a_abs=(0.5, 1.0))
-        with pytest.raises(ReconstructionError):
-            representability_report(materialize_kernel(ssm), 4)
+    def test_report_reconstructs_a_kernel_with_spread_decay_rates(self):
+        # Mode decay rates differ, so a filled upper triangle would grow far past the
+        # kernel's scale; the coefficient construction never forms it.
+        m = materialize_kernel(random_instance(0, 64, 4, 1, a_abs=(0.5, 1.0))[0])
+        report = representability_report(m, 4)
+        assert report["representable"]
+        assert report["reconstruction_rel_residual"] <= 1e-8
+
+    def test_report_refuses_a_kernel_beyond_its_error_budget(self):
+        m = materialize_sss(random_representation(1, 128, 4))
+        assert has_one_ss_dual(m, 4)
+        with pytest.raises(UnstableScalingError, match="error budget term rounding dominates"):
+            representability_report(m, 4)
 
 
 class TestFineMaskWidthBound:
@@ -279,7 +310,10 @@ class TestConstructOneSsDual:
     def test_refuses_a_fill_that_overflows(self):
         # This general representation's fill passes the largest double at column 318.
         m = materialize_sss(random_representation(0, 512, 4))
-        with pytest.raises(UnstableScalingError, match=r"block \[0, 512\) overflows first"):
+        with pytest.raises(
+            UnstableScalingError,
+            match=r"term finiteness fails: the coefficients of block \[0, 512\) overflow first",
+        ):
             construct_one_ss_dual(m, 4)
 
     def test_mask_zeros_at_block_starts(self):
@@ -293,6 +327,130 @@ class TestConstructOneSsDual:
         assert has_one_ss_dual(m, 1)
         factors = construct_one_ss_dual(m, 1)
         assert np.array_equal(factors.materialize().values, np.zeros((4, 4)))
+
+
+def spread_gain_kernel(family: str, seed: int, size: int, lo: float, hi: float) -> LowerTriangularMatrix:
+    """A width-4 kernel whose gains have magnitudes in [lo, hi]: one per mode, or one mask."""
+    if family == "diag":
+        return materialize_kernel(random_instance(seed, size, 4, 1, a_abs=(lo, hi))[0])
+    rng = np.random.default_rng(seed)
+    gains = rng.uniform(lo, hi, size) * rng.choice([-1.0, 1.0], size)
+    q, k = rng.standard_normal((2, size, 4))
+    return LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+
+
+#: Fragment every refusal message names: one of the four error-budget terms.
+BUDGET_TERM = r"error budget term (dropped mass|fit residuals|rounding|finiteness)"
+
+
+class TestCoefficientConstruction:
+    """Factors built from the sweep's coefficients, refused up front beyond their error budget."""
+
+    @pytest.mark.parametrize("size", [64, 128, 256])
+    @pytest.mark.parametrize("family", ["diag", "masked"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_spread_gains_reconstruct(self, family, size, seed):
+        m = spread_gain_kernel(family, seed, size, 0.5, 1.0)
+        factors = construct_one_ss_dual(m, 4)
+        assert rel_fro(factors.materialize().values, m.values) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_gains_reconstruct_once_each_fit_is_refined(self, seed):
+        # Without the refinement, the composed fits alone miss the gate on seeds 1-3.
+        m = spread_gain_kernel("diag", seed, 64, 0.0, 2.0)
+        factors = construct_one_ss_dual(m, 4)
+        assert rel_fro(factors.materialize().values, m.values) <= 1e-9
+
+    def test_near_threshold_noise_never_fails_its_gate(self):
+        m = noisy_representation(74, 12, 3, 1e-8)
+        try:
+            factors = construct_one_ss_dual(m, 6, eps=1e-12)
+        except UnstableScalingError as exc:
+            assert exc.args[0].startswith("error budget term")
+        else:
+            assert rel_fro(factors.materialize().values, m.values) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            *[
+                pytest.param(materialize_sss(random_representation(seed, 128, 4)), id=f"sss-{seed}")
+                for seed in range(3)
+            ],
+            *[
+                pytest.param(spread_gain_kernel("diag", seed, 128, 0.0, 2.0), id=f"diag-0-2-{seed}")
+                for seed in range(2)
+            ],
+        ],
+    )
+    def test_unstable_kernels_are_refused_naming_a_term(self, m):
+        assert has_one_ss_dual(m, 4)
+        with pytest.raises(UnstableScalingError, match=BUDGET_TERM):
+            construct_one_ss_dual(m, 4)
+
+    def test_dropped_mass_is_refused(self):
+        # Each entry below the cut is within eps * max|M|, but together they exceed eps * |M|.
+        vals = np.zeros((40, 40))
+        vals[20:, :20] = 0.9e-9
+        vals[:20, 0] = vals[20:, 20] = 1.0
+        m = LowerTriangularMatrix(vals)
+        assert [(b.start, b.end) for b in count_block_new_columns(m)] == [(0, 20), (20, 40)]
+        with pytest.raises(UnstableScalingError, match="error budget term dropped mass dominates"):
+            construct_one_ss_dual(m, 1)
+
+    @given(
+        family=st.sampled_from(["diag", "masked", "sss", "noisy"]),
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 64),
+        gains=st.sampled_from([(0.95, 1.05), (0.5, 1.0), (0.0, 2.0)]),
+        width=st.integers(1, 6),
+        eps=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    @settings(deadline=None, max_examples=60)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_accepted_kernels_reconstruct_or_are_refused(self, family, seed, size, gains, width, eps):
+        if family == "sss":
+            m = materialize_sss(random_representation(seed, size, 4))
+        elif family == "noisy":
+            m = noisy_representation(seed, size, 3, 1e-8)
+        else:
+            m = spread_gain_kernel(family, seed, size, *gains)
+        try:
+            report = representability_report(m, width, eps)
+        except UnstableScalingError as exc:
+            assert exc.args[0].startswith("error budget term")
+            return
+        if report["representable"]:
+            assert report["reconstruction_rel_residual"] <= eps
+
+    def test_factors_only_thin_matrices_outside_the_sweep(self, monkeypatch):
+        size, width = 128, 4
+        m = spread_gain_kernel("masked", 3, size, 0.95, 1.05)
+        assert len(count_block_new_columns(m)) == 1
+        sweeping, columns = [False], []
+        sweep = duality._new_column_sweep
+
+        def flagged_sweep(*args, **kwargs):
+            sweeping[0] = True
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                sweeping[0] = False
+
+        def counting(original):
+            def factor(a, *args, **kwargs):
+                if not sweeping[0]:
+                    columns.append(np.shape(a)[-1])
+                return original(a, *args, **kwargs)
+
+            return factor
+
+        monkeypatch.setattr(duality, "_new_column_sweep", flagged_sweep)
+        for name in ("svd", "lstsq", "pinv", "qr", "eig", "eigh", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        construct_one_ss_dual(m, width)
+        assert columns
+        assert max(columns) <= width + 1
 
 
 class TestOneSweepPerCall:

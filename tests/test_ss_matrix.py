@@ -280,6 +280,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=error):
             LowerTriangularMatrix._adopt(arr)
 
+    def test_panel_walk_output_is_not_rescanned(self, monkeypatch):
+        def rescan(self, arr):
+            raise AssertionError("the walk's output went through the full checks")
+
+        monkeypatch.setattr(LowerTriangularMatrix, "_own", rescan)
+        m = one_ss(MaskVector(np.full(70, 0.5)))
+        assert m.values[69, 0] == 0.5**69
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 2.0
+
 
 class TestRelErr:
     def test_divides_by_the_larger_norm(self):
