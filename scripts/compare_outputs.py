@@ -14,11 +14,15 @@ messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
-rates), ``extract`` and ``counterexample non-dualizable``. Arrays are
+rates), ``extract`` and ``counterexample non-dualizable``; and what
+``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
+text of subnormals, signed zeros, the largest doubles and random bit
+patterns, spelled in several ways and with blank lines. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
 Arrays, and the arrays in JSON output files, that differ in value are
-reported with their largest relative Frobenius difference. Exits 1 when
+reported with their largest relative Frobenius difference (and, in a file,
+the key holding it). Exits 1 when
 anything differs.
 """
 
@@ -144,7 +148,37 @@ def dump() -> dict[str, object]:
         out[f"count_block_new_columns/{name}"] = [
             (b.start, b.end, b.new) for b in count_block_new_columns(m)
         ]
+    out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
     return out
+
+
+def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """What the two CSV readers make of text holding the extreme doubles, read both ways."""
+    from ssdlab.ss_matrix import LowerTriangularMatrix
+    from ssdlab.ssm import sequence_from_csv
+
+    edges = [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.7976931348623157e308, -1.7976931348623157e308]
+    # Random bit patterns reach every exponent; column 1 is all subnormals.
+    values = rng.integers(0, 2**63, (32, 8), dtype=np.int64).view(float)
+    values[:, 1] = rng.integers(1, 2**52, len(values), dtype=np.int64).view(float)
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    values[~np.isfinite(values)] = 1.0
+    matrix = np.tril(values[:8])
+    np.fill_diagonal(matrix, edges)
+    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+    # The same values in other spellings, and lines holding only whitespace.
+    lines[1] = ",".join(f" {v!r} " for v in matrix[1].tolist())
+    lines[2] = ",".join(f"{v:+.17E}" for v in matrix[2].tolist())
+    lines[4:4] = ["", " \t "]
+    sequence = values[8:]
+    sequence[:, 0] = np.resize(edges, len(sequence))
+    return {
+        "csv/matrix": LowerTriangularMatrix.from_csv("\r\n".join(lines) + "\n").values,
+        "csv/sequence": sequence_from_csv(
+            "\n".join(",".join(repr(float(v)) for v in row) for row in sequence) + "\n\n"
+        ),
+    }
 
 
 def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
@@ -152,25 +186,29 @@ def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom) if denom else float(np.linalg.norm(a - b))
 
 
-def _json_rel_diffs(first: object, second: object) -> list[float]:
-    """Relative differences of the numeric and list fields two JSON objects share, nested too."""
+def _json_rel_diffs(first: object, second: object) -> list[tuple[float, str]]:
+    """(relative difference, key) of the numeric and list fields two JSON objects share, nested too."""
     if not isinstance(first, dict) or not isinstance(second, dict) or first.keys() != second.keys():
         return []
     diffs = []
     for k in first:
         if isinstance(first[k], dict):
-            diffs += _json_rel_diffs(first[k], second[k])
+            diffs += [(d, f"{k}/{key}") for d, key in _json_rel_diffs(first[k], second[k])]
         elif isinstance(first[k], (list, float)) and np.shape(first[k]) == np.shape(second[k]):
             try:
                 a, b = np.array(first[k], dtype=float), np.array(second[k], dtype=float)
-                diffs.append(_rel_fro(a, b))
+                diffs.append((_rel_fro(a, b), k))
             except (TypeError, ValueError):  # a list of records, not of numbers
-                diffs += [d for x, y in zip(first[k], second[k]) for d in _json_rel_diffs(x, y)]
+                diffs += [
+                    (d, f"{k}/{key}")
+                    for x, y in zip(first[k], second[k])
+                    for d, key in _json_rel_diffs(x, y)
+                ]
     return diffs
 
 
-def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> float | None:
-    """Largest relative difference over the fields of two JSON objects, if both are."""
+def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> tuple[float, str] | None:
+    """Largest relative difference over the fields of two JSON objects, if both are, and its key."""
     try:
         first, second = json.loads(a), json.loads(b)
     except (TypeError, ValueError):
@@ -216,7 +254,10 @@ def main(argv: list[str]) -> int:
             if isinstance(a, tuple) and isinstance(b, tuple) and a != b:
                 largest = _largest_json_rel_diff(a[-1], b[-1])
                 if largest is not None:
-                    verdict += f" (largest relative Frobenius difference in file {largest:.1e})"
+                    verdict += (
+                        f" (largest relative Frobenius difference in file {largest[0]:.1e},"
+                        f" in {largest[1]})"
+                    )
         print(f"{key}: {verdict}")
     print(f"{differ} of {len(base.keys() | head.keys())} outputs differ")
     return 1 if differ else 0

@@ -14,12 +14,10 @@ def svd_with_rank(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     """
     block = np.atleast_2d(np.asarray(block, dtype=float))
     u, s, vh = np.linalg.svd(block, full_matrices=False)
-    for i in range(s.shape[0]):
-        col = u[:, i]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0.0:
-            u[:, i] = -u[:, i]
-            vh[i, :] = -vh[i, :]
+    # argmax takes the first of tied maxima, and negation is exact.
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
+    u[:, flip] = -u[:, flip]
+    vh[flip] = -vh[flip]
     return u, s, vh, rank_of_singular_values(s, eps)
 
 

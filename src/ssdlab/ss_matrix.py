@@ -38,13 +38,15 @@ def array_to_csv(x: np.ndarray) -> str:
 
 
 def array_from_csv(text: str) -> np.ndarray:
-    """Inverse of ``array_to_csv``; blank lines are skipped."""
-    rows = [
-        [float(field) for field in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.array(rows, dtype=float)
+    """Inverse of ``array_to_csv``, parsed in one C-level pass; whitespace-only lines are skipped.
+
+    A ragged row, an empty field, a comment, a quote or an underscore in a
+    number raises ``ValueError``. Text with no lines gives a (0, 0) array.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        return np.zeros((0, 0))
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def _json_value(value):
@@ -274,8 +276,9 @@ def _block_sweep(vals: np.ndarray, eps: float):
     the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
     (at most block t's s[0], which stands in for a zero column), L[1:] and
     Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
-    Yields (L[1:], Vh), whose product is ``vals[t:, :t]`` up to the drops,
-    and ``svd_with_rank`` of block t, right vectors in column coordinates.
+    Yields (L[1:], Vh), whose product is ``vals[t:, :t]`` up to the drops;
+    G_t's own right vectors, so that G_t = u S V; and ``svd_with_rank`` of
+    block t as (u, s, vh, rank), right vectors in column coordinates.
     """
     carried = vals[:, :0]
     basis = np.zeros((0, 0))
@@ -287,12 +290,12 @@ def _block_sweep(vals: np.ndarray, eps: float):
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
             carried, dropped = u * s, 0.0
             u, s, vh, rank = svd_with_rank(np.column_stack([carried, col]), eps)
-        vh = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
-        yield carried, basis, u, s, vh, rank
+        mapped = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
+        yield carried, basis, vh, u, s, mapped, rank
         keep = rank_of_singular_values(s, np.finfo(float).eps * max(len(vals) - t, t + 1))
         dropped += s[keep] if keep < s.size else 0.0
         carried = u[1:, :keep] * s[:keep]
-        basis = vh[:keep]
+        basis = mapped[:keep]
 
 
 def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
@@ -329,16 +332,26 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
 
 
 def _column_membership(
-    below: np.ndarray, col: np.ndarray, eps: float, thin: np.ndarray, basis: np.ndarray
+    below: np.ndarray,
+    col: np.ndarray,
+    eps: float,
+    basis: np.ndarray,
+    u: np.ndarray,
+    s: np.ndarray,
+    thin_vh: np.ndarray,
 ) -> tuple[bool, float, float, np.ndarray | None]:
     """Least-squares span test for one column against the columns of ``below``.
 
-    ``thin @ basis`` is the sweep's factor of ``below``. The fit against
-    ``thin`` (cut where ``lstsq``'s default cutoff lies) is mapped to columns
-    by ``basis`` and refined once on its miss on ``below``. Returns (is_new,
-    residual, threshold, coeffs): new when the residual of ``coeffs`` on
-    ``below`` exceeds eps times the column norm; ``coeffs`` is None for a zero
-    column or an empty span, where any nonzero column is new.
+    ``L @ basis`` is the sweep's factor of ``below``, and (u, s, thin_vh) is
+    the sweep's SVD of [L, col]. So L = u S V_k for V_k = thin_vh[:, :-1],
+    and as u has orthonormal columns, pinv(L) = pinv(S V_k) u': the fit
+    against L pseudo-inverts only the small S V_k, which has L's singular
+    values, cut where ``lstsq``'s default cutoff lies for L. The fit is
+    mapped to columns by ``basis`` and refined once on its miss on
+    ``below``. Returns (is_new, residual, threshold, coeffs): new when the
+    residual of ``coeffs`` on ``below`` exceeds eps times the column norm;
+    ``coeffs`` is None for a zero column or an empty span, where any
+    nonzero column is new.
     """
     col_norm = float(np.linalg.norm(col))
     threshold = eps * col_norm
@@ -346,9 +359,10 @@ def _column_membership(
         return False, 0.0, threshold, None
     if below.shape[1] == 0:
         return True, col_norm, threshold, None
-    solve = np.linalg.pinv(thin, rcond=np.finfo(float).eps * max(thin.shape))
-    coeffs = basis.T @ (solve @ col)
-    coeffs += basis.T @ (solve @ (col - below @ coeffs))
+    cutoff = np.finfo(float).eps * max(len(col), len(basis))
+    solve = basis.T @ np.linalg.pinv(s[:, None] * thin_vh[:, :-1], rcond=cutoff)
+    coeffs = solve @ (u.T @ col)
+    coeffs += solve @ (u.T @ (col - below @ coeffs))
     residual = float(np.linalg.norm(below @ coeffs - col))
     return residual > threshold, residual, threshold, coeffs
 
@@ -384,16 +398,19 @@ class BlockNewColumns:
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
     """One membership test per column, each inside its block between ``cuts``.
 
-    Each block runs one ``_block_sweep``, whose thin factors the fits use.
+    Each block runs one ``_block_sweep``. Each fit takes its step's thin
+    carry L from the SVD the sweep already took of [L, col], so the only
+    matrix it factors is the small S V_k, of at most k+1 rows for a carry
+    of k columns.
     Borderline decisions warn as in ``new_columns``, by global index.
     """
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
         block = m.values[start:end, start:end]
         verdicts = []
-        for t, (thin, basis, *_) in enumerate(_block_sweep(block, eps)):
+        for t, (_, basis, thin_vh, u, s, *_) in enumerate(_block_sweep(block, eps)):
             is_new, residual, threshold, coeffs = _column_membership(
-                block[t:, :t], block[t:, t], eps, thin, basis
+                block[t:, :t], block[t:, t], eps, basis, u, s, thin_vh
             )
             if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
                 warnings.warn(

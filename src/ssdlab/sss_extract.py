@@ -6,7 +6,8 @@ transition matrices. This module recovers such a representation from the
 dense matrix in one sweep over its lower-left blocks (each step factors a
 thin matrix, see ``ss_matrix._block_sweep``) whose consecutive factorizations
 are chained by transition solves, and materializes representations back
-to dense form.
+to dense form. Each step's SVD is its only factorization: the transition
+solve pseudo-inverts the balanced row factor through that SVD.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ def solve_transition(
     r_next: int,
     r_cur: int,
     eps: float = DEFAULT_EPS,
+    w_pinv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transition matrix A with w_next @ A = w_trunc, zero-padded exactly.
 
@@ -150,7 +152,10 @@ def solve_transition(
     dropped; its columns live in the span of ``w_next`` whenever the source
     matrix is semiseparable, so the least-squares solution through the
     pseudo-inverse reproduces it. Entries outside the leading
-    r_next x r_cur corner are forced to exact zeros.
+    r_next x r_cur corner are forced to exact zeros. ``w_pinv`` is the
+    pseudo-inverse of ``w_next`` when the caller has it from the
+    factorization that made ``w_next``; without it, ``np.linalg.pinv``
+    computes it at relative cutoff eps.
 
     The residual is gated relative to the larger of |w_next| and |w_trunc|.
     A balanced factor carries rounding error of about machine epsilon times
@@ -165,7 +170,13 @@ def solve_transition(
         raise ShapeMismatchError(
             f"factor shapes {w_next.shape} and {w_trunc.shape} must match"
         )
-    trans = np.linalg.pinv(w_next, rcond=eps) @ w_trunc
+    if w_pinv is None:
+        w_pinv = np.linalg.pinv(w_next, rcond=eps)
+    elif w_pinv.shape != w_next.shape[::-1]:
+        raise ShapeMismatchError(
+            f"pseudo-inverse shape {w_pinv.shape} does not fit factor shape {w_next.shape}"
+        )
+    trans = w_pinv @ w_trunc
     trans[r_next:, :] = 0.0
     trans[:, r_cur:] = 0.0
     scale = max(float(np.linalg.norm(w_next)), float(np.linalg.norm(w_trunc)))
@@ -186,13 +197,19 @@ def extract_sss(
     One ``_block_sweep`` factors every lower-left block balanced as W U;
     the weights are read off the factor edges (c from W's first row, b
     from U's last column), and consecutive factorizations are chained by
-    transition solves. Each transition is verified on both sides: w-side
-    by construction inside ``solve_transition``, u-side against the next
-    step's column factor. The u-side gate refuses a block that keeps a
-    direction the previous block's rank threshold dropped, which happens
-    when the previous block is much larger. Like the w-side gate, it is
-    relative to the larger of the trimmed slice (of step t+1) and the whole
-    factor (U of step t).
+    transition solves. W = u_r sqrt(S_r) has orthogonal columns, so its
+    pseudo-inverse is exactly S_r^(-1/2) u_r' (zero rows past the rank),
+    which ``solve_transition`` gets instead of a second factorization: the
+    rank rule keeps only sqrt(s_i) above sqrt(eps) * sqrt(s_1), far above
+    the eps cutoff ``np.linalg.pinv`` would apply.
+
+    Each transition is verified on both sides: w-side by construction
+    inside ``solve_transition``, u-side against the next step's column
+    factor. The u-side gate refuses a block that keeps a direction the
+    previous block's rank threshold dropped, which happens when the
+    previous block is much larger. Like the w-side gate, it is relative to
+    the larger of the trimmed slice (of step t+1) and the whole factor (U
+    of step t).
     """
     _check_width(width)
     steps = m.T
@@ -201,13 +218,15 @@ def extract_sss(
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
-    for t, (_, _, u, s, vh, rank) in enumerate(_block_sweep(m.values, eps)):
+    for t, (*_, u, s, vh, rank) in enumerate(_block_sweep(m.values, eps)):
         _check_rank(t, rank, width)
         w_fac, u_fac = balanced_factors(u, s, vh, rank, width)
         c_rows[t] = w_fac[0, :]
         b_rows[t] = u_fac[:, -1]
         if t > 0:
-            a_t = solve_transition(w_fac, w_prev[1:, :], rank, ranks[-1], eps)
+            w_pinv = np.zeros((width, len(u)))
+            w_pinv[:rank] = u[:, :rank].T / np.sqrt(s[:rank])[:, None]
+            a_t = solve_transition(w_fac, w_prev[1:, :], rank, ranks[-1], eps, w_pinv)
             u_trim = u_fac[:, :t]
             scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))
             residual = float(np.linalg.norm(a_t @ u_prev - u_trim))

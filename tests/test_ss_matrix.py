@@ -28,7 +28,13 @@ from ssdlab.ss_matrix import (
 )
 from ssdlab.ssm import DiagonalSsm
 from ssdlab.sss_extract import GeneralSssRepresentation
-from tests.conftest import random_lower_triangular
+from tests.conftest import random_lower_triangular, run_ssdlab
+
+#: Finite doubles, subnormals included, plus the edge values a CSV reader must keep exactly.
+CSV_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
 
 
 def ref_one_ss(gains):
@@ -321,6 +327,52 @@ class TestSerialization:
         mask = MaskVector([0.1, -2.5, 1e-12])
         again = MaskVector.from_json(mask.to_json())
         assert np.array_equal(mask.a, again.a)
+
+
+class TestCsvReader:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(CSV_DOUBLES, min_size=cols, max_size=cols), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_round_trip_keeps_every_bit(self, rows):
+        x = np.array(rows, dtype=float)
+        again = ss_matrix.array_from_csv(ss_matrix.array_to_csv(x))
+        assert again.shape == x.shape
+        assert again.tobytes() == x.tobytes()
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self):
+        got = ss_matrix.array_from_csv("\n1.5,-2.0\n   \n\t\n3.0,4e-310\r\n\n")
+        assert got.tobytes() == np.array([[1.5, -2.0], [3.0, 4e-310]]).tobytes()
+
+    def test_one_column_and_one_row_stay_two_dimensional(self):
+        assert ss_matrix.array_from_csv("1.0\n2.0\n").shape == (2, 1)
+        assert ss_matrix.array_from_csv("1.0,2.0").shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.0,2.0\n3.0\n", "1.0,2.0,\n3.0,4.0,\n", "# T=2\n1.0\n", "1.0,#2.0\n", '"1.0",2.0\n', "1_0\n"],
+        ids=["ragged", "trailing-comma", "comment-line", "comment-field", "quoted", "underscore"],
+    )
+    def test_malformed_text_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            ss_matrix.array_from_csv(text)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"], ids=["empty", "newline", "blank"])
+    @pytest.mark.parametrize("command", ["extract", "check-dual"])
+    def test_cli_refuses_a_matrix_file_without_rows(self, tmp_path, text, command):
+        (tmp_path / "m.csv").write_text(text)
+        argv = [command, "--matrix", "m.csv", "--N", "2", "--out", "out.json"]
+        if command == "check-dual":
+            argv[1:1] = ["--mode", "representability"]
+        proc = run_ssdlab(argv, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "out.json").exists()
 
 
 #: One tiny instance of every JSON record type and its file text, key order included.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssdlab import sss_extract
-from ssdlab._lowrank import balanced_factors
+from ssdlab._lowrank import balanced_factors, rank_of_singular_values, svd_with_rank
 from ssdlab.duality import _construct, count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
@@ -348,7 +348,7 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
     def test_each_step_matches_the_dense_block(self, m, width):
-        for t, (_, _, u, s, vh, rank) in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
+        for t, (*_, u, s, vh, rank) in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
             w_dense, u_dense, rank_dense = rank_factor_step(m, t, width)
             w_sweep, u_sweep = balanced_factors(u, s, vh, rank, width)
             assert rank == rank_dense
@@ -436,6 +436,101 @@ class TestBlockSweep:
         m = materialize_sss(random_representation(72, 1024, 4))
         rep = extract_sss(m, 4)
         assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-12
+
+
+def svd_with_rank_loop(block, eps):
+    """``svd_with_rank`` with signs normalized one vector at a time in a loop (test oracle)."""
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    for i in range(s.shape[0]):
+        col = u[:, i]
+        j = int(np.argmax(np.abs(col)))
+        if col[j] < 0.0:
+            u[:, i] = -u[:, i]
+            vh[i, :] = -vh[i, :]
+    return u, s, vh, rank_of_singular_values(s, eps)
+
+
+class TestPerStepSolves:
+    """Each sweep step is factored once: the solves reuse its SVD."""
+
+    @staticmethod
+    def counted_pinv(monkeypatch):
+        shapes = []
+        original = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        return shapes
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
+    def test_transitions_match_a_pinv_of_the_row_factor(self, monkeypatch, m, width):
+        pairs = []
+        original = sss_extract.solve_transition
+
+        def recording(w_next, w_trunc, r_next, r_cur, *args, **kwargs):
+            trans = original(w_next, w_trunc, r_next, r_cur, *args, **kwargs)
+            oracle = np.linalg.pinv(w_next, rcond=DEFAULT_EPS) @ w_trunc
+            oracle[r_next:, :] = 0.0
+            oracle[:, r_cur:] = 0.0
+            pairs.append((trans, oracle))
+            return trans
+
+        monkeypatch.setattr(sss_extract, "solve_transition", recording)
+        try:
+            extract_sss(m, width)
+        except InconsistentTransitionError:
+            pass  # CHAIN_BREAKING refuses; the transitions before the refusal still count
+        assert pairs or m.T == 1
+        for trans, oracle in pairs:
+            assert rel_fro(trans, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
+    def test_extraction_calls_no_pinv(self, monkeypatch, m, width):
+        shapes = self.counted_pinv(monkeypatch)
+        try:
+            extract_sss(m, width)
+        except InconsistentTransitionError:
+            pass
+        assert shapes == []
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_span_fits_pseudo_invert_only_the_small_factor(self, monkeypatch, m, width):
+        shapes = self.counted_pinv(monkeypatch)
+        count_block_new_columns(m)
+        # S V_k of a carry with k columns has at most k+1 rows, never the block's T-t.
+        assert all(rows <= cols + 1 for rows, cols in shapes)
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
+    def test_span_fits_on_a_width_w_matrix_stay_within_w_plus_one_rows(self, monkeypatch, m, width):
+        shapes = self.counted_pinv(monkeypatch)
+        count_block_new_columns(m)
+        assert all(rows <= width + 1 for rows, _ in shapes)
+
+    def test_sign_normalization_is_bitwise_the_loops(self):
+        rng = np.random.default_rng(80)
+        tied = 0
+        for i in range(200):
+            rows = int(rng.integers(1, 25))
+            cols = int(rng.integers(1, min(rows, 5) + 1))
+            block = rng.standard_normal((rows, cols))
+            if i % 3 == 1 and rows >= 2:
+                # Rows x and -x: every left vector has tied maxima of opposite signs.
+                half = rng.standard_normal(((rows + 1) // 2, cols))
+                block = np.vstack([half, -half])[:rows]
+            elif i % 3 == 2:
+                # Repeated rows give tied maxima of one sign.
+                block = np.repeat(rng.standard_normal(((rows + 1) // 2, cols)), 2, axis=0)[:rows]
+            got, want = svd_with_rank(block, DEFAULT_EPS), svd_with_rank_loop(block, DEFAULT_EPS)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert got[3] == want[3]
+            peaks = np.abs(want[0]) == np.abs(want[0]).max(axis=0)
+            tied += int(np.count_nonzero(peaks.sum(axis=0) > 1))
+        assert tied > 0
 
 
 class TestRepresentationProperties:
