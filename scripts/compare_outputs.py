@@ -12,9 +12,14 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
+``forward --path ssd --format csv``, ``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
-rates), ``extract`` and ``counterexample non-dualizable``; and what
+rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank``,
+``extract``, ``counterexample non-dualizable`` and ``softmax``, ``gen ssm``,
+``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
+name of ``--out``), and ``bench`` at one point and over a grid (its CSV table
+and its JSON summary file); and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines. Arrays are
@@ -97,7 +102,16 @@ def dump() -> dict[str, object]:
             # Mode decay rates differ, so a filled upper triangle would outgrow the kernel.
             decaying, _ = random_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))
             (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
+            shared_gain, _ = random_instance(seed, 32, 4, 2, scalar_identity=True)
+            (work / "ssm-scalar.json").write_text(shared_gain.to_json())
+            # Gains near one keep the cumulative products inside the full-rank dual's range.
+            calm, _ = random_instance(seed, 32, 4, 2, a_abs=(0.9, 1.1))
+            (work / "ssm-calm.json").write_text(calm.to_json())
+            forward_config = {"path": "materialized", "format": "json"}
+            (work / "forward.json").write_text(json.dumps(forward_config))
             representability = ["check-dual", "--mode", "representability", "--matrix"]
+            seeded = ["--seed", str(seed)]
+            bench = ["bench", *seeded, "--out", "counts.csv", "--summary-out", "summary.json"]
             commands = {
                 "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
                 "forward/600": [
@@ -108,20 +122,44 @@ def dump() -> dict[str, object]:
                 "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
                 "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
+                "counterexample/softmax": ["counterexample", "softmax", "--T", "8"],
+                "check-dual/scalar-identity": [
+                    "check-dual", "--mode", "scalar-identity", "--ssm", "ssm-scalar.json"
+                ],
+                "check-dual/full-rank": [
+                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-calm.json"
+                ],
+                "forward/ssd-csv": [
+                    "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",
+                    "--format", "csv",
+                ],
+                "forward/config": [
+                    "forward", "--ssm", "ssm.json", "--input", "x.csv", "--config", "forward.json"
+                ],
+                "gen/ssm": ["gen", "ssm", *seeded, "--T", "16", "--a-min", "0.5"],
+                "gen/sequence": ["gen", "sequence", *seeded, "--T", "24", "--out", "seq.csv"],
+                "gen/matrix": ["gen", "matrix", *seeded, "--T", "8"],
+                "gen/matrix-csv": ["gen", "matrix", *seeded, "--T", "8", "--out", "m.csv"],
+                "bench": [*bench, "--path", "materialized", "--T", "16"],
+                "bench/grid": [*bench, "--path", "recurrence", "--T", "8,16,32", "--N", "2"],
             }
             cwd = os.getcwd()
             os.chdir(work)
             try:
                 for name, argv in commands.items():
-                    written = work / "out.json"
-                    written.unlink(missing_ok=True)
+                    if "--out" not in argv:
+                        argv = [*argv, "--out", "out.json"]
+                    written = work / argv[argv.index("--out") + 1]
+                    summary = work / "summary.json"
+                    for stale in (written, summary):
+                        stale.unlink(missing_ok=True)
                     printed, errors = io.StringIO(), io.StringIO()
                     # Warnings are kept apart from stderr: their text names the source file.
                     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(
                         errors
                     ), warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        code = cli.main([*argv, "--out", "out.json"])
+                        code = cli.main(argv)
                     out[f"cli/{name}/{seed}"] = (
                         code,
                         printed.getvalue(),
@@ -129,6 +167,8 @@ def dump() -> dict[str, object]:
                         [str(w.message) for w in caught],
                         written.read_bytes() if written.exists() else None,
                     )
+                    if summary.exists():
+                        out[f"cli/{name}/{seed}/summary"] = summary.read_bytes()
             finally:
                 os.chdir(cwd)
     # Drawn after every input above, from a generator of their own, so those stay the same.

@@ -256,13 +256,9 @@ class ScalingResult:
     slopes: dict[str, float]
 
     def to_csv(self) -> str:
-        header = "path,T,N,d,multiply_adds,additions,peak_live_elements"
-        lines = [header]
-        for rep in self.reports:
-            lines.append(
-                f"{rep.path},{rep.T},{rep.N},{rep.d},"
-                f"{rep.multiply_adds},{rep.additions},{rep.peak_live_elements}"
-            )
+        """One row per report, its columns the keys of ``FlopReport.to_dict``."""
+        rows = [rep.to_dict() for rep in self.reports]
+        lines = [",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)]
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:

@@ -250,6 +250,41 @@ class TestGenCommand:
         extract = run_cli("extract", "--matrix", "m.json", "--N", "6", cwd=workdir)
         assert extract.returncode == 0
 
+    def test_generated_csv_matrix_loads_back(self, workdir):
+        proc = run_cli(
+            "gen", "matrix", "--seed", "6", "--T", "6", "--out", "m.csv", cwd=workdir
+        )
+        assert proc.returncode == 0
+        extract = run_cli("extract", "--matrix", "m.csv", "--N", "6", cwd=workdir)
+        assert extract.returncode == 0
+
+
+GEN_DEFAULTS = ("--T", "16", "--N", "4", "--d", "2", "--a-min", "0.0", "--a-max", "2.0")
+
+
+class TestDefaults:
+    """Each command gives the same result bare and with every default spelled out."""
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (("bench", "--seed", "1"), ("--path", "ssd", "--T", "64", "--N", "4", "--d", "2")),
+            (("gen", "ssm", "--seed", "1"), GEN_DEFAULTS),
+            (("gen", "sequence", "--seed", "1"), GEN_DEFAULTS),
+            (("gen", "matrix", "--seed", "1"), GEN_DEFAULTS),
+            (("counterexample", "non-dualizable", "--T", "5"), ("--N", "2")),
+            (("forward", "--ssm", "ssm.json", "--input", "x.csv"), ("--path", "all")),
+        ],
+        ids=["bench", "gen-ssm", "gen-sequence", "gen-matrix", "counterexample", "forward"],
+    )
+    def test_spelled_out_defaults_change_nothing(self, workdir, argv, defaults):
+        common = ("--eps", "1e-9", "--format", "pretty")
+        bare = run_cli(*argv, "--out", "bare.out", cwd=workdir)
+        spelled = run_cli(*argv, *defaults, *common, "--out", "spelled.out", cwd=workdir)
+        assert bare.returncode == 0
+        assert (bare.returncode, bare.stdout) == (spelled.returncode, spelled.stdout)
+        assert (workdir / "bare.out").read_bytes() == (workdir / "spelled.out").read_bytes()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, workdir):
@@ -303,3 +338,10 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr
+
+    def test_command_key_does_not_redirect_dispatch(self, workdir):
+        (workdir / "cfg.json").write_text(json.dumps({"command": "gen"}))
+        proc = run_cli("bench", "--seed", "1", "--T", "8", "--config", "cfg.json", cwd=workdir)
+        assert proc.returncode == 0
+        summary = json.loads(proc.stdout)
+        assert summary["path"] == "ssd" and summary["points"][0]["T"] == 8
