@@ -16,7 +16,8 @@ T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
 rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank``,
-``extract``, ``counterexample non-dualizable`` and ``softmax``, ``gen ssm``,
+``extract``, ``counterexample non-dualizable`` and ``softmax`` (at every T up
+to ``SOFTMAX_MAX_T``), ``gen ssm``,
 ``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
 name of ``--out``), and ``bench`` at one point and over a grid (its CSV table
 and its JSON summary file); and what
@@ -60,7 +61,7 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 def dump() -> dict[str, object]:
     from ssdlab import cli
     from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
-    from ssdlab.limits import non_dualizable_matrix
+    from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
     from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
     from ssdlab.ssm import sequence_to_csv
@@ -122,7 +123,10 @@ def dump() -> dict[str, object]:
                 "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
                 "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
-                "counterexample/softmax": ["counterexample", "softmax", "--T", "8"],
+                **{
+                    f"counterexample/softmax/{t}": ["counterexample", "softmax", "--T", str(t)]
+                    for t in range(2, SOFTMAX_MAX_T + 1)
+                },
                 "check-dual/scalar-identity": [
                     "check-dual", "--mode", "scalar-identity", "--ssm", "ssm-scalar.json"
                 ],

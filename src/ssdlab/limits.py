@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SizeExceededError
 from .duality import _within_width, count_block_new_columns
@@ -69,6 +68,12 @@ def _integer_rank_one(v: np.ndarray) -> bool:
     return True
 
 
+def _logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the maximum so that no term overflows."""
+    top = float(np.max(values))
+    return top + math.log(float(np.sum(np.exp(values - top))))
+
+
 def _log_vandermonde_det(size: int) -> float:
     """log |det softmax(V)| via the scaled node-product identity, in log space.
 
@@ -87,7 +92,7 @@ def _log_vandermonde_det(size: int) -> float:
         j + math.log1p(-math.exp(i - j))
         for i, j in itertools.combinations(range(1, size + 1), 2)
     )
-    log_normalizers = float(sum(logsumexp(i * idx) for i in idx))
+    log_normalizers = sum(_logsumexp(i * idx) for i in idx)
     return node_product + pair_sum - log_normalizers
 
 

@@ -16,8 +16,8 @@ from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
 SRC_DIR = str(Path(ssdlab.__file__).resolve().parent.parent)
 
 
-def run_ssdlab(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``python -m ssdlab`` in a child process that imports this same package.
+def run_python(args, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` in a child process that imports this same package.
 
     The child gets ``SRC_DIR`` first on an absolute ``PYTHONPATH``, so a
     relative entry inherited from the parent cannot break its import when
@@ -25,7 +25,12 @@ def run_ssdlab(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
     """
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, inherited]))}
-    return subprocess.run([sys.executable, "-m", "ssdlab", *argv], cwd=cwd, env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, **kwargs)
+
+
+def run_ssdlab(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m ssdlab`` in a child process that imports this same package."""
+    return run_python(["-m", "ssdlab", *argv], cwd, **kwargs)
 
 
 def rel_fro(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import pytest
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ssm import DiagonalSsm, random_instance, sequence_to_csv
 from ssdlab.sss_extract import materialize_sss, random_representation
-from tests.conftest import run_ssdlab
+from tests.conftest import run_python, run_ssdlab
 
 
 def run_cli(*argv, cwd=None):
@@ -345,3 +345,41 @@ class TestConfigFile:
         assert proc.returncode == 0
         summary = json.loads(proc.stdout)
         assert summary["path"] == "ssd" and summary["points"][0]["T"] == 8
+
+
+#: Runs the CLI on its arguments with every scipy import made to raise ImportError.
+BLOCK_SCIPY_THEN_RUN = """
+import sys
+sys.modules["scipy"] = None
+from ssdlab import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestWithoutScipy:
+    def test_import_path_loads_no_scipy(self, tmp_path):
+        listing = (
+            "import sys, ssdlab, ssdlab.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        proc = run_python(["-c", listing], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        def run_blocked(*argv):
+            return run_python(
+                ["-c", BLOCK_SCIPY_THEN_RUN, *argv], cwd=tmp_path, capture_output=True, text=True
+            )
+
+        softmax = run_blocked("counterexample", "softmax", "--T", "5", "--format", "json")
+        assert softmax.returncode == 0, softmax.stderr
+        assert '"verdict": true' in softmax.stdout
+        generated = run_blocked("gen", "matrix", "--seed", "6", "--T", "6", "--out", "m.csv")
+        assert generated.returncode == 0, generated.stderr
+        check = run_blocked(
+            "check-dual", "--mode", "representability", "--matrix", "m.csv", "--N", "6"
+        )
+        assert check.returncode == 0, check.stderr
+        extract = run_blocked("extract", "--matrix", "m.csv", "--N", "6")
+        assert extract.returncode == 0, extract.stderr

@@ -1,16 +1,39 @@
 """Tests for the impossibility demonstrations."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from ssdlab.duality import has_one_ss_dual
 from ssdlab.errors import SizeExceededError
 from ssdlab.limits import (
+    SOFTMAX_MAX_T,
+    _logsumexp,
     non_dualizable_matrix,
     softmax_counterexample,
     verify_non_dualizable,
 )
 from ssdlab.ss_matrix import new_columns, semiseparable_rank
+
+
+class TestLogSumExp:
+    def test_large_equal_values_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + math.log(2.0)
+
+    def test_negligible_term_vanishes(self):
+        assert _logsumexp(np.array([-1000.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("size", range(2, SOFTMAX_MAX_T + 1))
+    def test_softmax_normalizers_match_exact_sum(self, size):
+        idx = np.arange(1, size + 1)
+        for i in idx:
+            row = (i * idx).tolist()
+            exact = math.log(math.fsum(math.exp(v) for v in row))
+            assert abs(_logsumexp(i * idx) - exact) <= 4e-16 * abs(exact)
 
 
 class TestSoftmaxCounterexample:
