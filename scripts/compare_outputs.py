@@ -23,7 +23,12 @@ name of ``--out``), and ``bench`` at one point and over a grid (its CSV table
 and its JSON summary file); and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
-patterns, spelled in several ways and with blank lines. Arrays are
+patterns, spelled in several ways and with blank lines; and the outcomes on
+the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
+T=256, built by ``perfbench/workloads.py``, imported read-only): the
+per-block new-column verdicts, the exit code of ``check-dual --mode
+representability --N 4`` and the ranks ``extract_sss`` gives at width 4, or
+the class of the error it raises. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
 Arrays, and the arrays in JSON output files, that differ in value are
@@ -48,6 +53,10 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (0, 1, 2)
+
+#: Benchmark seeds whose theory matrices are compared.
+THEORY_SEEDS = (1, 2, 3)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,6 +202,45 @@ def dump() -> dict[str, object]:
             (b.start, b.end, b.new) for b in count_block_new_columns(m)
         ]
     out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
+    out.update(_theory_outcomes())
+    return out
+
+
+def _theory_outcomes() -> dict[str, object]:
+    """Verdicts, ``check-dual`` exit codes and ranks on the theory matrices."""
+    from ssdlab import cli
+    from ssdlab.duality import count_block_new_columns
+    from ssdlab.errors import SsdError
+    from ssdlab.ss_matrix import LowerTriangularMatrix
+    from ssdlab.sss_extract import extract_sss
+
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    spec = workloads.WORKLOADS["theory"]
+    out: dict[str, object] = {}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        csv = Path(tmp) / "m.csv"
+        for seed in THEORY_SEEDS:
+            rng = workloads._rng(seed, "theory", "main")
+            for index in range(workloads.THEORY_SETS):
+                for family, vals in workloads._theory_matrices(rng, spec["T"], spec["N"]).items():
+                    m = LowerTriangularMatrix(np.tril(vals))
+                    key = f"theory/{seed}/{family}-{index}"
+                    blocks = count_block_new_columns(m)
+                    out[f"{key}/new-columns"] = [(b.start, b.end, b.new) for b in blocks]
+                    csv.write_text(m.to_csv())
+                    argv = ["check-dual", "--mode", "representability", "--matrix", str(csv),
+                            "--N", str(spec["N"]), "--out", str(Path(tmp) / "out.json")]
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                        io.StringIO()
+                    ):
+                        out[f"{key}/check-dual"] = cli.main(argv)
+                    try:
+                        out[f"{key}/extract"] = extract_sss(m, spec["N"]).r
+                    except SsdError as exc:
+                        out[f"{key}/extract"] = type(exc).__name__
     return out
 
 
@@ -261,8 +309,9 @@ def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> tuple[float, str
 
 
 def run_side(src: str) -> dict[str, object]:
+    # No bytecode is written, so importing perfbench/ leaves no file there.
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True,
                           check=True)
     return pickle.loads(proc.stdout)

@@ -12,13 +12,19 @@ def svd_with_rank(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     largest-magnitude entry is positive, which pins down an otherwise
     arbitrary sign and keeps outputs reproducible.
     """
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    u, s, vh = np.linalg.svd(block, full_matrices=False)
-    # argmax takes the first of tied maxima, and negation is exact.
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
-    u[:, flip] = -u[:, flip]
-    vh[flip] = -vh[flip]
+    u, s, vh = signed_svd(np.atleast_2d(np.asarray(block, dtype=float)))
     return u, s, vh, rank_of_singular_values(s, eps)
+
+
+def signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of a 2-D float array, signs normalized as in ``svd_with_rank``."""
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    # argmax takes the first of tied maxima, and multiplying by -1 or 1 is exact.
+    peaks = u[np.abs(u.T).argmax(axis=1), np.arange(u.shape[1])]
+    signs = np.where(peaks < 0.0, -1.0, 1.0)
+    u *= signs
+    vh *= signs[:, None]
+    return u, s, vh
 
 
 def rank_of_singular_values(s: np.ndarray, eps: float) -> int:

@@ -111,8 +111,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     """Parsed ``argv``; a --config file's values become the command's defaults, so flags win.
 
     Each value goes through its option's type and choices, and ``null`` keeps
-    the option's own default. A key that names no option of the command, or a
-    value its flag would reject, is an input error.
+    the option's own default. A key that names no option of the command (the
+    command name and ``--config`` itself included), or a value its flag would
+    reject, is an input error.
     """
     args = parser.parse_args(argv)
     if not args.config:
@@ -122,14 +123,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
         raise ValueError("config file must hold a JSON object")
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = commands.choices[args.command]
-    actions = {action.dest: action for action in command._actions}
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ValueError(f"config key {key!r} names no option of {args.command!r}")
-        # Only the command's own options: a default for ``command`` would redirect dispatch.
-        if attr in actions and value is not None:
+        if value is not None:
             defaults[attr] = _config_value(actions[attr], key, value)
     command.set_defaults(**defaults)
     return parser.parse_args(argv)

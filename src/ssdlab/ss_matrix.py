@@ -7,13 +7,14 @@ All indices in this package are 0-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lowrank import rank_of_singular_values, svd_with_rank
+from ._lowrank import rank_of_singular_values, signed_svd
 from .errors import ShapeMismatchError, SizeExceededError
 
 #: Relative tolerance shared by every rank / span decision in the package.
@@ -23,10 +24,14 @@ DEFAULT_EPS = 1e-9
 #: reach before the sweep refactors its carry whole.
 _SWEEP_DROP_SHARE = 1e-2
 
+#: Machine epsilon of float64, the unit of every rounding-level cut.
+_MACHINE_EPS = np.finfo(float).eps
+
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
 
-#: Rows of the kernel builder's panels and of the upper-triangle check's bands.
+#: Rows of the kernel builder's panels and of the upper-triangle check's bands, and
+#: sweep steps per stacked span-fit solve.
 _TILE = 32
 
 
@@ -276,25 +281,39 @@ def _block_sweep(vals: np.ndarray, eps: float):
     the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
     (at most block t's s[0], which stands in for a zero column), L[1:] and
     Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
+
+    Each step writes G_t into one fresh array: the next carry as the
+    product of the step's u[1:] and s, and column t in its last column.
     Yields (L[1:], Vh), whose product is ``vals[t:, :t]`` up to the drops;
-    G_t's own right vectors, so that G_t = u S V; and ``svd_with_rank`` of
-    block t as (u, s, vh, rank), right vectors in column coordinates.
+    the drop sum, which bounds the spectral norm of that difference; G_t's
+    own right vectors, so that G_t = u S V; and ``svd_with_rank`` of block
+    t as (u, s, vh, rank), right vectors in column coordinates.
     """
-    carried = vals[:, :0]
+    size = len(vals)
+    pair = np.empty((size, 1))
     basis = np.zeros((0, 0))
     dropped = 0.0
-    for t in range(len(vals)):
+    for t in range(size):
         col = vals[t:, t]
-        u, s, vh, rank = svd_with_rank(np.column_stack([carried, col]), eps)
-        if dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
+        pair[:, -1] = col
+        u, s, vh = signed_svd(pair)
+        if dropped and dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
-            carried, dropped = u * s, 0.0
-            u, s, vh, rank = svd_with_rank(np.column_stack([carried, col]), eps)
-        mapped = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
-        yield carried, basis, vh, u, s, mapped, rank
-        keep = rank_of_singular_values(s, np.finfo(float).eps * max(len(vals) - t, t + 1))
-        dropped += s[keep] if keep < s.size else 0.0
-        carried = u[1:, :keep] * s[:keep]
+            pair = np.empty((size - t, s.size + 1))
+            np.multiply(u, s, out=pair[:, :-1])
+            pair[:, -1] = col
+            dropped = 0.0
+            u, s, vh = signed_svd(pair)
+        top = s[0]  # with a top of 0 no singular value counts, as in rank_of_singular_values
+        mapped = np.empty((len(vh), t + 1))
+        np.matmul(vh[:, :-1], basis, out=mapped[:, :-1])
+        mapped[:, -1] = vh[:, -1]
+        yield pair[:, :-1], basis, dropped, vh, u, s, mapped, int(np.count_nonzero(s > eps * top))
+        keep = int(np.count_nonzero(s > _MACHINE_EPS * max(size - t, t + 1) * top))
+        if keep < s.size:
+            dropped += s[keep]
+        pair = np.empty((size - t - 1, keep + 1))
+        np.multiply(u[1:, :keep], s[:keep], out=pair[:, :-1])
         basis = mapped[:keep]
 
 
@@ -331,46 +350,95 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
     return best
 
 
-def _column_membership(
-    below: np.ndarray,
-    col: np.ndarray,
-    eps: float,
-    basis: np.ndarray,
-    u: np.ndarray,
-    s: np.ndarray,
-    thin_vh: np.ndarray,
-) -> tuple[bool, float, float, np.ndarray | None]:
-    """Least-squares span test for one column against the columns of ``below``.
+def _thin_fits(steps: list, rows: list[int]) -> list[tuple]:
+    """(pseudo-inverse, fit, thin residual, fit norm) of each step's S V_k, from one ``pinv`` call.
 
-    ``L @ basis`` is the sweep's factor of ``below``, and (u, s, thin_vh) is
-    the sweep's SVD of [L, col]. So L = u S V_k for V_k = thin_vh[:, :-1],
-    and as u has orthonormal columns, pinv(L) = pinv(S V_k) u': the fit
-    against L pseudo-inverts only the small S V_k, which has L's singular
-    values, cut where ``lstsq``'s default cutoff lies for L. The fit is
-    mapped to columns by ``basis`` and refined once on its miss on
-    ``below``. Returns (is_new, residual, threshold, coeffs): new when the
-    residual of ``coeffs`` on ``below`` exceeds eps times the column norm;
-    ``coeffs`` is None for a zero column or an empty span, where any
-    nonzero column is new.
+    ``rows`` holds the length of each step's column. The factors are
+    zero-padded to one (k+1) x k shape and each is cut where ``lstsq``'s
+    default cutoff lies for its L.
     """
-    col_norm = float(np.linalg.norm(col))
-    threshold = eps * col_norm
-    if col_norm == 0.0:
-        return False, 0.0, threshold, None
-    if below.shape[1] == 0:
-        return True, col_norm, threshold, None
-    cutoff = np.finfo(float).eps * max(len(col), len(basis))
-    solve = basis.T @ np.linalg.pinv(s[:, None] * thin_vh[:, :-1], rcond=cutoff)
-    coeffs = solve @ (u.T @ col)
-    coeffs += solve @ (u.T @ (col - below @ coeffs))
-    residual = float(np.linalg.norm(below @ coeffs - col))
-    return residual > threshold, residual, threshold, coeffs
+    width = max(1, max(len(basis) for _, basis, *_ in steps))
+    factors = np.zeros((len(steps), width + 1, width))
+    targets = np.zeros((len(steps), width + 1, 1))
+    cutoffs = np.empty(len(steps))
+    for i, ((_, basis, _, thin_vh, _, s, *_), n) in enumerate(zip(steps, rows)):
+        np.multiply(s[:, None], thin_vh[:, :-1], out=factors[i, : len(s), : len(basis)])
+        np.multiply(s, thin_vh[:, -1], out=targets[i, : len(s), 0])
+        cutoffs[i] = _MACHINE_EPS * max(n, len(basis))
+    inverses = np.linalg.pinv(factors, rcond=cutoffs)
+    fits = inverses @ targets
+    thin = np.linalg.norm(factors @ fits - targets, axis=(1, 2))
+    return list(zip(inverses, fits[..., 0], thin, np.linalg.norm(fits, axis=(1, 2))))
+
+
+def _span_fits(block: np.ndarray, lo: int, steps: list, eps: float, before: int) -> list[tuple]:
+    """Span tests of block columns lo, lo+1, ... against the block columns before each.
+
+    ``steps`` are the ``_block_sweep`` steps of those columns, and
+    ``before`` is the carry width of the step before them. A step's G_t =
+    [L, col] = u S V, so as u has orthonormal columns the fit of col
+    against L is the fit of S v (v being V's last column) against the small
+    S V_k (V_k the rest of V), whose singular values are L's. ``_thin_fits``
+    pseudo-inverts all of them in one call, except a step whose carry is
+    more than one column wider than the step before's: only a refactor
+    widens it so, to every singular value left of the step, and that one
+    is pseudo-inverted alone rather than widening the others' padding. The
+    fit is mapped to columns by the step's Vh, whose rows are orthonormal.
+
+    The thin residual |S V_k y - S v| is the residual on ``block[t:, :t]``
+    up to the carry's drops and rounding: that block is L Vh plus a
+    difference of spectral norm at most the sweep's drop sum, which moves
+    the residual by at most the drop sum times |y|, and the factorizations
+    move it by a few times the step's rounding level (where the sweep cuts
+    its carry) times |y| + 1; ten times is the margin taken. A column whose
+    thin residual lies within a factor 10 of the threshold, or nearer to it
+    than that bound, has its fit refined once on its miss on
+    ``block[t:, :t]`` and its residual taken there, with two dense
+    products; every other verdict is the thin one.
+
+    Returns (is_new, coeffs, residual, threshold) per column: new when the
+    residual exceeds eps times the column norm; ``coeffs`` is None for a
+    zero column or an empty span, where any nonzero column is new.
+    """
+    widths = [len(basis) for _, basis, *_ in steps]
+    alone = [i for i, (a, b) in enumerate(zip([before, *widths], widths)) if b > a + 1]
+    stacked = [i for i in range(len(steps)) if i not in alone]
+    thin_fits = {}
+    for group in (stacked, *([i] for i in alone)):
+        if group:
+            rows = [len(block) - lo - i for i in group]
+            thin_fits.update(zip(group, _thin_fits([steps[i] for i in group], rows)))
+    col_norms = np.linalg.norm(block[:, lo : lo + len(steps)], axis=0)
+    out = []
+    for i, (_, basis, dropped, _, u, s, *_) in enumerate(steps):
+        t, col_norm = lo + i, float(col_norms[i])
+        threshold = eps * col_norm
+        if col_norm == 0.0:
+            out.append((False, None, 0.0, threshold))
+            continue
+        if t == 0:
+            out.append((True, None, col_norm, threshold))
+            continue
+        inverse, fit, residual, fit_norm = thin_fits[i]
+        coeffs = basis.T @ fit[: len(basis)]
+        residual = float(residual)
+        rounding = _MACHINE_EPS * max(len(block) - t, t + 1) * s[0]
+        margin = dropped * fit_norm + 10.0 * rounding * (fit_norm + 1.0)
+        if threshold / 10.0 <= residual <= threshold * 10.0 or abs(residual - threshold) < margin:
+            below, col = block[t:, :t], block[t:, t]
+            solve = basis.T @ inverse[: len(basis), : len(s)]
+            coeffs += solve @ (u.T @ (col - below @ coeffs))
+            residual = float(np.linalg.norm(below @ coeffs - col))
+        out.append((residual > threshold, coeffs, residual, threshold))
+    return out
 
 
 def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]:
     """Indices t whose below-diagonal part M[t:, t] leaves the span of M[t:, :t].
 
-    A borderline decision (residual within a factor 10 of the threshold)
+    Residual and threshold are those of ``_span_fits``: the residual on
+    M[t:, :t] itself wherever the thin one could fall on either side. A
+    borderline decision (residual within a factor 10 of the threshold)
     emits a warning but still follows the threshold verdict.
     """
     (whole,) = _new_column_sweep(m, [], eps)
@@ -381,8 +449,8 @@ def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]
 class BlockNewColumns:
     """New-column count of one diagonal block, rows [start, end), and the verdicts behind it.
 
-    ``new[i]`` and ``coeffs[i]`` are what ``_column_membership`` returned
-    for block column i against block columns 0..i-1 on block rows i onward.
+    ``new[i]`` and ``coeffs[i]`` are what ``_span_fits`` returned for block
+    column i against block columns 0..i-1 on block rows i onward.
     """
 
     start: int
@@ -396,29 +464,31 @@ class BlockNewColumns:
 
 
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
-    """One membership test per column, each inside its block between ``cuts``.
+    """One span test per column, each inside its block between ``cuts``.
 
-    Each block runs one ``_block_sweep``. Each fit takes its step's thin
-    carry L from the SVD the sweep already took of [L, col], so the only
-    matrix it factors is the small S V_k, of at most k+1 rows for a carry
-    of k columns.
-    Borderline decisions warn as in ``new_columns``, by global index.
+    Each block runs one ``_block_sweep``, whose steps ``_span_fits`` takes
+    ``_TILE`` at a time, so what is held at once does not grow with the
+    block. Borderline decisions warn as in ``new_columns``, by global index.
     """
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
         block = m.values[start:end, start:end]
+        sweep = _block_sweep(block, eps)
         verdicts = []
-        for t, (_, basis, thin_vh, u, s, *_) in enumerate(_block_sweep(block, eps)):
-            is_new, residual, threshold, coeffs = _column_membership(
-                block[t:, :t], block[t:, t], eps, basis, u, s, thin_vh
-            )
-            if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
-                warnings.warn(
-                    f"borderline new-column decision at column {start + t}: "
-                    f"residual {residual:.3e} vs threshold {threshold:.3e}",
-                    stacklevel=3,
-                )
-            verdicts.append((is_new, coeffs))
+        width = 0  # carry width of the step before the tile
+        for lo in range(0, end - start, _TILE):
+            steps = list(itertools.islice(sweep, _TILE))
+            fits = _span_fits(block, lo, steps, eps, width)
+            _, basis, *_ = steps[-1]
+            width = len(basis)
+            for t, (is_new, coeffs, residual, threshold) in enumerate(fits, start + lo):
+                if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
+                    warnings.warn(
+                        f"borderline new-column decision at column {t}: "
+                        f"residual {residual:.3e} vs threshold {threshold:.3e}",
+                        stacklevel=3,
+                    )
+                verdicts.append((is_new, coeffs))
         new, coeffs = zip(*verdicts)
         out.append(BlockNewColumns(start, end, new, coeffs))
     return out

@@ -340,11 +340,18 @@ class TestConfigFile:
         assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr
 
     def test_command_key_does_not_redirect_dispatch(self, workdir):
-        (workdir / "cfg.json").write_text(json.dumps({"command": "gen"}))
+        self.assert_key_refused(workdir, "command")
+
+    def test_config_key_is_refused(self, workdir):
+        self.assert_key_refused(workdir, "config")
+
+    @staticmethod
+    def assert_key_refused(workdir, key):
+        (workdir / "cfg.json").write_text(json.dumps({key: "gen"}))
         proc = run_cli("bench", "--seed", "1", "--T", "8", "--config", "cfg.json", cwd=workdir)
-        assert proc.returncode == 0
-        summary = json.loads(proc.stdout)
-        assert summary["path"] == "ssd" and summary["points"][0]["T"] == 8
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error") and repr(key) in proc.stderr
 
 
 #: Runs the CLI on its arguments with every scipy import made to raise ImportError.

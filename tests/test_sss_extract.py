@@ -1,14 +1,21 @@
 """Tests for representation extraction and materialization."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssdlab import sss_extract
+from ssdlab import ss_matrix, sss_extract
 from ssdlab._lowrank import balanced_factors, rank_of_singular_values, svd_with_rank
 from ssdlab.duality import _construct, count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import (
+    _SWEEP_DROP_SHARE,
+    _TILE,
     DEFAULT_EPS,
     ORACLE_MAX_T,
     BlockNewColumns,
@@ -343,6 +350,72 @@ def dense_span_fits(m, eps):
     return blocks
 
 
+def span_test_kernel(family, seed, size, width, scaled):
+    """A kernel of one family, with one column scaled down by 10^3 to 10^8 when ``scaled``.
+
+    ``sss`` is tril(C B'), a width-``width`` representation whose transitions
+    are orthogonal, and ``noisy`` adds entrywise noise of relative size
+    10^-12 to 10^-8 to it. (``random_representation`` is not a family here:
+    its transition products decay, and at eps 1e-12 the sweep and lstsq's
+    cutoff then often call a column differently, far from the threshold.)
+    """
+    rng = np.random.default_rng(seed)
+    if family == "diag":
+        model, _ = random_instance(seed, size, width, 1, a_abs=(0.5, 1.0))
+        vals = materialize_kernel(model).values
+    elif family == "masked":
+        cuts = rng.choice(np.arange(1, size), min(2, size - 1), replace=False) if size > 1 else []
+        vals = masked_kernel_with_zero_gains(seed, size, width, cuts).values
+    else:
+        c, b = rng.standard_normal((2, size, width))
+        vals = np.tril(c @ b.T)
+        if family == "noisy":
+            level = 10.0 ** -rng.integers(8, 13)
+            vals += level * np.abs(vals).max() * np.tril(rng.standard_normal((size, size)))
+    if scaled:
+        vals = vals.copy()
+        vals[:, rng.integers(size)] *= 10.0 ** -rng.integers(3, 9)
+    return LowerTriangularMatrix(vals)
+
+
+def reference_block_sweep(vals, eps, refactors):
+    """``_block_sweep`` with [carry, column] built by ``np.column_stack`` (test oracle).
+
+    This is the step as first written, with the loop's sign normalization,
+    which ``test_sign_normalization_is_bitwise_the_loops`` pins to
+    ``svd_with_rank``. Every step t at which it refactors is appended to
+    ``refactors``.
+    """
+    carried = vals[:, :0]
+    basis = np.zeros((0, 0))
+    dropped = 0.0
+    for t in range(len(vals)):
+        col = vals[t:, t]
+        u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
+        if dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
+            refactors.append(t)
+            u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
+            carried, dropped = u * s, 0.0
+            u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
+        mapped = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
+        yield carried, basis, dropped, vh, u, s, mapped, rank
+        keep = rank_of_singular_values(s, np.finfo(float).eps * max(len(vals) - t, t + 1))
+        dropped += s[keep] if keep < s.size else 0.0
+        carried = u[1:, :keep] * s[:keep]
+        basis = mapped[:keep]
+
+
+def widened_steps(m, eps=DEFAULT_EPS):
+    """Sweep steps, over ``count_block_new_columns``' blocks, whose carry is over one column wider
+    than the step before's: only a refactor widens it so."""
+    count = 0
+    for b in count_block_new_columns(m, eps):
+        block = m.values[b.start : b.end, b.start : b.end]
+        widths = [len(basis) for _, basis, *_ in _block_sweep(block, eps)]
+        count += sum(k > before + 1 for before, k in zip([0, *widths], widths))
+    return count
+
+
 class TestBlockSweep:
     """The thin sweep against the dense per-block oracle ``rank_factor_step``."""
 
@@ -354,6 +427,20 @@ class TestBlockSweep:
             assert rank == rank_dense
             assert rel_fro(w_sweep, w_dense) <= 1e-10
             assert rel_fro(u_sweep, u_dense) <= 1e-10
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
+    def test_each_step_is_bitwise_the_column_stack_step(self, m, width):
+        refactors = []
+        steps = list(_block_sweep(m.values, DEFAULT_EPS))
+        reference = list(reference_block_sweep(m.values, DEFAULT_EPS, refactors))
+        assert len(steps) == len(reference) == m.T
+        for got, want in zip(steps, reference):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        if m is CHAIN_BREAKING[1].values[0]:  # big-row-1e16: the carry drops the 1 and refactors
+            assert refactors
 
     @pytest.mark.parametrize(
         "m, width", [p for p in SWEEP_FAMILIES + CHAIN_BREAKING if p.values[0].T <= ORACLE_MAX_T]
@@ -388,6 +475,82 @@ class TestBlockSweep:
                 col = block[t:, t]
                 if not new and coeffs is not None:
                     assert np.linalg.norm(block[t:, :t] @ coeffs - col) <= eps * np.linalg.norm(col)
+
+    @given(
+        family=st.sampled_from(["diag", "masked", "sss", "noisy"]),
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 64),
+        width=st.integers(1, 6),
+        eps=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        scaled=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_thin_verdicts_match_the_dense_oracle(self, family, seed, size, width, eps, scaled):
+        m = span_test_kernel(family, seed, size, width, scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = count_block_new_columns(m, eps)
+        want = dense_span_fits(m, eps)
+        assert [(b.start, b.end) for b in got] == [(b.start, b.end) for b in want]
+        for b, oracle in zip(got, want):
+            block = m.values[b.start : b.end, b.start : b.end]
+            for t, (new, coeffs, oracle_new, oracle_coeffs) in enumerate(
+                zip(b.new, b.coeffs, oracle.new, oracle.coeffs)
+            ):
+                below, col = block[t:, :t], block[t:, t]
+                threshold = eps * np.linalg.norm(col)
+                if not new and coeffs is not None:
+                    # A spanned verdict holds coefficients that prove it.
+                    assert np.linalg.norm(below @ coeffs - col) <= threshold
+                if new and not oracle_new:
+                    # A span the oracle proves is missed only in a borderline decision, which
+                    # warns, or where the proof rests on rounding: lstsq may then fit through a
+                    # direction at the rounding level, which the sweep's carry cuts.
+                    oracle_residual = np.linalg.norm(below @ oracle_coeffs - col)
+                    rounding = np.linalg.norm(below) * np.linalg.norm(oracle_coeffs)
+                    assert max(oracle_residual, np.finfo(float).eps * rounding) >= threshold / 10
+                # Spanned against the oracle's verdict is allowed: with a column scaled far
+                # down, lstsq's rounding, eps |below| |coeffs|, can pass the threshold of a
+                # column that the proving coefficients above reproduce.
+
+    @pytest.mark.parametrize("offset, in_band", [(3e-9, True), (1e-5, False)])
+    def test_a_planted_column_gets_the_oracle_verdict_in_and_far_from_the_band(
+        self, monkeypatch, offset, in_band
+    ):
+        vals = np.tril(np.ones((4, 4)))
+        vals[3, 0] = 1 + offset  # column 1 misses column 0's span by about offset
+        m = LowerTriangularMatrix(vals)
+        thin, tested = [], []
+        thin_fits, span_fits = ss_matrix._thin_fits, ss_matrix._span_fits
+
+        def recording_thin_fits(*args):
+            fits = thin_fits(*args)
+            thin.extend(residual for _, _, residual, _ in fits)
+            return fits
+
+        def recording_span_fits(*args):
+            tested.extend(span_fits(*args))
+            return tested[-len(args[2]) :]
+
+        monkeypatch.setattr(ss_matrix, "_thin_fits", recording_thin_fits)
+        monkeypatch.setattr(ss_matrix, "_span_fits", recording_span_fits)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocks = count_block_new_columns(m)
+        below, col = vals[1:, :1], vals[1:, 1]
+        threshold = DEFAULT_EPS * np.linalg.norm(col)
+        assert (threshold / 10 <= thin[1] <= threshold * 10) == in_band
+        _, coeffs, residual, _ = tested[1]
+        if in_band:
+            # The verdict and the warning are decided on the dense residual.
+            assert residual == float(np.linalg.norm(below @ coeffs - col))
+            assert [str(w.message).split(":")[0] for w in caught] == [
+                "borderline new-column decision at column 1"
+            ]
+        else:
+            assert residual == thin[1] and caught == []
+        assert blocks == dense_span_fits(m, DEFAULT_EPS)
+        assert blocks[0].new == (True, True, False, False)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dual_factors_match_a_dense_lstsq_construction(self, seed):
@@ -499,16 +662,20 @@ class TestPerStepSolves:
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
     @pytest.mark.filterwarnings("ignore:borderline new-column decision")
     def test_span_fits_pseudo_invert_only_the_small_factor(self, monkeypatch, m, width):
+        widened = widened_steps(m)
         shapes = self.counted_pinv(monkeypatch)
-        count_block_new_columns(m)
+        blocks = count_block_new_columns(m)
         # S V_k of a carry with k columns has at most k+1 rows, never the block's T-t.
-        assert all(rows <= cols + 1 for rows, cols in shapes)
+        assert all(rows <= cols + 1 for rows, cols in (shape[-2:] for shape in shapes))
+        # One stacked call per _TILE columns of a block, and one for each refactored carry.
+        tiles = sum(math.ceil((b.end - b.start) / _TILE) for b in blocks)
+        assert len(shapes) <= tiles + widened
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES)
     def test_span_fits_on_a_width_w_matrix_stay_within_w_plus_one_rows(self, monkeypatch, m, width):
         shapes = self.counted_pinv(monkeypatch)
         count_block_new_columns(m)
-        assert all(rows <= width + 1 for rows, _ in shapes)
+        assert all(rows <= width + 1 for rows, _ in (shape[-2:] for shape in shapes))
 
     def test_sign_normalization_is_bitwise_the_loops(self):
         rng = np.random.default_rng(80)
