@@ -5,7 +5,8 @@ Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
 Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
-``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``,
+``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``, the
+summed per-mode materializations of ``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
 ``semiseparable_rank`` and the per-block new-column verdicts of
 ``count_block_new_columns`` of a random width-4 representation and of a
@@ -67,6 +68,15 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _summed_terms(model) -> np.ndarray:
+    """Sum of the per-mode materializations of ``attention_like_decomposition``."""
+    from ssdlab import duality
+
+    # Older checkouts keep a separate term record with its own materializer.
+    materialize = getattr(duality, "materialize_term", None) or (lambda term: term.materialize())
+    return sum(materialize(term).values for term in duality.attention_like_decomposition(model))
+
+
 def dump() -> dict[str, object]:
     from ssdlab import cli
     from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
@@ -86,6 +96,8 @@ def dump() -> dict[str, object]:
         out[f"materialize_kernel/{seed}"] = materialize_kernel(model).values
         out[f"forward_ssd/{seed}"] = forward_ssd(model, x)
         out[f"forward_ssd/zero-gains/{seed}"] = forward_ssd(zero_model, x[:64])
+        out[f"attention_like_decomposition/{seed}"] = _summed_terms(model)
+        out[f"attention_like_decomposition/zero-gains/{seed}"] = _summed_terms(zero_model)
         # Mask zeros cut the kernel into diagonal blocks of width-3 products.
         gains = _gains(rng, (48,))
         gains[gains == 0.0] = 1.0

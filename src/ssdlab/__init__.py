@@ -5,6 +5,7 @@ from .errors import (
     InconsistentTransitionError,
     NotRepresentableError,
     NotScalarIdentityError,
+    PreconditionError,
     RankExceedsWidthError,
     ReconstructionError,
     ShapeMismatchError,
@@ -36,14 +37,12 @@ from .ssm import (
 )
 from .duality import (
     MaskedAttentionFactors,
-    RankOneMaskedTerm,
     attention_like_decomposition,
     construct_one_ss_dual,
     count_block_new_columns,
     full_rank_one_ss_dual,
     has_one_ss_dual,
     masked_attention_forward,
-    materialize_term,
     scalar_identity_dual,
 )
 from .sss_extract import (

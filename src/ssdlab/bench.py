@@ -222,11 +222,7 @@ def count_flops(path: str, T: int, N: int, d: int, seed: int) -> FlopReport:
     The tallies depend only on (path, T, N, d); the seed fixes the values
     they are counted on.
     """
-    if path not in _COUNTED:
-        raise ValueError(f"unknown path {path!r}, expected one of {PATHS}")
-    ssm, x = random_instance(seed, T, N, d)
-    counter = FlopCounter()
-    _COUNTED[path](ssm, x, counter)
+    _, counter = counted_forward(path, *random_instance(seed, T, N, d))
     return FlopReport(
         path=path,
         T=T,

@@ -19,17 +19,7 @@ import tempfile
 import numpy as np
 
 from . import bench, duality, limits, ssm as ssm_mod
-from .errors import (
-    DegenerateGridError,
-    InconsistentTransitionError,
-    NotScalarIdentityError,
-    RankExceedsWidthError,
-    ReconstructionError,
-    ShapeMismatchError,
-    SizeExceededError,
-    UnstableScalingError,
-    ZeroGainError,
-)
+from .errors import PreconditionError, ReconstructionError
 from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, rel_err
 from .sss_extract import extract_sss, materialize_sss
 
@@ -37,14 +27,6 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
-
-_PRECONDITION_ERRORS = (
-    NotScalarIdentityError,
-    ZeroGainError,
-    UnstableScalingError,
-    RankExceedsWidthError,
-    InconsistentTransitionError,
-)
 
 #: Commands that draw random data and therefore demand an explicit seed.
 _RANDOMIZED_COMMANDS = {"bench", "gen"}
@@ -368,21 +350,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in _RANDOMIZED_COMMANDS and args.seed is None:
             raise ValueError(f"{args.command} is randomized; --seed is mandatory")
         return _HANDLERS[args.command](args)
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ReconstructionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (
-        ShapeMismatchError,
-        SizeExceededError,
-        DegenerateGridError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

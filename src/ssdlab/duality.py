@@ -45,33 +45,6 @@ from .ssm import DiagonalSsm, materialize_kernel
 STABILITY_RATIO = 1e12
 
 
-@dataclass(frozen=True)
-class RankOneMaskedTerm:
-    """One mode's slice of a diagonal model: gains plus weight vectors."""
-
-    mode: int
-    a: np.ndarray
-    c: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("a", "c", "b"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ShapeMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
-            arrays[name] = arr
-        if not (arrays["a"].shape == arrays["c"].shape == arrays["b"].shape):
-            raise ShapeMismatchError("a, c, b must share one length")
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def T(self) -> int:
-        return self.a.shape[0]
-
-
 @json_record({"p": "p", "Q": "Q", "K": "K"})
 @dataclass(frozen=True)
 class MaskedAttentionFactors:
@@ -124,14 +97,16 @@ def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
     return MaskedAttentionFactors(ssm.a_diag[:, 0], ssm.c, ssm.b)
 
 
-def attention_like_decomposition(ssm: DiagonalSsm) -> list[RankOneMaskedTerm]:
-    """Per-mode rank-one masked terms; their materializations sum to the kernel."""
-    return [RankOneMaskedTerm(n, ssm.a_diag[:, n], ssm.c[:, n], ssm.b[:, n]) for n in range(ssm.N)]
+def attention_like_decomposition(ssm: DiagonalSsm) -> list[MaskedAttentionFactors]:
+    """Per-mode width-1 masked-attention factors; their materializations sum to the kernel.
 
-
-def materialize_term(term: RankOneMaskedTerm) -> LowerTriangularMatrix:
-    """Dense value of one mode, 1SS(a) * (c b^T): a width-1 masked-attention product."""
-    return MaskedAttentionFactors(term.a, term.c[:, None], term.b[:, None]).materialize()
+    Term n is 1SS(a[:, n]) * (c[:, n] b[:, n]^T). For a scalar-identity model the
+    terms stacked side by side are ``scalar_identity_dual``.
+    """
+    return [
+        MaskedAttentionFactors(ssm.a_diag[:, n], ssm.c[:, n : n + 1], ssm.b[:, n : n + 1])
+        for n in range(ssm.N)
+    ]
 
 
 def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:

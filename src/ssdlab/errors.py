@@ -15,15 +15,19 @@ class SizeExceededError(SsdError, ValueError):
     """A brute-force helper was asked for more than it can enumerate."""
 
 
-class NotScalarIdentityError(SsdError):
+class PreconditionError(SsdError):
+    """An input outside what a construction or extraction accepts; the CLI exits 3."""
+
+
+class NotScalarIdentityError(PreconditionError):
     """Some step's diagonal gains differ across state modes."""
 
 
-class ZeroGainError(SsdError):
+class ZeroGainError(PreconditionError):
     """A gain that must be invertible is exactly zero."""
 
 
-class UnstableScalingError(SsdError):
+class UnstableScalingError(PreconditionError):
     """Cumulative gain products span too wide a dynamic range to rescale."""
 
 
@@ -31,11 +35,11 @@ class NotRepresentableError(SsdError):
     """No masked-attention factorization exists at the requested width."""
 
 
-class RankExceedsWidthError(SsdError):
+class RankExceedsWidthError(PreconditionError):
     """A lower-left block has rank above the requested representation width."""
 
 
-class InconsistentTransitionError(SsdError):
+class InconsistentTransitionError(PreconditionError):
     """No single transition matrix links two consecutive factorizations."""
 
 

@@ -23,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .ss_matrix import (
+    _MACHINE_EPS,
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
@@ -38,8 +39,10 @@ class GeneralSssRepresentation:
 
     ``A[t]`` is the transition applied when advancing to step t; ``A[0]``
     multiplies the zero initial state and is the identity by convention.
-    ``r[t]`` is the rank of the lower-left block anchored at step t and
-    bounds the live corner of the neighbouring transitions.
+    ``r[t]`` counts the directions of the lower-left block anchored at step
+    t that a representation keeps and bounds the live corner of the
+    neighbouring transitions. ``extract_sss`` keeps every direction above
+    rounding, up to the width, so ``r[t]`` can exceed the block's eps-rank.
     """
 
     A: np.ndarray
@@ -127,7 +130,8 @@ def rank_factor_step(
     block's numerical rank exceeds ``width``.
 
     This is the dense per-block oracle: it factors the whole block with
-    one SVD. ``extract_sss`` gets the same rank and factors from its sweep.
+    one SVD. ``extract_sss`` gets the same rank from its sweep, and factors
+    that also keep the directions between eps and rounding.
     """
     if not 0 <= t < m.T:
         raise ValueError(f"step index {t} outside [0, {m.T})")
@@ -197,36 +201,41 @@ def extract_sss(
     One ``_block_sweep`` factors every lower-left block balanced as W U;
     the weights are read off the factor edges (c from W's first row, b
     from U's last column), and consecutive factorizations are chained by
-    transition solves. W = u_r sqrt(S_r) has orthogonal columns, so its
-    pseudo-inverse is exactly S_r^(-1/2) u_r' (zero rows past the rank),
-    which ``solve_transition`` gets instead of a second factorization: the
-    rank rule keeps only sqrt(s_i) above sqrt(eps) * sqrt(s_1), far above
-    the eps cutoff ``np.linalg.pinv`` would apply.
+    transition solves. A block whose eps-rank exceeds ``width`` is refused
+    with ``RankExceedsWidthError``. The factors, and ``r[t]``, keep every
+    direction above the rounding level at which the sweep cuts its carry,
+    s_i > machine epsilon * max(T - t, t + 1) * s_1, up to ``width``
+    directions: a direction dropped just below the eps threshold would
+    leave a residual of order sqrt(s_i) in W, far above the transition
+    gates. W = u_r sqrt(S_r) has orthogonal columns, so its pseudo-inverse
+    is exactly S_r^(-1/2) u_r' (zero rows past r), which
+    ``solve_transition`` gets instead of a second factorization.
 
     Each transition is verified on both sides: w-side by construction
     inside ``solve_transition``, u-side against the next step's column
     factor. The u-side gate refuses a block that keeps a direction the
-    previous block's rank threshold dropped, which happens when the
-    previous block is much larger. Like the w-side gate, it is relative to
-    the larger of the trimmed slice (of step t+1) and the whole factor (U
-    of step t).
+    previous block did not: one past the width, or one that the carry cut
+    below rounding, which happens when the previous block is much larger.
+    Like the w-side gate, it is relative to the larger of the trimmed slice
+    (of step t+1) and the whole factor (U of step t).
     """
     _check_width(width)
     steps = m.T
-    ranks = []
+    kept = []
     b_rows = np.zeros((steps, width))
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
     for t, (*_, u, s, vh, rank) in enumerate(_block_sweep(m.values, eps)):
         _check_rank(t, rank, width)
-        w_fac, u_fac = balanced_factors(u, s, vh, rank, width)
+        r = min(width, int(np.count_nonzero(s > _MACHINE_EPS * max(steps - t, t + 1) * s[0])))
+        w_fac, u_fac = balanced_factors(u, s, vh, r, width)
         c_rows[t] = w_fac[0, :]
         b_rows[t] = u_fac[:, -1]
         if t > 0:
             w_pinv = np.zeros((width, len(u)))
-            w_pinv[:rank] = u[:, :rank].T / np.sqrt(s[:rank])[:, None]
-            a_t = solve_transition(w_fac, w_prev[1:, :], rank, ranks[-1], eps, w_pinv)
+            w_pinv[:r] = u[:, :r].T / np.sqrt(s[:r])[:, None]
+            a_t = solve_transition(w_fac, w_prev[1:, :], r, kept[-1], eps, w_pinv)
             u_trim = u_fac[:, :t]
             scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))
             residual = float(np.linalg.norm(a_t @ u_prev - u_trim))
@@ -236,9 +245,9 @@ def extract_sss(
                     f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
                 )
             trans[t] = a_t
-        ranks.append(rank)
+        kept.append(r)
         w_prev, u_prev = w_fac, u_fac
-    return GeneralSssRepresentation(trans, b_rows, c_rows, tuple(ranks))
+    return GeneralSssRepresentation(trans, b_rows, c_rows, tuple(kept))
 
 
 def random_representation(seed: int, T: int, N: int) -> GeneralSssRepresentation:

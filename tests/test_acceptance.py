@@ -16,7 +16,6 @@ from ssdlab.duality import (
     full_rank_one_ss_dual,
     has_one_ss_dual,
     masked_attention_forward,
-    materialize_term,
     scalar_identity_dual,
 )
 from ssdlab.errors import ZeroGainError
@@ -97,7 +96,7 @@ def test_criterion_04_attention_like_decomposition():
         modes = (1, 2, 4, 8)[i % 4]
         ssm, _ = random_instance(4000 + i, steps, modes, 1)
         kernel = materialize_kernel(ssm).values
-        total = sum(materialize_term(t).values for t in attention_like_decomposition(ssm))
+        total = sum(t.materialize().values for t in attention_like_decomposition(ssm))
         worst = max(worst, rel_fro(total, kernel))
     assert worst <= 1e-12, f"max relative error {worst:.3e}"
     print(f"ACCEPTANCE 04 PASS: per-mode terms sum to the kernel, "

@@ -17,7 +17,6 @@ from ssdlab.duality import (
     has_one_ss_dual,
     kernel_residual,
     masked_attention_forward,
-    materialize_term,
     representability_report,
     scalar_identity_dual,
 )
@@ -62,11 +61,11 @@ class TestAttentionLikeDecomposition:
     def test_single_mode_term_equals_kernel(self):
         ssm, _ = random_instance(31, 8, 1, 1)
         (term,) = attention_like_decomposition(ssm)
-        assert rel_fro(materialize_term(term).values, materialize_kernel(ssm).values) <= 1e-14
+        assert rel_fro(term.materialize().values, materialize_kernel(ssm).values) <= 1e-14
 
     def test_terms_sum_to_kernel(self):
         ssm, _ = random_instance(32, 8, 4, 1)
-        total = sum(materialize_term(t).values for t in attention_like_decomposition(ssm))
+        total = sum(t.materialize().values for t in attention_like_decomposition(ssm))
         assert rel_fro(total, materialize_kernel(ssm).values) <= 1e-12
 
     def test_zero_input_weight_mode_materializes_to_zero(self):
@@ -75,7 +74,20 @@ class TestAttentionLikeDecomposition:
         b[:, 1] = 0.0
         modified = DiagonalSsm(ssm.a_diag, b, ssm.c)
         term = attention_like_decomposition(modified)[1]
-        assert np.array_equal(materialize_term(term).values, np.zeros((6, 6)))
+        assert np.array_equal(term.materialize().values, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scalar_identity_terms_stack_into_the_dual(self, seed):
+        ssm, _ = random_instance(35 + seed, 12, 3, 1, scalar_identity=True)
+        dual = scalar_identity_dual(ssm)
+        terms = attention_like_decomposition(ssm)
+        for term in terms:
+            assert term.p.tobytes() == dual.p.tobytes()
+            back = MaskedAttentionFactors.from_json(term.to_json())
+            for name in ("p", "Q", "K"):
+                assert getattr(back, name).tobytes() == getattr(term, name).tobytes()
+        assert np.hstack([t.Q for t in terms]).tobytes() == dual.Q.tobytes()
+        assert np.hstack([t.K for t in terms]).tobytes() == dual.K.tobytes()
 
 
 class TestMaterializeTerm:
@@ -83,20 +95,20 @@ class TestMaterializeTerm:
         term = attention_like_decomposition(
             DiagonalSsm(np.ones((4, 1)), np.ones((4, 1)), np.ones((4, 1)))
         )[0]
-        assert np.array_equal(materialize_term(term).values, np.tril(np.ones((4, 4))))
+        assert np.array_equal(term.materialize().values, np.tril(np.ones((4, 4))))
 
     def test_gain_products(self):
         ssm = DiagonalSsm(np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)), np.ones((3, 1)))
         (term,) = attention_like_decomposition(ssm)
         expected = np.array([[1, 0, 0], [2, 1, 0], [6, 3, 1]], dtype=float)
-        assert np.array_equal(materialize_term(term).values, expected)
+        assert np.array_equal(term.materialize().values, expected)
 
     def test_zero_output_weight_zeroes_the_row(self):
         ssm, _ = random_instance(34, 4, 1, 1)
         c = ssm.c.copy()
         c[1] = 0.0
         (term,) = attention_like_decomposition(DiagonalSsm(ssm.a_diag, ssm.b, c))
-        assert np.array_equal(materialize_term(term).values[1], np.zeros(4))
+        assert np.array_equal(term.materialize().values[1], np.zeros(4))
 
 
 class TestFullRankDual:

@@ -225,6 +225,25 @@ class TestExtractSss:
             with pytest.raises(InconsistentTransitionError):
                 extract_sss(m, 2)
 
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 64),
+        level_exp=st.floats(-14.0, -10.0),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_noise_between_rounding_and_eps_round_trips_or_names_its_gate(
+        self, seed, size, level_exp
+    ):
+        m = noisy_representation(seed, size, 4, 10.0**level_exp)
+        try:
+            rep = extract_sss(m, 4)
+        except RankExceedsWidthError as exc:
+            assert "above the requested width" in str(exc)
+        except InconsistentTransitionError as exc:
+            assert str(exc).startswith(("row-factor residual", "column-factor residual"))
+        else:
+            assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-6
+
     def test_refuses_a_rank_jump_above_the_width(self):
         vals = np.tril(np.ones((6, 6)))
         vals[5, 0] = 3.0  # the blocks that hold this entry have rank 2
@@ -313,7 +332,9 @@ SWEEP_FAMILIES = [
 ]
 
 #: (matrix, width): a block keeps a direction that the block before it, much larger,
-#: has below its rank threshold, so no transition carries it and extraction refuses.
+#: has below its rank threshold. In big-row-1e10 the direction is above block 1's
+#: rounding level, so extraction keeps it there; in the other two no transition
+#: carries it and extraction refuses.
 CHAIN_BREAKING = [
     pytest.param(big_row_matrix(1e10), 3, id="big-row-1e10"),
     # Here the 1 is below rounding level in block 1, so the thin carry drops it.
@@ -567,10 +588,16 @@ class TestBlockSweep:
     def test_semiseparable_rank_is_the_largest_extracted_rank(self, m, width):
         assert semiseparable_rank(m) == max(extract_sss(m, width).r)
 
-    @pytest.mark.parametrize("m, width", CHAIN_BREAKING)
+    @pytest.mark.parametrize("m, width", CHAIN_BREAKING[1:])
     def test_refuses_a_direction_the_previous_block_dropped(self, m, width):
         with pytest.raises(InconsistentTransitionError, match="column-factor"):
             extract_sss(m, width)
+
+    def test_keeps_a_direction_below_the_rank_threshold_but_above_rounding(self):
+        m, width = CHAIN_BREAKING[0].values
+        rep = extract_sss(m, width)
+        assert rep.r == (1, 2, 3, 2, 1)
+        assert np.array_equal(materialize_sss(rep).values, m.values)
 
     def test_refuses_a_width_that_only_a_dropped_direction_exceeds(self):
         with pytest.raises(RankExceedsWidthError):
