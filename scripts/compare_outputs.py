@@ -8,9 +8,11 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``, the
 summed per-mode materializations of ``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
-``semiseparable_rank`` and the per-block new-column verdicts of
-``count_block_new_columns`` of a random width-4 representation and of a
-kernel cut by three zero gains, both at T=256; plus the exit code, stdout, stderr, warning
+``semiseparable_rank`` and the per-block new-column verdicts and span-fit
+coefficients of ``count_block_new_columns`` of a random width-4
+representation and of a kernel cut by three zero gains, both at T=256, and
+the verdicts and coefficients of a matrix whose sweep refactors and widens
+its carry; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
 ``forward --path ssd --format csv``, ``forward`` with its flags from ``--config``,
@@ -75,6 +77,35 @@ def _summed_terms(model) -> np.ndarray:
     # Older checkouts keep a separate term record with its own materializer.
     materialize = getattr(duality, "materialize_term", None) or (lambda term: term.materialize())
     return sum(materialize(term).values for term in duality.attention_like_decomposition(model))
+
+
+def _big_row_matrix(rng: np.random.Generator):
+    """A T=48 width-4 matrix whose block sweep refactors its carry 21 columns wide at step 21.
+
+    Row 20 is scaled by 1e16, so blocks 1 to 20 keep only the row's
+    direction and the 1e8 corner's, and drop the rest below rounding. Step
+    21 no longer holds the row, and the drops force a refactor to all 21
+    columns left of it, far more than any other step keeps: its span fit is
+    solved alone, and solving it with the others would pad theirs and change
+    their bytes. The corner also keeps every diagonal-block cut from being
+    taken.
+    """
+    from ssdlab.ss_matrix import LowerTriangularMatrix
+
+    c, b = rng.standard_normal((2, 48, 4))
+    vals = np.tril(c @ b.T)
+    vals[20] *= 1e16
+    vals[-1, 0] = 1e8
+    return LowerTriangularMatrix(vals)
+
+
+def _span_coeffs(blocks) -> np.ndarray:
+    """The span-fit coefficients of every block column, in one array.
+
+    A None (a zero column, or a block's first) adds no entries, and column t
+    of a block adds t.
+    """
+    return np.concatenate([np.zeros(0) if c is None else c for b in blocks for c in b.coeffs])
 
 
 def dump() -> dict[str, object]:
@@ -210,9 +241,10 @@ def dump() -> dict[str, object]:
         for attr in ("A", "b", "c", "r"):
             out[f"extract_sss/{name}/{attr}"] = getattr(rep, attr)
         out[f"semiseparable_rank/{name}"] = semiseparable_rank(m)
-        out[f"count_block_new_columns/{name}"] = [
-            (b.start, b.end, b.new) for b in count_block_new_columns(m)
-        ]
+    for name, m in {**extraction_inputs, "big-row": _big_row_matrix(rng)}.items():
+        blocks = count_block_new_columns(m)
+        out[f"count_block_new_columns/{name}"] = [(b.start, b.end, b.new) for b in blocks]
+        out[f"count_block_new_columns/{name}/coeffs"] = _span_coeffs(blocks)
     out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
     out.update(_theory_outcomes())
     return out

@@ -19,11 +19,9 @@ from .ss_matrix import (
     LowerTriangularMatrix,
     MaskVector,
     diagonal_block_partition,
-    is_fine_mask,
     new_columns,
     one_ss,
     semiseparable_rank,
-    submatrix_rank_oracle,
 )
 from .ssm import (
     DiagonalSsm,

@@ -11,11 +11,12 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._lowrank import rank_of_singular_values, signed_svd
-from .errors import ShapeMismatchError, SizeExceededError
+from ._lowrank import signed_svd
+from .errors import ShapeMismatchError
 
 #: Relative tolerance shared by every rank / span decision in the package.
 DEFAULT_EPS = 1e-9
@@ -26,9 +27,6 @@ _SWEEP_DROP_SHARE = 1e-2
 
 #: Machine epsilon of float64, the unit of every rounding-level cut.
 _MACHINE_EPS = np.finfo(float).eps
-
-#: Largest T the combinatorial rank oracle will accept.
-ORACLE_MAX_T = 12
 
 #: Rows of the kernel builder's panels and of the upper-triangle check's bands, and
 #: sweep steps per stacked span-fit solve.
@@ -253,12 +251,30 @@ def one_ss(mask: MaskVector) -> LowerTriangularMatrix:
     return _segment_product_kernel(mask.a[:, None], ones, ones)
 
 
-def numerical_rank(block: np.ndarray, eps: float = DEFAULT_EPS) -> int:
-    """Count singular values above ``eps`` times the largest one."""
-    block = np.atleast_2d(np.asarray(block, dtype=float))
-    if block.size == 0:
-        return 0
-    return rank_of_singular_values(np.linalg.svd(block, compute_uv=False), eps)
+class SweepStep(NamedTuple):
+    """One step of ``_block_sweep``: block t = ``vals[t:, :t+1]``, factored through G_t.
+
+    ``carry`` @ ``basis`` is ``vals[t:, :t]`` up to the carry's drops, whose
+    sum ``dropped`` bounds the spectral norm of the difference. G_t =
+    [carry, column t] = u S ``vh``, and ``u``, ``s`` and ``right`` (``vh``
+    mapped to column coordinates) are the sign-normalized SVD of block t.
+    ``rank`` counts the singular values above eps * s[0], and ``keep`` those
+    above ``rounding``, block t's rounding level: they make the next carry.
+    ``widened`` is set when a refactor left the carry over one column wider
+    than the step before's.
+    """
+
+    carry: np.ndarray
+    basis: np.ndarray
+    dropped: float
+    vh: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    right: np.ndarray
+    rank: int
+    rounding: float
+    keep: int
+    widened: bool
 
 
 def _block_sweep(vals: np.ndarray, eps: float):
@@ -284,15 +300,13 @@ def _block_sweep(vals: np.ndarray, eps: float):
 
     Each step writes G_t into one fresh array: the next carry as the
     product of the step's u[1:] and s, and column t in its last column.
-    Yields (L[1:], Vh), whose product is ``vals[t:, :t]`` up to the drops;
-    the drop sum, which bounds the spectral norm of that difference; G_t's
-    own right vectors, so that G_t = u S V; and ``svd_with_rank`` of block
-    t as (u, s, vh, rank), right vectors in column coordinates.
+    Yields one ``SweepStep`` per block.
     """
     size = len(vals)
     pair = np.empty((size, 1))
     basis = np.zeros((0, 0))
     dropped = 0.0
+    width = 0  # carry width of the step before
     for t in range(size):
         col = vals[t:, t]
         pair[:, -1] = col
@@ -305,11 +319,16 @@ def _block_sweep(vals: np.ndarray, eps: float):
             dropped = 0.0
             u, s, vh = signed_svd(pair)
         top = s[0]  # with a top of 0 no singular value counts, as in rank_of_singular_values
+        rounding = _MACHINE_EPS * max(size - t, t + 1) * top
+        keep = int(np.count_nonzero(s > rounding))
         mapped = np.empty((len(vh), t + 1))
         np.matmul(vh[:, :-1], basis, out=mapped[:, :-1])
         mapped[:, -1] = vh[:, -1]
-        yield pair[:, :-1], basis, dropped, vh, u, s, mapped, int(np.count_nonzero(s > eps * top))
-        keep = int(np.count_nonzero(s > _MACHINE_EPS * max(size - t, t + 1) * top))
+        rank = int(np.count_nonzero(s > eps * top))
+        widened = len(basis) > width + 1
+        carry = pair[:, :-1]
+        yield SweepStep(carry, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened)
+        width = len(basis)
         if keep < s.size:
             dropped += s[keep]
         pair = np.empty((size - t - 1, keep + 1))
@@ -325,65 +344,42 @@ def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> in
     max(C) <= min(R), so it sits inside ``M[min(R):, :max(C)+1]`` and its
     rank is bounded by that block's rank. One ``_block_sweep`` yields them.
     """
-    return max(rank for *_, rank in _block_sweep(m.values, eps))
+    return max(step.rank for step in _block_sweep(m.values, eps))
 
 
-def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
-    """Brute-force semiseparable rank, used only as a test oracle.
-
-    Enumerates every contiguous on-or-below-diagonal block (all row ranges
-    r0..r1 and column ranges c0..c1 with c1 <= r0) and maximizes the
-    numerical rank. Arbitrary row/column subsets are covered because
-    deleting rows or columns never increases rank, so each subset's rank is
-    bounded by the contiguous block spanned by its extremes.
-    """
-    if m.T > ORACLE_MAX_T:
-        raise SizeExceededError(f"oracle limited to T <= {ORACLE_MAX_T}, got T={m.T}")
-    vals = m.values
-    n = m.T
-    best = 0
-    for r0 in range(n):
-        for r1 in range(r0 + 1, n + 1):
-            for c1 in range(1, r0 + 2):
-                for c0 in range(c1):
-                    best = max(best, numerical_rank(vals[r0:r1, c0:c1], eps))
-    return best
-
-
-def _thin_fits(steps: list, rows: list[int]) -> list[tuple]:
+def _thin_fits(steps: list[SweepStep]) -> list[tuple]:
     """(pseudo-inverse, fit, thin residual, fit norm) of each step's S V_k, from one ``pinv`` call.
 
-    ``rows`` holds the length of each step's column. The factors are
-    zero-padded to one (k+1) x k shape and each is cut where ``lstsq``'s
-    default cutoff lies for its L.
+    The factors are zero-padded to one (k+1) x k shape and each is cut
+    where ``lstsq``'s default cutoff lies for its L.
     """
-    width = max(1, max(len(basis) for _, basis, *_ in steps))
+    width = max(1, max(len(step.basis) for step in steps))
     factors = np.zeros((len(steps), width + 1, width))
     targets = np.zeros((len(steps), width + 1, 1))
     cutoffs = np.empty(len(steps))
-    for i, ((_, basis, _, thin_vh, _, s, *_), n) in enumerate(zip(steps, rows)):
-        np.multiply(s[:, None], thin_vh[:, :-1], out=factors[i, : len(s), : len(basis)])
-        np.multiply(s, thin_vh[:, -1], out=targets[i, : len(s), 0])
-        cutoffs[i] = _MACHINE_EPS * max(n, len(basis))
+    for i, step in enumerate(steps):
+        k, s = len(step.basis), step.s
+        np.multiply(s[:, None], step.vh[:, :-1], out=factors[i, : len(s), :k])
+        np.multiply(s, step.vh[:, -1], out=targets[i, : len(s), 0])
+        cutoffs[i] = _MACHINE_EPS * max(len(step.u), k)
     inverses = np.linalg.pinv(factors, rcond=cutoffs)
     fits = inverses @ targets
     thin = np.linalg.norm(factors @ fits - targets, axis=(1, 2))
     return list(zip(inverses, fits[..., 0], thin, np.linalg.norm(fits, axis=(1, 2))))
 
 
-def _span_fits(block: np.ndarray, lo: int, steps: list, eps: float, before: int) -> list[tuple]:
+def _span_fits(block: np.ndarray, lo: int, steps: list[SweepStep], eps: float) -> list[tuple]:
     """Span tests of block columns lo, lo+1, ... against the block columns before each.
 
-    ``steps`` are the ``_block_sweep`` steps of those columns, and
-    ``before`` is the carry width of the step before them. A step's G_t =
-    [L, col] = u S V, so as u has orthonormal columns the fit of col
+    ``steps`` are the ``_block_sweep`` steps of those columns. A step's G_t
+    = [L, col] = u S V, so as u has orthonormal columns the fit of col
     against L is the fit of S v (v being V's last column) against the small
     S V_k (V_k the rest of V), whose singular values are L's. ``_thin_fits``
-    pseudo-inverts all of them in one call, except a step whose carry is
-    more than one column wider than the step before's: only a refactor
-    widens it so, to every singular value left of the step, and that one
-    is pseudo-inverted alone rather than widening the others' padding. The
-    fit is mapped to columns by the step's Vh, whose rows are orthonormal.
+    pseudo-inverts all of them in one call, except a ``widened`` step: only
+    a refactor widens the carry by more than one column, to every singular
+    value left of the step, and that one is pseudo-inverted alone rather
+    than widening the others' padding. The fit is mapped to columns by the
+    step's basis, whose rows are orthonormal.
 
     The thin residual |S V_k y - S v| is the residual on ``block[t:, :t]``
     up to the carry's drops and rounding: that block is L Vh plus a
@@ -400,17 +396,15 @@ def _span_fits(block: np.ndarray, lo: int, steps: list, eps: float, before: int)
     residual exceeds eps times the column norm; ``coeffs`` is None for a
     zero column or an empty span, where any nonzero column is new.
     """
-    widths = [len(basis) for _, basis, *_ in steps]
-    alone = [i for i, (a, b) in enumerate(zip([before, *widths], widths)) if b > a + 1]
-    stacked = [i for i in range(len(steps)) if i not in alone]
+    alone = [i for i, step in enumerate(steps) if step.widened]
+    stacked = [i for i, step in enumerate(steps) if not step.widened]
     thin_fits = {}
     for group in (stacked, *([i] for i in alone)):
         if group:
-            rows = [len(block) - lo - i for i in group]
-            thin_fits.update(zip(group, _thin_fits([steps[i] for i in group], rows)))
+            thin_fits.update(zip(group, _thin_fits([steps[i] for i in group])))
     col_norms = np.linalg.norm(block[:, lo : lo + len(steps)], axis=0)
     out = []
-    for i, (_, basis, dropped, _, u, s, *_) in enumerate(steps):
+    for i, step in enumerate(steps):
         t, col_norm = lo + i, float(col_norms[i])
         threshold = eps * col_norm
         if col_norm == 0.0:
@@ -420,14 +414,14 @@ def _span_fits(block: np.ndarray, lo: int, steps: list, eps: float, before: int)
             out.append((True, None, col_norm, threshold))
             continue
         inverse, fit, residual, fit_norm = thin_fits[i]
-        coeffs = basis.T @ fit[: len(basis)]
+        k = len(step.basis)
+        coeffs = step.basis.T @ fit[:k]
         residual = float(residual)
-        rounding = _MACHINE_EPS * max(len(block) - t, t + 1) * s[0]
-        margin = dropped * fit_norm + 10.0 * rounding * (fit_norm + 1.0)
+        margin = step.dropped * fit_norm + 10.0 * step.rounding * (fit_norm + 1.0)
         if threshold / 10.0 <= residual <= threshold * 10.0 or abs(residual - threshold) < margin:
             below, col = block[t:, :t], block[t:, t]
-            solve = basis.T @ inverse[: len(basis), : len(s)]
-            coeffs += solve @ (u.T @ (col - below @ coeffs))
+            solve = step.basis.T @ inverse[:k, : len(step.s)]
+            coeffs += solve @ (step.u.T @ (col - below @ coeffs))
             residual = float(np.linalg.norm(below @ coeffs - col))
         out.append((residual > threshold, coeffs, residual, threshold))
     return out
@@ -475,12 +469,8 @@ def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[
         block = m.values[start:end, start:end]
         sweep = _block_sweep(block, eps)
         verdicts = []
-        width = 0  # carry width of the step before the tile
         for lo in range(0, end - start, _TILE):
-            steps = list(itertools.islice(sweep, _TILE))
-            fits = _span_fits(block, lo, steps, eps, width)
-            _, basis, *_ = steps[-1]
-            width = len(basis)
+            fits = _span_fits(block, lo, list(itertools.islice(sweep, _TILE)), eps)
             for t, (is_new, coeffs, residual, threshold) in enumerate(fits, start + lo):
                 if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
                     warnings.warn(
@@ -520,12 +510,3 @@ def blocks_from_cuts(size: int, cuts: list[int]) -> list[tuple[int, int]]:
     """Half-open (start, end) intervals between consecutive cuts."""
     bounds = [0, *cuts, size]
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
-def is_fine_mask(mask: MaskVector) -> bool:
-    """True when every gain that the 1SS operator reads is nonzero.
-
-    Entry 0 never appears in any mask entry, so fineness is decided on
-    a[1:] only.
-    """
-    return bool(np.all(mask.a[1:] != 0.0))

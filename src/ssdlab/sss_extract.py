@@ -23,7 +23,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .ss_matrix import (
-    _MACHINE_EPS,
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
@@ -203,13 +202,13 @@ def extract_sss(
     from U's last column), and consecutive factorizations are chained by
     transition solves. A block whose eps-rank exceeds ``width`` is refused
     with ``RankExceedsWidthError``. The factors, and ``r[t]``, keep every
-    direction above the rounding level at which the sweep cuts its carry,
-    s_i > machine epsilon * max(T - t, t + 1) * s_1, up to ``width``
-    directions: a direction dropped just below the eps threshold would
-    leave a residual of order sqrt(s_i) in W, far above the transition
-    gates. W = u_r sqrt(S_r) has orthogonal columns, so its pseudo-inverse
-    is exactly S_r^(-1/2) u_r' (zero rows past r), which
-    ``solve_transition`` gets instead of a second factorization.
+    direction above the rounding level at which the sweep cuts its carry
+    (the step's ``keep``), up to ``width`` directions: a direction dropped
+    just below the eps threshold would leave a residual of order sqrt(s_i)
+    in W, far above the transition gates. W = u_r sqrt(S_r) has orthogonal
+    columns, so its pseudo-inverse is exactly S_r^(-1/2) u_r' (zero rows
+    past r), which ``solve_transition`` gets instead of a second
+    factorization.
 
     Each transition is verified on both sides: w-side by construction
     inside ``solve_transition``, u-side against the next step's column
@@ -226,15 +225,15 @@ def extract_sss(
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
-    for t, (*_, u, s, vh, rank) in enumerate(_block_sweep(m.values, eps)):
-        _check_rank(t, rank, width)
-        r = min(width, int(np.count_nonzero(s > _MACHINE_EPS * max(steps - t, t + 1) * s[0])))
-        w_fac, u_fac = balanced_factors(u, s, vh, r, width)
+    for t, step in enumerate(_block_sweep(m.values, eps)):
+        _check_rank(t, step.rank, width)
+        r = min(width, step.keep)
+        w_fac, u_fac = balanced_factors(step.u, step.s, step.right, r, width)
         c_rows[t] = w_fac[0, :]
         b_rows[t] = u_fac[:, -1]
         if t > 0:
-            w_pinv = np.zeros((width, len(u)))
-            w_pinv[:r] = u[:, :r].T / np.sqrt(s[:r])[:, None]
+            w_pinv = np.zeros((width, len(step.u)))
+            w_pinv[:r] = step.u[:, :r].T / np.sqrt(step.s[:r])[:, None]
             a_t = solve_transition(w_fac, w_prev[1:, :], r, kept[-1], eps, w_pinv)
             u_trim = u_fac[:, :t]
             scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))

@@ -20,7 +20,7 @@ from ssdlab.duality import (
 )
 from ssdlab.errors import ZeroGainError
 from ssdlab.limits import non_dualizable_matrix, softmax_counterexample
-from ssdlab.ss_matrix import semiseparable_rank, submatrix_rank_oracle
+from ssdlab.ss_matrix import semiseparable_rank
 from ssdlab.ssm import (
     forward_materialized,
     forward_recurrence,
@@ -31,6 +31,7 @@ from ssdlab.ssm import (
 )
 from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 from tests.conftest import random_lower_triangular, rel_fro, representable_matrix, run_ssdlab
+from tests.oracles import submatrix_rank_oracle
 
 
 def test_criterion_01_three_path_equivalence():

@@ -18,17 +18,15 @@ from ssdlab.ss_matrix import (
     MaskVector,
     blocks_from_cuts,
     diagonal_block_partition,
-    is_fine_mask,
     new_columns,
-    numerical_rank,
     one_ss,
     rel_err,
     semiseparable_rank,
-    submatrix_rank_oracle,
 )
 from ssdlab.ssm import DiagonalSsm
 from ssdlab.sss_extract import GeneralSssRepresentation
 from tests.conftest import random_lower_triangular, run_ssdlab
+from tests.oracles import is_fine_mask, numerical_rank, submatrix_rank_oracle
 
 #: Finite doubles, subnormals included, plus the edge values a CSV reader must keep exactly.
 CSV_DOUBLES = st.one_of(

@@ -17,17 +17,15 @@ from ssdlab.ss_matrix import (
     _SWEEP_DROP_SHARE,
     _TILE,
     DEFAULT_EPS,
-    ORACLE_MAX_T,
     BlockNewColumns,
     LowerTriangularMatrix,
     MaskVector,
+    SweepStep,
     _block_sweep,
     blocks_from_cuts,
     diagonal_block_partition,
-    numerical_rank,
     one_ss,
     semiseparable_rank,
-    submatrix_rank_oracle,
 )
 from ssdlab.ssm import materialize_kernel, random_instance
 from ssdlab.sss_extract import (
@@ -39,6 +37,7 @@ from ssdlab.sss_extract import (
     solve_transition,
 )
 from tests.conftest import random_lower_triangular, rel_fro
+from tests.oracles import ORACLE_MAX_T, numerical_rank, submatrix_rank_oracle
 
 
 def diagonal_as_general(ssm):
@@ -410,6 +409,7 @@ def reference_block_sweep(vals, eps, refactors):
     carried = vals[:, :0]
     basis = np.zeros((0, 0))
     dropped = 0.0
+    before = 0  # carry width of the step before
     for t in range(len(vals)):
         col = vals[t:, t]
         u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
@@ -419,8 +419,12 @@ def reference_block_sweep(vals, eps, refactors):
             carried, dropped = u * s, 0.0
             u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
         mapped = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
-        yield carried, basis, dropped, vh, u, s, mapped, rank
-        keep = rank_of_singular_values(s, np.finfo(float).eps * max(len(vals) - t, t + 1))
+        level = np.finfo(float).eps * max(len(vals) - t, t + 1)
+        keep = rank_of_singular_values(s, level)
+        widened = carried.shape[1] > before + 1
+        rounding = level * s[0]
+        yield SweepStep(carried, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened)
+        before = carried.shape[1]
         dropped += s[keep] if keep < s.size else 0.0
         carried = u[1:, :keep] * s[:keep]
         basis = mapped[:keep]
@@ -432,8 +436,11 @@ def widened_steps(m, eps=DEFAULT_EPS):
     count = 0
     for b in count_block_new_columns(m, eps):
         block = m.values[b.start : b.end, b.start : b.end]
-        widths = [len(basis) for _, basis, *_ in _block_sweep(block, eps)]
-        count += sum(k > before + 1 for before, k in zip([0, *widths], widths))
+        steps = list(_block_sweep(block, eps))
+        widths = [len(step.basis) for step in steps]
+        rule = [k > before + 1 for before, k in zip([0, *widths], widths)]
+        assert [step.widened for step in steps] == rule
+        count += sum(step.widened for step in steps)
     return count
 
 
@@ -442,26 +449,35 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
     def test_each_step_matches_the_dense_block(self, m, width):
-        for t, (*_, u, s, vh, rank) in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
+        for t, step in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
             w_dense, u_dense, rank_dense = rank_factor_step(m, t, width)
-            w_sweep, u_sweep = balanced_factors(u, s, vh, rank, width)
-            assert rank == rank_dense
+            w_sweep, u_sweep = balanced_factors(step.u, step.s, step.right, step.rank, width)
+            assert step.rank == rank_dense
             assert rel_fro(w_sweep, w_dense) <= 1e-10
             assert rel_fro(u_sweep, u_dense) <= 1e-10
 
-    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING)
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
     def test_each_step_is_bitwise_the_column_stack_step(self, m, width):
         refactors = []
         steps = list(_block_sweep(m.values, DEFAULT_EPS))
         reference = list(reference_block_sweep(m.values, DEFAULT_EPS, refactors))
         assert len(steps) == len(reference) == m.T
         for got, want in zip(steps, reference):
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                g, w = np.asarray(g), np.asarray(w)
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            for name in SweepStep._fields:
+                g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
         if m is CHAIN_BREAKING[1].values[0]:  # big-row-1e16: the carry drops the 1 and refactors
             assert refactors
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
+    def test_the_drop_sum_bounds_what_the_carry_lost(self, m, width):
+        # _span_fits' margin rests on this bound; rounding adds a few T eps |M| at most.
+        vals = m.values
+        rounding = 10 * m.T * np.finfo(float).eps * np.linalg.norm(vals, 2)
+        for t, step in enumerate(_block_sweep(vals, DEFAULT_EPS)):
+            if t:
+                lost = np.linalg.norm(vals[t:, :t] - step.carry @ step.basis, 2)
+                assert lost <= step.dropped + rounding
 
     @pytest.mark.parametrize(
         "m, width", [p for p in SWEEP_FAMILIES + CHAIN_BREAKING if p.values[0].T <= ORACLE_MAX_T]
