@@ -8,23 +8,26 @@ import numpy as np
 def svd_with_rank(block: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Full SVD plus the numerical rank at relative tolerance ``eps``.
 
-    Singular-vector signs are normalized so each left vector's
-    largest-magnitude entry is positive, which pins down an otherwise
-    arbitrary sign and keeps outputs reproducible.
+    Singular-vector signs are normalized by ``vector_signs``, which pins
+    down an otherwise arbitrary sign and keeps outputs reproducible.
     """
-    u, s, vh = signed_svd(np.atleast_2d(np.asarray(block, dtype=float)))
+    u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(block, dtype=float)), full_matrices=False)
+    signs = vector_signs(u)
+    u *= signs
+    vh *= signs[:, None]
     return u, s, vh, rank_of_singular_values(s, eps)
 
 
-def signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a 2-D float array, signs normalized as in ``svd_with_rank``."""
-    u, s, vh = np.linalg.svd(block, full_matrices=False)
-    # argmax takes the first of tied maxima, and multiplying by -1 or 1 is exact.
-    peaks = u[np.abs(u.T).argmax(axis=1), np.arange(u.shape[1])]
-    signs = np.where(peaks < 0.0, -1.0, 1.0)
-    u *= signs
-    vh *= signs[:, None]
-    return u, s, vh
+def vector_signs(u: np.ndarray) -> np.ndarray:
+    """The sign rule: +-1 per column of ``u`` that makes its largest-magnitude entry positive.
+
+    ``u`` is one matrix of left singular vectors or a stack of them; the
+    signs have shape ``u.shape[:-2] + u.shape[-1:]``. Scaling a column and
+    its right vector by the sign keeps the factorization, and is exact.
+    """
+    # argmax takes the first of tied maxima; a zero column gets +1.
+    peaks = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(peaks[..., 0, :] < 0.0, -1.0, 1.0)
 
 
 def rank_of_singular_values(s: np.ndarray, eps: float) -> int:

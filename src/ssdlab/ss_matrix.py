@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lowrank import signed_svd
 from .errors import ShapeMismatchError
 
 #: Relative tolerance shared by every rank / span decision in the package.
@@ -257,7 +256,9 @@ class SweepStep(NamedTuple):
     ``carry`` @ ``basis`` is ``vals[t:, :t]`` up to the carry's drops, whose
     sum ``dropped`` bounds the spectral norm of the difference. G_t =
     [carry, column t] = u S ``vh``, and ``u``, ``s`` and ``right`` (``vh``
-    mapped to column coordinates) are the sign-normalized SVD of block t.
+    mapped to column coordinates) are an SVD of block t, with the signs
+    ``np.linalg.svd`` returned: ranks, span fits and the dual do not depend
+    on them, and extraction fixes them with ``_lowrank.vector_signs``.
     ``rank`` counts the singular values above eps * s[0], and ``keep`` those
     above ``rounding``, block t's rounding level: they make the next carry.
     ``widened`` is set when a refactor left the carry over one column wider
@@ -284,11 +285,13 @@ def _block_sweep(vals: np.ndarray, eps: float):
     Block t-1 = L Vh, where L = U S and Vh has orthonormal rows. So block
     t = G_t blockdiag(Vh, 1) for G_t = [L[1:], M[t:, t]], and as the second
     factor has orthonormal rows, G_t has block t's singular values and
-    (sign-normalized) left vectors, and its right vectors times that factor
-    are block t's. G_t stays thin because L only carries the singular
-    values above the rounding level of block t-1, max(shape) * machine
-    epsilon * s[0] (where ``lstsq``'s default cutoff lies too), not just
-    those above its rank threshold: a later, smaller block can need them.
+    left vectors, and its right vectors times that factor are block t's.
+    G_t stays thin because L only carries the singular values above the
+    rounding level of block t-1, max(shape) * machine epsilon * s[0] (where
+    ``lstsq``'s default cutoff lies too), not just those above its rank
+    threshold: a later, smaller block can need them. No step normalizes
+    signs; that was about a fifth of a step's time, and only extraction
+    needs fixed signs.
 
     What the carry drops is gone for good, and a later block may be far
     smaller than the one it was dropped from. So the sweep sums the largest
@@ -310,14 +313,14 @@ def _block_sweep(vals: np.ndarray, eps: float):
     for t in range(size):
         col = vals[t:, t]
         pair[:, -1] = col
-        u, s, vh = signed_svd(pair)
+        u, s, vh = np.linalg.svd(pair, full_matrices=False)
         if dropped and dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
             pair = np.empty((size - t, s.size + 1))
             np.multiply(u, s, out=pair[:, :-1])
             pair[:, -1] = col
             dropped = 0.0
-            u, s, vh = signed_svd(pair)
+            u, s, vh = np.linalg.svd(pair, full_matrices=False)
         top = s[0]  # with a top of 0 no singular value counts, as in rank_of_singular_values
         rounding = _MACHINE_EPS * max(size - t, t + 1) * top
         keep = int(np.count_nonzero(s > rounding))

@@ -5,9 +5,10 @@ factors as c_j' A^j ... A^{i+1} b_i with full (not necessarily diagonal)
 transition matrices. This module recovers such a representation from the
 dense matrix in one sweep over its lower-left blocks (each step factors a
 thin matrix, see ``ss_matrix._block_sweep``) whose consecutive factorizations
-are chained by transition solves, and materializes representations back
-to dense form. Each step's SVD is its only factorization: the transition
-solve pseudo-inverts the balanced row factor through that SVD.
+are chained by transition solves, one stacked solve per ``_TILE`` steps, and
+materializes representations back to dense form. Each step's SVD is its only
+factorization: the transition solve pseudo-inverts the balanced row factor
+through that SVD.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lowrank import balanced_factors, svd_with_rank
+from ._lowrank import balanced_factors, svd_with_rank, vector_signs
 from .errors import (
     InconsistentTransitionError,
     RankExceedsWidthError,
     ShapeMismatchError,
 )
 from .ss_matrix import (
+    _TILE,
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
@@ -144,10 +146,11 @@ def rank_factor_step(
 def solve_transition(
     w_next: np.ndarray,
     w_trunc: np.ndarray,
-    r_next: int,
-    r_cur: int,
+    r_next: int | np.ndarray,
+    r_cur: int | np.ndarray,
     eps: float = DEFAULT_EPS,
     w_pinv: np.ndarray | None = None,
+    step: int = 1,
 ) -> np.ndarray:
     """Transition matrix A with w_next @ A = w_trunc, zero-padded exactly.
 
@@ -160,12 +163,18 @@ def solve_transition(
     factorization that made ``w_next``; without it, ``np.linalg.pinv``
     computes it at relative cutoff eps.
 
+    The factors may also be stacks of cases along a leading axis, with
+    ``r_next`` and ``r_cur`` one entry per case; the transitions come back
+    stacked the same way. Case i is the transition into step ``step`` + i,
+    which a refusal names.
+
     The residual is gated relative to the larger of |w_next| and |w_trunc|.
     A balanced factor carries rounding error of about machine epsilon times
     its norm, which is at least sqrt(sigma_1) of its block, and dropping a
     row keeps that error while the slice's own norm can shrink to it: right
     after a diagonal-block cut ``w_trunc`` is pure rounding noise. The whole
-    factor ``w_next`` keeps the gate at the scale of the factors.
+    factor ``w_next`` keeps the gate at the scale of the factors. The first
+    case over its gate is refused.
     """
     w_next = np.asarray(w_next, dtype=float)
     w_trunc = np.asarray(w_trunc, dtype=float)
@@ -175,21 +184,39 @@ def solve_transition(
         )
     if w_pinv is None:
         w_pinv = np.linalg.pinv(w_next, rcond=eps)
-    elif w_pinv.shape != w_next.shape[::-1]:
+    elif w_pinv.shape != w_next.swapaxes(-2, -1).shape:
         raise ShapeMismatchError(
             f"pseudo-inverse shape {w_pinv.shape} does not fit factor shape {w_next.shape}"
         )
     trans = w_pinv @ w_trunc
-    trans[r_next:, :] = 0.0
-    trans[:, r_cur:] = 0.0
-    scale = max(float(np.linalg.norm(w_next)), float(np.linalg.norm(w_trunc)))
-    residual = float(np.linalg.norm(w_next @ trans - w_trunc))
-    if residual > eps * scale:
-        raise InconsistentTransitionError(
-            f"row-factor residual {residual:.3e} exceeds "
-            f"{eps:.1e} * max(|W|, |W'|) = {eps * scale:.3e}"
-        )
+    rows = np.arange(trans.shape[-2])[:, None] >= np.asarray(r_next)[..., None, None]
+    trans[rows | (np.arange(trans.shape[-1]) >= np.asarray(r_cur)[..., None, None])] = 0.0
+    # The miss is formed transposed, A' W' - W'': a stack of factors stored as rows
+    # is then walked along its long axis.
+    miss = trans.swapaxes(-2, -1) @ w_next.swapaxes(-2, -1) - w_trunc.swapaxes(-2, -1)
+    _gate("row-factor", miss, w_next, w_trunc, eps, step, "|W|, |W'|")
     return trans
+
+
+def _gate(side: str, miss, first, second, eps: float, step: int, names: str) -> None:
+    """Refuse the first case whose ``miss`` exceeds eps times the larger of |first| and |second|.
+
+    All three are one matrix or stacks of them; case i is step ``step`` + i.
+    """
+    scale = np.maximum(_frobenius(first), _frobenius(second))
+    residual = _frobenius(miss)
+    over = np.flatnonzero(residual > eps * scale)
+    if over.size:
+        i = over[0]
+        raise InconsistentTransitionError(
+            f"{side} residual {residual.flat[i]:.3e} at step {step + i} exceeds "
+            f"{eps:.1e} * max({names}) = {eps * scale.flat[i]:.3e}"
+        )
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack (over the last two axes), in one pass."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
 
 
 def extract_sss(
@@ -208,7 +235,9 @@ def extract_sss(
     in W, far above the transition gates. W = u_r sqrt(S_r) has orthogonal
     columns, so its pseudo-inverse is exactly S_r^(-1/2) u_r' (zero rows
     past r), which ``solve_transition`` gets instead of a second
-    factorization.
+    factorization. The sweep leaves singular-vector signs free; the
+    factors take them from ``vector_signs``, so the output does not depend
+    on the signs the SVD happened to return.
 
     Each transition is verified on both sides: w-side by construction
     inside ``solve_transition``, u-side against the next step's column
@@ -217,36 +246,92 @@ def extract_sss(
     below rounding, which happens when the previous block is much larger.
     Like the w-side gate, it is relative to the larger of the trimmed slice
     (of step t+1) and the whole factor (U of step t).
+
+    The sweep is read ``_TILE`` steps at a time: each step only copies its
+    kept u, s and right vectors into the tile's zero-padded stacks, and
+    ``_chain_tile`` then signs, scales, solves and gates the whole tile at
+    once. Refusals come in the order of a step-by-step chain: rank, then
+    row factor, then column factor, step by step.
     """
     _check_width(width)
     steps = m.T
-    kept = []
+    kept = np.zeros(steps, dtype=np.intp)
     b_rows = np.zeros((steps, width))
     c_rows = np.zeros((steps, width))
     trans = np.zeros((steps, width, width))
     trans[0] = np.eye(width)
-    for t, step in enumerate(_block_sweep(m.values, eps)):
-        _check_rank(t, step.rank, width)
-        r = min(width, step.keep)
-        w_fac, u_fac = balanced_factors(step.u, step.s, step.right, r, width)
-        c_rows[t] = w_fac[0, :]
-        b_rows[t] = u_fac[:, -1]
-        if t > 0:
-            w_pinv = np.zeros((width, len(step.u)))
-            w_pinv[:r] = step.u[:, :r].T / np.sqrt(step.s[:r])[:, None]
-            a_t = solve_transition(w_fac, w_prev[1:, :], r, kept[-1], eps, w_pinv)
-            u_trim = u_fac[:, :t]
-            scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))
-            residual = float(np.linalg.norm(a_t @ u_prev - u_trim))
-            if residual > eps * scale:
-                raise InconsistentTransitionError(
-                    f"column-factor residual {residual:.3e} at step {t} exceeds "
-                    f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
-                )
-            trans[t] = a_t
-        kept.append(r)
-        w_prev, u_prev = w_fac, u_fac
-    return GeneralSssRepresentation(trans, b_rows, c_rows, tuple(kept))
+    out = (kept, b_rows, c_rows, trans)
+    sweep = _block_sweep(m.values, eps)
+    # Slot 0 of a tile holds step lo-1, the previous tile's last (zeros before step 0),
+    # and slot i step lo-1+i. Left vectors are stored as rows, each factor from its
+    # first row and column on, so every pass over a tile runs along its long axis.
+    left, s, right = np.zeros((1, width, steps + 1)), np.ones((1, width)), np.zeros((1, width, 0))
+    for lo in range(0, steps, _TILE):
+        hi = min(lo + _TILE, steps)
+        last = left[-1, :, : steps - lo + 1], s[-1], right[-1]
+        left = np.zeros((hi - lo + 1, width, steps - lo + 1))
+        s = np.ones((hi - lo + 1, width))  # past r, roots of 1 scale and divide only zeros
+        right = np.zeros((hi - lo + 1, width, hi))
+        left[0], s[0], right[0, :, :lo] = last
+        for t in range(lo, hi):
+            step = next(sweep)
+            i = t - lo + 1
+            if step.rank > width:
+                _chain_tile((left[:i], s[:i], right[:i]), lo, out, eps)
+                _check_rank(t, step.rank, width)
+            r = kept[t] = min(width, step.keep)
+            left[i, :r, : steps - t] = step.u[:, :r].T
+            s[i, :r] = step.s[:r]
+            right[i, :r, : t + 1] = step.right[:r]
+        _chain_tile((left, s, right), lo, out, eps)
+    # Adding 0.0 makes every zero +0.0, whatever signs the sweep's SVDs returned.
+    return GeneralSssRepresentation(trans + 0.0, b_rows + 0.0, c_rows + 0.0, tuple(kept.tolist()))
+
+
+def _chain_tile(tile: tuple, lo: int, out: tuple, eps: float) -> None:
+    """Sign, balance, solve and gate steps lo, lo+1, ... held in slots 1, 2, ... of a tile.
+
+    ``tile`` is ``extract_sss``'s (left, s, right) stacks, left holding u'
+    (left vectors as rows), slot 0 step lo-1, all as the sweep gave them:
+    the sign rule picks the same signs for a slot in either tile holding it. Writes each step's c and b rows and
+    transition into ``out`` = (r, b, c, A), and raises the first refusal a
+    step-by-step chain would raise.
+    """
+    left, s, right = tile
+    kept, b_rows, c_rows, trans = out
+    # Each direction's sign times its root scale: scaling by -1 or 1 is exact.
+    scale = np.sqrt(s)[:, :, None] * vector_signs(left.swapaxes(-2, -1))[:, :, None]
+    w_rows = left * scale  # W', with W = u_r sqrt(S_r)
+    u_fac = right * scale
+    hi = lo + len(left) - 1
+    slots = np.arange(1, len(left))
+    c_rows[lo:hi] = w_rows[1:, :, 0]
+    b_rows[lo:hi] = u_fac[slots, :, slots + lo - 1]
+    first = max(lo, 1)  # step 0 has no transition
+    if first >= hi:
+        return
+    cur, prev = slice(first - lo + 1, None), slice(first - lo, -1)
+    w_next, w_trunc = w_rows[cur, :, :-1].swapaxes(-2, -1), w_rows[prev, :, 1:].swapaxes(-2, -1)
+    w_pinv = left[cur, :, :-1] / scale[cur]
+    try:
+        a_t = solve_transition(
+            w_next, w_trunc, kept[first:hi], kept[first - 1 : hi - 1], eps, w_pinv, first
+        )
+    except InconsistentTransitionError:
+        if hi - first == 1:
+            raise
+        a_t = None  # replayed after the handler, so its refusal is not chained to this one
+    if a_t is None:
+        # A column factor that misses before the refused row factor is refused first.
+        for t in range(first, hi):
+            _chain_tile(tuple(x[t - lo : t - lo + 2] for x in tile), t, out, eps)
+        return
+    # U of step t without its last column (b's) is what A_t carries U of step t-1 to.
+    u_trim = u_fac[cur].copy()
+    u_trim[np.arange(hi - first), :, np.arange(first, hi)] = 0.0
+    u_prev = u_fac[prev]
+    _gate("column-factor", a_t @ u_prev - u_trim, u_prev, u_trim, eps, first, "|U|, |U'|")
+    trans[first:hi] = a_t
 
 
 def random_representation(seed: int, T: int, N: int) -> GeneralSssRepresentation:

@@ -1,6 +1,7 @@
 """Tests for representation extraction and materialization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdlab import ss_matrix, sss_extract
-from ssdlab._lowrank import balanced_factors, rank_of_singular_values, svd_with_rank
-from ssdlab.duality import _construct, count_block_new_columns
-from ssdlab.errors import InconsistentTransitionError, RankExceedsWidthError, ShapeMismatchError
+from ssdlab._lowrank import (
+    balanced_factors,
+    rank_of_singular_values,
+    svd_with_rank,
+    vector_signs,
+)
+from ssdlab.duality import _construct, construct_one_ss_dual, count_block_new_columns
+from ssdlab.errors import (
+    InconsistentTransitionError,
+    RankExceedsWidthError,
+    ShapeMismatchError,
+    SsdError,
+)
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import (
     _SWEEP_DROP_SHARE,
@@ -37,7 +48,12 @@ from ssdlab.sss_extract import (
     solve_transition,
 )
 from tests.conftest import random_lower_triangular, rel_fro
-from tests.oracles import ORACLE_MAX_T, numerical_rank, submatrix_rank_oracle
+from tests.oracles import (
+    ORACLE_MAX_T,
+    numerical_rank,
+    reference_extract_sss,
+    submatrix_rank_oracle,
+)
 
 
 def diagonal_as_general(ssm):
@@ -174,6 +190,23 @@ class TestSolveTransition:
         with pytest.raises(ShapeMismatchError):
             solve_transition(np.zeros((4, 2)), np.zeros((3, 2)), 1, 1)
 
+    def test_a_stack_solves_each_case_and_refuses_its_first_miss_by_step(self):
+        rng = np.random.default_rng(55)
+        w_next = rng.standard_normal((4, 6, 3))
+        mix = rng.standard_normal((4, 3, 3))
+        r_next, r_cur = np.array([3, 2, 3, 1]), np.array([3, 3, 2, 1])
+        # Case i has r_next[i] live columns of W, and W' r_cur[i] of them.
+        w_next *= np.arange(3) < r_next[:, None, None]
+        w_trunc = w_next @ (mix * (np.arange(3) < r_cur[:, None, None]))
+        stacked = solve_transition(w_next, w_trunc, r_next, r_cur)
+        for i in range(4):
+            single = solve_transition(w_next[i], w_trunc[i], r_next[i], r_cur[i])
+            assert rel_fro(stacked[i], single) <= 1e-12
+        w_trunc[2, 0, 0] += 1.0
+        w_trunc[3, 0, 0] += 1.0
+        with pytest.raises(InconsistentTransitionError, match="^row-factor residual .* at step 9 "):
+            solve_transition(w_next, w_trunc, r_next, r_cur, step=7)
+
 
 class TestExtractSss:
     def test_round_trip_on_diagonal_kernel(self):
@@ -240,6 +273,7 @@ class TestExtractSss:
             assert "above the requested width" in str(exc)
         except InconsistentTransitionError as exc:
             assert str(exc).startswith(("row-factor residual", "column-factor residual"))
+            assert " at step " in str(exc)
         else:
             assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-6
 
@@ -401,10 +435,9 @@ def span_test_kernel(family, seed, size, width, scaled):
 def reference_block_sweep(vals, eps, refactors):
     """``_block_sweep`` with [carry, column] built by ``np.column_stack`` (test oracle).
 
-    This is the step as first written, with the loop's sign normalization,
-    which ``test_sign_normalization_is_bitwise_the_loops`` pins to
-    ``svd_with_rank``. Every step t at which it refactors is appended to
-    ``refactors``.
+    This is the step as first written, with the signs ``np.linalg.svd``
+    returns, as the sweep keeps them. Every step t at which it refactors is
+    appended to ``refactors``.
     """
     carried = vals[:, :0]
     basis = np.zeros((0, 0))
@@ -412,12 +445,13 @@ def reference_block_sweep(vals, eps, refactors):
     before = 0  # carry width of the step before
     for t in range(len(vals)):
         col = vals[t:, t]
-        u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
+        u, s, vh = np.linalg.svd(np.column_stack([carried, col]), full_matrices=False)
         if dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
             refactors.append(t)
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
             carried, dropped = u * s, 0.0
-            u, s, vh, rank = svd_with_rank_loop(np.column_stack([carried, col]), eps)
+            u, s, vh = np.linalg.svd(np.column_stack([carried, col]), full_matrices=False)
+        rank = rank_of_singular_values(s, eps)
         mapped = np.column_stack([vh[:, :-1] @ basis, vh[:, -1]])
         level = np.finfo(float).eps * max(len(vals) - t, t + 1)
         keep = rank_of_singular_values(s, level)
@@ -451,7 +485,10 @@ class TestBlockSweep:
     def test_each_step_matches_the_dense_block(self, m, width):
         for t, step in enumerate(_block_sweep(m.values, DEFAULT_EPS)):
             w_dense, u_dense, rank_dense = rank_factor_step(m, t, width)
-            w_sweep, u_sweep = balanced_factors(step.u, step.s, step.right, step.rank, width)
+            # The sweep leaves signs free; rank_factor_step applies the shared sign rule.
+            signs = vector_signs(step.u)
+            u_signed, right_signed = step.u * signs, signs[:, None] * step.right
+            w_sweep, u_sweep = balanced_factors(u_signed, step.s, right_signed, step.rank, width)
             assert step.rank == rank_dense
             assert rel_fro(w_sweep, w_dense) <= 1e-10
             assert rel_fro(u_sweep, u_dense) <= 1e-10
@@ -678,10 +715,17 @@ class TestPerStepSolves:
 
         def recording(w_next, w_trunc, r_next, r_cur, *args, **kwargs):
             trans = original(w_next, w_trunc, r_next, r_cur, *args, **kwargs)
-            oracle = np.linalg.pinv(w_next, rcond=DEFAULT_EPS) @ w_trunc
-            oracle[r_next:, :] = 0.0
-            oracle[:, r_cur:] = 0.0
-            pairs.append((trans, oracle))
+            # Extraction solves a tile of steps in one call: check it case by case.
+            cases = zip(
+                *(np.reshape(x, (-1, *np.shape(x)[-2:])) for x in (trans, w_next, w_trunc)),
+                np.ravel(r_next),
+                np.ravel(r_cur),
+            )
+            for got, w_case, trunc_case, rows, cols in cases:
+                oracle = np.linalg.pinv(w_case, rcond=DEFAULT_EPS) @ trunc_case
+                oracle[rows:, :] = 0.0
+                oracle[:, cols:] = 0.0
+                pairs.append((got, oracle))
             return trans
 
         monkeypatch.setattr(sss_extract, "solve_transition", recording)
@@ -741,6 +785,126 @@ class TestPerStepSolves:
             peaks = np.abs(want[0]) == np.abs(want[0]).max(axis=0)
             tied += int(np.count_nonzero(peaks.sum(axis=0) > 1))
         assert tied > 0
+
+
+def rank_jump_matrix():
+    """A width-3 representation plus one entry at (60, 45): blocks 45 to 60 have rank 4."""
+    vals = materialize_sss(random_representation(81, 70, 3)).values.copy()
+    vals[60, 45] += 1.0
+    return LowerTriangularMatrix(vals)
+
+
+def refusal_pair_matrix(offset):
+    """Diagonal blocks: a width-3 representation of size ``offset``, then ``big_row_matrix(1e16)``
+    scaled to 1, whose column factor misses at its step 2, then a noisy width-3 representation,
+    whose row factor misses at its step 3, six steps later in the same tile."""
+    vals = np.zeros((offset + 25, offset + 25))
+    if offset:
+        head = materialize_sss(random_representation(82, offset, 3)).values
+        vals[:offset, :offset] = head / np.abs(head).max()
+    vals[offset : offset + 5, offset : offset + 5] = big_row_matrix(1e16).values / 1e16
+    tail = noisy_representation(0, 20, 3, 1e-11).values
+    vals[offset + 5 :, offset + 5 :] = tail / np.abs(tail).max()
+    return LowerTriangularMatrix(vals)
+
+
+#: (matrix, width) on which tiled extraction is checked against the step-by-step reference:
+#: refusals of every kind, in the first tile and later ones, and tile-edge sizes.
+REFERENCE_FAMILIES = [
+    *SWEEP_FAMILIES,
+    *CHAIN_BREAKING,
+    *SPAN_FAMILIES,
+    *[
+        pytest.param(
+            noisy_representation(seed, size, 4, level), 4, id=f"noisy-{size}-{level:.0e}-{seed}"
+        )
+        for size in (40, 100)
+        for level in (1e-13, 1e-12, 1e-10)
+        for seed in range(3)
+    ],
+    *[
+        pytest.param(
+            materialize_sss(random_representation(size, size, 4)), 4, id=f"random-rep-T{size}"
+        )
+        for size in (1, 2, 31, 32, 33, 64, 65)
+    ],
+    pytest.param(rank_jump_matrix(), 3, id="rank-jump-45"),
+    *[pytest.param(refusal_pair_matrix(k), 3, id=f"refusal-pair-{k}") for k in (0, 40)],
+]
+
+
+def extraction_outcome(extract, m, width):
+    """The representation, or the refusal's class, first word (its gate) and the step it names."""
+    try:
+        return extract(m, width)
+    except (RankExceedsWidthError, InconsistentTransitionError) as exc:
+        step = int(re.search(r"at step (\d+)", str(exc)).group(1))
+        return type(exc), str(exc).split()[0], step
+
+
+class TestTiledExtraction:
+    """``extract_sss`` solves and gates a tile of steps at once, the reference step by step."""
+
+    @pytest.mark.parametrize("m, width", REFERENCE_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_matches_the_step_by_step_reference(self, m, width):
+        got = extraction_outcome(extract_sss, m, width)
+        want = extraction_outcome(reference_extract_sss, m, width)
+        assert isinstance(got, tuple) == isinstance(want, tuple), (got, want)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.r == want.r
+        for name in ("A", "b", "c"):
+            assert rel_fro(getattr(got, name), getattr(want, name)) <= 1e-12, name
+
+    def test_refusals_cover_every_kind_past_the_first_tile(self):
+        outcomes = [
+            extraction_outcome(extract_sss, *p.values)
+            for p in REFERENCE_FAMILIES
+            if p.values[0].T > _TILE
+        ]
+        refusals = {(o[1], o[2] > _TILE) for o in outcomes if isinstance(o, tuple)}
+        assert {("block", True), ("row-factor", True), ("column-factor", True)} <= refusals
+
+    @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
+    @pytest.mark.filterwarnings("ignore:borderline new-column decision")
+    def test_sweep_signs_change_no_output(self, monkeypatch, m, width):
+        # On these matrices LAPACK's SVD of a matrix with negated columns is the negated SVD
+        # bit for bit; on some rank-deficient ones it differs in the last bit of a free direction.
+        def outputs():
+            blocks = count_block_new_columns(m)
+            try:
+                factors = construct_one_ss_dual(m, width)
+                dual = [factors.p.tobytes(), factors.Q.tobytes(), factors.K.tobytes()]
+            except SsdError as exc:
+                dual = type(exc)
+            rep = extraction_outcome(extract_sss, m, width)
+            if isinstance(rep, GeneralSssRepresentation):
+                rep = [rep.A.tobytes(), rep.b.tobytes(), rep.c.tobytes(), rep.r]
+            return (
+                semiseparable_rank(m),
+                [(b.start, b.end, b.new) for b in blocks],
+                [None if c is None else c.tobytes() for b in blocks for c in b.coeffs],
+                dual,
+                rep,
+            )
+
+        want = outputs()
+        original, calls = np.linalg.svd, []
+
+        def negating_svd(a, *args, **kwargs):
+            u, s, vh = original(a, *args, **kwargs)
+            calls.append(len(s))
+            signs = np.where((np.arange(len(s)) + len(calls)) % 3 == 1, -1.0, 1.0)
+            return u * signs, s, vh * signs[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", negating_svd)
+        got = outputs()
+        assert calls
+        names = ("rank", "verdicts", "coefficients", "dual", "extraction")
+        for name, g, w in zip(names, got, want):
+            assert g == w, name
 
 
 class TestRepresentationProperties:
