@@ -22,8 +22,9 @@ rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank``,
 ``extract``, ``counterexample non-dualizable`` and ``softmax`` (at every T up
 to ``SOFTMAX_MAX_T``), ``gen ssm``,
 ``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
-name of ``--out``), and ``bench`` at one point and over a grid (its CSV table
-and its JSON summary file); and what
+name of ``--out``), and ``bench`` on each of its three counted paths:
+``materialized`` at one point, ``recurrence`` over a grid of T and ``ssd``
+over a grid of d (its CSV table and its JSON summary file); and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines; and the outcomes on
@@ -198,6 +199,7 @@ def dump() -> dict[str, object]:
                 "gen/matrix-csv": ["gen", "matrix", *seeded, "--T", "8", "--out", "m.csv"],
                 "bench": [*bench, "--path", "materialized", "--T", "16"],
                 "bench/grid": [*bench, "--path", "recurrence", "--T", "8,16,32", "--N", "2"],
+                "bench/ssd": [*bench, "--path", "ssd", "--T", "12", "--N", "3", "--d", "1,2,4"],
             }
             cwd = os.getcwd()
             os.chdir(work)

@@ -14,6 +14,8 @@ one multiply-accumulate slot); ``additions`` tallies scalar additions.
 Peak live elements charge the model parameters plus every intermediate
 the algorithm materializes, with all per-mode intermediates of the linear
 path held simultaneously; the caller-owned input sequence is not charged.
+Nothing is freed during a run, so under this all-live model the peak is
+the sum of every element charged.
 A streaming implementation that drops each mode's intermediates after its
 reduction step would need only O(Td) extra, which the all-live model here
 deliberately does not assume. Likewise the counted materialized path
@@ -37,23 +39,21 @@ PATHS = tuple(FORWARD_PATHS)
 
 
 class FlopCounter:
-    """Mutable tally of scalar operations and live-element watermark."""
+    """Mutable tally of scalar operations and of elements charged live.
 
-    __slots__ = ("madds", "adds", "live", "peak_live")
+    Each run gets a fresh counter and frees nothing before it ends, so under
+    the all-live model ``peak_live`` is the sum of every ``alloc``.
+    """
+
+    __slots__ = ("madds", "adds", "peak_live")
 
     def __init__(self) -> None:
         self.madds = 0
         self.adds = 0
-        self.live = 0
         self.peak_live = 0
 
     def alloc(self, count: int) -> None:
-        self.live += count
-        if self.live > self.peak_live:
-            self.peak_live = self.live
-
-    def release(self, count: int) -> None:
-        self.live -= count
+        self.peak_live += count
 
 
 class CountedValue:
@@ -72,6 +72,10 @@ class CountedValue:
     def __add__(self, other: "CountedValue") -> "CountedValue":
         self.counter.adds += 1
         return CountedValue(self.value + other.value, self.counter)
+
+
+#: Row-major scalars of a counted array: model parameters, input, output.
+_Grid = list[list[CountedValue]]
 
 
 @json_record(
@@ -98,31 +102,16 @@ class FlopReport:
     peak_live_elements: int
 
 
-def _wrap(arr: np.ndarray, counter: FlopCounter) -> list[list[CountedValue]]:
-    return [[CountedValue(float(v), counter) for v in row] for row in np.atleast_2d(arr)]
-
-
-def _unwrap(grid: list[list[CountedValue]]) -> np.ndarray:
-    return np.array([[v.value for v in row] for row in grid])
-
-
-def _counted_ssd(ssm: DiagonalSsm, x: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    steps, modes = ssm.T, ssm.N
-    d = x.shape[1]
-    a = _wrap(ssm.a_diag, counter)
-    b = _wrap(ssm.b, counter)
-    c = _wrap(ssm.c, counter)
-    counter.alloc(3 * steps * modes)
-    xg = _wrap(x, counter)
-
+def _counted_ssd(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
+    steps, modes, d = len(a), len(a[0]), len(x[0])
     scaled = []
     for n in range(modes):
-        z = [[b[t][n] * xg[t][s] for s in range(d)] for t in range(steps)]
+        z = [[b[t][n] * x[t][s] for s in range(d)] for t in range(steps)]
         counter.alloc(steps * d)
         scaled.append(z)
     carried = []
     for n in range(modes):
-        h: list[list[CountedValue]] = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
+        h: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
         for s in range(d):
             carry = CountedValue(0.0, counter)
             for t in range(steps):
@@ -141,47 +130,31 @@ def _counted_ssd(ssm: DiagonalSsm, x: np.ndarray, counter: FlopCounter) -> np.nd
         for t in range(steps):
             for s in range(d):
                 acc[t][s] = acc[t][s] + weighted[n][t][s]
-    result = _unwrap(acc)
-    counter.release(3 * steps * modes + 3 * modes * steps * d + steps * d)
-    return result
+    return acc
 
 
-def _counted_recurrence(ssm: DiagonalSsm, x: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    steps, modes = ssm.T, ssm.N
-    d = x.shape[1]
-    a = _wrap(ssm.a_diag, counter)
-    b = _wrap(ssm.b, counter)
-    c = _wrap(ssm.c, counter)
-    counter.alloc(3 * steps * modes)
-    xg = _wrap(x, counter)
+def _counted_recurrence(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
+    steps, modes, d = len(a), len(a[0]), len(x[0])
     h = [[CountedValue(0.0, counter) for _ in range(d)] for _ in range(modes)]
     counter.alloc(modes * d)
-    y: list[list[CountedValue]] = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
+    y: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
     counter.alloc(steps * d)
     for t in range(steps):
         for n in range(modes):
             for s in range(d):
-                h[n][s] = a[t][n] * h[n][s] + b[t][n] * xg[t][s]
+                h[n][s] = a[t][n] * h[n][s] + b[t][n] * x[t][s]
         for s in range(d):
             out = CountedValue(0.0, counter)
             for n in range(modes):
                 out = out + c[t][n] * h[n][s]
             y[t][s] = out
-    result = _unwrap(y)
-    counter.release(3 * steps * modes + modes * d + steps * d)
-    return result
+    return y
 
 
-def _counted_materialized(ssm: DiagonalSsm, x: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    steps, modes = ssm.T, ssm.N
-    d = x.shape[1]
-    a = _wrap(ssm.a_diag, counter)
-    b = _wrap(ssm.b, counter)
-    c = _wrap(ssm.c, counter)
-    counter.alloc(3 * steps * modes)
-    xg = _wrap(x, counter)
+def _counted_materialized(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
+    steps, modes, d = len(a), len(a[0]), len(x[0])
     zero = CountedValue(0.0, counter)
-    kernel: list[list[CountedValue]] = [[zero] * steps for _ in range(steps)]
+    kernel: _Grid = [[zero] * steps for _ in range(steps)]
     counter.alloc(steps * steps)
     counter.alloc(modes)  # running product vector
     for i in range(steps):
@@ -193,17 +166,15 @@ def _counted_materialized(ssm: DiagonalSsm, x: np.ndarray, counter: FlopCounter)
             for n in range(modes):
                 entry = entry + c[j][n] * v[n]
             kernel[j][i] = entry
-    y: list[list[CountedValue]] = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
+    y: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
     counter.alloc(steps * d)
     for t in range(steps):
         for s in range(d):
             out = CountedValue(0.0, counter)
             for i in range(t + 1):
-                out = out + kernel[t][i] * xg[i][s]
+                out = out + kernel[t][i] * x[i][s]
             y[t][s] = out
-    result = _unwrap(y)
-    counter.release(3 * steps * modes + steps * steps + modes + steps * d)
-    return result
+    return y
 
 
 _COUNTED = {
@@ -223,24 +194,25 @@ def count_flops(path: str, T: int, N: int, d: int, seed: int) -> FlopReport:
     they are counted on.
     """
     _, counter = counted_forward(path, *random_instance(seed, T, N, d))
-    return FlopReport(
-        path=path,
-        T=T,
-        N=N,
-        d=d,
-        multiply_adds=counter.madds,
-        additions=counter.adds,
-        peak_live_elements=counter.peak_live,
-    )
+    return FlopReport(path, T, N, d, counter.madds, counter.adds, counter.peak_live)
 
 
 def counted_forward(path: str, ssm: DiagonalSsm, x: np.ndarray) -> tuple[np.ndarray, FlopCounter]:
-    """Counting-mode output and counter for an explicit instance."""
+    """Counting-mode output and counter for an explicit instance.
+
+    The model and the input are wrapped, and the 3TN parameters charged,
+    here once; the kernel charges only what it materializes.
+    """
     if path not in _COUNTED:
         raise ValueError(f"unknown path {path!r}, expected one of {PATHS}")
     counter = FlopCounter()
-    result = _COUNTED[path](ssm, x, counter)
-    return result, counter
+    grids = [
+        [[CountedValue(float(v), counter) for v in row] for row in np.atleast_2d(arr)]
+        for arr in (ssm.a_diag, ssm.b, ssm.c, x)
+    ]
+    counter.alloc(3 * ssm.T * ssm.N)
+    out = _COUNTED[path](*grids, counter)
+    return np.array([[v.value for v in row] for row in out]), counter
 
 
 @dataclass(frozen=True)
@@ -284,28 +256,18 @@ def scaling_experiment(
     varied = [name for name, vals in axes.items() if len(set(vals)) >= 2]
     for name in varied:
         if len(set(axes[name])) < 3:
-            raise DegenerateGridError(
-                f"axis {name} is varied but has fewer than 3 distinct points"
-            )
-    base = {name: vals[0] for name, vals in axes.items()}
-    cache: dict[tuple[int, int, int], FlopReport] = {}
-
-    def report_at(dims: dict[str, int]) -> FlopReport:
-        key = (dims["T"], dims["N"], dims["d"])
-        if key not in cache:
-            cache[key] = count_flops(path, dims["T"], dims["N"], dims["d"], seed)
-        return cache[key]
-
+            raise DegenerateGridError(f"axis {name} is varied but has fewer than 3 distinct points")
+    base = [vals[0] for vals in axes.values()]
+    # Each varied axis's line of (T, N, d) points; the base point alone when none varies.
+    lines = {
+        name: [tuple(value if axis == name else pin for axis, pin in zip(axes, base))
+               for value in axes[name]]
+        for name in varied
+    }
+    points = sorted({key for line in lines.values() for key in line} or {tuple(base)})
+    reports = {key: count_flops(path, *key, seed) for key in points}
     slopes = {}
-    for name in varied:
-        counts = []
-        for value in axes[name]:
-            dims = dict(base)
-            dims[name] = value
-            counts.append(report_at(dims).multiply_adds)
-        slope = np.polyfit(np.log(axes[name]), np.log(counts), 1)[0]
-        slopes[name] = float(slope)
-    if not cache:
-        report_at(base)
-    reports = sorted(cache.values(), key=lambda r: (r.T, r.N, r.d))
-    return ScalingResult(path=path, reports=reports, slopes=slopes)
+    for name, line in lines.items():
+        counts = [reports[key].multiply_adds for key in line]
+        slopes[name] = float(np.polyfit(np.log(axes[name]), np.log(counts), 1)[0])
+    return ScalingResult(path=path, reports=list(reports.values()), slopes=slopes)

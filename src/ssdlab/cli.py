@@ -257,18 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--eps", type=float, default=DEFAULT_EPS,
-            help="relative tolerance (default %(default)s)",
-        )
+    def common(p: argparse.ArgumentParser, *shared: str) -> None:
+        """--out and --config, plus those of --eps, --format and --seed named in ``shared``."""
+        if "eps" in shared:
+            p.add_argument(
+                "--eps", type=float, default=DEFAULT_EPS,
+                help="relative tolerance (default %(default)s)",
+            )
         p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="pretty",
-            help="output format (default %(default)s)",
-        )
+        if "format" in shared:
+            p.add_argument(
+                "--format", choices=("json", "csv", "pretty"), default="pretty",
+                help="output format (default %(default)s)",
+            )
         p.add_argument("--config", help="JSON file supplying defaults for flags")
-        p.add_argument("--seed", type=int, help="seed for randomized commands")
+        if "seed" in shared:
+            p.add_argument("--seed", type=int, help="seed of the random draw (mandatory)")
 
     p_forward = sub.add_parser("forward", help="run a model on an input sequence")
     p_forward.add_argument("--ssm", required=True, help="model JSON file")
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--path", choices=(*ssm_mod.FORWARD_PATHS, "all"), default="all",
         help="forward path, or all three compared (default %(default)s)",
     )
-    common(p_forward)
+    common(p_forward, "eps", "format")
 
     p_check = sub.add_parser("check-dual", help="build or decide masked-attention duals")
     p_check.add_argument(
@@ -286,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--ssm", help="model JSON file (constructive modes)")
     p_check.add_argument("--matrix", help="matrix file (representability mode)")
     p_check.add_argument("--N", type=int, help="factor width (representability mode)")
-    common(p_check)
+    common(p_check, "eps")
 
     p_extract = sub.add_parser("extract", help="recover a state-space representation")
     p_extract.add_argument("--matrix", required=True, help="matrix file (.csv or .json)")
     p_extract.add_argument("--N", type=int, required=True, help="representation width")
-    common(p_extract)
+    common(p_extract, "eps")
 
     p_counter = sub.add_parser("counterexample", help="run an impossibility demonstration")
     p_counter.add_argument("which", choices=("softmax", "non-dualizable"))
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument(
         "--N", type=int, default=2, help="dual width to refute (default %(default)s)"
     )
-    common(p_counter)
+    common(p_counter, "format")
 
     p_bench = sub.add_parser("bench", help="count operations and fit scaling exponents")
     grid_help = "comma-separated grid values (default %(default)s)"
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--N", default="4", help=grid_help)
     p_bench.add_argument("--d", default="2", help=grid_help)
     p_bench.add_argument("--summary-out", help="JSON summary file")
-    common(p_bench)
+    common(p_bench, "seed")
 
     p_gen = sub.add_parser("gen", help="generate a random model, sequence, or matrix")
     p_gen.add_argument("kind", choices=("ssm", "sequence", "matrix"))
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--scalar-identity", action="store_true", help="one gain shared by every mode"
     )
-    common(p_gen)
+    common(p_gen, "format", "seed")
 
     return parser
 

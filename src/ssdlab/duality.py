@@ -28,6 +28,7 @@ from .ss_matrix import (
     DEFAULT_EPS,
     BlockNewColumns,
     LowerTriangularMatrix,
+    _check_finite,
     _check_width,
     _new_column_sweep,
     _segment_product_apply,
@@ -65,6 +66,7 @@ class MaskedAttentionFactors:
                 f"inconsistent factor shapes: p {p.shape}, Q {q.shape}, K {k.shape}"
             )
         for name, arr in (("p", p), ("Q", q), ("K", k)):
+            _check_finite(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -1,7 +1,22 @@
 """Semiseparable-matrix primitives.
 
-The 1SS operator, semiseparable rank, new-column detection, and
-diagonal-block partitioning of dense lower triangular matrices.
+What the module holds:
+
+- the codecs: ``array_to_csv``/``array_from_csv`` and the ``json_record``
+  decorator, with the one finiteness rule for entries (``_check_finite``);
+- the records ``LowerTriangularMatrix`` and ``MaskVector``;
+- the kernel panel walk, ``_segment_product_panels``, that builds dense
+  segment-product kernels (``_segment_product_kernel``, the 1SS operator
+  ``one_ss``) and applies them (``_segment_product_apply``) one row panel
+  at a time;
+- the block sweep, ``_block_sweep``, one ``SweepStep`` per lower-left block,
+  which ``semiseparable_rank`` reads;
+- the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
+  detection (``new_columns``, ``_new_column_sweep``) and diagonal-block
+  partitioning (``diagonal_block_partition``);
+- small helpers the other modules share: ``rel_err``, ``_check_width`` and
+  ``blocks_from_cuts``.
+
 All indices in this package are 0-based.
 """
 
@@ -300,6 +315,8 @@ def _block_sweep(vals: np.ndarray, eps: float):
     the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
     (at most block t's s[0], which stands in for a zero column), L[1:] and
     Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
+    ``vals`` is lower triangular, so its column norms, taken in one call,
+    are those of the columns on and below the diagonal.
 
     Each step writes G_t into one fresh array: the next carry as the
     product of the step's u[1:] and s, and column t in its last column.
@@ -310,11 +327,12 @@ def _block_sweep(vals: np.ndarray, eps: float):
     basis = np.zeros((0, 0))
     dropped = 0.0
     width = 0  # carry width of the step before
+    col_norms = np.linalg.norm(vals, axis=0)
     for t in range(size):
         col = vals[t:, t]
         pair[:, -1] = col
         u, s, vh = np.linalg.svd(pair, full_matrices=False)
-        if dropped and dropped > _SWEEP_DROP_SHARE * eps * (float(np.linalg.norm(col)) or s[0]):
+        if dropped and dropped > _SWEEP_DROP_SHARE * eps * (col_norms[t] or s[0]):
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
             pair = np.empty((size - t, s.size + 1))
             np.multiply(u, s, out=pair[:, :-1])

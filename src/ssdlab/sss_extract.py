@@ -28,6 +28,7 @@ from .ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
+    _check_finite,
     _check_width,
     json_record,
 )
@@ -64,6 +65,8 @@ class GeneralSssRepresentation:
             )
         if steps < 1 or width < 1:
             raise ShapeMismatchError("T and N must both be at least 1")
+        for arr in (a, b, c):
+            _check_finite(arr)
         if np.any(a[0] != np.eye(width)):
             raise ValueError("A[0] must be the identity (it multiplies the zero state)")
         ranks = tuple(int(v) for v in self.r)

@@ -59,6 +59,25 @@ class TestCountFlops:
             count_flops("softmax", 8, 1, 1, seed=0)
 
 
+def closed_forms(path, T, N, d):
+    """(multiply-adds, additions, peak live elements) of one counted run, in closed form."""
+    params, tri = 3 * T * N, T * (T + 1) // 2
+    if path == "ssd":
+        return 3 * N * T * d, 2 * N * T * d, params + 3 * N * T * d + T * d
+    if path == "recurrence":
+        return 3 * N * T * d, 2 * N * T * d, params + N * d + T * d
+    return N * T * T + d * tri, (N + d) * tri, params + T * T + N + T * d
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("path", ["ssd", "recurrence", "materialized"])
+    @pytest.mark.parametrize("dims", [(7, 3, 2), (16, 4, 1), (5, 1, 3)], ids=str)
+    def test_counts_equal_their_closed_forms(self, path, dims):
+        report = count_flops(path, *dims, seed=0)
+        counted = (report.multiply_adds, report.additions, report.peak_live_elements)
+        assert counted == closed_forms(path, *dims)
+
+
 class TestCountingKernelsMatchProduction:
     def test_ssd(self):
         ssm, x = random_instance(3, 32, 4, 3)

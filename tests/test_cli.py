@@ -269,21 +269,39 @@ class TestDefaults:
         "argv, defaults",
         [
             (("bench", "--seed", "1"), ("--path", "ssd", "--T", "64", "--N", "4", "--d", "2")),
-            (("gen", "ssm", "--seed", "1"), GEN_DEFAULTS),
-            (("gen", "sequence", "--seed", "1"), GEN_DEFAULTS),
-            (("gen", "matrix", "--seed", "1"), GEN_DEFAULTS),
-            (("counterexample", "non-dualizable", "--T", "5"), ("--N", "2")),
-            (("forward", "--ssm", "ssm.json", "--input", "x.csv"), ("--path", "all")),
+            (("gen", "ssm", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
+            (("gen", "sequence", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
+            (("gen", "matrix", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
+            (("counterexample", "non-dualizable", "--T", "5"), ("--N", "2", "--format", "pretty")),
+            (
+                ("forward", "--ssm", "ssm.json", "--input", "x.csv"),
+                ("--path", "all", "--eps", "1e-9", "--format", "pretty"),
+            ),
         ],
         ids=["bench", "gen-ssm", "gen-sequence", "gen-matrix", "counterexample", "forward"],
     )
     def test_spelled_out_defaults_change_nothing(self, workdir, argv, defaults):
-        common = ("--eps", "1e-9", "--format", "pretty")
         bare = run_cli(*argv, "--out", "bare.out", cwd=workdir)
-        spelled = run_cli(*argv, *defaults, *common, "--out", "spelled.out", cwd=workdir)
+        spelled = run_cli(*argv, *defaults, "--out", "spelled.out", cwd=workdir)
         assert bare.returncode == 0
         assert (bare.returncode, bare.stdout) == (spelled.returncode, spelled.stdout)
         assert (workdir / "bare.out").read_bytes() == (workdir / "spelled.out").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extract", "--matrix", "corner5.csv", "--N", "2", "--format", "json"),
+            ("check-dual", "--mode", "representability", "--matrix", "corner5.csv", "--N", "2",
+             "--seed", "1"),
+            ("bench", "--seed", "1", "--T", "8", "--eps", "1e-9"),
+        ],
+        ids=["extract-format", "check-dual-seed", "bench-eps"],
+    )
+    def test_shared_flag_the_command_does_not_read_is_refused(self, workdir, argv):
+        proc = run_cli(*argv, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: " + argv[-2] in proc.stderr
 
 
 class TestConfigFile:
@@ -327,10 +345,10 @@ class TestConfigFile:
             (("check-dual", "--mode", "representability", "--matrix", "corner5.csv"),
              {"N": "two"}),
             (("extract", "--matrix", "corner5.csv", "--N", "2"), {"eps": [1e-9]}),
-            (("bench", "--seed", "1"), {"format": "xml"}),
+            (("bench", "--seed", "1"), {"path": "softmax"}),
             (("gen", "ssm", "--seed", "1"), {"scalar_identity": "no"}),
         ],
-        ids=["check-dual-N", "extract-eps", "bench-format", "gen-switch"],
+        ids=["check-dual-N", "extract-eps", "bench-path", "gen-switch"],
     )
     def test_values_their_flags_reject_are_input_errors(self, workdir, argv, config):
         (workdir / "cfg.json").write_text(json.dumps(config))

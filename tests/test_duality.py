@@ -544,3 +544,9 @@ class TestFactorsSerialization:
         assert np.array_equal(factors.p, again.p)
         assert np.array_equal(factors.Q, again.Q)
         assert np.array_equal(factors.K, again.K)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_from_json_refuses_non_finite_entries(self, value):
+        record = {"p": [1.0, 1.0], "Q": [[1.0], [value]], "K": [[1.0], [1.0]]}
+        with pytest.raises(ValueError, match="finite"):
+            MaskedAttentionFactors.from_json(json.dumps(record))

@@ -1,5 +1,6 @@
 """Tests for representation extraction and materialization."""
 
+import json
 import math
 import re
 import warnings
@@ -941,3 +942,10 @@ class TestRepresentationProperties:
         assert np.array_equal(rep.b, again.b)
         assert np.array_equal(rep.c, again.c)
         assert rep.r == again.r
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_from_json_refuses_non_finite_entries(self, value):
+        record = random_representation(9, 8, 2).to_dict()
+        record["b"][3][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            GeneralSssRepresentation.from_json(json.dumps(record))
