@@ -24,7 +24,11 @@ to ``SOFTMAX_MAX_T``), ``gen ssm``,
 ``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
 name of ``--out``), and ``bench`` on each of its three counted paths:
 ``materialized`` at one point, ``recurrence`` over a grid of T and ``ssd``
-over a grid of d (its CSV table and its JSON summary file); and what
+over a grid of d (its CSV table and its JSON summary file); the output
+array and the counter fields (multiply-adds, additions, peak live elements)
+of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
+(33, 8, 2), which the counts ``bench`` writes alone would not show a
+reordered reduction in; and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines; and the outcomes on
@@ -111,6 +115,7 @@ def _span_coeffs(blocks) -> np.ndarray:
 
 def dump() -> dict[str, object]:
     from ssdlab import cli
+    from ssdlab.bench import counted_forward
     from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
@@ -145,6 +150,13 @@ def dump() -> dict[str, object]:
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
         long_model, long_x = random_instance(seed, 600, 4, 2)
+        for dims in ((40, 17, 1), (33, 8, 2)):
+            counted_model, counted_x = random_instance(seed, *dims)
+            for path in ("ssd", "recurrence", "materialized"):
+                y, counter = counted_forward(path, counted_model, counted_x)
+                key = f"counted_forward/{path}/{'x'.join(map(str, dims))}/{seed}"
+                out[key] = y
+                out[f"{key}/counts"] = (counter.madds, counter.adds, counter.peak_live)
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             (work / "ssm.json").write_text(model.to_json())

@@ -1,21 +1,30 @@
 """Operation-count instrumentation and scaling experiments.
 
-Counts come from running dedicated counting kernels whose scalars are
-wrapped so every multiplication and addition tallies on a shared counter;
-nothing is estimated from closed-form formulas. Counting kernels use
-uniform loops with zero-initialized accumulators (the first scan step
-multiplies the zero carry, reductions start from zeros), so the three
-paths charge the same operation slots they would in a branch-free
-implementation and the linear path counts scale exactly with T, N and d.
-Nothing here is timed: the tallies are the machine-independent measure.
+Counts come from running dedicated counting kernels over wrapped arrays:
+the model, the input and every intermediate are ``CountedArray``s, and
+each elementwise multiplication or addition charges the shared counter
+one operation per element of its result (a broadcast (T, 1) x (1, d)
+product charges T*d); nothing is estimated from closed-form formulas.
+The kernels loop in Python only along the axis that is really
+sequential (the step t of the scan and the recurrence, the kernel column
+i of the materialized path) and keep each output element's scalar
+arithmetic order, so the outputs are bitwise those of a scalar loop.
+They use zero-initialized accumulators (the first scan step multiplies
+the zero carry, reductions start from zeros), so the three paths charge
+the same operation slots they would in a branch-free implementation and
+the linear path counts scale exactly with T, N and d. Nothing here is
+timed: the tallies are the machine-independent measure.
 
 Counting convention: ``multiply_adds`` tallies multiplications (each is
 one multiply-accumulate slot); ``additions`` tallies scalar additions.
 Peak live elements charge the model parameters plus every intermediate
 the algorithm materializes, with all per-mode intermediates of the linear
 path held simultaneously; the caller-owned input sequence is not charged.
-Nothing is freed during a run, so under this all-live model the peak is
-the sum of every element charged.
+The ``alloc`` charges are those of the scalar algorithm (one running
+product vector of N entries in the materialized path, for instance), not
+of the working arrays a vectorized step holds for a moment. Nothing is
+freed during a run, so under this all-live model the peak is the sum of
+every element charged.
 A streaming implementation that drops each mode's intermediates after its
 reduction step would need only O(Td) extra, which the all-live model here
 deliberately does not assume. Likewise the counted materialized path
@@ -33,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateGridError
 from .ss_matrix import json_record
-from .ssm import FORWARD_PATHS, DiagonalSsm, random_instance
+from .ssm import FORWARD_PATHS, DiagonalSsm, _check_sequence, random_instance
 
 PATHS = tuple(FORWARD_PATHS)
 
@@ -56,26 +65,64 @@ class FlopCounter:
         self.peak_live += count
 
 
-class CountedValue:
-    """Float wrapper that reports each multiply and add to a FlopCounter."""
+class CountedArray:
+    """Array wrapper that reports each elementwise multiply and add to a FlopCounter.
+
+    A product or sum charges one operation per element of its (broadcast)
+    result. Indexing and storing are free: a view shares the counter, and
+    ``counted[key] = other`` copies values without charging.
+    """
 
     __slots__ = ("value", "counter")
 
-    def __init__(self, value: float, counter: FlopCounter) -> None:
+    def __init__(self, value: np.ndarray, counter: FlopCounter) -> None:
         self.value = value
         self.counter = counter
 
-    def __mul__(self, other: "CountedValue") -> "CountedValue":
-        self.counter.madds += 1
-        return CountedValue(self.value * other.value, self.counter)
+    def __mul__(self, other: "CountedArray") -> "CountedArray":
+        product = self.value * other.value
+        self.counter.madds += product.size
+        return CountedArray(product, self.counter)
 
-    def __add__(self, other: "CountedValue") -> "CountedValue":
-        self.counter.adds += 1
-        return CountedValue(self.value + other.value, self.counter)
+    def __add__(self, other: "CountedArray") -> "CountedArray":
+        total = self.value + other.value
+        self.counter.adds += total.size
+        return CountedArray(total, self.counter)
+
+    def __getitem__(self, key) -> "CountedArray":
+        return CountedArray(self.value[key], self.counter)
+
+    def __setitem__(self, key, other: "CountedArray") -> None:
+        self.value[key] = other.value
+
+    @property
+    def T(self) -> "CountedArray":
+        """The transposed view, free like any other view."""
+        return CountedArray(self.value.T, self.counter)
+
+    def running_product(self) -> "CountedArray":
+        """Row j is the product of rows 0..j, multiplied left to right.
+
+        Every row after the first costs one multiply per element.
+        """
+        products = np.multiply.accumulate(self.value, axis=0)
+        self.counter.madds += products.size - products[:1].size
+        return CountedArray(products, self.counter)
+
+    def ascending_sum(self) -> "CountedArray":
+        """Sum of the rows, added one by one in ascending order to a zero accumulator.
+
+        Each row costs one addition per element. ``np.add.accumulate`` keeps
+        that order; ``np.sum`` would add pairwise and change the bits.
+        """
+        zero = np.zeros((1, *self.value.shape[1:]))
+        total = np.add.accumulate(np.concatenate([zero, self.value]), axis=0)[-1]
+        self.counter.adds += self.value.size
+        return CountedArray(total, self.counter)
 
 
-#: Row-major scalars of a counted array: model parameters, input, output.
-_Grid = list[list[CountedValue]]
+def _zeros(counter: FlopCounter, *shape: int) -> CountedArray:
+    return CountedArray(np.zeros(shape), counter)
 
 
 @json_record(
@@ -102,78 +149,58 @@ class FlopReport:
     peak_live_elements: int
 
 
-def _counted_ssd(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
-    steps, modes, d = len(a), len(a[0]), len(x[0])
-    scaled = []
-    for n in range(modes):
-        z = [[b[t][n] * x[t][s] for s in range(d)] for t in range(steps)]
-        counter.alloc(steps * d)
-        scaled.append(z)
-    carried = []
-    for n in range(modes):
-        h: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
-        for s in range(d):
-            carry = CountedValue(0.0, counter)
-            for t in range(steps):
-                carry = a[t][n] * carry + scaled[n][t][s]
-                h[t][s] = carry
-        counter.alloc(steps * d)
-        carried.append(h)
-    weighted = []
-    for n in range(modes):
-        y_n = [[c[t][n] * carried[n][t][s] for s in range(d)] for t in range(steps)]
-        counter.alloc(steps * d)
-        weighted.append(y_n)
-    acc = [[CountedValue(0.0, counter) for _ in range(d)] for _ in range(steps)]
+def _counted_ssd(
+    a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
+) -> CountedArray:
+    steps, modes, d = *a.value.shape, x.value.shape[1]
+    scaled = b[:, :, None] * x[:, None, :]
+    counter.alloc(modes * steps * d)
+    carried = _zeros(counter, steps, modes, d)
+    carry = _zeros(counter, modes, d)
+    for t in range(steps):
+        carry = a[t, :, None] * carry + scaled[t]
+        carried[t] = carry
+    counter.alloc(modes * steps * d)
+    weighted = c[:, :, None] * carried
+    counter.alloc(modes * steps * d)
+    acc = _zeros(counter, steps, d)
     counter.alloc(steps * d)
-    for n in range(modes):
-        for t in range(steps):
-            for s in range(d):
-                acc[t][s] = acc[t][s] + weighted[n][t][s]
+    for n in range(modes):  # ascending, as forward_ssd reduces
+        acc = acc + weighted[:, n]
     return acc
 
 
-def _counted_recurrence(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
-    steps, modes, d = len(a), len(a[0]), len(x[0])
-    h = [[CountedValue(0.0, counter) for _ in range(d)] for _ in range(modes)]
+def _counted_recurrence(
+    a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
+) -> CountedArray:
+    steps, modes, d = *a.value.shape, x.value.shape[1]
+    h = _zeros(counter, modes, d)
     counter.alloc(modes * d)
-    y: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
+    y = _zeros(counter, steps, d)
     counter.alloc(steps * d)
     for t in range(steps):
-        for n in range(modes):
-            for s in range(d):
-                h[n][s] = a[t][n] * h[n][s] + b[t][n] * x[t][s]
-        for s in range(d):
-            out = CountedValue(0.0, counter)
-            for n in range(modes):
-                out = out + c[t][n] * h[n][s]
-            y[t][s] = out
+        h = a[t, :, None] * h + b[t, :, None] * x[t, None, :]
+        y[t] = (c[t, :, None] * h).ascending_sum()
     return y
 
 
-def _counted_materialized(a: _Grid, b: _Grid, c: _Grid, x: _Grid, counter: FlopCounter) -> _Grid:
-    steps, modes, d = len(a), len(a[0]), len(x[0])
-    zero = CountedValue(0.0, counter)
-    kernel: _Grid = [[zero] * steps for _ in range(steps)]
+def _counted_materialized(
+    a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
+) -> CountedArray:
+    steps, modes, d = *a.value.shape, x.value.shape[1]
+    # The all-live model holds the whole kernel; each column is applied as it is built.
     counter.alloc(steps * steps)
     counter.alloc(modes)  # running product vector
-    for i in range(steps):
-        v = [b[i][n] for n in range(modes)]
-        for j in range(i, steps):
-            if j > i:
-                v = [a[j][n] * v[n] for n in range(modes)]
-            entry = CountedValue(0.0, counter)
-            for n in range(modes):
-                entry = entry + c[j][n] * v[n]
-            kernel[j][i] = entry
-    y: _Grid = [[None] * d for _ in range(steps)]  # type: ignore[list-item]
+    y = _zeros(counter, steps, d)
     counter.alloc(steps * d)
-    for t in range(steps):
-        for s in range(d):
-            out = CountedValue(0.0, counter)
-            for i in range(t + 1):
-                out = out + kernel[t][i] * x[i][s]
-            y[t][s] = out
+    # At column i, row i holds b_i and every later row j still holds a_j, so
+    # the running products of rows i.. are b_i a_{i+1} ... a_j for every j >= i.
+    factors = _zeros(counter, steps, modes)
+    factors[:] = a
+    for i in range(steps):
+        factors[i] = b[i]
+        column = (c[i:] * factors[i:].running_product()).T.ascending_sum()
+        y[i:] = y[i:] + column[:, None] * x[i, None, :]
     return y
 
 
@@ -205,14 +232,11 @@ def counted_forward(path: str, ssm: DiagonalSsm, x: np.ndarray) -> tuple[np.ndar
     """
     if path not in _COUNTED:
         raise ValueError(f"unknown path {path!r}, expected one of {PATHS}")
+    x = _check_sequence(ssm, x)
     counter = FlopCounter()
-    grids = [
-        [[CountedValue(float(v), counter) for v in row] for row in np.atleast_2d(arr)]
-        for arr in (ssm.a_diag, ssm.b, ssm.c, x)
-    ]
+    arrays = [CountedArray(arr, counter) for arr in (ssm.a_diag, ssm.b, ssm.c, x)]
     counter.alloc(3 * ssm.T * ssm.N)
-    out = _COUNTED[path](*grids, counter)
-    return np.array([[v.value for v in row] for row in out]), counter
+    return _COUNTED[path](*arrays, counter).value, counter
 
 
 @dataclass(frozen=True)

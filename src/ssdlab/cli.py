@@ -237,6 +237,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
         text = model.to_json()
     elif args.kind == "sequence":
+        ssm_mod.check_sizes(T=args.T, d=args.d)
         x = np.random.default_rng(args.seed).standard_normal((args.T, args.d))
         text = ssm_mod.sequence_to_csv(x) if _wants_csv(args) else ssm_mod.sequence_to_json(x)
     else:

@@ -175,6 +175,13 @@ FORWARD_PATHS = {
 }
 
 
+def check_sizes(**sizes: int) -> None:
+    """Refuse any named size (a step, mode or channel count) below 1."""
+    small = ", ".join(f"{name}={size}" for name, size in sizes.items() if size < 1)
+    if small:
+        raise ShapeMismatchError(f"sizes must be at least 1, got {small}")
+
+
 def random_instance(
     seed: int,
     T: int,
@@ -188,6 +195,7 @@ def random_instance(
     Gains have magnitude drawn uniformly from ``a_abs`` with random signs;
     weights are standard normal. Row 0 of the gains is forced to ones.
     """
+    check_sizes(T=T, N=N, d=d)
     rng = np.random.default_rng(seed)
     lo, hi = a_abs
     if not (0.0 <= lo <= hi):

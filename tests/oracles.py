@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ssdlab._lowrank import balanced_factors, rank_of_singular_values, vector_signs
+from ssdlab.bench import FlopCounter
 from ssdlab.errors import InconsistentTransitionError, SizeExceededError
 from ssdlab.ss_matrix import (
     DEFAULT_EPS,
@@ -13,6 +14,7 @@ from ssdlab.ss_matrix import (
     _block_sweep,
     _check_width,
 )
+from ssdlab.ssm import DiagonalSsm, _check_sequence
 from ssdlab.sss_extract import GeneralSssRepresentation, _check_rank, solve_transition
 
 #: Largest T the combinatorial rank oracle will accept.
@@ -105,3 +107,123 @@ def reference_extract_sss(
         kept.append(r)
         w_prev, u_prev = w_fac, u_fac
     return GeneralSssRepresentation(trans, b_rows, c_rows, tuple(kept))
+
+
+class CountedValue:
+    """Float wrapper that reports each multiply and add to a FlopCounter."""
+
+    __slots__ = ("value", "counter")
+
+    def __init__(self, value: float, counter: FlopCounter) -> None:
+        self.value = value
+        self.counter = counter
+
+    def __mul__(self, other: "CountedValue") -> "CountedValue":
+        self.counter.madds += 1
+        return CountedValue(self.value * other.value, self.counter)
+
+    def __add__(self, other: "CountedValue") -> "CountedValue":
+        self.counter.adds += 1
+        return CountedValue(self.value + other.value, self.counter)
+
+
+def _scalar_ssd(a, b, c, x, counter: FlopCounter):
+    steps, modes, d = len(a), len(a[0]), len(x[0])
+    scaled = []
+    for n in range(modes):
+        z = [[b[t][n] * x[t][s] for s in range(d)] for t in range(steps)]
+        counter.alloc(steps * d)
+        scaled.append(z)
+    carried = []
+    for n in range(modes):
+        h = [[None] * d for _ in range(steps)]
+        for s in range(d):
+            carry = CountedValue(0.0, counter)
+            for t in range(steps):
+                carry = a[t][n] * carry + scaled[n][t][s]
+                h[t][s] = carry
+        counter.alloc(steps * d)
+        carried.append(h)
+    weighted = []
+    for n in range(modes):
+        y_n = [[c[t][n] * carried[n][t][s] for s in range(d)] for t in range(steps)]
+        counter.alloc(steps * d)
+        weighted.append(y_n)
+    acc = [[CountedValue(0.0, counter) for _ in range(d)] for _ in range(steps)]
+    counter.alloc(steps * d)
+    for n in range(modes):
+        for t in range(steps):
+            for s in range(d):
+                acc[t][s] = acc[t][s] + weighted[n][t][s]
+    return acc
+
+
+def _scalar_recurrence(a, b, c, x, counter: FlopCounter):
+    steps, modes, d = len(a), len(a[0]), len(x[0])
+    h = [[CountedValue(0.0, counter) for _ in range(d)] for _ in range(modes)]
+    counter.alloc(modes * d)
+    y = [[None] * d for _ in range(steps)]
+    counter.alloc(steps * d)
+    for t in range(steps):
+        for n in range(modes):
+            for s in range(d):
+                h[n][s] = a[t][n] * h[n][s] + b[t][n] * x[t][s]
+        for s in range(d):
+            out = CountedValue(0.0, counter)
+            for n in range(modes):
+                out = out + c[t][n] * h[n][s]
+            y[t][s] = out
+    return y
+
+
+def _scalar_materialized(a, b, c, x, counter: FlopCounter):
+    steps, modes, d = len(a), len(a[0]), len(x[0])
+    zero = CountedValue(0.0, counter)
+    kernel = [[zero] * steps for _ in range(steps)]
+    counter.alloc(steps * steps)
+    counter.alloc(modes)  # running product vector
+    for i in range(steps):
+        v = [b[i][n] for n in range(modes)]
+        for j in range(i, steps):
+            if j > i:
+                v = [a[j][n] * v[n] for n in range(modes)]
+            entry = CountedValue(0.0, counter)
+            for n in range(modes):
+                entry = entry + c[j][n] * v[n]
+            kernel[j][i] = entry
+    y = [[None] * d for _ in range(steps)]
+    counter.alloc(steps * d)
+    for t in range(steps):
+        for s in range(d):
+            out = CountedValue(0.0, counter)
+            for i in range(t + 1):
+                out = out + kernel[t][i] * x[i][s]
+            y[t][s] = out
+    return y
+
+
+_SCALAR_KERNELS = {
+    "recurrence": _scalar_recurrence,
+    "ssd": _scalar_ssd,
+    "materialized": _scalar_materialized,
+}
+
+
+def reference_counted_forward(
+    path: str, ssm: DiagonalSsm, x: np.ndarray
+) -> tuple[np.ndarray, FlopCounter]:
+    """``counted_forward`` one scalar at a time (test oracle).
+
+    Every model entry and input entry is its own ``CountedValue``, so each
+    multiply and add is one Python call that charges one operation; the
+    loops run over every step, mode and channel.
+    """
+    x = _check_sequence(ssm, x)
+    counter = FlopCounter()
+    grids = [
+        [[CountedValue(float(v), counter) for v in row] for row in arr]
+        for arr in (ssm.a_diag, ssm.b, ssm.c, x)
+    ]
+    counter.alloc(3 * ssm.T * ssm.N)
+    out = _SCALAR_KERNELS[path](*grids, counter)
+    return np.array([[v.value for v in row] for row in out]), counter

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ssdlab.bench import (
+    CountedArray,
+    FlopCounter,
     count_flops,
     counted_forward,
     scaling_experiment,
 )
-from ssdlab.errors import DegenerateGridError
+from ssdlab.errors import DegenerateGridError, ShapeMismatchError
 from ssdlab.ssm import (
     forward_materialized,
     forward_recurrence,
@@ -16,6 +18,7 @@ from ssdlab.ssm import (
     random_instance,
 )
 from tests.conftest import rel_fro
+from tests.oracles import reference_counted_forward
 
 
 class TestCountFlops:
@@ -57,6 +60,64 @@ class TestCountFlops:
     def test_rejects_unknown_path(self):
         with pytest.raises(ValueError):
             count_flops("softmax", 8, 1, 1, seed=0)
+
+
+class TestCountedForwardInput:
+    @pytest.mark.parametrize("path", ["ssd", "recurrence", "materialized"])
+    def test_rejects_zero_channels(self, path):
+        ssm, _ = random_instance(0, 5, 2, 1)
+        with pytest.raises(ShapeMismatchError):
+            counted_forward(path, ssm, np.zeros((5, 0)))
+
+    @pytest.mark.parametrize("path", ["ssd", "recurrence", "materialized"])
+    def test_rejects_a_sequence_shorter_than_the_model(self, path):
+        ssm, _ = random_instance(0, 5, 2, 1)
+        with pytest.raises(ShapeMismatchError):
+            counted_forward(path, ssm, np.ones((3, 1)))
+
+
+class TestCountedArray:
+    def test_each_operation_charges_its_element_count(self):
+        counter = FlopCounter()
+        column = CountedArray(np.arange(1.0, 5.0)[:, None], counter)
+        row = CountedArray(np.ones((1, 3)), counter)
+        product = column * row
+        assert (counter.madds, counter.adds) == (4 * 3, 0)
+        assert product[1:3].value.shape == (2, 3)
+        product[0] = row[0]
+        assert (counter.madds, counter.adds) == (4 * 3, 0)
+        total = product.ascending_sum()
+        assert (counter.madds, counter.adds) == (4 * 3, 4 * 3)
+        assert total.value.tolist() == [1.0 + 2.0 + 3.0 + 4.0] * 3
+        product.running_product()
+        assert (counter.madds, counter.adds) == (4 * 3 + 3 * 3, 4 * 3)
+        assert counter.peak_live == 0
+
+    def test_ascending_sum_adds_in_order_from_zero(self):
+        terms = np.zeros((16, 1))
+        terms[:5, 0] = [-0.0, 1e16, 1.0, 1.0, -1e16]
+        total = CountedArray(terms, FlopCounter()).ascending_sum().value
+        # Term by term, each 1.0 is lost against 1e16; np.sum's partial sums keep them.
+        assert total.tolist() == [0.0] and np.sum(terms, axis=0).tolist() == [2.0]
+        only_negative_zeros = CountedArray(np.full((3, 1), -0.0), FlopCounter())
+        assert not np.signbit(only_negative_zeros.ascending_sum().value).any()
+
+
+class TestCountingKernelsMatchScalarOracle:
+    """Counts, peak and output bytes equal the one-scalar-at-a-time kernels'."""
+
+    @pytest.mark.parametrize("path", ["ssd", "recurrence", "materialized"])
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (2, 3, 1), (7, 3, 2), (40, 17, 1), (33, 8, 2), (9, 33, 2)], ids=str
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_equal(self, path, dims, seed):
+        ssm, x = random_instance(seed, *dims)
+        out, counter = counted_forward(path, ssm, x)
+        expected, oracle = reference_counted_forward(path, ssm, x)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+        counts = (counter.madds, counter.adds, counter.peak_live)
+        assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
 
 
 def closed_forms(path, T, N, d):

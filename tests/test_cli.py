@@ -230,6 +230,13 @@ class TestBenchCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error")
 
+    @pytest.mark.parametrize("grid", [("--T", "0,1,2"), ("--d", "0"), ("--d", "0,1,2")], ids=str)
+    def test_size_below_one_is_an_input_error(self, workdir, grid):
+        proc = run_cli("bench", "--path", "ssd", "--seed", "1", *grid, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: sizes must be at least 1, got {grid[0][2:]}=0\n"
+
 
 class TestGenCommand:
     def test_seeded_model_is_reproducible(self, workdir):
@@ -241,6 +248,15 @@ class TestGenCommand:
     def test_seed_is_mandatory(self, workdir):
         proc = run_cli("gen", "ssm", "--T", "8", cwd=workdir)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("ssm", "--T", "0"), ("sequence", "--T", "0"), ("sequence", "--d", "0")], ids=str
+    )
+    def test_size_below_one_is_an_input_error(self, workdir, argv):
+        proc = run_cli("gen", *argv, "--seed", "1", "--out", "out.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr == f"input error: sizes must be at least 1, got {argv[1][2:]}=0\n"
+        assert not (workdir / "out.json").exists()
 
     def test_generated_matrix_loads_back(self, workdir):
         proc = run_cli(

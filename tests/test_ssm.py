@@ -362,6 +362,11 @@ class TestDiagonalSsmType:
         mags = np.abs(ssm.a_diag[1:])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
 
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (4, 0, 1), (4, 2, 0), (-1, 2, 1)], ids=str)
+    def test_generator_refuses_sizes_below_one(self, dims):
+        with pytest.raises(ShapeMismatchError, match="at least 1"):
+            random_instance(0, *dims)
+
 
 class TestSequenceSerialization:
     def test_csv_round_trip(self):
