@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench, duality, limits, ssm as ssm_mod
 from .errors import PreconditionError, ReconstructionError
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, rel_err
+from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, check_sizes, rel_err
 from .sss_extract import extract_sss, materialize_sss
 
 EXIT_OK = 0
@@ -67,6 +67,14 @@ def _wants_csv(args: argparse.Namespace) -> bool:
     return args.format == "csv" or (args.out or "").endswith(".csv")
 
 
+def _refuse_csv(args: argparse.Namespace, output: str) -> None:
+    """Input error when ``_wants_csv`` holds for an ``output`` that has no CSV form."""
+    if _wants_csv(args):
+        raise ValueError(
+            f"{output} has no CSV form: drop --format csv, and give --out a non-.csv name"
+        )
+
+
 def _parse_int_list(text: str) -> list[int]:
     values = [int(part) for part in str(text).split(",") if part.strip()]
     if not values:
@@ -103,14 +111,17 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     loaded = json.loads(_read(args.config))
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices[args.command]
+    # The parser that read the options: the command's, or for gen its kind's.
+    command, names = parser, []
+    while subs := [a for a in command._actions if isinstance(a, argparse._SubParsersAction)]:
+        names.append(getattr(args, subs[0].dest))
+        command = subs[0].choices[names[-1]]
     actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if attr not in actions:
-            raise ValueError(f"config key {key!r} names no option of {args.command!r}")
+            raise ValueError(f"config key {key!r} names no option of {' '.join(names)!r}")
         if value is not None:
             defaults[attr] = _config_value(actions[attr], key, value)
     command.set_defaults(**defaults)
@@ -129,6 +140,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
     model = ssm_mod.DiagonalSsm.from_json(_read(args.ssm))
     x = _load_sequence(args.input)
     if args.path == "all":
+        _refuse_csv(args, "the --path all comparison")
         outputs = {name: _run_forward(name, model, x) for name in ssm_mod.FORWARD_PATHS}
         pairwise = {
             f"{first}/{second}": rel_err(outputs[first], outputs[second])
@@ -197,6 +209,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
+    _refuse_csv(args, "a counterexample report")
     if args.which == "softmax":
         report = limits.softmax_counterexample(args.T)
     else:
@@ -231,13 +244,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "ssm":
+        _refuse_csv(args, "a model")
+        # The input random_instance draws after the model is discarded: one channel will do.
         model, _ = ssm_mod.random_instance(
-            args.seed, args.T, args.N, args.d,
+            args.seed, args.T, args.N, 1,
             a_abs=(args.a_min, args.a_max), scalar_identity=args.scalar_identity,
         )
         text = model.to_json()
     elif args.kind == "sequence":
-        ssm_mod.check_sizes(T=args.T, d=args.d)
+        check_sizes(T=args.T, d=args.d)
         x = np.random.default_rng(args.seed).standard_normal((args.T, args.d))
         text = ssm_mod.sequence_to_csv(x) if _wants_csv(args) else ssm_mod.sequence_to_json(x)
     else:
@@ -318,22 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench, "seed")
 
     p_gen = sub.add_parser("gen", help="generate a random model, sequence, or matrix")
-    p_gen.add_argument("kind", choices=("ssm", "sequence", "matrix"))
-    p_gen.add_argument(
-        "--T", type=int, default=16, help="steps, or the matrix size (default %(default)s)"
-    )
-    p_gen.add_argument("--N", type=int, default=4, help="state width (default %(default)s)")
-    p_gen.add_argument("--d", type=int, default=2, help="channels (default %(default)s)")
-    p_gen.add_argument(
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    g_ssm = kinds.add_parser("ssm", help="a random diagonal model")
+    g_sequence = kinds.add_parser("sequence", help="a random input sequence")
+    g_matrix = kinds.add_parser("matrix", help="a random lower triangular matrix")
+    for p, what in ((g_ssm, "steps"), (g_sequence, "steps"), (g_matrix, "matrix size")):
+        p.add_argument("--T", type=int, default=16, help=f"{what} (default %(default)s)")
+    g_ssm.add_argument("--N", type=int, default=4, help="state width (default %(default)s)")
+    g_ssm.add_argument(
         "--a-min", type=float, default=0.0, help="minimum gain magnitude (default %(default)s)"
     )
-    p_gen.add_argument(
+    g_ssm.add_argument(
         "--a-max", type=float, default=2.0, help="maximum gain magnitude (default %(default)s)"
     )
-    p_gen.add_argument(
+    g_ssm.add_argument(
         "--scalar-identity", action="store_true", help="one gain shared by every mode"
     )
-    common(p_gen, "format", "seed")
+    g_sequence.add_argument("--d", type=int, default=2, help="channels (default %(default)s)")
+    for p in (g_ssm, g_sequence, g_matrix):
+        common(p, "format", "seed")
 
     return parser
 

@@ -28,18 +28,18 @@ from .ss_matrix import (
     DEFAULT_EPS,
     BlockNewColumns,
     LowerTriangularMatrix,
-    _check_finite,
-    _check_width,
+    _freeze_fields,
     _new_column_sweep,
     _segment_product_apply,
     _segment_product_kernel,
     _segment_product_panels,
+    check_sizes,
     diagonal_block_partition,
     json_record,
     one_ss,  # noqa: F401 -- perfbench/spans.py times duality.one_ss
     rel_err,
 )
-from .ssm import DiagonalSsm, materialize_kernel
+from .ssm import DiagonalSsm, _check_sequence, materialize_kernel
 
 #: Largest allowed max/min magnitude ratio of cumulative gain products
 #: before the full-rank rescaling is refused as numerically unstable.
@@ -56,19 +56,11 @@ class MaskedAttentionFactors:
     K: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.p, dtype=float)
-        q = np.array(self.Q, dtype=float)
-        k = np.array(self.K, dtype=float)
-        if p.ndim != 1 or q.ndim != 2 or k.ndim != 2:
-            raise ShapeMismatchError("p must be 1-D; Q and K must be 2-D")
-        if q.shape != k.shape or q.shape[0] != p.shape[0]:
+        _freeze_fields(self, p=1, Q=2, K=2)
+        if self.Q.shape != self.K.shape or self.Q.shape[0] != self.p.shape[0]:
             raise ShapeMismatchError(
-                f"inconsistent factor shapes: p {p.shape}, Q {q.shape}, K {k.shape}"
+                f"inconsistent factor shapes: p {self.p.shape}, Q {self.Q.shape}, K {self.K.shape}"
             )
-        for name, arr in (("p", p), ("Q", q), ("K", k)):
-            _check_finite(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
@@ -135,11 +127,7 @@ def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
 
 def masked_attention_forward(factors: MaskedAttentionFactors, x: np.ndarray) -> np.ndarray:
     """Apply mask * (Q K^T) to an input sequence, one row panel at a time; O(T^2 (N+d))."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != factors.T:
-        raise ShapeMismatchError(
-            f"input of shape {x.shape} does not match factors with T={factors.T}"
-        )
+    x = _check_sequence(factors, x)
     return _segment_product_apply(factors.p[:, None], factors.Q, factors.K, x)
 
 
@@ -152,7 +140,7 @@ def count_block_new_columns(
 
 def _within_width(blocks, width: int) -> bool:
     """Whether every block has at most ``width`` new columns; ``width`` must be positive."""
-    _check_width(width)
+    check_sizes(width=width)
     return all(b.new_columns <= width for b in blocks)
 
 
@@ -174,7 +162,7 @@ def representability_report(
     the same sweep, and their relative residual; it may raise ``ReconstructionError`` or
     ``UnstableScalingError``.
     """
-    _check_width(width)
+    check_sizes(width=width)
     blocks = count_block_new_columns(m, eps)
     report = {
         "blocks": [

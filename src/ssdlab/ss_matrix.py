@@ -3,7 +3,10 @@
 What the module holds:
 
 - the codecs: ``array_to_csv``/``array_from_csv`` and the ``json_record``
-  decorator, with the one finiteness rule for entries (``_check_finite``);
+  decorator;
+- the input rules every module shares, one each: ``check_sizes`` for a size
+  (at least 1), ``_check_finite`` for entries, and ``_freeze`` (with
+  ``_freeze_fields``, its float-copying form) for a record's array field;
 - the records ``LowerTriangularMatrix`` and ``MaskVector``;
 - the kernel panel walk, ``_segment_product_panels``, that builds dense
   segment-product kernels (``_segment_product_kernel``, the 1SS operator
@@ -14,8 +17,7 @@ What the module holds:
 - the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
   detection (``new_columns``, ``_new_column_sweep``) and diagonal-block
   partitioning (``diagonal_block_partition``);
-- small helpers the other modules share: ``rel_err``, ``_check_width`` and
-  ``blocks_from_cuts``.
+- small helpers the other modules share: ``rel_err`` and ``blocks_from_cuts``.
 
 All indices in this package are 0-based.
 """
@@ -110,10 +112,38 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     return decorate
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    """The one finiteness rule for matrix entries, built or read."""
+def check_sizes(**sizes: int) -> None:
+    """The one size rule: refuse any named size (a step, mode, channel or width count) below 1."""
+    small = ", ".join(f"{name}={size}" for name, size in sizes.items() if size < 1)
+    if small:
+        raise ShapeMismatchError(f"sizes must be at least 1, got {small}")
+
+
+def _check_finite(arr: np.ndarray, name: str = "matrix") -> None:
+    """The one finiteness rule for entries, built or read; the message calls them ``name``."""
     if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
+
+
+def _freeze(record, name: str, arr: np.ndarray, ndim: int) -> None:
+    """The one rule for a record's array field: check ``arr`` and store it read-only as ``name``.
+
+    ``arr`` must have ``ndim`` axes, none of them empty, and finite entries.
+    It is stored as it is, not copied: the caller hands over an array no one
+    else holds.
+    """
+    if arr.ndim != ndim:
+        raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    check_sizes(**{f"{name}.shape[{axis}]": size for axis, size in enumerate(arr.shape)})
+    _check_finite(arr, name)
+    arr.flags.writeable = False
+    object.__setattr__(record, name, arr)
+
+
+def _freeze_fields(record, **ndims: int) -> None:
+    """``_freeze`` a float copy of each named field of ``record``, with its ``ndim``."""
+    for name, ndim in ndims.items():
+        _freeze(record, name, np.array(getattr(record, name), dtype=float), ndim)
 
 
 @json_record({"T": "T", "rows": "values"}, declared=("T",))
@@ -150,18 +180,14 @@ class LowerTriangularMatrix:
         return matrix
 
     def _own(self, arr: np.ndarray) -> None:
-        """Check ``arr`` and freeze it as this matrix's storage."""
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        """Freeze ``arr`` as this matrix's storage, then check it is square and lower triangular."""
+        _freeze(self, "values", arr, 2)
+        if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ShapeMismatchError("matrix size must be at least 1")
-        _check_finite(arr)
         for r in range(0, arr.shape[0], _TILE):
             end = r + _TILE
             if np.triu(arr[r:end, r:end], 1).any() or arr[r:end, end:].any():
                 raise ValueError("entries above the main diagonal must be exactly zero")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
     @property
     def T(self) -> int:
@@ -190,13 +216,7 @@ class MaskVector:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.a, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ShapeMismatchError(f"mask vector must be 1-D and nonempty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("mask entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
+        _freeze_fields(self, a=1)
 
     @property
     def T(self) -> int:
@@ -519,12 +539,6 @@ def diagonal_block_partition(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS)
     steps = np.arange(1, m.T)
     scale = float(covered[0, -1])
     return steps[covered[steps, steps - 1] <= eps * scale].tolist()
-
-
-def _check_width(width: int) -> None:
-    """The one rule for a factor or representation width: at least 1."""
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
 
 
 def blocks_from_cuts(size: int, cuts: list[int]) -> list[tuple[int, int]]:

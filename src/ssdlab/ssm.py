@@ -17,10 +17,12 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
+    _freeze_fields,
     _segment_product_apply,
     _segment_product_kernel,
     array_from_csv,
     array_to_csv,
+    check_sizes,
     json_record,
 )
 
@@ -41,26 +43,14 @@ class DiagonalSsm:
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = []
-        for name in ("a_diag", "b", "c"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 2:
-                raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-            arrays.append(arr)
-        if not (arrays[0].shape == arrays[1].shape == arrays[2].shape):
+        _freeze_fields(self, a_diag=2, b=2, c=2)
+        if not (self.a_diag.shape == self.b.shape == self.c.shape):
             raise ShapeMismatchError(
                 "a_diag, b, c must share one (T, N) shape, got "
-                f"{arrays[0].shape}, {arrays[1].shape}, {arrays[2].shape}"
+                f"{self.a_diag.shape}, {self.b.shape}, {self.c.shape}"
             )
-        if arrays[0].shape[0] < 1 or arrays[0].shape[1] < 1:
-            raise ShapeMismatchError("T and N must both be at least 1")
-        if np.any(arrays[0][0] != 1.0):
+        if np.any(self.a_diag[0] != 1.0):
             raise ValueError("a_diag[0] must be all ones (identity first transition)")
-        for name, arr in zip(("a_diag", "b", "c"), arrays):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
@@ -75,14 +65,17 @@ class DiagonalSsm:
         return bool(np.all(self.a_diag == self.a_diag[:, :1]))
 
 
-def _check_sequence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+def _check_sequence(model, x: np.ndarray) -> np.ndarray:
+    """The one input-sequence rule: ``x`` as a (T, d) float array, T being ``model.T``, d >= 1.
+
+    ``model`` is anything with a step count ``T``: a model or its factors.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeMismatchError(f"input sequence must be 2-D (T, d), got shape {x.shape}")
-    if x.shape[0] != ssm.T:
-        raise ShapeMismatchError(f"sequence has {x.shape[0]} steps, model has {ssm.T}")
-    if x.shape[1] < 1:
-        raise ShapeMismatchError("channel count d must be at least 1")
+    if x.shape[0] != model.T:
+        raise ShapeMismatchError(f"sequence has {x.shape[0]} steps, model has {model.T}")
+    check_sizes(d=x.shape[1])
     return x
 
 
@@ -173,13 +166,6 @@ FORWARD_PATHS = {
     "ssd": forward_ssd,
     "materialized": forward_materialized,
 }
-
-
-def check_sizes(**sizes: int) -> None:
-    """Refuse any named size (a step, mode or channel count) below 1."""
-    small = ", ".join(f"{name}={size}" for name, size in sizes.items() if size < 1)
-    if small:
-        raise ShapeMismatchError(f"sizes must be at least 1, got {small}")
 
 
 def random_instance(

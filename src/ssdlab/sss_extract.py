@@ -28,8 +28,8 @@ from .ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
-    _check_finite,
-    _check_width,
+    _freeze_fields,
+    check_sizes,
     json_record,
 )
 
@@ -53,21 +53,15 @@ class GeneralSssRepresentation:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.A, dtype=float)
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ShapeMismatchError(f"A must be (T, N, N), got shape {a.shape}")
-        steps, width = a.shape[0], a.shape[1]
-        if b.shape != (steps, width) or c.shape != (steps, width):
+        _freeze_fields(self, A=3, b=2, c=2)
+        steps, width, cols = self.A.shape
+        if width != cols:
+            raise ShapeMismatchError(f"A must be (T, N, N), got shape {self.A.shape}")
+        if self.b.shape != (steps, width) or self.c.shape != (steps, width):
             raise ShapeMismatchError(
-                f"b and c must be ({steps}, {width}), got {b.shape} and {c.shape}"
+                f"b and c must be ({steps}, {width}), got {self.b.shape} and {self.c.shape}"
             )
-        if steps < 1 or width < 1:
-            raise ShapeMismatchError("T and N must both be at least 1")
-        for arr in (a, b, c):
-            _check_finite(arr)
-        if np.any(a[0] != np.eye(width)):
+        if np.any(self.A[0] != np.eye(width)):
             raise ValueError("A[0] must be the identity (it multiplies the zero state)")
         ranks = tuple(int(v) for v in self.r)
         if len(ranks) != steps:
@@ -77,9 +71,6 @@ class GeneralSssRepresentation:
                 raise ValueError(
                     f"r[{t}]={rank} outside [0, min(N, T-t, t+1)] for T={steps}, N={width}"
                 )
-        for name, arr in (("A", a), ("b", b), ("c", c)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "r", ranks)
 
     @property
@@ -256,7 +247,7 @@ def extract_sss(
     once. Refusals come in the order of a step-by-step chain: rank, then
     row factor, then column factor, step by step.
     """
-    _check_width(width)
+    check_sizes(width=width)
     steps = m.T
     kept = np.zeros(steps, dtype=np.intp)
     b_rows = np.zeros((steps, width))

@@ -12,7 +12,7 @@ from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
     MaskVector,
     _block_sweep,
-    _check_width,
+    check_sizes,
 )
 from ssdlab.ssm import DiagonalSsm, _check_sequence
 from ssdlab.sss_extract import GeneralSssRepresentation, _check_rank, solve_transition
@@ -78,7 +78,7 @@ def reference_extract_sss(
     column factor on its own: the chain ``extract_sss`` runs a tile at a
     time, one step at a time.
     """
-    _check_width(width)
+    check_sizes(width=width)
     steps = m.T
     kept = []
     b_rows = np.zeros((steps, width))

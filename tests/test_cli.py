@@ -86,6 +86,29 @@ class TestForwardCommand:
         assert not (tmp_path / "y.json").exists()
 
 
+class TestCsvFormat:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"),
+            ("counterexample", "softmax", "--T", "3"),
+            ("gen", "ssm", "--seed", "1"),
+        ],
+        ids=["forward-all", "counterexample", "gen-ssm"],
+    )
+    @pytest.mark.parametrize(
+        "ask",
+        [("--format", "csv", "--out", "out.csv"), ("--out", "out.csv"), ("--format", "csv")],
+        ids=["both", "out-name", "format"],
+    )
+    def test_asked_of_an_output_without_a_csv_form_is_refused(self, workdir, argv, ask):
+        proc = run_cli(*argv, *ask, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: ") and "has no CSV form" in proc.stderr
+        assert not (workdir / "out.csv").exists()
+
+
 class TestCheckDualCommand:
     def test_representability_failure_exit_code(self, workdir):
         proc = run_cli(
@@ -118,7 +141,7 @@ class TestCheckDualCommand:
             "--out", "rep0.json", cwd=workdir,
         )
         assert proc.returncode == 2
-        assert "width must be at least 1" in proc.stderr
+        assert "sizes must be at least 1, got width=0" in proc.stderr
         assert not (workdir / "rep0.json").exists()
 
     def test_representability_refuses_an_overflowing_fill(self, tmp_path):
@@ -275,7 +298,12 @@ class TestGenCommand:
         assert extract.returncode == 0
 
 
-GEN_DEFAULTS = ("--T", "16", "--N", "4", "--d", "2", "--a-min", "0.0", "--a-max", "2.0")
+#: Every flag of each ``gen`` kind but --seed and --out, at its default.
+GEN_DEFAULTS = {
+    "ssm": ("--T", "16", "--N", "4", "--a-min", "0.0", "--a-max", "2.0", "--format", "pretty"),
+    "sequence": ("--T", "16", "--d", "2", "--format", "pretty"),
+    "matrix": ("--T", "16", "--format", "pretty"),
+}
 
 
 class TestDefaults:
@@ -285,9 +313,7 @@ class TestDefaults:
         "argv, defaults",
         [
             (("bench", "--seed", "1"), ("--path", "ssd", "--T", "64", "--N", "4", "--d", "2")),
-            (("gen", "ssm", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
-            (("gen", "sequence", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
-            (("gen", "matrix", "--seed", "1"), (*GEN_DEFAULTS, "--format", "pretty")),
+            *[(("gen", kind, "--seed", "1"), defaults) for kind, defaults in GEN_DEFAULTS.items()],
             (("counterexample", "non-dualizable", "--T", "5"), ("--N", "2", "--format", "pretty")),
             (
                 ("forward", "--ssm", "ssm.json", "--input", "x.csv"),
@@ -310,8 +336,17 @@ class TestDefaults:
             ("check-dual", "--mode", "representability", "--matrix", "corner5.csv", "--N", "2",
              "--seed", "1"),
             ("bench", "--seed", "1", "--T", "8", "--eps", "1e-9"),
+            ("gen", "matrix", "--seed", "1", "--N", "5"),
+            ("gen", "matrix", "--seed", "1", "--d", "7"),
+            ("gen", "matrix", "--seed", "1", "--a-min", "0.3"),
+            ("gen", "sequence", "--seed", "1", "--N", "5"),
+            ("gen", "sequence", "--seed", "1", "--a-max", "3.0"),
+            ("gen", "ssm", "--seed", "1", "--d", "2"),
         ],
-        ids=["extract-format", "check-dual-seed", "bench-eps"],
+        ids=[
+            "extract-format", "check-dual-seed", "bench-eps", "gen-matrix-N", "gen-matrix-d",
+            "gen-matrix-a-min", "gen-sequence-N", "gen-sequence-a-max", "gen-ssm-d",
+        ],
     )
     def test_shared_flag_the_command_does_not_read_is_refused(self, workdir, argv):
         proc = run_cli(*argv, cwd=workdir)
@@ -345,8 +380,10 @@ class TestConfigFile:
              {"N": "2"}, ("--N", "2")),
             (("extract", "--matrix", "corner5.csv", "--N", "2"),
              {"eps": "1e-9"}, ("--eps", "1e-9")),
+            (("gen", "ssm", "--seed", "1"),
+             {"N": "3", "a-min": 0.5}, ("--N", "3", "--a-min", "0.5")),
         ],
-        ids=["check-dual-N", "extract-eps"],
+        ids=["check-dual-N", "extract-eps", "gen-ssm-N-a-min"],
     )
     def test_string_values_convert_like_their_flags(self, workdir, argv, config, flag):
         (workdir / "cfg.json").write_text(json.dumps(config))
@@ -372,6 +409,16 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "kind, key", [("matrix", "N"), ("matrix", "d"), ("sequence", "a_min"), ("ssm", "d")]
+    )
+    def test_gen_keys_follow_the_kind(self, workdir, kind, key):
+        (workdir / "cfg.json").write_text(json.dumps({key: 2}))
+        proc = run_cli("gen", kind, "--seed", "1", "--config", "cfg.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: config key {key!r} names no option of 'gen {kind}'\n"
 
     def test_command_key_does_not_redirect_dispatch(self, workdir):
         self.assert_key_refused(workdir, "command")

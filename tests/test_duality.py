@@ -23,6 +23,7 @@ from ssdlab.duality import (
 from ssdlab.errors import (
     NotRepresentableError,
     NotScalarIdentityError,
+    ShapeMismatchError,
     UnstableScalingError,
     ZeroGainError,
 )
@@ -165,6 +166,16 @@ class TestMaskedAttentionForward:
         factors = MaskedAttentionFactors(np.zeros(5), q, k)
         expected = np.einsum("tn,tn->t", q, k)[:, None] * x
         assert np.allclose(masked_attention_forward(factors, x), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("steps, width", [(0, 2), (3, 0)], ids=["T=0", "width=0"])
+    def test_empty_factors_are_refused(self, steps, width):
+        with pytest.raises(ShapeMismatchError, match="at least 1"):
+            MaskedAttentionFactors(np.ones(steps), np.ones((steps, width)), np.ones((steps, width)))
+
+    def test_an_input_without_channels_is_refused(self):
+        factors = MaskedAttentionFactors(np.ones(3), np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ShapeMismatchError, match="got d=0"):
+            masked_attention_forward(factors, np.zeros((3, 0)))
 
 
 class TestMaterializeFactors:

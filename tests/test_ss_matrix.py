@@ -234,6 +234,25 @@ class TestIsFineMask:
         assert is_fine_mask(MaskVector([2.0, 3.0, 4.0]))
 
 
+#: A valid instance's fields for each of the five records.
+RECORD_FIELDS = {
+    LowerTriangularMatrix: {"values": np.tril(np.ones((3, 3)))},
+    MaskVector: {"a": np.array([1.0, 0.5, 2.0])},
+    DiagonalSsm: {"a_diag": np.ones((3, 2)), "b": np.ones((3, 2)), "c": np.ones((3, 2))},
+    MaskedAttentionFactors: {"p": np.ones(3), "Q": np.ones((3, 2)), "K": np.ones((3, 2))},
+    GeneralSssRepresentation: {
+        "A": np.stack([np.eye(2)] * 3), "b": np.ones((3, 2)), "c": np.ones((3, 2)), "r": (1, 2, 1)
+    },
+}
+RECORD_ARRAYS = [
+    (cls, field)
+    for cls, fields in RECORD_FIELDS.items()
+    for field, value in fields.items()
+    if isinstance(value, np.ndarray)
+]
+RECORD_ARRAY_IDS = [f"{cls.__name__}-{field}" for cls, field in RECORD_ARRAYS]
+
+
 class TestConstruction:
     def test_rejects_nonzero_above_diagonal(self):
         bad = np.zeros((3, 3))
@@ -283,6 +302,24 @@ class TestConstruction:
     def test_builders_handover_keeps_every_check(self, arr, error):
         with pytest.raises(ValueError, match=error):
             LowerTriangularMatrix._adopt(arr)
+
+    @pytest.mark.parametrize("cls, field", RECORD_ARRAYS, ids=RECORD_ARRAY_IDS)
+    def test_every_record_array_follows_one_rule(self, cls, field):
+        def build(arr):
+            return cls(**{**RECORD_FIELDS[cls], field: arr})
+
+        good = RECORD_FIELDS[cls][field]
+        for bad in (good[None], good[:0], good[..., :0]):
+            with pytest.raises(ShapeMismatchError, match=rf"\b{field}( must be|\.shape\[)"):
+                build(bad)
+        infinite = good.copy()
+        infinite.flat[-1] = np.inf
+        with pytest.raises(ValueError, match=rf"^{field} entries must be finite"):
+            build(infinite)
+        given = good.copy()
+        stored = getattr(build(given), field)
+        assert np.array_equal(stored, good)
+        assert not stored.flags.writeable and not np.shares_memory(stored, given)
 
     def test_panel_walk_output_is_not_rescanned(self, monkeypatch):
         def rescan(self, arr):
