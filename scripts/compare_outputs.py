@@ -15,7 +15,8 @@ the verdicts and coefficients of a matrix whose sweep refactors and widens
 its carry; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
-``forward --path ssd --format csv``, ``forward`` with its flags from ``--config``,
+``forward --path ssd`` (CSV, chosen by the ``.csv`` name of ``--out``),
+``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
 rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank``,
@@ -200,7 +201,7 @@ def dump() -> dict[str, object]:
                 ],
                 "forward/ssd-csv": [
                     "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",
-                    "--format", "csv",
+                    "--out", "y.csv",
                 ],
                 "forward/config": [
                     "forward", "--ssm", "ssm.json", "--input", "x.csv", "--config", "forward.json"

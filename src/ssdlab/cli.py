@@ -2,9 +2,9 @@
 
 Subcommands: forward, check-dual, extract, counterexample, bench, gen.
 Exit codes: 0 pass, 1 property failure, 2 input error, 3 precondition
-block. Output files are written atomically (temp file plus rename) and
-contain no timestamps or timings, so a fixed seed reproduces them byte
-for byte.
+block. A file named .csv is read and written as CSV, any other as JSON.
+Output files are written atomically (temp file plus rename) and contain
+no timestamps or timings, so a fixed seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -50,29 +50,33 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_sequence(path: str) -> np.ndarray:
-    if path.endswith(".json"):
-        return ssm_mod.sequence_from_json(_read(path))
-    return ssm_mod.sequence_from_csv(_read(path))
+def _form(path: str, what: str, csv=None, json=None):
+    """The one file-format rule: the codec, of those ``what`` has, for ``path``'s form.
+
+    A path ending in .csv holds CSV and any other path JSON; a form ``what``
+    has no codec for is an input error.
+    """
+    form, codec = ("CSV", csv) if path.endswith(".csv") else ("JSON", json)
+    if codec is None:
+        raise ValueError(f"{path}: {what} has no {form} form (a .csv name is CSV, any other JSON)")
+    return codec
+
+
+def _load(path: str, what: str, csv=None, json=None):
+    """``what`` parsed from ``path`` by the codec of the path's form."""
+    return _form(path, what, csv, json)(_read(path))
+
+
+def _writer(path: str | None, what: str, csv=None, json=None):
+    """A writer to ``path``, if any; a form ``what`` lacks fails now, before any work."""
+    if not path:
+        return lambda value: None
+    encode = _form(path, what, csv, json)
+    return lambda value: _write_atomic(path, encode(value))
 
 
 def _load_matrix(path: str) -> LowerTriangularMatrix:
-    if path.endswith(".json"):
-        return LowerTriangularMatrix.from_json(_read(path))
-    return LowerTriangularMatrix.from_csv(_read(path))
-
-
-def _wants_csv(args: argparse.Namespace) -> bool:
-    """The one format rule of every writer: CSV when asked for or when --out ends in .csv."""
-    return args.format == "csv" or (args.out or "").endswith(".csv")
-
-
-def _refuse_csv(args: argparse.Namespace, output: str) -> None:
-    """Input error when ``_wants_csv`` holds for an ``output`` that has no CSV form."""
-    if _wants_csv(args):
-        raise ValueError(
-            f"{output} has no CSV form: drop --format csv, and give --out a non-.csv name"
-        )
+    return _load(path, "a matrix", LowerTriangularMatrix.from_csv, LowerTriangularMatrix.from_json)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -108,7 +112,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    loaded = json.loads(_read(args.config))
+    loaded = _load(args.config, "a config file", json=json.loads)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
     # The parser that read the options: the command's, or for gen its kind's.
@@ -136,11 +140,18 @@ def _run_forward(path: str, model: ssm_mod.DiagonalSsm, x: np.ndarray) -> np.nda
     return y
 
 
+def _output_json(y: np.ndarray) -> str:
+    return json.dumps({"Y": y.tolist()})
+
+
 def cmd_forward(args: argparse.Namespace) -> int:
-    model = ssm_mod.DiagonalSsm.from_json(_read(args.ssm))
-    x = _load_sequence(args.input)
     if args.path == "all":
-        _refuse_csv(args, "the --path all comparison")
+        write = _writer(args.out, "the --path all comparison", json=json.dumps)
+    else:
+        write = _writer(args.out, "a forward output", ssm_mod.sequence_to_csv, _output_json)
+    model = _load(args.ssm, "a model", json=ssm_mod.DiagonalSsm.from_json)
+    x = _load(args.input, "a sequence", ssm_mod.sequence_from_csv, ssm_mod.sequence_from_json)
+    if args.path == "all":
         outputs = {name: _run_forward(name, model, x) for name in ssm_mod.FORWARD_PATHS}
         pairwise = {
             f"{first}/{second}": rel_err(outputs[first], outputs[second])
@@ -149,120 +160,108 @@ def cmd_forward(args: argparse.Namespace) -> int:
         worst = max(pairwise.values())
         payload = {f"Y_{name}": y.tolist() for name, y in outputs.items()}
         payload.update(pairwise_rel_errors=pairwise, max_rel_error=worst)
-        if args.out:
-            _write_atomic(args.out, json.dumps(payload))
-        for pair, err in pairwise.items():
-            print(f"{pair}: rel_error={err:.6e}")
-        print(f"max_rel_error={worst:.6e} (eps={args.eps:.1e})")
+        write(payload)
+        lines = [f"{pair}: rel_error={err:.6e}" for pair, err in pairwise.items()]
+        lines.append(f"max_rel_error={worst:.6e} (eps={args.eps:.1e})")
+        print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
         return EXIT_OK if worst <= args.eps else EXIT_PROPERTY
     y = _run_forward(args.path, model, x)
-    y_json = json.dumps({"Y": y.tolist()})
-    if args.out:
-        _write_atomic(args.out, ssm_mod.sequence_to_csv(y) if _wants_csv(args) else y_json)
-    if args.format == "json":
-        print(y_json)
-    else:
-        print(f"computed {args.path} output of shape {y.shape[0]}x{y.shape[1]}")
+    write(y)
+    pretty = f"computed {args.path} output of shape {y.shape[0]}x{y.shape[1]}"
+    print(_output_json(y) if args.format == "json" else pretty)
     return EXIT_OK
 
 
 def cmd_check_dual(args: argparse.Namespace) -> int:
     mode = args.mode
+    # The options the mode reads: it needs each of them and takes no other.
+    reads = ("matrix", "N") if mode == "representability" else ("ssm",)
+    for option in ("ssm", "matrix", "N"):
+        given = getattr(args, option) is not None
+        if given != (option in reads):
+            raise ValueError(f"--mode {mode} {'does not read' if given else 'needs'} --{option}")
+    write = _writer(args.out, f"a {mode} report", json=json.dumps)
     if mode == "representability":
-        if not args.matrix or args.N is None:
-            raise ValueError("--mode representability needs --matrix and --N")
-        matrix = _load_matrix(args.matrix)
-        report = duality.representability_report(matrix, args.N, args.eps)
-        if args.out:
-            _write_atomic(args.out, json.dumps(report))
+        report = duality.representability_report(_load_matrix(args.matrix), args.N, args.eps)
+        write(report)
         print(json.dumps({k: report[k] for k in ("blocks", "representable")}))
         return EXIT_OK if report["representable"] else EXIT_PROPERTY
-    if not args.ssm:
-        raise ValueError(f"--mode {mode} needs --ssm")
-    model = ssm_mod.DiagonalSsm.from_json(_read(args.ssm))
+    model = _load(args.ssm, "a model", json=ssm_mod.DiagonalSsm.from_json)
     builder = (
         duality.scalar_identity_dual if mode == "scalar-identity" else duality.full_rank_one_ss_dual
     )
     factors = builder(model)
     residual = duality.kernel_residual(model, factors)
-    payload = {"mode": mode, "kernel_rel_residual": residual, "factors": factors.to_dict()}
-    if args.out:
-        _write_atomic(args.out, json.dumps(payload))
+    write({"mode": mode, "kernel_rel_residual": residual, "factors": factors.to_dict()})
     print(f"{mode}: kernel_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    write = _writer(args.out, "an extraction report", json=json.dumps)
     matrix = _load_matrix(args.matrix)
     rep = extract_sss(matrix, args.N, args.eps)
     back = materialize_sss(rep).values
     residual = rel_err(back, matrix.values)
-    payload = {
-        "roundtrip_rel_residual": residual,
-        "block_ranks": list(rep.r),
+    write({
+        "roundtrip_rel_residual": residual, "block_ranks": list(rep.r),
         "representation": rep.to_dict(),
-    }
-    if args.out:
-        _write_atomic(args.out, json.dumps(payload))
+    })
     print(f"extract: roundtrip_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    _refuse_csv(args, "a counterexample report")
+    write = _writer(args.out, "a counterexample report", json=limits.CounterexampleReport.to_json)
     if args.which == "softmax":
         report = limits.softmax_counterexample(args.T)
     else:
         report = limits.verify_non_dualizable(args.T, args.N)
-    if args.out:
-        _write_atomic(args.out, report.to_json())
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(f"counterexample: {report.name} (T={report.T})")
-        print(f"  claim: {report.claim}")
-        for key, value in report.measurements.items():
-            print(f"  {key}: {value}")
-        print(f"  applicable: {report.applicable}")
-        print(f"  verdict: {report.verdict}")
+    write(report)
+    lines = [
+        f"counterexample: {report.name} (T={report.T})", f"  claim: {report.claim}",
+        *(f"  {key}: {value}" for key, value in report.measurements.items()),
+        f"  applicable: {report.applicable}", f"  verdict: {report.verdict}",
+    ]
+    print(report.to_json() if args.format == "json" else "\n".join(lines))
     if not report.applicable:
         return EXIT_PRECONDITION
     return EXIT_OK if report.verdict else EXIT_PROPERTY
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    table = _writer(args.out, "the bench table", csv=bench.ScalingResult.to_csv)
+    summary = _writer(args.summary_out, "the bench summary", json=bench.ScalingResult.summary_json)
     grid = [_parse_int_list(values) for values in (args.T, args.N, args.d)]
     result = bench.scaling_experiment(args.path, *grid, args.seed)
-    if args.out:
-        _write_atomic(args.out, result.to_csv())
-    text = result.summary_json()
-    if args.summary_out:
-        _write_atomic(args.summary_out, text)
-    print(text)
+    table(result)
+    summary(result)
+    print(result.summary_json())
     return EXIT_OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    what, to_csv, to_json = {
+        "ssm": ("a model", None, ssm_mod.DiagonalSsm.to_json),
+        "sequence": ("a sequence", ssm_mod.sequence_to_csv, ssm_mod.sequence_to_json),
+        "matrix": ("a matrix", LowerTriangularMatrix.to_csv, LowerTriangularMatrix.to_json),
+    }[args.kind]
+    write = _writer(args.out, what, to_csv, to_json)
+    rng = np.random.default_rng(args.seed)
     if args.kind == "ssm":
-        _refuse_csv(args, "a model")
         # The input random_instance draws after the model is discarded: one channel will do.
-        model, _ = ssm_mod.random_instance(
+        value, _ = ssm_mod.random_instance(
             args.seed, args.T, args.N, 1,
             a_abs=(args.a_min, args.a_max), scalar_identity=args.scalar_identity,
         )
-        text = model.to_json()
     elif args.kind == "sequence":
         check_sizes(T=args.T, d=args.d)
-        x = np.random.default_rng(args.seed).standard_normal((args.T, args.d))
-        text = ssm_mod.sequence_to_csv(x) if _wants_csv(args) else ssm_mod.sequence_to_json(x)
+        value = rng.standard_normal((args.T, args.d))
     else:
-        values = np.random.default_rng(args.seed).standard_normal((args.T, args.T))
-        matrix = LowerTriangularMatrix(np.tril(values))
-        text = matrix.to_csv() if _wants_csv(args) else matrix.to_json()
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        value = LowerTriangularMatrix(np.tril(rng.standard_normal((args.T, args.T))))
+    write(value)
+    if not args.out:
+        print(to_json(value))
     return EXIT_OK
 
 
@@ -280,11 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "--eps", type=float, default=DEFAULT_EPS,
                 help="relative tolerance (default %(default)s)",
             )
-        p.add_argument("--out", help="output file path")
+        p.add_argument("--out", help="output file (CSV if named .csv, else JSON)")
         if "format" in shared:
             p.add_argument(
-                "--format", choices=("json", "csv", "pretty"), default="pretty",
-                help="output format (default %(default)s)",
+                "--format", choices=("json", "pretty"), default="pretty",
+                help="what is printed (default %(default)s)",
             )
         p.add_argument("--config", help="JSON file supplying defaults for flags")
         if "seed" in shared:
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_forward = sub.add_parser("forward", help="run a model on an input sequence")
     p_forward.add_argument("--ssm", required=True, help="model JSON file")
-    p_forward.add_argument("--input", required=True, help="input sequence (.csv or .json)")
+    p_forward.add_argument("--input", required=True, help="input sequence file")
     p_forward.add_argument(
         "--path", choices=(*ssm_mod.FORWARD_PATHS, "all"), default="all",
         help="forward path, or all three compared (default %(default)s)",
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check, "eps")
 
     p_extract = sub.add_parser("extract", help="recover a state-space representation")
-    p_extract.add_argument("--matrix", required=True, help="matrix file (.csv or .json)")
+    p_extract.add_argument("--matrix", required=True, help="matrix file")
     p_extract.add_argument("--N", type=int, required=True, help="representation width")
     common(p_extract, "eps")
 
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g_sequence.add_argument("--d", type=int, default=2, help="channels (default %(default)s)")
     for p in (g_ssm, g_sequence, g_matrix):
-        common(p, "format", "seed")
+        common(p, "seed")
 
     return parser
 

@@ -142,8 +142,8 @@ def solve_transition(
     w_trunc: np.ndarray,
     r_next: int | np.ndarray,
     r_cur: int | np.ndarray,
-    eps: float = DEFAULT_EPS,
-    w_pinv: np.ndarray | None = None,
+    eps: float,
+    w_pinv: np.ndarray,
     step: int = 1,
 ) -> np.ndarray:
     """Transition matrix A with w_next @ A = w_trunc, zero-padded exactly.
@@ -153,9 +153,8 @@ def solve_transition(
     matrix is semiseparable, so the least-squares solution through the
     pseudo-inverse reproduces it. Entries outside the leading
     r_next x r_cur corner are forced to exact zeros. ``w_pinv`` is the
-    pseudo-inverse of ``w_next`` when the caller has it from the
-    factorization that made ``w_next``; without it, ``np.linalg.pinv``
-    computes it at relative cutoff eps.
+    pseudo-inverse of ``w_next``, which the caller has from the
+    factorization that made ``w_next``.
 
     The factors may also be stacks of cases along a leading axis, with
     ``r_next`` and ``r_cur`` one entry per case; the transitions come back
@@ -176,9 +175,7 @@ def solve_transition(
         raise ShapeMismatchError(
             f"factor shapes {w_next.shape} and {w_trunc.shape} must match"
         )
-    if w_pinv is None:
-        w_pinv = np.linalg.pinv(w_next, rcond=eps)
-    elif w_pinv.shape != w_next.swapaxes(-2, -1).shape:
+    if w_pinv.shape != w_next.swapaxes(-2, -1).shape:
         raise ShapeMismatchError(
             f"pseudo-inverse shape {w_pinv.shape} does not fit factor shape {w_next.shape}"
         )

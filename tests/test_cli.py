@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssdlab.limits import non_dualizable_matrix
-from ssdlab.ssm import DiagonalSsm, random_instance, sequence_to_csv
+from ssdlab.ssm import DiagonalSsm, random_instance, sequence_from_csv, sequence_to_csv
 from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import run_python, run_ssdlab
 
@@ -38,7 +38,7 @@ class TestForwardCommand:
     def test_single_path_csv_output(self, workdir):
         proc = run_cli(
             "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",
-            "--out", "y.csv", "--format", "csv", cwd=workdir,
+            "--out", "y.csv", cwd=workdir,
         )
         assert proc.returncode == 0
         rows = (workdir / "y.csv").read_text().strip().splitlines()
@@ -90,23 +90,85 @@ class TestCsvFormat:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"),
-            ("counterexample", "softmax", "--T", "3"),
-            ("gen", "ssm", "--seed", "1"),
+            ("forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all", "--out"),
+            ("counterexample", "softmax", "--T", "3", "--out"),
+            ("gen", "ssm", "--seed", "1", "--out"),
+            ("extract", "--matrix", "corner5.csv", "--N", "2", "--out"),
+            ("check-dual", "--mode", "representability", "--matrix", "corner5.csv", "--N", "2",
+             "--out"),
+            ("bench", "--seed", "1", "--T", "8", "--summary-out"),
         ],
-        ids=["forward-all", "counterexample", "gen-ssm"],
+        ids=["forward-all", "counterexample", "gen-ssm", "extract", "check-dual", "bench-summary"],
     )
-    @pytest.mark.parametrize(
-        "ask",
-        [("--format", "csv", "--out", "out.csv"), ("--out", "out.csv"), ("--format", "csv")],
-        ids=["both", "out-name", "format"],
-    )
-    def test_asked_of_an_output_without_a_csv_form_is_refused(self, workdir, argv, ask):
-        proc = run_cli(*argv, *ask, cwd=workdir)
+    def test_asked_of_an_output_without_a_csv_form_is_refused(self, workdir, argv):
+        proc = run_cli(*argv, "out.csv", cwd=workdir)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error: ") and "has no CSV form" in proc.stderr
         assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize("name", ["counts.json", "counts.txt"])
+    def test_a_bench_table_not_named_csv_is_refused(self, workdir, name):
+        proc = run_cli("bench", "--seed", "1", "--T", "8", "--out", name, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: ") and "has no JSON form" in proc.stderr
+        assert not (workdir / name).exists()
+
+
+#: (writer argv, reader argv, names the writer refuses) of each file a command
+#: writes. The reader is the command that takes the file, named {out} there; a
+#: forward output, which no command takes, is read back by its form's parser.
+ROUND_TRIPS = {
+    "gen-matrix": (
+        ("gen", "matrix", "--seed", "6", "--T", "6"),
+        ("extract", "--matrix", "{out}", "--N", "6"),
+        (),
+    ),
+    "gen-matrix-format-csv": (
+        ("gen", "matrix", "--seed", "6", "--T", "6", "--format", "csv"),
+        ("extract", "--matrix", "{out}", "--N", "6"),
+        (".csv", ".json", ".txt"),
+    ),
+    "gen-sequence": (
+        ("gen", "sequence", "--seed", "6", "--T", "16"),
+        ("forward", "--ssm", "ssm.json", "--input", "{out}"),
+        (),
+    ),
+    "gen-ssm": (
+        ("gen", "ssm", "--seed", "6", "--T", "16"),
+        ("forward", "--ssm", "{out}", "--input", "x.csv"),
+        (".csv",),
+    ),
+    "forward-ssd": (
+        ("forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd"), None, ()
+    ),
+}
+
+
+class TestFileNames:
+    """A name ending in .csv is read and written as CSV, any other name as JSON."""
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+    @pytest.mark.parametrize("kind", ROUND_TRIPS)
+    def test_every_written_file_reads_back_or_is_refused(self, workdir, kind, suffix):
+        write, read, refused = ROUND_TRIPS[kind]
+        out = "out" + suffix
+        proc = run_cli(*write, "--out", out, cwd=workdir)
+        if suffix in refused:
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert not (workdir / out).exists()
+            return
+        assert proc.returncode == 0, proc.stderr
+        if read is not None:
+            back = run_cli(*(arg.format(out=out) for arg in read), cwd=workdir)
+            assert back.returncode == 0, back.stderr
+            return
+        text = (workdir / out).read_text()
+        y = sequence_from_csv(text) if suffix == ".csv" else json.loads(text)["Y"]
+        printed = run_cli(*write, "--format", "json", cwd=workdir)
+        assert np.array_equal(y, json.loads(printed.stdout)["Y"])
 
 
 class TestCheckDualCommand:
@@ -190,6 +252,23 @@ class TestCheckDualCommand:
             "check-dual", "--mode", "scalar-identity", "--ssm", "si.json", cwd=tmp_path
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("full-rank", "--ssm", "ssm.json", "--matrix", "corner5.csv", "--N", "3"), "--matrix"),
+            (("full-rank", "--ssm", "ssm.json", "--N", "3"), "--N"),
+            (("representability", "--matrix", "corner5.csv", "--N", "2", "--ssm", "ssm.json"),
+             "--ssm"),
+        ],
+        ids=["full-rank-matrix", "full-rank-N", "representability-ssm"],
+    )
+    def test_an_option_the_mode_does_not_read_is_refused(self, workdir, argv, flag):
+        proc = run_cli("check-dual", "--mode", *argv, "--out", "rep.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: --mode {argv[0]} does not read {flag}\n"
+        assert not (workdir / "rep.json").exists()
 
     def test_non_scalar_identity_blocks(self, workdir):
         proc = run_cli("check-dual", "--mode", "scalar-identity", "--ssm", "ssm.json", cwd=workdir)
@@ -300,9 +379,9 @@ class TestGenCommand:
 
 #: Every flag of each ``gen`` kind but --seed and --out, at its default.
 GEN_DEFAULTS = {
-    "ssm": ("--T", "16", "--N", "4", "--a-min", "0.0", "--a-max", "2.0", "--format", "pretty"),
-    "sequence": ("--T", "16", "--d", "2", "--format", "pretty"),
-    "matrix": ("--T", "16", "--format", "pretty"),
+    "ssm": ("--T", "16", "--N", "4", "--a-min", "0.0", "--a-max", "2.0"),
+    "sequence": ("--T", "16", "--d", "2"),
+    "matrix": ("--T", "16"),
 }
 
 
@@ -323,11 +402,14 @@ class TestDefaults:
         ids=["bench", "gen-ssm", "gen-sequence", "gen-matrix", "counterexample", "forward"],
     )
     def test_spelled_out_defaults_change_nothing(self, workdir, argv, defaults):
-        bare = run_cli(*argv, "--out", "bare.out", cwd=workdir)
-        spelled = run_cli(*argv, *defaults, "--out", "spelled.out", cwd=workdir)
+        # The bench table has only a CSV form, so only a .csv name holds it.
+        suffix = ".csv" if argv[0] == "bench" else ".out"
+        bare = run_cli(*argv, "--out", "bare" + suffix, cwd=workdir)
+        spelled = run_cli(*argv, *defaults, "--out", "spelled" + suffix, cwd=workdir)
         assert bare.returncode == 0
         assert (bare.returncode, bare.stdout) == (spelled.returncode, spelled.stdout)
-        assert (workdir / "bare.out").read_bytes() == (workdir / "spelled.out").read_bytes()
+        written = [(workdir / (name + suffix)).read_bytes() for name in ("bare", "spelled")]
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -342,10 +424,12 @@ class TestDefaults:
             ("gen", "sequence", "--seed", "1", "--N", "5"),
             ("gen", "sequence", "--seed", "1", "--a-max", "3.0"),
             ("gen", "ssm", "--seed", "1", "--d", "2"),
+            ("gen", "matrix", "--seed", "1", "--format", "json"),
         ],
         ids=[
             "extract-format", "check-dual-seed", "bench-eps", "gen-matrix-N", "gen-matrix-d",
             "gen-matrix-a-min", "gen-sequence-N", "gen-sequence-a-max", "gen-ssm-d",
+            "gen-matrix-format",
         ],
     )
     def test_shared_flag_the_command_does_not_read_is_refused(self, workdir, argv):

@@ -161,11 +161,17 @@ class TestRankFactorStep:
 
 
 class TestSolveTransition:
+    @staticmethod
+    def solve(w_next, w_trunc, r_next, r_cur, step=1):
+        """``solve_transition`` given the pseudo-inverse of ``w_next`` at cutoff eps."""
+        w_pinv = np.linalg.pinv(w_next, rcond=DEFAULT_EPS)
+        return solve_transition(w_next, w_trunc, r_next, r_cur, DEFAULT_EPS, w_pinv, step)
+
     def test_equal_factors_give_leading_identity(self):
         rng = np.random.default_rng(52)
         w = np.zeros((5, 3))
         w[:, :2] = rng.standard_normal((5, 2))
-        trans = solve_transition(w, w, 2, 2)
+        trans = self.solve(w, w, 2, 2)
         assert np.allclose(trans[:2, :2], np.eye(2), atol=1e-10)
         assert np.array_equal(trans[2:, :], np.zeros((1, 3)))
         assert np.array_equal(trans[:, 2:], np.zeros((3, 1)))
@@ -174,7 +180,7 @@ class TestSolveTransition:
         rng = np.random.default_rng(53)
         w = np.zeros((4, 2))
         w[:, 0] = rng.standard_normal(4)
-        trans = solve_transition(w, 2.0 * w, 1, 1)
+        trans = self.solve(w, 2.0 * w, 1, 1)
         assert abs(trans[0, 0] - 2.0) < 1e-12
 
     def test_random_consistent_pair(self):
@@ -184,12 +190,12 @@ class TestSolveTransition:
         mix = np.zeros((3, 3))
         mix[:2, :2] = rng.standard_normal((2, 2))
         w_trunc = w_next @ mix
-        trans = solve_transition(w_next, w_trunc, 2, 2)
+        trans = self.solve(w_next, w_trunc, 2, 2)
         assert np.linalg.norm(w_next @ trans - w_trunc) <= 1e-8 * np.linalg.norm(w_trunc)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ShapeMismatchError):
-            solve_transition(np.zeros((4, 2)), np.zeros((3, 2)), 1, 1)
+            self.solve(np.zeros((4, 2)), np.zeros((3, 2)), 1, 1)
 
     def test_a_stack_solves_each_case_and_refuses_its_first_miss_by_step(self):
         rng = np.random.default_rng(55)
@@ -199,14 +205,14 @@ class TestSolveTransition:
         # Case i has r_next[i] live columns of W, and W' r_cur[i] of them.
         w_next *= np.arange(3) < r_next[:, None, None]
         w_trunc = w_next @ (mix * (np.arange(3) < r_cur[:, None, None]))
-        stacked = solve_transition(w_next, w_trunc, r_next, r_cur)
+        stacked = self.solve(w_next, w_trunc, r_next, r_cur)
         for i in range(4):
-            single = solve_transition(w_next[i], w_trunc[i], r_next[i], r_cur[i])
+            single = self.solve(w_next[i], w_trunc[i], r_next[i], r_cur[i])
             assert rel_fro(stacked[i], single) <= 1e-12
         w_trunc[2, 0, 0] += 1.0
         w_trunc[3, 0, 0] += 1.0
         with pytest.raises(InconsistentTransitionError, match="^row-factor residual .* at step 9 "):
-            solve_transition(w_next, w_trunc, r_next, r_cur, step=7)
+            self.solve(w_next, w_trunc, r_next, r_cur, step=7)
 
 
 class TestExtractSss:
