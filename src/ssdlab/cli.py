@@ -10,6 +10,7 @@ no timestamps or timings, so a fixed seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -27,10 +28,6 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
-
-#: Commands that draw random data and therefore demand an explicit seed.
-_RANDOMIZED_COMMANDS = {"bench", "gen"}
-
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -101,13 +98,13 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
-    """Parsed ``argv``; a --config file's values become the command's defaults, so flags win.
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parsed ``argv``; a --config file's values act as the command's defaults, so flags win.
 
     Each value goes through its option's type and choices, and ``null`` keeps
     the option's own default. A key that names no option of the command (the
     command name and ``--config`` itself included), or a value its flag would
-    reject, is an input error.
+    reject, is an input error. The parser itself is never changed.
     """
     args = parser.parse_args(argv)
     if not args.config:
@@ -115,21 +112,17 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     loaded = _load(args.config, "a config file", json=json.loads)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    # The parser that read the options: the command's, or for gen its kind's.
-    command, names = parser, []
-    while subs := [a for a in command._actions if isinstance(a, argparse._SubParsersAction)]:
-        names.append(getattr(args, subs[0].dest))
-        command = subs[0].choices[names[-1]]
-    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
-    defaults = {}
+    # The parser that read the options: the command's, or for gen and counterexample its kind's.
+    names = args.leaf.prog.split()[1:]
+    actions = {a.dest: a for a in args.leaf._actions if a.dest not in ("help", "config")}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ValueError(f"config key {key!r} names no option of {' '.join(names)!r}")
         if value is not None:
-            defaults[attr] = _config_value(actions[attr], key, value)
-    command.set_defaults(**defaults)
-    return parser.parse_args(argv)
+            setattr(args, attr, _config_value(actions[attr], key, value))
+    # The leaf reads its own flags again over the file's values, so flags win.
+    return args.leaf.parse_args(argv[len(names):], args)
 
 
 def _run_forward(path: str, model: ssm_mod.DiagonalSsm, x: np.ndarray) -> np.ndarray:
@@ -213,7 +206,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
     write = _writer(args.out, "a counterexample report", json=limits.CounterexampleReport.to_json)
-    if args.which == "softmax":
+    if args.kind == "softmax":
         report = limits.softmax_counterexample(args.T)
     else:
         report = limits.verify_non_dualizable(args.T, args.N)
@@ -272,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *shared: str) -> None:
-        """--out and --config, plus those of --eps, --format and --seed named in ``shared``."""
+    def common(p: argparse.ArgumentParser, run, *shared: str) -> None:
+        """``p`` runs ``run`` and takes --out and --config, plus those of --eps, --format and
+        --seed named in ``shared`` (a command with --seed draws random data and demands it)."""
+        p.set_defaults(run=run, leaf=p)
         if "eps" in shared:
             p.add_argument(
                 "--eps", type=float, default=DEFAULT_EPS,
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--path", choices=(*ssm_mod.FORWARD_PATHS, "all"), default="all",
         help="forward path, or all three compared (default %(default)s)",
     )
-    common(p_forward, "eps", "format")
+    common(p_forward, cmd_forward, "eps", "format")
 
     p_check = sub.add_parser("check-dual", help="build or decide masked-attention duals")
     p_check.add_argument(
@@ -305,20 +300,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--ssm", help="model JSON file (constructive modes)")
     p_check.add_argument("--matrix", help="matrix file (representability mode)")
     p_check.add_argument("--N", type=int, help="factor width (representability mode)")
-    common(p_check, "eps")
+    common(p_check, cmd_check_dual, "eps")
 
     p_extract = sub.add_parser("extract", help="recover a state-space representation")
     p_extract.add_argument("--matrix", required=True, help="matrix file")
     p_extract.add_argument("--N", type=int, required=True, help="representation width")
-    common(p_extract, "eps")
+    common(p_extract, cmd_extract, "eps")
 
     p_counter = sub.add_parser("counterexample", help="run an impossibility demonstration")
-    p_counter.add_argument("which", choices=("softmax", "non-dualizable"))
-    p_counter.add_argument("--T", type=int, required=True)
-    p_counter.add_argument(
+    demos = p_counter.add_subparsers(dest="kind", required=True)
+    c_softmax = demos.add_parser("softmax", help="softmax of a rank-1 score matrix is full rank")
+    c_non_dual = demos.add_parser("non-dualizable", help="a width-2 recurrence kernel with no dual")
+    for p in (c_softmax, c_non_dual):
+        p.add_argument("--T", type=int, required=True, help="matrix size")
+        common(p, cmd_counterexample, "format")
+    c_non_dual.add_argument(
         "--N", type=int, default=2, help="dual width to refute (default %(default)s)"
     )
-    common(p_counter, "format")
 
     p_bench = sub.add_parser("bench", help="count operations and fit scaling exponents")
     grid_help = "comma-separated grid values (default %(default)s)"
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--N", default="4", help=grid_help)
     p_bench.add_argument("--d", default="2", help=grid_help)
     p_bench.add_argument("--summary-out", help="JSON summary file")
-    common(p_bench, "seed")
+    common(p_bench, cmd_bench, "seed")
 
     p_gen = sub.add_parser("gen", help="generate a random model, sequence, or matrix")
     kinds = p_gen.add_subparsers(dest="kind", required=True)
@@ -350,28 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g_sequence.add_argument("--d", type=int, default=2, help="channels (default %(default)s)")
     for p in (g_ssm, g_sequence, g_matrix):
-        common(p, "seed")
+        common(p, cmd_gen, "seed")
 
     return parser
 
 
-_HANDLERS = {
-    "forward": cmd_forward,
-    "check-dual": cmd_check_dual,
-    "extract": cmd_extract,
-    "counterexample": cmd_counterexample,
-    "bench": cmd_bench,
-    "gen": cmd_gen,
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser tree, built on first use and never changed after that."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
-        if args.command in _RANDOMIZED_COMMANDS and args.seed is None:
+        args = _parse_args(_parser(), sys.argv[1:] if argv is None else argv)
+        if getattr(args, "seed", 0) is None:
             raise ValueError(f"{args.command} is randomized; --seed is mandatory")
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

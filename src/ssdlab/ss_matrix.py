@@ -81,7 +81,8 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     ``keys`` maps each JSON key, in file order, to the attribute it holds.
     The class gains ``to_dict``, ``to_json`` and a ``from_json`` classmethod
     in its own namespace. ``from_json`` passes the keys not in ``declared``
-    to the constructor, so every construction check still runs, and raises
+    to the constructor, so every construction check still runs; it raises
+    ``ValueError`` naming each key the object lacks, and
     ``ShapeMismatchError`` when a ``declared`` key (a size the file states)
     disagrees with the rebuilt record.
     """
@@ -96,6 +97,9 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object for {cls.__name__}")
+        missing = ", ".join(repr(key) for key in keys if key not in obj)
+        if missing:
+            raise ValueError(f"the {cls.__name__} JSON object lacks {missing}")
         record = cls(**{attr: obj[key] for key, attr in keys.items() if key not in declared})
         for key in declared:
             got = getattr(record, keys[key])

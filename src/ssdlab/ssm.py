@@ -86,7 +86,7 @@ def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     h = np.zeros((ssm.N, d))
     y = np.empty((n_steps, d))
     for t in range(n_steps):
-        h = ssm.a_diag[t][:, None] * h + np.outer(ssm.b[t], x[t])
+        h = ssm.a_diag[t][:, None] * h + ssm.b[t][:, None] * x[t]
         y[t] = ssm.c[t] @ h
     return y
 
@@ -209,4 +209,6 @@ def sequence_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object for a sequence")
+    if "X" not in obj:
+        raise ValueError("the sequence JSON object lacks 'X'")
     return np.array(obj["X"], dtype=float)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ssdlab import cli
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ssm import DiagonalSsm, random_instance, sequence_from_csv, sequence_to_csv
 from ssdlab.sss_extract import materialize_sss, random_representation
@@ -54,6 +55,21 @@ class TestForwardCommand:
         proc = run_cli("forward", "--ssm", "ssm.json", "--input", "x.json", cwd=workdir)
         assert proc.returncode == 2
         assert "input error" in proc.stderr
+
+    def test_a_model_missing_a_key_names_it(self, workdir):
+        model = json.loads((workdir / "ssm.json").read_text())
+        del model["b"]
+        (workdir / "nob.json").write_text(json.dumps(model))
+        proc = run_cli("forward", "--ssm", "nob.json", "--input", "x.csv", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: the DiagonalSsm JSON object lacks 'b'\n"
+
+    def test_a_one_path_output_as_input_names_the_missing_key(self, workdir):
+        argv = ("forward", "--ssm", "ssm.json", "--path", "ssd")
+        assert run_cli(*argv, "--input", "x.csv", "--out", "y.json", cwd=workdir).returncode == 0
+        proc = run_cli(*argv, "--input", "y.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: the sequence JSON object lacks 'X'\n"
 
     def test_shape_mismatch_is_an_input_error(self, workdir):
         (workdir / "short.csv").write_text("1.0,1.0,1.0\n2.0,2.0,2.0\n")
@@ -517,6 +533,54 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error") and repr(key) in proc.stderr
+
+
+class TestParserTree:
+    """In one process the CLI builds its parser tree once, and no call changes it."""
+
+    def test_repeated_calls_build_the_tree_once(self, workdir, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        monkeypatch.chdir(workdir)
+        for argv in (
+            ["bench", "--seed", "1", "--T", "8"],
+            ["gen", "matrix", "--seed", "1", "--T", "2"],
+            ["counterexample", "softmax", "--T", "3"],
+        ):
+            assert cli.main(argv) == 0
+        assert len(built) == 1
+
+    def test_one_calls_config_never_reaches_the_next(self, workdir, monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        (workdir / "cfg.json").write_text(json.dumps({"T": "32", "path": "recurrence"}))
+        printed = []
+        for argv in (("--config", "cfg.json"), (), ("--config", "cfg.json", "--T", "16")):
+            assert cli.main(["bench", "--seed", "1", *argv]) == 0
+            point = json.loads(capsys.readouterr().out)["points"][0]
+            printed.append((point["path"], point["T"]))
+        assert printed == [("recurrence", 32), ("ssd", 64), ("recurrence", 16)]
+
+    def test_each_counterexample_kind_takes_only_its_flags(self, workdir, monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        softmax = ["counterexample", "softmax", "--T", "3"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*softmax, "--N", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --N 3" in capsys.readouterr().err
+        (workdir / "cfg.json").write_text(json.dumps({"N": 3}))
+        assert cli.main([*softmax, "--config", "cfg.json"]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: config key 'N' names no option of 'counterexample softmax'\n"
+        )
+        non_dualizable = ["counterexample", "non-dualizable", "--T", "5"]
+        assert cli.main([*non_dualizable, "--N", "2"]) == 0
+        assert "verdict: True" in capsys.readouterr().out
+        assert cli.main([*non_dualizable, "--N", "3"]) == 0
+        via_flag = capsys.readouterr()
+        assert cli.main([*non_dualizable, "--config", "cfg.json"]) == 0
+        assert capsys.readouterr() == via_flag
 
 
 #: Runs the CLI on its arguments with every scipy import made to raise ImportError.

@@ -478,6 +478,17 @@ class TestJsonRecords:
         with pytest.raises(ValueError, match="above the main diagonal"):
             LowerTriangularMatrix.from_json('{"T": 2, "rows": [[1.0, 1.0], [0.0, 1.0]]}')
 
+    @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
+    def test_missing_keys_are_named(self, record, text):
+        obj = json.loads(text)
+        gone = list(obj)[-2:]
+        for key in gone:
+            del obj[key]
+        named = ", ".join(repr(key) for key in gone)
+        with pytest.raises(ValueError) as exc:
+            type(record).from_json(json.dumps(obj))
+        assert str(exc.value) == f"the {type(record).__name__} JSON object lacks {named}"
+
     def test_rejects_a_file_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             MaskVector.from_json("[1.0, 2.0]")
