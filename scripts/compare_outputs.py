@@ -5,8 +5,11 @@ Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
 Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
 checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
 interpreter with BLAS pinned to one thread, on the same seeded inputs:
-``one_ss`` and ``materialize_kernel`` (also at T=600), ``forward_ssd``, the
-summed per-mode materializations of ``attention_like_decomposition``,
+``one_ss`` and ``materialize_kernel`` (also at T=600, and on a T=600 model
+whose gains of magnitude 0.05 to 0.2 take the kernel panel walk's carried
+weights below the normal range, where it carries them as zero),
+``forward_ssd``, the summed per-mode materializations of
+``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
 ``semiseparable_rank`` and the per-block new-column verdicts and span-fit
 coefficients of ``count_block_new_columns`` of a random width-4
@@ -14,7 +17,8 @@ representation and of a kernel cut by three zero gains, both at T=256, and
 the verdicts and coefficients of a matrix whose sweep refactors and widens
 its carry; plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
-T=128 and at T=600, where the kernel panel walk runs 18 full panels and a ragged one),
+T=128, at T=600, where the kernel panel walk runs 18 full panels and a ragged one,
+and on the T=600 model whose carried weights fall below the normal range),
 ``forward --path ssd`` (CSV, chosen by the ``.csv`` name of ``--out``),
 ``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
@@ -151,6 +155,9 @@ def dump() -> dict[str, object]:
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
         long_model, long_x = random_instance(seed, 600, 4, 2)
+        # Carried gain products fall through the subnormal range, and are carried as zero.
+        underflow_model, underflow_x = random_instance(seed, 600, 4, 2, a_abs=(0.05, 0.2))
+        out[f"materialize_kernel/underflow/600/{seed}"] = materialize_kernel(underflow_model).values
         for dims in ((40, 17, 1), (33, 8, 2)):
             counted_model, counted_x = random_instance(seed, *dims)
             for path in ("ssd", "recurrence", "materialized"):
@@ -164,6 +171,8 @@ def dump() -> dict[str, object]:
             (work / "x.csv").write_text(sequence_to_csv(x))
             (work / "ssm600.json").write_text(long_model.to_json())
             (work / "x600.csv").write_text(sequence_to_csv(long_x))
+            (work / "ssm-underflow.json").write_text(underflow_model.to_json())
+            (work / "x-underflow.csv").write_text(sequence_to_csv(underflow_x))
             (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
             (work / "corner.csv").write_text(non_dualizable_matrix(8).to_csv())
             # Mode decay rates differ, so a filled upper triangle would outgrow the kernel.
@@ -183,6 +192,10 @@ def dump() -> dict[str, object]:
                 "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
                 "forward/600": [
                     "forward", "--ssm", "ssm600.json", "--input", "x600.csv", "--path", "all"
+                ],
+                "forward/underflow/600": [
+                    "forward", "--ssm", "ssm-underflow.json", "--input", "x-underflow.csv",
+                    "--path", "all",
                 ],
                 "check-dual": [*representability, "kernel.csv", "--N", "3"],
                 "check-dual/refused": [*representability, "corner.csv", "--N", "2"],

@@ -65,11 +65,35 @@ def _load(path: str, what: str, csv=None, json=None):
 
 
 def _writer(path: str | None, what: str, csv=None, json=None):
-    """A writer to ``path``, if any; a form ``what`` lacks fails now, before any work."""
-    if not path:
-        return lambda value: None
-    encode = _form(path, what, csv, json)
-    return lambda value: _write_atomic(path, encode(value))
+    """A writer to ``path``, if any; a form ``what`` lacks fails now, before any work.
+
+    ``write(value, printed)`` writes ``value`` and returns ``printed(value)``, the
+    text it wrote when ``printed`` is the file's own codec, so a value printed
+    in its file's form is encoded once. With no ``printed`` it returns None.
+    """
+    encode = _form(path, what, csv, json) if path else None
+
+    def write(value, printed=None):
+        text = None
+        if encode is not None:
+            text = encode(value)
+            _write_atomic(path, text)
+        if printed is None:
+            return None
+        return text if printed is encode else printed(value)
+
+    return write
+
+
+def _print(text: str) -> None:
+    """Print ``text`` now; a reader closing stdout drops the rest of the output, not the verdict."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go to the null device instead of the closed pipe.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _load_matrix(path: str) -> LowerTriangularMatrix:
@@ -153,15 +177,14 @@ def cmd_forward(args: argparse.Namespace) -> int:
         worst = max(pairwise.values())
         payload = {f"Y_{name}": y.tolist() for name, y in outputs.items()}
         payload.update(pairwise_rel_errors=pairwise, max_rel_error=worst)
-        write(payload)
+        printed = write(payload, json.dumps if args.format == "json" else None)
         lines = [f"{pair}: rel_error={err:.6e}" for pair, err in pairwise.items()]
         lines.append(f"max_rel_error={worst:.6e} (eps={args.eps:.1e})")
-        print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+        _print(printed or "\n".join(lines))
         return EXIT_OK if worst <= args.eps else EXIT_PROPERTY
     y = _run_forward(args.path, model, x)
-    write(y)
-    pretty = f"computed {args.path} output of shape {y.shape[0]}x{y.shape[1]}"
-    print(_output_json(y) if args.format == "json" else pretty)
+    printed = write(y, _output_json if args.format == "json" else None)
+    _print(printed or f"computed {args.path} output of shape {y.shape[0]}x{y.shape[1]}")
     return EXIT_OK
 
 
@@ -177,7 +200,7 @@ def cmd_check_dual(args: argparse.Namespace) -> int:
     if mode == "representability":
         report = duality.representability_report(_load_matrix(args.matrix), args.N, args.eps)
         write(report)
-        print(json.dumps({k: report[k] for k in ("blocks", "representable")}))
+        _print(json.dumps({k: report[k] for k in ("blocks", "representable")}))
         return EXIT_OK if report["representable"] else EXIT_PROPERTY
     model = _load(args.ssm, "a model", json=ssm_mod.DiagonalSsm.from_json)
     builder = (
@@ -186,7 +209,7 @@ def cmd_check_dual(args: argparse.Namespace) -> int:
     factors = builder(model)
     residual = duality.kernel_residual(model, factors)
     write({"mode": mode, "kernel_rel_residual": residual, "factors": factors.to_dict()})
-    print(f"{mode}: kernel_rel_residual={residual:.6e} (eps={args.eps:.1e})")
+    _print(f"{mode}: kernel_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY
 
 
@@ -200,23 +223,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "roundtrip_rel_residual": residual, "block_ranks": list(rep.r),
         "representation": rep.to_dict(),
     })
-    print(f"extract: roundtrip_rel_residual={residual:.6e} (eps={args.eps:.1e})")
+    _print(f"extract: roundtrip_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    write = _writer(args.out, "a counterexample report", json=limits.CounterexampleReport.to_json)
+    report_json = limits.CounterexampleReport.to_json
+    write = _writer(args.out, "a counterexample report", json=report_json)
     if args.kind == "softmax":
         report = limits.softmax_counterexample(args.T)
     else:
         report = limits.verify_non_dualizable(args.T, args.N)
-    write(report)
+    printed = write(report, report_json if args.format == "json" else None)
     lines = [
         f"counterexample: {report.name} (T={report.T})", f"  claim: {report.claim}",
         *(f"  {key}: {value}" for key, value in report.measurements.items()),
         f"  applicable: {report.applicable}", f"  verdict: {report.verdict}",
     ]
-    print(report.to_json() if args.format == "json" else "\n".join(lines))
+    _print(printed or "\n".join(lines))
     if not report.applicable:
         return EXIT_PRECONDITION
     return EXIT_OK if report.verdict else EXIT_PROPERTY
@@ -228,8 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grid = [_parse_int_list(values) for values in (args.T, args.N, args.d)]
     result = bench.scaling_experiment(args.path, *grid, args.seed)
     table(result)
-    summary(result)
-    print(result.summary_json())
+    _print(summary(result, bench.ScalingResult.summary_json))
     return EXIT_OK
 
 
@@ -254,7 +277,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         value = LowerTriangularMatrix(np.tril(rng.standard_normal((args.T, args.T))))
     write(value)
     if not args.out:
-        print(to_json(value))
+        _print(to_json(value))
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ What the module holds:
 - the kernel panel walk, ``_segment_product_panels``, that builds dense
   segment-product kernels (``_segment_product_kernel``, the 1SS operator
   ``one_ss``) and applies them (``_segment_product_apply``) one row panel
-  at a time;
+  at a time, its diagonal tiles made a batch at a time by ``_diagonal_tiles``;
 - the block sweep, ``_block_sweep``, one ``SweepStep`` per lower-left block,
   which ``semiseparable_rank`` reads;
 - the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
@@ -47,6 +47,12 @@ _MACHINE_EPS = np.finfo(float).eps
 #: Rows of the kernel builder's panels and of the upper-triangle check's bands, and
 #: sweep steps per stacked span-fit solve.
 _TILE = 32
+
+#: Diagonal tiles the kernel builder makes in one pass.
+_TILE_BATCH = 8
+
+#: Smallest normal float64: the kernel builder carries any weight below it as zero.
+_TINY = np.finfo(float).tiny
 
 
 def array_to_csv(x: np.ndarray) -> str:
@@ -227,33 +233,97 @@ class MaskVector:
         return self.a.shape[0]
 
 
+def _tiled(rows: np.ndarray, count: int, fill: float) -> np.ndarray:
+    """``rows`` as (``_TILE``, ``count``, K), ``count`` tiles side by side, padded with ``fill``."""
+    if len(rows) < count * _TILE:
+        rows = np.concatenate([rows, np.full((count * _TILE - len(rows), rows.shape[1]), fill)])
+    return rows.reshape(count, _TILE, rows.shape[1]).transpose(1, 0, 2)
+
+
+def _diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """(lo, hi, heads, last, tile) for each ``_TILE`` rows, ``_TILE_BATCH`` diagonal tiles a pass.
+
+    With prods[u, v] = gains[lo+v+1..lo+u] for v <= u, ``heads`` is
+    prods[:, 0], ``last`` is prods[-1] and ``tile`` is the kernel's diagonal
+    tile, rows and columns [lo, hi). The products are kept packed, only
+    those on and below the diagonal, with the tiles of a batch side by
+    side: one loop over a tile's rows runs for every tile of the batch at
+    once, row u being row u-1 times gains[lo+u], and one ``einsum`` takes
+    every kept entry of the batch's tiles. The products are those of a
+    cumulative product, and the tiles those of an ``einsum`` over each tile
+    alone, bit for bit (``tests/oracles.py::reference_diagonal_tiles``).
+    The last batch is padded with unit gains and zero weights, which reach
+    no kept entry.
+    """
+    steps, size = gains.shape[0], _TILE
+    width = np.broadcast_shapes(gains.shape, left.shape, right.shape)[1]
+    rows, cols = np.tril_indices(size)
+    # Entry (u, v) of a tile's products sits at starts[u] + v; the diagonal ones stay 1.
+    starts = np.arange(size) * np.arange(1, size + 1) // 2
+    prods = np.ones((len(rows), _TILE_BATCH, gains.shape[1]))
+    weighted = np.empty((len(rows), _TILE_BATCH, width))
+    dots = np.empty((len(rows), _TILE_BATCH))
+    tiles = np.zeros((_TILE_BATCH, size, size))
+    for start in range(0, steps, size * _TILE_BATCH):
+        stop = min(start + size * _TILE_BATCH, steps)
+        count = -(-(stop - start) // size)
+        batch = prods[:, :count]
+        g = _tiled(gains[start:stop], count, 1.0)
+        for u in range(1, size):
+            above, row = starts[u - 1], starts[u]
+            np.multiply(batch[above : above + u], g[u], out=batch[row : row + u])
+        np.multiply(batch, _tiled(right[start:stop], count, 0.0)[cols], out=weighted[:, :count])
+        np.einsum("pbk,pbk->pb", weighted[:, :count], _tiled(left[start:stop], count, 0.0)[rows],
+                  out=dots[:, :count])
+        tiles[:count, rows, cols] = dots[:, :count].T
+        for i, lo in enumerate(range(start, stop, size)):
+            n = min(size, steps - lo)
+            last = starts[n - 1]
+            yield lo, lo + n, batch[starts[:n], i], batch[last : last + n, i], tiles[i, :n, :n]
+
+
 def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarray):
     """Row panels of the lower triangle sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
 
-    All three inputs are (T, K); gains[0] is never read. Yields (lo, hi,
-    panel) for every ``_TILE`` rows in order, the panel holding rows [lo, hi)
-    and columns [0, hi) of the kernel. The diagonal tile takes its segment
-    products from one cumulative product. Left of it the product is
-    gains[s+1..lo-1] (tail) times gains[lo..t] (head), one rank-K product.
-    The next panel's tail is this tail times gains[lo..hi-1], followed by
-    the tile's last row of products: multiplication only, so nothing is
-    divided and zero gains stay exact. A panel with a non-finite entry
-    raises ``ValueError``.
+    The inputs are (T, K) or (T, 1), broadcast against each other; gains[0]
+    is never read. Yields (lo, hi, panel) for every ``_TILE`` rows in order,
+    the panel holding rows [lo, hi) and columns [0, hi) of the kernel. Its
+    diagonal tile comes from ``_diagonal_tiles``. Left of the tile the
+    product is gains[lo..t] (head) times the carried weight right[s] *
+    gains[s+1..lo-1], one rank-K product. The carried weights sit in one
+    (T, K) array, multiplied in place by each panel's last head row and
+    extended by right times the tile's last row of products: nothing is
+    divided, so zero gains stay exact. A carried weight below the smallest
+    normal float (``_TINY``) is carried as zero, which moves an entry left
+    of its tile by at most sum_k |left[t,k] head[t,k]| * ``_TINY``. Leading
+    carried rows that are zero in every mode stay zero, so their columns
+    are written as +0.0 and the product runs over the rest. A panel with a
+    non-finite entry raises ``ValueError``.
     """
-    tail = np.ones((0, gains.shape[1]))
-    for lo in range(0, gains.shape[0], _TILE):
-        hi = min(lo + _TILE, gains.shape[0])
-        # Row u of column s contributes gains[u] once u > s: rows cumprod to gains[s+1..t].
-        u = np.arange(hi - lo)
-        factors = np.where((u[:, None] > u)[..., None], gains[lo:hi, None], 1.0)
-        prods = np.cumprod(factors, axis=0)
+    carry = np.empty((gains.shape[0], np.broadcast_shapes(gains.shape, left.shape, right.shape)[1]))
+    dead = 0  # carry[:dead] is zero in every mode
+    floor = np.inf  # at most the magnitude of every nonzero carried weight
+    for lo, hi, heads, last, tile in _diagonal_tiles(gains, left, right):
         panel = np.empty((hi - lo, hi))
-        panel[:, lo:] = np.tril(np.einsum("tsk,tk->ts", prods * right[lo:hi], left[lo:hi]))
-        head = prods[:, 0] * gains[lo] if lo else prods[:, 0]  # gains[0] is never read
-        np.matmul(left[lo:hi] * head, (right[:lo] * tail).T, out=panel[:, :lo])
+        panel[:, lo:] = tile
+        head = heads * gains[lo] if lo else heads  # gains[0] is never read
+        panel[:, :dead] = 0.0
+        np.matmul(left[lo:hi] * head, carry[dead:lo].T, out=panel[:, dead:lo])
         _check_finite(panel)
         yield lo, hi, panel
-        tail = np.concatenate([tail * head[-1], prods[-1]])
+        live = carry[dead:hi]
+        live[: lo - dead] *= head[-1]
+        np.multiply(right[lo:hi], last, out=live[lo - dead :])
+        # Rounding is monotone, so the floor times the least |head[-1]| still bounds the
+        # weights it multiplied: nothing needs carrying as zero while it is normal.
+        fresh = float(np.abs(live[lo - dead :]).min())
+        floor = min(floor * float(np.abs(head[-1]).min()), fresh) if lo > dead else fresh
+        if floor < _TINY:
+            live[np.abs(live) < _TINY] = 0.0
+            floor = _TINY
+        while dead < hi and not carry[dead].any():  # look a tile of rows ahead at a time
+            window = carry[dead:hi][:_TILE].any(axis=1)
+            dead += int(window.argmax()) if window.any() else len(window)
 
 
 def _segment_product_kernel(

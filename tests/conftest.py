@@ -16,16 +16,25 @@ from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
 SRC_DIR = str(Path(ssdlab.__file__).resolve().parent.parent)
 
 
-def run_python(args, cwd, **kwargs) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with ``args`` in a child process that imports this same package.
+def _child_env() -> dict[str, str]:
+    """This environment with ``SRC_DIR`` first on an absolute ``PYTHONPATH``.
 
-    The child gets ``SRC_DIR`` first on an absolute ``PYTHONPATH``, so a
-    relative entry inherited from the parent cannot break its import when
-    ``cwd`` differs.
+    A relative entry inherited from the parent then cannot break the
+    child's import when its working directory differs.
     """
     inherited = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, inherited]))}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, **kwargs)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, inherited]))}
+
+
+def run_python(args, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` in a child process that imports this same package."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_child_env(), **kwargs)
+
+
+def start_ssdlab(argv, cwd, **kwargs) -> subprocess.Popen:
+    """Start ``python -m ssdlab`` in a child process that imports this same package."""
+    argv = [sys.executable, "-m", "ssdlab", *argv]
+    return subprocess.Popen(argv, cwd=cwd, env=_child_env(), **kwargs)
 
 
 def run_ssdlab(argv, cwd, **kwargs) -> subprocess.CompletedProcess:

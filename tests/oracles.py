@@ -60,6 +60,21 @@ def is_fine_mask(mask: MaskVector) -> bool:
     return bool(np.all(mask.a[1:] != 0.0))
 
 
+def reference_diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndarray, tile: int):
+    """(lo, hi, diagonal tile) of the kernel panel walk, one cumulative product each (test oracle).
+
+    Rows u > v of column v take gains[lo+u], the rest 1, so the products
+    cumulate to gains[lo+v+1..lo+u]; each tile is its own ``einsum`` with the
+    upper triangle cut off.
+    """
+    for lo in range(0, gains.shape[0], tile):
+        hi = min(lo + tile, gains.shape[0])
+        u = np.arange(hi - lo)
+        factors = np.where((u[:, None] > u)[..., None], gains[lo:hi, None], 1.0)
+        prods = np.cumprod(factors, axis=0)
+        yield lo, hi, np.tril(np.einsum("tsk,tk->ts", prods * right[lo:hi], left[lo:hi]))
+
+
 def signed_block_sweep(vals: np.ndarray, eps: float):
     """``_block_sweep`` with each step's singular vectors signed by ``vector_signs``."""
     for step in _block_sweep(vals, eps):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line frontend."""
 
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ssdlab import cli
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ssm import DiagonalSsm, random_instance, sequence_from_csv, sequence_to_csv
 from ssdlab.sss_extract import materialize_sss, random_representation
-from tests.conftest import run_python, run_ssdlab
+from tests.conftest import run_python, run_ssdlab, start_ssdlab
 
 
 def run_cli(*argv, cwd=None):
@@ -581,6 +582,55 @@ class TestParserTree:
         via_flag = capsys.readouterr()
         assert cli.main([*non_dualizable, "--config", "cfg.json"]) == 0
         assert capsys.readouterr() == via_flag
+
+
+class TestPrintedOutput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["forward", "--ssm", "ssm.json", "--input", "x.csv", "--format", "json"], "fw.json"),
+            (["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",
+              "--format", "json"], "y.json"),
+            (["counterexample", "softmax", "--T", "4", "--format", "json"], "report.json"),
+            (["bench", "--seed", "1", "--T", "8", "--summary-out", "summary.json"], None),
+        ],
+    )
+    def test_a_value_printed_in_its_files_form_is_encoded_once(
+        self, workdir, monkeypatch, capsys, argv, name
+    ):
+        monkeypatch.chdir(workdir)
+        if name is not None:
+            argv = [*argv, "--out", name]
+        encodes = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: encodes.append(1) or dumps(*a, **k))
+        assert cli.main(argv) == 0
+        assert len(encodes) == 1
+        written = workdir / (name or "summary.json")
+        assert capsys.readouterr().out == written.read_text() + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "matrix", "--seed", "1", "--T", "200"],
+            ["forward", "--ssm", "ssm600.json", "--input", "x600.csv", "--format", "json"],
+        ],
+    )
+    def test_a_reader_closing_stdout_cuts_only_the_output(self, tmp_path, argv):
+        # Both outputs outgrow a pipe's buffer, so the writer meets the closed reader.
+        model, x = random_instance(3, 600, 4, 4)
+        (tmp_path / "ssm600.json").write_text(model.to_json())
+        (tmp_path / "x600.csv").write_text(sequence_to_csv(x))
+        whole = run_cli(*argv, cwd=tmp_path)
+        assert whole.returncode == 0 and len(whole.stdout) > 2**17
+        proc = start_ssdlab(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        errors = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == whole.returncode
+        assert head == whole.stdout[:10].encode()
+        assert errors == b""
 
 
 #: Runs the CLI on its arguments with every scipy import made to raise ImportError.

@@ -26,7 +26,12 @@ from ssdlab.ss_matrix import (
 from ssdlab.ssm import DiagonalSsm
 from ssdlab.sss_extract import GeneralSssRepresentation
 from tests.conftest import random_lower_triangular, run_ssdlab
-from tests.oracles import is_fine_mask, numerical_rank, submatrix_rank_oracle
+from tests.oracles import (
+    is_fine_mask,
+    numerical_rank,
+    reference_diagonal_tiles,
+    submatrix_rank_oracle,
+)
 
 #: Finite doubles, subnormals included, plus the edge values a CSV reader must keep exactly.
 CSV_DOUBLES = st.one_of(
@@ -109,6 +114,55 @@ class TestOneSs:
     def test_diagonal_is_always_one(self, gains):
         got = one_ss(MaskVector(gains)).values
         assert np.array_equal(np.diag(got), np.ones(len(gains)))
+
+
+#: Ragged step counts of the panel walk: below one tile, one tile -1, 0 and +1, and one
+#: batch of tiles -1 tile, 0 and +1 tile.
+_TILE_BATCH_ROWS = ss_matrix._TILE * ss_matrix._TILE_BATCH
+RAGGED_STEPS = (
+    7, 31, 32, 33, _TILE_BATCH_ROWS - ss_matrix._TILE, _TILE_BATCH_ROWS,
+    _TILE_BATCH_ROWS + ss_matrix._TILE,
+)
+
+
+def mask_products(gains):
+    """mask[t, s] = gains[s+1] * ... * gains[t], one column at a time (test oracle)."""
+    size = len(gains)
+    mask = np.zeros((size, size))
+    for s in range(size):
+        mask[s:, s] = np.cumprod(np.concatenate([[1.0], gains[s + 1 :]]))
+    return mask
+
+
+class TestKernelPanelWalk:
+    @pytest.mark.parametrize("steps", RAGGED_STEPS)
+    @pytest.mark.parametrize("widths", [(16, 16, 16), (1, 4, 4), (1, 1, 1)])
+    def test_batched_diagonal_tiles_equal_per_tile_cumulative_products(self, steps, widths):
+        rng = np.random.default_rng(steps)
+        shape = (steps, widths[0])
+        gains = rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+        gains[rng.random(gains.shape) < 0.05] = 0.0
+        left, right = (rng.standard_normal((steps, width)) for width in widths[1:])
+        panels = ss_matrix._segment_product_panels(gains, left, right)
+        oracle = reference_diagonal_tiles(gains, left, right, ss_matrix._TILE)
+        count = 0
+        for (lo, hi, panel), (want_lo, want_hi, tile) in zip(panels, oracle, strict=True):
+            assert (lo, hi) == (want_lo, want_hi)
+            assert panel[:, lo:].tobytes() == tile.tobytes(), lo
+            count += 1
+        assert count == -(-steps // ss_matrix._TILE)
+
+    def test_width_one_gains_broadcast_against_wider_factors(self):
+        steps = _TILE_BATCH_ROWS + ss_matrix._TILE + 5
+        rng = np.random.default_rng(24)
+        p = rng.uniform(0.5, 1.5, steps) * rng.choice([-1.0, 1.0], steps)
+        p[[40, 41, 200]] = 0.0
+        q, k = rng.standard_normal((2, steps, 4))
+        got = MaskedAttentionFactors(p, q, k).materialize().values
+        want = mask_products(p) * np.tril(q @ k.T)
+        assert got.shape == (steps, steps)
+        assert rel_err(got, want) <= 1e-13
+        assert np.all(got[200:, :200] == 0.0)
 
 
 class TestSemiseparableRank:

@@ -173,6 +173,61 @@ class TestMaterializeKernel:
             y, y_changed = forward_materialized(model, x), forward_materialized(model, changed)
             assert y[zero_row:].tobytes() == y_changed[zero_row:].tobytes(), zero_row
 
+    def test_carried_weights_below_the_normal_range_are_carried_as_zero(self):
+        # Gains in +-[0.05, 0.2] take carried products through the subnormal range
+        # (below np.finfo(float).tiny) and on to zero within 600 steps.
+        rng = np.random.default_rng(24)
+        gains = rng.uniform(0.05, 0.2, (600, 4)) * rng.choice([-1.0, 1.0], (600, 4))
+        gains[0] = 1.0
+        b, c = rng.standard_normal((2, 600, 4))
+        model = DiagonalSsm(gains, b, c)
+        assert rel_fro(materialize_kernel(model).values, row_recursion_kernel(model)) <= 1e-13
+        # Logs of |b[s]|, |c[t]| and of the products gains[s+1..t]; a weight at most
+        # one nat from the edge of the normal range is left out of both checks.
+        edge = np.log(np.finfo(float).tiny)
+        logs = np.vstack([np.zeros((1, 4)), np.cumsum(np.log(np.abs(gains[1:])), axis=0)])
+        rows = np.arange(600)
+        starts = rows // ss_matrix._TILE * ss_matrix._TILE
+        left_of_tile = rows[None, :] < starts[:, None]
+        for n in range(4):
+            single = DiagonalSsm(gains[:, n : n + 1], b[:, n : n + 1], c[:, n : n + 1])
+            got = materialize_kernel(single).values
+            log_b, log_c = np.log(np.abs(b[:, n])), np.log(np.abs(c[:, n]))
+            # The carried weight b[s] * gains[s+1..lo-1] of column s in row t's panel.
+            weight = log_b[None, :] + logs[starts - 1, n][:, None] - logs[None, :, n]
+            product = logs[:, n][:, None] - logs[None, :, n]
+            subnormal = left_of_tile & (weight < edge - 1.0)
+            normal = left_of_tile & (weight > edge + 1.0) & (product > edge + 1.0)
+            normal &= log_c[:, None] + product + log_b[None, :] > edge + 1.0
+            assert subnormal.sum() > 10_000 and normal.sum() > 10_000
+            assert got[subnormal].tobytes() == np.zeros(subnormal.sum()).tobytes(), n
+            want = row_recursion_kernel(single)
+            assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0), n
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_zero_gains_at_panel_edges_give_positive_zeros(self, monkeypatch, tile):
+        monkeypatch.setattr(ss_matrix, "_TILE", tile)
+        rng = np.random.default_rng(tile)
+        steps = 3 * tile * ss_matrix._TILE_BATCH + 2
+        gains = rng.uniform(0.5, 1.5, (steps, 3)) * rng.choice([-1.0, 1.0], (steps, 3))
+        gains[0] = 1.0
+        b, c = rng.standard_normal((2, steps, 3))
+        x, other_x = rng.standard_normal((2, steps, 2))
+        # Zero rows in every mode at and next to every panel edge, batch edges included.
+        edges = range(tile, steps, tile)
+        rows = {row + shift for row in edges for shift in (-1, 0, 1)} & set(range(1, steps))
+        for zero_row in sorted(rows):
+            with_zero = gains.copy()
+            with_zero[zero_row] = 0.0
+            model = DiagonalSsm(with_zero, b, c)
+            got = materialize_kernel(model).values
+            before = got[zero_row:, :zero_row]
+            assert before.tobytes() == np.zeros(before.shape).tobytes(), zero_row
+            changed = x.copy()
+            changed[:zero_row] = other_x[:zero_row]
+            y, y_changed = forward_materialized(model, x), forward_materialized(model, changed)
+            assert y[zero_row:].tobytes() == y_changed[zero_row:].tobytes(), zero_row
+
     def test_kernel_rank_bounded_by_mode_count(self):
         for seed, modes in ((5, 1), (6, 2), (7, 4)):
             ssm, _ = random_instance(seed, 12, modes, 1)
