@@ -8,7 +8,9 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss`` and ``materialize_kernel`` (also at T=600, and on a T=600 model
 whose gains of magnitude 0.05 to 0.2 take the kernel panel walk's carried
 weights below the normal range, where it carries them as zero),
-``forward_ssd``, the summed per-mode materializations of
+``forward_ssd``, ``forward_recurrence`` at T=600 (two full chunks of steps
+and a ragged one) with N in {1, 17} and d in {1, 5}, the summed per-mode
+materializations of
 ``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
 ``semiseparable_rank`` and the per-block new-column verdicts and span-fit
@@ -44,16 +46,17 @@ representability --N 4`` and the ranks ``extract_sss`` gives at width 4, or
 the class of the error it raises. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
-Arrays, and the arrays in JSON output files, that differ in value are
-reported with their largest relative Frobenius difference (and, in a file,
-the key holding it). Exits 1 when
-anything differs.
+Arrays that differ in value are reported with their relative Frobenius
+difference, and a differing JSON output file with every field whose value
+differs, each with its own relative Frobenius difference (a field that is
+not numbers is named only). Exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import pickle
@@ -124,7 +127,8 @@ def dump() -> dict[str, object]:
     from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
-    from ssdlab.ssm import DiagonalSsm, forward_ssd, materialize_kernel, random_instance
+    from ssdlab.ssm import DiagonalSsm, forward_recurrence, forward_ssd, materialize_kernel
+    from ssdlab.ssm import random_instance
     from ssdlab.ssm import sequence_to_csv
     from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 
@@ -158,6 +162,11 @@ def dump() -> dict[str, object]:
         # Carried gain products fall through the subnormal range, and are carried as zero.
         underflow_model, underflow_x = random_instance(seed, 600, 4, 2, a_abs=(0.05, 0.2))
         out[f"materialize_kernel/underflow/600/{seed}"] = materialize_kernel(underflow_model).values
+        # At T=600 the recurrence runs two full chunks of 256 steps and a ragged one of 88.
+        for modes, channels in itertools.product((1, 17), (1, 5)):
+            chunked_model, chunked_x = random_instance(seed, 600, modes, channels)
+            key = f"forward_recurrence/600/{modes}x{channels}/{seed}"
+            out[key] = forward_recurrence(chunked_model, chunked_x)
         for dims in ((40, 17, 1), (33, 8, 2)):
             counted_model, counted_x = random_instance(seed, *dims)
             for path in ("ssd", "recurrence", "materialized"):
@@ -350,34 +359,43 @@ def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom) if denom else float(np.linalg.norm(a - b))
 
 
-def _json_rel_diffs(first: object, second: object) -> list[tuple[float, str]]:
-    """(relative difference, key) of the numeric and list fields two JSON objects share, nested too."""
-    if not isinstance(first, dict) or not isinstance(second, dict) or first.keys() != second.keys():
+def _json_field_diffs(first: object, second: object, key: str = "") -> list[tuple[str, float | None]]:
+    """(key, relative Frobenius difference) of every field whose JSON text differs, nested too.
+
+    A number, or a list of numbers of one shape on both sides, gets its
+    relative difference; a list of records is compared entry by entry; any
+    other field (a string, a flag, or a list or object whose shape changed)
+    gets None.
+    """
+    if json.dumps(first) == json.dumps(second):
         return []
-    diffs = []
-    for k in first:
-        if isinstance(first[k], dict):
-            diffs += [(d, f"{k}/{key}") for d, key in _json_rel_diffs(first[k], second[k])]
-        elif isinstance(first[k], (list, float)) and np.shape(first[k]) == np.shape(second[k]):
-            try:
-                a, b = np.array(first[k], dtype=float), np.array(second[k], dtype=float)
-                diffs.append((_rel_fro(a, b), k))
-            except (TypeError, ValueError):  # a list of records, not of numbers
-                diffs += [
-                    (d, f"{k}/{key}")
-                    for x, y in zip(first[k], second[k])
-                    for d, key in _json_rel_diffs(x, y)
+    if isinstance(first, dict) and isinstance(second, dict) and first.keys() == second.keys():
+        return [d for k in first for d in _json_field_diffs(first[k], second[k], f"{key}{k}/")]
+    if isinstance(first, (list, float, int)) and not isinstance(first, bool):
+        try:
+            a, b = np.array(first, dtype=float), np.array(second, dtype=float)
+            if a.shape == b.shape:
+                return [(key.rstrip("/"), _rel_fro(a, b))]
+        except (TypeError, ValueError):  # a list of records, not of numbers
+            if isinstance(second, list) and len(first) == len(second):
+                return [
+                    d for i, (x, y) in enumerate(zip(first, second))
+                    for d in _json_field_diffs(x, y, f"{key}{i}/")
                 ]
-    return diffs
+    return [(key.rstrip("/"), None)]
 
 
-def _largest_json_rel_diff(a: bytes | None, b: bytes | None) -> tuple[float, str] | None:
-    """Largest relative difference over the fields of two JSON objects, if both are, and its key."""
+def _file_field_diffs(a: bytes | None, b: bytes | None) -> str | None:
+    """Every differing field of two JSON output files, each with its own relative difference."""
     try:
         first, second = json.loads(a), json.loads(b)
     except (TypeError, ValueError):
         return None
-    return max(_json_rel_diffs(first, second), default=None)
+    fields = [
+        f"{key or 'the value'} {'differs' if rel is None else f'{rel:.1e}'}"
+        for key, rel in _json_field_diffs(first, second)
+    ]
+    return ", ".join(fields) or "none, same JSON values"
 
 
 def run_side(src: str) -> dict[str, object]:
@@ -417,12 +435,9 @@ def main(argv: list[str]) -> int:
             verdict = "byte-identical" if a == b else "DIFFERENT"
             differ += a != b
             if isinstance(a, tuple) and isinstance(b, tuple) and a != b:
-                largest = _largest_json_rel_diff(a[-1], b[-1])
-                if largest is not None:
-                    verdict += (
-                        f" (largest relative Frobenius difference in file {largest[0]:.1e},"
-                        f" in {largest[1]})"
-                    )
+                fields = _file_field_diffs(a[-1], b[-1])
+                if fields is not None:
+                    verdict += f" (differing fields of the file, relative Frobenius: {fields})"
         print(f"{key}: {verdict}")
     print(f"{differ} of {len(base.keys() | head.keys())} outputs differ")
     return 1 if differ else 0

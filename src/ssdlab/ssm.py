@@ -4,7 +4,8 @@ Three routes from inputs to outputs: the reference left-to-right
 recurrence, the materialized T x T kernel, and the scale/scan/scale
 pipeline that costs O(NTd). The last runs over all (mode, channel) pairs
 at once and then reduces over modes in ascending order. ``FORWARD_PATHS``
-names the three routes.
+names the three routes. The recurrence and the ssd path's scan each keep
+their own step loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
+    _check_finite,
     _freeze_fields,
     _segment_product_apply,
     _segment_product_kernel,
@@ -68,7 +70,8 @@ class DiagonalSsm:
 def _check_sequence(model, x: np.ndarray) -> np.ndarray:
     """The one input-sequence rule: ``x`` as a (T, d) float array, T being ``model.T``, d >= 1.
 
-    ``model`` is anything with a step count ``T``: a model or its factors.
+    Its entries must be finite. ``model`` is anything with a step count
+    ``T``: a model or its factors.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -76,18 +79,38 @@ def _check_sequence(model, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != model.T:
         raise ShapeMismatchError(f"sequence has {x.shape[0]} steps, model has {model.T}")
     check_sizes(d=x.shape[1])
+    _check_finite(x, "input sequence")
     return x
 
 
+#: Steps per chunk of ``forward_recurrence``: it holds this many (N, d) states at once.
+_CHUNK = 256
+
+
 def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """Reference O(TNd) scan: h_t = a_t * h_{t-1} + b_t x_t, y_t = c_t h_t."""
+    """Reference O(TNd) scan: h_t = a_t * h_{t-1} + b_t x_t, y_t = c_t h_t.
+
+    The steps run in chunks of ``_CHUNK``. A chunk's inputs b_t x_t are one
+    product, its states are stepped one at a time in place, and its outputs
+    c_t h_t are one batched matrix product; each step's operations, and their
+    order, are those of the plain step loop, so the output is too, bit for
+    bit. It holds O(_CHUNK N d) states, never O(T N d).
+    """
     x = _check_sequence(ssm, x)
     n_steps, d = x.shape
-    h = np.zeros((ssm.N, d))
+    gains, weights = ssm.a_diag[:, :, None], ssm.b[:, :, None]
     y = np.empty((n_steps, d))
-    for t in range(n_steps):
-        h = ssm.a_diag[t][:, None] * h + ssm.b[t][:, None] * x[t]
-        y[t] = ssm.c[t] @ h
+    states = np.empty((min(_CHUNK, n_steps), ssm.N, d))
+    h = np.zeros((ssm.N, d))
+    for lo in range(0, n_steps, _CHUNK):
+        hi = min(lo + _CHUNK, n_steps)
+        inputs = weights[lo:hi] * x[lo:hi, None, :]
+        # h still holds the previous chunk's last state when the first step reads it.
+        for gain, row, state in zip(gains[lo:hi], inputs, states):
+            np.multiply(gain, h, out=state)
+            state += row
+            h = state
+        np.matmul(ssm.c[lo:hi, None, :], states[: hi - lo], out=y[lo:hi, None, :])
     return y
 
 
@@ -135,13 +158,17 @@ def scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Linear recurrence along rows: out_t = gains[t] * out_{t-1} + y_t.
 
     Row 0 is copied through; gains[0] is never read. With (T, N) gains and
-    a (T, N, d) ``y``, every mode runs its own recurrence.
+    a (T, N, d) ``y``, every mode runs its own recurrence. Each row is
+    written in place, a multiply and then an add.
     """
     gains, y = _check_rows(gains, y)
     out = np.empty_like(y)
     out[0] = y[0]
-    for t in range(1, y.shape[0]):
-        out[t] = gains[t] * out[t - 1] + y[t]
+    prev = out[0]
+    for gain, row, cur in zip(gains[1:], y[1:], out[1:]):
+        np.multiply(gain, prev, out=cur)
+        cur += row
+        prev = cur
     return out
 
 

@@ -75,6 +75,27 @@ def reference_diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndar
         yield lo, hi, np.tril(np.einsum("tsk,tk->ts", prods * right[lo:hi], left[lo:hi]))
 
 
+def reference_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+    """``forward_recurrence`` one step at a time, a fresh state each step (test oracle)."""
+    x = _check_sequence(ssm, x)
+    h = np.zeros((ssm.N, x.shape[1]))
+    y = np.empty(x.shape)
+    for t in range(ssm.T):
+        h = ssm.a_diag[t][:, None] * h + ssm.b[t][:, None] * x[t]
+        y[t] = ssm.c[t] @ h
+    return y
+
+
+def reference_scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``scan`` one row at a time, a fresh row each step (test oracle)."""
+    gains = np.asarray(gains, dtype=float)[..., None]
+    out = np.empty(y.shape)
+    out[0] = y[0]
+    for t in range(1, len(y)):
+        out[t] = gains[t] * out[t - 1] + y[t]
+    return out
+
+
 def signed_block_sweep(vals: np.ndarray, eps: float):
     """``_block_sweep`` with each step's singular vectors signed by ``vector_signs``."""
     for step in _block_sweep(vals, eps):

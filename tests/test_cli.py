@@ -87,6 +87,21 @@ class TestForwardCommand:
         assert proc.returncode == 2
         assert not (workdir / "never.json").exists()
 
+    @pytest.mark.parametrize("path", ["recurrence", "materialized", "all"])
+    @pytest.mark.parametrize("name", ["x.csv", "x.json"])
+    def test_a_non_finite_input_entry_is_blamed_on_the_input(self, workdir, path, name):
+        x = sequence_from_csv((workdir / "x.csv").read_text())
+        x[3, 2] = np.nan
+        text = sequence_to_csv(x) if name.endswith(".csv") else json.dumps({"X": x.tolist()})
+        (workdir / name).write_text(text)
+        proc = run_cli(
+            "forward", "--ssm", "ssm.json", "--input", name, "--path", path,
+            "--out", "y.json", cwd=workdir,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: input sequence entries must be finite\n"
+        assert not (workdir / "y.json").exists()
+
     @pytest.mark.parametrize("path", ["recurrence", "ssd", "materialized", "all"])
     def test_overflowing_model_is_an_input_error(self, tmp_path, path):
         ones = np.ones((64, 2))

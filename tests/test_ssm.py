@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdlab import ss_matrix
+from ssdlab import ssm as ssm_mod
 from ssdlab.errors import ShapeMismatchError
 from ssdlab.ss_matrix import MaskVector, one_ss, semiseparable_rank
 from ssdlab.ssm import (
+    FORWARD_PATHS,
     DiagonalSsm,
     forward_materialized,
     forward_recurrence,
@@ -25,6 +27,7 @@ from ssdlab.ssm import (
     sequence_to_json,
 )
 from tests.conftest import rel_fro
+from tests.oracles import reference_recurrence, reference_scan
 
 
 def ref_kernel(ssm):
@@ -86,6 +89,52 @@ class TestForwardRecurrence:
         ssm, _ = random_instance(0, 8, 2, 1)
         with pytest.raises(ShapeMismatchError):
             forward_recurrence(ssm, np.zeros((7, 1)))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("modes", [1, 3])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_chunks_are_bitwise_the_step_loop(self, monkeypatch, steps, modes, channels):
+        """Chunks of 3: up to one, one and a step, two and a ragged third, three full."""
+        monkeypatch.setattr(ssm_mod, "_CHUNK", 3)
+        rng = np.random.default_rng(steps * 100 + modes * 10 + channels)
+        gains = signed_gains_with_zeros(rng, steps, modes)
+        gains[1::2, 0] = 0.0
+        model = DiagonalSsm(gains, *rng.standard_normal((2, steps, modes)))
+        x = rng.standard_normal((steps, channels))
+        assert forward_recurrence(model, x).tobytes() == reference_recurrence(model, x).tobytes()
+
+    def test_full_chunks_are_bitwise_the_step_loop(self):
+        steps = 2 * ssm_mod._CHUNK + 3
+        rng = np.random.default_rng(17)
+        gains = signed_gains_with_zeros(rng, steps, 5)
+        model = DiagonalSsm(gains, *rng.standard_normal((2, steps, 5)))
+        x = rng.standard_normal((steps, 4))
+        assert forward_recurrence(model, x).tobytes() == reference_recurrence(model, x).tobytes()
+
+    def test_working_memory_does_not_grow_with_steps(self):
+        """Beyond its output, the recurrence holds as much at T=4096 as at T=1024."""
+        extra = {}
+        for steps in (1024, 4096):
+            model, x = random_instance(5, steps, 16, 4)
+            tracemalloc.start()
+            try:
+                y = forward_recurrence(model, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[steps] = peak - y.nbytes
+        # A state for every step would add 8 * 3072 * 16 * 4 bytes; this allows 1/16 of that.
+        assert extra[4096] <= extra[1024] + 8 * 3072 * 4
+
+
+class TestInputSequence:
+    @pytest.mark.parametrize("path", list(FORWARD_PATHS))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_are_refused_as_the_input(self, path, value):
+        model, x = random_instance(4, 8, 2, 3)
+        x[5, 1] = value
+        with pytest.raises(ValueError, match="^input sequence entries must be finite$"):
+            FORWARD_PATHS[path](model, x)
 
 
 class TestMaterializeKernel:
@@ -323,6 +372,17 @@ class TestScan:
         got = scan(ssm.a_diag, y)
         for n in range(4):
             assert np.array_equal(got[:, n], scan(ssm.a_diag[:, n], y[:, n]))
+
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    @pytest.mark.parametrize("modes", [None, 1, 4])
+    def test_bitwise_equal_to_the_step_loop(self, steps, modes):
+        rng = np.random.default_rng(steps + (modes or 0))
+        gains = signed_gains_with_zeros(rng, steps, modes or 1)
+        gains[steps // 2] = 0.0
+        if modes is None:
+            gains = gains[:, 0]
+        y = rng.standard_normal((*gains.shape, 3))
+        assert scan(gains, y).tobytes() == reference_scan(gains, y).tobytes()
 
 
 class TestForwardSsd:
