@@ -25,7 +25,9 @@ and on the T=600 model whose carried weights fall below the normal range),
 ``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
-rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank``,
+rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank`` (on
+gains near one, on ``gen ssm``'s default gains and on a model with two
+all-zero gain steps),
 ``extract``, ``counterexample non-dualizable`` and ``softmax`` (at every T up
 to ``SOFTMAX_MAX_T``), ``gen ssm``,
 ``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
@@ -189,9 +191,15 @@ def dump() -> dict[str, object]:
             (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
             shared_gain, _ = random_instance(seed, 32, 4, 2, scalar_identity=True)
             (work / "ssm-scalar.json").write_text(shared_gain.to_json())
-            # Gains near one keep the cumulative products inside the full-rank dual's range.
+            # Gains of magnitude 0.9 to 1.1, either sign.
             calm, _ = random_instance(seed, 32, 4, 2, a_abs=(0.9, 1.1))
             (work / "ssm-calm.json").write_text(calm.to_json())
+            spread, _ = random_instance(seed, 64, 4, 1)
+            (work / "ssm-spread.json").write_text(spread.to_json())
+            cut_gains = spread.a_diag.copy()
+            cut_gains[[20, 41]] = 0.0  # all-zero steps cut the mask
+            cut = DiagonalSsm(cut_gains, spread.b, spread.c)
+            (work / "ssm-cut.json").write_text(cut.to_json())
             forward_config = {"path": "materialized", "format": "json"}
             (work / "forward.json").write_text(json.dumps(forward_config))
             representability = ["check-dual", "--mode", "representability", "--matrix"]
@@ -220,6 +228,12 @@ def dump() -> dict[str, object]:
                 ],
                 "check-dual/full-rank": [
                     "check-dual", "--mode", "full-rank", "--ssm", "ssm-calm.json"
+                ],
+                "check-dual/full-rank/default-gains": [
+                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-spread.json"
+                ],
+                "check-dual/full-rank/zero-step": [
+                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-cut.json"
                 ],
                 "forward/ssd-csv": [
                     "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",

@@ -41,10 +41,6 @@ from .ss_matrix import (
 )
 from .ssm import DiagonalSsm, _check_sequence, materialize_kernel
 
-#: Largest allowed max/min magnitude ratio of cumulative gain products
-#: before the full-rank rescaling is refused as numerically unstable.
-STABILITY_RATIO = 1e12
-
 
 @json_record({"p": "p", "Q": "Q", "K": "K"})
 @dataclass(frozen=True)
@@ -78,17 +74,14 @@ class MaskedAttentionFactors:
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
     """Masked-attention factors of a scalar-identity model.
 
-    Requires every step's diagonal entries to be exactly equal across
-    modes. The shared scalars become the mask gains, the output weights
-    become Q and the input weights become K; the materialized factors
-    equal the kernel exactly in exact arithmetic.
+    Requires every step's diagonal entries to be exactly equal across modes.
+    ``full_rank_one_ss_dual``'s ratio products are then exactly 1, so the
+    shared scalars are the mask gains, Q is c and K is b, bit for bit.
     """
     if not ssm.is_scalar_identity():
         bad = int(np.argmax(np.any(ssm.a_diag != ssm.a_diag[:, :1], axis=1)))
-        raise NotScalarIdentityError(
-            f"diagonal entries differ across modes at step {bad}"
-        )
-    return MaskedAttentionFactors(ssm.a_diag[:, 0], ssm.c, ssm.b)
+        raise NotScalarIdentityError(f"diagonal entries differ across modes at step {bad}")
+    return full_rank_one_ss_dual(ssm)
 
 
 def attention_like_decomposition(ssm: DiagonalSsm) -> list[MaskedAttentionFactors]:
@@ -104,25 +97,31 @@ def attention_like_decomposition(ssm: DiagonalSsm) -> list[MaskedAttentionFactor
 
 
 def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
-    """All-ones-mask factors for a model whose gains are all nonzero.
+    """Masked-attention factors of any diagonal model: mode 0's gains mask the ratio products.
 
-    Rescales by cumulative gain products P: Q[t, n] = c[t, n] * P[t, n] and
-    K[s, n] = b[s, n] / P[s, n], so Q K^T reproduces the kernel under the
-    trivial causal mask. Refused when a gain is zero or when the products
-    span more than STABILITY_RATIO in magnitude, since the rescaling then
-    loses too much precision in floating point.
+    The mask is p = a[:, 0], Q = c * R and K = b / R, where R[t] is the product
+    of a[u] / p[u] over the steps u of t's run after its first. A run starts at
+    step 0 and at each step whose gains are all zero (p is 0 there and cuts the
+    mask). Refused with ``ZeroGainError`` at a step where only some gains are
+    zero, and with ``UnstableScalingError`` where R, 1/R, Q or K is not finite.
     """
-    if np.any(ssm.a_diag[1:] == 0.0):
-        step, mode = np.argwhere(ssm.a_diag[1:] == 0.0)[0] + np.array([1, 0])
-        raise ZeroGainError(f"gain is zero at step {step}, mode {mode}")
-    prods = np.cumprod(ssm.a_diag, axis=0)
-    mags = np.abs(prods)
-    if mags.max() > STABILITY_RATIO * mags.min():
-        raise UnstableScalingError(
-            f"cumulative products span a magnitude ratio of {mags.max() / mags.min():.3e}, "
-            f"above the {STABILITY_RATIO:.0e} guard"
-        )
-    return MaskedAttentionFactors(np.ones(ssm.T), ssm.c * prods, ssm.b / prods)
+    a = ssm.a_diag
+    zero = a == 0.0
+    partial = zero.any(axis=1) & ~zero.all(axis=1)
+    if partial.any():
+        step = int(np.argmax(partial))
+        raise ZeroGainError(f"gain is zero at step {step}, mode {int(np.argmax(zero[step]))}")
+    starts = [0, *np.flatnonzero(zero[:, 0]), ssm.T]
+    r = np.ones(a.shape)
+    with np.errstate(all="ignore"):  # non-finite entries are refused below
+        for lo, hi in zip(starts, starts[1:]):
+            np.cumprod(a[lo + 1 : hi] / a[lo + 1 : hi, :1], axis=0, out=r[lo + 1 : hi])
+        q, k = ssm.c * r, ssm.b / r
+        finite = (np.isfinite(q) & np.isfinite(k) & np.isfinite(1.0 / r)).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise UnstableScalingError(f"ratio products leave the finite range at step {step}")
+    return MaskedAttentionFactors(a[:, 0], q, k)
 
 
 def masked_attention_forward(factors: MaskedAttentionFactors, x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ class ZeroGainError(PreconditionError):
 
 
 class UnstableScalingError(PreconditionError):
-    """Cumulative gain products span too wide a dynamic range to rescale."""
+    """Ratio products or coefficients leave the finite range, or an error budget passes its gate."""
 
 
 class NotRepresentableError(SsdError):

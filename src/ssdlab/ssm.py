@@ -236,6 +236,7 @@ def sequence_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object for a sequence")
-    if "X" not in obj:
-        raise ValueError("the sequence JSON object lacks 'X'")
-    return np.array(obj["X"], dtype=float)
+    for key in ("X", "Y"):  # a one-path ``forward`` writes its output as "Y"
+        if key in obj:
+            return np.array(obj[key], dtype=float)
+    raise ValueError("the sequence JSON object lacks 'X'")

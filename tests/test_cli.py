@@ -1,16 +1,25 @@
 """End-to-end tests of the command-line frontend."""
 
 import json
+import shlex
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ssdlab import cli
 from ssdlab.limits import non_dualizable_matrix
-from ssdlab.ssm import DiagonalSsm, random_instance, sequence_from_csv, sequence_to_csv
+from ssdlab.ssm import (
+    DiagonalSsm,
+    forward_ssd,
+    random_instance,
+    sequence_from_csv,
+    sequence_from_json,
+    sequence_to_csv,
+)
 from ssdlab.sss_extract import materialize_sss, random_representation
-from tests.conftest import run_python, run_ssdlab, start_ssdlab
+from tests.conftest import representable_matrix, run_python, run_ssdlab, start_ssdlab
 
 
 def run_cli(*argv, cwd=None):
@@ -65,10 +74,17 @@ class TestForwardCommand:
         assert proc.returncode == 2
         assert proc.stderr == "input error: the DiagonalSsm JSON object lacks 'b'\n"
 
-    def test_a_one_path_output_as_input_names_the_missing_key(self, workdir):
+    def test_a_one_path_json_output_is_a_forward_input(self, workdir):
         argv = ("forward", "--ssm", "ssm.json", "--path", "ssd")
         assert run_cli(*argv, "--input", "x.csv", "--out", "y.json", cwd=workdir).returncode == 0
-        proc = run_cli(*argv, "--input", "y.json", cwd=workdir)
+        assert run_cli(*argv, "--input", "y.json", "--out", "yy.csv", cwd=workdir).returncode == 0
+        y = sequence_from_json((workdir / "y.json").read_text())
+        expected = forward_ssd(DiagonalSsm.from_json((workdir / "ssm.json").read_text()), y)
+        assert sequence_from_csv((workdir / "yy.csv").read_text()).tobytes() == expected.tobytes()
+
+    def test_a_sequence_object_with_neither_key_names_x(self, workdir):
+        (workdir / "z.json").write_text(json.dumps({"Z": [[1.0, 2.0, 3.0]] * 16}))
+        proc = run_cli("forward", "--ssm", "ssm.json", "--input", "z.json", cwd=workdir)
         assert proc.returncode == 2
         assert proc.stderr == "input error: the sequence JSON object lacks 'X'\n"
 
@@ -201,6 +217,22 @@ class TestFileNames:
         y = sequence_from_csv(text) if suffix == ".csv" else json.loads(text)["Y"]
         printed = run_cli(*write, "--format", "json", cwd=workdir)
         assert np.array_equal(y, json.loads(printed.stdout)["Y"])
+
+
+def test_readme_quickstart_gen_and_check_dual_lines_pass(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith(("ssdlab gen ", "ssdlab check-dual "))
+    ]
+    modes = [argv[argv.index("--mode") + 1] for argv in lines if argv[0] == "check-dual"]
+    assert modes == ["scalar-identity", "full-rank", "representability"]
+    # The representability line reads a kernel the user brings.
+    (tmp_path / "kernel.csv").write_text(representable_matrix(3, 16, 2).to_csv())
+    for argv in lines:
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
 
 
 class TestCheckDualCommand:

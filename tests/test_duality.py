@@ -116,10 +116,31 @@ class TestFullRankDual:
     def test_cumulative_product_scalings(self):
         ssm = DiagonalSsm(np.array([[1.0], [2.0], [3.0]]), np.ones((3, 1)), np.ones((3, 1)))
         factors = full_rank_one_ss_dual(ssm)
-        assert np.allclose(factors.Q.ravel(), [1.0, 2.0, 6.0])
-        assert np.allclose(factors.K.ravel(), [1.0, 0.5, 1.0 / 6.0])
-        assert np.array_equal(factors.p, np.ones(3))
+        assert np.array_equal(factors.p, [1.0, 2.0, 3.0])
+        assert np.array_equal(factors.Q, np.ones((3, 1)))
+        assert np.array_equal(factors.K, np.ones((3, 1)))
         assert abs(factors.materialize().values[2, 1] - 3.0) < 1e-14
+
+    def test_ratio_products_under_mode_zero_mask(self):
+        gains = np.array([[1.0, 1.0], [2.0, 4.0], [0.5, 3.0]])
+        ssm = DiagonalSsm(gains, np.ones((3, 2)), np.ones((3, 2)))
+        factors = full_rank_one_ss_dual(ssm)
+        assert np.array_equal(factors.p, gains[:, 0])
+        assert np.array_equal(factors.Q, [[1.0, 1.0], [1.0, 2.0], [1.0, 12.0]])
+        assert np.array_equal(factors.K, [[1.0, 1.0], [1.0, 0.5], [1.0, 1.0 / 12.0]])
+        assert rel_fro(factors.materialize().values, materialize_kernel(ssm).values) <= 1e-15
+
+    def test_all_zero_step_cuts_the_mask_and_restarts_the_ratios(self):
+        ssm, _ = random_instance(41, 20, 3, 1)
+        gains = ssm.a_diag.copy()
+        gains[[6, 7, 19]] = 0.0
+        cut = DiagonalSsm(gains, ssm.b, ssm.c)
+        factors = full_rank_one_ss_dual(cut)
+        assert np.array_equal(factors.p[[6, 7, 19]], np.zeros(3))
+        # R is 1 at each run's first step, so Q and K are c and b there.
+        assert np.array_equal(factors.Q[[0, 6, 7, 19]], cut.c[[0, 6, 7, 19]])
+        assert np.array_equal(factors.K[[0, 6, 7, 19]], cut.b[[0, 6, 7, 19]])
+        assert kernel_residual(cut, factors) <= 1e-14
 
     def test_rejects_zero_gain(self):
         gains = np.ones((4, 2))
@@ -128,17 +149,73 @@ class TestFullRankDual:
         with pytest.raises(ZeroGainError):
             full_rank_one_ss_dual(ssm)
 
+    @pytest.mark.parametrize("zero_modes, mode", [([1], 1), ([0], 0), ([0, 2], 0), ([1, 2], 1)])
+    def test_partial_zero_step_names_step_and_mode(self, zero_modes, mode):
+        gains = np.full((6, 3), 0.9)
+        gains[0] = 1.0
+        gains[2] = 0.0  # an all-zero step is accepted
+        gains[4, zero_modes] = 0.0
+        ssm = DiagonalSsm(gains, np.ones((6, 3)), np.ones((6, 3)))
+        with pytest.raises(ZeroGainError, match=f"gain is zero at step 4, mode {mode}$"):
+            full_rank_one_ss_dual(ssm)
+
     def test_rejects_unstable_product_range(self):
+        # Mode 1's ratio products grow by 1e10 a step and overflow at step 31.
+        gains = np.tile([1e-10, 1.0], (40, 1))
+        gains[0] = 1.0
+        ssm = DiagonalSsm(gains, np.ones((40, 2)), np.ones((40, 2)))
+        with pytest.raises(UnstableScalingError, match="finite range at step 31$"):
+            full_rank_one_ss_dual(ssm)
+
+    @pytest.mark.parametrize("weight, step", [(1e-300, 31), (1e10, 30)])
+    def test_shrinking_ratio_products_are_refused(self, weight, step):
+        # Mode 1's ratio products shrink by 1e-10 a step. With b = 1e-300, K = b / R stays
+        # finite, and the refusal comes at step 31, where R is subnormal and 1/R overflows.
+        # With b = 1e10, K overflows first, at step 30, while R and 1/R are still finite.
+        gains = np.tile([1.0, 1e-10], (40, 1))
+        gains[0] = 1.0
+        ssm = DiagonalSsm(gains, np.full((40, 2), weight), np.ones((40, 2)))
+        with pytest.raises(UnstableScalingError, match=f"finite range at step {step}$"):
+            full_rank_one_ss_dual(ssm)
+
+    def test_long_geometric_decay_is_accepted(self):
+        # For N=1 the ratio products are exactly 1, however far the gains decay.
         gains = np.full((60, 1), 0.5)
         gains[0] = 1.0
         ssm = DiagonalSsm(gains, np.ones((60, 1)), np.ones((60, 1)))
-        with pytest.raises(UnstableScalingError):
-            full_rank_one_ss_dual(ssm)
+        assert kernel_residual(ssm, full_rank_one_ss_dual(ssm)) <= 1e-15
 
     def test_reproduces_kernel_on_random_instances(self):
         for seed in range(20):
             ssm, _ = random_instance(40 + seed, 32, 4, 1, a_abs=(0.5, 2.0))
             assert kernel_residual(ssm, full_rank_one_ss_dual(ssm)) <= 1e-8
+
+    @pytest.mark.parametrize("a_abs", [(0.0, 2.0), (0.5, 1.0)])
+    @pytest.mark.parametrize("steps", [16, 64, 256])
+    def test_reconstructs_default_and_decaying_gains(self, steps, a_abs):
+        for seed in range(3):
+            for modes in (2, 4, 16):
+                ssm, _ = random_instance(seed, steps, modes, 1, a_abs=a_abs)
+                assert kernel_residual(ssm, full_rank_one_ss_dual(ssm)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scalar_identity_factors_are_the_model_arrays(self, seed):
+        ssm, _ = random_instance(70 + seed, 24, 3, 1, scalar_identity=True)
+        gains = ssm.a_diag.copy()
+        gains[9] = 0.0
+        for model in (ssm, DiagonalSsm(gains, ssm.b, ssm.c)):
+            expected = MaskedAttentionFactors(model.a_diag[:, 0], model.c, model.b)
+            for factors in (full_rank_one_ss_dual(model), scalar_identity_dual(model)):
+                for name in ("p", "Q", "K"):
+                    assert getattr(factors, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_mode_factors_are_the_decomposition_term(self, seed):
+        ssm, _ = random_instance(80 + seed, 24, 1, 1)
+        factors = full_rank_one_ss_dual(ssm)
+        (term,) = attention_like_decomposition(ssm)
+        for name in ("p", "Q", "K"):
+            assert getattr(factors, name).tobytes() == getattr(term, name).tobytes()
 
     def test_matches_scalar_dual_materialization_when_both_apply(self):
         ssm, _ = random_instance(60, 16, 3, 1, a_abs=(0.5, 2.0), scalar_identity=True)
