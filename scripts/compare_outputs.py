@@ -37,7 +37,9 @@ over a grid of d (its CSV table and its JSON summary file); the output
 array and the counter fields (multiply-adds, additions, peak live elements)
 of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
 (33, 8, 2), which the counts ``bench`` writes alone would not show a
-reordered reduction in; and what
+reordered reduction in, and on its ssd and recurrence paths at (1024, 8,
+2) and at (600, 17, 5) (two full chunks of recurrence steps and a ragged
+one); and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines; and the outcomes on
@@ -169,9 +171,13 @@ def dump() -> dict[str, object]:
             chunked_model, chunked_x = random_instance(seed, 600, modes, channels)
             key = f"forward_recurrence/600/{modes}x{channels}/{seed}"
             out[key] = forward_recurrence(chunked_model, chunked_x)
-        for dims in ((40, 17, 1), (33, 8, 2)):
+        # The linear paths also at bench-counts' largest point and at T=600, where the
+        # counted recurrence runs two full chunks of 256 steps and a ragged one of 88.
+        every, linear = ("ssd", "recurrence", "materialized"), ("ssd", "recurrence")
+        for dims, paths in (((40, 17, 1), every), ((33, 8, 2), every), ((1024, 8, 2), linear),
+                            ((600, 17, 5), linear)):
             counted_model, counted_x = random_instance(seed, *dims)
-            for path in ("ssd", "recurrence", "materialized"):
+            for path in paths:
                 y, counter = counted_forward(path, counted_model, counted_x)
                 key = f"counted_forward/{path}/{'x'.join(map(str, dims))}/{seed}"
                 out[key] = y

@@ -9,6 +9,10 @@ The kernels loop in Python only along the axis that is really
 sequential (the step t of the scan and the recurrence, the kernel column
 i of the materialized path) and keep each output element's scalar
 arithmetic order, so the outputs are bitwise those of a scalar loop.
+Both linear kernels step through one counted in-place scan,
+``CountedArray.scan``, at two ufunc calls per step; the recurrence runs
+it a chunk of ``ssm._CHUNK`` steps at a time, as ``forward_recurrence``
+does, so it holds one chunk of states, never all T of them.
 They use zero-initialized accumulators (the first scan step multiplies
 the zero carry, reductions start from zeros), so the three paths charge
 the same operation slots they would in a branch-free implementation and
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ssm as ssm_mod
 from .errors import DegenerateGridError
 from .ss_matrix import json_record
 from .ssm import FORWARD_PATHS, DiagonalSsm, _check_sequence, random_instance
@@ -109,16 +114,36 @@ class CountedArray:
         self.counter.madds += products.size - products[:1].size
         return CountedArray(products, self.counter)
 
-    def ascending_sum(self) -> "CountedArray":
-        """Sum of the rows, added one by one in ascending order to a zero accumulator.
+    def ascending_sum(self, axis: int = 0) -> "CountedArray":
+        """Sum along ``axis``, its entries added one by one in ascending order to zeros.
 
-        Each row costs one addition per element. ``np.add.accumulate`` keeps
+        Each summed entry costs one addition. ``np.add.accumulate`` keeps
         that order; ``np.sum`` would add pairwise and change the bits.
         """
-        zero = np.zeros((1, *self.value.shape[1:]))
-        total = np.add.accumulate(np.concatenate([zero, self.value]), axis=0)[-1]
-        self.counter.adds += self.value.size
+        # Swapped only off axis 0: np.moveaxis slowed the materialized kernel's axis-0 calls.
+        terms = self.value if axis == 0 else self.value.swapaxes(0, axis)
+        zero = np.zeros((1, *terms.shape[1:]))
+        total = np.add.accumulate(np.concatenate([zero, terms]), axis=0)[-1]
+        self.counter.adds += terms.size
         return CountedArray(total, self.counter)
+
+    def scan(self, gains: "CountedArray", start: "CountedArray | None" = None) -> "CountedArray":
+        """Linear recurrence along rows: row t is gains[t] * row t-1 + self[t].
+
+        Row -1 is ``start``, or zeros when it is None, so row 0 is
+        ``gains[0] * start + self[0]``. Each row is written in place, a
+        multiply and then an add, as ``ssm.scan`` does, and costs one multiply
+        and one add per element.
+        """
+        out = np.empty_like(self.value)
+        prev = np.zeros(out.shape[1:]) if start is None else start.value
+        for gain, row, cur in zip(gains.value, self.value, out):
+            np.multiply(gain, prev, out=cur)
+            cur += row
+            prev = cur
+        self.counter.madds += out.size
+        self.counter.adds += out.size
+        return CountedArray(out, self.counter)
 
 
 def _zeros(counter: FlopCounter, *shape: int) -> CountedArray:
@@ -155,11 +180,7 @@ def _counted_ssd(
     steps, modes, d = *a.value.shape, x.value.shape[1]
     scaled = b[:, :, None] * x[:, None, :]
     counter.alloc(modes * steps * d)
-    carried = _zeros(counter, steps, modes, d)
-    carry = _zeros(counter, modes, d)
-    for t in range(steps):
-        carry = a[t, :, None] * carry + scaled[t]
-        carried[t] = carry
+    carried = scaled.scan(a[:, :, None])
     counter.alloc(modes * steps * d)
     weighted = c[:, :, None] * carried
     counter.alloc(modes * steps * d)
@@ -174,13 +195,15 @@ def _counted_recurrence(
     a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
 ) -> CountedArray:
     steps, modes, d = *a.value.shape, x.value.shape[1]
-    h = _zeros(counter, modes, d)
-    counter.alloc(modes * d)
+    counter.alloc(modes * d)  # the state h
     y = _zeros(counter, steps, d)
     counter.alloc(steps * d)
-    for t in range(steps):
-        h = a[t, :, None] * h + b[t, :, None] * x[t, None, :]
-        y[t] = (c[t, :, None] * h).ascending_sum()
+    h = None  # the zero state
+    for lo in range(0, steps, ssm_mod._CHUNK):
+        chunk = slice(lo, lo + ssm_mod._CHUNK)
+        states = (b[chunk, :, None] * x[chunk, None, :]).scan(a[chunk, :, None], h)
+        y[chunk] = (c[chunk, :, None] * states).ascending_sum(axis=1)
+        h = states[-1]
     return y
 
 

@@ -1,8 +1,11 @@
 """Tests for the operation-count instrumentation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ssdlab import ssm as ssm_mod
 from ssdlab.bench import (
     CountedArray,
     FlopCounter,
@@ -12,6 +15,7 @@ from ssdlab.bench import (
 )
 from ssdlab.errors import DegenerateGridError, ShapeMismatchError
 from ssdlab.ssm import (
+    DiagonalSsm,
     forward_materialized,
     forward_recurrence,
     forward_ssd,
@@ -102,6 +106,36 @@ class TestCountedArray:
         only_negative_zeros = CountedArray(np.full((3, 1), -0.0), FlopCounter())
         assert not np.signbit(only_negative_zeros.ascending_sum().value).any()
 
+    def test_ascending_sum_along_a_later_axis(self):
+        terms = np.arange(24.0).reshape(2, 3, 4)
+        counter = FlopCounter()
+        total = CountedArray(terms, counter).ascending_sum(axis=1).value
+        assert total.tobytes() == (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2]).tobytes()
+        assert (counter.madds, counter.adds) == (0, 24)
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_scan_charges_a_multiply_and_an_add_per_element_of_every_row(self, with_start):
+        rng = np.random.default_rng(7)
+        rows, gains, start = rng.standard_normal((5, 3, 2)), rng.standard_normal((5, 3, 1)), None
+        counter = FlopCounter()
+        if with_start:
+            start = CountedArray(rng.standard_normal((3, 2)), counter)
+        out = CountedArray(rows, counter).scan(CountedArray(gains, counter), start).value
+        assert (counter.madds, counter.adds, counter.peak_live) == (5 * 3 * 2, 5 * 3 * 2, 0)
+        prev = np.zeros((3, 2)) if start is None else start.value
+        for t in range(5):
+            prev = gains[t] * prev + rows[t]
+            assert out[t].tobytes() == prev.tobytes()
+
+    @pytest.mark.parametrize("gain", [1.0, -1.0])
+    def test_scan_of_a_negative_zero_first_row_keeps_the_scalar_sign(self, gain):
+        counter = FlopCounter()
+        rows = CountedArray(np.array([[-0.0], [-0.0]]), counter)
+        out = rows.scan(CountedArray(np.array([[gain], [gain]]), counter)).value
+        # The zero carry is multiplied, then added to, as the scalar kernel does.
+        first = gain * 0.0 + -0.0
+        assert out.tobytes() == np.array([[first], [gain * first + -0.0]]).tobytes()
+
 
 class TestCountingKernelsMatchScalarOracle:
     """Counts, peak and output bytes equal the one-scalar-at-a-time kernels'."""
@@ -118,6 +152,48 @@ class TestCountingKernelsMatchScalarOracle:
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
         counts = (counter.madds, counter.adds, counter.peak_live)
         assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
+
+
+class TestCountedRecurrenceChunks:
+    """The counted recurrence runs in chunks of ``ssm._CHUNK`` steps, as production does."""
+
+    @staticmethod
+    def assert_matches_oracle(model, x):
+        out, counter = counted_forward("recurrence", model, x)
+        expected, oracle = reference_counted_forward("recurrence", model, x)
+        assert out.tobytes() == expected.tobytes()
+        counts = (counter.madds, counter.adds, counter.peak_live)
+        assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8, 9])
+    def test_chunks_are_bitwise_the_scalar_oracle(self, monkeypatch, steps):
+        """Chunks of 3: up to one, one and a step, two and a ragged third, three full."""
+        monkeypatch.setattr(ssm_mod, "_CHUNK", 3)
+        self.assert_matches_oracle(*random_instance(steps, steps, 3, 2))
+
+    def test_full_chunks_are_bitwise_the_scalar_oracle(self):
+        steps = 2 * ssm_mod._CHUNK + 3
+        rng = np.random.default_rng(17)
+        gains = rng.uniform(0.5, 1.5, (steps, 3)) * rng.choice([-1.0, 1.0], (steps, 3))
+        gains[rng.random((steps, 3)) < 0.1] = 0.0
+        gains[0] = 1.0
+        model = DiagonalSsm(gains, *rng.standard_normal((2, steps, 3)))
+        self.assert_matches_oracle(model, rng.standard_normal((steps, 2)))
+
+    def test_working_memory_does_not_grow_with_steps(self):
+        """Beyond its output, the counted recurrence holds as much at T=4096 as at T=1024."""
+        extra = {}
+        for steps in (1024, 4096):
+            model, x = random_instance(5, steps, 16, 4)
+            tracemalloc.start()
+            try:
+                y, _ = counted_forward("recurrence", model, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[steps] = peak - y.nbytes
+        # A state for every step would add 8 * 3072 * 16 * 4 bytes; this allows 1/16 of that.
+        assert extra[4096] <= extra[1024] + 8 * 3072 * 4
 
 
 def closed_forms(path, T, N, d):

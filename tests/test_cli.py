@@ -19,7 +19,7 @@ from ssdlab.ssm import (
     sequence_to_csv,
 )
 from ssdlab.sss_extract import materialize_sss, random_representation
-from tests.conftest import representable_matrix, run_python, run_ssdlab, start_ssdlab
+from tests.conftest import run_python, run_ssdlab, start_ssdlab
 
 
 def run_cli(*argv, cwd=None):
@@ -222,16 +222,19 @@ class TestFileNames:
 def test_readme_quickstart_gen_and_check_dual_lines_pass(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    # The lines that write models and kernel.csv, check duals and extract, in README order.
     lines = [
-        shlex.split(line)[1:] for line in block.splitlines()
-        if line.startswith(("ssdlab gen ", "ssdlab check-dual "))
+        shlex.split(line) for line in block.splitlines()
+        if line.startswith(("ssdlab gen ", "python -c ", "ssdlab check-dual ", "ssdlab extract "))
     ]
-    modes = [argv[argv.index("--mode") + 1] for argv in lines if argv[0] == "check-dual"]
+    modes = [argv[argv.index("--mode") + 1] for argv in lines if argv[1] == "check-dual"]
     assert modes == ["scalar-identity", "full-rank", "representability"]
-    # The representability line reads a kernel the user brings.
-    (tmp_path / "kernel.csv").write_text(representable_matrix(3, 16, 2).to_csv())
-    for argv in lines:
-        proc = run_cli(*argv, cwd=tmp_path)
+    assert [argv[1] for argv in lines].count("-c") == 1 and lines[-1][1] == "extract"
+    for program, *argv in lines:
+        if program == "python":
+            proc = run_python(argv, cwd=tmp_path, capture_output=True, text=True)
+        else:
+            proc = run_cli(*argv, cwd=tmp_path)
         assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
 
 
