@@ -9,10 +9,11 @@ The kernels loop in Python only along the axis that is really
 sequential (the step t of the scan and the recurrence, the kernel column
 i of the materialized path) and keep each output element's scalar
 arithmetic order, so the outputs are bitwise those of a scalar loop.
-Both linear kernels step through one counted in-place scan,
-``CountedArray.scan``, at two ufunc calls per step; the recurrence runs
-it a chunk of ``ssm._CHUNK`` steps at a time, as ``forward_recurrence``
-does, so it holds one chunk of states, never all T of them.
+The kernels share the production paths' one step loop and one ordered
+reduction: ``CountedArray.scan`` runs ``ssm.scan`` and
+``CountedArray.ascending_sum`` runs ``ssm.ascending_sum``, and each only
+adds the charges. The recurrence scans a chunk of ``ssm._CHUNK`` steps at a
+time, as ``forward_recurrence`` does, so it holds one chunk of states.
 They use zero-initialized accumulators (the first scan step multiplies
 the zero carry, reductions start from zeros), so the three paths charge
 the same operation slots they would in a branch-free implementation and
@@ -115,32 +116,19 @@ class CountedArray:
         return CountedArray(products, self.counter)
 
     def ascending_sum(self, axis: int = 0) -> "CountedArray":
-        """Sum along ``axis``, its entries added one by one in ascending order to zeros.
-
-        Each summed entry costs one addition. ``np.add.accumulate`` keeps
-        that order; ``np.sum`` would add pairwise and change the bits.
-        """
-        # Swapped only off axis 0: np.moveaxis slowed the materialized kernel's axis-0 calls.
-        terms = self.value if axis == 0 else self.value.swapaxes(0, axis)
-        zero = np.zeros((1, *terms.shape[1:]))
-        total = np.add.accumulate(np.concatenate([zero, terms]), axis=0)[-1]
-        self.counter.adds += terms.size
-        return CountedArray(total, self.counter)
+        """``ssm.ascending_sum`` along ``axis``; each summed entry costs one addition."""
+        self.counter.adds += self.value.size
+        return CountedArray(ssm_mod.ascending_sum(self.value, axis), self.counter)
 
     def scan(self, gains: "CountedArray", start: "CountedArray | None" = None) -> "CountedArray":
-        """Linear recurrence along rows: row t is gains[t] * row t-1 + self[t].
+        """``ssm.scan`` along rows from ``start``, or from zeros when it is None.
 
-        Row -1 is ``start``, or zeros when it is None, so row 0 is
-        ``gains[0] * start + self[0]``. Each row is written in place, a
-        multiply and then an add, as ``ssm.scan`` does, and costs one multiply
-        and one add per element.
+        Row 0 is thus always gains[0] * start + self[0]. ``gains`` keeps the
+        channel axis ``ssm.scan`` adds itself (``a[:, :, None]``), and every
+        row costs one multiply and one add per element.
         """
-        out = np.empty_like(self.value)
-        prev = np.zeros(out.shape[1:]) if start is None else start.value
-        for gain, row, cur in zip(gains.value, self.value, out):
-            np.multiply(gain, prev, out=cur)
-            cur += row
-            prev = cur
+        carry = np.zeros(self.value.shape[1:]) if start is None else start.value
+        out = ssm_mod.scan(gains.value[..., 0], self.value, carry)
         self.counter.madds += out.size
         self.counter.adds += out.size
         return CountedArray(out, self.counter)
@@ -184,11 +172,8 @@ def _counted_ssd(
     counter.alloc(modes * steps * d)
     weighted = c[:, :, None] * carried
     counter.alloc(modes * steps * d)
-    acc = _zeros(counter, steps, d)
-    counter.alloc(steps * d)
-    for n in range(modes):  # ascending, as forward_ssd reduces
-        acc = acc + weighted[:, n]
-    return acc
+    counter.alloc(steps * d)  # the sum over modes
+    return weighted.ascending_sum(axis=1)
 
 
 def _counted_recurrence(

@@ -107,6 +107,14 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def tolerance(text: str) -> float:
+    """An --eps value: a finite float of at least 0; any other raises ``ValueError``."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"--eps must be finite and at least 0, got {text}")
+    return value
+
+
 def _config_value(action: argparse.Action, key: str, value):
     """``value`` converted and checked as the option's own flag would be."""
     try:
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, leaf=p)
         if "eps" in shared:
             p.add_argument(
-                "--eps", type=float, default=DEFAULT_EPS,
+                "--eps", type=tolerance, default=DEFAULT_EPS,
                 help="relative tolerance (default %(default)s)",
             )
         p.add_argument("--out", help="output file (CSV if named .csv, else JSON)")

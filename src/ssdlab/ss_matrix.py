@@ -5,8 +5,9 @@ What the module holds:
 - the codecs: ``array_to_csv``/``array_from_csv`` and the ``json_record``
   decorator;
 - the input rules every module shares, one each: ``check_sizes`` for a size
-  (at least 1), ``_check_finite`` for entries, and ``_freeze`` (with
-  ``_freeze_fields``, its float-copying form) for a record's array field;
+  (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
+  value read as floats, and ``_freeze`` (with ``_freeze_fields``, its
+  float-copying form) for a record's array field;
 - the records ``LowerTriangularMatrix`` and ``MaskVector``;
 - the kernel panel walk, ``_segment_product_panels``, that builds dense
   segment-product kernels (``_segment_product_kernel``, the 1SS operator
@@ -150,10 +151,19 @@ def _freeze(record, name: str, arr: np.ndarray, ndim: int) -> None:
     object.__setattr__(record, name, arr)
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """A float copy of ``value``; one that is not an array of numbers (a JSON object, say)
+    raises ``ValueError`` naming ``name``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def _freeze_fields(record, **ndims: int) -> None:
     """``_freeze`` a float copy of each named field of ``record``, with its ``ndim``."""
     for name, ndim in ndims.items():
-        _freeze(record, name, np.array(getattr(record, name), dtype=float), ndim)
+        _freeze(record, name, _float_array(getattr(record, name), name), ndim)
 
 
 @json_record({"T": "T", "rows": "values"}, declared=("T",))
@@ -168,7 +178,7 @@ class LowerTriangularMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.values, dtype=float))
+        self._own(_float_array(self.values, "values"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "LowerTriangularMatrix":

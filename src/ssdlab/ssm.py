@@ -4,8 +4,9 @@ Three routes from inputs to outputs: the reference left-to-right
 recurrence, the materialized T x T kernel, and the scale/scan/scale
 pipeline that costs O(NTd). The last runs over all (mode, channel) pairs
 at once and then reduces over modes in ascending order. ``FORWARD_PATHS``
-names the three routes. The recurrence and the ssd path's scan each keep
-their own step loop.
+names the three routes. There is one step loop, ``scan``, and one ordered
+mode reduction, ``ascending_sum``: the recurrence and the ssd path both run
+on them, as do ``bench``'s counted kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
     _check_finite,
+    _float_array,
     _freeze_fields,
     _segment_product_apply,
     _segment_product_kernel,
@@ -91,26 +93,19 @@ def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     """Reference O(TNd) scan: h_t = a_t * h_{t-1} + b_t x_t, y_t = c_t h_t.
 
     The steps run in chunks of ``_CHUNK``. A chunk's inputs b_t x_t are one
-    product, its states are stepped one at a time in place, and its outputs
-    c_t h_t are one batched matrix product; each step's operations, and their
-    order, are those of the plain step loop, so the output is too, bit for
-    bit. It holds O(_CHUNK N d) states, never O(T N d).
+    product, its states one ``scan`` on from the last chunk's final state,
+    and its outputs c_t h_t one batched matrix product; each step's
+    operations, and their order, are those of the plain step loop, so the
+    output is too, bit for bit. It holds O(_CHUNK N d) states, never O(T N d).
     """
     x = _check_sequence(ssm, x)
-    n_steps, d = x.shape
-    gains, weights = ssm.a_diag[:, :, None], ssm.b[:, :, None]
-    y = np.empty((n_steps, d))
-    states = np.empty((min(_CHUNK, n_steps), ssm.N, d))
-    h = np.zeros((ssm.N, d))
-    for lo in range(0, n_steps, _CHUNK):
-        hi = min(lo + _CHUNK, n_steps)
-        inputs = weights[lo:hi] * x[lo:hi, None, :]
-        # h still holds the previous chunk's last state when the first step reads it.
-        for gain, row, state in zip(gains[lo:hi], inputs, states):
-            np.multiply(gain, h, out=state)
-            state += row
-            h = state
-        np.matmul(ssm.c[lo:hi, None, :], states[: hi - lo], out=y[lo:hi, None, :])
+    y = np.empty(x.shape)
+    h = np.zeros((ssm.N, x.shape[1]))
+    for lo in range(0, ssm.T, _CHUNK):
+        hi = min(lo + _CHUNK, ssm.T)
+        states = scan(ssm.a_diag[lo:hi], ssm.b[lo:hi, :, None] * x[lo:hi, None, :], h)
+        np.matmul(ssm.c[lo:hi, None, :], states, out=y[lo:hi, None, :])
+        h = states[-1]
     return y
 
 
@@ -131,7 +126,7 @@ def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Validate a per-row vector against rows of ``y``; return it ready to broadcast.
 
     Either a (T,) vector against a (T, d) matrix, or a (T, N) matrix
-    against a (T, N, d) array with a trailing mode axis.
+    against a (T, N, d) array with a trailing mode axis; T must be at least 1.
     """
     vec = np.asarray(vec, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -141,6 +136,7 @@ def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         else:
             want = "a length-T vector and a (T, d) matrix"
         raise ShapeMismatchError(f"need {want}, got {vec.shape} and {y.shape}")
+    check_sizes(T=y.shape[0])
     return vec[..., None], y
 
 
@@ -154,22 +150,42 @@ def scale_rows(scale: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scale * y
 
 
-def scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
+def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Linear recurrence along rows: out_t = gains[t] * out_{t-1} + y_t.
 
-    Row 0 is copied through; gains[0] is never read. With (T, N) gains and
-    a (T, N, d) ``y``, every mode runs its own recurrence. Each row is
-    written in place, a multiply and then an add.
+    Row -1 is ``start`` (one row's shape), so row 0 is gains[0] * start + y[0];
+    with no ``start``, row 0 is copied through and gains[0] is never read.
+    With (T, N) gains and a (T, N, d) ``y``, every mode runs its own
+    recurrence. Each row is written in place, a multiply and then an add.
     """
     gains, y = _check_rows(gains, y)
     out = np.empty_like(y)
-    out[0] = y[0]
-    prev = out[0]
-    for gain, row, cur in zip(gains[1:], y[1:], out[1:]):
+    if start is None:
+        out[0] = prev = y[0]
+        gains, y, rows = gains[1:], y[1:], out[1:]
+    else:
+        prev, rows = np.asarray(start, dtype=float), out
+        if prev.shape != y.shape[1:]:
+            raise ShapeMismatchError(f"start must have shape {y.shape[1:]}, got {prev.shape}")
+    for gain, row, cur in zip(gains, y, rows):
         np.multiply(gain, prev, out=cur)
         cur += row
         prev = cur
     return out
+
+
+def ascending_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum along ``axis``, its entries added one by one in ascending order to zeros.
+
+    The order is fixed, so the sum is reproducible; ``np.sum`` adds pairwise
+    and would change the bits. This is the package's one ordered reduction.
+    """
+    # Moved only off axis 0: np.moveaxis slowed the counted materialized kernel's axis-0 calls.
+    terms = np.asarray(terms) if axis == 0 else np.moveaxis(terms, axis, 0)
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
 
 
 def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
@@ -180,11 +196,7 @@ def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     """
     x = _check_sequence(ssm, x)
     z = scale_rows(ssm.b, np.broadcast_to(x[:, None, :], (ssm.T, ssm.N, x.shape[1])))
-    h = scale_rows(ssm.c, scan(ssm.a_diag, z))
-    y = np.zeros_like(x)
-    for n in range(ssm.N):
-        y = y + h[:, n]
-    return y
+    return ascending_sum(scale_rows(ssm.c, scan(ssm.a_diag, z)), axis=1)
 
 
 #: Forward paths by name, in the order ``forward --path all`` runs and reports them.
@@ -211,8 +223,8 @@ def random_instance(
     check_sizes(T=T, N=N, d=d)
     rng = np.random.default_rng(seed)
     lo, hi = a_abs
-    if not (0.0 <= lo <= hi):
-        raise ValueError(f"need 0 <= lo <= hi in a_abs, got {a_abs}")
+    if not (0.0 <= lo <= hi < np.inf):
+        raise ValueError(f"need 0 <= lo <= hi < inf in a_abs, got {a_abs}")
     shape = (T, 1) if scalar_identity else (T, N)
     mags = rng.uniform(lo, hi, size=shape)
     signs = rng.choice([-1.0, 1.0], size=shape)
@@ -238,5 +250,5 @@ def sequence_from_json(text: str) -> np.ndarray:
         raise ValueError("expected a JSON object for a sequence")
     for key in ("X", "Y"):  # a one-path ``forward`` writes its output as "Y"
         if key in obj:
-            return np.array(obj[key], dtype=float)
+            return _float_array(obj[key], repr(key))
     raise ValueError("the sequence JSON object lacks 'X'")

@@ -86,11 +86,11 @@ def reference_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def reference_scan(gains: np.ndarray, y: np.ndarray) -> np.ndarray:
+def reference_scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """``scan`` one row at a time, a fresh row each step (test oracle)."""
     gains = np.asarray(gains, dtype=float)[..., None]
     out = np.empty(y.shape)
-    out[0] = y[0]
+    out[0] = y[0] if start is None else gains[0] * start + y[0]
     for t in range(1, len(y)):
         out[t] = gains[t] * out[t - 1] + y[t]
     return out

@@ -17,6 +17,7 @@ from ssdlab.ssm import (
     sequence_from_csv,
     sequence_from_json,
     sequence_to_csv,
+    sequence_to_json,
 )
 from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import run_python, run_ssdlab, start_ssdlab
@@ -132,6 +133,67 @@ class TestForwardCommand:
         assert proc.returncode == 2
         assert "input error" in proc.stderr and "finite" in proc.stderr
         assert not (tmp_path / "y.json").exists()
+
+
+class TestArrayFieldHoldingAnObject:
+    """A JSON array field that holds an object is an input error naming the field."""
+
+    @pytest.mark.parametrize(
+        "file, key, argv, name",
+        [
+            ("ssm.json", "A_diag", ("forward", "--ssm", "bad.json", "--input", "x.csv"), "a_diag"),
+            ("x.json", "X", ("forward", "--ssm", "ssm.json", "--input", "bad.json"), "'X'"),
+            ("m.json", "rows", ("extract", "--matrix", "bad.json", "--N", "2"), "values"),
+        ],
+        ids=["model", "sequence", "matrix"],
+    )
+    def test_exit_two_naming_the_field(self, workdir, file, key, argv, name):
+        x = sequence_from_csv((workdir / "x.csv").read_text())
+        (workdir / "x.json").write_text(sequence_to_json(x))
+        (workdir / "m.json").write_text(non_dualizable_matrix(5).to_json())
+        record = json.loads((workdir / file).read_text())
+        record[key] = {"a": 1}
+        (workdir / "bad.json").write_text(json.dumps(record))
+        proc = run_cli(*argv, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"input error: {name} must be an array of numbers")
+
+
+#: A command of each kind that reads --eps, on the ``workdir`` files.
+EPS_COMMANDS = {
+    "forward": ("forward", "--ssm", "ssm.json", "--input", "x.csv"),
+    "check-dual": ("check-dual", "--mode", "representability", "--matrix", "corner5.csv",
+                   "--N", "4"),
+    "extract": ("extract", "--matrix", "corner5.csv", "--N", "2"),
+}
+
+
+class TestEpsFlag:
+    """--eps must be a finite float of at least 0, given as a flag or in --config."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("command", list(EPS_COMMANDS))
+    def test_flag_outside_zero_to_finite_is_refused(self, workdir, command, value):
+        proc = run_cli(*EPS_COMMANDS[command], f"--eps={value}", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument --eps: invalid tolerance value: '{value}'" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("command", list(EPS_COMMANDS))
+    def test_config_value_outside_zero_to_finite_is_refused(self, workdir, command, value):
+        (workdir / "cfg.json").write_text(json.dumps({"eps": value}))
+        proc = run_cli(*EPS_COMMANDS[command], "--config", "cfg.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: config key 'eps': {value!r} is not a value of its flag\n"
+
+    @pytest.mark.parametrize("command", list(EPS_COMMANDS))
+    def test_zero_is_a_tolerance(self, workdir, command):
+        proc = run_cli(*EPS_COMMANDS[command], "--eps=0", cwd=workdir)
+        assert proc.returncode != 2
+        assert "input error" not in proc.stderr and "invalid" not in proc.stderr
 
 
 class TestCsvFormat:
@@ -426,6 +488,14 @@ class TestGenCommand:
         assert proc.returncode == 2
         assert proc.stderr == f"input error: sizes must be at least 1, got {argv[1][2:]}=0\n"
         assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [("--a-max", "inf"), ("--a-min", "inf", "--a-max", "inf")],
+                             ids=["a-max", "a-min-and-a-max"])
+    def test_infinite_gain_bound_is_an_input_error(self, workdir, argv):
+        proc = run_cli("gen", "ssm", "--seed", "1", *argv, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: need 0 <= lo <= hi")
 
     def test_generated_matrix_loads_back(self, workdir):
         proc = run_cli(

@@ -528,6 +528,21 @@ class TestJsonRecords:
             with pytest.raises(ShapeMismatchError):
                 GeneralSssRepresentation.from_json("{" + declared + ", " + arrays + "}")
 
+    @pytest.mark.parametrize(
+        "cls, text, name",
+        [
+            (LowerTriangularMatrix, '{"T": 1, "rows": {"a": 1}}', "values"),
+            (MaskVector, '{"a": {"a": 1}}', "a"),
+            (DiagonalSsm, '{"T": 1, "N": 1, "A_diag": {"a": 1}, "b": [[1.0]], "c": [[1.0]]}',
+             "a_diag"),
+            (MaskedAttentionFactors, '{"p": [1.0], "Q": [[{"a": 1}]], "K": [[1.0]]}', "Q"),
+        ],
+        ids=["LowerTriangularMatrix", "MaskVector", "DiagonalSsm", "MaskedAttentionFactors"],
+    )
+    def test_an_array_field_holding_an_object_is_a_value_error_naming_it(self, cls, text, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an array of numbers"):
+            cls.from_json(text)
+
     def test_constructor_checks_still_run(self):
         with pytest.raises(ValueError, match="above the main diagonal"):
             LowerTriangularMatrix.from_json('{"T": 2, "rows": [[1.0, 1.0], [0.0, 1.0]]}')

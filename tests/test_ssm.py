@@ -14,6 +14,7 @@ from ssdlab.ss_matrix import MaskVector, one_ss, semiseparable_rank
 from ssdlab.ssm import (
     FORWARD_PATHS,
     DiagonalSsm,
+    ascending_sum,
     forward_materialized,
     forward_recurrence,
     forward_ssd,
@@ -373,16 +374,47 @@ class TestScan:
         for n in range(4):
             assert np.array_equal(got[:, n], scan(ssm.a_diag[:, n], y[:, n]))
 
+    @pytest.mark.parametrize("with_start", [False, True])
     @pytest.mark.parametrize("steps", [1, 2, 37])
     @pytest.mark.parametrize("modes", [None, 1, 4])
-    def test_bitwise_equal_to_the_step_loop(self, steps, modes):
+    def test_bitwise_equal_to_the_step_loop(self, steps, modes, with_start):
+        """A start makes gains[0] count; with one step, that gain is zero."""
         rng = np.random.default_rng(steps + (modes or 0))
         gains = signed_gains_with_zeros(rng, steps, modes or 1)
         gains[steps // 2] = 0.0
         if modes is None:
             gains = gains[:, 0]
         y = rng.standard_normal((*gains.shape, 3))
-        assert scan(gains, y).tobytes() == reference_scan(gains, y).tobytes()
+        start = rng.standard_normal(y.shape[1:]) if with_start else None
+        assert scan(gains, y, start).tobytes() == reference_scan(gains, y, start).tobytes()
+
+    def test_negative_zero_first_row_from_a_zero_start_is_positive_zero(self):
+        rows = np.array([[-0.0], [-0.0]])
+        assert not np.signbit(scan(np.ones(2), rows, np.zeros(1))).any()
+        # Without a start, row 0 is copied through with its sign.
+        assert np.signbit(scan(np.ones(2), rows)).all()
+
+    def test_rejects_a_start_that_is_not_one_row(self):
+        with pytest.raises(ShapeMismatchError, match="start must have shape"):
+            scan(np.ones((3, 2)), np.zeros((3, 2, 4)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("vec, y", [(np.ones(0), np.zeros((0, 2))),
+                                        (np.ones((0, 3)), np.zeros((0, 3, 2)))], ids=["1-D", "modes"])
+    def test_zero_rows_are_a_size_error(self, vec, y):
+        for op in (scan, scale_rows):
+            with pytest.raises(ShapeMismatchError, match="at least 1, got T=0"):
+                op(vec, y)
+
+
+class TestAscendingSum:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_adds_the_terms_one_by_one_to_zeros(self, axis):
+        terms = np.random.default_rng(axis).standard_normal((5, 6, 7)) * 1e8
+        terms.flat[::11] = -0.0
+        total = np.zeros(np.delete(terms.shape, axis))
+        for term in np.moveaxis(terms, axis, 0):
+            total = total + term
+        assert ascending_sum(terms, axis).tobytes() == total.tobytes()
 
 
 class TestForwardSsd:
@@ -477,6 +509,11 @@ class TestDiagonalSsmType:
         mags = np.abs(ssm.a_diag[1:])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
 
+    @pytest.mark.parametrize("a_abs", [(0.0, np.inf), (1.0, np.inf), (np.inf, np.inf)], ids=str)
+    def test_generator_refuses_infinite_gain_bounds(self, a_abs):
+        with pytest.raises(ValueError, match="need 0 <= lo <= hi"):
+            random_instance(0, 4, 2, 1, a_abs=a_abs)
+
     @pytest.mark.parametrize("dims", [(0, 2, 1), (4, 0, 1), (4, 2, 0), (-1, 2, 1)], ids=str)
     def test_generator_refuses_sizes_below_one(self, dims):
         with pytest.raises(ShapeMismatchError, match="at least 1"):
@@ -493,3 +530,8 @@ class TestSequenceSerialization:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 2)) * 1e-9
         assert np.array_equal(sequence_from_json(sequence_to_json(x)), x)
+
+    @pytest.mark.parametrize("key", ["X", "Y"])
+    def test_json_array_holding_an_object_is_a_value_error_naming_its_key(self, key):
+        with pytest.raises(ValueError, match=f"^'{key}' must be an array of numbers"):
+            sequence_from_json('{"%s": [[1.0], {"a": 1}]}' % key)
