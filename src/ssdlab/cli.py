@@ -10,12 +10,14 @@ no timestamps or timings, so a fixed seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import os
+import secrets
+import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -30,11 +32,19 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssdlab-")
+    """Write ``text`` to a fresh file beside ``path`` and rename it over ``path``.
+
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    file's own, else 0666 less the process umask.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".ssdlab-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._lowrank import rank_of_singular_values
 from .errors import ShapeMismatchError
 
 #: Relative tolerance shared by every rank / span decision in the package.
@@ -443,13 +444,12 @@ def _block_sweep(vals: np.ndarray, eps: float):
             pair[:, -1] = col
             dropped = 0.0
             u, s, vh = np.linalg.svd(pair, full_matrices=False)
-        top = s[0]  # with a top of 0 no singular value counts, as in rank_of_singular_values
-        rounding = _MACHINE_EPS * max(size - t, t + 1) * top
+        rounding = _MACHINE_EPS * max(size - t, t + 1) * s[0]
         keep = int(np.count_nonzero(s > rounding))
         mapped = np.empty((len(vh), t + 1))
         np.matmul(vh[:, :-1], basis, out=mapped[:, :-1])
         mapped[:, -1] = vh[:, -1]
-        rank = int(np.count_nonzero(s > eps * top))
+        rank = rank_of_singular_values(s, eps)
         widened = len(basis) > width + 1
         carry = pair[:, :-1]
         yield SweepStep(carry, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened)

@@ -5,10 +5,10 @@ factors as c_j' A^j ... A^{i+1} b_i with full (not necessarily diagonal)
 transition matrices. This module recovers such a representation from the
 dense matrix in one sweep over its lower-left blocks (each step factors a
 thin matrix, see ``ss_matrix._block_sweep``) whose consecutive factorizations
-are chained by transition solves, one stacked solve per ``_TILE`` steps, and
-materializes representations back to dense form. Each step's SVD is its only
-factorization: the transition solve pseudo-inverts the balanced row factor
-through that SVD.
+are chained by transition solves, one stacked solve and one gate of both
+factor sides per ``_TILE`` steps, and materializes representations back to
+dense form. Each step's SVD is its only factorization: the transition solve
+pseudo-inverts the balanced row factor through that SVD.
 """
 
 from __future__ import annotations
@@ -63,7 +63,12 @@ class GeneralSssRepresentation:
             )
         if np.any(self.A[0] != np.eye(width)):
             raise ValueError("A[0] must be the identity (it multiplies the zero state)")
-        ranks = tuple(int(v) for v in self.r)
+        ranks = self.r.tolist() if isinstance(self.r, np.ndarray) else self.r
+        if not isinstance(ranks, (list, tuple)) or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ranks
+        ):
+            raise ValueError(f"r must be an array of integers, got {self.r!r}")
+        ranks = tuple(int(v) for v in ranks)
         if len(ranks) != steps:
             raise ShapeMismatchError(f"r must have length {steps}, got {len(ranks)}")
         for t, rank in enumerate(ranks):
@@ -142,9 +147,7 @@ def solve_transition(
     w_trunc: np.ndarray,
     r_next: int | np.ndarray,
     r_cur: int | np.ndarray,
-    eps: float,
     w_pinv: np.ndarray,
-    step: int = 1,
 ) -> np.ndarray:
     """Transition matrix A with w_next @ A = w_trunc, zero-padded exactly.
 
@@ -158,16 +161,8 @@ def solve_transition(
 
     The factors may also be stacks of cases along a leading axis, with
     ``r_next`` and ``r_cur`` one entry per case; the transitions come back
-    stacked the same way. Case i is the transition into step ``step`` + i,
-    which a refusal names.
-
-    The residual is gated relative to the larger of |w_next| and |w_trunc|.
-    A balanced factor carries rounding error of about machine epsilon times
-    its norm, which is at least sqrt(sigma_1) of its block, and dropping a
-    row keeps that error while the slice's own norm can shrink to it: right
-    after a diagonal-block cut ``w_trunc`` is pure rounding noise. The whole
-    factor ``w_next`` keeps the gate at the scale of the factors. The first
-    case over its gate is refused.
+    stacked the same way. This only solves: ``extract_sss`` gates the
+    residual.
     """
     w_next = np.asarray(w_next, dtype=float)
     w_trunc = np.asarray(w_trunc, dtype=float)
@@ -182,26 +177,29 @@ def solve_transition(
     trans = w_pinv @ w_trunc
     rows = np.arange(trans.shape[-2])[:, None] >= np.asarray(r_next)[..., None, None]
     trans[rows | (np.arange(trans.shape[-1]) >= np.asarray(r_cur)[..., None, None])] = 0.0
-    # The miss is formed transposed, A' W' - W'': a stack of factors stored as rows
-    # is then walked along its long axis.
-    miss = trans.swapaxes(-2, -1) @ w_next.swapaxes(-2, -1) - w_trunc.swapaxes(-2, -1)
-    _gate("row-factor", miss, w_next, w_trunc, eps, step, "|W|, |W'|")
     return trans
 
 
-def _gate(side: str, miss, first, second, eps: float, step: int, names: str) -> None:
-    """Refuse the first case whose ``miss`` exceeds eps times the larger of |first| and |second|.
+def _gate(step: int, eps: float, *sides) -> None:
+    """Refuse the first case over its gate, in step order; at one step the first side listed.
 
-    All three are one matrix or stacks of them; case i is step ``step`` + i.
+    Each side is (name, miss, first, second, norm names), its three arrays
+    one matrix or stacks of them, case i being step ``step`` + i. A case is
+    over its gate when |miss| exceeds eps times the larger of |first| and
+    |second| (Frobenius norms).
     """
-    scale = np.maximum(_frobenius(first), _frobenius(second))
-    residual = _frobenius(miss)
-    over = np.flatnonzero(residual > eps * scale)
+    checked = [
+        (name, _frobenius(miss), eps * np.maximum(_frobenius(first), _frobenius(second)), names)
+        for name, miss, first, second, names in sides
+    ]
+    # Row i is step ``step`` + i and column k side k, so the first hit in row order wins.
+    over = np.flatnonzero(np.stack([np.ravel(res > bound) for _, res, bound, _ in checked], -1))
     if over.size:
-        i = over[0]
+        i, k = divmod(int(over[0]), len(sides))
+        name, residual, bound, names = checked[k]
         raise InconsistentTransitionError(
-            f"{side} residual {residual.flat[i]:.3e} at step {step + i} exceeds "
-            f"{eps:.1e} * max({names}) = {eps * scale.flat[i]:.3e}"
+            f"{name} residual {residual.flat[i]:.3e} at step {step + i} exceeds "
+            f"{eps:.1e} * max({names}) = {bound.flat[i]:.3e}"
         )
 
 
@@ -230,19 +228,21 @@ def extract_sss(
     factors take them from ``vector_signs``, so the output does not depend
     on the signs the SVD happened to return.
 
-    Each transition is verified on both sides: w-side by construction
-    inside ``solve_transition``, u-side against the next step's column
-    factor. The u-side gate refuses a block that keeps a direction the
-    previous block did not: one past the width, or one that the carry cut
-    below rounding, which happens when the previous block is much larger.
-    Like the w-side gate, it is relative to the larger of the trimmed slice
-    (of step t+1) and the whole factor (U of step t).
+    Each transition is verified on both sides by one ``_gate``: the w-side
+    miss W_{t+1} A - W_t[1:] and the u-side miss A U_t - U_{t+1}[:, :t+1],
+    each relative to the larger of the trimmed slice and the whole factor
+    on the other side. The whole factor keeps the gate at the factors'
+    scale where the slice is pure rounding noise, right after a
+    diagonal-block cut. The u-side gate refuses a block that keeps a
+    direction the previous block did not: one past the width, or one that
+    the carry cut below rounding, which happens when the previous block is
+    much larger.
 
     The sweep is read ``_TILE`` steps at a time: each step only copies its
     kept u, s and right vectors into the tile's zero-padded stacks, and
-    ``_chain_tile`` then signs, scales, solves and gates the whole tile at
-    once. Refusals come in the order of a step-by-step chain: rank, then
-    row factor, then column factor, step by step.
+    ``_chain_tile`` then signs, scales and solves the whole tile at once
+    and gates it in one call. Refusals come in the order of a step-by-step
+    chain: rank, then row factor, then column factor, step by step.
     """
     check_sizes(width=width)
     steps = m.T
@@ -284,9 +284,11 @@ def _chain_tile(tile: tuple, lo: int, out: tuple, eps: float) -> None:
 
     ``tile`` is ``extract_sss``'s (left, s, right) stacks, left holding u'
     (left vectors as rows), slot 0 step lo-1, all as the sweep gave them:
-    the sign rule picks the same signs for a slot in either tile holding it. Writes each step's c and b rows and
-    transition into ``out`` = (r, b, c, A), and raises the first refusal a
-    step-by-step chain would raise.
+    the sign rule picks the same signs for a slot in either tile holding
+    it. Writes each step's c and b rows and transition into ``out`` =
+    (r, b, c, A). One solve and one ``_gate`` over both factor sides cover
+    the whole tile; the gate raises the first refusal a step-by-step chain
+    would raise, before any transition is written.
     """
     left, s, right = tile
     kept, b_rows, c_rows, trans = out
@@ -304,24 +306,19 @@ def _chain_tile(tile: tuple, lo: int, out: tuple, eps: float) -> None:
     cur, prev = slice(first - lo + 1, None), slice(first - lo, -1)
     w_next, w_trunc = w_rows[cur, :, :-1].swapaxes(-2, -1), w_rows[prev, :, 1:].swapaxes(-2, -1)
     w_pinv = left[cur, :, :-1] / scale[cur]
-    try:
-        a_t = solve_transition(
-            w_next, w_trunc, kept[first:hi], kept[first - 1 : hi - 1], eps, w_pinv, first
-        )
-    except InconsistentTransitionError:
-        if hi - first == 1:
-            raise
-        a_t = None  # replayed after the handler, so its refusal is not chained to this one
-    if a_t is None:
-        # A column factor that misses before the refused row factor is refused first.
-        for t in range(first, hi):
-            _chain_tile(tuple(x[t - lo : t - lo + 2] for x in tile), t, out, eps)
-        return
+    a_t = solve_transition(w_next, w_trunc, kept[first:hi], kept[first - 1 : hi - 1], w_pinv)
     # U of step t without its last column (b's) is what A_t carries U of step t-1 to.
     u_trim = u_fac[cur].copy()
     u_trim[np.arange(hi - first), :, np.arange(first, hi)] = 0.0
     u_prev = u_fac[prev]
-    _gate("column-factor", a_t @ u_prev - u_trim, u_prev, u_trim, eps, first, "|U|, |U'|")
+    # The row miss is formed transposed, A' W' - W'': each factor is walked along its long axis.
+    row_miss = a_t.swapaxes(-2, -1) @ w_rows[cur, :, :-1] - w_rows[prev, :, 1:]
+    _gate(
+        first,
+        eps,
+        ("row-factor", row_miss, w_next, w_trunc, "|W|, |W'|"),
+        ("column-factor", a_t @ u_prev - u_trim, u_prev, u_trim, "|U|, |U'|"),
+    )
     trans[first:hi] = a_t
 
 

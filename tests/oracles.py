@@ -110,9 +110,9 @@ def reference_extract_sss(
 ) -> GeneralSssRepresentation:
     """Step-by-step ``extract_sss`` over a signed sweep (test oracle).
 
-    Each step splits its factors, solves its transition and gates its
-    column factor on its own: the chain ``extract_sss`` runs a tile at a
-    time, one step at a time.
+    Each step splits its factors, solves its transition and gates its row
+    factor, then its column factor, on its own: the chain ``extract_sss``
+    runs a tile at a time, one step at a time.
     """
     check_sizes(width=width)
     steps = m.T
@@ -130,15 +130,19 @@ def reference_extract_sss(
         if t > 0:
             w_pinv = np.zeros((width, len(step.u)))
             w_pinv[:r] = step.u[:, :r].T / np.sqrt(step.s[:r])[:, None]
-            a_t = solve_transition(w_fac, w_prev[1:, :], r, kept[-1], eps, w_pinv, t)
+            a_t = solve_transition(w_fac, w_prev[1:, :], r, kept[-1], w_pinv)
             u_trim = u_fac[:, :t]
-            scale = max(float(np.linalg.norm(u_prev)), float(np.linalg.norm(u_trim)))
-            residual = float(np.linalg.norm(a_t @ u_prev - u_trim))
-            if residual > eps * scale:
-                raise InconsistentTransitionError(
-                    f"column-factor residual {residual:.3e} at step {t} exceeds "
-                    f"{eps:.1e} * max(|U|, |U'|) = {eps * scale:.3e}"
-                )
+            for side, miss, first, second, names in (
+                ("row-factor", w_fac @ a_t - w_prev[1:, :], w_fac, w_prev[1:, :], "|W|, |W'|"),
+                ("column-factor", a_t @ u_prev - u_trim, u_prev, u_trim, "|U|, |U'|"),
+            ):
+                scale = max(float(np.linalg.norm(first)), float(np.linalg.norm(second)))
+                residual = float(np.linalg.norm(miss))
+                if residual > eps * scale:
+                    raise InconsistentTransitionError(
+                        f"{side} residual {residual:.3e} at step {t} exceeds "
+                        f"{eps:.1e} * max({names}) = {eps * scale:.3e}"
+                    )
             trans[t] = a_t
         kept.append(r)
         w_prev, u_prev = w_fac, u_fac

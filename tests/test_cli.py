@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line frontend."""
 
 import json
+import os
 import shlex
+import stat
 import subprocess
 from pathlib import Path
 
@@ -279,6 +281,42 @@ class TestFileNames:
         y = sequence_from_csv(text) if suffix == ".csv" else json.loads(text)["Y"]
         printed = run_cli(*write, "--format", "json", cwd=workdir)
         assert np.array_equal(y, json.loads(printed.stdout)["Y"])
+
+
+class TestAtomicWrites:
+    """``--out`` files are written through a temporary file renamed over the target."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_a_written_file_takes_its_mode_from_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "m.json"
+        before = os.umask(umask)
+        try:
+            assert cli.main(["gen", "matrix", "--T", "3", "--seed", "1", "--out", str(out)]) == 0
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    def test_an_overwritten_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "m.json"
+        out.write_text("{}")
+        out.chmod(0o640)
+        before = os.umask(0o022)
+        try:
+            assert cli.main(["gen", "matrix", "--T", "3", "--seed", "1", "--out", str(out)]) == 0
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text())["T"] == 3
+
+    def test_a_failed_rename_leaves_neither_file(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            cli._write_atomic(str(tmp_path / "m.json"), "{}")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_quickstart_gen_and_check_dual_lines_pass(tmp_path):

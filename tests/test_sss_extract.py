@@ -42,6 +42,7 @@ from ssdlab.ss_matrix import (
 from ssdlab.ssm import materialize_kernel, random_instance
 from ssdlab.sss_extract import (
     GeneralSssRepresentation,
+    _gate,
     extract_sss,
     materialize_sss,
     random_representation,
@@ -162,10 +163,10 @@ class TestRankFactorStep:
 
 class TestSolveTransition:
     @staticmethod
-    def solve(w_next, w_trunc, r_next, r_cur, step=1):
+    def solve(w_next, w_trunc, r_next, r_cur):
         """``solve_transition`` given the pseudo-inverse of ``w_next`` at cutoff eps."""
         w_pinv = np.linalg.pinv(w_next, rcond=DEFAULT_EPS)
-        return solve_transition(w_next, w_trunc, r_next, r_cur, DEFAULT_EPS, w_pinv, step)
+        return solve_transition(w_next, w_trunc, r_next, r_cur, w_pinv)
 
     def test_equal_factors_give_leading_identity(self):
         rng = np.random.default_rng(52)
@@ -197,7 +198,7 @@ class TestSolveTransition:
         with pytest.raises(ShapeMismatchError):
             self.solve(np.zeros((4, 2)), np.zeros((3, 2)), 1, 1)
 
-    def test_a_stack_solves_each_case_and_refuses_its_first_miss_by_step(self):
+    def test_a_stack_solves_each_case_as_its_single_solve(self):
         rng = np.random.default_rng(55)
         w_next = rng.standard_normal((4, 6, 3))
         mix = rng.standard_normal((4, 3, 3))
@@ -209,10 +210,47 @@ class TestSolveTransition:
         for i in range(4):
             single = self.solve(w_next[i], w_trunc[i], r_next[i], r_cur[i])
             assert rel_fro(stacked[i], single) <= 1e-12
-        w_trunc[2, 0, 0] += 1.0
-        w_trunc[3, 0, 0] += 1.0
-        with pytest.raises(InconsistentTransitionError, match="^row-factor residual .* at step 9 "):
-            self.solve(w_next, w_trunc, r_next, r_cur, step=7)
+
+
+class TestGate:
+    """``_gate`` refuses the first case over its gate by step, the first side listed at one step."""
+
+    @staticmethod
+    def sides(row_over, column_over):
+        """Row and column sides of a stack of 4 cases, over their gates at the cases given."""
+        rng = np.random.default_rng(56)
+        w, w_trunc, u, u_trim = rng.standard_normal((4, 4, 6, 3))
+        row_miss, column_miss = 1e-3 * DEFAULT_EPS * rng.standard_normal((2, 4, 6, 3))
+        row_miss[list(row_over)] *= 1e6
+        column_miss[list(column_over)] *= 1e6
+        return (
+            ("row-factor", row_miss, w, w_trunc, "|W|, |W'|"),
+            ("column-factor", column_miss, u, u_trim, "|U|, |U'|"),
+        )
+
+    @pytest.mark.parametrize(
+        "row_over, column_over, side, step",
+        [
+            ((2, 3), (), 0, 9),
+            ((2,), (1, 3), 1, 8),
+            ((2,), (2,), 0, 9),
+        ],
+        ids=["first-over-case", "earlier-column-miss", "row-miss-first-at-one-step"],
+    )
+    def test_a_stack_refuses_its_first_miss_by_step(self, row_over, column_over, side, step):
+        sides = self.sides(row_over, column_over)
+        with pytest.raises(InconsistentTransitionError) as refusal:
+            _gate(7, DEFAULT_EPS, *sides)
+        name, miss, first, second, names = sides[side]
+        case = step - 7
+        bound = DEFAULT_EPS * max(np.linalg.norm(first[case]), np.linalg.norm(second[case]))
+        assert str(refusal.value) == (
+            f"{name} residual {np.linalg.norm(miss[case]):.3e} at step {step} exceeds "
+            f"1.0e-09 * max({names}) = {bound:.3e}"
+        )
+
+    def test_a_stack_within_every_gate_passes(self):
+        _gate(7, DEFAULT_EPS, *self.sides((), ()))
 
 
 class TestExtractSss:
@@ -948,6 +986,15 @@ class TestRepresentationProperties:
         assert np.array_equal(rep.b, again.b)
         assert np.array_equal(rep.c, again.c)
         assert rep.r == again.r
+
+    @pytest.mark.parametrize(
+        "ranks", [[1.7, "2", True, 1.2], "12"], ids=["entries-not-integers", "not-an-array"]
+    )
+    def test_from_json_refuses_ranks_that_are_not_an_array_of_integers(self, ranks):
+        record = random_representation(9, 4, 2).to_dict()
+        record["r"] = ranks
+        with pytest.raises(ValueError, match="^r must be an array of integers"):
+            GeneralSssRepresentation.from_json(json.dumps(record))
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_from_json_refuses_non_finite_entries(self, value):
