@@ -123,12 +123,12 @@ class CountedArray:
     def scan(self, gains: "CountedArray", start: "CountedArray | None" = None) -> "CountedArray":
         """``ssm.scan`` along rows from ``start``, or from zeros when it is None.
 
-        Row 0 is thus always gains[0] * start + self[0]. ``gains`` keeps the
-        channel axis ``ssm.scan`` adds itself (``a[:, :, None]``), and every
-        row costs one multiply and one add per element.
+        Row 0 is thus always gains[0] * start + self[0]. ``gains`` has no
+        channel axis: ``ssm.scan`` broadcasts it over the last axis of the
+        rows, and every row costs one multiply and one add per element.
         """
         carry = np.zeros(self.value.shape[1:]) if start is None else start.value
-        out = ssm_mod.scan(gains.value[..., 0], self.value, carry)
+        out = ssm_mod.scan(gains.value, self.value, carry)
         self.counter.madds += out.size
         self.counter.adds += out.size
         return CountedArray(out, self.counter)
@@ -168,7 +168,7 @@ def _counted_ssd(
     steps, modes, d = *a.value.shape, x.value.shape[1]
     scaled = b[:, :, None] * x[:, None, :]
     counter.alloc(modes * steps * d)
-    carried = scaled.scan(a[:, :, None])
+    carried = scaled.scan(a)
     counter.alloc(modes * steps * d)
     weighted = c[:, :, None] * carried
     counter.alloc(modes * steps * d)
@@ -186,7 +186,7 @@ def _counted_recurrence(
     h = None  # the zero state
     for lo in range(0, steps, ssm_mod._CHUNK):
         chunk = slice(lo, lo + ssm_mod._CHUNK)
-        states = (b[chunk, :, None] * x[chunk, None, :]).scan(a[chunk, :, None], h)
+        states = (b[chunk, :, None] * x[chunk, None, :]).scan(a[chunk], h)
         y[chunk] = (c[chunk, :, None] * states).ascending_sum(axis=1)
         h = states[-1]
     return y

@@ -292,6 +292,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         check_sizes(T=args.T, d=args.d)
         value = rng.standard_normal((args.T, args.d))
     else:
+        check_sizes(T=args.T)
         value = LowerTriangularMatrix(np.tril(rng.standard_normal((args.T, args.T))))
     write(value)
     if not args.out:

@@ -6,8 +6,8 @@ What the module holds:
   decorator;
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
-  value read as floats, and ``_freeze`` (with ``_freeze_fields``, its
-  float-copying form) for a record's array field;
+  value read as floats, and ``_freeze_fields`` for a record's array fields
+  (a built kernel is handed over by ``LowerTriangularMatrix._trusted``);
 - the records ``LowerTriangularMatrix`` and ``MaskVector``;
 - the kernel panel walk, ``_segment_product_panels``, that builds dense
   segment-product kernels (``_segment_product_kernel``, the 1SS operator
@@ -90,9 +90,10 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     The class gains ``to_dict``, ``to_json`` and a ``from_json`` classmethod
     in its own namespace. ``from_json`` passes the keys not in ``declared``
     to the constructor, so every construction check still runs; it raises
-    ``ValueError`` naming each key the object lacks, and
-    ``ShapeMismatchError`` when a ``declared`` key (a size the file states)
-    disagrees with the rebuilt record.
+    ``ValueError`` naming each key the object lacks or each ``declared`` key
+    (a size the file states) that is not a JSON integer, and
+    ``ShapeMismatchError`` when a declared size disagrees with the rebuilt
+    record.
     """
 
     def to_dict(self) -> dict:
@@ -108,6 +109,9 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
         missing = ", ".join(repr(key) for key in keys if key not in obj)
         if missing:
             raise ValueError(f"the {cls.__name__} JSON object lacks {missing}")
+        for key in declared:
+            if type(obj[key]) is not int:  # isinstance would let a bool through
+                raise ValueError(f"declared {key} must be an integer, got {obj[key]!r}")
         record = cls(**{attr: obj[key] for key, attr in keys.items() if key not in declared})
         for key in declared:
             got = getattr(record, keys[key])
@@ -137,21 +141,6 @@ def _check_finite(arr: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} entries must be finite")
 
 
-def _freeze(record, name: str, arr: np.ndarray, ndim: int) -> None:
-    """The one rule for a record's array field: check ``arr`` and store it read-only as ``name``.
-
-    ``arr`` must have ``ndim`` axes, none of them empty, and finite entries.
-    It is stored as it is, not copied: the caller hands over an array no one
-    else holds.
-    """
-    if arr.ndim != ndim:
-        raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    check_sizes(**{f"{name}.shape[{axis}]": size for axis, size in enumerate(arr.shape)})
-    _check_finite(arr, name)
-    arr.flags.writeable = False
-    object.__setattr__(record, name, arr)
-
-
 def _float_array(value, name: str) -> np.ndarray:
     """A float copy of ``value``; one that is not an array of numbers (a JSON object, say)
     raises ``ValueError`` naming ``name``."""
@@ -162,9 +151,20 @@ def _float_array(value, name: str) -> np.ndarray:
 
 
 def _freeze_fields(record, **ndims: int) -> None:
-    """``_freeze`` a float copy of each named field of ``record``, with its ``ndim``."""
+    """The one rule for a record's array fields read from outside: check and store each read-only.
+
+    Each named field of ``record`` is copied as floats (``_float_array``),
+    so no caller keeps a handle on the stored array. The copy must have its
+    ``ndim`` axes, none of them empty, and finite entries.
+    """
     for name, ndim in ndims.items():
-        _freeze(record, name, _float_array(getattr(record, name), name), ndim)
+        arr = _float_array(getattr(record, name), name)
+        if arr.ndim != ndim:
+            raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+        check_sizes(**{f"{name}.shape[{axis}]": size for axis, size in enumerate(arr.shape)})
+        _check_finite(arr, name)
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
 
 
 @json_record({"T": "T", "rows": "values"}, declared=("T",))
@@ -179,36 +179,28 @@ class LowerTriangularMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self._own(_float_array(self.values, "values"))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
-        """Same checks, no copy: for a fresh float array its builder shares with no one."""
-        matrix = object.__new__(cls)
-        matrix._own(np.asarray(arr, dtype=float))
-        return matrix
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
-        """No checks, no copy: only for ``_segment_product_kernel``'s fresh float array.
-
-        The panel walk has checked every panel for finiteness and writes
-        nothing above the diagonal, so ``_own``'s two scans would re-prove both.
-        """
-        arr.flags.writeable = False
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", arr)
-        return matrix
-
-    def _own(self, arr: np.ndarray) -> None:
-        """Freeze ``arr`` as this matrix's storage, then check it is square and lower triangular."""
-        _freeze(self, "values", arr, 2)
+        _freeze_fields(self, values=2)
+        arr = self.values
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {arr.shape}")
         for r in range(0, arr.shape[0], _TILE):
             end = r + _TILE
             if np.triu(arr[r:end, r:end], 1).any() or arr[r:end, end:].any():
                 raise ValueError("entries above the main diagonal must be exactly zero")
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
+        """No checks, no copy: the one handover for a kernel its builder shares with no one.
+
+        Its two builders write nothing above the diagonal and check every
+        entry for finiteness: ``_segment_product_kernel`` each panel of its
+        walk, ``sss_extract.materialize_sss`` the whole matrix. The
+        constructor's copy and two scans would re-prove both.
+        """
+        arr.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", arr)
+        return matrix
 
     @property
     def T(self) -> int:
@@ -587,7 +579,8 @@ def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[
 
     Each block runs one ``_block_sweep``, whose steps ``_span_fits`` takes
     ``_TILE`` at a time, so what is held at once does not grow with the
-    block. Borderline decisions warn as in ``new_columns``, by global index.
+    block. Borderline decisions warn as in ``new_columns``, by global index;
+    a verdict no fit decided (a zero column, a block's first) never warns.
     """
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
@@ -597,7 +590,8 @@ def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[
         for lo in range(0, end - start, _TILE):
             fits = _span_fits(block, lo, list(itertools.islice(sweep, _TILE)), eps)
             for t, (is_new, coeffs, residual, threshold) in enumerate(fits, start + lo):
-                if threshold > 0.0 and threshold / 10.0 <= residual <= threshold * 10.0:
+                fitted = coeffs is not None and threshold > 0.0
+                if fitted and threshold / 10.0 <= residual <= threshold * 10.0:
                     warnings.warn(
                         f"borderline new-column decision at column {t}: "
                         f"residual {residual:.3e} vs threshold {threshold:.3e}",

@@ -28,6 +28,7 @@ from .ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
     _block_sweep,
+    _check_finite,
     _freeze_fields,
     check_sizes,
     json_record,
@@ -99,7 +100,9 @@ def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
     """Dense matrix with entries c_j' A^j ... A^{i+1} b_i, row by row.
 
     Column i of ``states`` carries A^j ... A^{i+1} b_i for the current row j,
-    so each row costs one (N, N) by (N, j) product: O(T^2 N^2) in all.
+    so each row costs one (N, N) by (N, j) product: O(T^2 N^2) in all. It
+    writes nothing above the diagonal, but products of transitions can
+    overflow: finiteness is the one check before the handover.
     """
     steps = rep.T
     m = np.zeros((steps, steps))
@@ -108,7 +111,8 @@ def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
         states[:, :j] = rep.A[j] @ states[:, :j]
         states[:, j] = rep.b[j]
         m[j, : j + 1] = rep.c[j] @ states[:, : j + 1]
-    return LowerTriangularMatrix._adopt(m)
+    _check_finite(m, "values")
+    return LowerTriangularMatrix._trusted(m)
 
 
 def _check_rank(t: int, rank: int, width: int) -> None:

@@ -116,7 +116,7 @@ class TestCountedArray:
     @pytest.mark.parametrize("with_start", [False, True])
     def test_scan_charges_a_multiply_and_an_add_per_element_of_every_row(self, with_start):
         rng = np.random.default_rng(7)
-        rows, gains, start = rng.standard_normal((5, 3, 2)), rng.standard_normal((5, 3, 1)), None
+        rows, gains, start = rng.standard_normal((5, 3, 2)), rng.standard_normal((5, 3)), None
         counter = FlopCounter()
         if with_start:
             start = CountedArray(rng.standard_normal((3, 2)), counter)
@@ -124,14 +124,14 @@ class TestCountedArray:
         assert (counter.madds, counter.adds, counter.peak_live) == (5 * 3 * 2, 5 * 3 * 2, 0)
         prev = np.zeros((3, 2)) if start is None else start.value
         for t in range(5):
-            prev = gains[t] * prev + rows[t]
+            prev = gains[t, :, None] * prev + rows[t]
             assert out[t].tobytes() == prev.tobytes()
 
     @pytest.mark.parametrize("gain", [1.0, -1.0])
     def test_scan_of_a_negative_zero_first_row_keeps_the_scalar_sign(self, gain):
         counter = FlopCounter()
         rows = CountedArray(np.array([[-0.0], [-0.0]]), counter)
-        out = rows.scan(CountedArray(np.array([[gain], [gain]]), counter)).value
+        out = rows.scan(CountedArray(np.array([gain, gain]), counter)).value
         # The zero carry is multiplied, then added to, as the scalar kernel does.
         first = gain * 0.0 + -0.0
         assert out.tobytes() == np.array([[first], [gain * first + -0.0]]).tobytes()

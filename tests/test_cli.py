@@ -456,6 +456,12 @@ class TestExtractCommand:
         proc = run_cli("extract", "--matrix", "corner5.csv", "--N", "1", cwd=workdir)
         assert proc.returncode == 3
 
+    def test_declared_size_that_is_not_an_integer_is_an_input_error(self, workdir):
+        (workdir / "t.json").write_text('{"T": true, "rows": [[2.0]]}')
+        proc = run_cli("extract", "--matrix", "t.json", "--N", "1", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: declared T must be an integer, got True\n"
+
 
 class TestCounterexampleCommand:
     def test_softmax_passes(self, workdir):
@@ -526,6 +532,13 @@ class TestGenCommand:
         assert proc.returncode == 2
         assert proc.stderr == f"input error: sizes must be at least 1, got {argv[1][2:]}=0\n"
         assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_matrix_size_below_one_is_named(self, workdir, size):
+        proc = run_cli("gen", "matrix", "--seed", "1", "--T", size, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: sizes must be at least 1, got T={size}\n"
 
     @pytest.mark.parametrize("argv", [("--a-max", "inf"), ("--a-min", "inf", "--a-max", "inf")],
                              ids=["a-max", "a-min-and-a-max"])

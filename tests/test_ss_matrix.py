@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ssdlab.ss_matrix import (
     semiseparable_rank,
 )
 from ssdlab.ssm import DiagonalSsm
-from ssdlab.sss_extract import GeneralSssRepresentation
+from ssdlab.sss_extract import GeneralSssRepresentation, materialize_sss, random_representation
 from tests.conftest import random_lower_triangular, run_ssdlab
 from tests.oracles import (
     is_fine_mask,
@@ -242,6 +243,17 @@ class TestNewColumns:
             cols = new_columns(LowerTriangularMatrix(vals))
         assert cols == [0, 1]
 
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_a_block_first_column_is_never_borderline(self, eps):
+        # Column 0 of a block is new whatever the threshold: no fit decides it.
+        block = np.zeros((6, 6))
+        block[:3, :3] = block[3:, 3:] = np.tril(np.ones((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert new_columns(LowerTriangularMatrix([[2.0]]), eps) == [0]
+            sweep = ss_matrix._new_column_sweep(LowerTriangularMatrix(block), [3], eps)
+        assert [verdicts.new for verdicts in sweep] == [(True, False, False)] * 2
+
 
 class TestDiagonalBlockPartition:
     def test_identity_splits_fully(self):
@@ -344,18 +356,14 @@ class TestConstruction:
         source[3, 0] = 7.0
         assert np.array_equal(m.values, np.tril(np.ones((4, 4))))
 
-    @pytest.mark.parametrize(
-        "arr, error",
-        [
-            (np.triu(np.ones((3, 3))), "above the main diagonal"),
-            (np.array([[np.inf]]), "finite"),
-            (np.zeros((2, 3)), "square"),
-            (np.zeros((0, 0)), "at least 1"),
-        ],
-    )
-    def test_builders_handover_keeps_every_check(self, arr, error):
-        with pytest.raises(ValueError, match=error):
-            LowerTriangularMatrix._adopt(arr)
+    def test_materialize_sss_refuses_an_overflowing_kernel(self):
+        # Products of transitions 10 overflow past step 308; the handover checks finiteness.
+        trans = np.full((400, 1, 1), 10.0)
+        trans[0] = 1.0
+        rep = GeneralSssRepresentation(trans, np.ones((400, 1)), np.ones((400, 1)), (1,) * 400)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+            materialize_sss(rep)
+        assert str(exc.value) == "values entries must be finite"
 
     @pytest.mark.parametrize("cls, field", RECORD_ARRAYS, ids=RECORD_ARRAY_IDS)
     def test_every_record_array_follows_one_rule(self, cls, field):
@@ -375,15 +383,21 @@ class TestConstruction:
         assert np.array_equal(stored, good)
         assert not stored.flags.writeable and not np.shares_memory(stored, given)
 
-    def test_panel_walk_output_is_not_rescanned(self, monkeypatch):
-        def rescan(self, arr):
-            raise AssertionError("the walk's output went through the full checks")
+    def test_built_kernels_are_not_rescanned(self, monkeypatch):
+        rep = random_representation(3, 40, 2)
+        expected = LowerTriangularMatrix(materialize_sss(rep).values)
 
-        monkeypatch.setattr(LowerTriangularMatrix, "_own", rescan)
+        def rescan(self):
+            raise AssertionError("a built kernel went through the constructor's checks")
+
+        monkeypatch.setattr(LowerTriangularMatrix, "__post_init__", rescan)
         m = one_ss(MaskVector(np.full(70, 0.5)))
         assert m.values[69, 0] == 0.5**69
-        with pytest.raises(ValueError):
-            m.values[0, 0] = 2.0
+        back = materialize_sss(rep)
+        assert np.array_equal(back.values, expected.values)
+        for built in (m, back):
+            with pytest.raises(ValueError):
+                built.values[0, 0] = 2.0
 
 
 class TestRelErr:
@@ -527,6 +541,20 @@ class TestJsonRecords:
         for declared in ('"T": 1, "N": 1', '"T": 2, "N": 3'):
             with pytest.raises(ShapeMismatchError):
                 GeneralSssRepresentation.from_json("{" + declared + ", " + arrays + "}")
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize(
+        "record, key",
+        [(TINY_RECORDS[0][0], "T"), (TINY_RECORDS[2][0], "T"), (TINY_RECORDS[2][0], "N"),
+         (TINY_RECORDS[4][0], "T"), (TINY_RECORDS[4][0], "N")],
+        ids=["LowerTriangularMatrix-T", "DiagonalSsm-T", "DiagonalSsm-N",
+             "GeneralSssRepresentation-T", "GeneralSssRepresentation-N"],
+    )
+    def test_a_declared_size_that_is_not_an_integer_is_refused(self, record, key, value):
+        obj = {**record.to_dict(), key: value}
+        with pytest.raises(ValueError) as exc:
+            type(record).from_json(json.dumps(obj))
+        assert str(exc.value) == f"declared {key} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize(
         "cls, text, name",
