@@ -42,7 +42,12 @@ reordered reduction in, and on its ssd and recurrence paths at (1024, 8,
 one); and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
-patterns, spelled in several ways and with blank lines; and the outcomes on
+patterns, spelled in several ways and with blank lines; what
+``LowerTriangularMatrix.from_json``, ``DiagonalSsm.from_json``,
+``GeneralSssRepresentation.from_json`` and ``sequence_from_json`` read
+from JSON text of such values in five spellings, and the error class and
+message (or, for a sequence, the array read) for a ``NaN``, ``Infinity``,
+``-Infinity`` or ``1e400`` literal and for malformed text; and the outcomes on
 the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
 T=256, built by ``perfbench/workloads.py``, imported read-only): the
 per-block new-column verdicts, the exit code of ``check-dual --mode
@@ -303,6 +308,7 @@ def dump() -> dict[str, object]:
         out[f"count_block_new_columns/{name}"] = [(b.start, b.end, b.new) for b in blocks]
         out[f"count_block_new_columns/{name}/coeffs"] = _span_coeffs(blocks)
     out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
+    out.update(_json_reads(np.random.default_rng(len(SEEDS) + 2)))
     out.update(_theory_outcomes())
     return out
 
@@ -345,33 +351,111 @@ def _theory_outcomes() -> dict[str, object]:
     return out
 
 
+#: The extreme doubles: the smallest subnormals, signed zeros, the normal range's edge and the
+#: largest doubles.
+EDGES = [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _hard_doubles(rng: np.random.Generator) -> np.ndarray:
+    """32 x 8 finite doubles from random bit patterns, which reach every exponent, with signs;
+    column 1 is all subnormals."""
+    values = rng.integers(0, 2**63, (32, 8), dtype=np.int64).view(float)
+    values[:, 1] = rng.integers(1, 2**52, len(values), dtype=np.int64).view(float)
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    values[~np.isfinite(values)] = 1.0
+    return values
+
+
 def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
     """What the two CSV readers make of text holding the extreme doubles, read both ways."""
     from ssdlab.ss_matrix import LowerTriangularMatrix
     from ssdlab.ssm import sequence_from_csv
 
-    edges = [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 2.225073858507201e-308,
-             1.7976931348623157e308, -1.7976931348623157e308]
-    # Random bit patterns reach every exponent; column 1 is all subnormals.
-    values = rng.integers(0, 2**63, (32, 8), dtype=np.int64).view(float)
-    values[:, 1] = rng.integers(1, 2**52, len(values), dtype=np.int64).view(float)
-    values *= rng.choice([-1.0, 1.0], values.shape)
-    values[~np.isfinite(values)] = 1.0
+    values = _hard_doubles(rng)
     matrix = np.tril(values[:8])
-    np.fill_diagonal(matrix, edges)
+    np.fill_diagonal(matrix, EDGES)
     lines = [",".join(repr(float(v)) for v in row) for row in matrix]
     # The same values in other spellings, and lines holding only whitespace.
     lines[1] = ",".join(f" {v!r} " for v in matrix[1].tolist())
     lines[2] = ",".join(f"{v:+.17E}" for v in matrix[2].tolist())
     lines[4:4] = ["", " \t "]
     sequence = values[8:]
-    sequence[:, 0] = np.resize(edges, len(sequence))
+    sequence[:, 0] = np.resize(EDGES, len(sequence))
     return {
         "csv/matrix": LowerTriangularMatrix.from_csv("\r\n".join(lines) + "\n").values,
         "csv/sequence": sequence_from_csv(
             "\n".join(",".join(repr(float(v)) for v in row) for row in sequence) + "\n\n"
         ),
     }
+
+
+def _json_reads(rng: np.random.Generator) -> dict[str, object]:
+    """What the four JSON readers make of text holding the extreme doubles in several spellings,
+    and the error class and message of each refusal of a non-finite literal or malformed text."""
+    from ssdlab.ss_matrix import LowerTriangularMatrix
+    from ssdlab.ssm import DiagonalSsm, sequence_from_json
+    from ssdlab.sss_extract import GeneralSssRepresentation
+
+    values = _hard_doubles(rng)
+    values[8:16, 2] = EDGES
+    spellings = [repr, "{:.17e}".format, "{:.17E}".format, "{:.25g}".format, "{:.40e}".format]
+
+    def array(rows) -> str:
+        # The spelling turns with row and column, so every spelling meets every kind of value;
+        # "{:.25g}" spells integral values as JSON integers, -0 among them.
+        return "[" + ", ".join(
+            "[" + ", ".join(spellings[(i + j) % len(spellings)](float(v)) for j, v in enumerate(row))
+            + "]"
+            for i, row in enumerate(rows)
+        ) + "]"
+
+    def fields(read, text) -> dict[str, object]:
+        try:
+            record = read(text)
+        except ValueError as exc:
+            return {"": (type(exc).__name__, str(exc))}
+        if isinstance(record, np.ndarray):
+            return {"": record}
+        attrs = ("values", "a_diag", "A", "b", "c")
+        return {f"/{attr}": getattr(record, attr) for attr in attrs if hasattr(record, attr)}
+
+    matrix = np.tril(values[:8])
+    np.fill_diagonal(matrix, EDGES)
+    gains = values[8:16].copy()
+    gains[0] = 1.0
+    transitions = values[16:24].reshape(4, 4, 4).copy()
+    transitions[0] = np.eye(4)
+    texts = {
+        "matrix": (LowerTriangularMatrix.from_json, '{"T": 8, "rows": %s}' % array(matrix)),
+        "model": (
+            DiagonalSsm.from_json,
+            '{"T": 8, "N": 8, "A_diag": %s, "b": %s, "c": %s}'
+            % (array(gains), array(values[16:24]), array(values[24:32])),
+        ),
+        "representation": (
+            GeneralSssRepresentation.from_json,
+            '{"T": 4, "N": 4, "A": [%s], "b": %s, "c": %s, "r": [1, 2, 2, 1]}'
+            % (", ".join(array(a) for a in transitions), array(values[24:28, :4]),
+               array(values[28:32, :4])),
+        ),
+        "sequence": (sequence_from_json, '{"X": %s}' % array(values[8:])),
+    }
+    out: dict[str, object] = {}
+    for name, (read, text) in texts.items():
+        # A non-finite literal as the first array's second number, and broken text.
+        number = text.index(", ", text.index("[[")) + 2
+        cases = {
+            "": text,
+            **{f"/{literal}": text[:number] + literal + text[text.index(",", number):]
+               for literal in ("NaN", "Infinity", "-Infinity", "1e400")},
+            "/unterminated": text[:-2], "/trailing-comma": text[:-1] + ",}", "/empty": "",
+            "/bom": "\ufeff" + text, "/single-quotes": text.replace('"', "'"),
+        }
+        for case, case_text in cases.items():
+            for field, value in fields(read, case_text).items():
+                out[f"json/{name}{case}{field}"] = value
+    return out
 
 
 def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:

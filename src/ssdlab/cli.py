@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import os
+import reprlib
 import secrets
 import stat
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import bench, duality, limits, ssm as ssm_mod
 from .errors import PreconditionError, ReconstructionError
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, check_sizes, rel_err
+from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, check_sizes, json_loads, rel_err
 from .sss_extract import extract_sss, materialize_sss
 
 EXIT_OK = 0
@@ -133,10 +134,10 @@ def _config_value(action: argparse.Action, key: str, value):
         else:
             value = (action.type or str)(str(value))
             valid = action.choices is None or value in action.choices
-    except ValueError:
+    except (ValueError, RecursionError):  # str() of a deeply nested list recurses too far
         valid = False
     if not valid:
-        raise ValueError(f"config key {key!r}: {value!r} is not a value of its flag")
+        raise ValueError(f"config key {key!r}: {reprlib.repr(value)} is not a value of its flag")
     return value
 
 
@@ -151,7 +152,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    loaded = _load(args.config, "a config file", json=json.loads)
+    loaded = _load(args.config, "a config file", json=json_loads)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
     # The parser that read the options: the command's, or for gen and counterexample its kind's.

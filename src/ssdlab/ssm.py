@@ -27,6 +27,7 @@ from .ss_matrix import (
     array_from_csv,
     array_to_csv,
     check_sizes,
+    json_loads,
     json_record,
 )
 
@@ -245,7 +246,7 @@ def sequence_to_json(x: np.ndarray) -> str:
 
 
 def sequence_from_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
+    obj = json_loads(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object for a sequence")
     for key in ("X", "Y"):  # a one-path ``forward`` writes its output as "Y"

@@ -13,6 +13,7 @@ pseudo-inverts the balanced row factor through that SVD.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ class GeneralSssRepresentation:
         if not isinstance(ranks, (list, tuple)) or not all(
             isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ranks
         ):
-            raise ValueError(f"r must be an array of integers, got {self.r!r}")
+            # reprlib: a deeply nested list has no full repr.
+            raise ValueError(f"r must be an array of integers, got {reprlib.repr(self.r)}")
         ranks = tuple(int(v) for v in ranks)
         if len(ranks) != steps:
             raise ShapeMismatchError(f"r must have length {steps}, got {len(ranks)}")

@@ -62,6 +62,16 @@ class TestForwardCommand:
         (workdir / "bad.json").write_text('{"broken')
         proc = run_cli("forward", "--ssm", "bad.json", "--input", "x.csv", cwd=workdir)
         assert proc.returncode == 2
+        assert proc.stderr == "input error: Unterminated string starting at: line 1 column 2 (char 1)\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_a_non_finite_model_literal_is_refused_as_not_finite(self, workdir, literal):
+        model = json.loads((workdir / "ssm.json").read_text())
+        model["A_diag"][3][1] = "gain"
+        (workdir / "bad.json").write_text(json.dumps(model).replace('"gain"', literal))
+        proc = run_cli("forward", "--ssm", "bad.json", "--input", "x.csv", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: a_diag entries must be finite\n"
 
     def test_sequence_json_that_is_not_an_object_is_an_input_error(self, workdir):
         (workdir / "x.json").write_text("[1, 2]")
@@ -160,6 +170,33 @@ class TestArrayFieldHoldingAnObject:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"input error: {name} must be an array of numbers")
+
+
+#: Nesting deeper than ``json.loads`` can read: unterminated, closed, and as a field's value.
+DEEP = "[" * 100_000
+DEEP_TEXTS = [DEEP, DEEP + "]" * 100_000, '{"N": %s, "T": %s, "rows": [[1.0]]}' % ((DEEP + "]" * 100_000,) * 2)]
+
+
+class TestDeeplyNestedJson:
+    """A deeply nested JSON file is an input error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("text", DEEP_TEXTS, ids=["unterminated", "closed", "field"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extract", "--matrix", "deep.json", "--N", "1"),
+            ("forward", "--ssm", "deep.json", "--input", "x.csv"),
+            ("forward", "--ssm", "ssm.json", "--input", "deep.json"),
+            ("gen", "ssm", "--seed", "1", "--config", "deep.json"),
+        ],
+        ids=["matrix", "model", "sequence", "config"],
+    )
+    def test_exit_two_with_one_input_error_line(self, workdir, argv, text):
+        (workdir / "deep.json").write_text(text)
+        proc = run_cli(*argv, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
 
 
 #: A command of each kind that reads --eps, on the ``workdir`` files.
@@ -456,11 +493,16 @@ class TestExtractCommand:
         proc = run_cli("extract", "--matrix", "corner5.csv", "--N", "1", cwd=workdir)
         assert proc.returncode == 3
 
-    def test_declared_size_that_is_not_an_integer_is_an_input_error(self, workdir):
-        (workdir / "t.json").write_text('{"T": true, "rows": [[2.0]]}')
+    # An integer beyond the 64-bit range reads as a float, so it is no integer either.
+    @pytest.mark.parametrize(
+        "size, got", [("true", "True"), ("18446744073709551616", "1.8446744073709552e+19")],
+        ids=["bool", "beyond-64-bits"],
+    )
+    def test_declared_size_that_is_not_an_integer_is_an_input_error(self, workdir, size, got):
+        (workdir / "t.json").write_text('{"T": %s, "rows": [[2.0]]}' % size)
         proc = run_cli("extract", "--matrix", "t.json", "--N", "1", cwd=workdir)
         assert proc.returncode == 2
-        assert proc.stderr == "input error: declared T must be an integer, got True\n"
+        assert proc.stderr == f"input error: declared T must be an integer, got {got}\n"
 
 
 class TestCounterexampleCommand:
@@ -672,8 +714,10 @@ class TestConfigFile:
             (("extract", "--matrix", "corner5.csv", "--N", "2"), {"eps": [1e-9]}),
             (("bench", "--seed", "1"), {"path": "softmax"}),
             (("gen", "ssm", "--seed", "1"), {"scalar_identity": "no"}),
+            # An integer beyond the 64-bit range reads as a float, which --seed refuses.
+            (("gen", "ssm"), {"seed": 2**64}),
         ],
-        ids=["check-dual-N", "extract-eps", "bench-path", "gen-switch"],
+        ids=["check-dual-N", "extract-eps", "bench-path", "gen-switch", "gen-seed-beyond-64-bits"],
     )
     def test_values_their_flags_reject_are_input_errors(self, workdir, argv, config):
         (workdir / "cfg.json").write_text(json.dumps(config))

@@ -1,5 +1,6 @@
 """Tests for the semiseparable-matrix primitives."""
 
+import decimal
 import itertools
 import json
 import warnings
@@ -24,7 +25,7 @@ from ssdlab.ss_matrix import (
     rel_err,
     semiseparable_rank,
 )
-from ssdlab.ssm import DiagonalSsm
+from ssdlab.ssm import DiagonalSsm, sequence_from_json
 from ssdlab.sss_extract import GeneralSssRepresentation, materialize_sss, random_representation
 from tests.conftest import random_lower_triangular, run_ssdlab
 from tests.oracles import (
@@ -589,3 +590,94 @@ class TestJsonRecords:
     def test_rejects_a_file_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             MaskVector.from_json("[1.0, 2.0]")
+
+
+#: Finite float64 values drawn as bit patterns, so every exponent and subnormal is reached.
+FINITE_BIT_PATTERNS = (
+    st.integers(0, 2**64 - 1)
+    .filter(lambda bits: (bits >> 52) & 0x7FF != 0x7FF)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(float)))
+)
+
+
+def _halfway(value: float) -> str:
+    """The exact decimal midpoint between ``value`` and the next double away from zero."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        above = np.nextafter(value, np.copysign(np.inf, value))
+        return str((decimal.Decimal(value) + decimal.Decimal(float(above))) / 2)
+
+
+class TestJsonDecoder:
+    """``json_loads`` reads every number to the bits ``json.loads`` gives, or refuses it alike."""
+
+    @staticmethod
+    def assert_same_floats(text):
+        got = np.array(ss_matrix.json_loads(text), dtype=float)
+        want = np.array(json.loads(text), dtype=float)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), text
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.lists(FINITE_BIT_PATTERNS, min_size=1, max_size=20))
+    def test_random_bit_patterns_read_bit_exact_in_every_spelling(self, values):
+        spellings = [repr, "{:.17e}".format, "{:.25E}".format, "{:.40g}".format, _halfway]
+        for spell in spellings:
+            self.assert_same_floats("[" + ", ".join(spell(v) for v in values) + "]")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+         "-0.0", "1E5", "0.1e1", "0." + "123456789" * 6 + "7", "9007199254740993",
+         "[18446744073709551616, 18446744073709553664, 18446744073709553665]"],
+        ids=["smallest-subnormal", "below-half-subnormal", "below-smallest-normal", "largest",
+             "negative-zero", "upper-exponent", "fraction-exponent", "60-digit-mantissa",
+             "two-to-53-plus-1", "beyond-2-to-64"],
+    )
+    def test_hard_spellings_read_bit_exact(self, text):
+        self.assert_same_floats(text)
+
+    @pytest.mark.parametrize("text", ["[NaN]", "[Infinity]", "[-Infinity]", "[1e400]", "[-1e400]"])
+    def test_literals_orjson_refuses_read_as_json_reads_them(self, text):
+        got, want = ss_matrix.json_loads(text), json.loads(text)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("text", ['{"broken', "[1.0,]", "", "\ufeff{}", "{'a': 1}"],
+                             ids=["unterminated", "trailing-comma", "empty", "bom", "single-quotes"])
+    def test_malformed_text_keeps_json_s_own_error(self, text):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            ss_matrix.json_loads(text)
+        assert str(got.value) == str(want.value)
+
+    def test_an_integer_beyond_64_bits_reads_as_a_float(self):
+        # The one reading that moves: json.loads would give the int 2**64.
+        value = ss_matrix.json_loads("18446744073709551616")
+        assert type(value) is float and value == 2.0**64
+        assert type(ss_matrix.json_loads("18446744073709551615")) is int
+
+    def test_deep_valid_nesting_is_read(self):
+        value, depth = ss_matrix.json_loads("[" * 100_000 + "]" * 100_000), 1
+        while value:
+            value, depth = value[0], depth + 1
+        assert depth == 100_000
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (LowerTriangularMatrix.from_json, '{"T": %s, "rows": [[1.0]]}'),
+            (DiagonalSsm.from_json, '{"T": 1, "N": 1, "A_diag": %s, "b": [[1.0]], "c": [[1.0]]}'),
+            (GeneralSssRepresentation.from_json,
+             '{"T": 1, "N": 1, "A": [[[1.0]]], "b": [[1.0]], "c": [[1.0]], "r": %s}'),
+            (sequence_from_json, '{"X": %s}'),
+        ],
+        ids=["matrix-T", "model-A_diag", "representation-r", "sequence-X"],
+    )
+    def test_a_deeply_nested_field_is_a_value_error(self, read, text):
+        with pytest.raises(ValueError):
+            read(text % ("[" * 100_000 + "]" * 100_000))
+
+    def test_nesting_too_deep_for_json_is_a_value_error(self):
+        # orjson refuses the unterminated text, and json.loads runs out of recursion on it.
+        with pytest.raises(ValueError, match="^the JSON text is nested too deeply to read$"):
+            ss_matrix.json_loads("[" * 100_000)
