@@ -12,7 +12,10 @@ weights below the normal range, where it carries them as zero),
 and a ragged one) with N in {1, 17} and d in {1, 5}, the summed per-mode
 materializations of
 ``attention_like_decomposition``,
-``construct_one_ss_dual`` and ``materialize_sss``; ``extract_sss`` (A, b, c and r),
+``construct_one_ss_dual`` and ``materialize_sss`` (also at T=70, two full
+panels of 32 rows and a ragged one); ``kernel_residual`` of a T=600 model
+and its ``full_rank_one_ss_dual`` (18 full panels and a ragged one);
+``extract_sss`` (A, b, c and r),
 ``semiseparable_rank`` and the per-block new-column verdicts and span-fit
 coefficients of ``count_block_new_columns`` of a random width-4
 representation and of a kernel cut by three zero gains, both at T=256, and
@@ -133,7 +136,12 @@ def _span_coeffs(blocks) -> np.ndarray:
 def dump() -> dict[str, object]:
     from ssdlab import cli
     from ssdlab.bench import counted_forward
-    from ssdlab.duality import construct_one_ss_dual, count_block_new_columns
+    from ssdlab.duality import (
+        construct_one_ss_dual,
+        count_block_new_columns,
+        full_rank_one_ss_dual,
+        kernel_residual,
+    )
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
     from ssdlab.ssm import DiagonalSsm, forward_recurrence, forward_ssd, materialize_kernel
@@ -163,6 +171,12 @@ def dump() -> dict[str, object]:
         for name in ("p", "Q", "K"):
             out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
         out[f"materialize_sss/{seed}"] = materialize_sss(random_representation(seed, 96, 4)).values
+        out[f"materialize_sss/70/{seed}"] = materialize_sss(random_representation(seed, 70, 3)).values
+        residual_model, _ = random_instance(seed, 600, 16, 1, a_abs=(0.5, 1.0))
+        # An array, so a difference is reported with its relative size.
+        out[f"kernel_residual/600/{seed}"] = np.array(
+            [kernel_residual(residual_model, full_rank_one_ss_dual(residual_model))]
+        )
         # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
         out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))

@@ -39,8 +39,6 @@ from .duality import (
     construct_one_ss_dual,
     count_block_new_columns,
     full_rank_one_ss_dual,
-    has_one_ss_dual,
-    masked_attention_forward,
     scalar_identity_dual,
 )
 from .sss_extract import (

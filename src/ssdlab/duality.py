@@ -28,10 +28,9 @@ from .ss_matrix import (
     DEFAULT_EPS,
     BlockNewColumns,
     LowerTriangularMatrix,
+    _assemble,
     _freeze_fields,
     _new_column_sweep,
-    _segment_product_apply,
-    _segment_product_kernel,
     _segment_product_panels,
     check_sizes,
     diagonal_block_partition,
@@ -39,7 +38,7 @@ from .ss_matrix import (
     one_ss,  # noqa: F401 -- perfbench/spans.py times duality.one_ss
     rel_err,
 )
-from .ssm import DiagonalSsm, _check_sequence, materialize_kernel
+from .ssm import DiagonalSsm, materialize_kernel  # noqa: F401 -- perfbench/spans.py times it
 
 
 @json_record({"p": "p", "Q": "Q", "K": "K"})
@@ -66,9 +65,13 @@ class MaskedAttentionFactors:
     def N(self) -> int:
         return self.Q.shape[1]
 
+    def _panels(self):
+        """Row panels of mask * (Q K^T); the upper triangle of Q K^T is never formed."""
+        return _segment_product_panels(self.p[:, None], self.Q, self.K)
+
     def materialize(self) -> LowerTriangularMatrix:
-        """Dense value of mask * (Q K^T); the upper triangle of Q K^T is never formed."""
-        return _segment_product_kernel(self.p[:, None], self.Q, self.K)
+        """Dense value of mask * (Q K^T), assembled from ``_panels``."""
+        return _assemble(self.T, self._panels())
 
 
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
@@ -124,12 +127,6 @@ def full_rank_one_ss_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:
     return MaskedAttentionFactors(a[:, 0], q, k)
 
 
-def masked_attention_forward(factors: MaskedAttentionFactors, x: np.ndarray) -> np.ndarray:
-    """Apply mask * (Q K^T) to an input sequence, one row panel at a time; O(T^2 (N+d))."""
-    x = _check_sequence(factors, x)
-    return _segment_product_apply(factors.p[:, None], factors.Q, factors.K, x)
-
-
 def count_block_new_columns(
     m: LowerTriangularMatrix, eps: float = DEFAULT_EPS
 ) -> list[BlockNewColumns]:
@@ -141,15 +138,6 @@ def _within_width(blocks, width: int) -> bool:
     """Whether every block has at most ``width`` new columns; ``width`` must be positive."""
     check_sizes(width=width)
     return all(b.new_columns <= width for b in blocks)
-
-
-def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_EPS) -> bool:
-    """Whether a width-``width`` masked-attention representation exists.
-
-    True exactly when every diagonal block of the finest partition has at
-    most ``width`` new columns.
-    """
-    return _within_width(count_block_new_columns(m, eps), width)
 
 
 def representability_report(
@@ -290,10 +278,17 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
 
 
 def kernel_residual(ssm: DiagonalSsm, factors: MaskedAttentionFactors) -> float:
-    """Relative Frobenius distance between the kernel and the factors' value."""
-    kernel = materialize_kernel(ssm).values
-    value = factors.materialize().values
-    denom = float(np.linalg.norm(kernel))
-    if denom == 0.0:
-        return float(np.linalg.norm(value))
-    return float(np.linalg.norm(value - kernel) / denom)
+    """Relative Frobenius distance between the kernel and the factors' value.
+
+    The two panel streams are walked side by side and their squared
+    differences summed a panel at a time, so no T x T array is held.
+    Factors of another step count raise ``ShapeMismatchError``.
+    """
+    if factors.T != ssm.T:
+        raise ShapeMismatchError(f"the factors have {factors.T} steps, the model has {ssm.T}")
+    square = miss = 0.0
+    for (_, _, kernel), (_, _, value) in zip(ssm._panels(), factors._panels()):
+        square += float(np.vdot(kernel, kernel))
+        value -= kernel  # every stream yields a fresh panel
+        miss += float(np.vdot(value, value))
+    return math.sqrt(miss) / math.sqrt(square) if square else math.sqrt(miss)

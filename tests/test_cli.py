@@ -857,6 +857,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+class TestImportCost:
+    def test_import_path_loads_no_orjson(self, tmp_path):
+        # orjson loads uuid and zoneinfo; only the commands that decode JSON import it.
+        listing = "import sys, ssdlab.cli; print('orjson' in sys.modules)"
+        proc = run_python(["-c", listing], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestWithoutScipy:
     def test_import_path_loads_no_scipy(self, tmp_path):
         listing = (

@@ -1,6 +1,7 @@
 """Tests for dual constructions and representability decisions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from ssdlab.duality import (
     construct_one_ss_dual,
     count_block_new_columns,
     full_rank_one_ss_dual,
-    has_one_ss_dual,
     kernel_residual,
-    masked_attention_forward,
     representability_report,
     scalar_identity_dual,
 )
@@ -29,9 +28,16 @@ from ssdlab.errors import (
 )
 from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
 from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, new_columns, one_ss
-from ssdlab.ssm import DiagonalSsm, forward_recurrence, materialize_kernel, random_instance
+from ssdlab.ssm import (
+    DiagonalSsm,
+    forward_materialized,
+    forward_recurrence,
+    materialize_kernel,
+    random_instance,
+)
 from ssdlab.sss_extract import materialize_sss, random_representation
 from tests.conftest import rel_fro, representable_matrix
+from tests.oracles import has_one_ss_dual
 from tests.test_sss_extract import noisy_representation
 
 
@@ -228,12 +234,12 @@ class TestMaskedAttentionForward:
     def test_scalar_dual_matches_recurrence(self):
         ssm, x = random_instance(35, 16, 3, 2, scalar_identity=True)
         factors = scalar_identity_dual(ssm)
-        assert rel_fro(masked_attention_forward(factors, x), forward_recurrence(ssm, x)) <= 1e-10
+        assert rel_fro(forward_materialized(factors, x), forward_recurrence(ssm, x)) <= 1e-10
 
     def test_zero_input(self):
         ssm, _ = random_instance(36, 8, 2, 2)
         factors = scalar_identity_dual(DiagonalSsm(np.ones((8, 2)), ssm.b, ssm.c))
-        assert np.array_equal(masked_attention_forward(factors, np.zeros((8, 2))), np.zeros((8, 2)))
+        assert np.array_equal(forward_materialized(factors, np.zeros((8, 2))), np.zeros((8, 2)))
 
     def test_zero_mask_acts_diagonally(self):
         rng = np.random.default_rng(37)
@@ -242,7 +248,7 @@ class TestMaskedAttentionForward:
         x = rng.standard_normal((5, 2))
         factors = MaskedAttentionFactors(np.zeros(5), q, k)
         expected = np.einsum("tn,tn->t", q, k)[:, None] * x
-        assert np.allclose(masked_attention_forward(factors, x), expected, rtol=1e-13)
+        assert np.allclose(forward_materialized(factors, x), expected, rtol=1e-13)
 
     @pytest.mark.parametrize("steps, width", [(0, 2), (3, 0)], ids=["T=0", "width=0"])
     def test_empty_factors_are_refused(self, steps, width):
@@ -252,7 +258,7 @@ class TestMaskedAttentionForward:
     def test_an_input_without_channels_is_refused(self):
         factors = MaskedAttentionFactors(np.ones(3), np.ones((3, 2)), np.ones((3, 2)))
         with pytest.raises(ShapeMismatchError, match="got d=0"):
-            masked_attention_forward(factors, np.zeros((3, 0)))
+            forward_materialized(factors, np.zeros((3, 0)))
 
 
 class TestMaterializeFactors:
@@ -262,7 +268,7 @@ class TestMaterializeFactors:
         k = np.array([[1e-200], [1e200]])
         factors = MaskedAttentionFactors(np.ones(2), q, k)
         assert np.array_equal(factors.materialize().values, [[1.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(masked_attention_forward(factors, np.ones((2, 1))), [[1.0], [0.0]])
+        assert np.array_equal(forward_materialized(factors, np.ones((2, 1))), [[1.0], [0.0]])
 
     def test_panels_match_the_dense_product(self):
         rng = np.random.default_rng(38)
@@ -273,7 +279,40 @@ class TestMaterializeFactors:
         dense = one_ss(MaskVector(p)).values * (q @ k.T)
         assert rel_fro(factors.materialize().values, dense) <= 1e-14
         assert np.array_equal(np.triu(factors.materialize().values, 1), np.zeros((100, 100)))
-        assert rel_fro(masked_attention_forward(factors, x), dense @ x) <= 1e-14
+        assert rel_fro(forward_materialized(factors, x), dense @ x) <= 1e-14
+
+
+class TestKernelResidual:
+    def test_matches_the_dense_difference(self):
+        ssm, _ = random_instance(39, 100, 3, 1, a_abs=(0.5, 1.0))
+        rng = np.random.default_rng(39)
+        factors = MaskedAttentionFactors(ssm.a_diag[:, 0], *rng.standard_normal((2, 100, 3)))
+        kernel = materialize_kernel(ssm).values
+        dense = np.linalg.norm(factors.materialize().values - kernel) / np.linalg.norm(kernel)
+        assert abs(kernel_residual(ssm, factors) - dense) <= 1e-14 * dense
+
+    def test_zero_kernel_gives_the_factors_norm(self):
+        ssm = DiagonalSsm(np.ones((40, 2)), np.zeros((40, 2)), np.ones((40, 2)))
+        factors = MaskedAttentionFactors(np.ones(40), np.ones((40, 1)), np.ones((40, 1)))
+        assert kernel_residual(ssm, factors) == np.linalg.norm(factors.materialize().values)
+
+    def test_factors_of_another_step_count_are_refused(self):
+        ssm, _ = random_instance(40, 40, 2, 1)
+        factors = full_rank_one_ss_dual(random_instance(40, 39, 2, 1)[0])
+        with pytest.raises(ShapeMismatchError, match="factors have 39 steps, the model has 40"):
+            kernel_residual(ssm, factors)
+
+    def test_holds_no_kernel_sized_array(self):
+        # One 2048 x 2048 kernel alone is 32 MiB; the panel streams hold a few panels.
+        ssm, _ = random_instance(41, 2048, 16, 1, a_abs=(0.5, 1.0))
+        factors = full_rank_one_ss_dual(ssm)
+        tracemalloc.start()
+        try:
+            assert kernel_residual(ssm, factors) <= 1e-13
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBlockNewColumnCounts:

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from ssdlab.duality import has_one_ss_dual
 from ssdlab.errors import SizeExceededError
 from ssdlab.limits import (
     SOFTMAX_MAX_T,
@@ -16,6 +15,7 @@ from ssdlab.limits import (
     verify_non_dualizable,
 )
 from ssdlab.ss_matrix import new_columns, semiseparable_rank
+from tests.oracles import has_one_ss_dual
 
 
 class TestLogSumExp:

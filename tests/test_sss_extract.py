@@ -39,7 +39,7 @@ from ssdlab.ss_matrix import (
     one_ss,
     semiseparable_rank,
 )
-from ssdlab.ssm import materialize_kernel, random_instance
+from ssdlab.ssm import forward_materialized, materialize_kernel, random_instance
 from ssdlab.sss_extract import (
     GeneralSssRepresentation,
     _gate,
@@ -54,6 +54,7 @@ from tests.oracles import (
     ORACLE_MAX_T,
     numerical_rank,
     reference_extract_sss,
+    reference_materialize_sss,
     submatrix_rank_oracle,
 )
 
@@ -133,6 +134,14 @@ class TestMaterializeSss:
         c = np.array([[0.0, 0.0], [1.0, 0.0]])
         rep = GeneralSssRepresentation(trans, b, c, (1, 1))
         assert materialize_sss(rep).values[1, 0] == 0.0
+
+    @pytest.mark.parametrize("steps", [1, _TILE - 1, _TILE, _TILE + 1, 70])
+    def test_panels_are_the_row_loop_bit_for_bit(self, steps):
+        rep = random_representation(steps, steps, 3)
+        got = materialize_sss(rep).values
+        assert got.tobytes() == reference_materialize_sss(rep).tobytes()
+        x = np.random.default_rng(steps).standard_normal((steps, 2))
+        assert rel_fro(forward_materialized(rep, x), got @ x) <= 1e-14
 
 
 class TestRankFactorStep:
