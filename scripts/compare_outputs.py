@@ -95,6 +95,15 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _one_ss(gains):
+    """``one_ss`` of ``gains``; older checkouts take them wrapped in a ``MaskVector``."""
+    import ssdlab
+    from ssdlab import ss_matrix
+
+    mask = getattr(ss_matrix, "MaskVector", None)
+    return ssdlab.one_ss(gains if mask is None else mask(gains))
+
+
 def _summed_terms(model) -> np.ndarray:
     """Sum of the per-mode materializations of ``attention_like_decomposition``."""
     from ssdlab import duality
@@ -143,7 +152,7 @@ def dump() -> dict[str, object]:
         kernel_residual,
     )
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
-    from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss, semiseparable_rank
+    from ssdlab.ss_matrix import LowerTriangularMatrix, semiseparable_rank
     from ssdlab.ssm import DiagonalSsm, forward_recurrence, forward_ssd, materialize_kernel
     from ssdlab.ssm import random_instance
     from ssdlab.ssm import sequence_to_csv
@@ -152,7 +161,7 @@ def dump() -> dict[str, object]:
     out: dict[str, object] = {}
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
-        out[f"one_ss/{seed}"] = one_ss(MaskVector(_gains(rng, (64,)))).values
+        out[f"one_ss/{seed}"] = _one_ss(_gains(rng, (64,))).values
         zero_model = DiagonalSsm(_gains(rng, (64, 4)), *rng.standard_normal((2, 64, 4)))
         out[f"materialize_kernel/zero-gains/{seed}"] = materialize_kernel(zero_model).values
         model, x = random_instance(seed, 128, 8, 3)
@@ -165,7 +174,7 @@ def dump() -> dict[str, object]:
         gains = _gains(rng, (48,))
         gains[gains == 0.0] = 1.0
         gains[[12, 30]] = 0.0
-        mask = one_ss(MaskVector(gains)).values
+        mask = _one_ss(gains).values
         kernel = mask * (rng.standard_normal((48, 3)) @ rng.standard_normal((48, 3)).T)
         factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
         for name in ("p", "Q", "K"):
@@ -178,7 +187,7 @@ def dump() -> dict[str, object]:
             [kernel_residual(residual_model, full_rank_one_ss_dual(residual_model))]
         )
         # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
-        out[f"one_ss/600/{seed}"] = one_ss(MaskVector(_gains(rng, (600,)))).values
+        out[f"one_ss/600/{seed}"] = _one_ss(_gains(rng, (600,))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
         long_model, long_x = random_instance(seed, 600, 4, 2)
@@ -310,7 +319,7 @@ def dump() -> dict[str, object]:
     q, k = rng.standard_normal((2, 256, 4))
     extraction_inputs = {
         "random": materialize_sss(random_representation(len(SEEDS), 256, 4)),
-        "masked": LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T)),
+        "masked": LowerTriangularMatrix(_one_ss(gains).values * (q @ k.T)),
     }
     for name, m in extraction_inputs.items():
         rep = extract_sss(m, 4)

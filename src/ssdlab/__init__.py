@@ -17,10 +17,8 @@ from .errors import (
 from .ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
-    MaskVector,
     diagonal_block_partition,
     new_columns,
-    one_ss,
     semiseparable_rank,
 )
 from .ssm import (
@@ -30,7 +28,6 @@ from .ssm import (
     forward_ssd,
     materialize_kernel,
     random_instance,
-    scale_rows,
     scan,
 )
 from .duality import (
@@ -39,6 +36,7 @@ from .duality import (
     construct_one_ss_dual,
     count_block_new_columns,
     full_rank_one_ss_dual,
+    one_ss,
     scalar_identity_dual,
 )
 from .sss_extract import (

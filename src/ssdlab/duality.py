@@ -29,13 +29,13 @@ from .ss_matrix import (
     BlockNewColumns,
     LowerTriangularMatrix,
     _assemble,
+    _float_array,
     _freeze_fields,
     _new_column_sweep,
     _segment_product_panels,
     check_sizes,
     diagonal_block_partition,
     json_record,
-    one_ss,  # noqa: F401 -- perfbench/spans.py times duality.one_ss
     rel_err,
 )
 from .ssm import DiagonalSsm, materialize_kernel  # noqa: F401 -- perfbench/spans.py times it
@@ -72,6 +72,17 @@ class MaskedAttentionFactors:
     def materialize(self) -> LowerTriangularMatrix:
         """Dense value of mask * (Q K^T), assembled from ``_panels``."""
         return _assemble(self.T, self._panels())
+
+
+def one_ss(gains) -> LowerTriangularMatrix:
+    """Cumulative-product lower triangle of a gain vector: the width-1 factors with unit Q and K.
+
+    Entry (t, s) for t >= s is the product p[s+1] * ... * p[t], the empty
+    product on the diagonal being 1. p[0] is never read.
+    """
+    p = _float_array(gains, "p")
+    ones = np.ones((p.size, 1))
+    return MaskedAttentionFactors(p, ones, ones).materialize()
 
 
 def scalar_identity_dual(ssm: DiagonalSsm) -> MaskedAttentionFactors:

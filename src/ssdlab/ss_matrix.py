@@ -8,12 +8,12 @@ What the module holds:
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
   (a built kernel is handed over by ``LowerTriangularMatrix._trusted``);
-- the records ``LowerTriangularMatrix`` and ``MaskVector``;
+- the record ``LowerTriangularMatrix``;
 - the kernel panel walk, ``_segment_product_panels``, the row-panel stream of a
   segment-product kernel, its diagonal tiles made a batch at a time by
   ``_diagonal_tiles``, and the two readers of any record's panel stream:
-  ``_assemble`` builds the dense kernel (the 1SS operator ``one_ss`` is one)
-  and ``_apply`` multiplies it into a sequence one panel at a time;
+  ``_assemble`` builds the dense kernel and ``_apply`` multiplies it into a
+  sequence one panel at a time;
 - the block sweep, ``_block_sweep``, one ``SweepStep`` per lower-left block,
   which ``semiseparable_rank`` reads;
 - the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
@@ -245,21 +245,6 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return diff / denom if denom else diff
 
 
-@json_record({"a": "a"})
-@dataclass(frozen=True)
-class MaskVector:
-    """Gain vector feeding the 1SS operator; entry 0 is never read."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_fields(self, a=1)
-
-    @property
-    def T(self) -> int:
-        return self.a.shape[0]
-
-
 def _tiled(rows: np.ndarray, count: int, fill: float) -> np.ndarray:
     """``rows`` as (``_TILE``, ``count``, K), ``count`` tiles side by side, padded with ``fill``."""
     if len(rows) < count * _TILE:
@@ -367,16 +352,6 @@ def _apply(panels, x: np.ndarray) -> np.ndarray:
     for lo, hi, panel in panels:
         np.matmul(panel, x[:hi], out=y[lo:hi])
     return y
-
-
-def one_ss(mask: MaskVector) -> LowerTriangularMatrix:
-    """Cumulative-product lower triangle of a gain vector.
-
-    Entry (t, s) for t >= s is the product a[s+1] * ... * a[t], the empty
-    product on the diagonal being 1. a[0] is never read.
-    """
-    ones = np.ones((mask.T, 1))
-    return _assemble(mask.T, _segment_product_panels(mask.a[:, None], ones, ones))
 
 
 class SweepStep(NamedTuple):

@@ -148,16 +148,6 @@ def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vec[..., None], y
 
 
-def scale_rows(scale: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multiply row t of ``y`` by ``scale[t]``.
-
-    With a (T, N) ``scale`` and a (T, N, d) ``y``, entry (t, n) scales
-    ``y[t, n]``.
-    """
-    scale, y = _check_rows(scale, y)
-    return scale * y
-
-
 def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Linear recurrence along rows: out_t = gains[t] * out_{t-1} + y_t.
 
@@ -203,8 +193,8 @@ def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     and equals the counted kernel bit for bit.
     """
     x = _check_sequence(ssm, x)
-    z = scale_rows(ssm.b, np.broadcast_to(x[:, None, :], (ssm.T, ssm.N, x.shape[1])))
-    return ascending_sum(scale_rows(ssm.c, scan(ssm.a_diag, z)), axis=1)
+    states = scan(ssm.a_diag, ssm.b[:, :, None] * x[:, None, :])
+    return ascending_sum(ssm.c[:, :, None] * states, axis=1)
 
 
 #: Forward paths by name, in the order ``forward --path all`` runs and reports them.

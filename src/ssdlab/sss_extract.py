@@ -109,13 +109,6 @@ class GeneralSssRepresentation:
             _check_finite(panel, "values")
             yield lo, hi, panel
 
-    def has_exact_padding(self) -> bool:
-        """Whether every A[t] (t >= 1) is zero outside its leading r[t] x r[t-1] corner."""
-        for t in range(1, self.T):
-            rows, cols = self.r[t], self.r[t - 1]
-            if np.any(self.A[t][rows:, :] != 0.0) or np.any(self.A[t][:, cols:] != 0.0):
-                return False
-        return True
 
 
 def materialize_sss(rep: GeneralSssRepresentation) -> LowerTriangularMatrix:

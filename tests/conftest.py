@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 import ssdlab
-from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, one_ss
+from ssdlab.duality import one_ss
+from ssdlab.ss_matrix import LowerTriangularMatrix
 
 #: Directory holding the ssdlab package under test, as an absolute path.
 SRC_DIR = str(Path(ssdlab.__file__).resolve().parent.parent)
@@ -67,7 +68,7 @@ def representable_matrix(seed: int, size: int, width: int, blocks: int = 1) -> L
     if blocks > 1:
         starts = rng.choice(np.arange(1, size), size=blocks - 1, replace=False)
         gains[starts] = 0.0
-    mask = one_ss(MaskVector(gains)).values
+    mask = one_ss(gains).values
     q = rng.standard_normal((size, width))
     k = rng.standard_normal((size, width))
     return LowerTriangularMatrix(mask * (q @ k.T))

@@ -11,7 +11,6 @@ from ssdlab.errors import InconsistentTransitionError, SizeExceededError
 from ssdlab.ss_matrix import (
     DEFAULT_EPS,
     LowerTriangularMatrix,
-    MaskVector,
     _block_sweep,
     check_sizes,
 )
@@ -61,6 +60,15 @@ def has_one_ss_dual(m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_E
     return _within_width(count_block_new_columns(m, eps), width)
 
 
+def has_exact_padding(rep: GeneralSssRepresentation) -> bool:
+    """Whether every A[t] (t >= 1) is zero outside its leading r[t] x r[t-1] corner."""
+    for t in range(1, rep.T):
+        rows, cols = rep.r[t], rep.r[t - 1]
+        if np.any(rep.A[t][rows:, :] != 0.0) or np.any(rep.A[t][:, cols:] != 0.0):
+            return False
+    return True
+
+
 def reference_materialize_sss(rep: GeneralSssRepresentation) -> np.ndarray:
     """Dense c_j' A^j ... A^{i+1} b_i, one row at a time over the whole matrix.
 
@@ -78,13 +86,13 @@ def reference_materialize_sss(rep: GeneralSssRepresentation) -> np.ndarray:
     return m
 
 
-def is_fine_mask(mask: MaskVector) -> bool:
+def is_fine_mask(gains) -> bool:
     """True when every gain that the 1SS operator reads is nonzero.
 
     Entry 0 never appears in any mask entry, so fineness is decided on
-    a[1:] only.
+    gains[1:] only.
     """
-    return bool(np.all(mask.a[1:] != 0.0))
+    return bool(np.all(np.asarray(gains)[1:] != 0.0))
 
 
 def reference_diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndarray, tile: int):

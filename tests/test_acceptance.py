@@ -29,7 +29,7 @@ from ssdlab.ssm import (
 )
 from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 from tests.conftest import random_lower_triangular, rel_fro, representable_matrix, run_ssdlab
-from tests.oracles import has_one_ss_dual, submatrix_rank_oracle
+from tests.oracles import has_exact_padding, has_one_ss_dual, submatrix_rank_oracle
 
 
 def test_criterion_01_three_path_equivalence():
@@ -111,7 +111,7 @@ def test_criterion_05_extraction_round_trip():
         m = materialize_sss(source)
         rep = extract_sss(m, width)
         worst = max(worst, rel_fro(materialize_sss(rep).values, m.values))
-        assert rep.has_exact_padding(), f"instance {i}: transition padding not exact"
+        assert has_exact_padding(rep), f"instance {i}: transition padding not exact"
     assert worst <= 1e-6, f"max round-trip error {worst:.3e}"
     print(f"ACCEPTANCE 05 PASS: extraction round trip on 50 representations, "
           f"max rel err {worst:.3e}, padding exact")

@@ -16,6 +16,7 @@ from ssdlab.duality import (
     count_block_new_columns,
     full_rank_one_ss_dual,
     kernel_residual,
+    one_ss,
     representability_report,
     scalar_identity_dual,
 )
@@ -27,7 +28,7 @@ from ssdlab.errors import (
     ZeroGainError,
 )
 from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
-from ssdlab.ss_matrix import LowerTriangularMatrix, MaskVector, new_columns, one_ss
+from ssdlab.ss_matrix import LowerTriangularMatrix, new_columns
 from ssdlab.ssm import (
     DiagonalSsm,
     forward_materialized,
@@ -276,7 +277,7 @@ class TestMaterializeFactors:
         q, k = rng.standard_normal((2, 100, 3))
         x = rng.standard_normal((100, 2))
         factors = MaskedAttentionFactors(p, q, k)
-        dense = one_ss(MaskVector(p)).values * (q @ k.T)
+        dense = one_ss(p).values * (q @ k.T)
         assert rel_fro(factors.materialize().values, dense) <= 1e-14
         assert np.array_equal(np.triu(factors.materialize().values, 1), np.zeros((100, 100)))
         assert rel_fro(forward_materialized(factors, x), dense @ x) <= 1e-14
@@ -442,7 +443,7 @@ class TestConstructOneSsDual:
         rng = np.random.default_rng(9)
         gains = rng.uniform(0.95, 1.05, 1024) * rng.choice([-1.0, 1.0], 1024)
         q, k = rng.standard_normal((2, 1024, 4))
-        m = LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+        m = LowerTriangularMatrix(one_ss(gains).values * (q @ k.T))
         factors = construct_one_ss_dual(m, 4)
         assert rel_fro(factors.materialize().values, m.values) <= 1e-9
 
@@ -475,7 +476,7 @@ def spread_gain_kernel(family: str, seed: int, size: int, lo: float, hi: float) 
     rng = np.random.default_rng(seed)
     gains = rng.uniform(lo, hi, size) * rng.choice([-1.0, 1.0], size)
     q, k = rng.standard_normal((2, size, 4))
-    return LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+    return LowerTriangularMatrix(one_ss(gains).values * (q @ k.T))
 
 
 #: Fragment every refusal message names: one of the four error-budget terms.

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 
 from ssdlab import ss_matrix
 from ssdlab.bench import FlopReport
-from ssdlab.duality import MaskedAttentionFactors
+from ssdlab.duality import MaskedAttentionFactors, one_ss
 from ssdlab.errors import ShapeMismatchError, SizeExceededError
 from ssdlab.limits import CounterexampleReport
 from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
-    MaskVector,
     blocks_from_cuts,
     diagonal_block_partition,
     new_columns,
-    one_ss,
     rel_err,
     semiseparable_rank,
 )
@@ -63,19 +61,19 @@ def corner_matrix(size):
 
 class TestOneSs:
     def test_unit_gains_give_all_ones_triangle(self):
-        got = one_ss(MaskVector([5.0, 1.0, 1.0]))
+        got = one_ss([5.0, 1.0, 1.0])
         assert np.array_equal(got.values, np.tril(np.ones((3, 3))))
 
     def test_direct_product_example(self):
-        got = one_ss(MaskVector([7.0, 2.0, 3.0]))
+        got = one_ss([7.0, 2.0, 3.0])
         expected = np.array([[1, 0, 0], [2, 1, 0], [6, 3, 1]], dtype=float)
         assert np.array_equal(got.values, expected)
         # first gain is ignored
-        other = one_ss(MaskVector([-4.0, 2.0, 3.0]))
+        other = one_ss([-4.0, 2.0, 3.0])
         assert np.array_equal(got.values, other.values)
 
     def test_zero_gain_annihilates_earlier_columns(self):
-        got = one_ss(MaskVector([9.0, 0.0, 5.0]))
+        got = one_ss([9.0, 0.0, 5.0])
         expected = np.array([[1, 0, 0], [0, 1, 0], [0, 5, 1]], dtype=float)
         assert np.array_equal(got.values, expected)
 
@@ -88,7 +86,7 @@ class TestOneSs:
     )
     @settings(deadline=None, max_examples=100)
     def test_matches_direct_product_oracle(self, gains):
-        got = one_ss(MaskVector(gains)).values
+        got = one_ss(gains).values
         assert np.allclose(got, ref_one_ss(gains), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 5])
@@ -102,7 +100,7 @@ class TestOneSs:
             for t in range(size):
                 for s in range(t + 1):
                     expected[t, s] = np.prod(gains[s + 1 : t + 1])
-            got = one_ss(MaskVector(gains)).values
+            got = one_ss(gains).values
             assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @given(
@@ -114,8 +112,22 @@ class TestOneSs:
     )
     @settings(deadline=None, max_examples=100)
     def test_diagonal_is_always_one(self, gains):
-        got = one_ss(MaskVector(gains)).values
+        got = one_ss(gains).values
         assert np.array_equal(np.diag(got), np.ones(len(gains)))
+
+    @pytest.mark.parametrize(
+        "gains, error, message",
+        [
+            ([], ShapeMismatchError, r"^sizes must be at least 1, got p\.shape\[0\]=0$"),
+            (np.ones((3, 2)), ShapeMismatchError, r"^p must be 1-D, got shape \(3, 2\)$"),
+            ([1.0, np.nan, 2.0], ValueError, r"^p entries must be finite$"),
+            ([[1.0], [1.0, 2.0]], ValueError, r"^p must be an array of numbers"),
+        ],
+        ids=["empty", "2-D", "nan", "ragged"],
+    )
+    def test_refuses_gains_that_are_not_a_finite_vector(self, gains, error, message):
+        with pytest.raises(error, match=message):
+            one_ss(gains)
 
 
 #: Ragged step counts of the panel walk: below one tile, one tile -1, 0 and +1, and one
@@ -179,7 +191,7 @@ class TestSemiseparableRank:
         rng = np.random.default_rng(0)
         for _ in range(20):
             gains = rng.uniform(0.2, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
-            assert semiseparable_rank(one_ss(MaskVector(gains))) == 1
+            assert semiseparable_rank(one_ss(gains)) == 1
 
     def test_zero_matrix_has_rank_zero(self):
         assert semiseparable_rank(LowerTriangularMatrix(np.zeros((4, 4)))) == 0
@@ -266,7 +278,7 @@ class TestDiagonalBlockPartition:
         assert diagonal_block_partition(corner_matrix(5)) == []
 
     def test_zero_gain_cuts_the_mask(self):
-        m = one_ss(MaskVector([1.0, 1.0, 0.0, 1.0]))
+        m = one_ss([1.0, 1.0, 0.0, 1.0])
         assert diagonal_block_partition(m) == [2]
 
     def test_zero_matrix_splits_fully(self):
@@ -292,19 +304,18 @@ class TestDiagonalBlockPartition:
 
 class TestIsFineMask:
     def test_first_entry_is_ignored(self):
-        assert is_fine_mask(MaskVector([0.0, 1.0, 1.0]))
+        assert is_fine_mask([0.0, 1.0, 1.0])
 
     def test_zero_gain_is_not_fine(self):
-        assert not is_fine_mask(MaskVector([1.0, 0.0, 1.0]))
+        assert not is_fine_mask([1.0, 0.0, 1.0])
 
     def test_all_nonzero_is_fine(self):
-        assert is_fine_mask(MaskVector([2.0, 3.0, 4.0]))
+        assert is_fine_mask([2.0, 3.0, 4.0])
 
 
-#: A valid instance's fields for each of the five records.
+#: A valid instance's fields for each of the four records.
 RECORD_FIELDS = {
     LowerTriangularMatrix: {"values": np.tril(np.ones((3, 3)))},
-    MaskVector: {"a": np.array([1.0, 0.5, 2.0])},
     DiagonalSsm: {"a_diag": np.ones((3, 2)), "b": np.ones((3, 2)), "c": np.ones((3, 2))},
     MaskedAttentionFactors: {"p": np.ones(3), "Q": np.ones((3, 2)), "K": np.ones((3, 2))},
     GeneralSssRepresentation: {
@@ -392,7 +403,7 @@ class TestConstruction:
             raise AssertionError("a built kernel went through the constructor's checks")
 
         monkeypatch.setattr(LowerTriangularMatrix, "__post_init__", rescan)
-        m = one_ss(MaskVector(np.full(70, 0.5)))
+        m = one_ss(np.full(70, 0.5))
         assert m.values[69, 0] == 0.5**69
         back = materialize_sss(rep)
         assert np.array_equal(back.values, expected.values)
@@ -426,11 +437,6 @@ class TestSerialization:
     def test_json_rejects_inconsistent_size(self):
         with pytest.raises(ShapeMismatchError):
             LowerTriangularMatrix.from_json('{"T": 2, "rows": [[1.0]]}')
-
-    def test_mask_vector_round_trip(self):
-        mask = MaskVector([0.1, -2.5, 1e-12])
-        again = MaskVector.from_json(mask.to_json())
-        assert np.array_equal(mask.a, again.a)
 
 
 class TestCsvReader:
@@ -485,7 +491,6 @@ TINY_RECORDS = [
         LowerTriangularMatrix([[1.0, 0.0], [0.5, -2.0]]),
         '{"T": 2, "rows": [[1.0, 0.0], [0.5, -2.0]]}',
     ),
-    (MaskVector([1.0, 0.25]), '{"a": [1.0, 0.25]}'),
     (
         DiagonalSsm([[1.0], [0.5]], [[2.0], [-1.0]], [[3.0], [0.25]]),
         '{"T": 2, "N": 1, "A_diag": [[1.0], [0.5]], "b": [[2.0], [-1.0]], "c": [[3.0], [0.25]]}',
@@ -546,8 +551,8 @@ class TestJsonRecords:
     @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "string"])
     @pytest.mark.parametrize(
         "record, key",
-        [(TINY_RECORDS[0][0], "T"), (TINY_RECORDS[2][0], "T"), (TINY_RECORDS[2][0], "N"),
-         (TINY_RECORDS[4][0], "T"), (TINY_RECORDS[4][0], "N")],
+        [(TINY_RECORDS[0][0], "T"), (TINY_RECORDS[1][0], "T"), (TINY_RECORDS[1][0], "N"),
+         (TINY_RECORDS[3][0], "T"), (TINY_RECORDS[3][0], "N")],
         ids=["LowerTriangularMatrix-T", "DiagonalSsm-T", "DiagonalSsm-N",
              "GeneralSssRepresentation-T", "GeneralSssRepresentation-N"],
     )
@@ -561,12 +566,11 @@ class TestJsonRecords:
         "cls, text, name",
         [
             (LowerTriangularMatrix, '{"T": 1, "rows": {"a": 1}}', "values"),
-            (MaskVector, '{"a": {"a": 1}}', "a"),
             (DiagonalSsm, '{"T": 1, "N": 1, "A_diag": {"a": 1}, "b": [[1.0]], "c": [[1.0]]}',
              "a_diag"),
             (MaskedAttentionFactors, '{"p": [1.0], "Q": [[{"a": 1}]], "K": [[1.0]]}', "Q"),
         ],
-        ids=["LowerTriangularMatrix", "MaskVector", "DiagonalSsm", "MaskedAttentionFactors"],
+        ids=["LowerTriangularMatrix", "DiagonalSsm", "MaskedAttentionFactors"],
     )
     def test_an_array_field_holding_an_object_is_a_value_error_naming_it(self, cls, text, name):
         with pytest.raises(ValueError, match=f"^{name} must be an array of numbers"):
@@ -589,7 +593,7 @@ class TestJsonRecords:
 
     def test_rejects_a_file_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
-            MaskVector.from_json("[1.0, 2.0]")
+            MaskedAttentionFactors.from_json("[1.0, 2.0]")
 
 
 #: Finite float64 values drawn as bit patterns, so every exponent and subnormal is reached.

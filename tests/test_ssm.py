@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from ssdlab import ss_matrix
 from ssdlab import ssm as ssm_mod
+from ssdlab.duality import one_ss
 from ssdlab.errors import ShapeMismatchError
-from ssdlab.ss_matrix import MaskVector, one_ss, semiseparable_rank
+from ssdlab.ss_matrix import semiseparable_rank
 from ssdlab.ssm import (
     FORWARD_PATHS,
     DiagonalSsm,
@@ -20,7 +21,6 @@ from ssdlab.ssm import (
     forward_ssd,
     materialize_kernel,
     random_instance,
-    scale_rows,
     scan,
     sequence_from_csv,
     sequence_from_json,
@@ -163,7 +163,7 @@ class TestMaterializeKernel:
 
     def test_scalar_identity_kernel_splits_into_mask_and_outer_products(self):
         ssm, _ = random_instance(3, 8, 3, 1, scalar_identity=True)
-        mask = one_ss(MaskVector(ssm.a_diag[:, 0])).values
+        mask = one_ss(ssm.a_diag[:, 0]).values
         expected = mask * (ssm.c @ ssm.b.T)
         assert np.allclose(materialize_kernel(ssm).values, expected, rtol=1e-12, atol=1e-14)
 
@@ -319,34 +319,6 @@ class TestForwardMaterialized:
             forward_materialized(DiagonalSsm(gains, ones, ones), np.ones((64, 1)))
 
 
-class TestScaleRows:
-    def test_identity_on_unit_weights(self):
-        y = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(scale_rows(np.ones(3), y), y)
-
-    def test_zero_weights_zero_everything(self):
-        y = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(scale_rows(np.zeros(3), y), np.zeros((3, 2)))
-
-    def test_direct_example(self):
-        got = scale_rows(np.array([1.0, 2.0]), np.array([[3.0, 4.0], [5.0, 6.0]]))
-        assert np.array_equal(got, np.array([[3.0, 4.0], [10.0, 12.0]]))
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ShapeMismatchError):
-            scale_rows(np.ones(3), np.zeros((4, 2)))
-        for bad in (np.zeros((4, 2, 2)), np.zeros((3, 3, 2)), np.zeros((3, 2))):
-            with pytest.raises(ShapeMismatchError):
-                scale_rows(np.ones((3, 2)), bad)
-
-    def test_mode_axis_is_bitwise_equal_to_per_mode_calls(self):
-        rng = np.random.default_rng(0)
-        scale, y = rng.standard_normal((9, 4)), rng.standard_normal((9, 4, 3))
-        got = scale_rows(scale, y)
-        for n in range(4):
-            assert np.array_equal(got[:, n], scale_rows(scale[:, n], y[:, n]))
-
-
 class TestScan:
     def test_unit_gains_give_prefix_sums(self):
         y = np.arange(8.0).reshape(4, 2)
@@ -401,9 +373,8 @@ class TestScan:
     @pytest.mark.parametrize("vec, y", [(np.ones(0), np.zeros((0, 2))),
                                         (np.ones((0, 3)), np.zeros((0, 3, 2)))], ids=["1-D", "modes"])
     def test_zero_rows_are_a_size_error(self, vec, y):
-        for op in (scan, scale_rows):
-            with pytest.raises(ShapeMismatchError, match="at least 1, got T=0"):
-                op(vec, y)
+        with pytest.raises(ShapeMismatchError, match="at least 1, got T=0"):
+            scan(vec, y)
 
 
 class TestAscendingSum:

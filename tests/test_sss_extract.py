@@ -17,7 +17,7 @@ from ssdlab._lowrank import (
     svd_with_rank,
     vector_signs,
 )
-from ssdlab.duality import _construct, construct_one_ss_dual, count_block_new_columns
+from ssdlab.duality import _construct, construct_one_ss_dual, count_block_new_columns, one_ss
 from ssdlab.errors import (
     InconsistentTransitionError,
     RankExceedsWidthError,
@@ -31,12 +31,10 @@ from ssdlab.ss_matrix import (
     DEFAULT_EPS,
     BlockNewColumns,
     LowerTriangularMatrix,
-    MaskVector,
     SweepStep,
     _block_sweep,
     blocks_from_cuts,
     diagonal_block_partition,
-    one_ss,
     semiseparable_rank,
 )
 from ssdlab.ssm import forward_materialized, materialize_kernel, random_instance
@@ -52,6 +50,7 @@ from ssdlab.sss_extract import (
 from tests.conftest import random_lower_triangular, rel_fro
 from tests.oracles import (
     ORACLE_MAX_T,
+    has_exact_padding,
     numerical_rank,
     reference_extract_sss,
     reference_materialize_sss,
@@ -87,7 +86,7 @@ def masked_kernel_with_zero_gains(seed, size, width, zeros):
     rng = np.random.default_rng(seed)
     gains = rng.uniform(0.95, 1.05, size) * rng.choice([-1.0, 1.0], size)
     gains[list(zeros)] = 0.0
-    mask = one_ss(MaskVector(gains)).values
+    mask = one_ss(gains).values
     q, k = rng.standard_normal((2, size, width))
     return LowerTriangularMatrix(mask * (q @ k.T))
 
@@ -272,7 +271,7 @@ class TestExtractSss:
     def test_round_trip_on_cumulative_product_mask(self):
         rng = np.random.default_rng(56)
         gains = rng.uniform(0.5, 2.0, 10) * rng.choice([-1.0, 1.0], 10)
-        m = one_ss(MaskVector(gains))
+        m = one_ss(gains)
         rep = extract_sss(m, 1)
         assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-8
         assert rep.r == (1,) * 10
@@ -288,7 +287,7 @@ class TestExtractSss:
             m = materialize_sss(source)
             rep = extract_sss(m, 3)
             assert rel_fro(materialize_sss(rep).values, m.values) <= 1e-6
-            assert rep.has_exact_padding()
+            assert has_exact_padding(rep)
 
     def test_extracted_ranks_match_block_ranks(self):
         source = random_representation(42, 16, 3)
@@ -685,7 +684,7 @@ class TestBlockSweep:
         rng = np.random.default_rng(seed)
         gains = rng.uniform(0.95, 1.05, 256) * rng.choice([-1.0, 1.0], 256)
         q, k = rng.standard_normal((2, 256, 4))
-        m = LowerTriangularMatrix(one_ss(MaskVector(gains)).values * (q @ k.T))
+        m = LowerTriangularMatrix(one_ss(gains).values * (q @ k.T))
         sweep, _ = _construct(m, count_block_new_columns(m), 4, DEFAULT_EPS)
         dense, _ = _construct(m, dense_span_fits(m, DEFAULT_EPS), 4, DEFAULT_EPS)
         assert rel_fro(sweep.Q, dense.Q) <= 1e-13
@@ -970,12 +969,12 @@ class TestRepresentationProperties:
 
     def test_padding_validation(self):
         rep = random_representation(7, 10, 3)
-        assert rep.has_exact_padding()
+        assert has_exact_padding(rep)
         assert rep.r[0] == 1  # so A[1] has one live column only
         trans = rep.A.copy()
         trans[1, 0, 2] = 5.0
         dirty = GeneralSssRepresentation(trans, rep.b, rep.c, rep.r)
-        assert not dirty.has_exact_padding()
+        assert not has_exact_padding(dirty)
 
     def test_rejects_identity_violation(self):
         with pytest.raises(ValueError):
