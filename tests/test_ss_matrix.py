@@ -129,6 +129,26 @@ class TestOneSs:
         with pytest.raises(error, match=message):
             one_ss(gains)
 
+    @pytest.mark.parametrize("kind", ["signed", "decaying", "zeros"])
+    @pytest.mark.parametrize("size", [1, 33, 257])
+    def test_is_the_width_1_factors_kernel_with_unit_q_and_k(self, kind, size):
+        rng = np.random.default_rng(size)
+        gains = {
+            "signed": rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size),
+            "decaying": rng.uniform(0.9, 1.0, size),
+            "zeros": rng.uniform(0.5, 1.5, size) * (rng.random(size) >= 0.1),
+        }[kind]
+        ones = np.ones((size, 1))
+        expected = MaskedAttentionFactors(gains, ones, ones).materialize()
+        assert one_ss(gains).values.tobytes() == expected.values.tobytes()
+
+    def test_width_1_record_round_trips_the_mask(self):
+        gains = np.array([0.1, -2.5, 1e-12])
+        ones = np.ones((3, 1))
+        again = MaskedAttentionFactors.from_json(MaskedAttentionFactors(gains, ones, ones).to_json())
+        assert np.array_equal(again.p, gains)
+        assert np.array_equal(again.materialize().values, one_ss(gains).values)
+
 
 #: Ragged step counts of the panel walk: below one tile, one tile -1, 0 and +1, and one
 #: batch of tiles -1 tile, 0 and +1 tile.

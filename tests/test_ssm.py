@@ -389,6 +389,41 @@ class TestAscendingSum:
 
 
 class TestForwardSsd:
+    def test_direct_example(self):
+        # h_0 = b_0 x_0 = (1, 2); h_1 = a_1 h_0 + b_1 x_1 = (6.5, 12); y_t = c_t . h_t
+        ssm = DiagonalSsm([[1.0, 1.0], [0.5, 2.0]], [[1.0, 2.0], [3.0, 4.0]],
+                          [[1.0, 1.0], [2.0, -1.0]])
+        got = forward_ssd(ssm, np.array([[1.0], [2.0]]))
+        assert np.array_equal(got, np.array([[3.0], [1.0]]))
+
+    def test_unit_input_and_output_weights_give_the_scan(self):
+        rng = np.random.default_rng(7)
+        gains, x = rng.standard_normal((9, 1)), rng.standard_normal((9, 3))
+        gains[0] = 1.0
+        ones = np.ones((9, 1))
+        got = forward_ssd(DiagonalSsm(gains, ones, ones), x)
+        assert np.array_equal(got, scan(gains[:, 0], x))
+
+    @pytest.mark.parametrize("field", ["b", "c"])
+    def test_zero_input_or_output_weights_give_zeros(self, field):
+        ssm, x = random_instance(17, 9, 3, 2)
+        weights = {"b": ssm.b, "c": ssm.c} | {field: np.zeros((9, 3))}
+        got = forward_ssd(DiagonalSsm(ssm.a_diag, weights["b"], weights["c"]), x)
+        assert np.array_equal(got, np.zeros((9, 2)))
+
+    def test_modes_are_bitwise_the_single_mode_models_added_in_order(self):
+        ssm, x = random_instance(18, 23, 4, 3)
+        total = np.zeros((23, 3))
+        for n in range(4):
+            mode = DiagonalSsm(ssm.a_diag[:, n:n + 1], ssm.b[:, n:n + 1], ssm.c[:, n:n + 1])
+            total += forward_ssd(mode, x)
+        assert forward_ssd(ssm, x).tobytes() == total.tobytes()
+
+    def test_rejects_wrong_length(self):
+        ssm, _ = random_instance(0, 8, 2, 1)
+        with pytest.raises(ShapeMismatchError, match="sequence has 7 steps, model has 8"):
+            forward_ssd(ssm, np.zeros((7, 1)))
+
     def test_single_mode_is_bitwise_equal_to_recurrence(self):
         ssm, x = random_instance(11, 32, 1, 3)
         assert np.array_equal(forward_ssd(ssm, x), forward_recurrence(ssm, x))
