@@ -8,10 +8,11 @@ interpreter with BLAS pinned to one thread, on the same seeded inputs:
 ``one_ss`` and ``materialize_kernel`` (also at T=600, and on a T=600 model
 whose gains of magnitude 0.05 to 0.2 take the kernel panel walk's carried
 weights below the normal range, where it carries them as zero),
-``forward_ssd``, ``forward_recurrence`` at T=600 (two full chunks of steps
-and a ragged one) with N in {1, 17} and d in {1, 5}, the summed per-mode
-materializations of
-``attention_like_decomposition``,
+``forward_ssd`` at T=128; ``forward_ssd`` and ``forward_recurrence`` at
+T=600 (two full chunks of steps and a ragged one) with N in {1, 17} and d
+in {1, 5}, and on a T=600 model whose gains are zero at steps 255 to 257,
+around the first chunk boundary, with a -0.0 first input row; the summed
+per-mode materializations of ``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss`` (also at T=70, two full
 panels of 32 rows and a ragged one); ``kernel_residual`` of a T=600 model
 and its ``full_rank_one_ss_dual`` (18 full panels and a ragged one);
@@ -41,8 +42,8 @@ array and the counter fields (multiply-adds, additions, peak live elements)
 of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
 (33, 8, 2), which the counts ``bench`` writes alone would not show a
 reordered reduction in, and on its ssd and recurrence paths at (1024, 8,
-2) and at (600, 17, 5) (two full chunks of recurrence steps and a ragged
-one); and what
+2), at (600, 17, 5) (two full chunks of steps and a ragged one) and on
+the zero-gain-steps model; and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines; what
@@ -95,22 +96,27 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _one_ss(gains):
-    """``one_ss`` of ``gains``; older checkouts take them wrapped in a ``MaskVector``."""
-    import ssdlab
-    from ssdlab import ss_matrix
-
-    mask = getattr(ss_matrix, "MaskVector", None)
-    return ssdlab.one_ss(gains if mask is None else mask(gains))
-
-
 def _summed_terms(model) -> np.ndarray:
     """Sum of the per-mode materializations of ``attention_like_decomposition``."""
-    from ssdlab import duality
+    from ssdlab.duality import attention_like_decomposition
 
-    # Older checkouts keep a separate term record with its own materializer.
-    materialize = getattr(duality, "materialize_term", None) or (lambda term: term.materialize())
-    return sum(materialize(term).values for term in duality.attention_like_decomposition(model))
+    return sum(term.materialize().values for term in attention_like_decomposition(model))
+
+
+def _zero_steps_instance(seed: int):
+    """A T=600 model whose gains are zero in every mode at steps 255-257, and an input whose
+    first row is -0.0.
+
+    The zero steps sit on either side of the linear paths' first chunk boundary (256 steps), and
+    the signed zeros of b_0 x_0 enter the scan's first row.
+    """
+    from ssdlab.ssm import DiagonalSsm, random_instance
+
+    model, x = random_instance(seed, 600, 4, 2)
+    gains = model.a_diag.copy()
+    gains[255:258] = 0.0
+    x[0] = -0.0
+    return DiagonalSsm(gains, model.b, model.c), x
 
 
 def _big_row_matrix(rng: np.random.Generator):
@@ -150,6 +156,7 @@ def dump() -> dict[str, object]:
         count_block_new_columns,
         full_rank_one_ss_dual,
         kernel_residual,
+        one_ss,
     )
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, semiseparable_rank
@@ -161,7 +168,7 @@ def dump() -> dict[str, object]:
     out: dict[str, object] = {}
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
-        out[f"one_ss/{seed}"] = _one_ss(_gains(rng, (64,))).values
+        out[f"one_ss/{seed}"] = one_ss(_gains(rng, (64,))).values
         zero_model = DiagonalSsm(_gains(rng, (64, 4)), *rng.standard_normal((2, 64, 4)))
         out[f"materialize_kernel/zero-gains/{seed}"] = materialize_kernel(zero_model).values
         model, x = random_instance(seed, 128, 8, 3)
@@ -174,7 +181,7 @@ def dump() -> dict[str, object]:
         gains = _gains(rng, (48,))
         gains[gains == 0.0] = 1.0
         gains[[12, 30]] = 0.0
-        mask = _one_ss(gains).values
+        mask = one_ss(gains).values
         kernel = mask * (rng.standard_normal((48, 3)) @ rng.standard_normal((48, 3)).T)
         factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
         for name in ("p", "Q", "K"):
@@ -187,27 +194,34 @@ def dump() -> dict[str, object]:
             [kernel_residual(residual_model, full_rank_one_ss_dual(residual_model))]
         )
         # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
-        out[f"one_ss/600/{seed}"] = _one_ss(_gains(rng, (600,))).values
+        out[f"one_ss/600/{seed}"] = one_ss(_gains(rng, (600,))).values
         wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
         out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
         long_model, long_x = random_instance(seed, 600, 4, 2)
         # Carried gain products fall through the subnormal range, and are carried as zero.
         underflow_model, underflow_x = random_instance(seed, 600, 4, 2, a_abs=(0.05, 0.2))
         out[f"materialize_kernel/underflow/600/{seed}"] = materialize_kernel(underflow_model).values
-        # At T=600 the recurrence runs two full chunks of 256 steps and a ragged one of 88.
-        for modes, channels in itertools.product((1, 17), (1, 5)):
-            chunked_model, chunked_x = random_instance(seed, 600, modes, channels)
-            key = f"forward_recurrence/600/{modes}x{channels}/{seed}"
-            out[key] = forward_recurrence(chunked_model, chunked_x)
-        # The linear paths also at bench-counts' largest point and at T=600, where the
-        # counted recurrence runs two full chunks of 256 steps and a ragged one of 88.
+        # At T=600 the linear paths run two full chunks of 256 steps and a ragged one of 88.
+        zero_steps_model, zero_steps_x = _zero_steps_instance(seed)
+        for name, forward in (("recurrence", forward_recurrence), ("ssd", forward_ssd)):
+            for modes, channels in itertools.product((1, 17), (1, 5)):
+                chunked_model, chunked_x = random_instance(seed, 600, modes, channels)
+                key = f"forward_{name}/600/{modes}x{channels}/{seed}"
+                out[key] = forward(chunked_model, chunked_x)
+            out[f"forward_{name}/zero-steps/600/{seed}"] = forward(zero_steps_model, zero_steps_x)
+        # The linear paths also at bench-counts' largest point, at T=600, where they run two
+        # full chunks of 256 steps and a ragged one of 88, and on the zero-steps model.
         every, linear = ("ssd", "recurrence", "materialized"), ("ssd", "recurrence")
-        for dims, paths in (((40, 17, 1), every), ((33, 8, 2), every), ((1024, 8, 2), linear),
-                            ((600, 17, 5), linear)):
-            counted_model, counted_x = random_instance(seed, *dims)
+        counted = {
+            "x".join(map(str, dims)): (random_instance(seed, *dims), paths)
+            for dims, paths in (((40, 17, 1), every), ((33, 8, 2), every),
+                                ((1024, 8, 2), linear), ((600, 17, 5), linear))
+        }
+        counted["zero-steps/600"] = ((zero_steps_model, zero_steps_x), linear)
+        for size, ((counted_model, counted_x), paths) in counted.items():
             for path in paths:
                 y, counter = counted_forward(path, counted_model, counted_x)
-                key = f"counted_forward/{path}/{'x'.join(map(str, dims))}/{seed}"
+                key = f"counted_forward/{path}/{size}/{seed}"
                 out[key] = y
                 out[f"{key}/counts"] = (counter.madds, counter.adds, counter.peak_live)
         with tempfile.TemporaryDirectory() as tmp:
@@ -319,7 +333,7 @@ def dump() -> dict[str, object]:
     q, k = rng.standard_normal((2, 256, 4))
     extraction_inputs = {
         "random": materialize_sss(random_representation(len(SEEDS), 256, 4)),
-        "masked": LowerTriangularMatrix(_one_ss(gains).values * (q @ k.T)),
+        "masked": LowerTriangularMatrix(one_ss(gains).values * (q @ k.T)),
     }
     for name, m in extraction_inputs.items():
         rep = extract_sss(m, 4)

@@ -6,36 +6,33 @@ each elementwise multiplication or addition charges the shared counter
 one operation per element of its result (a broadcast (T, 1) x (1, d)
 product charges T*d); nothing is estimated from closed-form formulas.
 The kernels loop in Python only along the axis that is really
-sequential (the step t of the scan and the recurrence, the kernel column
-i of the materialized path) and keep each output element's scalar
-arithmetic order, so the outputs are bitwise those of a scalar loop.
-The kernels share the production paths' one step loop and one ordered
-reduction: ``CountedArray.scan`` runs ``ssm.scan`` and
-``CountedArray.ascending_sum`` runs ``ssm.ascending_sum``, and each only
-adds the charges. The recurrence scans a chunk of ``ssm._CHUNK`` steps at a
-time, as ``forward_recurrence`` does, so it holds one chunk of states.
-They use zero-initialized accumulators (the first scan step multiplies
-the zero carry, reductions start from zeros), so the three paths charge
-the same operation slots they would in a branch-free implementation and
-the linear path counts scale exactly with T, N and d. Nothing here is
-timed: the tallies are the machine-independent measure.
+sequential (the step t of the scan, the kernel column i of the
+materialized path) and keep each output element's scalar arithmetic
+order, so the outputs are bitwise those of a scalar loop. They share the
+production paths' one step loop and one ordered reduction:
+``CountedArray.scan`` runs ``ssm.scan`` and ``CountedArray.ascending_sum``
+runs ``ssm.ascending_sum``, and each only adds the charges. The counted ssd
+and recurrence are one chunked loop, ``ssm._chunks``'s, each chunk summed
+over modes in ascending order; they differ only in their ``alloc``
+charges. Accumulators start at zero (the first scan step multiplies the
+zero carry, reductions start from zeros), so the three paths charge the
+same operation slots they would in a branch-free implementation and the
+linear path counts scale exactly with T, N and d. Nothing here is timed:
+the tallies are the machine-independent measure.
 
 Counting convention: ``multiply_adds`` tallies multiplications (each is
 one multiply-accumulate slot); ``additions`` tallies scalar additions.
 Peak live elements charge the model parameters plus every intermediate
-the algorithm materializes, with all per-mode intermediates of the linear
+the algorithm materializes, with all per-mode intermediates of the ssd
 path held simultaneously; the caller-owned input sequence is not charged.
 The ``alloc`` charges are those of the scalar algorithm (one running
 product vector of N entries in the materialized path, for instance), not
 of the working arrays a vectorized step holds for a moment. Nothing is
 freed during a run, so under this all-live model the peak is the sum of
-every element charged.
-A streaming implementation that drops each mode's intermediates after its
-reduction step would need only O(Td) extra, which the all-live model here
-deliberately does not assume. Likewise the counted materialized path
-charges the whole T x T kernel as live (peak T^2), while the production
-path streams it one row panel at a time; the counts and budgets keep the
-all-live model.
+every element charged. The counted ssd path thus charges its 3NTd
+per-mode intermediates and the materialized path the whole T x T kernel,
+though the code holds one chunk of states or one column at a time; the
+counts and budgets keep the all-live model.
 """
 
 from __future__ import annotations
@@ -162,25 +159,9 @@ class FlopReport:
     peak_live_elements: int
 
 
-def _counted_ssd(
-    a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
-) -> CountedArray:
-    steps, modes, d = *a.value.shape, x.value.shape[1]
-    scaled = b[:, :, None] * x[:, None, :]
-    counter.alloc(modes * steps * d)
-    carried = scaled.scan(a)
-    counter.alloc(modes * steps * d)
-    weighted = c[:, :, None] * carried
-    counter.alloc(modes * steps * d)
-    counter.alloc(steps * d)  # the sum over modes
-    return weighted.ascending_sum(axis=1)
-
-
-def _counted_recurrence(
-    a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
-) -> CountedArray:
-    steps, modes, d = *a.value.shape, x.value.shape[1]
-    counter.alloc(modes * d)  # the state h
+def _counted_chunks(a, b, c, x, counter: FlopCounter) -> CountedArray:
+    """The linear paths' one counted loop: ``ssm._chunks``, each chunk summed over modes."""
+    steps, d = a.value.shape[0], x.value.shape[1]
     y = _zeros(counter, steps, d)
     counter.alloc(steps * d)
     h = None  # the zero state
@@ -190,6 +171,16 @@ def _counted_recurrence(
         y[chunk] = (c[chunk, :, None] * states).ascending_sum(axis=1)
         h = states[-1]
     return y
+
+
+def _counted_ssd(a, b, c, x, counter: FlopCounter) -> CountedArray:
+    counter.alloc(3 * a.value.size * x.value.shape[1])  # all live: every b x, h and c h
+    return _counted_chunks(a, b, c, x, counter)
+
+
+def _counted_recurrence(a, b, c, x, counter: FlopCounter) -> CountedArray:
+    counter.alloc(a.value.shape[1] * x.value.shape[1])  # the state h
+    return _counted_chunks(a, b, c, x, counter)
 
 
 def _counted_materialized(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SizeExceededError
 from .duality import _within_width, count_block_new_columns
 from .sss_extract import extract_sss, materialize_sss
-from .ss_matrix import LowerTriangularMatrix, json_record
+from .ss_matrix import LowerTriangularMatrix, json_record, semiseparable_rank
 
 #: Softmax rank checks become meaningless in double precision beyond this size.
 SOFTMAX_MAX_T = 8
@@ -176,15 +176,15 @@ def verify_non_dualizable(size: int, width: int) -> CounterexampleReport:
 
     The corner entry welds all rows into a single diagonal block with T-1
     new columns, so no factorization of width < T-1 exists, even though
-    the matrix is 2-semiseparable and a width-2 recurrence realizes it
-    (witnessed by a successful extraction round trip, whose block ranks
-    give the semiseparable rank). Applicable only for
-    T >= width + 2; smaller T leaves enough new-column room for a dual.
+    the matrix is 2-semiseparable (``semiseparable_rank``) and a width-2
+    recurrence realizes it (witnessed by a successful extraction round
+    trip). Applicable only for T >= width + 2; smaller T leaves enough
+    new-column room for a dual.
     """
     m = non_dualizable_matrix(size)
     applicable = size >= width + 2
     rep = extract_sss(m, 2)
-    ss_rank = max(rep.r)
+    ss_rank = semiseparable_rank(m)
     blocks = count_block_new_columns(m)
     dual_exists = _within_width(blocks, width)
     back = materialize_sss(rep).values

@@ -1,12 +1,11 @@
 """Diagonal state-space model execution.
 
-Three routes from inputs to outputs: the reference left-to-right
-recurrence, the materialized T x T kernel, and the scale/scan/scale
-pipeline that costs O(NTd). The last runs over all (mode, channel) pairs
-at once and then reduces over modes in ascending order. ``FORWARD_PATHS``
-names the three routes. There is one step loop, ``scan``, and one ordered
-mode reduction, ``ascending_sum``: the recurrence and the ssd path both run
-on them, as do ``bench``'s counted kernels.
+Three routes from inputs to outputs: the materialized T x T kernel and two
+O(NTd) routes, the recurrence and the ssd path. Those two share one chunked
+loop, ``_chunks`` (one ``scan`` per chunk of steps), and differ only in how
+they sum over modes: a batched matrix product, or ``ascending_sum``, the one
+ordered reduction. ``FORWARD_PATHS`` names the three routes. ``bench``'s
+counted kernels run on ``scan`` and ``ascending_sum`` too.
 """
 
 from __future__ import annotations
@@ -91,27 +90,34 @@ def _check_sequence(model, x: np.ndarray) -> np.ndarray:
     return x
 
 
-#: Steps per chunk of ``forward_recurrence``: it holds this many (N, d) states at once.
+#: Steps per chunk of the linear paths: each holds this many (N, d) states at once.
 _CHUNK = 256
+
+
+def _chunks(ssm: DiagonalSsm, x: np.ndarray):
+    """(lo, hi, states) of each chunk of ``_CHUNK`` steps: h_t = a_t * h_{t-1} + b_t x_t.
+
+    A chunk's b_t x_t are one product and its states one ``scan`` on from the
+    last chunk's final state (zeros first): the plain step loop's operations,
+    in its order. One chunk of states is held at a time, never O(T N d).
+    """
+    h = np.zeros((ssm.N, x.shape[1]))
+    for lo in range(0, ssm.T, _CHUNK):
+        hi = min(lo + _CHUNK, ssm.T)
+        states = scan(ssm.a_diag[lo:hi], ssm.b[lo:hi, :, None] * x[lo:hi, None, :], h)
+        yield lo, hi, states
+        h = states[-1]
 
 
 def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     """Reference O(TNd) scan: h_t = a_t * h_{t-1} + b_t x_t, y_t = c_t h_t.
 
-    The steps run in chunks of ``_CHUNK``. A chunk's inputs b_t x_t are one
-    product, its states one ``scan`` on from the last chunk's final state,
-    and its outputs c_t h_t one batched matrix product; each step's
-    operations, and their order, are those of the plain step loop, so the
-    output is too, bit for bit. It holds O(_CHUNK N d) states, never O(T N d).
+    Each chunk's c_t h_t is one batched matrix product: the step loop's output, bit for bit.
     """
     x = _check_sequence(ssm, x)
     y = np.empty(x.shape)
-    h = np.zeros((ssm.N, x.shape[1]))
-    for lo in range(0, ssm.T, _CHUNK):
-        hi = min(lo + _CHUNK, ssm.T)
-        states = scan(ssm.a_diag[lo:hi], ssm.b[lo:hi, :, None] * x[lo:hi, None, :], h)
+    for lo, hi, states in _chunks(ssm, x):
         np.matmul(ssm.c[lo:hi, None, :], states, out=y[lo:hi, None, :])
-        h = states[-1]
     return y
 
 
@@ -189,12 +195,14 @@ def ascending_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
 def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     """O(NTd) path: scale, scan and scale every mode, then an ordered reduction.
 
-    Modes are accumulated in ascending order so the result is reproducible
+    Each chunk sums its modes in ascending order, so the result is reproducible
     and equals the counted kernel bit for bit.
     """
     x = _check_sequence(ssm, x)
-    states = scan(ssm.a_diag, ssm.b[:, :, None] * x[:, None, :])
-    return ascending_sum(ssm.c[:, :, None] * states, axis=1)
+    y = np.empty(x.shape)
+    for lo, hi, states in _chunks(ssm, x):
+        y[lo:hi] = ascending_sum(ssm.c[lo:hi, :, None] * states, axis=1)
+    return y
 
 
 #: Forward paths by name, in the order ``forward --path all`` runs and reports them.

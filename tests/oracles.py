@@ -110,14 +110,30 @@ def reference_diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndar
         yield lo, hi, np.tril(np.einsum("tsk,tk->ts", prods * right[lo:hi], left[lo:hi]))
 
 
-def reference_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """``forward_recurrence`` one step at a time, a fresh state each step (test oracle)."""
-    x = _check_sequence(ssm, x)
+def _reference_states(ssm: DiagonalSsm, x: np.ndarray):
+    """(t, h_t) of the plain step loop from the zero state, a fresh state each step."""
     h = np.zeros((ssm.N, x.shape[1]))
-    y = np.empty(x.shape)
     for t in range(ssm.T):
         h = ssm.a_diag[t][:, None] * h + ssm.b[t][:, None] * x[t]
+        yield t, h
+
+
+def reference_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+    """``forward_recurrence`` one step at a time, each output one product c_t h_t (test oracle)."""
+    x = _check_sequence(ssm, x)
+    y = np.empty(x.shape)
+    for t, h in _reference_states(ssm, x):
         y[t] = ssm.c[t] @ h
+    return y
+
+
+def reference_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+    """``forward_ssd`` one step at a time, its modes added in turn to zeros (test oracle)."""
+    x = _check_sequence(ssm, x)
+    y = np.zeros(x.shape)
+    for t, h in _reference_states(ssm, x):
+        for n in range(ssm.N):
+            y[t] = y[t] + ssm.c[t, n] * h[n]
     return y
 
 

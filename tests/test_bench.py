@@ -154,40 +154,41 @@ class TestCountingKernelsMatchScalarOracle:
         assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
 
 
+@pytest.mark.parametrize("path", ["recurrence", "ssd"])
 class TestCountedRecurrenceChunks:
-    """The counted recurrence runs in chunks of ``ssm._CHUNK`` steps, as production does."""
+    """The counted ssd and recurrence run in chunks of ``ssm._CHUNK`` steps, as production does."""
 
     @staticmethod
-    def assert_matches_oracle(model, x):
-        out, counter = counted_forward("recurrence", model, x)
-        expected, oracle = reference_counted_forward("recurrence", model, x)
+    def assert_matches_oracle(path, model, x):
+        out, counter = counted_forward(path, model, x)
+        expected, oracle = reference_counted_forward(path, model, x)
         assert out.tobytes() == expected.tobytes()
         counts = (counter.madds, counter.adds, counter.peak_live)
         assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8, 9])
-    def test_chunks_are_bitwise_the_scalar_oracle(self, monkeypatch, steps):
+    def test_chunks_are_bitwise_the_scalar_oracle(self, monkeypatch, path, steps):
         """Chunks of 3: up to one, one and a step, two and a ragged third, three full."""
         monkeypatch.setattr(ssm_mod, "_CHUNK", 3)
-        self.assert_matches_oracle(*random_instance(steps, steps, 3, 2))
+        self.assert_matches_oracle(path, *random_instance(steps, steps, 3, 2))
 
-    def test_full_chunks_are_bitwise_the_scalar_oracle(self):
+    def test_full_chunks_are_bitwise_the_scalar_oracle(self, path):
         steps = 2 * ssm_mod._CHUNK + 3
         rng = np.random.default_rng(17)
         gains = rng.uniform(0.5, 1.5, (steps, 3)) * rng.choice([-1.0, 1.0], (steps, 3))
         gains[rng.random((steps, 3)) < 0.1] = 0.0
         gains[0] = 1.0
         model = DiagonalSsm(gains, *rng.standard_normal((2, steps, 3)))
-        self.assert_matches_oracle(model, rng.standard_normal((steps, 2)))
+        self.assert_matches_oracle(path, model, rng.standard_normal((steps, 2)))
 
-    def test_working_memory_does_not_grow_with_steps(self):
-        """Beyond its output, the counted recurrence holds as much at T=4096 as at T=1024."""
+    def test_working_memory_does_not_grow_with_steps(self, path):
+        """Beyond its output, a counted linear path holds as much at T=4096 as at T=1024."""
         extra = {}
         for steps in (1024, 4096):
             model, x = random_instance(5, steps, 16, 4)
             tracemalloc.start()
             try:
-                y, _ = counted_forward("recurrence", model, x)
+                y, _ = counted_forward(path, model, x)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

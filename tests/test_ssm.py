@@ -28,7 +28,10 @@ from ssdlab.ssm import (
     sequence_to_json,
 )
 from tests.conftest import rel_fro
-from tests.oracles import reference_recurrence, reference_scan
+from tests.oracles import reference_recurrence, reference_scan, reference_ssd
+
+#: Each linear path's plain step loop, which its chunked loop must equal bit for bit.
+STEP_LOOPS = {"recurrence": reference_recurrence, "ssd": reference_ssd}
 
 
 def ref_kernel(ssm):
@@ -91,10 +94,11 @@ class TestForwardRecurrence:
         with pytest.raises(ShapeMismatchError):
             forward_recurrence(ssm, np.zeros((7, 1)))
 
+    @pytest.mark.parametrize("path", list(STEP_LOOPS))
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8, 9])
     @pytest.mark.parametrize("modes", [1, 3])
     @pytest.mark.parametrize("channels", [1, 4])
-    def test_chunks_are_bitwise_the_step_loop(self, monkeypatch, steps, modes, channels):
+    def test_chunks_are_bitwise_the_step_loop(self, monkeypatch, path, steps, modes, channels):
         """Chunks of 3: up to one, one and a step, two and a ragged third, three full."""
         monkeypatch.setattr(ssm_mod, "_CHUNK", 3)
         rng = np.random.default_rng(steps * 100 + modes * 10 + channels)
@@ -102,24 +106,26 @@ class TestForwardRecurrence:
         gains[1::2, 0] = 0.0
         model = DiagonalSsm(gains, *rng.standard_normal((2, steps, modes)))
         x = rng.standard_normal((steps, channels))
-        assert forward_recurrence(model, x).tobytes() == reference_recurrence(model, x).tobytes()
+        assert FORWARD_PATHS[path](model, x).tobytes() == STEP_LOOPS[path](model, x).tobytes()
 
-    def test_full_chunks_are_bitwise_the_step_loop(self):
+    @pytest.mark.parametrize("path", list(STEP_LOOPS))
+    def test_full_chunks_are_bitwise_the_step_loop(self, path):
         steps = 2 * ssm_mod._CHUNK + 3
         rng = np.random.default_rng(17)
         gains = signed_gains_with_zeros(rng, steps, 5)
         model = DiagonalSsm(gains, *rng.standard_normal((2, steps, 5)))
         x = rng.standard_normal((steps, 4))
-        assert forward_recurrence(model, x).tobytes() == reference_recurrence(model, x).tobytes()
+        assert FORWARD_PATHS[path](model, x).tobytes() == STEP_LOOPS[path](model, x).tobytes()
 
-    def test_working_memory_does_not_grow_with_steps(self):
-        """Beyond its output, the recurrence holds as much at T=4096 as at T=1024."""
+    @pytest.mark.parametrize("path", list(STEP_LOOPS))
+    def test_working_memory_does_not_grow_with_steps(self, path):
+        """Beyond its output, a linear path holds as much at T=4096 as at T=1024."""
         extra = {}
         for steps in (1024, 4096):
             model, x = random_instance(5, steps, 16, 4)
             tracemalloc.start()
             try:
-                y = forward_recurrence(model, x)
+                y = FORWARD_PATHS[path](model, x)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
