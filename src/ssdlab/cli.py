@@ -150,22 +150,29 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     reject, is an input error. The parser itself is never changed.
     """
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    loaded = _load(args.config, "a config file", json=json_loads)
-    if not isinstance(loaded, dict):
-        raise ValueError("config file must hold a JSON object")
     # The parser that read the options: the command's, or for gen and counterexample its kind's.
     names = args.leaf.prog.split()[1:]
-    actions = {a.dest: a for a in args.leaf._actions if a.dest not in ("help", "config")}
-    for key, value in loaded.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
-            raise ValueError(f"config key {key!r} names no option of {' '.join(names)!r}")
-        if value is not None:
-            setattr(args, attr, _config_value(actions[attr], key, value))
-    # The leaf reads its own flags again over the file's values, so flags win.
-    return args.leaf.parse_args(argv[len(names):], args)
+    if args.config:
+        loaded = _load(args.config, "a config file", json=json_loads)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
+        actions = {a.dest: a for a in args.leaf._actions if a.dest not in ("help", "config")}
+        for key, value in loaded.items():
+            attr = key.replace("-", "_")
+            if attr not in actions:
+                raise ValueError(f"config key {key!r} names no option of {' '.join(names)!r}")
+            if value is not None:
+                setattr(args, attr, _config_value(actions[attr], key, value))
+        # The leaf reads its own flags again over the file's values, so flags win.
+        args = args.leaf.parse_args(argv[len(names):], args)
+    # The one rule for needed options: the leaf's own, then, in order, those its modes read.
+    reads = (*args.needs, *args.modes.get(getattr(args, "mode", None), ()))
+    for option in dict.fromkeys((*args.needs, *itertools.chain(*args.modes.values()))):
+        given = getattr(args, option) is not None
+        if given != (option in reads):
+            who = " ".join(names) if option in args.needs else f"--mode {args.mode}"
+            raise ValueError(f"{who} {'does not read' if given else 'needs'} --{option}")
+    return args
 
 
 def _run_forward(path: str, model: ssm_mod.DiagonalSsm, x: np.ndarray) -> np.ndarray:
@@ -209,12 +216,6 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 def cmd_check_dual(args: argparse.Namespace) -> int:
     mode = args.mode
-    # The options the mode reads: it needs each of them and takes no other.
-    reads = ("matrix", "N") if mode == "representability" else ("ssm",)
-    for option in ("ssm", "matrix", "N"):
-        given = getattr(args, option) is not None
-        if given != (option in reads):
-            raise ValueError(f"--mode {mode} {'does not read' if given else 'needs'} --{option}")
     write = _writer(args.out, f"a {mode} report", json=json.dumps)
     if mode == "representability":
         report = duality.representability_report(_load_matrix(args.matrix), args.N, args.eps)
@@ -308,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, run, *shared: str) -> None:
+    def common(p: argparse.ArgumentParser, run, *shared: str, needs=(), modes=None) -> None:
         """``p`` runs ``run`` and takes --out and --config, plus those of --eps, --format and
-        --seed named in ``shared`` (a command with --seed draws random data and demands it)."""
-        p.set_defaults(run=run, leaf=p)
+        --seed named in ``shared``. It needs ``needs`` and any --seed (help ends "(required)"),
+        ``modes`` maps each --mode to the options it alone reads, and --config may give any."""
         if "eps" in shared:
             p.add_argument(
                 "--eps", type=tolerance, default=DEFAULT_EPS,
@@ -325,38 +326,43 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--config", help="JSON file supplying defaults for flags")
         if "seed" in shared:
-            p.add_argument("--seed", type=int, help="seed of the random draw (mandatory)")
+            p.add_argument("--seed", type=int, help="seed of the random draw")
+            needs = (*needs, "seed")
+        for action in (a for a in p._actions if a.dest in needs):
+            action.help += " (required)"
+        p.set_defaults(run=run, leaf=p, needs=needs, modes=modes or {})
 
     p_forward = sub.add_parser("forward", help="run a model on an input sequence")
-    p_forward.add_argument("--ssm", required=True, help="model JSON file")
-    p_forward.add_argument("--input", required=True, help="input sequence file")
+    p_forward.add_argument("--ssm", help="model JSON file")
+    p_forward.add_argument("--input", help="input sequence file")
     p_forward.add_argument(
         "--path", choices=(*ssm_mod.FORWARD_PATHS, "all"), default="all",
         help="forward path, or all three compared (default %(default)s)",
     )
-    common(p_forward, cmd_forward, "eps", "format")
+    common(p_forward, cmd_forward, "eps", "format", needs=("ssm", "input"))
 
     p_check = sub.add_parser("check-dual", help="build or decide masked-attention duals")
-    p_check.add_argument(
-        "--mode", choices=("scalar-identity", "full-rank", "representability"), required=True
-    )
+    modes = {
+        "scalar-identity": ("ssm",), "full-rank": ("ssm",), "representability": ("matrix", "N"),
+    }
+    p_check.add_argument("--mode", choices=tuple(modes), help="what to build or decide")
     p_check.add_argument("--ssm", help="model JSON file (constructive modes)")
     p_check.add_argument("--matrix", help="matrix file (representability mode)")
     p_check.add_argument("--N", type=int, help="factor width (representability mode)")
-    common(p_check, cmd_check_dual, "eps")
+    common(p_check, cmd_check_dual, "eps", needs=("mode",), modes=modes)
 
     p_extract = sub.add_parser("extract", help="recover a state-space representation")
-    p_extract.add_argument("--matrix", required=True, help="matrix file")
-    p_extract.add_argument("--N", type=int, required=True, help="representation width")
-    common(p_extract, cmd_extract, "eps")
+    p_extract.add_argument("--matrix", help="matrix file")
+    p_extract.add_argument("--N", type=int, help="representation width")
+    common(p_extract, cmd_extract, "eps", needs=("matrix", "N"))
 
     p_counter = sub.add_parser("counterexample", help="run an impossibility demonstration")
     demos = p_counter.add_subparsers(dest="kind", required=True)
     c_softmax = demos.add_parser("softmax", help="softmax of a rank-1 score matrix is full rank")
     c_non_dual = demos.add_parser("non-dualizable", help="a width-2 recurrence kernel with no dual")
     for p in (c_softmax, c_non_dual):
-        p.add_argument("--T", type=int, required=True, help="matrix size")
-        common(p, cmd_counterexample, "format")
+        p.add_argument("--T", type=int, help="matrix size")
+        common(p, cmd_counterexample, "format", needs=("T",))
     c_non_dual.add_argument(
         "--N", type=int, default=2, help="dual width to refute (default %(default)s)"
     )
@@ -405,8 +411,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(_parser(), sys.argv[1:] if argv is None else argv)
-        if getattr(args, "seed", 0) is None:
-            raise ValueError(f"{args.command} is randomized; --seed is mandatory")
         return args.run(args)
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
@@ -414,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReconstructionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -36,7 +36,6 @@ from .ss_matrix import (
     check_sizes,
     diagonal_block_partition,
     json_record,
-    rel_err,
 )
 from .ssm import DiagonalSsm, materialize_kernel  # noqa: F401 -- perfbench/spans.py times it
 
@@ -169,8 +168,7 @@ def representability_report(
         "representable": _within_width(blocks, width),
     }
     if report["representable"]:
-        factors, back = _construct(m, blocks, width, eps)
-        report["reconstruction_rel_residual"] = rel_err(back, m.values)
+        factors, report["reconstruction_rel_residual"] = _construct(m, blocks, width, eps)
         report["factors"] = factors.to_dict()
     return report
 
@@ -246,7 +244,7 @@ def _rounding_bound(p: np.ndarray, q: np.ndarray, k: np.ndarray) -> float:
 
 
 def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tuple:
-    """``construct_one_ss_dual`` from the sweep ``blocks`` of ``m``, plus its materialization."""
+    """``construct_one_ss_dual`` from the sweep ``blocks`` of ``m``, and its relative residual."""
     if not _within_width(blocks, width):
         raise NotRepresentableError(
             f"matrix has a diagonal block with more than {width} new columns"
@@ -264,7 +262,8 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
         k[b.start : b.end, : k_block.shape[1]] = k_block
         dropped = np.hypot(dropped, np.linalg.norm(vals[b.start : b.end, : b.start]))
         misses = np.hypot(misses, block_misses)
-    gate = eps * float(np.linalg.norm(vals))
+    norm = float(np.linalg.norm(vals))
+    gate = eps * norm
     budget = {
         "dropped mass": float(dropped),
         "fit residuals": float(misses),
@@ -285,7 +284,8 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
             f"re-materialization residual {residual:.3e} exceeds "
             f"{eps:.1e} * |M| = {gate:.3e}"
         )
-    return factors, back
+    denom = max(float(np.linalg.norm(back)), norm)  # as ss_matrix.rel_err(back, vals)
+    return factors, residual / denom if denom else residual
 
 
 def kernel_residual(ssm: DiagonalSsm, factors: MaskedAttentionFactors) -> float:

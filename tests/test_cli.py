@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shlex
 import stat
 import subprocess
@@ -614,6 +615,21 @@ GEN_DEFAULTS = {
     "matrix": ("--T", "16"),
 }
 
+#: Each leaf, and each check-dual mode, with every option it needs and a value for each.
+NEEDED = {
+    "forward": (("forward",), {"ssm": "ssm.json", "input": "x.csv"}),
+    "check-dual-scalar-identity": (("check-dual",), {"mode": "scalar-identity", "ssm": "si.json"}),
+    "check-dual-full-rank": (("check-dual",), {"mode": "full-rank", "ssm": "ssm.json"}),
+    "check-dual-representability": (
+        ("check-dual",), {"mode": "representability", "matrix": "corner5.csv", "N": 4}
+    ),
+    "extract": (("extract",), {"matrix": "corner5.csv", "N": 4}),
+    "counterexample-softmax": (("counterexample", "softmax"), {"T": 4}),
+    "counterexample-non-dualizable": (("counterexample", "non-dualizable"), {"T": 5}),
+    "bench": (("bench",), {"seed": 1}),
+    **{f"gen-{kind}": (("gen", kind), {"seed": 1}) for kind in GEN_DEFAULTS},
+}
+
 
 class TestDefaults:
     """Each command gives the same result bare and with every default spelled out."""
@@ -749,6 +765,67 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error") and repr(key) in proc.stderr
+
+    @pytest.mark.parametrize("case", list(NEEDED))
+    def test_every_needed_option_may_come_from_the_file(self, workdir, case):
+        leaf, needed = NEEDED[case]
+        scalar_identity, _ = random_instance(29, 10, 3, 1, scalar_identity=True)
+        (workdir / "si.json").write_text(scalar_identity.to_json())
+        (workdir / "cfg.json").write_text(json.dumps(needed))
+        flags = [word for key, value in needed.items() for word in (f"--{key}", str(value))]
+        # The bench table has only a CSV form, so only a .csv name holds it.
+        suffix = ".csv" if leaf[0] == "bench" else ".out"
+        via_file = run_cli(*leaf, "--config", "cfg.json", "--out", "file" + suffix, cwd=workdir)
+        via_flag = run_cli(*leaf, *flags, "--out", "flag" + suffix, cwd=workdir)
+        assert via_flag.returncode == 0
+        assert (via_file.returncode, via_file.stdout, via_file.stderr) == (
+            via_flag.returncode, via_flag.stdout, via_flag.stderr
+        )
+        written = [(workdir / (name + suffix)).read_bytes() for name in ("file", "flag")]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "case, missing",
+        [(case, key) for case, (_, needed) in NEEDED.items() for key in needed],
+        ids=str,
+    )
+    def test_a_missing_needed_option_is_named(self, workdir, monkeypatch, capsys, case, missing):
+        leaf, needed = NEEDED[case]
+        rest = {key: value for key, value in needed.items() if key != missing}
+        (workdir / "cfg.json").write_text(json.dumps(rest))
+        monkeypatch.chdir(workdir)
+        assert cli.main([*leaf, "--config", "cfg.json", "--out", "out.json"]) == 2
+        who = f"--mode {needed['mode']}" if "mode" in rest else " ".join(leaf)
+        assert capsys.readouterr() == ("", f"input error: {who} needs --{missing}\n")
+        assert not (workdir / "out.json").exists()
+
+
+class TestOversizedRequests:
+    """A size too large to allocate is an input error, with no traceback and no output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "matrix", "--seed", "1", "--T", "100000"),
+            ("extract", "--matrix", "m.csv", "--N", "200000"),
+            ("check-dual", "--mode", "representability", "--matrix", "m.csv", "--N", "300000000"),
+        ],
+        ids=["gen-matrix", "extract", "check-dual"],
+    )
+    def test_exit_two_under_an_address_space_limit(self, workdir, argv):
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        (workdir / "m.csv").write_text(non_dualizable_matrix(6).to_csv())
+        proc = run_ssdlab(
+            [*argv, "--out", "out.json"], cwd=workdir, capture_output=True, text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: Unable to allocate ")
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "out.json").exists()
 
 
 class TestParserTree:
