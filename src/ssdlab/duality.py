@@ -43,7 +43,12 @@ from .ssm import DiagonalSsm, materialize_kernel  # noqa: F401 -- perfbench/span
 @json_record({"p": "p", "Q": "Q", "K": "K"})
 @dataclass(frozen=True)
 class MaskedAttentionFactors:
-    """A 1SS mask vector plus query/key factors realizing mask * (Q K^T)."""
+    """A 1SS mask vector plus query/key factors realizing mask * (Q K^T).
+
+    It is also the scalar-identity SSM h_t = p_t h_{t-1} + K_t^T x_t, y_t = Q_t h_t, run by
+    the O(T) paths; p[0] multiplies only the zero start state. A model's dual has the model's
+    state over the ratio products, which can overflow where ``forward_materialized`` is accurate.
+    """
 
     p: np.ndarray
     Q: np.ndarray
@@ -63,6 +68,10 @@ class MaskedAttentionFactors:
     @property
     def N(self) -> int:
         return self.Q.shape[1]
+
+    def _diagonal(self):
+        """The (gains, in, out) triple that ``ssm._chunks`` runs: p as a (T, 1) column, K and Q."""
+        return self.p[:, None], self.K, self.Q
 
     def _panels(self):
         """Row panels of mask * (Q K^T); the upper triangle of Q K^T is never formed."""

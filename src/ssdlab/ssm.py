@@ -4,8 +4,10 @@ Three routes from inputs to outputs: the materialized T x T kernel and two
 O(NTd) routes, the recurrence and the ssd path. Those two share one chunked
 loop, ``_chunks`` (one ``scan`` per chunk of steps), and differ only in how
 they sum over modes: a batched matrix product, or ``ascending_sum``, the one
-ordered reduction. ``FORWARD_PATHS`` names the three routes. ``bench``'s
-counted kernels run on ``scan`` and ``ascending_sum`` too.
+ordered reduction. The loop reads a record's (gains, in, out) triple, so all
+three routes take a ``DiagonalSsm`` or ``MaskedAttentionFactors`` (and the
+materialized one a ``GeneralSssRepresentation``). ``FORWARD_PATHS`` names them;
+``bench``'s counted kernels run on ``scan`` and ``ascending_sum`` too.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class DiagonalSsm:
         """True when every step's diagonal entries are all equal (exactly)."""
         return bool(np.all(self.a_diag == self.a_diag[:, :1]))
 
+    def _diagonal(self):
+        """The (gains, in, out) triple that ``_chunks`` runs: a, b and c."""
+        return self.a_diag, self.b, self.c
+
     def _panels(self):
         """The kernel's row panels: the panel walk with gains a, c on the left and b on the right."""
         return _segment_product_panels(self.a_diag, self.c, self.b)
@@ -77,8 +83,7 @@ class DiagonalSsm:
 def _check_sequence(model, x: np.ndarray) -> np.ndarray:
     """The one input-sequence rule: ``x`` as a (T, d) float array, T being ``model.T``, d >= 1.
 
-    Its entries must be finite. ``model`` is anything with a step count
-    ``T``: a model or its factors.
+    Its entries must be finite. ``model`` is any record with a step count ``T``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -94,30 +99,31 @@ def _check_sequence(model, x: np.ndarray) -> np.ndarray:
 _CHUNK = 256
 
 
-def _chunks(ssm: DiagonalSsm, x: np.ndarray):
-    """(lo, hi, states) of each chunk of ``_CHUNK`` steps: h_t = a_t * h_{t-1} + b_t x_t.
+def _chunks(record, x: np.ndarray):
+    """(lo, hi, out[lo:hi], states) per ``_CHUNK`` steps of h_t = g_t * h_{t-1} + in_t x_t.
 
-    A chunk's b_t x_t are one product and its states one ``scan`` on from the
-    last chunk's final state (zeros first): the plain step loop's operations,
-    in its order. One chunk of states is held at a time, never O(T N d).
+    (g, in, out) is ``record._diagonal()``. A chunk's in_t x_t are one product and
+    its states one ``scan`` on from the last chunk's final state (zeros first):
+    the plain step loop's operations, in its order. One chunk is held at a time.
     """
-    h = np.zeros((ssm.N, x.shape[1]))
-    for lo in range(0, ssm.T, _CHUNK):
-        hi = min(lo + _CHUNK, ssm.T)
-        states = scan(ssm.a_diag[lo:hi], ssm.b[lo:hi, :, None] * x[lo:hi, None, :], h)
-        yield lo, hi, states
+    gains, inw, outw = record._diagonal()
+    h = np.zeros((inw.shape[1], x.shape[1]))
+    for lo in range(0, record.T, _CHUNK):
+        hi = min(lo + _CHUNK, record.T)
+        states = scan(gains[lo:hi], inw[lo:hi, :, None] * x[lo:hi, None, :], h)
+        yield lo, hi, outw[lo:hi], states
         h = states[-1]
 
 
-def forward_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """Reference O(TNd) scan: h_t = a_t * h_{t-1} + b_t x_t, y_t = c_t h_t.
+def forward_recurrence(record, x: np.ndarray) -> np.ndarray:
+    """Reference O(TNd) scan of a diagonal record: h_t = a_t h_{t-1} + b_t x_t, y_t = c_t h_t.
 
     Each chunk's c_t h_t is one batched matrix product: the step loop's output, bit for bit.
     """
-    x = _check_sequence(ssm, x)
+    x = _check_sequence(record, x)
     y = np.empty(x.shape)
-    for lo, hi, states in _chunks(ssm, x):
-        np.matmul(ssm.c[lo:hi, None, :], states, out=y[lo:hi, None, :])
+    for lo, hi, out, states in _chunks(record, x):
+        np.matmul(out[:, None, :], states, out=y[lo:hi, None, :])
     return y
 
 
@@ -127,31 +133,11 @@ def materialize_kernel(ssm: DiagonalSsm) -> LowerTriangularMatrix:
 
 
 def forward_materialized(realization, x: np.ndarray) -> np.ndarray:
-    """Quadratic path: each row panel of the kernel is applied to x as it is built.
+    """Quadratic path: each row panel of the record's kernel is applied to x as it is built.
 
-    ``realization`` is any record with a panel stream: a ``DiagonalSsm``,
-    ``MaskedAttentionFactors`` or a ``GeneralSssRepresentation``. Only one
-    panel is held at a time, never the whole T x T kernel.
+    Only one panel is held at a time, never the whole T x T kernel.
     """
     return _apply(realization._panels(), _check_sequence(realization, x))
-
-
-def _check_rows(vec: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a per-row vector against rows of ``y``; return it ready to broadcast.
-
-    Either a (T,) vector against a (T, d) matrix, or a (T, N) matrix
-    against a (T, N, d) array with a trailing mode axis; T must be at least 1.
-    """
-    vec = np.asarray(vec, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if vec.ndim not in (1, 2) or y.ndim != vec.ndim + 1 or y.shape[: vec.ndim] != vec.shape:
-        if vec.ndim == 2:
-            want = "a (T, N) matrix and a (T, N, d) array"
-        else:
-            want = "a length-T vector and a (T, d) matrix"
-        raise ShapeMismatchError(f"need {want}, got {vec.shape} and {y.shape}")
-    check_sizes(T=y.shape[0])
-    return vec[..., None], y
 
 
 def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -159,10 +145,15 @@ def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> n
 
     Row -1 is ``start`` (one row's shape), so row 0 is gains[0] * start + y[0];
     with no ``start``, row 0 is copied through and gains[0] is never read.
-    With (T, N) gains and a (T, N, d) ``y``, every mode runs its own
-    recurrence. Each row is written in place, a multiply and then an add.
+    Gains have one axis fewer than ``y``: (T,) against (T, d), or (T, N) or (T, 1)
+    against (T, N, d), each mode running its own recurrence (a (T, 1) column
+    serves them all). Each row is written in place, a multiply and then an add.
     """
-    gains, y = _check_rows(gains, y)
+    gains, y = np.asarray(gains, dtype=float), np.asarray(y, dtype=float)
+    if y.ndim not in (2, 3) or gains.shape not in (y.shape[:-1], (len(y),) + (1,) * (y.ndim - 2)):
+        raise ShapeMismatchError(f"need (T,) gains for (T, d) rows, or (T, N) or (T, 1) gains "
+                                 f"for (T, N, d) rows, got {gains.shape} and {y.shape}")
+    check_sizes(T=y.shape[0])
     out = np.empty_like(y)
     if start is None:
         out[0] = prev = y[0]
@@ -171,7 +162,7 @@ def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> n
         prev, rows = np.asarray(start, dtype=float), out
         if prev.shape != y.shape[1:]:
             raise ShapeMismatchError(f"start must have shape {y.shape[1:]}, got {prev.shape}")
-    for gain, row, cur in zip(gains, y, rows):
+    for gain, row, cur in zip(gains[..., None], y, rows):
         np.multiply(gain, prev, out=cur)
         cur += row
         prev = cur
@@ -192,16 +183,16 @@ def ascending_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     return total
 
 
-def forward_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
-    """O(NTd) path: scale, scan and scale every mode, then an ordered reduction.
+def forward_ssd(record, x: np.ndarray) -> np.ndarray:
+    """O(NTd) path of a diagonal record: scale, scan and scale each mode, then an ordered sum.
 
     Each chunk sums its modes in ascending order, so the result is reproducible
     and equals the counted kernel bit for bit.
     """
-    x = _check_sequence(ssm, x)
+    x = _check_sequence(record, x)
     y = np.empty(x.shape)
-    for lo, hi, states in _chunks(ssm, x):
-        y[lo:hi] = ascending_sum(ssm.c[lo:hi, :, None] * states, axis=1)
+    for lo, hi, out, states in _chunks(record, x):
+        y[lo:hi] = ascending_sum(out[:, :, None] * states, axis=1)
     return y
 
 

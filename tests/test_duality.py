@@ -30,6 +30,7 @@ from ssdlab.errors import (
 from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
 from ssdlab.ss_matrix import LowerTriangularMatrix, new_columns
 from ssdlab.ssm import (
+    FORWARD_PATHS,
     DiagonalSsm,
     forward_materialized,
     forward_recurrence,
@@ -237,29 +238,80 @@ class TestMaskedAttentionForward:
         factors = scalar_identity_dual(ssm)
         assert rel_fro(forward_materialized(factors, x), forward_recurrence(ssm, x)) <= 1e-10
 
-    def test_zero_input(self):
+    @pytest.mark.parametrize("path", list(FORWARD_PATHS))
+    def test_zero_input(self, path):
         ssm, _ = random_instance(36, 8, 2, 2)
         factors = scalar_identity_dual(DiagonalSsm(np.ones((8, 2)), ssm.b, ssm.c))
-        assert np.array_equal(forward_materialized(factors, np.zeros((8, 2))), np.zeros((8, 2)))
+        assert np.array_equal(FORWARD_PATHS[path](factors, np.zeros((8, 2))), np.zeros((8, 2)))
 
-    def test_zero_mask_acts_diagonally(self):
+    @pytest.mark.parametrize("path", list(FORWARD_PATHS))
+    def test_zero_mask_acts_diagonally(self, path):
         rng = np.random.default_rng(37)
         q = rng.standard_normal((5, 3))
         k = rng.standard_normal((5, 3))
         x = rng.standard_normal((5, 2))
         factors = MaskedAttentionFactors(np.zeros(5), q, k)
         expected = np.einsum("tn,tn->t", q, k)[:, None] * x
-        assert np.allclose(forward_materialized(factors, x), expected, rtol=1e-13)
+        assert np.allclose(FORWARD_PATHS[path](factors, x), expected, rtol=1e-13)
 
     @pytest.mark.parametrize("steps, width", [(0, 2), (3, 0)], ids=["T=0", "width=0"])
     def test_empty_factors_are_refused(self, steps, width):
         with pytest.raises(ShapeMismatchError, match="at least 1"):
             MaskedAttentionFactors(np.ones(steps), np.ones((steps, width)), np.ones((steps, width)))
 
-    def test_an_input_without_channels_is_refused(self):
+    @pytest.mark.parametrize("path", list(FORWARD_PATHS))
+    def test_an_input_without_channels_is_refused(self, path):
         factors = MaskedAttentionFactors(np.ones(3), np.ones((3, 2)), np.ones((3, 2)))
         with pytest.raises(ShapeMismatchError, match="got d=0"):
-            forward_materialized(factors, np.zeros((3, 0)))
+            FORWARD_PATHS[path](factors, np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("a_abs", [(0.0, 2.0), (0.5, 1.0), (0.95, 1.05)], ids=str)
+    @pytest.mark.parametrize("steps", [1, 255, 600])
+    def test_full_rank_duals_agree_on_every_path(self, a_abs, steps):
+        """The factors' O(T) outputs match their materialized output and the model's."""
+        for seed in range(4):
+            ssm, x = random_instance(seed, steps, 4, 3, a_abs=a_abs)
+            factors = full_rank_one_ss_dual(ssm)
+            materialized = forward_materialized(factors, x)
+            model = forward_recurrence(ssm, x)
+            assert rel_fro(materialized, model) <= 1e-10, seed
+            for path in ("recurrence", "ssd"):
+                y = FORWARD_PATHS[path](factors, x)
+                assert rel_fro(y, materialized) <= 1e-10, (seed, path)
+                assert rel_fro(y, model) <= 1e-10, (seed, path)
+
+    @pytest.mark.parametrize("path", list(FORWARD_PATHS))
+    def test_the_first_mask_gain_is_never_felt(self, path):
+        """p[0] multiplies only the zero start state, so no value of it changes the output."""
+        rng = np.random.default_rng(42)
+        p = rng.uniform(0.5, 1.5, 20)
+        q, k = rng.standard_normal((2, 20, 3))
+        x = rng.standard_normal((20, 2))
+        outputs = []
+        for first in (-7.0, 0.0, 1e300):
+            p[0] = first
+            outputs.append(FORWARD_PATHS[path](MaskedAttentionFactors(p, q, k), x))
+        assert all(np.array_equal(y, outputs[0]) for y in outputs[1:])
+
+    def test_the_linear_paths_carry_the_model_state_over_the_ratio_products(self):
+        """Mode 1 decays 100 times faster than the mask, so K grows as 100^t.
+
+        The factor state overflows from step 145 on, while the materialized path,
+        which forms only products Q_t K_s of finite size, stays accurate.
+        """
+        rng = np.random.default_rng(0)
+        gains = np.ones((150, 2))
+        gains[1:, 1] = 0.01
+        ssm = DiagonalSsm(gains, *rng.standard_normal((2, 150, 2)))
+        x = rng.standard_normal((150, 2)) * 1e20
+        factors = full_rank_one_ss_dual(ssm)
+        assert 1e297 < np.abs(factors.K).max() < 1e298
+        for path in ("recurrence", "ssd"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = FORWARD_PATHS[path](factors, x)
+            finite = np.isfinite(y).all(axis=1)
+            assert finite[:145].all() and not finite[145:].any(), path
+        assert rel_fro(forward_materialized(factors, x), forward_recurrence(ssm, x)) <= 1e-15
 
 
 class TestMaterializeFactors:

@@ -24,6 +24,8 @@ def test_experiment_scripts_run_and_report_their_findings(tmp_path):
     agreement = run_script("run_agreement.py", "--instances", "5", cwd=tmp_path)
     worst = re.search(r"worst relative Frobenius error: (\S+)", agreement)
     assert float(worst.group(1)) < 1e-10, agreement
+    dual = re.search(r"worst dual-factors-vs-model error: (\S+) \((\d+) duals refused\)", agreement)
+    assert float(dual.group(1)) < 1e-10 and dual.group(2) == "0", agreement
 
     tables = run_script("run_counterexamples.py", "--max-T", "5", cwd=tmp_path)
     softmax, corner = tables.split("\n\n")

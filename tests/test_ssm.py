@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ssdlab import ss_matrix
 from ssdlab import ssm as ssm_mod
-from ssdlab.duality import one_ss
+from ssdlab.duality import one_ss, scalar_identity_dual
 from ssdlab.errors import ShapeMismatchError
 from ssdlab.ss_matrix import semiseparable_rank
 from ssdlab.ssm import (
@@ -68,6 +68,17 @@ def signed_gains_with_zeros(rng, steps, modes):
     return gains
 
 
+def model_and_dual(gains, b, c):
+    """(record, model) pairs whose linear paths must give the model's step loop bit for bit.
+
+    The model itself, and the dual of the model with mode 0's gains in every
+    mode: its (T, 1) mask column, Q = c and K = b take the same steps.
+    """
+    model = DiagonalSsm(gains, b, c)
+    scalar = DiagonalSsm(np.repeat(gains[:, :1], gains.shape[1], axis=1), b, c)
+    return [(model, model), (scalar_identity_dual(scalar), scalar)]
+
+
 def unit_gain_ssm(steps):
     ones = np.ones((steps, 1))
     return DiagonalSsm(ones, ones, ones)
@@ -104,18 +115,22 @@ class TestForwardRecurrence:
         rng = np.random.default_rng(steps * 100 + modes * 10 + channels)
         gains = signed_gains_with_zeros(rng, steps, modes)
         gains[1::2, 0] = 0.0
-        model = DiagonalSsm(gains, *rng.standard_normal((2, steps, modes)))
+        b, c = rng.standard_normal((2, steps, modes))
         x = rng.standard_normal((steps, channels))
-        assert FORWARD_PATHS[path](model, x).tobytes() == STEP_LOOPS[path](model, x).tobytes()
+        for record, model in model_and_dual(gains, b, c):
+            got = FORWARD_PATHS[path](record, x)
+            assert got.tobytes() == STEP_LOOPS[path](model, x).tobytes(), type(record).__name__
 
     @pytest.mark.parametrize("path", list(STEP_LOOPS))
     def test_full_chunks_are_bitwise_the_step_loop(self, path):
         steps = 2 * ssm_mod._CHUNK + 3
         rng = np.random.default_rng(17)
         gains = signed_gains_with_zeros(rng, steps, 5)
-        model = DiagonalSsm(gains, *rng.standard_normal((2, steps, 5)))
+        b, c = rng.standard_normal((2, steps, 5))
         x = rng.standard_normal((steps, 4))
-        assert FORWARD_PATHS[path](model, x).tobytes() == STEP_LOOPS[path](model, x).tobytes()
+        for record, model in model_and_dual(gains, b, c):
+            got = FORWARD_PATHS[path](record, x)
+            assert got.tobytes() == STEP_LOOPS[path](model, x).tobytes(), type(record).__name__
 
     @pytest.mark.parametrize("path", list(STEP_LOOPS))
     def test_working_memory_does_not_grow_with_steps(self, path):
@@ -381,6 +396,22 @@ class TestScan:
     def test_zero_rows_are_a_size_error(self, vec, y):
         with pytest.raises(ShapeMismatchError, match="at least 1, got T=0"):
             scan(vec, y)
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_a_gain_column_is_bitwise_the_gains_broadcast_over_modes(self, with_start):
+        rng = np.random.default_rng(41)
+        gains = signed_gains_with_zeros(rng, 37, 1)
+        y = rng.standard_normal((37, 5, 3))
+        start = rng.standard_normal((5, 3)) if with_start else None
+        broadcast = np.broadcast_to(gains, (37, 5)).copy()
+        assert scan(gains, y, start).tobytes() == scan(broadcast, y, start).tobytes()
+
+    @pytest.mark.parametrize("gains, y", [(np.ones((3, 1)), np.zeros((3, 4))),
+                                          (np.ones((3, 2)), np.zeros((3, 3, 4)))],
+                             ids=["column against 2-D rows", "two modes against three"])
+    def test_gains_must_have_the_rows_leading_shape_or_one_column(self, gains, y):
+        with pytest.raises(ShapeMismatchError, match="need"):
+            scan(gains, y)
 
 
 class TestAscendingSum:
