@@ -17,11 +17,12 @@ per-mode materializations of ``attention_like_decomposition``,
 panels of 32 rows and a ragged one); ``kernel_residual`` of a T=600 model
 and its ``full_rank_one_ss_dual`` (18 full panels and a ragged one);
 ``extract_sss`` (A, b, c and r),
-``semiseparable_rank`` and the per-block new-column verdicts and span-fit
-coefficients of ``count_block_new_columns`` of a random width-4
-representation and of a kernel cut by three zero gains, both at T=256, and
-the verdicts and coefficients of a matrix whose sweep refactors and widens
-its carry; plus the exit code, stdout, stderr, warning
+``semiseparable_rank`` and the per-block new-column verdicts, span-fit
+coefficients and warning texts (in order) of ``count_block_new_columns``
+of a random width-4 representation and of a kernel cut by three zero
+gains, both at T=256, of a matrix whose sweep refactors and widens its
+carry, and of a 4 x 4 matrix whose column 1 lies in the borderline band;
+plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128, at T=600, where the kernel panel walk runs 18 full panels and a ragged one,
 and on the T=600 model whose carried weights fall below the normal range),
@@ -56,7 +57,8 @@ the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
 T=256, built by ``perfbench/workloads.py``, imported read-only): the
 per-block new-column verdicts, the exit code of ``check-dual --mode
 representability --N 4`` and the ranks ``extract_sss`` gives at width 4, or
-the class of the error it raises. Arrays are
+the class of the error it raises, each with the texts of the warnings the
+call raised, in order. Arrays are
 compared by their bytes; an array whose bytes differ but whose values
 compare equal differs only in the sign of zeros, and is reported as such.
 Arrays that differ in value are reported with their relative Frobenius
@@ -137,6 +139,28 @@ def _big_row_matrix(rng: np.random.Generator):
     vals[20] *= 1e16
     vals[-1, 0] = 1e8
     return LowerTriangularMatrix(vals)
+
+
+def _planted_band_matrix():
+    """tril(ones(4)) with M[3, 0] = 1 + 3e-9: column 1 misses column 0's span by about 3e-9,
+    inside the borderline band of its threshold, so its span test warns."""
+    from ssdlab.ss_matrix import LowerTriangularMatrix
+
+    vals = np.tril(np.ones((4, 4)))
+    vals[3, 0] = 1 + 3e-9
+    return LowerTriangularMatrix(vals)
+
+
+@contextlib.contextmanager
+def _warning_texts(out: dict[str, object], key: str):
+    """Record the texts of the warnings raised inside, in order, as ``out[key]``; an error
+    raised inside still records them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            out[key] = [str(w.message) for w in caught]
 
 
 def _span_coeffs(blocks) -> np.ndarray:
@@ -340,8 +364,12 @@ def dump() -> dict[str, object]:
         for attr in ("A", "b", "c", "r"):
             out[f"extract_sss/{name}/{attr}"] = getattr(rep, attr)
         out[f"semiseparable_rank/{name}"] = semiseparable_rank(m)
-    for name, m in {**extraction_inputs, "big-row": _big_row_matrix(rng)}.items():
-        blocks = count_block_new_columns(m)
+    probes = {
+        **extraction_inputs, "big-row": _big_row_matrix(rng), "planted-band": _planted_band_matrix()
+    }
+    for name, m in probes.items():
+        with _warning_texts(out, f"count_block_new_columns/{name}/warnings"):
+            blocks = count_block_new_columns(m)
         out[f"count_block_new_columns/{name}"] = [(b.start, b.end, b.new) for b in blocks]
         out[f"count_block_new_columns/{name}/coeffs"] = _span_coeffs(blocks)
     out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
@@ -363,8 +391,7 @@ def _theory_outcomes() -> dict[str, object]:
 
     spec = workloads.WORKLOADS["theory"]
     out: dict[str, object] = {}
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "m.csv"
         for seed in THEORY_SEEDS:
             rng = workloads._rng(seed, "theory", "main")
@@ -372,19 +399,21 @@ def _theory_outcomes() -> dict[str, object]:
                 for family, vals in workloads._theory_matrices(rng, spec["T"], spec["N"]).items():
                     m = LowerTriangularMatrix(np.tril(vals))
                     key = f"theory/{seed}/{family}-{index}"
-                    blocks = count_block_new_columns(m)
+                    with _warning_texts(out, f"{key}/new-columns/warnings"):
+                        blocks = count_block_new_columns(m)
                     out[f"{key}/new-columns"] = [(b.start, b.end, b.new) for b in blocks]
                     csv.write_text(m.to_csv())
                     argv = ["check-dual", "--mode", "representability", "--matrix", str(csv),
                             "--N", str(spec["N"]), "--out", str(Path(tmp) / "out.json")]
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
                         io.StringIO()
-                    ):
+                    ), _warning_texts(out, f"{key}/check-dual/warnings"):
                         out[f"{key}/check-dual"] = cli.main(argv)
-                    try:
-                        out[f"{key}/extract"] = extract_sss(m, spec["N"]).r
-                    except SsdError as exc:
-                        out[f"{key}/extract"] = type(exc).__name__
+                    with _warning_texts(out, f"{key}/extract/warnings"):
+                        try:
+                            out[f"{key}/extract"] = extract_sss(m, spec["N"]).r
+                        except SsdError as exc:
+                            out[f"{key}/extract"] = type(exc).__name__
     return out
 
 

@@ -211,7 +211,6 @@ def _block_factors(block: np.ndarray, b: BlockNewColumns) -> tuple[np.ndarray, n
     """Q and K of one block, and the norm of its refined fits' residuals."""
     q = block[:, list(b.new)]
     k = np.zeros(q.shape)
-    cols = block.T.copy()  # cols[t, t:] is column t on and below the diagonal
     misses = []
     live = 0  # new columns before t
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
@@ -222,7 +221,7 @@ def _block_factors(block: np.ndarray, b: BlockNewColumns) -> tuple[np.ndarray, n
                 continue
             if coeffs is None:  # a zero column
                 continue
-            basis, col = q[t:, :live], cols[t, t:]
+            basis, col = q[t:, :live], block[t:, t]
             row = coeffs @ k[:t, :live]
             miss = col - basis @ row
             if not (np.isfinite(row).all() and np.isfinite(miss).all()):

@@ -160,7 +160,7 @@ def check_sizes(**sizes: int) -> None:
         raise ShapeMismatchError(f"sizes must be at least 1, got {small}")
 
 
-def _check_finite(arr: np.ndarray, name: str = "matrix") -> None:
+def _check_finite(arr: np.ndarray, name: str) -> None:
     """The one finiteness rule for entries, built or read; the message calls them ``name``."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
@@ -321,7 +321,7 @@ def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarr
         head = heads * gains[lo] if lo else heads  # gains[0] is never read
         panel[:, :dead] = 0.0
         np.matmul(left[lo:hi] * head, carry[dead:lo].T, out=panel[:, dead:lo])
-        _check_finite(panel)
+        _check_finite(panel, "kernel")
         yield lo, hi, panel
         live = carry[dead:hi]
         live[: lo - dead] *= head[-1]
@@ -366,7 +366,8 @@ class SweepStep(NamedTuple):
     ``rank`` counts the singular values above eps * s[0], and ``keep`` those
     above ``rounding``, block t's rounding level: they make the next carry.
     ``widened`` is set when a refactor left the carry over one column wider
-    than the step before's.
+    than the step before's. ``norm`` is column t's, from the sweep's one norm
+    pass: the refactor trigger and ``_span_fits``' threshold read it.
     """
 
     carry: np.ndarray
@@ -380,6 +381,7 @@ class SweepStep(NamedTuple):
     rounding: float
     keep: int
     widened: bool
+    norm: float
 
 
 def _block_sweep(vals: np.ndarray, eps: float):
@@ -405,7 +407,8 @@ def _block_sweep(vals: np.ndarray, eps: float):
     (at most block t's s[0], which stands in for a zero column), L[1:] and
     Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
     ``vals`` is lower triangular, so its column norms, taken in one call,
-    are those of the columns on and below the diagonal.
+    are those of the columns on and below the diagonal. No column is normed
+    alone: shaped (n,) or (n, 1) it is summed pairwise, off in the last bit.
 
     Each step writes G_t into one fresh array: the next carry as the
     product of the step's u[1:] and s, and column t in its last column.
@@ -421,7 +424,8 @@ def _block_sweep(vals: np.ndarray, eps: float):
         col = vals[t:, t]
         pair[:, -1] = col
         u, s, vh = np.linalg.svd(pair, full_matrices=False)
-        if dropped and dropped > _SWEEP_DROP_SHARE * eps * (col_norms[t] or s[0]):
+        norm = float(col_norms[t])
+        if dropped and dropped > _SWEEP_DROP_SHARE * eps * (norm or s[0]):
             u, s, basis = np.linalg.svd(vals[t:, :t], full_matrices=False)
             pair = np.empty((size - t, s.size + 1))
             np.multiply(u, s, out=pair[:, :-1])
@@ -436,7 +440,7 @@ def _block_sweep(vals: np.ndarray, eps: float):
         rank = rank_of_singular_values(s, eps)
         widened = len(basis) > width + 1
         carry = pair[:, :-1]
-        yield SweepStep(carry, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened)
+        yield SweepStep(carry, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened, norm)
         width = len(basis)
         if keep < s.size:
             dropped += s[keep]
@@ -477,15 +481,22 @@ def _thin_fits(steps: list[SweepStep]) -> list[tuple]:
     return list(zip(inverses, fits[..., 0], thin, np.linalg.norm(fits, axis=(1, 2))))
 
 
-def _span_fits(block: np.ndarray, lo: int, steps: list[SweepStep], eps: float) -> list[tuple]:
-    """Span tests of block columns lo, lo+1, ... against the block columns before each.
+def _borderline(residual: float, threshold: float) -> bool:
+    """Whether a span residual lies within a factor 10 of its threshold: the borderline band."""
+    return threshold / 10.0 <= residual <= threshold * 10.0
 
-    ``steps`` are the ``_block_sweep`` steps of those columns. A step's G_t
-    = [L, col] = u S V, so as u has orthonormal columns the fit of col
+
+def _span_fits(block: np.ndarray, start: int, eps: float) -> list[tuple]:
+    """Span test of each column of a diagonal block, starting at global column ``start``,
+    against the block columns before it: the one place a span verdict is decided.
+
+    One ``_block_sweep`` runs over the block and is read ``_TILE`` steps at
+    a time, so what is held at once does not grow with the block. A step's
+    G_t = [L, col] = u S V, so as u has orthonormal columns the fit of col
     against L is the fit of S v (v being V's last column) against the small
     S V_k (V_k the rest of V), whose singular values are L's. ``_thin_fits``
-    pseudo-inverts all of them in one call, except a ``widened`` step: only
-    a refactor widens the carry by more than one column, to every singular
+    pseudo-inverts a tile's in one call, except a ``widened`` step: only a
+    refactor widens the carry by more than one column, to every singular
     value left of the step, and that one is pseudo-inverted alone rather
     than widening the others' padding. The fit is mapped to columns by the
     step's basis, whose rows are orthonormal.
@@ -496,53 +507,60 @@ def _span_fits(block: np.ndarray, lo: int, steps: list[SweepStep], eps: float) -
     the residual by at most the drop sum times |y|, and the factorizations
     move it by a few times the step's rounding level (where the sweep cuts
     its carry) times |y| + 1; ten times is the margin taken. A column whose
-    thin residual lies within a factor 10 of the threshold, or nearer to it
-    than that bound, has its fit refined once on its miss on
-    ``block[t:, :t]`` and its residual taken there, with two dense
-    products; every other verdict is the thin one.
+    thin residual lies in the borderline band (``_borderline``), or nearer
+    to the threshold than that bound, has its fit refined once on its miss
+    on ``block[t:, :t]`` and its residual taken there, with two dense
+    products; every other verdict is the thin one. A fitted column whose
+    final residual lies in the band warns, by global index, but keeps the
+    threshold verdict; a verdict no fit decided (a zero column, a block's
+    first) never warns.
 
     Returns (is_new, coeffs, residual, threshold) per column: new when the
-    residual exceeds eps times the column norm; ``coeffs`` is None for a
-    zero column or an empty span, where any nonzero column is new.
+    residual exceeds eps times the column norm (``SweepStep.norm``);
+    ``coeffs`` is None for a zero column or an empty span, where any
+    nonzero column is new.
     """
-    alone = [i for i, step in enumerate(steps) if step.widened]
-    stacked = [i for i, step in enumerate(steps) if not step.widened]
-    thin_fits = {}
-    for group in (stacked, *([i] for i in alone)):
-        if group:
-            thin_fits.update(zip(group, _thin_fits([steps[i] for i in group])))
-    col_norms = np.linalg.norm(block[:, lo : lo + len(steps)], axis=0)
+    sweep = _block_sweep(block, eps)
     out = []
-    for i, step in enumerate(steps):
-        t, col_norm = lo + i, float(col_norms[i])
-        threshold = eps * col_norm
-        if col_norm == 0.0:
-            out.append((False, None, 0.0, threshold))
-            continue
-        if t == 0:
-            out.append((True, None, col_norm, threshold))
-            continue
-        inverse, fit, residual, fit_norm = thin_fits[i]
-        k = len(step.basis)
-        coeffs = step.basis.T @ fit[:k]
-        residual = float(residual)
-        margin = step.dropped * fit_norm + 10.0 * step.rounding * (fit_norm + 1.0)
-        if threshold / 10.0 <= residual <= threshold * 10.0 or abs(residual - threshold) < margin:
-            below, col = block[t:, :t], block[t:, t]
-            solve = step.basis.T @ inverse[:k, : len(step.s)]
-            coeffs += solve @ (step.u.T @ (col - below @ coeffs))
-            residual = float(np.linalg.norm(below @ coeffs - col))
-        out.append((residual > threshold, coeffs, residual, threshold))
+    for lo in range(0, len(block), _TILE):
+        steps = list(itertools.islice(sweep, _TILE))
+        alone = [i for i, step in enumerate(steps) if step.widened]
+        stacked = [i for i, step in enumerate(steps) if not step.widened]
+        thin_fits = {}
+        for group in (stacked, *([i] for i in alone)):
+            if group:
+                thin_fits.update(zip(group, _thin_fits([steps[i] for i in group])))
+        for i, step in enumerate(steps):
+            t, threshold = lo + i, eps * step.norm
+            if step.norm == 0.0 or t == 0:  # no fit decides a zero column or a block's first
+                out.append((step.norm > 0.0, None, step.norm, threshold))
+                continue
+            inverse, fit, residual, fit_norm = thin_fits[i]
+            k = len(step.basis)
+            coeffs = step.basis.T @ fit[:k]
+            residual = float(residual)
+            margin = step.dropped * fit_norm + 10.0 * step.rounding * (fit_norm + 1.0)
+            if _borderline(residual, threshold) or abs(residual - threshold) < margin:
+                below, col = block[t:, :t], block[t:, t]
+                solve = step.basis.T @ inverse[:k, : len(step.s)]
+                coeffs += solve @ (step.u.T @ (col - below @ coeffs))
+                residual = float(np.linalg.norm(below @ coeffs - col))
+            if threshold > 0.0 and _borderline(residual, threshold):
+                warnings.warn(
+                    f"borderline new-column decision at column {start + t}: "
+                    f"residual {residual:.3e} vs threshold {threshold:.3e}",
+                    stacklevel=4,
+                )
+            out.append((residual > threshold, coeffs, residual, threshold))
     return out
 
 
 def new_columns(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> list[int]:
     """Indices t whose below-diagonal part M[t:, t] leaves the span of M[t:, :t].
 
-    Residual and threshold are those of ``_span_fits``: the residual on
-    M[t:, :t] itself wherever the thin one could fall on either side. A
-    borderline decision (residual within a factor 10 of the threshold)
-    emits a warning but still follows the threshold verdict.
+    The verdicts, and the borderline warnings (a residual within a factor
+    10 of the threshold, which still follow the threshold verdict), are
+    those of ``_span_fits`` on the whole matrix as one block.
     """
     (whole,) = _new_column_sweep(m, [], eps)
     return [t for t, is_new in enumerate(whole.new) if is_new]
@@ -567,30 +585,11 @@ class BlockNewColumns:
 
 
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
-    """One span test per column, each inside its block between ``cuts``.
-
-    Each block runs one ``_block_sweep``, whose steps ``_span_fits`` takes
-    ``_TILE`` at a time, so what is held at once does not grow with the
-    block. Borderline decisions warn as in ``new_columns``, by global index;
-    a verdict no fit decided (a zero column, a block's first) never warns.
-    """
+    """The ``_span_fits`` verdicts of each diagonal block between ``cuts``; it decides nothing."""
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
-        block = m.values[start:end, start:end]
-        sweep = _block_sweep(block, eps)
-        verdicts = []
-        for lo in range(0, end - start, _TILE):
-            fits = _span_fits(block, lo, list(itertools.islice(sweep, _TILE)), eps)
-            for t, (is_new, coeffs, residual, threshold) in enumerate(fits, start + lo):
-                fitted = coeffs is not None and threshold > 0.0
-                if fitted and threshold / 10.0 <= residual <= threshold * 10.0:
-                    warnings.warn(
-                        f"borderline new-column decision at column {t}: "
-                        f"residual {residual:.3e} vs threshold {threshold:.3e}",
-                        stacklevel=3,
-                    )
-                verdicts.append((is_new, coeffs))
-        new, coeffs = zip(*verdicts)
+        fits = _span_fits(m.values[start:end, start:end], start, eps)
+        new, coeffs, _, _ = zip(*fits)
         out.append(BlockNewColumns(start, end, new, coeffs))
     return out
 

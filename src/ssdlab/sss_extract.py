@@ -106,7 +106,7 @@ class GeneralSssRepresentation:
                 states[:, :j] = self.A[j] @ states[:, :j]
                 states[:, j] = self.b[j]
                 panel[j - lo, : j + 1] = self.c[j] @ states[:, : j + 1]
-            _check_finite(panel, "values")
+            _check_finite(panel, "kernel")
             yield lo, hi, panel
 
 

@@ -132,19 +132,27 @@ class TestForwardCommand:
         assert proc.stderr == "input error: input sequence entries must be finite\n"
         assert not (workdir / "y.json").exists()
 
-    @pytest.mark.parametrize("path", ["recurrence", "ssd", "materialized", "all"])
-    def test_overflowing_model_is_an_input_error(self, tmp_path, path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(("forward", "--input", "x.csv", "--path", path)
+              for path in ("recurrence", "ssd", "materialized", "all")),
+            ("check-dual", "--mode", "full-rank"),
+        ],
+        ids=["recurrence", "ssd", "materialized", "all", "check-dual-full-rank"],
+    )
+    def test_overflowing_model_is_an_input_error(self, tmp_path, argv):
         ones = np.ones((64, 2))
         gains = np.full((64, 2), 1e12)
         gains[0] = 1.0
         (tmp_path / "ssm.json").write_text(DiagonalSsm(gains, ones, ones).to_json())
         (tmp_path / "x.csv").write_text(sequence_to_csv(np.ones((64, 1))))
-        proc = run_cli(
-            "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", path,
-            "--out", "y.json", cwd=tmp_path,
-        )
+        proc = run_cli(*argv, "--ssm", "ssm.json", "--out", "y.json", cwd=tmp_path)
         assert proc.returncode == 2
-        assert "input error" in proc.stderr and "finite" in proc.stderr
+        # One line: the refusal, with no numpy overflow warning before it.
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("input error: ") and "finite" in lines[0]
         assert not (tmp_path / "y.json").exists()
 
 

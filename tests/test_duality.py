@@ -615,6 +615,19 @@ class TestCoefficientConstruction:
         if report["representable"]:
             assert report["reconstruction_rel_residual"] <= eps
 
+    def test_block_factors_read_the_block_in_place(self):
+        # A T=1024 block is 8 MiB; its factors read each column where it lies, copying no block.
+        m = spread_gain_kernel("masked", 5, 1024, 0.95, 1.05)
+        (b,) = count_block_new_columns(m)
+        tracemalloc.start()
+        try:
+            q, k, _ = duality._block_factors(m.values, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.shape == k.shape == (1024, 4)
+        assert peak < m.values.nbytes / 8
+
     def test_factors_only_thin_matrices_outside_the_sweep(self, monkeypatch):
         size, width = 128, 4
         m = spread_gain_kernel("masked", 3, size, 0.95, 1.05)

@@ -395,7 +395,7 @@ class TestConstruction:
         rep = GeneralSssRepresentation(trans, np.ones((400, 1)), np.ones((400, 1)), (1,) * 400)
         with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
             materialize_sss(rep)
-        assert str(exc.value) == "values entries must be finite"
+        assert str(exc.value) == "kernel entries must be finite"
 
     @pytest.mark.parametrize("cls, field", RECORD_ARRAYS, ids=RECORD_ARRAY_IDS)
     def test_every_record_array_follows_one_rule(self, cls, field):

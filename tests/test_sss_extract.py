@@ -496,6 +496,7 @@ def reference_block_sweep(vals, eps, refactors):
     basis = np.zeros((0, 0))
     dropped = 0.0
     before = 0  # carry width of the step before
+    norms = np.linalg.norm(vals, axis=0)
     for t in range(len(vals)):
         col = vals[t:, t]
         u, s, vh = np.linalg.svd(np.column_stack([carried, col]), full_matrices=False)
@@ -510,7 +511,8 @@ def reference_block_sweep(vals, eps, refactors):
         keep = rank_of_singular_values(s, level)
         widened = carried.shape[1] > before + 1
         rounding = level * s[0]
-        yield SweepStep(carried, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened)
+        norm = float(norms[t])
+        yield SweepStep(carried, basis, dropped, vh, u, s, mapped, rank, rounding, keep, widened, norm)
         before = carried.shape[1]
         dropped += s[keep] if keep < s.size else 0.0
         carried = u[1:, :keep] * s[:keep]
@@ -558,6 +560,25 @@ class TestBlockSweep:
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
         if m is CHAIN_BREAKING[1].values[0]:  # big-row-1e16: the carry drops the 1 and refactors
             assert refactors
+
+    @pytest.mark.parametrize(
+        "m, width",
+        [*SWEEP_FAMILIES, pytest.param(random_lower_triangular(71, 33), 33, id="33-columns")],
+    )
+    def test_each_step_carries_its_column_norm_from_one_norm_pass(self, m, width):
+        # A column is never normed alone: np.linalg.norm of one column, shaped (n,) or (n, 1),
+        # sums pairwise, and over 150 random lower-triangular blocks of 2 to 65 columns (seed 0)
+        # that moved the last bit of 1865 of 5252 columns. Normed together (axis=0), each column
+        # is summed in row order, so the whole block's norms are bitwise the norms _span_fits
+        # once took per _TILE-column tile. The 33-column block's last tile is one (33, 1)
+        # column, summed pairwise, but it holds one nonzero entry, the diagonal one.
+        vals = m.values
+        whole = np.linalg.norm(vals, axis=0)
+        tiles = np.concatenate(
+            [np.linalg.norm(vals[:, lo : lo + _TILE], axis=0) for lo in range(0, m.T, _TILE)]
+        )
+        norms = np.array([step.norm for step in _block_sweep(vals, DEFAULT_EPS)])
+        assert norms.tobytes() == whole.tobytes() == tiles.tobytes()
 
     @pytest.mark.parametrize("m, width", SWEEP_FAMILIES + CHAIN_BREAKING + SPAN_FAMILIES)
     def test_the_drop_sum_bounds_what_the_carry_lost(self, m, width):
@@ -656,8 +677,9 @@ class TestBlockSweep:
             return fits
 
         def recording_span_fits(*args):
-            tested.extend(span_fits(*args))
-            return tested[-len(args[2]) :]
+            fits = span_fits(*args)
+            tested.extend(fits)
+            return fits
 
         monkeypatch.setattr(ss_matrix, "_thin_fits", recording_thin_fits)
         monkeypatch.setattr(ss_matrix, "_span_fits", recording_span_fits)
