@@ -47,7 +47,9 @@ reordered reduction in, and on its ssd and recurrence paths at (1024, 8,
 the zero-gain-steps model; and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
-patterns, spelled in several ways and with blank lines; what
+patterns, spelled in several ways and with blank lines, in one text
+``np.loadtxt`` reads and one over three panels that orjson reads, and
+from text holding the integer ``-0``; what
 ``LowerTriangularMatrix.from_json``, ``DiagonalSsm.from_json``,
 ``GeneralSssRepresentation.from_json`` and ``sequence_from_json`` read
 from JSON text of such values in five spellings, and the error class and
@@ -423,10 +425,10 @@ EDGES = [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 2.225073858507201e
          1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def _hard_doubles(rng: np.random.Generator) -> np.ndarray:
-    """32 x 8 finite doubles from random bit patterns, which reach every exponent, with signs;
+def _hard_doubles(rng: np.random.Generator, shape: tuple[int, int] = (32, 8)) -> np.ndarray:
+    """Finite doubles from random bit patterns, which reach every exponent, with signs;
     column 1 is all subnormals."""
-    values = rng.integers(0, 2**63, (32, 8), dtype=np.int64).view(float)
+    values = rng.integers(0, 2**63, shape, dtype=np.int64).view(float)
     values[:, 1] = rng.integers(1, 2**52, len(values), dtype=np.int64).view(float)
     values *= rng.choice([-1.0, 1.0], values.shape)
     values[~np.isfinite(values)] = 1.0
@@ -434,7 +436,13 @@ def _hard_doubles(rng: np.random.Generator) -> np.ndarray:
 
 
 def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """What the two CSV readers make of text holding the extreme doubles, read both ways."""
+    """What the two CSV readers make of text holding the extreme doubles, read both ways.
+
+    ``csv/matrix`` has a line in a spelling orjson refuses (a leading ``+``), so
+    ``np.loadtxt`` reads that whole text. ``csv/matrix-orjson`` spans three 32-line
+    panels in spellings orjson reads, and ``csv/negative-zero-integer`` holds the
+    integer ``-0``, which JSON would read as +0.0.
+    """
     from ssdlab.ss_matrix import LowerTriangularMatrix
     from ssdlab.ssm import sequence_from_csv
 
@@ -448,8 +456,17 @@ def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
     lines[4:4] = ["", " \t "]
     sequence = values[8:]
     sequence[:, 0] = np.resize(EDGES, len(sequence))
+    panels = np.tril(_hard_doubles(rng, (70, 70)))
+    np.fill_diagonal(panels, np.resize(EDGES, len(panels)))
+    spellings = itertools.cycle([repr, "{:.17e}".format])
+    rows = ["\n".join(",".join(spell(v) for v in row) for spell, row in zip(spellings, half))
+            for half in (panels[:32].tolist(), panels[32:].tolist())]
     return {
         "csv/matrix": LowerTriangularMatrix.from_csv("\r\n".join(lines) + "\n").values,
+        "csv/matrix-orjson": LowerTriangularMatrix.from_csv(
+            rows[0] + "\r\n \r\n" + rows[1] + "\n"  # a blank line at the first panel's end
+        ).values,
+        "csv/negative-zero-integer": LowerTriangularMatrix.from_csv("-0,0\n1,-0\n").values,
         "csv/sequence": sequence_from_csv(
             "\n".join(",".join(repr(float(v)) for v in row) for row in sequence) + "\n\n"
         ),

@@ -7,7 +7,8 @@ What the module holds:
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
-  (a built kernel is handed over by ``LowerTriangularMatrix._trusted``);
+  (a built kernel is handed over by ``LowerTriangularMatrix._trusted``),
+  and ``_check_norm_finite`` for a matrix the theory layer decides on;
 - the record ``LowerTriangularMatrix``;
 - the kernel panel walk, ``_segment_product_panels``, the row-panel stream of a
   segment-product kernel, its diagonal tiles made a batch at a time by
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import reprlib
 import warnings
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lowrank import rank_of_singular_values
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, UnstableScalingError
 
 #: Relative tolerance shared by every rank / span decision in the package.
 DEFAULT_EPS = 1e-9
@@ -48,8 +50,8 @@ _SWEEP_DROP_SHARE = 1e-2
 #: Machine epsilon of float64, the unit of every rounding-level cut.
 _MACHINE_EPS = np.finfo(float).eps
 
-#: Rows of the kernel builder's panels and of the upper-triangle check's bands, and
-#: sweep steps per stacked span-fit solve.
+#: Rows of the kernel builder's panels and of the upper-triangle check's bands, sweep
+#: steps per stacked span-fit solve, and CSV lines per orjson parse.
 _TILE = 32
 
 #: Diagonal tiles the kernel builder makes in one pass.
@@ -57,6 +59,11 @@ _TILE_BATCH = 8
 
 #: Smallest normal float64: the kernel builder carries any weight below it as zero.
 _TINY = np.finfo(float).tiny
+
+#: A "-0" that no fraction, exponent or digit follows. JSON reads the integer -0 as 0, so
+#: +0.0, where ``np.loadtxt`` keeps the sign. It also matches the "-0" ending an exponent
+#: (``1e-0``), which only sends that text to ``loadtxt``.
+_INTEGER_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
 
 
 def array_to_csv(x: np.ndarray) -> str:
@@ -67,15 +74,51 @@ def array_to_csv(x: np.ndarray) -> str:
 
 
 def array_from_csv(text: str) -> np.ndarray:
-    """Inverse of ``array_to_csv``, parsed in one C-level pass; whitespace-only lines are skipped.
+    """Inverse of ``array_to_csv``: orjson reads the numbers, and ``np.loadtxt`` any text it refuses.
 
-    A ragged row, an empty field, a comment, a quote or an underscore in a
-    number raises ``ValueError``. Text with no lines gives a (0, 0) array.
+    Whitespace-only lines are skipped. orjson reads the lines ``_TILE`` at a
+    time as JSON rows (``_csv_by_orjson``), to the same bits as ``loadtxt``
+    and in a fraction of its time. Text orjson refuses (``+1``, ``1.``,
+    ``.5``, ``01``, ``nan``, ``inf``, ``1e400``, an integer ``-0``, a
+    ragged row, malformed text) is read by ``np.loadtxt`` as a whole, so it
+    is read, or refused with ``loadtxt``'s own message, as before. A ragged
+    row, an empty field, a comment, a quote or an underscore in a number
+    raises ``ValueError``. Text with no lines gives a (0, 0) array.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return np.zeros((0, 0))
+    # With none of these, the only JSON values the rows can hold are numbers: no string,
+    # literal, object or nested array, and no bracket that would make one line two rows.
+    if not any(char in text for char in '"[]{tfn') and not _INTEGER_NEGATIVE_ZERO.search(text):
+        out = _csv_by_orjson(lines)
+        if out is not None:
+            return out
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _csv_by_orjson(lines: list[str]) -> np.ndarray | None:
+    """The rows of ``lines`` read as JSON arrays of numbers, ``_TILE`` lines a parse; None
+    where orjson refuses a panel or its rows are ragged.
+
+    A panel at a time keeps the parsed Python floats to one panel's worth.
+    Each panel must have one row per line and the first row's width, so a
+    narrower panel is never broadcast into the output.
+    """
+    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
+    out = None
+    for lo in range(0, len(lines), _TILE):
+        panel = lines[lo : lo + _TILE]
+        try:
+            block = np.array(orjson.loads("[[" + "],[".join(panel) + "]]"), dtype=float)
+        except ValueError:  # orjson's refusal, or rows of different lengths
+            return None
+        if out is None:
+            out = np.empty((len(lines), block.shape[1]))
+        if block.shape != (len(panel), out.shape[1]):
+            return None
+        out[lo : lo + len(panel)] = block
+    return out
 
 
 def json_loads(text: str):
@@ -164,6 +207,22 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
     """The one finiteness rule for entries, built or read; the message calls them ``name``."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
+
+
+def _check_norm_finite(m: LowerTriangularMatrix) -> None:
+    """Refuse, with ``UnstableScalingError``, a matrix whose Frobenius norm overflows.
+
+    The theory layer's thresholds, gates and residuals are Frobenius norms.
+    Once the entries' squares sum past the largest double (entries of about
+    1e154 and up), they read ``inf`` or ``nan`` and decide nothing.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m.values))
+    if not np.isfinite(norm):
+        raise UnstableScalingError(
+            f"the matrix's Frobenius norm is {norm} (largest entry magnitude "
+            f"{float(np.abs(m.values).max()):.3e}): its squared entries sum past the largest double"
+        )
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -585,7 +644,11 @@ class BlockNewColumns:
 
 
 def _new_column_sweep(m: LowerTriangularMatrix, cuts: list, eps: float) -> list[BlockNewColumns]:
-    """The ``_span_fits`` verdicts of each diagonal block between ``cuts``; it decides nothing."""
+    """The ``_span_fits`` verdicts of each diagonal block between ``cuts``; it decides nothing.
+
+    A matrix whose Frobenius norm overflows is refused first (``_check_norm_finite``).
+    """
+    _check_norm_finite(m)
     out = []
     for start, end in blocks_from_cuts(m.T, cuts):
         fits = _span_fits(m.values[start:end, start:end], start, eps)

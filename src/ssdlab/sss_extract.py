@@ -31,6 +31,7 @@ from .ss_matrix import (
     _assemble,
     _block_sweep,
     _check_finite,
+    _check_norm_finite,
     _freeze_fields,
     check_sizes,
     json_record,
@@ -247,9 +248,12 @@ def extract_sss(
     kept u, s and right vectors into the tile's zero-padded stacks, and
     ``_chain_tile`` then signs, scales and solves the whole tile at once
     and gates it in one call. Refusals come in the order of a step-by-step
-    chain: rank, then row factor, then column factor, step by step.
+    chain: rank, then row factor, then column factor, step by step. A
+    matrix whose Frobenius norm overflows is refused before any of them
+    (``_check_norm_finite``).
     """
     check_sizes(width=width)
+    _check_norm_finite(m)
     steps = m.T
     kept = np.zeros(steps, dtype=np.intp)
     b_rows = np.zeros((steps, width))

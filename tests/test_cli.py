@@ -13,6 +13,7 @@ import pytest
 
 from ssdlab import cli
 from ssdlab.limits import non_dualizable_matrix
+from ssdlab.ss_matrix import LowerTriangularMatrix
 from ssdlab.ssm import (
     DiagonalSsm,
     forward_ssd,
@@ -512,6 +513,49 @@ class TestExtractCommand:
         proc = run_cli("extract", "--matrix", "t.json", "--N", "1", cwd=workdir)
         assert proc.returncode == 2
         assert proc.stderr == f"input error: declared T must be an integer, got {got}\n"
+
+
+class TestOverflowingNorm:
+    """Entries whose squares sum past the largest double make every norm-based gate inf."""
+
+    COMMANDS = {
+        "check-dual": ["check-dual", "--mode", "representability"],
+        "extract": ["extract"],
+    }
+
+    def run(self, tmp_path, command, scale):
+        matrix = LowerTriangularMatrix(scale * np.tril(np.ones((3, 3))))
+        (tmp_path / "m.csv").write_text(matrix.to_csv())
+        argv = [*self.COMMANDS[command], "--matrix", "m.csv", "--N", "2", "--out", "out.json"]
+        return run_cli(*argv, cwd=tmp_path)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    @pytest.mark.parametrize("command", ["check-dual", "extract"])
+    def test_is_refused_up_front(self, tmp_path, command, scale):
+        proc = self.run(tmp_path, command, scale)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"precondition: the matrix's Frobenius norm is inf (largest entry magnitude "
+            f"{scale:.3e}): its squared entries sum past the largest double\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["check-dual", "extract"])
+    def test_squares_that_stay_finite_are_decided_as_before(self, tmp_path, command):
+        proc = self.run(tmp_path, command, 1e150)
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        if command == "check-dual":
+            assert (tmp_path / "out.json").read_text() == (
+                '{"blocks": [{"start": 0, "end": 3, "new_columns": 1}], "representable": true, '
+                '"reconstruction_rel_residual": 0.0, "factors": {"p": [0.0, 1.0, 1.0], '
+                '"Q": [[1e+150, 0.0], [1e+150, 0.0], [1e+150, 0.0]], '
+                '"K": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}}'
+            )
+        else:
+            report = json.loads((tmp_path / "out.json").read_text())
+            assert report["block_ranks"] == [1, 1, 1]
+            assert report["roundtrip_rel_residual"] <= 1e-15
 
 
 class TestCounterexampleCommand:

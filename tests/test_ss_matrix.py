@@ -3,7 +3,9 @@
 import decimal
 import itertools
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,7 +461,42 @@ class TestSerialization:
             LowerTriangularMatrix.from_json('{"T": 2, "rows": [[1.0]]}')
 
 
+#: Finite float64 values drawn as bit patterns, so every exponent and subnormal is reached.
+FINITE_BIT_PATTERNS = (
+    st.integers(0, 2**64 - 1)
+    .filter(lambda bits: (bits >> 52) & 0x7FF != 0x7FF)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(float)))
+)
+
+
+def _halfway(value: float) -> str:
+    """The exact decimal midpoint between ``value`` and the next double away from zero."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        above = np.nextafter(value, np.copysign(np.inf, value))
+        return str((decimal.Decimal(value) + decimal.Decimal(float(above))) / 2)
+
+
+def loadtxt_read(text: str) -> np.ndarray:
+    """The reader ``array_from_csv`` had before orjson: ``np.loadtxt`` on the non-blank lines."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def orjson_read(text: str) -> np.ndarray:
+    """``array_from_csv`` with ``np.loadtxt`` made to fail, so only orjson can read the text."""
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt ran")):
+        return ss_matrix.array_from_csv(text)
+
+
+def assert_reads_as_loadtxt(text: str) -> None:
+    got, want = ss_matrix.array_from_csv(text), loadtxt_read(text)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), text
+
+
 class TestCsvReader:
+    """``array_from_csv`` reads every text to the bits ``np.loadtxt`` gives, or refuses it alike."""
+
     @settings(deadline=None, max_examples=150)
     @given(
         st.integers(1, 5).flatmap(
@@ -474,6 +511,48 @@ class TestCsvReader:
         assert again.shape == x.shape
         assert again.tobytes() == x.tobytes()
 
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(FINITE_BIT_PATTERNS, min_size=cols, max_size=cols), min_size=1, max_size=40
+            )
+        )
+    )
+    def test_random_bit_patterns_read_as_loadtxt_in_every_spelling(self, rows):
+        spellings = [repr, "{:.17e}".format, "{:.25E}".format, "{:.40g}".format, _halfway]
+        for spell in spellings:
+            assert_reads_as_loadtxt("\n".join(",".join(spell(v) for v in row) for row in rows))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-0", "1,-0", "-0.0", "-0e0", "1e-0", "-1e-400", "5e-324", "18446744073709551616",
+         "9007199254740993", "18446744073709551615,-1", "-9223372036854775809", " -0 ,\t-0\t"],
+        ids=["integer-negative-zero", "integer-negative-zero-last", "negative-zero",
+             "negative-zero-exponent", "exponent-minus-zero", "negative-underflow",
+             "smallest-subnormal", "two-to-64", "two-to-53-plus-1", "largest-uint64",
+             "below-int64", "padded-integer-negative-zero"],
+    )
+    def test_hard_spellings_read_as_loadtxt(self, text):
+        assert_reads_as_loadtxt(text)
+
+    @pytest.mark.parametrize("text", ["+1", "1.", ".5", "01", "nan", "-inf", "1e400", "1,NaN"])
+    def test_text_orjson_refuses_reads_as_loadtxt(self, text):
+        assert_reads_as_loadtxt(text)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 64, 65])
+    def test_every_row_lands_in_place_across_panels(self, rows):
+        values = np.random.default_rng(rows).standard_normal((rows, 3)) * 1e-3
+        lines = [",".join(spell(v) for v in row) for spell, row in
+                 zip(itertools.cycle([repr, "{:.17e}".format]), values.tolist())]
+        # Blank lines at and around the panel boundaries, and Windows line ends.
+        for at in (33, 32, 31, 1):
+            lines[at:at] = ["", " \t "]
+        text = "\r\n".join(lines) + "\r\n\r\n"
+        got = orjson_read(text)
+        assert got.tobytes() == values.tobytes()
+        assert got.tobytes() == loadtxt_read(text).tobytes()
+
     def test_blank_and_whitespace_only_lines_are_skipped(self):
         got = ss_matrix.array_from_csv("\n1.5,-2.0\n   \n\t\n3.0,4e-310\r\n\n")
         assert got.tobytes() == np.array([[1.5, -2.0], [3.0, 4e-310]]).tobytes()
@@ -484,12 +563,33 @@ class TestCsvReader:
 
     @pytest.mark.parametrize(
         "text",
-        ["1.0,2.0\n3.0\n", "1.0,2.0,\n3.0,4.0,\n", "# T=2\n1.0\n", "1.0,#2.0\n", '"1.0",2.0\n', "1_0\n"],
-        ids=["ragged", "trailing-comma", "comment-line", "comment-field", "quoted", "underscore"],
+        ["1.0,2.0\n3.0\n", "1.0,2.0,\n3.0,4.0,\n", "# T=2\n1.0\n", "1.0,#2.0\n", '"1.0",2.0\n',
+         "1_0\n", "1.0,2.0\n" * 32 + "3.0\n" * 32, "1.0,2.0\n" * 64 + "3.0\n",
+         "1.0\n" * 32 + "2.0,3.0\n" * 5, "true,1\n", "[1.0]\n", "1.0],[2.0\n", "1,,2\n"],
+        ids=["ragged", "trailing-comma", "comment-line", "comment-field", "quoted", "underscore",
+             "narrow-second-panel", "narrow-last-row", "wide-second-panel", "literal", "bracketed",
+             "one-line-two-rows", "empty-field"],
     )
     def test_malformed_text_raises_value_error(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as want:
+            loadtxt_read(text)
+        with pytest.raises(ValueError) as got:
             ss_matrix.array_from_csv(text)
+        assert str(got.value) == str(want.value)
+
+    def test_a_large_matrix_is_read_in_panels(self):
+        # A parse of the whole text at once holds every row's Python floats: a peak of about
+        # 2.8 times text plus output.
+        values = np.tril(np.random.default_rng(7).standard_normal((1024, 1024)))
+        text = ss_matrix.array_to_csv(values)
+        tracemalloc.start()
+        try:
+            got = ss_matrix.array_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+        assert peak < 1.5 * (len(text) + got.nbytes)
 
     @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"], ids=["empty", "newline", "blank"])
     @pytest.mark.parametrize("command", ["extract", "check-dual"])
@@ -614,21 +714,6 @@ class TestJsonRecords:
     def test_rejects_a_file_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             MaskedAttentionFactors.from_json("[1.0, 2.0]")
-
-
-#: Finite float64 values drawn as bit patterns, so every exponent and subnormal is reached.
-FINITE_BIT_PATTERNS = (
-    st.integers(0, 2**64 - 1)
-    .filter(lambda bits: (bits >> 52) & 0x7FF != 0x7FF)
-    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(float)))
-)
-
-
-def _halfway(value: float) -> str:
-    """The exact decimal midpoint between ``value`` and the next double away from zero."""
-    with decimal.localcontext(decimal.Context(prec=1200)):
-        above = np.nextafter(value, np.copysign(np.inf, value))
-        return str((decimal.Decimal(value) + decimal.Decimal(float(above))) / 2)
 
 
 class TestJsonDecoder:
