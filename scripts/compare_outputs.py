@@ -27,16 +27,23 @@ messages and output file of the CLI commands ``forward --path all`` (at
 T=128, at T=600, where the kernel panel walk runs 18 full panels and a ragged one,
 and on the T=600 model whose carried weights fall below the normal range),
 ``forward --path ssd`` (CSV, chosen by the ``.csv`` name of ``--out``),
+``forward --path all --format json`` and ``--path ssd`` (JSON printed, and
+CSV) on a T=96 model whose outputs run from about 1e-15 to 1e22, so rows
+inside and outside the range where orjson spells floats as ``repr``
+alternate,
 ``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
 rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank`` (on
 gains near one, on ``gen ssm``'s default gains and on a model with two
 all-zero gain steps),
-``extract``, ``counterexample non-dualizable`` and ``softmax`` (at every T up
+``extract`` (also on a T=64 matrix whose rows are graded from 1e-6 to
+1e6, whose representation holds entries below 1e-4),
+``counterexample non-dualizable`` and ``softmax`` (at every T up
 to ``SOFTMAX_MAX_T``), ``gen ssm``,
-``gen sequence`` (CSV), ``gen matrix`` (JSON, and CSV chosen by the ``.csv``
-name of ``--out``), and ``bench`` on each of its three counted paths:
+``gen sequence`` (CSV at T=24, JSON and CSV at T=64), ``gen matrix`` (JSON,
+and CSV chosen by the ``.csv`` name of ``--out``, at T=8 and T=64), and
+``bench`` on each of its three counted paths:
 ``materialized`` at one point, ``recurrence`` over a grid of T and ``ssd``
 over a grid of d (its CSV table and its JSON summary file); the output
 array and the counter fields (multiply-adds, additions, peak live elements)
@@ -274,6 +281,16 @@ def dump() -> dict[str, object]:
             cut_gains[[20, 41]] = 0.0  # all-zero steps cut the mask
             cut = DiagonalSsm(cut_gains, spread.b, spread.c)
             (work / "ssm-cut.json").write_text(cut.to_json())
+            # Outputs from about 1e-15 to 1e22: runs of rows that orjson writes alternate with
+            # rows that json.dumps writes, at both ends of the range where their spellings agree.
+            straddle, straddle_x = random_instance(seed, 96, 4, 3, a_abs=(0.0, 0.1))
+            straddle_x *= 10.0 ** np.linspace(-14, 22, 96)[:, None]
+            (work / "ssm-straddle.json").write_text(straddle.to_json())
+            (work / "x-straddle.csv").write_text(sequence_to_csv(straddle_x))
+            # Rows graded from 1e-6 to 1e6: the extracted b and c hold entries below 1e-4.
+            graded = materialize_sss(random_representation(seed, 64, 3)).values
+            graded = graded * 10.0 ** np.linspace(-6, 6, 64)[:, None]
+            (work / "graded.csv").write_text(LowerTriangularMatrix(graded).to_csv())
             forward_config = {"path": "materialized", "format": "json"}
             (work / "forward.json").write_text(json.dumps(forward_config))
             representability = ["check-dual", "--mode", "representability", "--matrix"]
@@ -288,10 +305,23 @@ def dump() -> dict[str, object]:
                     "forward", "--ssm", "ssm-underflow.json", "--input", "x-underflow.csv",
                     "--path", "all",
                 ],
+                "forward/straddle": [
+                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
+                    "--path", "all", "--format", "json",
+                ],
+                "forward/straddle/ssd-json": [
+                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
+                    "--path", "ssd", "--format", "json",
+                ],
+                "forward/straddle/ssd-csv": [
+                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
+                    "--path", "ssd", "--out", "y-straddle.csv",
+                ],
                 "check-dual": [*representability, "kernel.csv", "--N", "3"],
                 "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
                 "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
+                "extract/graded": ["extract", "--matrix", "graded.csv", "--N", "3"],
                 "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
                 **{
                     f"counterexample/softmax/{t}": ["counterexample", "softmax", "--T", str(t)]
@@ -320,6 +350,12 @@ def dump() -> dict[str, object]:
                 "gen/sequence": ["gen", "sequence", *seeded, "--T", "24", "--out", "seq.csv"],
                 "gen/matrix": ["gen", "matrix", *seeded, "--T", "8"],
                 "gen/matrix-csv": ["gen", "matrix", *seeded, "--T", "8", "--out", "m.csv"],
+                "gen/sequence/64": ["gen", "sequence", *seeded, "--T", "64", "--d", "3"],
+                "gen/sequence-csv/64": [
+                    "gen", "sequence", *seeded, "--T", "64", "--d", "3", "--out", "seq64.csv"
+                ],
+                "gen/matrix/64": ["gen", "matrix", *seeded, "--T", "64"],
+                "gen/matrix-csv/64": ["gen", "matrix", *seeded, "--T", "64", "--out", "m64.csv"],
                 "bench": [*bench, "--path", "materialized", "--T", "16"],
                 "bench/grid": [*bench, "--path", "recurrence", "--T", "8,16,32", "--N", "2"],
                 "bench/ssd": [*bench, "--path", "ssd", "--T", "12", "--N", "3", "--d", "1,2,4"],

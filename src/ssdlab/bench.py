@@ -37,14 +37,13 @@ counts and budgets keep the all-live model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ssm as ssm_mod
 from .errors import DegenerateGridError
-from .ss_matrix import json_record
+from .ss_matrix import json_dumps, json_record
 from .ssm import FORWARD_PATHS, DiagonalSsm, _check_sequence, random_instance
 
 PATHS = tuple(FORWARD_PATHS)
@@ -253,7 +252,7 @@ class ScalingResult:
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:
-        return json.dumps(
+        return json_dumps(
             {
                 "path": self.path,
                 "slopes": self.slopes,

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import os
 import reprlib
 import secrets
@@ -24,7 +23,9 @@ import numpy as np
 
 from . import bench, duality, limits, ssm as ssm_mod
 from .errors import PreconditionError, ReconstructionError
-from .ss_matrix import DEFAULT_EPS, LowerTriangularMatrix, check_sizes, json_loads, rel_err
+from .ss_matrix import (
+    DEFAULT_EPS, LowerTriangularMatrix, check_sizes, json_dumps, json_loads, rel_err,
+)
 from .sss_extract import extract_sss, materialize_sss
 
 EXIT_OK = 0
@@ -185,12 +186,12 @@ def _run_forward(path: str, model: ssm_mod.DiagonalSsm, x: np.ndarray) -> np.nda
 
 
 def _output_json(y: np.ndarray) -> str:
-    return json.dumps({"Y": y.tolist()})
+    return json_dumps({"Y": y})
 
 
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.path == "all":
-        write = _writer(args.out, "the --path all comparison", json=json.dumps)
+        write = _writer(args.out, "the --path all comparison", json=json_dumps)
     else:
         write = _writer(args.out, "a forward output", ssm_mod.sequence_to_csv, _output_json)
     model = _load(args.ssm, "a model", json=ssm_mod.DiagonalSsm.from_json)
@@ -202,9 +203,9 @@ def cmd_forward(args: argparse.Namespace) -> int:
             for first, second in itertools.combinations(outputs, 2)
         }
         worst = max(pairwise.values())
-        payload = {f"Y_{name}": y.tolist() for name, y in outputs.items()}
+        payload = {f"Y_{name}": y for name, y in outputs.items()}
         payload.update(pairwise_rel_errors=pairwise, max_rel_error=worst)
-        printed = write(payload, json.dumps if args.format == "json" else None)
+        printed = write(payload, json_dumps if args.format == "json" else None)
         lines = [f"{pair}: rel_error={err:.6e}" for pair, err in pairwise.items()]
         lines.append(f"max_rel_error={worst:.6e} (eps={args.eps:.1e})")
         _print(printed or "\n".join(lines))
@@ -217,11 +218,11 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 def cmd_check_dual(args: argparse.Namespace) -> int:
     mode = args.mode
-    write = _writer(args.out, f"a {mode} report", json=json.dumps)
+    write = _writer(args.out, f"a {mode} report", json=json_dumps)
     if mode == "representability":
         report = duality.representability_report(_load_matrix(args.matrix), args.N, args.eps)
         write(report)
-        _print(json.dumps({k: report[k] for k in ("blocks", "representable")}))
+        _print(json_dumps({k: report[k] for k in ("blocks", "representable")}))
         return EXIT_OK if report["representable"] else EXIT_PROPERTY
     model = _load(args.ssm, "a model", json=ssm_mod.DiagonalSsm.from_json)
     builder = (
@@ -230,20 +231,20 @@ def cmd_check_dual(args: argparse.Namespace) -> int:
     factors = builder(model)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing panel is refused inside
         residual = duality.kernel_residual(model, factors)
-    write({"mode": mode, "kernel_rel_residual": residual, "factors": factors.to_dict()})
+    write({"mode": mode, "kernel_rel_residual": residual, "factors": factors.json_fields()})
     _print(f"{mode}: kernel_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    write = _writer(args.out, "an extraction report", json=json.dumps)
+    write = _writer(args.out, "an extraction report", json=json_dumps)
     matrix = _load_matrix(args.matrix)
     rep = extract_sss(matrix, args.N, args.eps)
     back = materialize_sss(rep).values
     residual = rel_err(back, matrix.values)
     write({
         "roundtrip_rel_residual": residual, "block_ranks": list(rep.r),
-        "representation": rep.to_dict(),
+        "representation": rep.json_fields(),
     })
     _print(f"extract: roundtrip_rel_residual={residual:.6e} (eps={args.eps:.1e})")
     return EXIT_OK if residual <= args.eps else EXIT_PROPERTY

@@ -162,9 +162,10 @@ def _within_width(blocks, width: int) -> bool:
 def representability_report(
     m: LowerTriangularMatrix, width: int, eps: float = DEFAULT_EPS
 ) -> dict:
-    """JSON-ready block/new-column report used by the CLI.
+    """Block/new-column report used by the CLI, ready for ``ss_matrix.json_dumps``.
 
-    When representable, it also carries the ``construct_one_ss_dual`` factors, built from
+    When representable, it also carries the ``construct_one_ss_dual`` factors (their
+    ``json_fields``, arrays as arrays), built from
     the same sweep, and their relative residual; it may raise ``ReconstructionError`` or
     ``UnstableScalingError``.
     """
@@ -178,7 +179,7 @@ def representability_report(
     }
     if report["representable"]:
         factors, report["reconstruction_rel_residual"] = _construct(m, blocks, width, eps)
-        report["factors"] = factors.to_dict()
+        report["factors"] = factors.json_fields()
     return report
 
 

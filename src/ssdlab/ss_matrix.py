@@ -2,8 +2,8 @@
 
 What the module holds:
 
-- the codecs: ``array_to_csv``/``array_from_csv``, the one JSON decoder
-  ``json_loads`` and the ``json_record`` decorator;
+- the codecs: ``array_to_csv``/``array_from_csv``, the one JSON encoder
+  ``json_dumps`` and decoder ``json_loads``, and the ``json_record`` decorator;
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
@@ -60,17 +60,51 @@ _TILE_BATCH = 8
 #: Smallest normal float64: the kernel builder carries any weight below it as zero.
 _TINY = np.finfo(float).tiny
 
+#: The magnitudes, besides 0, that orjson writes as ``repr`` does: 1e-05 is spelled
+#: ``0.00001`` and 1e16 ``1e16`` by orjson, ``1e-05`` and ``1e+16`` by ``repr``.
+_REPR_RANGE = (1e-4, 1e16)
+
 #: A "-0" that no fraction, exponent or digit follows. JSON reads the integer -0 as 0, so
 #: +0.0, where ``np.loadtxt`` keeps the sign. It also matches the "-0" ending an exponent
 #: (``1e-0``), which only sends that text to ``loadtxt``.
 _INTEGER_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
 
 
+def _safe_runs(a: np.ndarray) -> list[tuple[int, int, bool]]:
+    """``(lo, hi, safe)`` for each run of ``a``'s rows along axis 0 that are all safe or all not.
+
+    A row is safe when every entry is 0 or has ``_REPR_RANGE[0] <= |v| <
+    _REPR_RANGE[1]``: orjson writes such a float as ``repr`` does. NaN and
+    the infinities are never safe. The choice reads magnitudes only, never text.
+    """
+    low, high = _REPR_RANGE
+    mags = np.abs(a)
+    safe = ((mags == 0) | ((mags >= low) & (mags < high))).all(axis=tuple(range(1, a.ndim)))
+    bounds = [0, *(np.flatnonzero(safe[1:] != safe[:-1]) + 1).tolist(), len(a)]
+    return [(lo, hi, bool(safe[lo])) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _orjson_rows(rows: np.ndarray) -> str:
+    """orjson's compact text of a float64 array, ``[[1.0,2.0],[3.0,4.0]]`` for two rows."""
+    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
+    return orjson.dumps(np.ascontiguousarray(rows), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
 def array_to_csv(x: np.ndarray) -> str:
-    """One comma-separated line per row of a 2-D float array."""
-    # repr() is shortest round-trip formatting for Python floats.
+    """One comma-separated line per row of a 2-D float array, each entry spelled as ``repr``.
+
+    Runs of safe rows (``_safe_runs``) are written by orjson; any other row
+    joins the ``repr`` of its entries. Each piece carries its own newline, so
+    the pieces and the text are the only copies held at once.
+    """
     rows = np.atleast_2d(np.asarray(x, dtype=float))
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+    pieces = []
+    for lo, hi, safe in _safe_runs(rows):
+        if safe:
+            pieces.append(_orjson_rows(rows[lo:hi])[2:-2].replace("],[", "\n") + "\n")
+        else:
+            pieces.extend(",".join(repr(float(v)) for v in row) + "\n" for row in rows[lo:hi])
+    return "".join(pieces) or "\n"  # an array of no rows is one empty line, as it always was
 
 
 def array_from_csv(text: str) -> np.ndarray:
@@ -143,6 +177,43 @@ def json_loads(text: str):
         raise ValueError("the JSON text is nested too deeply to read") from None
 
 
+def json_dumps(value) -> str:
+    """The one JSON encoder: ``json.dumps(value)``'s text, float arrays written mostly by orjson.
+
+    Dicts with str keys are walked, and a float64 array of any rank, in
+    one or at the top, is written as ``json.dumps`` writes its ``tolist()``
+    (``_float_array_json``). Every other value goes to ``json.dumps``.
+    """
+    return _json_text(value)
+
+
+def _json_text(value) -> str:
+    """``json_dumps``'s walk over nested dicts, so one text is one call of ``json_dumps``."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return _float_array_json(value)
+    if isinstance(value, dict) and all(type(key) is str for key in value):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)
+
+
+def _float_array_json(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())``'s text for a float64 array of any rank.
+
+    Each run of safe rows (``_safe_runs``) is written by one orjson call,
+    its commas spaced as ``json.dumps`` spaces them, and each run of other
+    rows by one ``json.dumps`` call, so ``1e-05``, ``1e+16``, ``NaN`` and
+    ``Infinity`` keep their spelling.
+    """
+    if a.ndim == 0:
+        return json.dumps(a.tolist())
+    parts = [
+        _orjson_rows(a[lo:hi])[1:-1].replace(",", ", ") if safe
+        else json.dumps(a[lo:hi].tolist())[1:-1]
+        for lo, hi, safe in _safe_runs(a)
+    ]
+    return "[" + ", ".join(parts) + "]"
+
+
 def _json_value(value):
     """``value`` as ``json.loads`` would give it back: arrays and tuples become lists."""
     if isinstance(value, np.ndarray):
@@ -154,20 +225,25 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     """Class decorator: a JSON codec declared as one table of file keys.
 
     ``keys`` maps each JSON key, in file order, to the attribute it holds.
-    The class gains ``to_dict``, ``to_json`` and a ``from_json`` classmethod
-    in its own namespace. ``from_json`` passes the keys not in ``declared``
-    to the constructor, so every construction check still runs; it raises
+    The class gains ``json_fields`` (each key and its value, arrays as they
+    are, for ``json_dumps``), ``to_dict`` (arrays as lists), ``to_json``
+    and a ``from_json`` classmethod in its own namespace. ``from_json``
+    passes the keys not in ``declared`` to the constructor, so every
+    construction check still runs; it raises
     ``ValueError`` naming each key the object lacks or each ``declared`` key
     (a size the file states) that is not a JSON integer, and
     ``ShapeMismatchError`` when a declared size disagrees with the rebuilt
     record.
     """
 
+    def json_fields(self) -> dict:
+        return {key: getattr(self, attr) for key, attr in keys.items()}
+
     def to_dict(self) -> dict:
-        return {key: _json_value(getattr(self, attr)) for key, attr in keys.items()}
+        return {key: _json_value(value) for key, value in self.json_fields().items()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json_dumps(self.json_fields())
 
     def from_json(cls, text: str):
         obj = json_loads(text)
@@ -190,7 +266,8 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
         return record
 
     def decorate(cls):
-        cls.to_dict, cls.to_json, cls.from_json = to_dict, to_json, classmethod(from_json)
+        cls.json_fields, cls.to_dict, cls.to_json = json_fields, to_dict, to_json
+        cls.from_json = classmethod(from_json)
         return cls
 
     return decorate

@@ -12,7 +12,6 @@ materialized one a ``GeneralSssRepresentation``). ``FORWARD_PATHS`` names them;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .ss_matrix import (
     array_from_csv,
     array_to_csv,
     check_sizes,
+    json_dumps,
     json_loads,
     json_record,
 )
@@ -238,7 +238,7 @@ sequence_from_csv = array_from_csv
 
 
 def sequence_to_json(x: np.ndarray) -> str:
-    return json.dumps({"X": np.asarray(x, dtype=float).tolist()})
+    return json_dumps({"X": np.asarray(x, dtype=float)})
 
 
 def sequence_from_json(text: str) -> np.ndarray:

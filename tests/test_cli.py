@@ -6,12 +6,13 @@ import resource
 import shlex
 import stat
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssdlab import cli
+from ssdlab import cli, ss_matrix
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import LowerTriangularMatrix
 from ssdlab.ssm import (
@@ -946,8 +947,16 @@ class TestPrintedOutput:
         if name is not None:
             argv = [*argv, "--out", name]
         encodes = []
-        dumps = json.dumps
-        monkeypatch.setattr(json, "dumps", lambda *a, **k: encodes.append(1) or dumps(*a, **k))
+        encode = ss_matrix.json_dumps
+
+        def counted(value):
+            encodes.append(1)
+            return encode(value)
+
+        # Every module that writes JSON calls the one encoder under its own name.
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ssdlab") and vars(module).get("json_dumps") is encode:
+                monkeypatch.setattr(module, "json_dumps", counted)
         assert cli.main(argv) == 0
         assert len(encodes) == 1
         written = workdir / (name or "summary.json")

@@ -28,7 +28,7 @@ from ssdlab.errors import (
     ZeroGainError,
 )
 from ssdlab.limits import non_dualizable_matrix, verify_non_dualizable
-from ssdlab.ss_matrix import LowerTriangularMatrix, new_columns
+from ssdlab.ss_matrix import LowerTriangularMatrix, json_dumps, new_columns
 from ssdlab.ssm import (
     FORWARD_PATHS,
     DiagonalSsm,
@@ -422,8 +422,8 @@ class TestHasOneSsDual:
         report = representability_report(m, 2)
         assert list(report) == ["blocks", "representable", "reconstruction_rel_residual", "factors"]
         assert report["representable"]
-        assert report["factors"] == json.loads(construct_one_ss_dual(m, 2).to_json())
-        back = MaskedAttentionFactors.from_json(json.dumps(report["factors"])).materialize()
+        assert json_dumps(report["factors"]) == construct_one_ss_dual(m, 2).to_json()
+        back = MaskedAttentionFactors.from_json(json_dumps(report["factors"])).materialize()
         assert report["reconstruction_rel_residual"] == rel_fro(back.values, m.values)
         assert report["reconstruction_rel_residual"] <= 1e-9
 

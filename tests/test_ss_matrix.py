@@ -790,3 +790,137 @@ class TestJsonDecoder:
         # orjson refuses the unterminated text, and json.loads runs out of recursion on it.
         with pytest.raises(ValueError, match="^the JSON text is nested too deeply to read$"):
             ss_matrix.json_loads("[" * 100_000)
+
+
+def repr_csv(x) -> str:
+    """The CSV writer ``array_to_csv`` had before orjson: each row's ``repr`` values joined."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+
+#: The two edges of the range where orjson spells a float as ``repr``, their neighbours, and
+#: values outside it: signed zeros, the smallest subnormal, NaN, the infinities, the largest double.
+EDGE_DOUBLES = [
+    edge * sign
+    for edge in (
+        1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)),
+        1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, np.inf)),
+        0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf,
+    )
+    for sign in (1.0, -1.0)
+]
+
+#: Integer-valued doubles above 2**53, where ``repr`` keeps a ".0" up to 1e16 and an exponent after.
+BIG_INTEGERS = [2.0**53, 2.0**53 + 2, 9999999999999998.0, 2.0**54 + 4, 2.0**60, 2.0**64, 1e17, 1e22]
+
+
+class TestFloatArrayWriter:
+    """``json_dumps`` writes ``json.dumps``'s text and ``array_to_csv`` the ``repr`` join, byte
+    for byte, whichever of orjson and ``json.dumps`` writes each row."""
+
+    @staticmethod
+    def assert_written_as_before(a):
+        a = np.asarray(a)
+        want = json.dumps(a.tolist())
+        assert ss_matrix._float_array_json(a) == want
+        assert ss_matrix.json_dumps(a) == want
+        assert ss_matrix.json_dumps({"a": a, "b": {"c": a}}) == json.dumps(
+            {"a": a.tolist(), "b": {"c": a.tolist()}}
+        )
+        if a.ndim <= 2:
+            assert ss_matrix.array_to_csv(a) == repr_csv(a)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(FINITE_BIT_PATTERNS, min_size=cols, max_size=cols), min_size=1, max_size=40
+            )
+        )
+    )
+    def test_random_bit_patterns_are_written_as_before(self, rows):
+        a = np.array(rows, dtype=float)
+        self.assert_written_as_before(a)
+        self.assert_written_as_before(a.ravel())
+
+    @pytest.mark.parametrize("value", EDGE_DOUBLES + BIG_INTEGERS, ids=repr)
+    def test_edge_values_are_written_as_before_wherever_they_sit(self, value):
+        safe = np.arange(1.0, 13.0).reshape(4, 3)
+        for row, col in itertools.product(range(4), range(3)):
+            a = safe.copy()
+            a[row, col] = value
+            self.assert_written_as_before(a)
+        self.assert_written_as_before(np.array([value]))
+        self.assert_written_as_before(np.array(value))
+
+    def test_the_range_edges_pick_the_route(self):
+        # 1e-4 and the largest double below 1e16 are orjson's; their outer neighbours are not.
+        inside = [1e-4, -1e-4, float(np.nextafter(1e16, 0)), 0.0, -0.0]
+        outside = [float(np.nextafter(1e-4, 0)), 1e16, 5e-324, np.nan, np.inf, -np.inf]
+        a = np.array([[v] for v in inside + outside])
+        assert ss_matrix._safe_runs(a) == [(0, len(inside), True), (len(inside), len(a), False)]
+
+    @pytest.mark.parametrize(
+        "shape", [(0,), (5,), (0, 4), (4, 0), (1, 0), (3, 4), (2, 0, 3), (2, 3, 0), (3, 2, 4)],
+        ids=str,
+    )
+    def test_every_shape_is_written_as_before(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = rng.standard_normal(shape)
+        self.assert_written_as_before(a)
+        if a.size:
+            a.flat[a.size // 2] = 1e-9  # one unsafe row in the middle
+            self.assert_written_as_before(a)
+
+    def test_views_are_written_as_before(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((9, 6)) * 10.0 ** rng.integers(-8, 18, (9, 6))
+        views = [a[:, ::2], a.T, a[::-1], a[1:7, 2:5], a[::3]]
+        for view in views:
+            frozen = view.view()
+            frozen.flags.writeable = False
+            assert not view.flags.c_contiguous
+            self.assert_written_as_before(view)
+            self.assert_written_as_before(frozen)
+        cube = rng.standard_normal((4, 5, 6))
+        self.assert_written_as_before(cube.transpose(2, 0, 1)[:, ::2])
+
+    @pytest.mark.parametrize(
+        "unsafe", [[0], [7], [0, 7], [3, 4], [2, 3, 4, 6], [0, 1, 2, 3, 4, 5, 6, 7]], ids=str
+    )
+    def test_unsafe_rows_first_last_and_adjacent(self, unsafe):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(0.5, 2.0, (8, 3))
+        spellings = [1e-05, 2.5e-07, 1e16, np.nan, -np.inf, 5e-324]
+        for i, row in enumerate(unsafe):
+            a[row, i % 3] = spellings[i % len(spellings)]
+        safe = [(lo, hi) for lo, hi, ok in ss_matrix._safe_runs(a) if ok]
+        assert sum(hi - lo for lo, hi in safe) == 8 - len(unsafe)
+        self.assert_written_as_before(a)
+        self.assert_written_as_before(a[:, None, :])
+
+    def test_values_other_than_float_arrays_go_to_json_dumps(self):
+        values = [
+            {}, [], None, True, 3, -0.0, float("nan"), 1e-05, "text", [1.0, [2.5e-07]],
+            {"é\n\"key\"": [1, 2], "n": np.float64(1e16), "t": (1, 2.0)},
+            {"ints": {"x": 1}, "empty": {}},
+            {1: 2.0, "a": 3.0},  # a key that is not a str: json.dumps writes the whole dict
+        ]
+        for value in values:
+            assert ss_matrix.json_dumps(value) == json.dumps(value)
+
+    def test_a_non_float_array_is_refused_as_json_dumps_refuses_it(self):
+        with pytest.raises(TypeError):
+            json.dumps({"r": np.arange(3)})
+        with pytest.raises(TypeError):
+            ss_matrix.json_dumps({"r": np.arange(3)})
+
+    @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
+    def test_records_write_json_dumps_of_their_dicts(self, record, text):
+        assert record.to_json() == json.dumps(record.to_dict())
+
+    def test_a_large_matrix_is_written_as_before(self):
+        rng = np.random.default_rng(3)
+        m = np.tril(rng.standard_normal((300, 300)))
+        m[17, 3], m[18, 0], m[299, 299] = 1e-7, -3e20, 2.5e-05
+        self.assert_written_as_before(m)
