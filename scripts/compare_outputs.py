@@ -25,7 +25,9 @@ carry, and of a 4 x 4 matrix whose column 1 lies in the borderline band;
 plus the exit code, stdout, stderr, warning
 messages and output file of the CLI commands ``forward --path all`` (at
 T=128, at T=600, where the kernel panel walk runs 18 full panels and a ragged one,
-and on the T=600 model whose carried weights fall below the normal range),
+and on the T=600 model whose carried weights fall below the normal range;
+also on a T=64 model whose gains of 1e12 overflow every path, which it
+refuses on the recurrence's output),
 ``forward --path ssd`` (CSV, chosen by the ``.csv`` name of ``--out``),
 ``forward --path all --format json`` and ``--path ssd`` (JSON printed, and
 CSV) on a T=96 model whose outputs run from about 1e-15 to 1e22, so rows
@@ -291,6 +293,12 @@ def dump() -> dict[str, object]:
             graded = materialize_sss(random_representation(seed, 64, 3)).values
             graded = graded * 10.0 ** np.linspace(-6, 6, 64)[:, None]
             (work / "graded.csv").write_text(LowerTriangularMatrix(graded).to_csv())
+            # Gains of 1e12 overflow every path: --path all refuses it on the recurrence's check.
+            overflow_gains = np.full((64, 2), 1e12)
+            overflow_gains[0] = 1.0
+            overflowing = DiagonalSsm(overflow_gains, np.ones((64, 2)), np.ones((64, 2)))
+            (work / "ssm-overflow.json").write_text(overflowing.to_json())
+            (work / "x-overflow.csv").write_text(sequence_to_csv(np.ones((64, 1))))
             forward_config = {"path": "materialized", "format": "json"}
             (work / "forward.json").write_text(json.dumps(forward_config))
             representability = ["check-dual", "--mode", "representability", "--matrix"]
@@ -303,6 +311,10 @@ def dump() -> dict[str, object]:
                 ],
                 "forward/underflow/600": [
                     "forward", "--ssm", "ssm-underflow.json", "--input", "x-underflow.csv",
+                    "--path", "all",
+                ],
+                "forward/overflow": [
+                    "forward", "--ssm", "ssm-overflow.json", "--input", "x-overflow.csv",
                     "--path", "all",
                 ],
                 "forward/straddle": [

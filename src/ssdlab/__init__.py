@@ -23,6 +23,7 @@ from .ss_matrix import (
 )
 from .ssm import (
     DiagonalSsm,
+    forward_linear,
     forward_materialized,
     forward_recurrence,
     forward_ssd,

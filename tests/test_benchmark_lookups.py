@@ -20,6 +20,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: Wrapped span names that no benchmarked command enters: their metrics read 0.
 IDLE_SPANS = {
     "ssm.materialize_kernel",
+    # forward --path all runs the linear pair through one ``forward_linear`` pass.
+    "ssm.forward_recurrence",
+    "ssm.forward_ssd",
     "ss_matrix.one_ss",
     "duality.construct_one_ss_dual",
     "sss_extract.rank_factor_step",

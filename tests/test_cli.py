@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ssdlab import cli, ss_matrix
+from ssdlab import ssm as ssm_mod
 from ssdlab.limits import non_dualizable_matrix
 from ssdlab.ss_matrix import LowerTriangularMatrix
 from ssdlab.ssm import (
@@ -51,6 +52,29 @@ class TestForwardCommand:
         payload = json.loads((workdir / "fw.json").read_text())
         assert payload["max_rel_error"] <= 1e-10
         assert len(payload["Y_recurrence"]) == 16
+
+    @pytest.mark.parametrize("steps", [ssm_mod._CHUNK, 2 * ssm_mod._CHUNK + 3])
+    def test_all_prints_the_linear_outputs_as_their_own_paths_do(
+        self, tmp_path, monkeypatch, capsys, steps
+    ):
+        """The one pass's two outputs print byte for byte as each one-path command's "Y"."""
+        model, x = random_instance(11, steps, 4, 3)
+        (tmp_path / "ssm.json").write_text(model.to_json())
+        (tmp_path / "x.csv").write_text(sequence_to_csv(x))
+        monkeypatch.chdir(tmp_path)
+
+        def printed(path):
+            argv = ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", path]
+            assert cli.main([*argv, "--format", "json"]) == 0
+            return capsys.readouterr().out
+
+        def array_text(text, key):
+            start = text.index(f'"{key}": ') + len(key) + 4
+            return text[start:json.JSONDecoder().raw_decode(text, start)[1]]
+
+        both = printed("all")
+        for path in ("recurrence", "ssd"):
+            assert array_text(both, f"Y_{path}") == array_text(printed(path), "Y"), path
 
     def test_single_path_csv_output(self, workdir):
         proc = run_cli(
@@ -155,6 +179,9 @@ class TestForwardCommand:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("input error: ") and "finite" in lines[0]
+        if argv[-1] == "all":
+            # The recurrence is checked first, before the other outputs and any O(T^2) work.
+            assert proc.stderr == "input error: the recurrence output has non-finite entries\n"
         assert not (tmp_path / "y.json").exists()
 
 

@@ -16,6 +16,7 @@ from ssdlab.ssm import (
     FORWARD_PATHS,
     DiagonalSsm,
     ascending_sum,
+    forward_linear,
     forward_materialized,
     forward_recurrence,
     forward_ssd,
@@ -147,6 +148,55 @@ class TestForwardRecurrence:
             extra[steps] = peak - y.nbytes
         # A state for every step would add 8 * 3072 * 16 * 4 bytes; this allows 1/16 of that.
         assert extra[4096] <= extra[1024] + 8 * 3072 * 4
+
+
+class TestForwardLinear:
+    @pytest.mark.parametrize(
+        "steps", [1, ssm_mod._CHUNK - 1, ssm_mod._CHUNK, ssm_mod._CHUNK + 1, 2 * ssm_mod._CHUNK + 3]
+    )
+    def test_one_pass_is_bitwise_each_path_and_its_step_loop(self, steps):
+        rng = np.random.default_rng(steps)
+        gains = signed_gains_with_zeros(rng, steps, 5)
+        b, c = rng.standard_normal((2, steps, 5))
+        x = rng.standard_normal((steps, 3))
+        x[0] = -0.0
+        for record, model in model_and_dual(gains, b, c):
+            outputs = forward_linear(record, x)
+            assert list(outputs) == ["recurrence", "ssd"]
+            for path, y in outputs.items():
+                label = f"{type(record).__name__} {path}"
+                assert y.tobytes() == FORWARD_PATHS[path](record, x).tobytes(), label
+                assert y.tobytes() == STEP_LOOPS[path](model, x).tobytes(), label
+
+    def test_outputs_come_in_the_order_named(self):
+        model, x = random_instance(6, 9, 3, 2)
+        outputs = forward_linear(model, x, ("ssd", "recurrence"))
+        assert list(outputs) == ["ssd", "recurrence"]
+        assert outputs["ssd"].tobytes() == forward_ssd(model, x).tobytes()
+
+    def test_an_unknown_path_is_refused_before_any_work(self):
+        model, _ = random_instance(6, 9, 3, 2)
+        with pytest.raises(ValueError, match="^unknown linear path 'materialized'"):
+            forward_linear(model, np.zeros((2, 1)), ("ssd", "materialized"))
+
+    def test_two_paths_hold_one_chunk_of_states(self):
+        """Beyond its outputs, the two-path pass holds as much as the ssd path alone, at any T."""
+        extra = {}
+        for steps in (1024, 4096):
+            model, x = random_instance(5, steps, 16, 4)
+            for paths in (("ssd",), ("recurrence", "ssd")):
+                tracemalloc.start()
+                try:
+                    outputs = forward_linear(model, x, paths)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                extra[steps, paths] = peak - sum(y.nbytes for y in outputs.values())
+        pair = ("recurrence", "ssd")
+        # As in the one-path bound: no state for every step.
+        assert extra[4096, pair] <= extra[1024, pair] + 8 * 3072 * 4
+        # A second chunk of (N, d) states, one per path, would add 8 * _CHUNK * 16 * 4 bytes.
+        assert extra[4096, pair] <= extra[4096, ("ssd",)] + 8 * ssm_mod._CHUNK * 16 * 4 // 4
 
 
 class TestInputSequence:
