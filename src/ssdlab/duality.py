@@ -165,9 +165,9 @@ def representability_report(
     """Block/new-column report used by the CLI, ready for ``ss_matrix.json_dumps``.
 
     When representable, it also carries the ``construct_one_ss_dual`` factors (their
-    ``json_fields``, arrays as arrays), built from
-    the same sweep, and their relative residual; it may raise ``ReconstructionError`` or
-    ``UnstableScalingError``.
+    ``json_fields``, arrays as arrays), built from the same sweep, and their relative
+    residual ``kernel_residual(m, factors)``, summed a panel at a time; it may raise
+    ``ReconstructionError`` or ``UnstableScalingError``.
     """
     check_sizes(width=width)
     blocks = count_block_new_columns(m, eps)
@@ -198,12 +198,14 @@ def construct_one_ss_dual(
     against the at most ``width`` new columns before t. Nothing fills the
     upper triangle and nothing factors the block, so the cost is O(T^2 width).
 
-    Before re-materializing, the construction sums its error budget against
-    eps times |M|: the mass of M outside the diagonal blocks, the refined
-    fits' residuals in quadrature, and a rounding bound of
+    Before comparing the factors with M, the construction sums its error
+    budget against eps times |M|: the mass of M outside the diagonal blocks,
+    the refined fits' residuals in quadrature, and a rounding bound of
     width * unit roundoff * |tril(|Q| |K|^T)|. When the budget exceeds the
     gate, or a coefficient is not finite, it raises ``UnstableScalingError``
-    naming the largest term. ``ReconstructionError`` is the last check.
+    naming the largest term. ``ReconstructionError`` is the last check:
+    ``kernel_residual(m, factors)``, over both panel streams with no T x T
+    rebuild, must not exceed eps.
     """
     return _construct(m, count_block_new_columns(m, eps), width, eps)[0]
 
@@ -253,7 +255,7 @@ def _rounding_bound(p: np.ndarray, q: np.ndarray, k: np.ndarray) -> float:
 
 
 def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tuple:
-    """``construct_one_ss_dual`` from the sweep ``blocks`` of ``m``, and its relative residual."""
+    """``construct_one_ss_dual`` from the sweep ``blocks`` of ``m``, and its ``kernel_residual``."""
     if not _within_width(blocks, width):
         raise NotRepresentableError(
             f"matrix has a diagonal block with more than {width} new columns"
@@ -286,29 +288,29 @@ def _construct(m: LowerTriangularMatrix, blocks, width: int, eps: float) -> tupl
             f"{eps:.1e} * |M| = {gate:.3e}"
         )
     factors = MaskedAttentionFactors(p, q, k)
-    back = factors.materialize().values
-    residual = float(np.linalg.norm(back - vals))
-    if residual > gate:
+    residual = kernel_residual(m, factors)
+    if residual > eps:
         raise ReconstructionError(
-            f"re-materialization residual {residual:.3e} exceeds "
+            f"re-materialization residual {residual * norm:.3e} exceeds "
             f"{eps:.1e} * |M| = {gate:.3e}"
         )
-    denom = max(float(np.linalg.norm(back)), norm)  # as ss_matrix.rel_err(back, vals)
-    return factors, residual / denom if denom else residual
+    return factors, residual
 
 
-def kernel_residual(ssm: DiagonalSsm, factors: MaskedAttentionFactors) -> float:
-    """Relative Frobenius distance between the kernel and the factors' value.
+def kernel_residual(kernel, other) -> float:
+    """Relative Frobenius distance |other - kernel| / |kernel|; |other| for a zero ``kernel``.
 
-    The two panel streams are walked side by side and their squared
-    differences summed a panel at a time, so no T x T array is held.
-    Factors of another step count raise ``ShapeMismatchError``.
+    The one comparison of two kernels: each is a realization record or a
+    ``LowerTriangularMatrix``, and ``kernel``, the input, is the reference.
+    The two ``_panels()`` streams are walked side by side and their squared
+    differences summed a panel at a time, so no T x T array is held. Another
+    step count raises ``ShapeMismatchError``, a panel that overflows ``ValueError``.
     """
-    if factors.T != ssm.T:
-        raise ShapeMismatchError(f"the factors have {factors.T} steps, the model has {ssm.T}")
+    if other.T != kernel.T:
+        raise ShapeMismatchError(f"the other kernel has {other.T} steps, the reference {kernel.T}")
     square = miss = 0.0
-    for (_, _, kernel), (_, _, value) in zip(ssm._panels(), factors._panels()):
-        square += float(np.vdot(kernel, kernel))
-        value -= kernel  # every stream yields a fresh panel
+    for (_, _, reference), (_, _, value) in zip(kernel._panels(), other._panels()):
+        square += float(np.vdot(reference, reference))
+        value = value - reference
         miss += float(np.vdot(value, value))
     return math.sqrt(miss) / math.sqrt(square) if square else math.sqrt(miss)

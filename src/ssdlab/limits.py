@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeExceededError
-from .duality import _within_width, count_block_new_columns
-from .sss_extract import extract_sss, materialize_sss
-from .ss_matrix import LowerTriangularMatrix, json_record, rel_err, semiseparable_rank
+from .duality import _within_width, count_block_new_columns, kernel_residual
+from .sss_extract import extract_sss
+from .ss_matrix import LowerTriangularMatrix, json_record, semiseparable_rank
 
 #: Softmax rank checks become meaningless in double precision beyond this size.
 SOFTMAX_MAX_T = 8
@@ -187,7 +187,7 @@ def verify_non_dualizable(size: int, width: int) -> CounterexampleReport:
     ss_rank = semiseparable_rank(m)
     blocks = count_block_new_columns(m)
     dual_exists = _within_width(blocks, width)
-    roundtrip = rel_err(materialize_sss(rep).values, m.values)
+    roundtrip = kernel_residual(m, rep)
     measurements = {
         "semiseparable_rank": ss_rank,
         "width": width,

@@ -334,7 +334,8 @@ class LowerTriangularMatrix:
     """Dense T x T matrix whose strictly-upper entries are exactly zero.
 
     The zero pattern is validated on construction and the storage is
-    frozen, so instances are safe to share across threads.
+    frozen, so instances are safe to share across threads. Its rows stream
+    as every record's kernel does, through ``_panels()``.
     """
 
     values: np.ndarray
@@ -366,6 +367,11 @@ class LowerTriangularMatrix:
     def T(self) -> int:
         return self.values.shape[0]
 
+    def _panels(self):
+        """Row panels (lo, hi, values[lo:hi, :hi]), ``_TILE`` rows each, as read-only views."""
+        for lo in range(0, self.T, _TILE):
+            yield lo, min(lo + _TILE, self.T), self.values[lo : lo + _TILE, : lo + _TILE]
+
     def to_csv(self) -> str:
         return array_to_csv(self.values)
 
@@ -375,7 +381,7 @@ class LowerTriangularMatrix:
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b over the larger of the two norms; zero-safe."""
+    """Frobenius norm of a - b over the larger norm; zero-safe. It compares (T, d) outputs."""
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     diff = float(np.linalg.norm(a - b))
     return diff / denom if denom else diff

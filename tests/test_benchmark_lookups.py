@@ -26,6 +26,9 @@ IDLE_SPANS = {
     "ss_matrix.one_ss",
     "duality.construct_one_ss_dual",
     "sss_extract.rank_factor_step",
+    # check-dual and extract compare kernels by ``duality.kernel_residual``'s panel walk.
+    "duality.materialize",
+    "sss_extract.materialize_sss",
 }
 
 

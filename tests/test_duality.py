@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdlab import cli, duality
+from ssdlab import cli, duality, ss_matrix, sss_extract
 from ssdlab.duality import (
     MaskedAttentionFactors,
     attention_like_decomposition,
@@ -37,7 +37,7 @@ from ssdlab.ssm import (
     materialize_kernel,
     random_instance,
 )
-from ssdlab.sss_extract import materialize_sss, random_representation
+from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
 from tests.conftest import rel_fro, representable_matrix
 from tests.oracles import has_one_ss_dual
 from tests.test_sss_extract import noisy_representation
@@ -349,11 +349,30 @@ class TestKernelResidual:
         factors = MaskedAttentionFactors(np.ones(40), np.ones((40, 1)), np.ones((40, 1)))
         assert kernel_residual(ssm, factors) == np.linalg.norm(factors.materialize().values)
 
-    def test_factors_of_another_step_count_are_refused(self):
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
+    def test_a_matrix_against_factors_or_a_representation_matches_the_dense_difference(self, size):
+        m = representable_matrix(size, size, 2)
+        rng = np.random.default_rng(size)
+        q, k = rng.standard_normal((2, size, 2))
+        factors = MaskedAttentionFactors(rng.uniform(0.5, 1.0, size), q, k)
+        rep = random_representation(size, size, 2)
+        for other, back in ((factors, factors.materialize()), (rep, materialize_sss(rep))):
+            dense = np.linalg.norm(back.values - m.values) / np.linalg.norm(m.values)
+            assert abs(kernel_residual(m, other) - dense) <= 1e-14 * dense
+
+    def test_a_zero_matrix_gives_the_other_kernels_norm(self):
+        m = LowerTriangularMatrix(np.zeros((40, 40)))
+        factors = MaskedAttentionFactors(np.ones(40), np.ones((40, 1)), np.ones((40, 1)))
+        assert kernel_residual(m, factors) == np.linalg.norm(factors.materialize().values)
+        assert kernel_residual(m, m) == 0.0
+
+    @pytest.mark.parametrize("kind", ["model", "matrix"])
+    def test_factors_of_another_step_count_are_refused(self, kind):
         ssm, _ = random_instance(40, 40, 2, 1)
+        kernel = ssm if kind == "model" else materialize_kernel(ssm)
         factors = full_rank_one_ss_dual(random_instance(40, 39, 2, 1)[0])
-        with pytest.raises(ShapeMismatchError, match="factors have 39 steps, the model has 40"):
-            kernel_residual(ssm, factors)
+        with pytest.raises(ShapeMismatchError, match="other kernel has 39 steps, the reference 40"):
+            kernel_residual(kernel, factors)
 
     def test_holds_no_kernel_sized_array(self):
         # One 2048 x 2048 kernel alone is 32 MiB; the panel streams hold a few panels.
@@ -366,6 +385,24 @@ class TestKernelResidual:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_the_commands_comparisons_rebuild_no_kernel(self):
+        # Peaks beyond the input, in T^2 doubles; the report's 2.0 is its block partition.
+        m = materialize_kernel(random_instance(1, 2048, 4, 1, a_abs=(0.5, 1))[0])
+        rep = extract_sss(m, 4)
+        kernels = 8.0 * m.T**2
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1] / kernels
+            finally:
+                tracemalloc.stop()
+
+        residual, held = peak(lambda: kernel_residual(m, rep))
+        assert residual <= 1e-9 and held < 0.1
+        report, held = peak(lambda: representability_report(m, 4))
+        assert report["reconstruction_rel_residual"] <= 1e-9 and held < 2.05
 
 
 class TestBlockNewColumnCounts:
@@ -659,13 +696,16 @@ class TestCoefficientConstruction:
 
 
 class TestOneSweepPerCall:
-    """Each call partitions once and fits each column at most once."""
+    """Each call partitions once, fits each column at most once and rebuilds no kernel."""
 
     SIZE = 32
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"lstsq": 0, "pinv": 0, "partition": 0, "sweep": 0, "materialize": 0, "width": 0}
+        calls = {
+            "lstsq": 0, "pinv": 0, "partition": 0, "sweep": 0, "materialize": 0, "width": 0,
+            "materialize_sss": 0, "rel_err": 0,
+        }
 
         def count(owner, attr, key):
             original = getattr(owner, attr)
@@ -683,6 +723,10 @@ class TestOneSweepPerCall:
         count(duality, "diagonal_block_partition", "partition")
         count(duality, "_new_column_sweep", "sweep")
         count(MaskedAttentionFactors, "materialize", "materialize")
+        for owner in (cli, sss_extract):
+            count(owner, "materialize_sss", "materialize_sss")
+        for owner in (cli, ss_matrix):
+            count(owner, "rel_err", "rel_err")
         return calls
 
     def test_construct_one_ss_dual(self, monkeypatch):
@@ -698,6 +742,7 @@ class TestOneSweepPerCall:
         assert report.verdict
         assert calls["lstsq"] <= self.SIZE
         assert calls["partition"] == 1
+        assert calls["materialize_sss"] == calls["rel_err"] == 0
 
     def test_check_dual_command(self, monkeypatch, tmp_path):
         m = representable_matrix(41, self.SIZE, 3, blocks=3)
@@ -712,7 +757,19 @@ class TestOneSweepPerCall:
         assert calls["lstsq"] <= self.SIZE
         assert calls["partition"] == 1
         assert calls["sweep"] == 1
-        assert calls["materialize"] == 1
+        assert calls["materialize"] == 0
+
+    def test_extract_command(self, monkeypatch, tmp_path):
+        m = representable_matrix(41, self.SIZE, 3, blocks=3)
+        (tmp_path / "m.csv").write_text(m.to_csv())
+        calls = self.counted(monkeypatch)
+        code = cli.main([
+            "extract", "--matrix", str(tmp_path / "m.csv"), "--N", "3",
+            "--out", str(tmp_path / "rep.json"),
+        ])
+        assert code == cli.EXIT_OK
+        assert json.loads((tmp_path / "rep.json").read_text())["roundtrip_rel_residual"] <= 1e-9
+        assert calls["materialize_sss"] == calls["rel_err"] == 0
 
     def test_check_dual_fits_each_column_against_a_thin_factor(self, monkeypatch, tmp_path):
         m = representable_matrix(41, self.SIZE, 3, blocks=3)
