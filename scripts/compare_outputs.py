@@ -36,11 +36,14 @@ alternate,
 ``forward`` with its flags from ``--config``,
 ``check-dual --mode representability`` (on a representable kernel, on a
 matrix it refuses, and on a diagonal-model kernel with spread decay
-rates), ``check-dual --mode scalar-identity`` and ``--mode full-rank`` (on
-gains near one, on ``gen ssm``'s default gains and on a model with two
-all-zero gain steps),
+rates, also read from CSV text whose upper triangle is spelled ``-0.0`` or
+``0``, and from text with an integer ``-0`` below the diagonal, which the
+matrix reader hands to its general route), ``check-dual --mode
+scalar-identity`` and ``--mode full-rank`` (on gains near one, on ``gen
+ssm``'s default gains and on a model with two all-zero gain steps),
 ``extract`` (also on a T=64 matrix whose rows are graded from 1e-6 to
-1e6, whose representation holds entries below 1e-4),
+1e6, whose representation holds entries below 1e-4, and on the three
+respelled diagonal-model kernels),
 ``counterexample non-dualizable`` and ``softmax`` (at every T up
 to ``SOFTMAX_MAX_T``), ``gen ssm``,
 ``gen sequence`` (CSV at T=24, JSON and CSV at T=64), ``gen matrix`` (JSON,
@@ -162,6 +165,16 @@ def _planted_band_matrix():
     return LowerTriangularMatrix(vals)
 
 
+def _spelled_csv(values: np.ndarray, upper: str, below: dict | None = None) -> str:
+    """CSV text of a lower-triangular matrix: ``repr`` of each entry on and below the diagonal,
+    except the fields ``below`` names by (row, column), and ``upper`` for each entry above it."""
+    lines = []
+    for i, row in enumerate(values.tolist()):
+        fields = [(below or {}).get((i, j), repr(v)) for j, v in enumerate(row[: i + 1])]
+        lines.append(",".join(fields + [upper] * (len(row) - 1 - i)))
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def _warning_texts(out: dict[str, object], key: str):
     """Record the texts of the warnings raised inside, in order, as ``out[key]``; an error
@@ -272,6 +285,13 @@ def dump() -> dict[str, object]:
             # Mode decay rates differ, so a filled upper triangle would outgrow the kernel.
             decaying, _ = random_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))
             (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
+            # The same kernel in spellings the matrix reader hands to its general route.
+            decay_kernel = materialize_kernel(decaying).values
+            (work / "diag-upper-negative.csv").write_text(_spelled_csv(decay_kernel, "-0.0"))
+            (work / "diag-upper-integer.csv").write_text(_spelled_csv(decay_kernel, "0"))
+            (work / "diag-integer-negative-zero.csv").write_text(
+                _spelled_csv(decay_kernel, "0.0", {(40, 3): "-0"})
+            )
             shared_gain, _ = random_instance(seed, 32, 4, 2, scalar_identity=True)
             (work / "ssm-scalar.json").write_text(shared_gain.to_json())
             # Gains of magnitude 0.9 to 1.1, either sign.
@@ -302,6 +322,7 @@ def dump() -> dict[str, object]:
             forward_config = {"path": "materialized", "format": "json"}
             (work / "forward.json").write_text(json.dumps(forward_config))
             representability = ["check-dual", "--mode", "representability", "--matrix"]
+            extract_matrix = ["extract", "--matrix"]
             seeded = ["--seed", str(seed)]
             bench = ["bench", *seeded, "--out", "counts.csv", "--summary-out", "summary.json"]
             commands = {
@@ -332,6 +353,14 @@ def dump() -> dict[str, object]:
                 "check-dual": [*representability, "kernel.csv", "--N", "3"],
                 "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
                 "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
+                **{
+                    f"{command}/{spelling}": [
+                        *(representability if command == "check-dual" else extract_matrix),
+                        f"diag-{spelling}.csv", "--N", "4",
+                    ]
+                    for command in ("check-dual", "extract")
+                    for spelling in ("upper-negative", "upper-integer", "integer-negative-zero")
+                },
                 "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
                 "extract/graded": ["extract", "--matrix", "graded.csv", "--N", "3"],
                 "counterexample": ["counterexample", "non-dualizable", "--T", "8"],

@@ -15,7 +15,6 @@ import functools
 import itertools
 import os
 import reprlib
-import secrets
 import stat
 import sys
 
@@ -40,7 +39,8 @@ def _write_atomic(path: str, text: str) -> None:
     file's own, else 0666 less the process umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".ssdlab-{secrets.token_hex(8)}")
+    # os.urandom(8).hex() is secrets.token_hex(8), without the hashlib and OpenSSL it imports.
+    tmp = os.path.join(directory, f".ssdlab-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

@@ -7,7 +7,8 @@ What the module holds:
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
-  (a built kernel is handed over by ``LowerTriangularMatrix._trusted``),
+  (a built kernel, or a matrix read from canonical CSV, is handed over by
+  ``LowerTriangularMatrix._trusted``),
   and ``_check_norm_finite`` for a matrix the theory layer decides on;
 - the record ``LowerTriangularMatrix``;
 - the kernel panel walk, ``_segment_product_panels``, the row-panel stream of a
@@ -50,9 +51,14 @@ _SWEEP_DROP_SHARE = 1e-2
 #: Machine epsilon of float64, the unit of every rounding-level cut.
 _MACHINE_EPS = np.finfo(float).eps
 
-#: Rows of the kernel builder's panels and of the upper-triangle check's bands, sweep
-#: steps per stacked span-fit solve, and CSV lines per orjson parse.
+#: Rows of the kernel builder's panels, of the upper-triangle check's bands and of every
+#: other row panel (the block partition's, the column norms'), sweep steps per stacked
+#: span-fit solve, and CSV lines per orjson parse.
 _TILE = 32
+
+#: Characters of CSV text split into lines at once: a split's Python loop runs per piece,
+#: not per line, and no list of every line of a large file is held.
+_PIECE_CHARS = 1 << 16
 
 #: Diagonal tiles the kernel builder makes in one pass.
 _TILE_BATCH = 8
@@ -68,6 +74,10 @@ _REPR_RANGE = (1e-4, 1e16)
 #: +0.0, where ``np.loadtxt`` keeps the sign. It also matches the "-0" ending an exponent
 #: (``1e-0``), which only sends that text to ``loadtxt``.
 _INTEGER_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
+
+#: Characters of no CSV number. Text free of them gives JSON rows of numbers only: no string,
+#: literal, object or nested array, and no bracket that would make one line two rows.
+_NOT_NUMBERS = '"[]{tfn'
 
 
 def _safe_runs(a: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -119,40 +129,127 @@ def array_from_csv(text: str) -> np.ndarray:
     row, an empty field, a comment, a quote or an underscore in a number
     raises ``ValueError``. Text with no lines gives a (0, 0) array.
     """
+    out = _csv_by_orjson(text)
+    if out is not None:
+        return out
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return np.zeros((0, 0))
-    # With none of these, the only JSON values the rows can hold are numbers: no string,
-    # literal, object or nested array, and no bracket that would make one line two rows.
-    if not any(char in text for char in '"[]{tfn') and not _INTEGER_NEGATIVE_ZERO.search(text):
-        out = _csv_by_orjson(lines)
-        if out is not None:
-            return out
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _csv_by_orjson(lines: list[str]) -> np.ndarray | None:
-    """The rows of ``lines`` read as JSON arrays of numbers, ``_TILE`` lines a parse; None
-    where orjson refuses a panel or its rows are ragged.
+def _line_panels(text: str):
+    """The non-blank lines of ``text``, as ``text.splitlines()`` gives them, ``_TILE`` a list.
 
-    A panel at a time keeps the parsed Python floats to one panel's worth.
-    Each panel must have one row per line and the first row's width, so a
-    narrower panel is never broadcast into the output.
+    Text whose one line break is ``"\\n"`` is split a ``_PIECE_CHARS`` piece
+    at a time, so no list of all its lines is held; text holding any other
+    break that ``splitlines`` honours is split whole.
+    """
+    if text.isascii() and not any(char in text for char in "\r\v\f\x1c\x1d\x1e"):
+        pieces = _newline_pieces(text)
+    else:
+        pieces = [text.splitlines()]
+    carry = []
+    for lines in pieces:
+        lines = carry + [line for line in lines if line.strip()]
+        full = len(lines) - len(lines) % _TILE
+        for lo in range(0, full, _TILE):
+            yield lines[lo : lo + _TILE]
+        carry = lines[full:]
+    if carry:
+        yield carry
+
+
+def _newline_pieces(text: str):
+    """``text.split("\\n")`` a piece at a time: each list holds the lines of the next
+    ``_PIECE_CHARS`` characters or more, up to the end of a line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE_CHARS)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].split("\n")
+        start = end + 1
+
+
+def _orjson_panel(lines: list[str]) -> tuple[np.ndarray, list[int]] | None:
+    """The numbers of ``lines``, read by one orjson parse to ``np.loadtxt``'s bits, in order,
+    and each line's count of them; None where orjson refuses a line or reads an integer ``-0``.
+
+    The caller has checked that the text holds no ``_NOT_NUMBERS``
+    character, so each line is a list of numbers. JSON reads the integer
+    ``-0`` as +0.0, where ``loadtxt`` keeps the sign. It always reads as a
+    zero, so the text is searched for one only when a number read is zero.
     """
     import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
-    out = None
-    for lo in range(0, len(lines), _TILE):
-        panel = lines[lo : lo + _TILE]
-        try:
-            block = np.array(orjson.loads("[[" + "],[".join(panel) + "]]"), dtype=float)
-        except ValueError:  # orjson's refusal, or rows of different lengths
+    payload = "],[".join(lines)
+    try:
+        rows = orjson.loads("[[" + payload + "]]")
+    except orjson.JSONDecodeError:
+        return None
+    values = np.fromiter(itertools.chain.from_iterable(rows), float)
+    if not values.all() and _INTEGER_NEGATIVE_ZERO.search(payload):
+        return None
+    return values, [len(row) for row in rows]
+
+
+def _csv_by_orjson(text: str) -> np.ndarray | None:
+    """The rows of ``text`` read a ``_line_panels`` panel at a time by ``_orjson_panel``; None
+    where a panel is refused or a row is not the first row's width.
+
+    A panel at a time keeps the parsed Python floats to one panel's worth.
+    """
+    if any(char in text for char in _NOT_NUMBERS):
+        return None
+    blocks = []
+    for lines in _line_panels(text):
+        panel = _orjson_panel(lines)
+        if panel is None:
             return None
+        values, widths = panel
+        width = blocks[0].shape[1] if blocks else widths[0]
+        if widths != [width] * len(widths):
+            return None
+        blocks.append(values.reshape(len(widths), width))
+    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
+
+
+def _lower_triangle_by_orjson(text: str) -> np.ndarray | None:
+    """The square matrix of ``text``, where every line's fields right of the diagonal are
+    spelled ``0.0`` and all it reads is finite; None for any other text.
+
+    The first line's fields count the rows. Each line's fields right of
+    the diagonal are checked as text and never parsed: the line must end in
+    exactly one ``,0.0`` per column right of the diagonal, which is how
+    ``array_to_csv`` and ``repr`` write +0.0. The rest of each line, its
+    fields up to the diagonal, are read by ``_orjson_panel`` a panel of
+    ``_TILE`` lines at a time into the lower triangle of a zero matrix.
+    """
+    if any(char in text for char in _NOT_NUMBERS):
+        return None
+    out, lo = None, 0
+    for lines in _line_panels(text):
         if out is None:
-            out = np.empty((len(lines), block.shape[1]))
-        if block.shape != (len(panel), out.shape[1]):
+            size = lines[0].count(",") + 1
+            if size * size > len(text):  # too few characters for that many rows
+                return None
+            out = np.zeros((size, size))
+            zeros = ",0.0" * (size - 1)
+        hi = lo + len(lines)
+        if hi > size:
             return None
-        out[lo : lo + len(panel)] = block
-    return out
+        lower = []
+        for row, line in enumerate(lines, lo):
+            upper = 4 * (size - 1 - row)  # the characters of the row's ",0.0" fields
+            if len(line) <= upper or not line.endswith(zeros[4 * row :]):
+                return None
+            lower.append(line[: len(line) - upper])
+        panel = _orjson_panel(lower)
+        if panel is None or panel[1] != list(range(lo + 1, hi + 1)):  # row r has r + 1 fields
+            return None
+        if not np.isfinite(panel[0]).all():  # orjson reads none, but the matrix is trusted
+            return None
+        out[lo:hi, :hi][np.tri(hi - lo, hi, lo, dtype=bool)] = panel[0]
+        lo = hi
+    return out if out is not None and lo == size else None
 
 
 def json_loads(text: str):
@@ -352,11 +449,13 @@ class LowerTriangularMatrix:
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "LowerTriangularMatrix":
-        """No checks, no copy: the one handover for a kernel its builder shares with no one.
+        """No checks, no copy: the one handover for a matrix its maker shares with no one.
 
-        Its one builder, ``_assemble``, writes nothing above the diagonal, and
-        every panel stream it reads checks each panel for finiteness. The
-        constructor's copy and two scans would re-prove both.
+        Its two makers write nothing above the diagonal and check finiteness:
+        ``_assemble`` through the panel streams it reads, which check each
+        panel, and the CSV reader ``_lower_triangle_by_orjson``, which
+        checks each panel it parses. The constructor's copy and two scans
+        would re-prove both.
         """
         arr.flags.writeable = False
         matrix = object.__new__(cls)
@@ -377,7 +476,10 @@ class LowerTriangularMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "LowerTriangularMatrix":
-        return cls(array_from_csv(text))
+        """The matrix of CSV text: read by ``_lower_triangle_by_orjson`` where it can be, else
+        by ``array_from_csv``, to the same values and refusals."""
+        values = _lower_triangle_by_orjson(text)
+        return cls(array_from_csv(text)) if values is None else cls._trusted(values)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -548,9 +650,10 @@ def _block_sweep(vals: np.ndarray, eps: float):
     the sum exceeds ``_SWEEP_DROP_SHARE`` of eps times the norm of column t
     (at most block t's s[0], which stands in for a zero column), L[1:] and
     Vh are refactored from ``vals[t:, :t]`` and the sum restarts at zero.
-    ``vals`` is lower triangular, so its column norms, taken in one call,
-    are those of the columns on and below the diagonal. No column is normed
-    alone: shaped (n,) or (n, 1) it is summed pairwise, off in the last bit.
+    ``vals`` is lower triangular, so its column norms, taken together by
+    ``_column_norms``, are those of the columns on and below the diagonal.
+    No column is normed alone: shaped (n,) or (n, 1) it is summed pairwise,
+    off in the last bit.
 
     Each step writes G_t into one fresh array: the next carry as the
     product of the step's u[1:] and s, and column t in its last column.
@@ -561,7 +664,7 @@ def _block_sweep(vals: np.ndarray, eps: float):
     basis = np.zeros((0, 0))
     dropped = 0.0
     width = 0  # carry width of the step before
-    col_norms = np.linalg.norm(vals, axis=0)
+    col_norms = _column_norms(vals)
     for t in range(size):
         col = vals[t:, t]
         pair[:, -1] = col
@@ -589,6 +692,24 @@ def _block_sweep(vals: np.ndarray, eps: float):
         pair = np.empty((size - t - 1, keep + 1))
         np.multiply(u[1:, :keep], s[:keep], out=pair[:, :-1])
         basis = mapped[:keep]
+
+
+def _column_norms(vals: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(vals, axis=0)`` of a lower-triangular matrix, bit for bit, summed a
+    ``_TILE``-row panel at a time.
+
+    numpy sums the squares down each column in row order, so one reduce
+    over the running sums stacked on a panel's squares continues that sum;
+    a panel's columns right of its last row hold zeros, which add nothing.
+    """
+    sums = np.zeros(vals.shape[1])
+    for lo in range(0, len(vals), _TILE):
+        hi = min(lo + _TILE, len(vals))
+        stack = np.empty((hi - lo + 1, hi))
+        stack[0] = sums[:hi]
+        np.multiply(vals[lo:hi, :hi], vals[lo:hi, :hi], out=stack[1:])
+        np.add.reduce(stack, axis=0, out=sums[:hi])
+    return np.sqrt(sums)
 
 
 def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> int:
@@ -748,12 +869,18 @@ def diagonal_block_partition(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS)
     is (numerically) zero. The finest partition is returned; merging valid
     blocks only sums their new-column counts, so finer is never wrong.
     """
-    # covered[r, c] = max |M[r:, :c+1]|, so the region left of cut i peaks at covered[i, i-1].
-    covered = np.maximum.accumulate(np.abs(m.values), axis=1)
-    covered = np.maximum.accumulate(covered[::-1], axis=0)[::-1]
+    # below[c] = max |M[c+1:, :c+1]|, the region left of cut c+1, folded in a row panel at a
+    # time: row r's prefix maxima reach the cuts at or before it, on columns left of r.
+    below = np.zeros(m.T)
+    scale = 0.0
+    for lo, hi, panel in m._panels():
+        prefix = np.abs(panel)
+        np.maximum.accumulate(prefix, axis=1, out=prefix)
+        scale = max(scale, float(prefix[:, -1].max()))
+        np.maximum(below[:lo], prefix[:, :lo].max(axis=0), out=below[:lo])
+        np.maximum(below[lo:hi], np.tril(prefix[:, lo:], -1).max(axis=0), out=below[lo:hi])
     steps = np.arange(1, m.T)
-    scale = float(covered[0, -1])
-    return steps[covered[steps, steps - 1] <= eps * scale].tolist()
+    return steps[below[steps - 1] <= eps * scale].tolist()
 
 
 def blocks_from_cuts(size: int, cuts: list[int]) -> list[tuple[int, int]]:

@@ -95,6 +95,22 @@ def is_fine_mask(gains) -> bool:
     return bool(np.all(np.asarray(gains)[1:] != 0.0))
 
 
+def reference_diagonal_block_partition(
+    m: LowerTriangularMatrix, eps: float = DEFAULT_EPS
+) -> list[int]:
+    """Cuts of the finest diagonal-block partition from two dense prefix-maximum passes (test
+    oracle).
+
+    covered[r, c] = max |M[r:, :c+1]|, so the region left of cut i peaks at
+    covered[i, i-1], and covered[0, -1] is the largest magnitude in M.
+    """
+    covered = np.maximum.accumulate(np.abs(m.values), axis=1)
+    covered = np.maximum.accumulate(covered[::-1], axis=0)[::-1]
+    steps = np.arange(1, m.T)
+    scale = float(covered[0, -1])
+    return steps[covered[steps, steps - 1] <= eps * scale].tolist()
+
+
 def reference_diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndarray, tile: int):
     """(lo, hi, diagonal tile) of the kernel panel walk, one cumulative product each (test oracle).
 

@@ -1030,6 +1030,17 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_path_loads_no_hashlib(self, tmp_path):
+        # The atomic writer names its temp file from os.urandom, not secrets, which loads
+        # hmac, hashlib and OpenSSL's _hashlib.
+        listing = (
+            "import sys, ssdlab.cli; "
+            "print([m for m in ('hmac', 'hashlib', '_hashlib') if m in sys.modules])"
+        )
+        proc = run_python(["-c", listing], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestWithoutScipy:
     def test_import_path_loads_no_scipy(self, tmp_path):

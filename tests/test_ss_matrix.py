@@ -31,6 +31,7 @@ from tests.conftest import random_lower_triangular, run_ssdlab
 from tests.oracles import (
     is_fine_mask,
     numerical_rank,
+    reference_diagonal_block_partition,
     reference_diagonal_tiles,
     submatrix_rank_oracle,
 )
@@ -323,6 +324,69 @@ class TestDiagonalBlockPartition:
             assert cuts == expected
             assert all(type(c) is int for c in cuts)
 
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        size=st.sampled_from([1, 2, 31, 32, 33, 65, 100]),
+        eps=st.sampled_from([0.0, 1e-12, 1e-9]),
+        edges=st.sets(st.sampled_from([31, 32, 33, 63, 64]), max_size=3),
+        kind=st.sampled_from(["row", "column", "region"]),
+        factor=st.sampled_from([0.0, 1e-13, 1e-10, 1e-9, 1e-8]),
+        near_overflow=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_dense_oracle_around_panel_edges(
+        self, size, eps, edges, kind, factor, near_overflow, seed
+    ):
+        vals = np.tril(np.random.default_rng(seed).standard_normal((size, size)))
+        for edge in (e for e in edges if e < size):
+            if kind == "row":
+                vals[edge] *= factor
+            elif kind == "column":
+                vals[:, edge] *= factor
+            else:  # the region left of the cut before row ``edge``
+                vals[edge:, :edge] *= factor
+        if near_overflow:
+            # The squares' sum just below the largest double (norm 1.34e154), where the theory
+            # layer's norm check still lets the matrix through.
+            vals *= 1.3e154 / np.linalg.norm(vals)
+        m = LowerTriangularMatrix(vals)
+        assert np.isfinite(np.linalg.norm(m.values))
+        assert diagonal_block_partition(m, eps) == reference_diagonal_block_partition(m, eps)
+
+    def test_holds_no_copy_of_the_matrix(self):
+        m = random_lower_triangular(5, 1024)
+        tracemalloc.start()
+        try:
+            diagonal_block_partition(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * m.values.nbytes  # the dense prefix maxima held 2.0
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize(
+        "start,end", [(0, 1), (0, 2), (3, 34), (5, 70), (31, 96), (1, 100), (32, 65), (64, 100)]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e140, 1e-160], ids=["unit", "huge", "tiny"])
+    def test_panel_sums_are_numpy_s_norms_bit_for_bit(self, start, end, scale):
+        rng = np.random.default_rng(end)
+        graded = rng.standard_normal((100, 100)) * 10.0 ** rng.uniform(-5, 5, (100, 1))
+        vals = np.tril(graded) * scale
+        block = vals[start:end, start:end]  # a strided view, as the sweep gets a diagonal block
+        got = ss_matrix._column_norms(block)
+        assert got.tobytes() == np.linalg.norm(block, axis=0).tobytes()
+
+    def test_a_sweep_holds_no_squared_copy_of_the_matrix(self):
+        vals = np.tril(np.random.default_rng(3).standard_normal((1024, 1024)))
+        tracemalloc.start()
+        try:
+            ss_matrix._column_norms(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * vals.nbytes  # np.linalg.norm squares the whole matrix: 1.0
+
 
 class TestIsFineMask:
     def test_first_entry_is_ignored(self):
@@ -603,6 +667,145 @@ class TestCsvReader:
         assert proc.stderr.startswith("input error")
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "out.json").exists()
+
+
+#: The fields of ``test_hard_spellings_read_as_loadtxt``, padded and bare.
+HARD_FIELDS = ["-0", "-0.0", "-0e0", "1e-0", "-1e-400", "5e-324", "18446744073709551616",
+               "9007199254740993", "18446744073709551615", "-1", "-9223372036854775809", " -0 ",
+               "\t-0\t"]
+
+#: Matrix sizes with one row, a panel less one, one panel, a panel and one, and a ragged third.
+READER_SIZES = [1, 31, 32, 33, 65]
+
+
+def lower_csv(fields: list[list[str]], upper: str = "0.0", newline: str = "\n") -> str:
+    """CSV text of a square matrix whose row i holds ``fields[i][: i + 1]`` and then ``upper``."""
+    size = len(fields)
+    return newline.join(
+        ",".join([*fields[i][: i + 1], *[upper] * (size - 1 - i)]) for i in range(size)
+    ) + newline
+
+
+def random_fields(size: int, seed: int) -> list[list[str]]:
+    """``repr`` of a random size x size matrix with no zero, as lists of fields."""
+    values = np.random.default_rng(seed).standard_normal((size, size)) + 5.0
+    return [[repr(v) for v in row] for row in values.tolist()]
+
+
+def upper_nonzero(size: int, row: int) -> str:
+    """``lower_csv`` text of a random matrix whose row ``row`` ends in 2.0, not 0.0."""
+    lines = lower_csv(random_fields(size, row)).splitlines()
+    lines[row] = lines[row][: -len("0.0")] + "2.0"
+    return "\n".join(lines) + "\n"
+
+
+def assert_matrix_reads_as_loadtxt(text: str) -> LowerTriangularMatrix:
+    got = LowerTriangularMatrix.from_csv(text)
+    want = LowerTriangularMatrix(loadtxt_read(text))
+    assert got.values.tobytes() == want.values.tobytes(), text
+    return got
+
+
+class TestMatrixReader:
+    """``LowerTriangularMatrix.from_csv`` reads every text to the bits of ``np.loadtxt`` and the
+    constructor, and refuses it alike; no list of all the text's lines is held."""
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    @pytest.mark.parametrize("field", HARD_FIELDS)
+    def test_hard_spellings_below_the_diagonal(self, size, field):
+        fields = random_fields(size, size)
+        fields[-1][0] = field  # the last panel's first column
+        assert_matrix_reads_as_loadtxt(lower_csv(fields))
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    def test_every_hard_spelling_at_once(self, size):
+        spellings = itertools.cycle(HARD_FIELDS)
+        fields = [[next(spellings) for _ in range(size)] for _ in range(size)]
+        assert_matrix_reads_as_loadtxt(lower_csv(fields))
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    @pytest.mark.parametrize("other_zeros", [False, True], ids=["alone", "with-zeros"])
+    def test_an_integer_negative_zero_keeps_its_sign(self, size, other_zeros):
+        fields = random_fields(size, size)
+        fields[-1][-1] = "-0"  # the last panel's diagonal
+        if other_zeros and size > 1:
+            fields[-1][0] = "0.0"
+        got = assert_matrix_reads_as_loadtxt(lower_csv(fields))
+        assert np.signbit(got.values[-1, -1])
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        size=st.sampled_from(READER_SIZES),
+        values=st.lists(FINITE_BIT_PATTERNS, min_size=1, max_size=40),
+        spell=st.sampled_from(
+            [repr, "{:.17e}".format, "{:.25E}".format, "{:.40g}".format, _halfway]
+        ),
+    )
+    def test_random_bit_patterns_below_the_diagonal(self, size, values, spell):
+        tiled = np.resize(np.array(values), (size, size)).tolist()
+        assert_matrix_reads_as_loadtxt(lower_csv([[spell(v) for v in row] for row in tiled]))
+
+    @pytest.mark.parametrize("size", READER_SIZES[1:])
+    @pytest.mark.parametrize("upper", ["-0.0", "0", "0e0", " 0.0"])
+    def test_other_spellings_of_the_upper_zeros_take_the_general_route(self, size, upper):
+        text = lower_csv(random_fields(size, size), upper=upper)
+        assert ss_matrix._lower_triangle_by_orjson(text) is None
+        got = assert_matrix_reads_as_loadtxt(text)
+        assert np.signbit(got.values[np.triu_indices(size, 1)]).all() == (upper == "-0.0")
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    def test_canonical_text_is_read_by_orjson_alone(self, size):
+        values = np.tril(np.random.default_rng(size).standard_normal((size, size)))
+        values[-1, 0] = 0.0  # a zero below the diagonal sends its panel to the -0 search
+        text = ss_matrix.array_to_csv(values)
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt ran")):
+            got = LowerTriangularMatrix.from_csv(text)
+        assert got.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    def test_blank_lines_at_panel_edges(self, size):
+        lines = lower_csv(random_fields(size, size)).splitlines()
+        for at in (33, 32, 31, 1):
+            lines[at:at] = ["", " \t "]
+        text = "\n".join(lines) + "\n\n"
+        assert ss_matrix._lower_triangle_by_orjson(text) is not None
+        assert_matrix_reads_as_loadtxt(text)
+
+    @pytest.mark.parametrize("size", READER_SIZES)
+    @pytest.mark.parametrize("newline", ["\r\n", "\v", "\u2028"], ids=["crlf", "vt", "u2028"])
+    def test_other_line_breaks(self, size, newline):
+        assert_matrix_reads_as_loadtxt(lower_csv(random_fields(size, size), newline=newline))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.0,2.0\n3.0,4.0\n", upper_nonzero(40, 38), upper_nonzero(40, 0),
+         "1.0,0.0\n2.0,3.0\n4.0,5.0\n", "1.0,0.0,0.0\n2.0,3.0,0.0\n",
+         "1.0\n2.0,3.0\n", "1.0,0.0\n2.0\n", "1.0,0.0\n2.0,3.0,0.0\n", "1.0,0.0\n\n\n",
+         "1.0,0.0,0.0\n" + "2.0,3.0,0.0\n" * 32],
+        ids=["nonzero-in-tile", "nonzero-in-last-tile", "nonzero-beyond-tile", "tall", "wide",
+             "ragged-short-first", "ragged-short-last", "ragged-long-last", "too-few-rows",
+             "too-many-rows"],
+    )
+    def test_refusals_keep_their_messages(self, text):
+        with pytest.raises(ValueError) as want:
+            LowerTriangularMatrix(loadtxt_read(text))
+        with pytest.raises(ValueError) as got:
+            LowerTriangularMatrix.from_csv(text)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_a_large_matrix_holds_no_list_of_its_lines(self):
+        # The read holds the matrix and one panel's parse, about 1.45 times the matrix; a list
+        # of the text's lines would add the text's size again, about 1.5 times the matrix.
+        values = np.tril(np.random.default_rng(11).standard_normal((1024, 1024)))
+        text = ss_matrix.array_to_csv(values)
+        tracemalloc.start()
+        try:
+            got = LowerTriangularMatrix.from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.values.tobytes() == values.tobytes()
+        assert peak < 2.0 * values.nbytes
 
 
 #: One tiny instance of every JSON record type and its file text, key order included.
