@@ -66,7 +66,13 @@ from text holding the integer ``-0``; what
 ``GeneralSssRepresentation.from_json`` and ``sequence_from_json`` read
 from JSON text of such values in five spellings, and the error class and
 message (or, for a sequence, the array read) for a ``NaN``, ``Infinity``,
-``-Infinity`` or ``1e400`` literal and for malformed text; and the outcomes on
+``-Infinity`` or ``1e400`` literal and for malformed text; what the
+matrix, model and sequence readers make of JSON texts that span several
+64 KiB pieces (a T=100 matrix, a T=600, N=17 model and a 4000 x 2
+sequence of such values, and the sequence's 8000 values as one 1-D
+array), as ``json.dumps`` writes them, respelled with a row a line, a
+number a line and indented, and, for the matrix and model, with a declared
+``T`` of 2**63 or 2**64; and the outcomes on
 the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
 T=256, built by ``perfbench/workloads.py``, imported read-only): the
 per-block new-column verdicts, the exit code of ``check-dual --mode
@@ -615,6 +621,38 @@ def _json_reads(rng: np.random.Generator) -> dict[str, object]:
         for case, case_text in cases.items():
             for field, value in fields(read, case_text).items():
                 out[f"json/{name}{case}{field}"] = value
+
+    # Texts of several 64 KiB pieces, which the record reader parses a piece at a time: as
+    # ``json.dumps`` writes them, respelled with a row or a number a line or indented, which
+    # are read whole, and with declared sizes at 2**63 and 2**64, which orjson reads as an int
+    # and a float.
+    rows = np.tril(_hard_doubles(rng, (100, 100)))
+    gains = _gains(rng, (600, 17))
+    gains[1:, 3] = np.resize(EDGES, 599)
+    pieces = {
+        "matrix": (LowerTriangularMatrix.from_json, {"T": 100, "rows": rows.tolist()}),
+        "model": (DiagonalSsm.from_json, {
+            "T": 600, "N": 17, "A_diag": gains.tolist(),
+            "b": _hard_doubles(rng, (600, 17)).tolist(), "c": rng.standard_normal((600, 17)).tolist(),
+        }),
+        "sequence": (sequence_from_json, {"X": np.resize(_hard_doubles(rng), (4000, 2)).tolist()}),
+    }
+    flat = np.ravel(pieces["sequence"][1]["X"]).tolist()
+    pieces["sequence-1d"] = (sequence_from_json, {"X": flat})
+    for name, (read, obj) in pieces.items():
+        canonical = json.dumps(obj)
+        cases = {
+            "": canonical,
+            "/row-per-line": canonical.replace("], [", "],\n ["),
+            "/number-per-line": canonical.replace(", ", ",\n "),
+            "/indented": json.dumps(obj, indent=2),
+        }
+        for size in (2**63, 2**64):
+            if "T" in obj:
+                cases[f"/declared-{size}"] = json.dumps({**obj, "T": size})
+        for case, case_text in cases.items():
+            for field, value in fields(read, case_text).items():
+                out[f"json-pieces/{name}{case}{field}"] = value
     return out
 
 

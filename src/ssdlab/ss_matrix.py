@@ -3,7 +3,9 @@
 What the module holds:
 
 - the codecs: ``array_to_csv``/``array_from_csv``, the one JSON encoder
-  ``json_dumps`` and decoder ``json_loads``, and the ``json_record`` decorator;
+  ``json_dumps`` and decoder ``json_loads``, the record reader ``_read_json_record``
+  (arrays of numbers a piece at a time, ``json_loads`` for any other text), and
+  the ``json_record`` decorator;
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
@@ -56,8 +58,8 @@ _MACHINE_EPS = np.finfo(float).eps
 #: span-fit solve, and CSV lines per orjson parse.
 _TILE = 32
 
-#: Characters of CSV text split into lines at once: a split's Python loop runs per piece,
-#: not per line, and no list of every line of a large file is held.
+#: Characters of CSV text split into lines, or of a JSON array parsed, at once: a Python
+#: loop runs per piece, not per row, and no list of every row of a large file is held.
 _PIECE_CHARS = 1 << 16
 
 #: Diagonal tiles the kernel builder makes in one pass.
@@ -144,7 +146,7 @@ def _line_panels(text: str):
     break that ``splitlines`` honours is split whole.
     """
     if text.isascii() and not any(char in text for char in "\r\v\f\x1c\x1d\x1e"):
-        pieces = _newline_pieces(text)
+        pieces = (piece.split("\n") for piece in _pieces(text, "\n"))
     else:
         pieces = [text.splitlines()]
     carry = []
@@ -158,35 +160,55 @@ def _line_panels(text: str):
         yield carry
 
 
-def _newline_pieces(text: str):
-    """``text.split("\\n")`` a piece at a time: each list holds the lines of the next
-    ``_PIECE_CHARS`` characters or more, up to the end of a line."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE_CHARS)
+def _pieces(text: str, sep: str, start: int = 0, stop: int | None = None):
+    """``text[start:stop]`` cut at ``sep`` a piece at a time: each piece is the next
+    ``_PIECE_CHARS`` characters or more, up to the next ``sep``, which no piece keeps."""
+    stop = len(text) if stop is None else stop
+    while True:
+        end = text.find(sep, start + _PIECE_CHARS, stop)
         if end < 0:
-            end = len(text)
-        yield text[start:end].split("\n")
-        start = end + 1
+            end = stop
+        yield text[start:end]
+        if end == stop:
+            return
+        start = end + len(sep)
 
 
 def _orjson_panel(lines: list[str]) -> tuple[np.ndarray, list[int]] | None:
-    """The numbers of ``lines``, read by one orjson parse to ``np.loadtxt``'s bits, in order,
-    and each line's count of them; None where orjson refuses a line or reads an integer ``-0``.
+    """The numbers of CSV ``lines``, read by one orjson parse (``_parse_rows``) to
+    ``np.loadtxt``'s bits, in order, and each line's count of them; None where orjson refuses
+    a line or reads an integer ``-0``.
 
     The caller has checked that the text holds no ``_NOT_NUMBERS``
     character, so each line is a list of numbers. JSON reads the integer
     ``-0`` as +0.0, where ``loadtxt`` keeps the sign. It always reads as a
     zero, so the text is searched for one only when a number read is zero.
     """
-    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
     payload = "],[".join(lines)
+    panel = _parse_rows(payload)
+    if panel is not None and not panel[0].all() and _INTEGER_NEGATIVE_ZERO.search(payload):
+        return None
+    return panel
+
+
+def _parse_rows(payload: str) -> tuple[np.ndarray, list[int]] | None:
+    """The numbers of the rows ``payload`` joins by ``],[`` (or ``], [``), read by one orjson
+    parse, in order, and each row's count of them; None where orjson refuses a row or a row
+    holds an array, or a number stands between rows.
+
+    The caller has checked that the payload holds no string, object or
+    literal (no ``"{tfn``), so each row holds numbers, or arrays where the
+    payload has brackets other than its row separators.
+    """
+    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
     try:
         rows = orjson.loads("[[" + payload + "]]")
+        values = np.fromiter(itertools.chain.from_iterable(rows), float)
     except orjson.JSONDecodeError:
         return None
-    values = np.fromiter(itertools.chain.from_iterable(rows), float)
-    if not values.all() and _INTEGER_NEGATIVE_ZERO.search(payload):
+    except ValueError:  # an array inside a row: numpy sets no element to a sequence
+        return None
+    except TypeError:  # a number between rows, as in ``[1.0], 2.0, [3.0]``: it has no items
         return None
     return values, [len(row) for row in rows]
 
@@ -250,6 +272,135 @@ def _lower_triangle_by_orjson(text: str) -> np.ndarray | None:
         out[lo:hi, :hi][np.tri(hi - lo, hi, lo, dtype=bool)] = panel[0]
         lo = hi
     return out if out is not None and lo == size else None
+
+
+class _Handover:
+    """A float64 array that the JSON record reader made and holds no other handle on:
+    ``_float_array`` takes it as it is, where it copies any other value."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
+#: A key of a record's JSON text and the ``": "`` after it, as ``json.dumps`` writes them.
+_JSON_KEY = re.compile(r'"([A-Za-z_][A-Za-z0-9_]*)": ')
+
+#: The digits of a JSON integer; a scalar spelled any other way stops the match early.
+_JSON_INTEGER = re.compile(r"-?[0-9]+")
+
+#: What may follow a JSON text's closing brace: JSON whitespace, as both JSON readers allow.
+_JSON_END = re.compile(r"[ \t\n\r]*\Z")
+
+#: The separator of a 2-D array's rows in ``json.dumps``'s text.
+_JSON_ROWS = "], ["
+
+
+def _read_json_record(text: str, integers: tuple[str, ...] = ()):
+    """``json_loads(text)``, read a piece at a time (``_json_object``) where the text is spelled
+    as ``json_dumps`` spells a record, and whole by ``json_loads`` where it is not.
+
+    The two routes give the same values, bit for bit, except that the piece
+    route hands each array over as a ``_Handover`` float64 array, not a list.
+    A key of ``integers`` holding anything but an integer sends the text to
+    ``json_loads``, so a message that quotes its value quotes what
+    ``json_loads`` read.
+    """
+    obj = _json_object(text, integers)
+    return json_loads(text) if obj is None else obj
+
+
+def _json_object(text: str, integers: tuple[str, ...]) -> dict | None:
+    """The flat object of ``text`` spelled ``{"T": 8, "rows": [[1.0, 2.0], [3.0, 4.0]]}``, as
+    ``json_dumps`` and ``json.dumps`` write a record; None for text spelled any other way.
+
+    The text opens with the brace, separates its parts by ``", "`` and
+    ``": "`` alone, holds no key twice, and ends at its closing brace or in
+    JSON whitespace after it. Each value is an integer, read by orjson as
+    ``json_loads`` reads it (so one beyond 64 bits is a float), or an array
+    of numbers (``_json_array``); a key of ``integers`` holds an integer.
+    """
+    import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
+    if not isinstance(text, str) or not text.startswith("{"):  # bytes go to json_loads whole
+        return None
+    obj, pos = {}, 1
+    while True:
+        key = _JSON_KEY.match(text, pos)
+        if key is None or key[1] in obj:
+            return None
+        pos = key.end()
+        if text.startswith("[", pos) and key[1] not in integers:
+            read = _json_array(text, pos)
+            if read is None:
+                return None
+            pos, obj[key[1]] = read
+        else:
+            number = _JSON_INTEGER.match(text, pos)
+            if number is None:
+                return None
+            try:
+                obj[key[1]] = orjson.loads(number[0])
+            except orjson.JSONDecodeError:  # a leading zero
+                return None
+            pos = number.end()
+        if text.startswith("}", pos):
+            return obj if _JSON_END.match(text, pos + 1) else None
+        if not text.startswith(", ", pos):
+            return None
+        pos += 2
+
+
+def _json_array(text: str, start: int) -> tuple[int, _Handover] | None:
+    """Where the array of numbers that opens at ``text[start]`` ends, and its values; None
+    unless it is spelled ``[1.0, 2.0]`` or ``[[1.0, 2.0], [3.0, 4.0]]``.
+
+    The array's text holds no string, object or literal (no ``"{tfn``). A
+    1-D array's numbers are separated by ``", "`` and a 2-D array's rows by
+    ``_JSON_ROWS``, exactly. The array is cut at those separators, parsed a
+    ``_PIECE_CHARS`` piece at a time by ``_parse_rows``, and written into one
+    array sized by the count of separators, so the Python floats of one
+    piece are held at a time. JSON reads an integer ``-0`` as +0.0 on either
+    route, so, unlike CSV, no text is searched for one. A piece refused or
+    empty, rows of unequal widths, or a count of numbers or rows other than
+    the separators' (parts spelled apart some other way) give None. The
+    separators are counted in place and each piece searched as it is parsed:
+    no copy of a whole array's text is made.
+    """
+    flat = not text.startswith("[[", start)
+    depth = 1 if flat else 2
+    lo = start + depth
+    # The array ends before the next key's quote, if any. Its closing brackets are searched
+    # back from there, a few characters, where a search on from its start reads every row.
+    after = text.find('"', lo)
+    hi = text.rfind("]" * depth, lo, len(text) if after < 0 else after)
+    if hi < 0 or text.find("{", lo, hi) >= 0:
+        return None
+    sep = ", " if flat else _JSON_ROWS
+    rows = text.count(sep, lo, hi) + 1  # a 1-D array is read as a column: a number a row
+    out, row = None, 0
+    for piece in _pieces(text, sep, lo, hi):
+        panel = None if any(char in piece for char in "tfn") else _parse_rows(piece)
+        if panel is None:
+            return None
+        values, widths = panel
+        if flat:  # a piece of a 1-D array parses as one row of numbers
+            if len(widths) != 1 or not widths[0]:
+                return None
+            count, width = widths[0], 1
+        else:
+            count, width = len(widths), widths[0]
+            if widths != [width] * count:
+                return None
+        if out is None:
+            out = np.empty((rows, width))
+        if width != out.shape[1] or row + count > rows:
+            return None
+        out[row : row + count] = values.reshape(count, width)
+        row += count
+    if row < rows:
+        return None
+    return hi + depth, _Handover(out.reshape(rows) if flat else out)
 
 
 def json_loads(text: str):
@@ -325,8 +476,9 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     The class gains ``json_fields`` (each key and its value, arrays as they
     are, for ``json_dumps``), ``to_dict`` (arrays as lists), ``to_json``
     and a ``from_json`` classmethod in its own namespace. ``from_json``
-    passes the keys not in ``declared`` to the constructor, so every
-    construction check still runs; it raises
+    reads the text by ``_read_json_record``, so a record's arrays of numbers
+    are read a piece at a time, and passes the keys not in ``declared`` to
+    the constructor, so every construction check still runs; it raises
     ``ValueError`` naming each key the object lacks or each ``declared`` key
     (a size the file states) that is not a JSON integer, and
     ``ShapeMismatchError`` when a declared size disagrees with the rebuilt
@@ -343,7 +495,7 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
         return json_dumps(self.json_fields())
 
     def from_json(cls, text: str):
-        obj = json_loads(text)
+        obj = _read_json_record(text, declared)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object for {cls.__name__}")
         missing = ", ".join(repr(key) for key in keys if key not in obj)
@@ -400,8 +552,10 @@ def _check_norm_finite(m: LowerTriangularMatrix) -> None:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """A float copy of ``value``; one that is not an array of numbers (a JSON object, say)
-    raises ``ValueError`` naming ``name``."""
+    """A float copy of ``value``, or the array of a ``_Handover`` as it is; a value that is not
+    an array of numbers (a JSON object, say) raises ``ValueError`` naming ``name``."""
+    if isinstance(value, _Handover):
+        return value.array
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -412,7 +566,9 @@ def _freeze_fields(record, **ndims: int) -> None:
     """The one rule for a record's array fields read from outside: check and store each read-only.
 
     Each named field of ``record`` is copied as floats (``_float_array``),
-    so no caller keeps a handle on the stored array. The copy must have its
+    so no caller keeps a handle on the stored array; an array the JSON
+    record reader made (a ``_Handover``) has no other handle and is stored
+    without a copy. The stored array must have its
     ``ndim`` axes, none of them empty, and finite entries.
     """
     for name, ndim in ndims.items():

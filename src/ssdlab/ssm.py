@@ -27,12 +27,12 @@ from .ss_matrix import (
     _check_finite,
     _float_array,
     _freeze_fields,
+    _read_json_record,
     _segment_product_panels,
     array_from_csv,
     array_to_csv,
     check_sizes,
     json_dumps,
-    json_loads,
     json_record,
 )
 
@@ -272,7 +272,7 @@ def sequence_to_json(x: np.ndarray) -> str:
 
 
 def sequence_from_json(text: str) -> np.ndarray:
-    obj = json_loads(text)
+    obj = _read_json_record(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object for a sequence")
     for key in ("X", "Y"):  # a one-path ``forward`` writes its output as "Y"

@@ -995,6 +995,179 @@ class TestJsonDecoder:
             ss_matrix.json_loads("[" * 100_000)
 
 
+#: Doubles whose JSON spelling is hard: signed zeros, subnormals, the largest double, and
+#: magnitudes that ``json.dumps`` writes with an exponent (``1e-05``, ``1e+16``).
+JSON_HARD_DOUBLES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-05,
+                     -1e16, 2.0**53 + 2, 0.1, -1.0]
+
+
+def json_texts(rng: np.random.Generator) -> dict[str, tuple]:
+    """(reader, canonical text, keys of the integers it declares) of a model, a matrix, a
+    sequence and a factor record, each long enough to span several small pieces."""
+    steps, modes = 70, 5
+
+    def values(*shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        out.flat[: len(JSON_HARD_DOUBLES)] = JSON_HARD_DOUBLES
+        return out
+
+    gains = values(steps, modes)
+    gains[0] = 1.0
+    return {
+        "model": (DiagonalSsm.from_json, DiagonalSsm(gains, values(steps, modes),
+                                                      values(steps, modes)).to_json(), ("T", "N")),
+        "matrix": (LowerTriangularMatrix.from_json,
+                   LowerTriangularMatrix(np.tril(values(40, 40))).to_json(), ("T",)),
+        "sequence": (sequence_from_json, json.dumps({"X": values(steps, 3).tolist()}), ()),
+        "factors": (MaskedAttentionFactors.from_json,
+                    json.dumps({"p": values(steps).tolist(), "Q": values(steps, 2).tolist(),
+                                "K": values(steps, 2).tolist()}), ()),
+    }
+
+
+def read_outcome(read, text):
+    """What ``read`` makes of ``text``: each array's dtype, shape and bytes, or the error's class
+    and message."""
+    try:
+        got = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, np.ndarray):
+        return got.dtype, got.shape, got.tobytes()
+    fields = {name: getattr(got, name) for name in ("values", "a_diag", "b", "c", "p", "Q", "K")
+              if hasattr(got, name)}
+    assert all(type(a) is np.ndarray and not a.flags.writeable for a in fields.values())
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in fields.items()}
+
+
+def whole_text_outcome(read, text):
+    """``read_outcome`` with every text read whole by ``json_loads``, as before the piece reader."""
+    with mock.patch.object(ss_matrix, "_json_object", return_value=None):
+        return read_outcome(read, text)
+
+
+def in_first_rows(text: str, old: str, new: str) -> str:
+    """``text`` with the first ``old`` from its first 2-D array on replaced by ``new``."""
+    at = text.index("[[")
+    return text[:at] + text[at:].replace(old, new, 1)
+
+
+def first_number(text: str) -> str:
+    """The first number of the first 2-D array of a canonical text."""
+    return text[text.index("[[") + 2 :].split(",")[0]
+
+
+#: Spellings of a record's text that the piece reader leaves to ``json_loads``: each maps a
+#: canonical text to another.
+WHOLE_TEXT_SPELLINGS = {
+    "indented": lambda text: json.dumps(json.loads(text), indent=2),
+    "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "leading-space": lambda text: " " + text,
+    "row-per-line": lambda text: text.replace("], [", "],\n [", 3),
+    **{f"literal-{literal}": (lambda literal: lambda text: in_first_rows(
+        text, "[[" + first_number(text), "[[" + literal))(literal)
+       for literal in ("NaN", "Infinity", "-Infinity", "1e400", "null", "true", '"1.5"')},
+    "ragged": lambda text: in_first_rows(text, "[[" + first_number(text) + ", ", "[["),
+    "scalar-row": lambda text: in_first_rows(text, "], [", "], 2.5, ["),
+    "object-in-row": lambda text: in_first_rows(text, "[[" + first_number(text), "[[{}"),
+    "nested-row": lambda text: in_first_rows(text, "[[" + first_number(text),
+                                             "[[[" + first_number(text) + "]"),
+    "three-axes": lambda text: text.replace(": [[", ": [[[", 1).replace("]]", "]]]", 1),
+    "repeated-key": lambda text: text[:-1] + ", " + text[1:-1] + "}",
+    "repeated-key-other-value": lambda text: text[:-1] + ", " + in_first_rows(
+        text[1:-1], "[[" + first_number(text), "[[7.5") + "}",
+    "trailing-comma": lambda text: text[:-1] + ", }",
+    "after-the-object": lambda text: text + " 1",
+}
+
+
+class TestJsonRecordReader:
+    """``_read_json_record`` reads a record's canonical JSON text a piece at a time, to the bits
+    that ``json_loads`` and ``np.array`` give, and hands every other text to ``json_loads``."""
+
+    @pytest.mark.parametrize("piece_chars", [1, 97, 1 << 16], ids=["row", "few-rows", "default"])
+    @pytest.mark.parametrize("kind", ["model", "matrix", "sequence", "factors"])
+    def test_canonical_text_reads_as_json_loads(self, monkeypatch, kind, piece_chars):
+        read, text, integers = json_texts(np.random.default_rng(43))[kind]
+        assert ss_matrix._json_object(text, integers) is not None
+        want = whole_text_outcome(read, text)
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", piece_chars)
+        monkeypatch.setattr(ss_matrix, "json_loads", mock.Mock(side_effect=AssertionError))
+        assert read_outcome(read, text) == want
+
+    def test_pieces_split_the_rows_where_they_may(self, monkeypatch):
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", 10)
+        text = '{"X": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]}'
+        pieces = list(ss_matrix._pieces(text, "], [", text.index("[[") + 2, len(text) - 3))
+        assert pieces == ["1.0, 2.0], [3.0, 4.0", "5.0, 6.0], [7.0, 8.0"]
+        assert sequence_from_json(text).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+        # A 1-D array is cut between its numbers.
+        text = '{"X": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}'
+        pieces = list(ss_matrix._pieces(text, ", ", text.index("[") + 1, len(text) - 2))
+        assert pieces == ["1.0, 2.0, 3.0", "4.0, 5.0, 6.0"]
+        assert sequence_from_json(text).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("spelling", list(WHOLE_TEXT_SPELLINGS))
+    @pytest.mark.parametrize("kind", ["model", "matrix", "sequence", "factors"])
+    def test_other_spellings_are_read_whole(self, monkeypatch, kind, spelling):
+        read, text, integers = json_texts(np.random.default_rng(7))[kind]
+        other = WHOLE_TEXT_SPELLINGS[spelling](text)
+        assert other != text
+        assert ss_matrix._json_object(other, integers) is None
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", 97)
+        assert read_outcome(read, other) == whole_text_outcome(read, other)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"T": 18446744073709551616, "rows": [[1.0]]}', '{"T": 1, "rows": [[18446744073709551616]]}',
+         '{"T": 1, "rows": [[-0]]}', '{"T": -0, "rows": [[1.0]]}', '{"T": 1, "rows": [[1]]}',
+         '{"T": 1, "rows": [[1.0]]}\n', '{"T": 1, "rows": [[1.0]], "extra": [2.0, 3.0]}',
+         '{"T": 2, "rows": [[1.0]]}', '{"T": 1, "rows": [[]]}', '{"T": 0, "rows": [[], []]}',
+         '{"T": 1, "rows": []}', '{"T": 1, "rows": [1.0]}', '{"T": 1, "rows": 5}',
+         '{"T": [1], "rows": [[1.0]]}', '{"T": 1.0, "rows": [[1.0]]}', '{"T": 01, "rows": [[1.0]]}',
+         '{"rows": [[1.0]]}', '{"T": 1, "rows": [[1.0], [2.0]]}',
+         '{"T": 3, "rows": [[1.0], 2.0, [3.0]]}', '{"T": 3, "rows": [1.0], 2.0, [3.0]}',
+         '{"T": 1, "rows": [[1.0]], "p": [1.0,2.0, ]}',
+         '{"T": 1, "rows": [[1.0]], "p": [1.0], [2.0]}'],
+        ids=["scalar-beyond-64-bits", "entry-beyond-64-bits", "integer-negative-zero",
+             "scalar-negative-zero", "integer-entry", "trailing-newline", "extra-key",
+             "declared-size-differs", "empty-row", "empty-rows", "no-rows", "one-axis",
+             "scalar-rows", "array-size", "float-size", "leading-zero", "missing-size", "tall",
+             "scalar-row", "scalar-between-arrays", "trailing-comma-after-numbers", "arrays-apart"],
+    )
+    @pytest.mark.parametrize("piece_chars", [1, 1 << 16], ids=["number", "default"])
+    def test_either_route_reads_a_text_alike(self, monkeypatch, text, piece_chars):
+        # Read by pieces or whole, each text gives the values, or the refusal, it gave before.
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", piece_chars)
+        read = LowerTriangularMatrix.from_json
+        assert read_outcome(read, text) == whole_text_outcome(read, text)
+
+    def test_a_representation_with_two_axes_of_transitions_is_refused_alike(self):
+        # Its "r" would reach the constructor as a float array; the check on "A" refuses first.
+        text = '{"T": 1, "N": 1, "A": [[1.0]], "b": [[1.0]], "c": [[1.0]], "r": [1]}'
+        assert ss_matrix._json_object(text, ("T", "N")) is not None
+        read = GeneralSssRepresentation.from_json
+        assert read_outcome(read, text) == whole_text_outcome(read, text)
+        assert read_outcome(read, text)[0] is ShapeMismatchError
+
+    def test_a_model_read_holds_its_arrays_once(self):
+        # Beyond its text, the read holds about 1.4 times the model's arrays: the arrays and one
+        # piece. Whole, through Python floats and a copy, it held about 5.8 times.
+        rng = np.random.default_rng(5)
+        gains = rng.uniform(0.5, 1.0, (4096, 16))
+        gains[0] = 1.0
+        model = DiagonalSsm(gains, rng.standard_normal((4096, 16)), rng.standard_normal((4096, 16)))
+        text = model.to_json()
+        tracemalloc.start()
+        try:
+            got = DiagonalSsm.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.a_diag.tobytes() == model.a_diag.tobytes()
+        assert peak < 2.0 * 3 * model.a_diag.nbytes
+
+
 def repr_csv(x) -> str:
     """The CSV writer ``array_to_csv`` had before orjson: each row's ``repr`` values joined."""
     rows = np.atleast_2d(np.asarray(x, dtype=float))
