@@ -246,8 +246,8 @@ class ScalingResult:
     slopes: dict[str, float]
 
     def to_csv(self) -> str:
-        """One row per report, its columns the keys of ``FlopReport.to_dict``."""
-        rows = [rep.to_dict() for rep in self.reports]
+        """One row per report, its columns the keys of ``FlopReport.json_fields``."""
+        rows = [rep.json_fields() for rep in self.reports]
         lines = [",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)]
         return "\n".join(lines) + "\n"
 
@@ -256,7 +256,7 @@ class ScalingResult:
             {
                 "path": self.path,
                 "slopes": self.slopes,
-                "points": [rep.to_dict() for rep in self.reports],
+                "points": [rep.json_fields() for rep in self.reports],
             }
         )
 

@@ -19,7 +19,8 @@ What the module holds:
   ``_assemble`` builds the dense kernel and ``_apply`` multiplies it into a
   sequence one panel at a time;
 - the block sweep, ``_block_sweep``, one ``SweepStep`` per lower-left block,
-  which ``semiseparable_rank`` reads;
+  its rank counted by ``rank_of_singular_values``, which ``semiseparable_rank``
+  reads;
 - the span fits, ``_thin_fits`` and ``_span_fits``, behind new-column
   detection (``new_columns``, ``_new_column_sweep``) and diagonal-block
   partitioning (``diagonal_block_partition``);
@@ -40,7 +41,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lowrank import rank_of_singular_values
 from .errors import ShapeMismatchError, UnstableScalingError
 
 #: Relative tolerance shared by every rank / span decision in the package.
@@ -462,34 +462,23 @@ def _float_array_json(a: np.ndarray) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _json_value(value):
-    """``value`` as ``json.loads`` would give it back: arrays and tuples become lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return list(value) if isinstance(value, tuple) else value
-
-
 def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
     """Class decorator: a JSON codec declared as one table of file keys.
 
     ``keys`` maps each JSON key, in file order, to the attribute it holds.
     The class gains ``json_fields`` (each key and its value, arrays as they
-    are, for ``json_dumps``), ``to_dict`` (arrays as lists), ``to_json``
-    and a ``from_json`` classmethod in its own namespace. ``from_json``
-    reads the text by ``_read_json_record``, so a record's arrays of numbers
-    are read a piece at a time, and passes the keys not in ``declared`` to
-    the constructor, so every construction check still runs; it raises
-    ``ValueError`` naming each key the object lacks or each ``declared`` key
-    (a size the file states) that is not a JSON integer, and
-    ``ShapeMismatchError`` when a declared size disagrees with the rebuilt
-    record.
+    are, for ``json_dumps``), ``to_json`` and a ``from_json`` classmethod in
+    its own namespace. ``from_json`` reads the text by ``_read_json_record``,
+    so a record's arrays of numbers are read a piece at a time, and passes
+    the keys not in ``declared`` to the constructor, so every construction
+    check still runs; it raises ``ValueError`` naming each key the object
+    lacks or each ``declared`` key (a size the file states) that is not a
+    JSON integer, and ``ShapeMismatchError`` when a declared size disagrees
+    with the rebuilt record.
     """
 
     def json_fields(self) -> dict:
         return {key: getattr(self, attr) for key, attr in keys.items()}
-
-    def to_dict(self) -> dict:
-        return {key: _json_value(value) for key, value in self.json_fields().items()}
 
     def to_json(self) -> str:
         return json_dumps(self.json_fields())
@@ -515,7 +504,7 @@ def json_record(keys: dict[str, str], declared: tuple[str, ...] = ()):
         return record
 
     def decorate(cls):
-        cls.json_fields, cls.to_dict, cls.to_json = json_fields, to_dict, to_json
+        cls.json_fields, cls.to_json = json_fields, to_json
         cls.from_json = classmethod(from_json)
         return cls
 
@@ -762,7 +751,7 @@ class SweepStep(NamedTuple):
     [carry, column t] = u S ``vh``, and ``u``, ``s`` and ``right`` (``vh``
     mapped to column coordinates) are an SVD of block t, with the signs
     ``np.linalg.svd`` returned: ranks, span fits and the dual do not depend
-    on them, and extraction fixes them with ``_lowrank.vector_signs``.
+    on them, and extraction fixes them with ``sss_extract.vector_signs``.
     ``rank`` counts the singular values above eps * s[0], and ``keep`` those
     above ``rounding``, block t's rounding level: they make the next carry.
     ``widened`` is set when a refactor left the carry over one column wider
@@ -850,6 +839,16 @@ def _block_sweep(vals: np.ndarray, eps: float):
         basis = mapped[:keep]
 
 
+def rank_of_singular_values(s: np.ndarray, eps: float) -> int:
+    """Count singular values (descending) above ``eps`` times the largest one.
+
+    The rank is 0 when there are none or the largest is not positive.
+    """
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > eps * s[0]))
+
+
 def _column_norms(vals: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(vals, axis=0)`` of a lower-triangular matrix, bit for bit, summed a
     ``_TILE``-row panel at a time.
@@ -875,7 +874,9 @@ def semiseparable_rank(m: LowerTriangularMatrix, eps: float = DEFAULT_EPS) -> in
     submatrix with row set R and column set C on or below the diagonal has
     max(C) <= min(R), so it sits inside ``M[min(R):, :max(C)+1]`` and its
     rank is bounded by that block's rank. One ``_block_sweep`` yields them.
+    A matrix whose Frobenius norm overflows is refused first (``_check_norm_finite``).
     """
+    _check_norm_finite(m)
     return max(step.rank for step in _block_sweep(m.values, eps))
 
 

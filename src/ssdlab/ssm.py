@@ -171,11 +171,10 @@ def forward_materialized(realization, x: np.ndarray) -> np.ndarray:
     return _apply(realization._panels(), _check_sequence(realization, x))
 
 
-def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Linear recurrence along rows: out_t = gains[t] * out_{t-1} + y_t.
 
-    Row -1 is ``start`` (one row's shape), so row 0 is gains[0] * start + y[0];
-    with no ``start``, row 0 is copied through and gains[0] is never read.
+    Row -1 is ``start`` (one row's shape), so row 0 is gains[0] * start + y[0].
     Gains have one axis fewer than ``y``: (T,) against (T, d), or (T, N) or (T, 1)
     against (T, N, d), each mode running its own recurrence (a (T, 1) column
     serves them all). Each row is written in place, a multiply and then an add.
@@ -185,18 +184,14 @@ def scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> n
         raise ShapeMismatchError(f"need (T,) gains for (T, d) rows, or (T, N) or (T, 1) gains "
                                  f"for (T, N, d) rows, got {gains.shape} and {y.shape}")
     check_sizes(T=y.shape[0])
+    prev = np.asarray(start, dtype=float)
+    if prev.shape != y.shape[1:]:
+        raise ShapeMismatchError(f"start must have shape {y.shape[1:]}, got {prev.shape}")
     out = np.empty_like(y)
-    if start is None:
-        out[0] = prev = y[0]
-        gains, y, rows = gains[1:], y[1:], out[1:]
-    else:
-        prev, rows = np.asarray(start, dtype=float), out
-        if prev.shape != y.shape[1:]:
-            raise ShapeMismatchError(f"start must have shape {y.shape[1:]}, got {prev.shape}")
     # Gains spread to the rows' shape once: a step's multiply then runs over whole contiguous
     # rows, which took a third less time than broadcasting each mode's gain over its row.
     spread = np.broadcast_to(gains[..., None], y.shape).copy()
-    for gain, row, cur in zip(spread, y, rows):
+    for gain, row, cur in zip(spread, y, out):
         np.multiply(gain, prev, out=cur)
         cur += row
         prev = cur

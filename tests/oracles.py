@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ssdlab._lowrank import balanced_factors, rank_of_singular_values, vector_signs
 from ssdlab.bench import FlopCounter
 from ssdlab.duality import _within_width, count_block_new_columns
 from ssdlab.errors import InconsistentTransitionError, SizeExceededError
@@ -13,9 +12,16 @@ from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
     _block_sweep,
     check_sizes,
+    rank_of_singular_values,
 )
 from ssdlab.ssm import DiagonalSsm, _check_sequence
-from ssdlab.sss_extract import GeneralSssRepresentation, _check_rank, solve_transition
+from ssdlab.sss_extract import (
+    GeneralSssRepresentation,
+    _check_rank,
+    balanced_factors,
+    solve_transition,
+    vector_signs,
+)
 
 #: Largest T the combinatorial rank oracle will accept.
 ORACLE_MAX_T = 12
@@ -143,6 +149,22 @@ def reference_recurrence(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def recurrence_rounding_bound(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
+    """How far two evaluations of each c_t h_t may differ, entry by entry: 2 gamma_N |c_t| |h_t|.
+
+    gamma_N = N u / (1 - N u), u the unit roundoff, bounds the error of an
+    N-term dot product in any summation order, so two BLAS kernels that add
+    the modes in different orders agree within twice that (test oracle).
+    """
+    x = _check_sequence(ssm, x)
+    unit = np.finfo(float).eps / 2
+    gamma = ssm.N * unit / (1 - ssm.N * unit)
+    bound = np.empty(x.shape)
+    for t, h in _reference_states(ssm, x):
+        bound[t] = 2 * gamma * (np.abs(ssm.c[t]) @ np.abs(h))
+    return bound
+
+
 def reference_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     """``forward_ssd`` one step at a time, its modes added in turn to zeros (test oracle)."""
     x = _check_sequence(ssm, x)
@@ -153,11 +175,11 @@ def reference_ssd(ssm: DiagonalSsm, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def reference_scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def reference_scan(gains: np.ndarray, y: np.ndarray, start: np.ndarray) -> np.ndarray:
     """``scan`` one row at a time, a fresh row each step (test oracle)."""
     gains = np.asarray(gains, dtype=float)[..., None]
     out = np.empty(y.shape)
-    out[0] = y[0] if start is None else gains[0] * start + y[0]
+    out[0] = gains[0] * start + y[0]
     for t in range(1, len(y)):
         out[t] = gains[t] * out[t - 1] + y[t]
     return out

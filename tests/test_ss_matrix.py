@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ssdlab import ss_matrix
 from ssdlab.bench import FlopReport
 from ssdlab.duality import MaskedAttentionFactors, one_ss
-from ssdlab.errors import ShapeMismatchError, SizeExceededError
+from ssdlab.errors import ShapeMismatchError, SizeExceededError, UnstableScalingError
 from ssdlab.limits import CounterexampleReport
 from ssdlab.ss_matrix import (
     LowerTriangularMatrix,
@@ -218,6 +218,13 @@ class TestSemiseparableRank:
 
     def test_zero_matrix_has_rank_zero(self):
         assert semiseparable_rank(LowerTriangularMatrix(np.zeros((4, 4)))) == 0
+
+    def test_a_matrix_whose_norm_overflows_is_refused(self):
+        m = LowerTriangularMatrix(np.tril(np.full((6, 6), 1e200)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableScalingError, match="Frobenius norm is inf"):
+                semiseparable_rank(m)
 
 
 class TestSubmatrixRankOracle:
@@ -845,7 +852,6 @@ class TestJsonRecords:
     @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
     def test_file_text_is_pinned(self, record, text):
         assert record.to_json() == text
-        assert record.to_dict() == json.loads(text)
 
     @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
     def test_round_trip_gives_the_same_file(self, record, text):
@@ -857,7 +863,7 @@ class TestJsonRecords:
         # Span wrappers look the loader up in the class's own namespace.
         cls = type(record)
         assert isinstance(cls.__dict__["from_json"], classmethod)
-        assert {"to_dict", "to_json"} <= set(cls.__dict__)
+        assert "to_json" in cls.__dict__
 
     def test_diagonal_ssm_rejects_inconsistent_declared_sizes(self):
         arrays = '"A_diag": [[1.0], [0.5]], "b": [[2.0], [-1.0]], "c": [[3.0], [0.25]]'
@@ -880,7 +886,7 @@ class TestJsonRecords:
              "GeneralSssRepresentation-T", "GeneralSssRepresentation-N"],
     )
     def test_a_declared_size_that_is_not_an_integer_is_refused(self, record, key, value):
-        obj = {**record.to_dict(), key: value}
+        obj = {**json.loads(record.to_json()), key: value}
         with pytest.raises(ValueError) as exc:
             type(record).from_json(json.dumps(obj))
         assert str(exc.value) == f"declared {key} must be an integer, got {value!r}"
@@ -1293,7 +1299,9 @@ class TestFloatArrayWriter:
 
     @pytest.mark.parametrize("record, text", TINY_RECORDS, ids=RECORD_IDS)
     def test_records_write_json_dumps_of_their_dicts(self, record, text):
-        assert record.to_json() == json.dumps(record.to_dict())
+        fields = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                  for key, value in record.json_fields().items()}
+        assert record.to_json() == json.dumps(fields)
 
     def test_a_large_matrix_is_written_as_before(self):
         rng = np.random.default_rng(3)

@@ -29,10 +29,30 @@ from ssdlab.ssm import (
     sequence_to_json,
 )
 from tests.conftest import rel_fro
-from tests.oracles import reference_recurrence, reference_scan, reference_ssd
+from tests.oracles import (
+    recurrence_rounding_bound,
+    reference_recurrence,
+    reference_scan,
+    reference_ssd,
+)
 
-#: Each linear path's plain step loop, which its chunked loop must equal bit for bit.
+#: Each linear path's plain step loop, which its chunked loop must equal.
 STEP_LOOPS = {"recurrence": reference_recurrence, "ssd": reference_ssd}
+
+
+def assert_is_the_step_loop(path, got, model, x, name):
+    """The ssd path bit for bit; the recurrence within its mode sum's rounding bound.
+
+    The states are the step loop's bit for bit on both paths. The recurrence
+    sums modes by one batched matrix product, and some BLAS kernels (OpenBLAS'
+    Prescott) pick a summation order by batch size, so only the ordered sum
+    can promise the step loop's bytes on every CPU.
+    """
+    want = STEP_LOOPS[path](model, x)
+    if path == "ssd":
+        assert got.tobytes() == want.tobytes(), name
+    else:
+        assert np.all(np.abs(got - want) <= recurrence_rounding_bound(model, x)), name
 
 
 def ref_kernel(ssm):
@@ -119,8 +139,8 @@ class TestForwardRecurrence:
         b, c = rng.standard_normal((2, steps, modes))
         x = rng.standard_normal((steps, channels))
         for record, model in model_and_dual(gains, b, c):
-            got = FORWARD_PATHS[path](record, x)
-            assert got.tobytes() == STEP_LOOPS[path](model, x).tobytes(), type(record).__name__
+            assert_is_the_step_loop(path, FORWARD_PATHS[path](record, x), model, x,
+                                    type(record).__name__)
 
     @pytest.mark.parametrize("path", list(STEP_LOOPS))
     def test_full_chunks_are_bitwise_the_step_loop(self, path):
@@ -130,8 +150,8 @@ class TestForwardRecurrence:
         b, c = rng.standard_normal((2, steps, 5))
         x = rng.standard_normal((steps, 4))
         for record, model in model_and_dual(gains, b, c):
-            got = FORWARD_PATHS[path](record, x)
-            assert got.tobytes() == STEP_LOOPS[path](model, x).tobytes(), type(record).__name__
+            assert_is_the_step_loop(path, FORWARD_PATHS[path](record, x), model, x,
+                                    type(record).__name__)
 
     @pytest.mark.parametrize("path", list(STEP_LOOPS))
     def test_working_memory_does_not_grow_with_steps(self, path):
@@ -166,7 +186,7 @@ class TestForwardLinear:
             for path, y in outputs.items():
                 label = f"{type(record).__name__} {path}"
                 assert y.tobytes() == FORWARD_PATHS[path](record, x).tobytes(), label
-                assert y.tobytes() == STEP_LOOPS[path](model, x).tobytes(), label
+                assert_is_the_step_loop(path, y, model, x, label)
 
     def test_outputs_come_in_the_order_named(self):
         model, x = random_instance(6, 9, 3, 2)
@@ -393,49 +413,48 @@ class TestForwardMaterialized:
 class TestScan:
     def test_unit_gains_give_prefix_sums(self):
         y = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(scan(np.ones(4), y), np.cumsum(y, axis=0))
+        assert np.array_equal(scan(np.ones(4), y, np.zeros(2)), np.cumsum(y, axis=0))
 
     def test_zero_gains_have_no_carry(self):
         y = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(scan(np.zeros(4), y), y)
+        assert np.array_equal(scan(np.zeros(4), y, np.zeros(2)), y)
 
     def test_direct_example_and_first_gain_unused(self):
-        got = scan(np.array([123.0, 2.0]), np.array([[1.0], [1.0]]))
+        # The first gain multiplies only the zero start.
+        got = scan(np.array([123.0, 2.0]), np.array([[1.0], [1.0]]), np.zeros(1))
         assert np.array_equal(got, np.array([[1.0], [3.0]]))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeMismatchError):
-            scan(np.ones(3), np.zeros((4, 2)))
+            scan(np.ones(3), np.zeros((4, 2)), np.zeros(2))
         for bad in (np.zeros((4, 2, 2)), np.zeros((3, 3, 2)), np.zeros((3, 2))):
             with pytest.raises(ShapeMismatchError):
-                scan(np.ones((3, 2)), bad)
+                scan(np.ones((3, 2)), bad, np.zeros(bad.shape[1:]))
 
     def test_mode_axis_is_bitwise_equal_to_per_mode_calls(self):
         ssm, _ = random_instance(13, 40, 4, 1)
         y = np.random.default_rng(13).standard_normal((40, 4, 3))
-        got = scan(ssm.a_diag, y)
+        got = scan(ssm.a_diag, y, np.zeros((4, 3)))
         for n in range(4):
-            assert np.array_equal(got[:, n], scan(ssm.a_diag[:, n], y[:, n]))
+            assert np.array_equal(got[:, n], scan(ssm.a_diag[:, n], y[:, n], np.zeros(3)))
 
     @pytest.mark.parametrize("with_start", [False, True])
     @pytest.mark.parametrize("steps", [1, 2, 37])
     @pytest.mark.parametrize("modes", [None, 1, 4])
     def test_bitwise_equal_to_the_step_loop(self, steps, modes, with_start):
-        """A start makes gains[0] count; with one step, that gain is zero."""
+        """gains[0] multiplies the start, a zero one or not; with one step, that gain is zero."""
         rng = np.random.default_rng(steps + (modes or 0))
         gains = signed_gains_with_zeros(rng, steps, modes or 1)
         gains[steps // 2] = 0.0
         if modes is None:
             gains = gains[:, 0]
         y = rng.standard_normal((*gains.shape, 3))
-        start = rng.standard_normal(y.shape[1:]) if with_start else None
+        start = rng.standard_normal(y.shape[1:]) if with_start else np.zeros(y.shape[1:])
         assert scan(gains, y, start).tobytes() == reference_scan(gains, y, start).tobytes()
 
     def test_negative_zero_first_row_from_a_zero_start_is_positive_zero(self):
         rows = np.array([[-0.0], [-0.0]])
         assert not np.signbit(scan(np.ones(2), rows, np.zeros(1))).any()
-        # Without a start, row 0 is copied through with its sign.
-        assert np.signbit(scan(np.ones(2), rows)).all()
 
     def test_rejects_a_start_that_is_not_one_row(self):
         with pytest.raises(ShapeMismatchError, match="start must have shape"):
@@ -445,14 +464,14 @@ class TestScan:
                                         (np.ones((0, 3)), np.zeros((0, 3, 2)))], ids=["1-D", "modes"])
     def test_zero_rows_are_a_size_error(self, vec, y):
         with pytest.raises(ShapeMismatchError, match="at least 1, got T=0"):
-            scan(vec, y)
+            scan(vec, y, np.zeros(y.shape[1:]))
 
     @pytest.mark.parametrize("with_start", [False, True])
     def test_a_gain_column_is_bitwise_the_gains_broadcast_over_modes(self, with_start):
         rng = np.random.default_rng(41)
         gains = signed_gains_with_zeros(rng, 37, 1)
         y = rng.standard_normal((37, 5, 3))
-        start = rng.standard_normal((5, 3)) if with_start else None
+        start = rng.standard_normal((5, 3)) if with_start else np.zeros((5, 3))
         broadcast = np.broadcast_to(gains, (37, 5)).copy()
         assert scan(gains, y, start).tobytes() == scan(broadcast, y, start).tobytes()
 
@@ -461,7 +480,7 @@ class TestScan:
                              ids=["column against 2-D rows", "two modes against three"])
     def test_gains_must_have_the_rows_leading_shape_or_one_column(self, gains, y):
         with pytest.raises(ShapeMismatchError, match="need"):
-            scan(gains, y)
+            scan(gains, y, np.zeros(y.shape[1:]))
 
 
 class TestAscendingSum:
@@ -489,7 +508,7 @@ class TestForwardSsd:
         gains[0] = 1.0
         ones = np.ones((9, 1))
         got = forward_ssd(DiagonalSsm(gains, ones, ones), x)
-        assert np.array_equal(got, scan(gains[:, 0], x))
+        assert np.array_equal(got, scan(gains[:, 0], x, np.zeros(3)))
 
     @pytest.mark.parametrize("field", ["b", "c"])
     def test_zero_input_or_output_weights_give_zeros(self, field):
