@@ -61,7 +61,9 @@ the zero-gain-steps model; and what
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines, in one text
 ``np.loadtxt`` reads and one over three panels that orjson reads, and
-from text holding the integer ``-0``; what
+from text holding the integer ``-0``; what they read from the canonical
+text of a matrix and of a sequence respelled with CRLF line breaks, with
+blank lines between rows and with trailing blank lines; what
 ``LowerTriangularMatrix.from_json``, ``DiagonalSsm.from_json``,
 ``GeneralSssRepresentation.from_json`` and ``sequence_from_json`` read
 from JSON text of such values in five spellings, and the error class and
@@ -72,7 +74,8 @@ matrix, model and sequence readers make of JSON texts that span several
 sequence of such values, and the sequence's 8000 values as one 1-D
 array), as ``json.dumps`` writes them, respelled with a row a line, a
 number a line and indented, and, for the matrix and model, with a declared
-``T`` of 2**63 or 2**64; and the outcomes on
+``T`` of 2**63 or 2**64, and the 1-D array with an integer ``-0`` among
+its numbers; and the outcomes on
 the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
 T=256, built by ``perfbench/workloads.py``, imported read-only): the
 per-block new-column verdicts, the exit code of ``check-dual --mode
@@ -524,9 +527,12 @@ def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
     ``csv/matrix`` has a line in a spelling orjson refuses (a leading ``+``), so
     ``np.loadtxt`` reads that whole text. ``csv/matrix-orjson`` spans three 32-line
     panels in spellings orjson reads, and ``csv/negative-zero-integer`` holds the
-    integer ``-0``, which JSON would read as +0.0.
+    integer ``-0``, which JSON would read as +0.0. The canonical texts of a 70 x 70
+    matrix and of the sequence are also read with CRLF line breaks and with blank
+    lines between rows, which ``np.loadtxt`` reads, and with trailing blank lines,
+    which orjson reads.
     """
-    from ssdlab.ss_matrix import LowerTriangularMatrix
+    from ssdlab.ss_matrix import LowerTriangularMatrix, array_to_csv
     from ssdlab.ssm import sequence_from_csv
 
     values = _hard_doubles(rng)
@@ -544,7 +550,7 @@ def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
     spellings = itertools.cycle([repr, "{:.17e}".format])
     rows = ["\n".join(",".join(spell(v) for v in row) for spell, row in zip(spellings, half))
             for half in (panels[:32].tolist(), panels[32:].tolist())]
-    return {
+    out = {
         "csv/matrix": LowerTriangularMatrix.from_csv("\r\n".join(lines) + "\n").values,
         "csv/matrix-orjson": LowerTriangularMatrix.from_csv(
             rows[0] + "\r\n \r\n" + rows[1] + "\n"  # a blank line at the first panel's end
@@ -554,6 +560,20 @@ def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
             "\n".join(",".join(repr(float(v)) for v in row) for row in sequence) + "\n\n"
         ),
     }
+    # The canonical texts of the matrix and the sequence, with their line breaks respelled.
+    canonical = {"matrix": (LowerTriangularMatrix.from_csv, array_to_csv(panels).splitlines()),
+                 "sequence": (sequence_from_csv, array_to_csv(sequence).splitlines())}
+    for name, (read, text_lines) in canonical.items():
+        middle = len(text_lines) // 2
+        texts = {
+            "crlf": "\r\n".join(text_lines) + "\r\n",
+            "blank-lines": "\n".join(text_lines[:middle] + ["", " \t "] + text_lines[middle:]),
+            "trailing-blank-lines": "\n".join(text_lines) + "\n\n \t\n\n",
+        }
+        for case, text in texts.items():
+            read_values = read(text)
+            out[f"csv/{name}-{case}"] = getattr(read_values, "values", read_values)
+    return out
 
 
 def _json_reads(rng: np.random.Generator) -> dict[str, object]:
@@ -650,6 +670,8 @@ def _json_reads(rng: np.random.Generator) -> dict[str, object]:
         for size in (2**63, 2**64):
             if "T" in obj:
                 cases[f"/declared-{size}"] = json.dumps({**obj, "T": size})
+        if name == "sequence-1d":  # JSON reads an integer -0 as +0.0, read by pieces or whole
+            cases["/integer-negative-zero"] = canonical.replace(", ", ", -0, ", 1)
         for case, case_text in cases.items():
             for field, value in fields(read, case_text).items():
                 out[f"json-pieces/{name}{case}{field}"] = value

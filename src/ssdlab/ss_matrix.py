@@ -5,7 +5,8 @@ What the module holds:
 - the codecs: ``array_to_csv``/``array_from_csv``, the one JSON encoder
   ``json_dumps`` and decoder ``json_loads``, the record reader ``_read_json_record``
   (arrays of numbers a piece at a time, ``json_loads`` for any other text), and
-  the ``json_record`` decorator;
+  the ``json_record`` decorator; CSV rows and JSON arrays of numbers are both
+  read by ``_read_rows``;
 - the input rules every module shares, one each: ``check_sizes`` for a size
   (at least 1), ``_check_finite`` for entries, ``_float_array`` for a
   value read as floats, and ``_freeze_fields`` for a record's array fields
@@ -54,12 +55,12 @@ _SWEEP_DROP_SHARE = 1e-2
 _MACHINE_EPS = np.finfo(float).eps
 
 #: Rows of the kernel builder's panels, of the upper-triangle check's bands and of every
-#: other row panel (the block partition's, the column norms'), sweep steps per stacked
-#: span-fit solve, and CSV lines per orjson parse.
+#: other row panel (the block partition's, the column norms'), and sweep steps per stacked
+#: span-fit solve.
 _TILE = 32
 
-#: Characters of CSV text split into lines, or of a JSON array parsed, at once: a Python
-#: loop runs per piece, not per row, and no list of every row of a large file is held.
+#: Characters of CSV or JSON text parsed at once: a Python loop runs per piece, not per row,
+#: and no list of every row of a large file is held.
 _PIECE_CHARS = 1 << 16
 
 #: Diagonal tiles the kernel builder makes in one pass.
@@ -77,9 +78,10 @@ _REPR_RANGE = (1e-4, 1e16)
 #: (``1e-0``), which only sends that text to ``loadtxt``.
 _INTEGER_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
 
-#: Characters of no CSV number. Text free of them gives JSON rows of numbers only: no string,
-#: literal, object or nested array, and no bracket that would make one line two rows.
-_NOT_NUMBERS = '"[]{tfn'
+#: Characters of no CSV number, besides the literals' letters that ``_parse_rows`` refuses.
+#: Text free of them gives JSON rows of numbers only: no string, object or nested array, no
+#: bracket that would make one line two rows, and no ``\r``, a line break JSON reads as a space.
+_NOT_NUMBERS = '"[]{\r'
 
 
 def _safe_runs(a: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -122,42 +124,32 @@ def array_to_csv(x: np.ndarray) -> str:
 def array_from_csv(text: str) -> np.ndarray:
     """Inverse of ``array_to_csv``: orjson reads the numbers, and ``np.loadtxt`` any text it refuses.
 
-    Whitespace-only lines are skipped. orjson reads the lines ``_TILE`` at a
-    time as JSON rows (``_csv_by_orjson``), to the same bits as ``loadtxt``
-    and in a fraction of its time. Text orjson refuses (``+1``, ``1.``,
-    ``.5``, ``01``, ``nan``, ``inf``, ``1e400``, an integer ``-0``, a
-    ragged row, malformed text) is read by ``np.loadtxt`` as a whole, so it
-    is read, or refused with ``loadtxt``'s own message, as before. A ragged
-    row, an empty field, a comment, a quote or an underscore in a number
-    raises ``ValueError``. Text with no lines gives a (0, 0) array.
+    Whitespace-only lines are skipped. orjson reads the lines as JSON rows
+    (``_read_rows``), to the same bits as ``loadtxt`` and in a fraction of
+    its time. Text orjson refuses (``+1``, ``1.``, ``.5``, ``01``, ``nan``,
+    ``inf``, ``1e400``, an integer ``-0``, a ragged row, malformed text), and
+    text with a blank line between rows or any ``\r``, is read by
+    ``np.loadtxt`` as a whole, so it is read, or refused with ``loadtxt``'s
+    own message, as before. A ragged row, an empty field, a comment, a quote
+    or an underscore in a number raises ``ValueError``. Text with no lines
+    gives a (0, 0) array.
     """
-    out = _csv_by_orjson(text)
-    if out is not None:
-        return out
+    if not text or text.isspace():  # isspace stops at the first character that is not a space
+        return np.zeros((0, 0))
+    if not any(char in text for char in _NOT_NUMBERS):
+        out = _read_rows(text, 0, _rows_end(text), "\n")
+        if out is not None:
+            return out
     lines = [line for line in text.splitlines() if line.strip()]
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _line_panels(text: str):
-    """The non-blank lines of ``text``, as ``text.splitlines()`` gives them, ``_TILE`` a list.
-
-    Text whose one line break is ``"\\n"`` is split a ``_PIECE_CHARS`` piece
-    at a time, so no list of all its lines is held; text holding any other
-    break that ``splitlines`` honours is split whole.
-    """
-    if text.isascii() and not any(char in text for char in "\r\v\f\x1c\x1d\x1e"):
-        pieces = (piece.split("\n") for piece in _pieces(text, "\n"))
-    else:
-        pieces = [text.splitlines()]
-    carry = []
-    for lines in pieces:
-        lines = carry + [line for line in lines if line.strip()]
-        full = len(lines) - len(lines) % _TILE
-        for lo in range(0, full, _TILE):
-            yield lines[lo : lo + _TILE]
-        carry = lines[full:]
-    if carry:
-        yield carry
+def _rows_end(text: str) -> int:
+    """Where the rows of CSV text end: before the spaces, tabs and newlines that close it."""
+    stop = len(text)
+    while stop and text[stop - 1] in " \t\n":
+        stop -= 1
+    return stop
 
 
 def _pieces(text: str, sep: str, start: int = 0, stop: int | None = None):
@@ -174,33 +166,22 @@ def _pieces(text: str, sep: str, start: int = 0, stop: int | None = None):
         start = end + len(sep)
 
 
-def _orjson_panel(lines: list[str]) -> tuple[np.ndarray, list[int]] | None:
-    """The numbers of CSV ``lines``, read by one orjson parse (``_parse_rows``) to
-    ``np.loadtxt``'s bits, in order, and each line's count of them; None where orjson refuses
-    a line or reads an integer ``-0``.
-
-    The caller has checked that the text holds no ``_NOT_NUMBERS``
-    character, so each line is a list of numbers. JSON reads the integer
-    ``-0`` as +0.0, where ``loadtxt`` keeps the sign. It always reads as a
-    zero, so the text is searched for one only when a number read is zero.
-    """
-    payload = "],[".join(lines)
-    panel = _parse_rows(payload)
-    if panel is not None and not panel[0].all() and _INTEGER_NEGATIVE_ZERO.search(payload):
-        return None
-    return panel
-
-
 def _parse_rows(payload: str) -> tuple[np.ndarray, list[int]] | None:
     """The numbers of the rows ``payload`` joins by ``],[`` (or ``], [``), read by one orjson
-    parse, in order, and each row's count of them; None where orjson refuses a row or a row
-    holds an array, or a number stands between rows.
+    parse to ``np.loadtxt``'s bits, in order, and each row's count of them; None where orjson
+    refuses a row, a row holds an array or a literal, a number stands between rows, or a
+    number is an integer ``-0``.
 
-    The caller has checked that the payload holds no string, object or
-    literal (no ``"{tfn``), so each row holds numbers, or arrays where the
-    payload has brackets other than its row separators.
+    The caller has checked that the payload holds no string or object (no
+    ``"{``), so each row holds numbers and literals, or arrays where the
+    payload has brackets other than its row separators. JSON reads the
+    integer ``-0`` as +0.0, where ``loadtxt`` keeps the sign. It always
+    reads as a zero, so the payload is searched for one only when a number
+    read is zero.
     """
     import orjson  # imported here: it loads uuid and zoneinfo, which most commands never need
+    if any(char in payload for char in "tfn"):
+        return None
     try:
         rows = orjson.loads("[[" + payload + "]]")
         values = np.fromiter(itertools.chain.from_iterable(rows), float)
@@ -210,28 +191,41 @@ def _parse_rows(payload: str) -> tuple[np.ndarray, list[int]] | None:
         return None
     except TypeError:  # a number between rows, as in ``[1.0], 2.0, [3.0]``: it has no items
         return None
+    if not values.all() and _INTEGER_NEGATIVE_ZERO.search(payload):
+        return None
     return values, [len(row) for row in rows]
 
 
-def _csv_by_orjson(text: str) -> np.ndarray | None:
-    """The rows of ``text`` read a ``_line_panels`` panel at a time by ``_orjson_panel``; None
-    where a panel is refused or a row is not the first row's width.
+def _read_rows(text: str, start: int, stop: int, sep: str) -> np.ndarray | None:
+    """The rows of numbers that ``sep`` separates in ``text[start:stop]``, as one float array;
+    None where ``_parse_rows`` refuses a piece, or the rows are not all the first row's width
+    or not one per separator and one more. Rows of that width too many for the text's
+    characters give None before the array is made.
 
-    A panel at a time keeps the parsed Python floats to one panel's worth.
+    The text is cut at ``sep`` into ``_PIECE_CHARS`` pieces (``_pieces``),
+    each read by one ``_parse_rows`` call into one array sized by the count
+    of separators, so the Python floats of one piece are held at a time. A
+    piece joined by ``_JSON_ROWS`` is parsed as it is; any other ``sep``
+    (a CSV line's ``"\n"``, a 1-D JSON array's ``", "``) is rewritten as a
+    row separator first.
     """
-    if any(char in text for char in _NOT_NUMBERS):
-        return None
-    blocks = []
-    for lines in _line_panels(text):
-        panel = _orjson_panel(lines)
+    rows = text.count(sep, start, stop) + 1
+    out, row = None, 0
+    for piece in _pieces(text, sep, start, stop):
+        panel = _parse_rows(piece if sep == _JSON_ROWS else piece.replace(sep, "],["))
         if panel is None:
             return None
         values, widths = panel
-        width = blocks[0].shape[1] if blocks else widths[0]
-        if widths != [width] * len(widths):
+        if out is None:
+            if rows * widths[0] > stop - start + 1:  # too few characters for that many numbers
+                return None
+            out = np.empty((rows, widths[0]))
+        count, width = len(widths), out.shape[1]
+        if widths != [width] * count or row + count > rows:
             return None
-        blocks.append(values.reshape(len(widths), width))
-    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
+        out[row : row + count] = values.reshape(count, width)
+        row += count
+    return out if row == rows else None
 
 
 def _lower_triangle_by_orjson(text: str) -> np.ndarray | None:
@@ -242,13 +236,15 @@ def _lower_triangle_by_orjson(text: str) -> np.ndarray | None:
     the diagonal are checked as text and never parsed: the line must end in
     exactly one ``,0.0`` per column right of the diagonal, which is how
     ``array_to_csv`` and ``repr`` write +0.0. The rest of each line, its
-    fields up to the diagonal, are read by ``_orjson_panel`` a panel of
-    ``_TILE`` lines at a time into the lower triangle of a zero matrix.
+    fields up to the diagonal, are read by ``_parse_rows`` a ``_pieces``
+    piece at a time into the lower triangle of a zero matrix. A blank line
+    between rows gives None; trailing ones are not read.
     """
     if any(char in text for char in _NOT_NUMBERS):
         return None
     out, lo = None, 0
-    for lines in _line_panels(text):
+    for piece in _pieces(text, "\n", 0, _rows_end(text)):
+        lines = piece.split("\n")
         if out is None:
             size = lines[0].count(",") + 1
             if size * size > len(text):  # too few characters for that many rows
@@ -264,14 +260,14 @@ def _lower_triangle_by_orjson(text: str) -> np.ndarray | None:
             if len(line) <= upper or not line.endswith(zeros[4 * row :]):
                 return None
             lower.append(line[: len(line) - upper])
-        panel = _orjson_panel(lower)
+        panel = _parse_rows("],[".join(lower))
         if panel is None or panel[1] != list(range(lo + 1, hi + 1)):  # row r has r + 1 fields
             return None
         if not np.isfinite(panel[0]).all():  # orjson reads none, but the matrix is trusted
             return None
         out[lo:hi, :hi][np.tri(hi - lo, hi, lo, dtype=bool)] = panel[0]
         lo = hi
-    return out if out is not None and lo == size else None
+    return out if lo == size else None
 
 
 class _Handover:
@@ -357,15 +353,11 @@ def _json_array(text: str, start: int) -> tuple[int, _Handover] | None:
 
     The array's text holds no string, object or literal (no ``"{tfn``). A
     1-D array's numbers are separated by ``", "`` and a 2-D array's rows by
-    ``_JSON_ROWS``, exactly. The array is cut at those separators, parsed a
-    ``_PIECE_CHARS`` piece at a time by ``_parse_rows``, and written into one
-    array sized by the count of separators, so the Python floats of one
-    piece are held at a time. JSON reads an integer ``-0`` as +0.0 on either
-    route, so, unlike CSV, no text is searched for one. A piece refused or
-    empty, rows of unequal widths, or a count of numbers or rows other than
-    the separators' (parts spelled apart some other way) give None. The
-    separators are counted in place and each piece searched as it is parsed:
-    no copy of a whole array's text is made.
+    ``_JSON_ROWS``, exactly, and ``_read_rows`` reads it at those
+    separators, a 1-D array as a column one number wide. Its closing
+    brackets are found without a copy of the array's text. JSON reads an
+    integer ``-0`` as +0.0 on either route, so an array holding one, which
+    ``_parse_rows`` refuses, reads alike whole.
     """
     flat = not text.startswith("[[", start)
     depth = 1 if flat else 2
@@ -376,31 +368,10 @@ def _json_array(text: str, start: int) -> tuple[int, _Handover] | None:
     hi = text.rfind("]" * depth, lo, len(text) if after < 0 else after)
     if hi < 0 or text.find("{", lo, hi) >= 0:
         return None
-    sep = ", " if flat else _JSON_ROWS
-    rows = text.count(sep, lo, hi) + 1  # a 1-D array is read as a column: a number a row
-    out, row = None, 0
-    for piece in _pieces(text, sep, lo, hi):
-        panel = None if any(char in piece for char in "tfn") else _parse_rows(piece)
-        if panel is None:
-            return None
-        values, widths = panel
-        if flat:  # a piece of a 1-D array parses as one row of numbers
-            if len(widths) != 1 or not widths[0]:
-                return None
-            count, width = widths[0], 1
-        else:
-            count, width = len(widths), widths[0]
-            if widths != [width] * count:
-                return None
-        if out is None:
-            out = np.empty((rows, width))
-        if width != out.shape[1] or row + count > rows:
-            return None
-        out[row : row + count] = values.reshape(count, width)
-        row += count
-    if row < rows:
+    out = _read_rows(text, lo, hi, ", " if flat else _JSON_ROWS)
+    if out is None or (flat and out.shape[1] != 1):
         return None
-    return hi + depth, _Handover(out.reshape(rows) if flat else out)
+    return hi + depth, _Handover(out.reshape(-1) if flat else out)
 
 
 def json_loads(text: str):

@@ -611,18 +611,24 @@ class TestCsvReader:
     def test_text_orjson_refuses_reads_as_loadtxt(self, text):
         assert_reads_as_loadtxt(text)
 
+    @pytest.mark.parametrize("piece_chars", [1, 97, 1 << 16], ids=["row", "few-rows", "default"])
     @pytest.mark.parametrize("rows", [1, 31, 32, 33, 64, 65])
-    def test_every_row_lands_in_place_across_panels(self, rows):
+    def test_every_row_lands_in_place_across_panels(self, monkeypatch, rows, piece_chars):
         values = np.random.default_rng(rows).standard_normal((rows, 3)) * 1e-3
         lines = [",".join(spell(v) for v in row) for spell, row in
                  zip(itertools.cycle([repr, "{:.17e}".format]), values.tolist())]
-        # Blank lines at and around the panel boundaries, and Windows line ends.
-        for at in (33, 32, 31, 1):
-            lines[at:at] = ["", " \t "]
-        text = "\r\n".join(lines) + "\r\n\r\n"
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", piece_chars)
+        # Trailing blank lines hold no row, so orjson reads the text alone.
+        text = "\n".join(lines) + "\n\n \t\n"
         got = orjson_read(text)
         assert got.tobytes() == values.tobytes()
         assert got.tobytes() == loadtxt_read(text).tobytes()
+        # Blank lines between rows, and Windows line ends, send the text to np.loadtxt.
+        for at in (33, 32, 31, 1):
+            lines[at:at] = ["", " \t "]
+        text = "\r\n".join(lines) + "\r\n\r\n"
+        assert ss_matrix.array_from_csv(text).tobytes() == values.tobytes()
+        assert_reads_as_loadtxt(text)
 
     def test_blank_and_whitespace_only_lines_are_skipped(self):
         got = ss_matrix.array_from_csv("\n1.5,-2.0\n   \n\t\n3.0,4e-310\r\n\n")
@@ -760,11 +766,14 @@ class TestMatrixReader:
         got = assert_matrix_reads_as_loadtxt(text)
         assert np.signbit(got.values[np.triu_indices(size, 1)]).all() == (upper == "-0.0")
 
+    @pytest.mark.parametrize("piece_chars", [1, 97, 1 << 16], ids=["row", "few-rows", "default"])
+    @pytest.mark.parametrize("ending", ["", "\n \t\n\n"], ids=["canonical", "blank-lines"])
     @pytest.mark.parametrize("size", READER_SIZES)
-    def test_canonical_text_is_read_by_orjson_alone(self, size):
+    def test_canonical_text_is_read_by_orjson_alone(self, monkeypatch, size, ending, piece_chars):
         values = np.tril(np.random.default_rng(size).standard_normal((size, size)))
-        values[-1, 0] = 0.0  # a zero below the diagonal sends its panel to the -0 search
-        text = ss_matrix.array_to_csv(values)
+        values[-1, 0] = 0.0  # a zero below the diagonal sends its piece to the -0 search
+        text = ss_matrix.array_to_csv(values) + ending
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", piece_chars)
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt ran")):
             got = LowerTriangularMatrix.from_csv(text)
         assert got.values.tobytes() == values.tobytes()
@@ -775,7 +784,9 @@ class TestMatrixReader:
         for at in (33, 32, 31, 1):
             lines[at:at] = ["", " \t "]
         text = "\n".join(lines) + "\n\n"
-        assert ss_matrix._lower_triangle_by_orjson(text) is not None
+        # Blank lines between rows send the text to the general route; a one-row matrix's
+        # blank lines all trail its row, and no row is read from them.
+        assert (ss_matrix._lower_triangle_by_orjson(text) is None) == (size > 1)
         assert_matrix_reads_as_loadtxt(text)
 
     @pytest.mark.parametrize("size", READER_SIZES)
@@ -1123,6 +1134,25 @@ class TestJsonRecordReader:
         monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", 97)
         assert read_outcome(read, other) == whole_text_outcome(read, other)
 
+    @pytest.mark.parametrize("spelling", ["number-per-line", "integer-negative-zero"])
+    @pytest.mark.parametrize("kind", ["sequence", "factors"])
+    @pytest.mark.parametrize("piece_chars", [1, 97, 1 << 16], ids=["number", "few", "default"])
+    def test_a_1d_array_reads_alike_by_either_route(self, monkeypatch, kind, spelling, piece_chars):
+        # A sequence's X and the factors' p are 1-D arrays, read as a column one number wide.
+        rng = np.random.default_rng(17)
+        read, text, _ = json_texts(rng)[kind]
+        if kind == "sequence":
+            text = json.dumps({"X": rng.standard_normal(200).tolist()})
+        lo = text.index("[") + 1
+        hi = text.index("]", lo)
+        numbers = text[lo:hi].split(", ")
+        if spelling == "integer-negative-zero":
+            numbers[len(numbers) // 2] = "-0"
+        other = text[:lo] + (",\n " if spelling == "number-per-line" else ", ").join(numbers)
+        other += text[hi:]
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", piece_chars)
+        assert read_outcome(read, other) == whole_text_outcome(read, other)
+
     @pytest.mark.parametrize(
         "text",
         ['{"T": 18446744073709551616, "rows": [[1.0]]}', '{"T": 1, "rows": [[18446744073709551616]]}',
@@ -1155,6 +1185,25 @@ class TestJsonRecordReader:
         read = GeneralSssRepresentation.from_json
         assert read_outcome(read, text) == whole_text_outcome(read, text)
         assert read_outcome(read, text)[0] is ShapeMismatchError
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [(ss_matrix.array_from_csv, ",".join(["1.0"] * 500) + "\n" + "1.0\n" * 20000),
+         (sequence_from_json, '{"X": [[' + ", ".join(["1.0"] * 500) + "]" + ", [1.0]" * 20000 + "]}")],
+        ids=["csv", "json"],
+    )
+    def test_rows_too_many_for_the_text_make_no_array(self, monkeypatch, read, text):
+        # A first piece of one 500-number row, and 20001 rows in all, would size an array of
+        # 80 MB for a text of under 150 kB; at 64 KiB pieces the array can be larger than memory.
+        monkeypatch.setattr(ss_matrix, "_PIECE_CHARS", 97)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_a_model_read_holds_its_arrays_once(self):
         # Beyond its text, the read holds about 1.4 times the model's arrays: the arrays and one
