@@ -11,8 +11,11 @@ weights below the normal range, where it carries them as zero),
 ``forward_ssd`` at T=128; ``forward_ssd`` and ``forward_recurrence`` at
 T=600 (two full chunks of steps and a ragged one) with N in {1, 17} and d
 in {1, 5}, and on a T=600 model whose gains are zero at steps 255 to 257,
-around the first chunk boundary, with a -0.0 first input row; the summed
-per-mode materializations of ``attention_like_decomposition``,
+around the first chunk boundary, with a -0.0 first input row;
+``forward_materialized`` on a T=600 model whose gains lie in +-[0.97, 1],
+about one in a hundred exactly zero, so the kernel panel walk's carried
+weights stay normal beside exact zeros; the summed per-mode
+materializations of ``attention_like_decomposition``,
 ``construct_one_ss_dual`` and ``materialize_sss`` (also at T=70, two full
 panels of 32 rows and a ragged one); ``kernel_residual`` of a T=600 model
 and its ``full_rank_one_ss_dual`` (18 full panels and a ragged one);
@@ -54,9 +57,11 @@ over a grid of d (its CSV table and its JSON summary file); the output
 array and the counter fields (multiply-adds, additions, peak live elements)
 of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
 (33, 8, 2), which the counts ``bench`` writes alone would not show a
-reordered reduction in, and on its ssd and recurrence paths at (1024, 8,
-2), at (600, 17, 5) (two full chunks of steps and a ragged one) and on
-the zero-gain-steps model; and what
+reordered reduction in, on its materialized path at the benchmark's
+grid points (64, 128 and 256, 8, 2) and at (100, 8, 2), where the last
+block of kernel columns is ragged, on its ssd and recurrence paths at
+(1024, 8, 2) and at (600, 17, 5) (two full chunks of steps and a ragged
+one), and on every path on the zero-gain-steps model; and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
 text of subnormals, signed zeros, the largest doubles and random bit
 patterns, spelled in several ways and with blank lines, in one text
@@ -144,6 +149,18 @@ def _zero_steps_instance(seed: int):
     return DiagonalSsm(gains, model.b, model.c), x
 
 
+def _near_one_zeros_instance(seed: int):
+    """A T=600, N=8 model whose gains lie in +-[0.97, 1], about one in a hundred exactly zero."""
+    from ssdlab.ssm import DiagonalSsm, random_instance
+
+    model, x = random_instance(seed, 600, 8, 2)
+    rng = np.random.default_rng(seed)
+    gains = rng.uniform(0.97, 1.0, model.a_diag.shape) * rng.choice([-1.0, 1.0], model.a_diag.shape)
+    gains[rng.random(gains.shape) < 0.01] = 0.0
+    gains[0] = 1.0
+    return DiagonalSsm(gains, model.b, model.c), x
+
+
 def _big_row_matrix(rng: np.random.Generator):
     """A T=48 width-4 matrix whose block sweep refactors its carry 21 columns wide at step 21.
 
@@ -217,7 +234,8 @@ def dump() -> dict[str, object]:
     )
     from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
     from ssdlab.ss_matrix import LowerTriangularMatrix, semiseparable_rank
-    from ssdlab.ssm import DiagonalSsm, forward_recurrence, forward_ssd, materialize_kernel
+    from ssdlab.ssm import DiagonalSsm, forward_materialized, forward_recurrence, forward_ssd
+    from ssdlab.ssm import materialize_kernel
     from ssdlab.ssm import random_instance
     from ssdlab.ssm import sequence_to_csv
     from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
@@ -266,15 +284,23 @@ def dump() -> dict[str, object]:
                 key = f"forward_{name}/600/{modes}x{channels}/{seed}"
                 out[key] = forward(chunked_model, chunked_x)
             out[f"forward_{name}/zero-steps/600/{seed}"] = forward(zero_steps_model, zero_steps_x)
-        # The linear paths also at bench-counts' largest point, at T=600, where they run two
-        # full chunks of 256 steps and a ragged one of 88, and on the zero-steps model.
+        # Gains near one with exact zeros: the kernel panel walk's carried weights stay normal.
+        near_model, near_x = _near_one_zeros_instance(seed)
+        near = forward_materialized(near_model, near_x)
+        out[f"forward_materialized/near-one-zeros/600/{seed}"] = near
+        # The linear paths also at bench-counts' largest point and at T=600, where they run two
+        # full chunks of 256 steps and a ragged one of 88; the materialized path at bench-counts'
+        # grid points and at T=100, where its last block of kernel columns is ragged; every path
+        # on the zero-steps model.
         every, linear = ("ssd", "recurrence", "materialized"), ("ssd", "recurrence")
         counted = {
             "x".join(map(str, dims)): (random_instance(seed, *dims), paths)
             for dims, paths in (((40, 17, 1), every), ((33, 8, 2), every),
-                                ((1024, 8, 2), linear), ((600, 17, 5), linear))
+                                ((1024, 8, 2), linear), ((600, 17, 5), linear),
+                                ((64, 8, 2), ("materialized",)), ((128, 8, 2), ("materialized",)),
+                                ((256, 8, 2), ("materialized",)), ((100, 8, 2), ("materialized",)))
         }
-        counted["zero-steps/600"] = ((zero_steps_model, zero_steps_x), linear)
+        counted["zero-steps/600"] = ((zero_steps_model, zero_steps_x), every)
         for size, ((counted_model, counted_x), paths) in counted.items():
             for path in paths:
                 y, counter = counted_forward(path, counted_model, counted_x)

@@ -5,11 +5,15 @@ the model, the input and every intermediate are ``CountedArray``s, and
 each elementwise multiplication or addition charges the shared counter
 one operation per element of its result (a broadcast (T, 1) x (1, d)
 product charges T*d); nothing is estimated from closed-form formulas.
-The kernels loop in Python only along the axis that is really
-sequential (the step t of the scan, the kernel column i of the
-materialized path) and keep each output element's scalar arithmetic
-order, so the outputs are bitwise those of a scalar loop. They share the
-production paths' one step loop and one ordered reduction:
+The kernels keep each output element's scalar arithmetic order, so the
+outputs are bitwise those of a scalar loop (``tests/oracles.py``). The linear paths
+loop in Python over the steps of the scan. The materialized path walks
+the kernel a block of ``_BLOCK`` columns at a time: the block's triangle
+a row at a time, each row of running products one multiply of the row
+above, then the rows below it ``_ROWS`` at a time, their running
+products going on from the row above and each output row adding the
+block's columns in ascending order. The kernels share the production
+paths' one step loop and one ordered reduction:
 ``CountedArray.scan`` runs ``ssm.scan`` and ``CountedArray.ascending_sum``
 runs ``ssm.ascending_sum``, and each only adds the charges. The counted ssd
 and recurrence are one chunked loop, ``ssm._chunks``'s, each chunk summed
@@ -31,12 +35,13 @@ of the working arrays a vectorized step holds for a moment. Nothing is
 freed during a run, so under this all-live model the peak is the sum of
 every element charged. The counted ssd path thus charges its 3NTd
 per-mode intermediates and the materialized path the whole T x T kernel,
-though the code holds one chunk of states or one column at a time; the
-counts and budgets keep the all-live model.
+though the code holds one chunk of states or of a block's rows at a time;
+the counts and budgets keep the all-live model.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +112,23 @@ class CountedArray:
 
         Every row after the first costs one multiply per element.
         """
-        products = np.multiply.accumulate(self.value, axis=0)
+        # Row by row, to np.multiply.accumulate's bits: on the materialized kernel's
+        # (33, 8, 64) chains this took 1.7 ns an element, accumulate 4.7 (numpy 2.4, one
+        # core of a shared AVX-512 machine).
+        products = self.value.copy()
+        for prev, row in zip(products, products[1:]):
+            np.multiply(prev, row, out=row)
         self.counter.madds += products.size - products[:1].size
         return CountedArray(products, self.counter)
+
+    def running_sum(self) -> "CountedArray":
+        """Row j is the sum of rows 0..j, added top to bottom.
+
+        Every row after the first costs one addition per element.
+        """
+        sums = np.add.accumulate(self.value, axis=0)
+        self.counter.adds += sums.size - sums[:1].size
+        return CountedArray(sums, self.counter)
 
     def ascending_sum(self, axis: int = 0) -> "CountedArray":
         """``ssm.ascending_sum`` along ``axis``; each summed entry costs one addition."""
@@ -182,23 +201,96 @@ def _counted_recurrence(a, b, c, x, counter: FlopCounter) -> CountedArray:
     return _counted_chunks(a, b, c, x, counter)
 
 
+#: Kernel columns the counted materialized kernel walks at a time.
+_BLOCK = 64
+#: Rows of a block whose running products the kernel holds at once.
+_ROWS = 32
+
+
+@functools.cache
+def _packed_triangle(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns, row starts and column order of the entries of a triangle packed by rows.
+
+    Every caller gets the same arrays, so they are read-only.
+    """
+    rows, cols = np.tril_indices(width)
+    starts = np.arange(width + 1) * np.arange(1, width + 2) // 2
+    indices = rows, cols, starts, np.argsort(cols, kind="stable")
+    for arr in indices:
+        arr.flags.writeable = False
+    return indices
+
+
+def _counted_triangle(a, b, c, x, y, i0: int, i1: int, counter: FlopCounter) -> CountedArray:
+    """Apply the kernel's columns i0..i1-1 to rows i0..i1-1 of ``y``; return row i1-1's products.
+
+    Row u of the block's triangle holds the running products b_{i0+v}
+    a_{i0+v+1} ... a_{i0+u} of columns v <= u, entries starts[u]..starts[u+1]-1
+    of the packed triangle: one multiply extends row u-1 by a_{i0+u}, and
+    b_{i0+u} starts column u. The kernel entries are kept for the whole
+    triangle, the products for ``_ROWS`` rows at a time.
+    """
+    width, modes = i1 - i0, a.value.shape[1]
+    rows, cols, starts, by_column = _packed_triangle(width)
+    entries = _zeros(counter, len(rows))
+    for u0 in range(0, width, _ROWS):
+        u1 = min(u0 + _ROWS, width)
+        s0, s1 = starts[u0], starts[u1]
+        products = _zeros(counter, s1 - s0, modes)
+        products[starts[u0 + 1:u1 + 1] - 1 - s0] = b[i0 + u0:i0 + u1]
+        for u in range(u0, u1):
+            at = starts[u] - s0
+            if u:
+                products[at:at + u] = row * a[i0 + u]
+            row = products[at:at + u + 1]
+        entries[s0:s1] = (c[i0 + rows[s0:s1]] * products).ascending_sum(axis=1)
+    terms = entries[by_column][:, None] * x[i0 + cols[by_column]]
+    lo = 0
+    for i in range(i0, i1):  # column i's terms, rows i..i1-1, in ascending i
+        hi = lo + i1 - i
+        y[i:i1] = y[i:i1] + terms[lo:hi]
+        lo = hi
+    last = _zeros(counter, modes, width)
+    last[:] = row.T
+    return last
+
+
+def _counted_rectangle(a, c, x, y, last, i0: int, i1: int, counter: FlopCounter) -> None:
+    """Apply the kernel's columns i0..i1-1 to the rows of ``y`` from i1 on, ``_ROWS`` at a time.
+
+    The running products of the columns go on from ``last``, those of the
+    row above, which is overwritten as they go. Each row of y adds the
+    block's columns in ascending order to its value.
+    """
+    steps, modes, d = *a.value.shape, x.value.shape[1]
+    for lo in range(i1, steps, _ROWS):
+        hi = min(lo + _ROWS, steps)
+        chain = _zeros(counter, 1 + hi - lo, modes, i1 - i0)
+        chain[0] = last
+        chain[1:] = a[lo:hi, :, None]
+        chain = chain.running_product()[1:]
+        last[:] = chain[-1]
+        kernel = (c[lo:hi, :, None] * chain).ascending_sum(axis=1)
+        sums = _zeros(counter, 1 + i1 - i0, d, hi - lo)
+        sums[0] = y[lo:hi].T
+        sums[1:] = kernel.T[:, None, :] * x[i0:i1, :, None]
+        y[lo:hi] = sums.running_sum()[-1].T
+
+
 def _counted_materialized(
     a: CountedArray, b: CountedArray, c: CountedArray, x: CountedArray, counter: FlopCounter
 ) -> CountedArray:
     steps, modes, d = *a.value.shape, x.value.shape[1]
-    # The all-live model holds the whole kernel; each column is applied as it is built.
+    # The all-live model holds the whole kernel; it is built and applied a block of
+    # columns at a time, each block's products held for at most _ROWS rows.
     counter.alloc(steps * steps)
     counter.alloc(modes)  # running product vector
     y = _zeros(counter, steps, d)
     counter.alloc(steps * d)
-    # At column i, row i holds b_i and every later row j still holds a_j, so
-    # the running products of rows i.. are b_i a_{i+1} ... a_j for every j >= i.
-    factors = _zeros(counter, steps, modes)
-    factors[:] = a
-    for i in range(steps):
-        factors[i] = b[i]
-        column = (c[i:] * factors[i:].running_product()).T.ascending_sum()
-        y[i:] = y[i:] + column[:, None] * x[i, None, :]
+    for i0 in range(0, steps, _BLOCK):
+        i1 = min(i0 + _BLOCK, steps)
+        last = _counted_triangle(a, b, c, x, y, i0, i1, counter)
+        _counted_rectangle(a, c, x, y, last, i0, i1, counter)
     return y
 
 

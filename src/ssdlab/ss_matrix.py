@@ -654,6 +654,12 @@ def _diagonal_tiles(gains: np.ndarray, left: np.ndarray, right: np.ndarray):
             yield lo, lo + n, batch[starts[:n], i], batch[last : last + n, i], tiles[i, :n, :n]
 
 
+def _least_nonzero(values: np.ndarray) -> float:
+    """The least nonzero magnitude among ``values``, +inf when every one is zero."""
+    magnitudes = np.abs(values)
+    return float(magnitudes.min(initial=np.inf, where=magnitudes > 0))
+
+
 def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarray):
     """Row panels of the lower triangle sum_k left[t,k] * (gains[s+1,k]...gains[t,k]) * right[s,k].
 
@@ -667,7 +673,10 @@ def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarr
     extended by right times the tile's last row of products: nothing is
     divided, so zero gains stay exact. A carried weight below the smallest
     normal float (``_TINY``) is carried as zero, which moves an entry left
-    of its tile by at most sum_k |left[t,k] head[t,k]| * ``_TINY``. Leading
+    of its tile by at most sum_k |left[t,k] head[t,k]| * ``_TINY``. A floor
+    under the magnitudes of the nonzero carried weights skips that pass
+    while it is normal; exact zeros, in the weights or in a head row, do
+    not lower it. Leading
     carried rows that are zero in every mode stay zero, so their columns
     are written as +0.0 and the product runs over the rest. A panel with a
     non-finite entry raises ``ValueError``.
@@ -686,10 +695,11 @@ def _segment_product_panels(gains: np.ndarray, left: np.ndarray, right: np.ndarr
         live = carry[dead:hi]
         live[: lo - dead] *= head[-1]
         np.multiply(right[lo:hi], last, out=live[lo - dead :])
-        # Rounding is monotone, so the floor times the least |head[-1]| still bounds the
-        # weights it multiplied: nothing needs carrying as zero while it is normal.
-        fresh = float(np.abs(live[lo - dead :]).min())
-        floor = min(floor * float(np.abs(head[-1]).min()), fresh) if lo > dead else fresh
+        # Rounding is monotone, so the floor times the least nonzero |head[-1]| still bounds
+        # the nonzero weights it multiplied: nothing needs carrying as zero while it is
+        # normal. A weight that is zero, or is multiplied by a zero head, needs no bound.
+        fresh = _least_nonzero(live[lo - dead :])
+        floor = min(floor * _least_nonzero(head[-1]), fresh) if lo > dead else fresh
         if floor < _TINY:
             live[np.abs(live) < _TINY] = 0.0
             floor = _TINY

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ssdlab import bench
 from ssdlab import ssm as ssm_mod
 from ssdlab.bench import (
     CountedArray,
@@ -96,6 +97,14 @@ class TestCountedArray:
         product.running_product()
         assert (counter.madds, counter.adds) == (4 * 3 + 3 * 3, 4 * 3)
         assert counter.peak_live == 0
+
+    def test_running_sum_adds_rows_top_to_bottom(self):
+        rows = np.array([[1e16, -0.0], [1.0, -0.0], [-1e16, 0.0]])
+        counter = FlopCounter()
+        sums = CountedArray(rows, counter).running_sum().value
+        expected = [rows[0], rows[0] + rows[1], rows[0] + rows[1] + rows[2]]
+        assert sums.tobytes() == np.array(expected).tobytes()
+        assert (counter.madds, counter.adds, counter.peak_live) == (0, 2 * 2, 0)
 
     def test_ascending_sum_adds_in_order_from_zero(self):
         terms = np.zeros((16, 1))
@@ -195,6 +204,86 @@ class TestCountedRecurrenceChunks:
             extra[steps] = peak - y.nbytes
         # A state for every step would add 8 * 3072 * 16 * 4 bytes; this allows 1/16 of that.
         assert extra[4096] <= extra[1024] + 8 * 3072 * 4
+
+
+class TestCountedMaterializedBlocks:
+    """The counted materialized path walks ``bench._BLOCK`` columns and ``bench._ROWS`` rows
+    at a time, and stays bitwise the scalar oracle's across every edge of the walk."""
+
+    @staticmethod
+    def assert_matches_oracle(model, x):
+        out, counter = counted_forward("materialized", model, x)
+        expected, oracle = reference_counted_forward("materialized", model, x)
+        assert out.tobytes() == expected.tobytes()
+        counts = (counter.madds, counter.adds, counter.peak_live)
+        assert counts == (oracle.madds, oracle.adds, oracle.peak_live)
+
+    @staticmethod
+    def signed_zero_instance(steps, seed):
+        """Gains with exact zeros (all of step 1's), an input with -0.0 entries."""
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(0.5, 1.5, (steps, 3)) * rng.choice([-1.0, 1.0], (steps, 3))
+        gains[rng.random((steps, 3)) < 0.2] = 0.0
+        gains[1:2] = 0.0
+        gains[0] = 1.0
+        x = rng.standard_normal((steps, 2))
+        x[rng.random((steps, 2)) < 0.3] = -0.0
+        return DiagonalSsm(gains, *rng.standard_normal((2, steps, 3))), x
+
+    @pytest.mark.parametrize("block, rows", [(3, 2), (3, 3), (4, 3)], ids=str)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 9, 11])
+    def test_small_blocks_are_bitwise_the_scalar_oracle(self, monkeypatch, block, rows, steps):
+        """One block and part of one, whole and ragged blocks, row tiles that split a block's
+        triangle and the rows below it, or that end with it."""
+        monkeypatch.setattr(bench, "_BLOCK", block)
+        monkeypatch.setattr(bench, "_ROWS", rows)
+        self.assert_matches_oracle(*random_instance(steps, steps, 3, 2))
+        self.assert_matches_oracle(*self.signed_zero_instance(steps, steps))
+
+    def test_two_blocks_and_a_ragged_one_are_bitwise_the_scalar_oracle(self):
+        self.assert_matches_oracle(*self.signed_zero_instance(2 * bench._BLOCK + 3, 5))
+
+    def test_calls_and_working_memory_stay_per_tile(self, monkeypatch):
+        """At T=256 the run sums over modes once per tile of rows, not once per column, with a
+        few wrapped operations per column; beyond its output it holds a few (T, N) arrays and
+        at most three tiles of a block's products, no more at T=1024 than at T=256."""
+        calls = {}
+
+        def counting(owner, name):
+            wrapped = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counting(ssm_mod, "ascending_sum")
+        operations = ("__mul__", "__add__", "__getitem__", "__setitem__", "running_product",
+                      "running_sum")
+        for name in operations:
+            counting(CountedArray, name)
+        steps, modes, channels = 256, 8, 2
+        counted_forward("materialized", *random_instance(0, steps, modes, channels))
+        # 20 tiles of rows at T=256: 4 triangles of two pieces, and 12 tiles below them.
+        assert calls["ascending_sum"] <= steps // 8
+        assert sum(calls[name] for name in operations) <= 10 * steps
+        monkeypatch.undo()
+
+        extra = {}
+        tile = 8 * (bench._ROWS + 1) * modes * bench._BLOCK
+        for steps in (256, 1024):
+            model, x = random_instance(1, steps, modes, channels)
+            counted_forward("materialized", model, x)  # the packed triangles' indices are kept
+            tracemalloc.start()
+            try:
+                y, _ = counted_forward("materialized", model, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[steps] = peak - y.nbytes
+            assert extra[steps] <= 4 * 8 * steps * modes + 3 * tile
+        assert extra[1024] <= extra[256] + 4 * 8 * (1024 - 256) * modes
 
 
 def closed_forms(path, T, N, d):
