@@ -59,7 +59,9 @@ of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
 (33, 8, 2), which the counts ``bench`` writes alone would not show a
 reordered reduction in, on its materialized path at the benchmark's
 grid points (64, 128 and 256, 8, 2) and at (100, 8, 2), where the last
-block of kernel columns is ragged, on its ssd and recurrence paths at
+block of kernel columns is ragged, and at N=1 and d=2 with every third
+input row -0.0 at T in {1, 63, 65, 129}, about the edges of its 64-column
+blocks and 32-row tiles, on its ssd and recurrence paths at
 (1024, 8, 2) and at (600, 17, 5) (two full chunks of steps and a ragged
 one), and on every path on the zero-gain-steps model; and what
 ``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
@@ -301,6 +303,12 @@ def dump() -> dict[str, object]:
                                 ((256, 8, 2), ("materialized",)), ((100, 8, 2), ("materialized",)))
         }
         counted["zero-steps/600"] = ((zero_steps_model, zero_steps_x), every)
+        # The materialized path at N=1 about the edges of its 64-column blocks and 32-row
+        # tiles, every third input row -0.0.
+        for steps in (1, 63, 65, 129):
+            edge_model, edge_x = random_instance(seed, steps, 1, 2)
+            edge_x[::3] = -0.0
+            counted[f"{steps}x1x2/signed-zeros"] = ((edge_model, edge_x), ("materialized",))
         for size, ((counted_model, counted_x), paths) in counted.items():
             for path in paths:
                 y, counter = counted_forward(path, counted_model, counted_x)

@@ -9,10 +9,11 @@ The kernels keep each output element's scalar arithmetic order, so the
 outputs are bitwise those of a scalar loop (``tests/oracles.py``). The linear paths
 loop in Python over the steps of the scan. The materialized path walks
 the kernel a block of ``_BLOCK`` columns at a time: the block's triangle
-a row at a time, each row of running products one multiply of the row
-above, then the rows below it ``_ROWS`` at a time, their running
-products going on from the row above and each output row adding the
-block's columns in ascending order. The kernels share the production
+a row at a time, in one raw multiply of the row above each, inside
+``CountedArray.packed_running_product``, and its output rows a column at
+a time inside ``CountedArray.add_packed_columns``; then the rows below it
+``_ROWS`` at a time, their running products going on from the row above
+and each output row adding the block's columns in ascending order. The kernels share the production
 paths' one step loop and one ordered reduction:
 ``CountedArray.scan`` runs ``ssm.scan`` and ``CountedArray.ascending_sum``
 runs ``ssm.ascending_sum``, and each only adds the charges. The counted ssd
@@ -107,19 +108,45 @@ class CountedArray:
         """The transposed view, free like any other view."""
         return CountedArray(self.value.T, self.counter)
 
-    def running_product(self) -> "CountedArray":
-        """Row j is the product of rows 0..j, multiplied left to right.
+    def __imul__(self, other: "CountedArray") -> "CountedArray":
+        """Multiply ``other`` into these values in place, one multiply per element."""
+        np.multiply(self.value, other.value, out=self.value)
+        self.counter.madds += self.value.size
+        return self
 
-        Every row after the first costs one multiply per element.
+    def running_product(self, start: "CountedArray") -> "CountedArray":
+        """Row j is ``start`` times rows 0..j, multiplied left to right.
+
+        The rows broadcast to the start's shape; each costs one multiply per element.
         """
         # Row by row, to np.multiply.accumulate's bits: on the materialized kernel's
         # (33, 8, 64) chains this took 1.7 ns an element, accumulate 4.7 (numpy 2.4, one
-        # core of a shared AVX-512 machine).
-        products = self.value.copy()
-        for prev, row in zip(products, products[1:]):
+        # core of a shared AVX-512 machine). The chain is built once, start row first.
+        shape = (len(self.value), *start.value.shape)
+        chain = np.concatenate((start.value[None], np.broadcast_to(self.value, shape)))
+        for prev, row in zip(chain, chain[1:]):
             np.multiply(prev, row, out=row)
-        self.counter.madds += products.size - products[:1].size
-        return CountedArray(products, self.counter)
+        self.counter.madds += chain[1:].size
+        return CountedArray(chain[1:], self.counter)
+
+    def packed_running_product(
+        self, heads: "CountedArray", start: "CountedArray", out: "CountedArray"
+    ) -> "CountedArray":
+        """Fill ``out`` with rows of a triangle packed by rows; return a copy of the last.
+
+        Row k is row k-1 times self[k], one multiply per element, then
+        heads[k], copied free; row -1 is ``start``, which may have no
+        entries. Each row is one entry longer than the row before it.
+        """
+        products, row, at = out.value, start.value, 0
+        for gain, head in zip(self.value, heads.value):
+            end = at + len(row)
+            np.multiply(row, gain, out=products[at:end])
+            products[end] = head
+            row = products[at:end + 1]
+            at = end + 1
+        self.counter.madds += products[:at].size - heads.value.size
+        return CountedArray(row.copy(), self.counter)
 
     def running_sum(self) -> "CountedArray":
         """Row j is the sum of rows 0..j, added top to bottom.
@@ -129,6 +156,20 @@ class CountedArray:
         sums = np.add.accumulate(self.value, axis=0)
         self.counter.adds += sums.size - sums[:1].size
         return CountedArray(sums, self.counter)
+
+    def add_packed_columns(self, terms: "CountedArray") -> None:
+        """Add a lower triangle packed by columns to these rows, a column at a time.
+
+        Column v's terms go to rows v onwards, columns in ascending order, so
+        each row adds its terms in ascending column order; every term costs
+        one addition.
+        """
+        rows, at = self.value, 0
+        for v in range(len(rows)):
+            tail = rows[v:]
+            np.add(tail, terms.value[at:at + len(tail)], out=tail)
+            at += len(tail)
+        self.counter.adds += terms.value[:at].size
 
     def ascending_sum(self, axis: int = 0) -> "CountedArray":
         """``ssm.ascending_sum`` along ``axis``; each summed entry costs one addition."""
@@ -228,31 +269,22 @@ def _counted_triangle(a, b, c, x, y, i0: int, i1: int, counter: FlopCounter) -> 
     a_{i0+v+1} ... a_{i0+u} of columns v <= u, entries starts[u]..starts[u+1]-1
     of the packed triangle: one multiply extends row u-1 by a_{i0+u}, and
     b_{i0+u} starts column u. The kernel entries are kept for the whole
-    triangle, the products for ``_ROWS`` rows at a time.
+    triangle, the products for ``_ROWS`` rows at a time, their c products
+    made in place.
     """
     width, modes = i1 - i0, a.value.shape[1]
     rows, cols, starts, by_column = _packed_triangle(width)
     entries = _zeros(counter, len(rows))
+    row = _zeros(counter, 0, modes)
     for u0 in range(0, width, _ROWS):
         u1 = min(u0 + _ROWS, width)
         s0, s1 = starts[u0], starts[u1]
         products = _zeros(counter, s1 - s0, modes)
-        products[starts[u0 + 1:u1 + 1] - 1 - s0] = b[i0 + u0:i0 + u1]
-        for u in range(u0, u1):
-            at = starts[u] - s0
-            if u:
-                products[at:at + u] = row * a[i0 + u]
-            row = products[at:at + u + 1]
-        entries[s0:s1] = (c[i0 + rows[s0:s1]] * products).ascending_sum(axis=1)
-    terms = entries[by_column][:, None] * x[i0 + cols[by_column]]
-    lo = 0
-    for i in range(i0, i1):  # column i's terms, rows i..i1-1, in ascending i
-        hi = lo + i1 - i
-        y[i:i1] = y[i:i1] + terms[lo:hi]
-        lo = hi
-    last = _zeros(counter, modes, width)
-    last[:] = row.T
-    return last
+        row = a[i0 + u0:i0 + u1].packed_running_product(b[i0 + u0:i0 + u1], row, products)
+        products *= c[i0 + rows[s0:s1]]
+        entries[s0:s1] = products.ascending_sum(axis=1)
+    y[i0:i1].add_packed_columns(entries[by_column][:, None] * x[i0 + cols[by_column]])
+    return row.T
 
 
 def _counted_rectangle(a, c, x, y, last, i0: int, i1: int, counter: FlopCounter) -> None:
@@ -265,12 +297,11 @@ def _counted_rectangle(a, c, x, y, last, i0: int, i1: int, counter: FlopCounter)
     steps, modes, d = *a.value.shape, x.value.shape[1]
     for lo in range(i1, steps, _ROWS):
         hi = min(lo + _ROWS, steps)
-        chain = _zeros(counter, 1 + hi - lo, modes, i1 - i0)
-        chain[0] = last
-        chain[1:] = a[lo:hi, :, None]
-        chain = chain.running_product()[1:]
+        chain = a[lo:hi, :, None].running_product(last)
         last[:] = chain[-1]
-        kernel = (c[lo:hi, :, None] * chain).ascending_sum(axis=1)
+        chain *= c[lo:hi, :, None]
+        kernel = chain.ascending_sum(axis=1)
+        del chain  # so that the next tile's chain is not built beside this one
         sums = _zeros(counter, 1 + i1 - i0, d, hi - lo)
         sums[0] = y[lo:hi].T
         sums[1:] = kernel.T[:, None, :] * x[i0:i1, :, None]
