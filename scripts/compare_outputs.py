@@ -3,103 +3,43 @@
 Usage: python scripts/compare_outputs.py BASE_SRC [HEAD_SRC]
 
 Each ``*_SRC`` is a directory holding the ``ssdlab`` package (``src`` of a
-checkout; HEAD_SRC defaults to this checkout's). Each side runs in its own
-interpreter with BLAS pinned to one thread, on the same seeded inputs:
-``one_ss`` and ``materialize_kernel`` (also at T=600, and on a T=600 model
-whose gains of magnitude 0.05 to 0.2 take the kernel panel walk's carried
-weights below the normal range, where it carries them as zero),
-``forward_ssd`` at T=128; ``forward_ssd`` and ``forward_recurrence`` at
-T=600 (two full chunks of steps and a ragged one) with N in {1, 17} and d
-in {1, 5}, and on a T=600 model whose gains are zero at steps 255 to 257,
-around the first chunk boundary, with a -0.0 first input row;
-``forward_materialized`` on a T=600 model whose gains lie in +-[0.97, 1],
-about one in a hundred exactly zero, so the kernel panel walk's carried
-weights stay normal beside exact zeros; the summed per-mode
-materializations of ``attention_like_decomposition``,
-``construct_one_ss_dual`` and ``materialize_sss`` (also at T=70, two full
-panels of 32 rows and a ragged one); ``kernel_residual`` of a T=600 model
-and its ``full_rank_one_ss_dual`` (18 full panels and a ragged one);
-``extract_sss`` (A, b, c and r),
-``semiseparable_rank`` and the per-block new-column verdicts, span-fit
-coefficients and warning texts (in order) of ``count_block_new_columns``
-of a random width-4 representation and of a kernel cut by three zero
-gains, both at T=256, of a matrix whose sweep refactors and widens its
-carry, and of a 4 x 4 matrix whose column 1 lies in the borderline band;
-plus the exit code, stdout, stderr, warning
-messages and output file of the CLI commands ``forward --path all`` (at
-T=128, at T=600, where the kernel panel walk runs 18 full panels and a ragged one,
-and on the T=600 model whose carried weights fall below the normal range;
-also on a T=64 model whose gains of 1e12 overflow every path, which it
-refuses on the recurrence's output),
-``forward --path ssd`` (CSV, chosen by the ``.csv`` name of ``--out``),
-``forward --path all --format json`` and ``--path ssd`` (JSON printed, and
-CSV) on a T=96 model whose outputs run from about 1e-15 to 1e22, so rows
-inside and outside the range where orjson spells floats as ``repr``
-alternate,
-``forward`` with its flags from ``--config``,
-``check-dual --mode representability`` (on a representable kernel, on a
-matrix it refuses, and on a diagonal-model kernel with spread decay
-rates, also read from CSV text whose upper triangle is spelled ``-0.0`` or
-``0``, and from text with an integer ``-0`` below the diagonal, which the
-matrix reader hands to its general route), ``check-dual --mode
-scalar-identity`` and ``--mode full-rank`` (on gains near one, on ``gen
-ssm``'s default gains and on a model with two all-zero gain steps),
-``extract`` (also on a T=64 matrix whose rows are graded from 1e-6 to
-1e6, whose representation holds entries below 1e-4, and on the three
-respelled diagonal-model kernels),
-``counterexample non-dualizable`` and ``softmax`` (at every T up
-to ``SOFTMAX_MAX_T``), ``gen ssm``,
-``gen sequence`` (CSV at T=24, JSON and CSV at T=64), ``gen matrix`` (JSON,
-and CSV chosen by the ``.csv`` name of ``--out``, at T=8 and T=64), and
-``bench`` on each of its three counted paths:
-``materialized`` at one point, ``recurrence`` over a grid of T and ``ssd``
-over a grid of d (its CSV table and its JSON summary file); the output
-array and the counter fields (multiply-adds, additions, peak live elements)
-of ``bench.counted_forward`` on each path at (T, N, d) = (40, 17, 1) and
-(33, 8, 2), which the counts ``bench`` writes alone would not show a
-reordered reduction in, on its materialized path at the benchmark's
-grid points (64, 128 and 256, 8, 2) and at (100, 8, 2), where the last
-block of kernel columns is ragged, and at N=1 and d=2 with every third
-input row -0.0 at T in {1, 63, 65, 129}, about the edges of its 64-column
-blocks and 32-row tiles, on its ssd and recurrence paths at
-(1024, 8, 2) and at (600, 17, 5) (two full chunks of steps and a ragged
-one), and on every path on the zero-gain-steps model; and what
-``LowerTriangularMatrix.from_csv`` and ``sequence_from_csv`` read from CSV
-text of subnormals, signed zeros, the largest doubles and random bit
-patterns, spelled in several ways and with blank lines, in one text
-``np.loadtxt`` reads and one over three panels that orjson reads, and
-from text holding the integer ``-0``; what they read from the canonical
-text of a matrix and of a sequence respelled with CRLF line breaks, with
-blank lines between rows and with trailing blank lines; what
-``LowerTriangularMatrix.from_json``, ``DiagonalSsm.from_json``,
-``GeneralSssRepresentation.from_json`` and ``sequence_from_json`` read
-from JSON text of such values in five spellings, and the error class and
-message (or, for a sequence, the array read) for a ``NaN``, ``Infinity``,
-``-Infinity`` or ``1e400`` literal and for malformed text; what the
-matrix, model and sequence readers make of JSON texts that span several
-64 KiB pieces (a T=100 matrix, a T=600, N=17 model and a 4000 x 2
-sequence of such values, and the sequence's 8000 values as one 1-D
-array), as ``json.dumps`` writes them, respelled with a row a line, a
-number a line and indented, and, for the matrix and model, with a declared
-``T`` of 2**63 or 2**64, and the 1-D array with an integer ``-0`` among
-its numbers; and the outcomes on
-the benchmark's 96 theory matrices (seeds 1-3, 8 sets of 4 families at
-T=256, built by ``perfbench/workloads.py``, imported read-only): the
-per-block new-column verdicts, the exit code of ``check-dual --mode
-representability --N 4`` and the ranks ``extract_sss`` gives at width 4, or
-the class of the error it raises, each with the texts of the warnings the
-call raised, in order. Arrays are
-compared by their bytes; an array whose bytes differ but whose values
-compare equal differs only in the sign of zeros, and is reported as such.
-Arrays that differ in value are reported with their relative Frobenius
+checkout; HEAD_SRC defaults to this checkout's). Each side runs this script
+with ``--dump`` in its own interpreter, with BLAS pinned to one thread: it
+builds the named inputs of ``seed_inputs`` for each seed in ``SEEDS`` and
+those of ``shared_inputs`` once, and runs every probe on them. A probe is
+one entry in one of three tables:
+
+- ``CALLS``, library calls: the forward paths and kernel builds of diagonal
+  models (at the edges of chunks, panels and blocks, and with zero,
+  underflowing and near-one gains), masked-attention duals and residuals,
+  SSS materialization and extraction, ranks and new-column sweeps with
+  their span-fit coefficients and warnings, and the counted kernels'
+  outputs and counts. Its ``theory/`` entry holds the outcomes on the
+  benchmark's theory matrices (built by ``perfbench/workloads.py``,
+  imported read-only): new-column verdicts, ``check-dual`` exit codes and
+  extracted ranks or refusals, each with its warnings.
+- ``CLI``, commands run through ``cli.main`` on the files of ``FILES``: each
+  gives its exit code, stdout, stderr, warning texts and output file, and
+  ``bench`` its summary file.
+- ``READS``, the CSV and JSON readers on texts of extreme doubles in several
+  spellings, line breaks and sizes: the arrays they read, or the class and
+  message of each refusal.
+
+Arrays are compared by their bytes; an array whose bytes differ but whose
+values compare equal differs only in the sign of zeros, and is reported as
+such. Arrays that differ in value are reported with their relative Frobenius
 difference, and a differing JSON output file with every field whose value
 differs, each with its own relative Frobenius difference (a field that is
-not numbers is named only). Exits 1 when anything differs.
+not numbers is named only).
+
+Exit status: 0 when every output is the same, 1 when any differs, and 2 on a
+usage error or when a side fails, whose stderr is then printed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -109,16 +49,36 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 SEEDS = (0, 1, 2)
 
 #: Benchmark seeds whose theory matrices are compared.
 THEORY_SEEDS = (1, 2, 3)
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+LINEAR = ("recurrence", "ssd")
+EVERY = (*LINEAR, "materialized")
+
+
+class _Library:
+    """``ssdlab.<module>``, imported at first use, so that only a side's interpreter, whose path
+    leads to that side's tree, imports the library."""
+
+    def __getattr__(self, module: str):
+        return importlib.import_module(f"ssdlab.{module}")
+
+
+ssdlab = _Library()
+
+
+# The inputs.
 
 def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Signed gains in [0.5, 2] with about one in five set to exactly zero."""
@@ -128,69 +88,23 @@ def _gains(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _summed_terms(model) -> np.ndarray:
-    """Sum of the per-mode materializations of ``attention_like_decomposition``."""
-    from ssdlab.duality import attention_like_decomposition
-
-    return sum(term.materialize().values for term in attention_like_decomposition(model))
+def _model(rng: np.random.Generator, T: int, N: int):
+    return ssdlab.ssm.DiagonalSsm(_gains(rng, (T, N)), *rng.standard_normal((2, T, N)))
 
 
-def _zero_steps_instance(seed: int):
-    """A T=600 model whose gains are zero in every mode at steps 255-257, and an input whose
-    first row is -0.0.
+def _instance(seed: int, *dims: int, **kwargs):
+    return ssdlab.ssm.random_instance(seed, *dims, **kwargs)
 
-    The zero steps sit on either side of the linear paths' first chunk boundary (256 steps), and
-    the signed zeros of b_0 x_0 enter the scan's first row.
-    """
-    from ssdlab.ssm import DiagonalSsm, random_instance
 
-    model, x = random_instance(seed, 600, 4, 2)
+def _random_sss(seed: int, T: int, N: int):
+    return ssdlab.sss_extract.materialize_sss(ssdlab.sss_extract.random_representation(seed, T, N))
+
+
+def _zeroed(model, steps):
+    """``model`` with its gains at ``steps`` set to zero in every mode."""
     gains = model.a_diag.copy()
-    gains[255:258] = 0.0
-    x[0] = -0.0
-    return DiagonalSsm(gains, model.b, model.c), x
-
-
-def _near_one_zeros_instance(seed: int):
-    """A T=600, N=8 model whose gains lie in +-[0.97, 1], about one in a hundred exactly zero."""
-    from ssdlab.ssm import DiagonalSsm, random_instance
-
-    model, x = random_instance(seed, 600, 8, 2)
-    rng = np.random.default_rng(seed)
-    gains = rng.uniform(0.97, 1.0, model.a_diag.shape) * rng.choice([-1.0, 1.0], model.a_diag.shape)
-    gains[rng.random(gains.shape) < 0.01] = 0.0
-    gains[0] = 1.0
-    return DiagonalSsm(gains, model.b, model.c), x
-
-
-def _big_row_matrix(rng: np.random.Generator):
-    """A T=48 width-4 matrix whose block sweep refactors its carry 21 columns wide at step 21.
-
-    Row 20 is scaled by 1e16, so blocks 1 to 20 keep only the row's
-    direction and the 1e8 corner's, and drop the rest below rounding. Step
-    21 no longer holds the row, and the drops force a refactor to all 21
-    columns left of it, far more than any other step keeps: its span fit is
-    solved alone, and solving it with the others would pad theirs and change
-    their bytes. The corner also keeps every diagonal-block cut from being
-    taken.
-    """
-    from ssdlab.ss_matrix import LowerTriangularMatrix
-
-    c, b = rng.standard_normal((2, 48, 4))
-    vals = np.tril(c @ b.T)
-    vals[20] *= 1e16
-    vals[-1, 0] = 1e8
-    return LowerTriangularMatrix(vals)
-
-
-def _planted_band_matrix():
-    """tril(ones(4)) with M[3, 0] = 1 + 3e-9: column 1 misses column 0's span by about 3e-9,
-    inside the borderline band of its threshold, so its span test warns."""
-    from ssdlab.ss_matrix import LowerTriangularMatrix
-
-    vals = np.tril(np.ones((4, 4)))
-    vals[3, 0] = 1 + 3e-9
-    return LowerTriangularMatrix(vals)
+    gains[steps] = 0.0
+    return ssdlab.ssm.DiagonalSsm(gains, model.b, model.c)
 
 
 def _spelled_csv(values: np.ndarray, upper: str, below: dict | None = None) -> str:
@@ -203,340 +117,77 @@ def _spelled_csv(values: np.ndarray, upper: str, below: dict | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-@contextlib.contextmanager
-def _warning_texts(out: dict[str, object], key: str):
-    """Record the texts of the warnings raised inside, in order, as ``out[key]``; an error
-    raised inside still records them."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            yield
-        finally:
-            out[key] = [str(w.message) for w in caught]
+def seed_inputs(seed: int) -> SimpleNamespace:
+    """The inputs of the per-seed probes, by name.
 
-
-def _span_coeffs(blocks) -> np.ndarray:
-    """The span-fit coefficients of every block column, in one array.
-
-    A None (a zero column, or a block's first) adds no entries, and column t
-    of a block adds t.
+    The first six draw from the seed's generator, in the order they always
+    have; the rest draw from generators of their own, seeded by the seed.
     """
-    return np.concatenate([np.zeros(0) if c is None else c for b in blocks for c in b.coeffs])
+    LowerTriangularMatrix = ssdlab.ss_matrix.LowerTriangularMatrix
+    DiagonalSsm = ssdlab.ssm.DiagonalSsm
+    rng = np.random.default_rng(seed)
+    i = SimpleNamespace(seed=seed)
+    i.gains = _gains(rng, (64,))
+    i.zero_gains = _model(rng, 64, 4)
+    i.model, i.x = _instance(seed, 128, 8, 3)
+    # Mask zeros cut the kernel into diagonal blocks of width-3 products.
+    gains = _gains(rng, (48,))
+    gains[gains == 0.0] = 1.0
+    gains[[12, 30]] = 0.0
+    mask = ssdlab.duality.one_ss(gains).values
+    kernel = mask * (rng.standard_normal((48, 3)) @ rng.standard_normal((48, 3)).T)
+    i.kernel = LowerTriangularMatrix(kernel)
+    i.gains600 = _gains(rng, (600,))
+    i.wide = _model(rng, 600, 4)
 
-
-def dump() -> dict[str, object]:
-    from ssdlab import cli
-    from ssdlab.bench import counted_forward
-    from ssdlab.duality import (
-        construct_one_ss_dual,
-        count_block_new_columns,
-        full_rank_one_ss_dual,
-        kernel_residual,
-        one_ss,
-    )
-    from ssdlab.limits import SOFTMAX_MAX_T, non_dualizable_matrix
-    from ssdlab.ss_matrix import LowerTriangularMatrix, semiseparable_rank
-    from ssdlab.ssm import DiagonalSsm, forward_materialized, forward_recurrence, forward_ssd
-    from ssdlab.ssm import materialize_kernel
-    from ssdlab.ssm import random_instance
-    from ssdlab.ssm import sequence_to_csv
-    from ssdlab.sss_extract import extract_sss, materialize_sss, random_representation
-
-    out: dict[str, object] = {}
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        out[f"one_ss/{seed}"] = one_ss(_gains(rng, (64,))).values
-        zero_model = DiagonalSsm(_gains(rng, (64, 4)), *rng.standard_normal((2, 64, 4)))
-        out[f"materialize_kernel/zero-gains/{seed}"] = materialize_kernel(zero_model).values
-        model, x = random_instance(seed, 128, 8, 3)
-        out[f"materialize_kernel/{seed}"] = materialize_kernel(model).values
-        out[f"forward_ssd/{seed}"] = forward_ssd(model, x)
-        out[f"forward_ssd/zero-gains/{seed}"] = forward_ssd(zero_model, x[:64])
-        out[f"attention_like_decomposition/{seed}"] = _summed_terms(model)
-        out[f"attention_like_decomposition/zero-gains/{seed}"] = _summed_terms(zero_model)
-        # Mask zeros cut the kernel into diagonal blocks of width-3 products.
-        gains = _gains(rng, (48,))
-        gains[gains == 0.0] = 1.0
-        gains[[12, 30]] = 0.0
-        mask = one_ss(gains).values
-        kernel = mask * (rng.standard_normal((48, 3)) @ rng.standard_normal((48, 3)).T)
-        factors = construct_one_ss_dual(LowerTriangularMatrix(kernel), 3)
-        for name in ("p", "Q", "K"):
-            out[f"construct_one_ss_dual/{name}/{seed}"] = getattr(factors, name)
-        out[f"materialize_sss/{seed}"] = materialize_sss(random_representation(seed, 96, 4)).values
-        out[f"materialize_sss/70/{seed}"] = materialize_sss(random_representation(seed, 70, 3)).values
-        residual_model, _ = random_instance(seed, 600, 16, 1, a_abs=(0.5, 1.0))
-        # An array, so a difference is reported with its relative size.
-        out[f"kernel_residual/600/{seed}"] = np.array(
-            [kernel_residual(residual_model, full_rank_one_ss_dual(residual_model))]
-        )
-        # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
-        out[f"one_ss/600/{seed}"] = one_ss(_gains(rng, (600,))).values
-        wide = DiagonalSsm(_gains(rng, (600, 4)), *rng.standard_normal((2, 600, 4)))
-        out[f"materialize_kernel/zero-gains/600/{seed}"] = materialize_kernel(wide).values
-        long_model, long_x = random_instance(seed, 600, 4, 2)
-        # Carried gain products fall through the subnormal range, and are carried as zero.
-        underflow_model, underflow_x = random_instance(seed, 600, 4, 2, a_abs=(0.05, 0.2))
-        out[f"materialize_kernel/underflow/600/{seed}"] = materialize_kernel(underflow_model).values
-        # At T=600 the linear paths run two full chunks of 256 steps and a ragged one of 88.
-        zero_steps_model, zero_steps_x = _zero_steps_instance(seed)
-        for name, forward in (("recurrence", forward_recurrence), ("ssd", forward_ssd)):
-            for modes, channels in itertools.product((1, 17), (1, 5)):
-                chunked_model, chunked_x = random_instance(seed, 600, modes, channels)
-                key = f"forward_{name}/600/{modes}x{channels}/{seed}"
-                out[key] = forward(chunked_model, chunked_x)
-            out[f"forward_{name}/zero-steps/600/{seed}"] = forward(zero_steps_model, zero_steps_x)
-        # Gains near one with exact zeros: the kernel panel walk's carried weights stay normal.
-        near_model, near_x = _near_one_zeros_instance(seed)
-        near = forward_materialized(near_model, near_x)
-        out[f"forward_materialized/near-one-zeros/600/{seed}"] = near
-        # The linear paths also at bench-counts' largest point and at T=600, where they run two
-        # full chunks of 256 steps and a ragged one of 88; the materialized path at bench-counts'
-        # grid points and at T=100, where its last block of kernel columns is ragged; every path
-        # on the zero-steps model.
-        every, linear = ("ssd", "recurrence", "materialized"), ("ssd", "recurrence")
-        counted = {
-            "x".join(map(str, dims)): (random_instance(seed, *dims), paths)
-            for dims, paths in (((40, 17, 1), every), ((33, 8, 2), every),
-                                ((1024, 8, 2), linear), ((600, 17, 5), linear),
-                                ((64, 8, 2), ("materialized",)), ((128, 8, 2), ("materialized",)),
-                                ((256, 8, 2), ("materialized",)), ((100, 8, 2), ("materialized",)))
-        }
-        counted["zero-steps/600"] = ((zero_steps_model, zero_steps_x), every)
-        # The materialized path at N=1 about the edges of its 64-column blocks and 32-row
-        # tiles, every third input row -0.0.
-        for steps in (1, 63, 65, 129):
-            edge_model, edge_x = random_instance(seed, steps, 1, 2)
-            edge_x[::3] = -0.0
-            counted[f"{steps}x1x2/signed-zeros"] = ((edge_model, edge_x), ("materialized",))
-        for size, ((counted_model, counted_x), paths) in counted.items():
-            for path in paths:
-                y, counter = counted_forward(path, counted_model, counted_x)
-                key = f"counted_forward/{path}/{size}/{seed}"
-                out[key] = y
-                out[f"{key}/counts"] = (counter.madds, counter.adds, counter.peak_live)
-        with tempfile.TemporaryDirectory() as tmp:
-            work = Path(tmp)
-            (work / "ssm.json").write_text(model.to_json())
-            (work / "x.csv").write_text(sequence_to_csv(x))
-            (work / "ssm600.json").write_text(long_model.to_json())
-            (work / "x600.csv").write_text(sequence_to_csv(long_x))
-            (work / "ssm-underflow.json").write_text(underflow_model.to_json())
-            (work / "x-underflow.csv").write_text(sequence_to_csv(underflow_x))
-            (work / "kernel.csv").write_text(LowerTriangularMatrix(kernel).to_csv())
-            (work / "corner.csv").write_text(non_dualizable_matrix(8).to_csv())
-            # Mode decay rates differ, so a filled upper triangle would outgrow the kernel.
-            decaying, _ = random_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))
-            (work / "diag.csv").write_text(materialize_kernel(decaying).to_csv())
-            # The same kernel in spellings the matrix reader hands to its general route.
-            decay_kernel = materialize_kernel(decaying).values
-            (work / "diag-upper-negative.csv").write_text(_spelled_csv(decay_kernel, "-0.0"))
-            (work / "diag-upper-integer.csv").write_text(_spelled_csv(decay_kernel, "0"))
-            (work / "diag-integer-negative-zero.csv").write_text(
-                _spelled_csv(decay_kernel, "0.0", {(40, 3): "-0"})
-            )
-            shared_gain, _ = random_instance(seed, 32, 4, 2, scalar_identity=True)
-            (work / "ssm-scalar.json").write_text(shared_gain.to_json())
-            # Gains of magnitude 0.9 to 1.1, either sign.
-            calm, _ = random_instance(seed, 32, 4, 2, a_abs=(0.9, 1.1))
-            (work / "ssm-calm.json").write_text(calm.to_json())
-            spread, _ = random_instance(seed, 64, 4, 1)
-            (work / "ssm-spread.json").write_text(spread.to_json())
-            cut_gains = spread.a_diag.copy()
-            cut_gains[[20, 41]] = 0.0  # all-zero steps cut the mask
-            cut = DiagonalSsm(cut_gains, spread.b, spread.c)
-            (work / "ssm-cut.json").write_text(cut.to_json())
-            # Outputs from about 1e-15 to 1e22: runs of rows that orjson writes alternate with
-            # rows that json.dumps writes, at both ends of the range where their spellings agree.
-            straddle, straddle_x = random_instance(seed, 96, 4, 3, a_abs=(0.0, 0.1))
-            straddle_x *= 10.0 ** np.linspace(-14, 22, 96)[:, None]
-            (work / "ssm-straddle.json").write_text(straddle.to_json())
-            (work / "x-straddle.csv").write_text(sequence_to_csv(straddle_x))
-            # Rows graded from 1e-6 to 1e6: the extracted b and c hold entries below 1e-4.
-            graded = materialize_sss(random_representation(seed, 64, 3)).values
-            graded = graded * 10.0 ** np.linspace(-6, 6, 64)[:, None]
-            (work / "graded.csv").write_text(LowerTriangularMatrix(graded).to_csv())
-            # Gains of 1e12 overflow every path: --path all refuses it on the recurrence's check.
-            overflow_gains = np.full((64, 2), 1e12)
-            overflow_gains[0] = 1.0
-            overflowing = DiagonalSsm(overflow_gains, np.ones((64, 2)), np.ones((64, 2)))
-            (work / "ssm-overflow.json").write_text(overflowing.to_json())
-            (work / "x-overflow.csv").write_text(sequence_to_csv(np.ones((64, 1))))
-            forward_config = {"path": "materialized", "format": "json"}
-            (work / "forward.json").write_text(json.dumps(forward_config))
-            representability = ["check-dual", "--mode", "representability", "--matrix"]
-            extract_matrix = ["extract", "--matrix"]
-            seeded = ["--seed", str(seed)]
-            bench = ["bench", *seeded, "--out", "counts.csv", "--summary-out", "summary.json"]
-            commands = {
-                "forward": ["forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "all"],
-                "forward/600": [
-                    "forward", "--ssm", "ssm600.json", "--input", "x600.csv", "--path", "all"
-                ],
-                "forward/underflow/600": [
-                    "forward", "--ssm", "ssm-underflow.json", "--input", "x-underflow.csv",
-                    "--path", "all",
-                ],
-                "forward/overflow": [
-                    "forward", "--ssm", "ssm-overflow.json", "--input", "x-overflow.csv",
-                    "--path", "all",
-                ],
-                "forward/straddle": [
-                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
-                    "--path", "all", "--format", "json",
-                ],
-                "forward/straddle/ssd-json": [
-                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
-                    "--path", "ssd", "--format", "json",
-                ],
-                "forward/straddle/ssd-csv": [
-                    "forward", "--ssm", "ssm-straddle.json", "--input", "x-straddle.csv",
-                    "--path", "ssd", "--out", "y-straddle.csv",
-                ],
-                "check-dual": [*representability, "kernel.csv", "--N", "3"],
-                "check-dual/refused": [*representability, "corner.csv", "--N", "2"],
-                "check-dual/spread-decay": [*representability, "diag.csv", "--N", "4"],
-                **{
-                    f"{command}/{spelling}": [
-                        *(representability if command == "check-dual" else extract_matrix),
-                        f"diag-{spelling}.csv", "--N", "4",
-                    ]
-                    for command in ("check-dual", "extract")
-                    for spelling in ("upper-negative", "upper-integer", "integer-negative-zero")
-                },
-                "extract": ["extract", "--matrix", "kernel.csv", "--N", "3"],
-                "extract/graded": ["extract", "--matrix", "graded.csv", "--N", "3"],
-                "counterexample": ["counterexample", "non-dualizable", "--T", "8"],
-                **{
-                    f"counterexample/softmax/{t}": ["counterexample", "softmax", "--T", str(t)]
-                    for t in range(2, SOFTMAX_MAX_T + 1)
-                },
-                "check-dual/scalar-identity": [
-                    "check-dual", "--mode", "scalar-identity", "--ssm", "ssm-scalar.json"
-                ],
-                "check-dual/full-rank": [
-                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-calm.json"
-                ],
-                "check-dual/full-rank/default-gains": [
-                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-spread.json"
-                ],
-                "check-dual/full-rank/zero-step": [
-                    "check-dual", "--mode", "full-rank", "--ssm", "ssm-cut.json"
-                ],
-                "forward/ssd-csv": [
-                    "forward", "--ssm", "ssm.json", "--input", "x.csv", "--path", "ssd",
-                    "--out", "y.csv",
-                ],
-                "forward/config": [
-                    "forward", "--ssm", "ssm.json", "--input", "x.csv", "--config", "forward.json"
-                ],
-                "gen/ssm": ["gen", "ssm", *seeded, "--T", "16", "--a-min", "0.5"],
-                "gen/sequence": ["gen", "sequence", *seeded, "--T", "24", "--out", "seq.csv"],
-                "gen/matrix": ["gen", "matrix", *seeded, "--T", "8"],
-                "gen/matrix-csv": ["gen", "matrix", *seeded, "--T", "8", "--out", "m.csv"],
-                "gen/sequence/64": ["gen", "sequence", *seeded, "--T", "64", "--d", "3"],
-                "gen/sequence-csv/64": [
-                    "gen", "sequence", *seeded, "--T", "64", "--d", "3", "--out", "seq64.csv"
-                ],
-                "gen/matrix/64": ["gen", "matrix", *seeded, "--T", "64"],
-                "gen/matrix-csv/64": ["gen", "matrix", *seeded, "--T", "64", "--out", "m64.csv"],
-                "bench": [*bench, "--path", "materialized", "--T", "16"],
-                "bench/grid": [*bench, "--path", "recurrence", "--T", "8,16,32", "--N", "2"],
-                "bench/ssd": [*bench, "--path", "ssd", "--T", "12", "--N", "3", "--d", "1,2,4"],
-            }
-            cwd = os.getcwd()
-            os.chdir(work)
-            try:
-                for name, argv in commands.items():
-                    if "--out" not in argv:
-                        argv = [*argv, "--out", "out.json"]
-                    written = work / argv[argv.index("--out") + 1]
-                    summary = work / "summary.json"
-                    for stale in (written, summary):
-                        stale.unlink(missing_ok=True)
-                    printed, errors = io.StringIO(), io.StringIO()
-                    # Warnings are kept apart from stderr: their text names the source file.
-                    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(
-                        errors
-                    ), warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        code = cli.main(argv)
-                    out[f"cli/{name}/{seed}"] = (
-                        code,
-                        printed.getvalue(),
-                        errors.getvalue(),
-                        [str(w.message) for w in caught],
-                        written.read_bytes() if written.exists() else None,
-                    )
-                    if summary.exists():
-                        out[f"cli/{name}/{seed}/summary"] = summary.read_bytes()
-            finally:
-                os.chdir(cwd)
-    # Drawn after every input above, from a generator of their own, so those stay the same.
-    rng = np.random.default_rng(len(SEEDS))
-    gains = rng.uniform(0.95, 1.05, 256) * rng.choice([-1.0, 1.0], 256)
-    gains[rng.choice(np.arange(1, 256), 3, replace=False)] = 0.0
-    q, k = rng.standard_normal((2, 256, 4))
-    extraction_inputs = {
-        "random": materialize_sss(random_representation(len(SEEDS), 256, 4)),
-        "masked": LowerTriangularMatrix(one_ss(gains).values * (q @ k.T)),
-    }
-    for name, m in extraction_inputs.items():
-        rep = extract_sss(m, 4)
-        for attr in ("A", "b", "c", "r"):
-            out[f"extract_sss/{name}/{attr}"] = getattr(rep, attr)
-        out[f"semiseparable_rank/{name}"] = semiseparable_rank(m)
-    probes = {
-        **extraction_inputs, "big-row": _big_row_matrix(rng), "planted-band": _planted_band_matrix()
-    }
-    for name, m in probes.items():
-        with _warning_texts(out, f"count_block_new_columns/{name}/warnings"):
-            blocks = count_block_new_columns(m)
-        out[f"count_block_new_columns/{name}"] = [(b.start, b.end, b.new) for b in blocks]
-        out[f"count_block_new_columns/{name}/coeffs"] = _span_coeffs(blocks)
-    out.update(_csv_reads(np.random.default_rng(len(SEEDS) + 1)))
-    out.update(_json_reads(np.random.default_rng(len(SEEDS) + 2)))
-    out.update(_theory_outcomes())
-    return out
-
-
-def _theory_outcomes() -> dict[str, object]:
-    """Verdicts, ``check-dual`` exit codes and ranks on the theory matrices."""
-    from ssdlab import cli
-    from ssdlab.duality import count_block_new_columns
-    from ssdlab.errors import SsdError
-    from ssdlab.ss_matrix import LowerTriangularMatrix
-    from ssdlab.sss_extract import extract_sss
-
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads
-
-    spec = workloads.WORKLOADS["theory"]
-    out: dict[str, object] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        csv = Path(tmp) / "m.csv"
-        for seed in THEORY_SEEDS:
-            rng = workloads._rng(seed, "theory", "main")
-            for index in range(workloads.THEORY_SETS):
-                for family, vals in workloads._theory_matrices(rng, spec["T"], spec["N"]).items():
-                    m = LowerTriangularMatrix(np.tril(vals))
-                    key = f"theory/{seed}/{family}-{index}"
-                    with _warning_texts(out, f"{key}/new-columns/warnings"):
-                        blocks = count_block_new_columns(m)
-                    out[f"{key}/new-columns"] = [(b.start, b.end, b.new) for b in blocks]
-                    csv.write_text(m.to_csv())
-                    argv = ["check-dual", "--mode", "representability", "--matrix", str(csv),
-                            "--N", str(spec["N"]), "--out", str(Path(tmp) / "out.json")]
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                        io.StringIO()
-                    ), _warning_texts(out, f"{key}/check-dual/warnings"):
-                        out[f"{key}/check-dual"] = cli.main(argv)
-                    with _warning_texts(out, f"{key}/extract/warnings"):
-                        try:
-                            out[f"{key}/extract"] = extract_sss(m, spec["N"]).r
-                        except SsdError as exc:
-                            out[f"{key}/extract"] = type(exc).__name__
-    return out
+    i.residual_model = _instance(seed, 600, 16, 1, a_abs=(0.5, 1.0))[0]
+    i.long_model, i.long_x = _instance(seed, 600, 4, 2)
+    # Carried gain products fall through the subnormal range, and are carried as zero.
+    i.underflow, i.underflow_x = _instance(seed, 600, 4, 2, a_abs=(0.05, 0.2))
+    # Gains zero in every mode at steps 255-257, on either side of the linear paths' first chunk
+    # boundary (256 steps), and an input whose first row's signed zeros enter the scan's first row.
+    model, i.zero_steps_x = _instance(seed, 600, 4, 2)
+    i.zero_steps = _zeroed(model, slice(255, 258))
+    i.zero_steps_x[0] = -0.0
+    # Gains in +-[0.97, 1], about one in a hundred exactly zero: the kernel panel walk's carried
+    # weights stay normal beside exact zeros.
+    model, i.near_one_x = _instance(seed, 600, 8, 2)
+    near = np.random.default_rng(seed)
+    shape = model.a_diag.shape
+    gains = near.uniform(0.97, 1.0, shape) * near.choice([-1.0, 1.0], shape)
+    gains[near.random(gains.shape) < 0.01] = 0.0
+    gains[0] = 1.0
+    i.near_one = DiagonalSsm(gains, model.b, model.c)
+    # Outputs from about 1e-15 to 1e22: runs of rows that orjson writes alternate with rows that
+    # json.dumps writes, at both ends of the range where their spellings agree.
+    i.straddle, i.straddle_x = _instance(seed, 96, 4, 3, a_abs=(0.0, 0.1))
+    i.straddle_x *= 10.0 ** np.linspace(-14, 22, 96)[:, None]
+    # Gains of 1e12 overflow every path: --path all refuses it on the recurrence's check.
+    gains = np.full((64, 2), 1e12)
+    gains[0] = 1.0
+    i.overflowing = DiagonalSsm(gains, np.ones((64, 2)), np.ones((64, 2)))
+    i.overflow_x = np.ones((64, 1))
+    i.corner = ssdlab.limits.non_dualizable_matrix(8)
+    # Rows graded from 1e-6 to 1e6: the extracted b and c hold entries below 1e-4.
+    graded = _random_sss(seed, 64, 3).values * 10.0 ** np.linspace(-6, 6, 64)[:, None]
+    i.graded = LowerTriangularMatrix(graded)
+    # Mode decay rates differ, so a filled upper triangle would outgrow the kernel. The same
+    # kernel is also spelled in ways the matrix reader hands to its general route.
+    i.decaying = ssdlab.ssm.materialize_kernel(_instance(seed, 64, 4, 1, a_abs=(0.5, 1.0))[0])
+    i.upper_negative = _spelled_csv(i.decaying.values, "-0.0")
+    i.upper_integer = _spelled_csv(i.decaying.values, "0")
+    i.integer_negative_zero = _spelled_csv(i.decaying.values, "0.0", {(40, 3): "-0"})
+    i.scalar = _instance(seed, 32, 4, 2, scalar_identity=True)[0]
+    i.calm = _instance(seed, 32, 4, 2, a_abs=(0.9, 1.1))[0]  # gains of magnitude 0.9 to 1.1
+    i.spread = _instance(seed, 64, 4, 1)[0]
+    i.cut = _zeroed(i.spread, [20, 41])  # all-zero steps cut the mask
+    # N=1 and d=2 about the edges of the materialized path's 64-column blocks and 32-row tiles,
+    # every third input row -0.0.
+    i.signed_zeros = {T: _instance(seed, T, 1, 2) for T in (1, 63, 65, 129)}
+    for _, x in i.signed_zeros.values():
+        x[::3] = -0.0
+    i.forward_config = json.dumps({"path": "materialized", "format": "json"})
+    return i
 
 
 #: The extreme doubles: the smallest subnormals, signed zeros, the normal range's edge and the
@@ -555,162 +206,490 @@ def _hard_doubles(rng: np.random.Generator, shape: tuple[int, int] = (32, 8)) ->
     return values
 
 
-def _csv_reads(rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """What the two CSV readers make of text holding the extreme doubles, read both ways.
+def _repr_lines(values: np.ndarray) -> list[str]:
+    return [",".join(repr(float(v)) for v in row) for row in values]
 
-    ``csv/matrix`` has a line in a spelling orjson refuses (a leading ``+``), so
-    ``np.loadtxt`` reads that whole text. ``csv/matrix-orjson`` spans three 32-line
-    panels in spellings orjson reads, and ``csv/negative-zero-integer`` holds the
-    integer ``-0``, which JSON would read as +0.0. The canonical texts of a 70 x 70
-    matrix and of the sequence are also read with CRLF line breaks and with blank
-    lines between rows, which ``np.loadtxt`` reads, and with trailing blank lines,
-    which orjson reads.
-    """
-    from ssdlab.ss_matrix import LowerTriangularMatrix, array_to_csv
-    from ssdlab.ssm import sequence_from_csv
 
+def _json_array(rows) -> str:
+    """A JSON array of ``rows``, the spelling of its numbers turning with row and column, so
+    every spelling meets every kind of value; "{:.25g}" spells integral values as JSON
+    integers, -0 among them."""
+    spellings = [repr, "{:.17e}".format, "{:.17E}".format, "{:.25g}".format, "{:.40e}".format]
+    return "[" + ", ".join(
+        "[" + ", ".join(spellings[(i + j) % len(spellings)](float(v)) for j, v in enumerate(row))
+        + "]"
+        for i, row in enumerate(rows)
+    ) + "]"
+
+
+def _theory_matrices(workloads):
+    """The benchmark's theory matrices as ``({seed}/{family}-{index}, matrix)``, built one set at
+    a time as they are read, so the 96 are never held at once."""
+    spec = workloads.WORKLOADS["theory"]
+    for seed in THEORY_SEEDS:
+        rng = workloads._rng(seed, "theory", "main")
+        for index in range(workloads.THEORY_SETS):
+            for family, vals in workloads._theory_matrices(rng, spec["T"], spec["N"]).items():
+                matrix = ssdlab.ss_matrix.LowerTriangularMatrix(np.tril(vals))
+                yield f"{seed}/{family}-{index}", matrix
+
+
+def shared_inputs() -> SimpleNamespace:
+    """The inputs of the probes run once, by name, drawn from generators seeded after ``SEEDS``,
+    so the per-seed inputs stay the same."""
+    LowerTriangularMatrix = ssdlab.ss_matrix.LowerTriangularMatrix
+    i = SimpleNamespace()
+    # A T=256 random width-4 representation, and a T=256 width-4 masked kernel whose gains lie in
+    # +-[0.95, 1.05], three of them zero.
+    rng = np.random.default_rng(len(SEEDS))
+    gains = rng.uniform(0.95, 1.05, 256) * rng.choice([-1.0, 1.0], 256)
+    gains[rng.choice(np.arange(1, 256), 3, replace=False)] = 0.0
+    q, k = rng.standard_normal((2, 256, 4))
+    i.random = _random_sss(len(SEEDS), 256, 4)
+    i.masked = LowerTriangularMatrix(ssdlab.duality.one_ss(gains).values * (q @ k.T))
+    # A T=48 width-4 matrix whose block sweep refactors its carry 21 columns wide at step 21.
+    # Row 20 is scaled by 1e16, so blocks 1 to 20 keep only the row's direction and the 1e8
+    # corner's, and drop the rest below rounding. Step 21 no longer holds the row, and the drops
+    # force a refactor to all 21 columns left of it, far more than any other step keeps: its span
+    # fit is solved alone, and solving it with the others would pad theirs and change their
+    # bytes. The corner also keeps every diagonal-block cut from being taken.
+    c, b = rng.standard_normal((2, 48, 4))
+    vals = np.tril(c @ b.T)
+    vals[20] *= 1e16
+    vals[-1, 0] = 1e8
+    i.big_row = LowerTriangularMatrix(vals)
+    # tril(ones(4)) with M[3, 0] = 1 + 3e-9: column 1 misses column 0's span by about 3e-9,
+    # inside the borderline band of its threshold, so its span test warns.
+    vals = np.tril(np.ones((4, 4)))
+    vals[3, 0] = 1 + 3e-9
+    i.planted_band = LowerTriangularMatrix(vals)
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    i.theory, i.theory_width = _theory_matrices(workloads), workloads.WORKLOADS["theory"]["N"]
+
+    # CSV texts of the extreme doubles. ``csv_matrix`` has a line in a spelling orjson refuses (a
+    # leading ``+``), so ``np.loadtxt`` reads that whole text; ``csv_orjson`` spans three 32-line
+    # panels in spellings orjson reads; ``csv_integer_zero`` holds the integer ``-0``, which JSON
+    # would read as +0.0.
+    rng = np.random.default_rng(len(SEEDS) + 1)
     values = _hard_doubles(rng)
     matrix = np.tril(values[:8])
     np.fill_diagonal(matrix, EDGES)
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    # The same values in other spellings, and lines holding only whitespace.
+    lines = _repr_lines(matrix)
     lines[1] = ",".join(f" {v!r} " for v in matrix[1].tolist())
     lines[2] = ",".join(f"{v:+.17E}" for v in matrix[2].tolist())
-    lines[4:4] = ["", " \t "]
-    sequence = values[8:]
-    sequence[:, 0] = np.resize(EDGES, len(sequence))
+    lines[4:4] = ["", " \t "]  # lines holding only whitespace
+    i.csv_matrix = "\r\n".join(lines) + "\n"
+    i.csv_sequence = values[8:]
+    i.csv_sequence[:, 0] = np.resize(EDGES, len(i.csv_sequence))
+    i.csv_sequence_text = "\n".join(_repr_lines(i.csv_sequence)) + "\n\n"
     panels = np.tril(_hard_doubles(rng, (70, 70)))
     np.fill_diagonal(panels, np.resize(EDGES, len(panels)))
     spellings = itertools.cycle([repr, "{:.17e}".format])
-    rows = ["\n".join(",".join(spell(v) for v in row) for spell, row in zip(spellings, half))
-            for half in (panels[:32].tolist(), panels[32:].tolist())]
-    out = {
-        "csv/matrix": LowerTriangularMatrix.from_csv("\r\n".join(lines) + "\n").values,
-        "csv/matrix-orjson": LowerTriangularMatrix.from_csv(
-            rows[0] + "\r\n \r\n" + rows[1] + "\n"  # a blank line at the first panel's end
-        ).values,
-        "csv/negative-zero-integer": LowerTriangularMatrix.from_csv("-0,0\n1,-0\n").values,
-        "csv/sequence": sequence_from_csv(
-            "\n".join(",".join(repr(float(v)) for v in row) for row in sequence) + "\n\n"
-        ),
-    }
-    # The canonical texts of the matrix and the sequence, with their line breaks respelled.
-    canonical = {"matrix": (LowerTriangularMatrix.from_csv, array_to_csv(panels).splitlines()),
-                 "sequence": (sequence_from_csv, array_to_csv(sequence).splitlines())}
-    for name, (read, text_lines) in canonical.items():
-        middle = len(text_lines) // 2
-        texts = {
-            "crlf": "\r\n".join(text_lines) + "\r\n",
-            "blank-lines": "\n".join(text_lines[:middle] + ["", " \t "] + text_lines[middle:]),
-            "trailing-blank-lines": "\n".join(text_lines) + "\n\n \t\n\n",
-        }
-        for case, text in texts.items():
-            read_values = read(text)
-            out[f"csv/{name}-{case}"] = getattr(read_values, "values", read_values)
-    return out
+    lines = [",".join(spell(v) for v in row) for spell, row in zip(spellings, panels.tolist())]
+    # A blank line at the first panel's end.
+    i.csv_orjson = "\n".join(lines[:32]) + "\r\n \r\n" + "\n".join(lines[32:]) + "\n"
+    i.csv_integer_zero = "-0,0\n1,-0\n"
+    i.csv_panels_canonical = ssdlab.ss_matrix.array_to_csv(panels)
+    i.csv_sequence_canonical = ssdlab.ss_matrix.array_to_csv(i.csv_sequence)
 
-
-def _json_reads(rng: np.random.Generator) -> dict[str, object]:
-    """What the four JSON readers make of text holding the extreme doubles in several spellings,
-    and the error class and message of each refusal of a non-finite literal or malformed text."""
-    from ssdlab.ss_matrix import LowerTriangularMatrix
-    from ssdlab.ssm import DiagonalSsm, sequence_from_json
-    from ssdlab.sss_extract import GeneralSssRepresentation
-
+    # JSON texts of the extreme doubles, of records and a sequence.
+    rng = np.random.default_rng(len(SEEDS) + 2)
     values = _hard_doubles(rng)
     values[8:16, 2] = EDGES
-    spellings = [repr, "{:.17e}".format, "{:.17E}".format, "{:.25g}".format, "{:.40e}".format]
-
-    def array(rows) -> str:
-        # The spelling turns with row and column, so every spelling meets every kind of value;
-        # "{:.25g}" spells integral values as JSON integers, -0 among them.
-        return "[" + ", ".join(
-            "[" + ", ".join(spellings[(i + j) % len(spellings)](float(v)) for j, v in enumerate(row))
-            + "]"
-            for i, row in enumerate(rows)
-        ) + "]"
-
-    def fields(read, text) -> dict[str, object]:
-        try:
-            record = read(text)
-        except ValueError as exc:
-            return {"": (type(exc).__name__, str(exc))}
-        if isinstance(record, np.ndarray):
-            return {"": record}
-        attrs = ("values", "a_diag", "A", "b", "c")
-        return {f"/{attr}": getattr(record, attr) for attr in attrs if hasattr(record, attr)}
-
     matrix = np.tril(values[:8])
     np.fill_diagonal(matrix, EDGES)
     gains = values[8:16].copy()
     gains[0] = 1.0
     transitions = values[16:24].reshape(4, 4, 4).copy()
     transitions[0] = np.eye(4)
-    texts = {
-        "matrix": (LowerTriangularMatrix.from_json, '{"T": 8, "rows": %s}' % array(matrix)),
-        "model": (
-            DiagonalSsm.from_json,
-            '{"T": 8, "N": 8, "A_diag": %s, "b": %s, "c": %s}'
-            % (array(gains), array(values[16:24]), array(values[24:32])),
-        ),
-        "representation": (
-            GeneralSssRepresentation.from_json,
-            '{"T": 4, "N": 4, "A": [%s], "b": %s, "c": %s, "r": [1, 2, 2, 1]}'
-            % (", ".join(array(a) for a in transitions), array(values[24:28, :4]),
-               array(values[28:32, :4])),
-        ),
-        "sequence": (sequence_from_json, '{"X": %s}' % array(values[8:])),
-    }
-    out: dict[str, object] = {}
-    for name, (read, text) in texts.items():
-        # A non-finite literal as the first array's second number, and broken text.
-        number = text.index(", ", text.index("[[")) + 2
-        cases = {
-            "": text,
-            **{f"/{literal}": text[:number] + literal + text[text.index(",", number):]
-               for literal in ("NaN", "Infinity", "-Infinity", "1e400")},
-            "/unterminated": text[:-2], "/trailing-comma": text[:-1] + ",}", "/empty": "",
-            "/bom": "\ufeff" + text, "/single-quotes": text.replace('"', "'"),
-        }
-        for case, case_text in cases.items():
-            for field, value in fields(read, case_text).items():
-                out[f"json/{name}{case}{field}"] = value
-
-    # Texts of several 64 KiB pieces, which the record reader parses a piece at a time: as
-    # ``json.dumps`` writes them, respelled with a row or a number a line or indented, which
-    # are read whole, and with declared sizes at 2**63 and 2**64, which orjson reads as an int
-    # and a float.
-    rows = np.tril(_hard_doubles(rng, (100, 100)))
+    i.json_matrix = '{"T": 8, "rows": %s}' % _json_array(matrix)
+    i.json_model = '{"T": 8, "N": 8, "A_diag": %s, "b": %s, "c": %s}' % (
+        _json_array(gains), _json_array(values[16:24]), _json_array(values[24:32])
+    )
+    i.json_representation = '{"T": 4, "N": 4, "A": [%s], "b": %s, "c": %s, "r": [1, 2, 2, 1]}' % (
+        ", ".join(_json_array(a) for a in transitions), _json_array(values[24:28, :4]),
+        _json_array(values[28:32, :4]),
+    )
+    i.json_sequence = '{"X": %s}' % _json_array(values[8:])
+    # JSON objects whose texts span several 64 KiB pieces: a T=100 matrix, a T=600, N=17 model
+    # and a 4000 x 2 sequence, and the sequence's 8000 values as one 1-D array.
+    i.pieces_matrix = {"T": 100, "rows": np.tril(_hard_doubles(rng, (100, 100))).tolist()}
     gains = _gains(rng, (600, 17))
     gains[1:, 3] = np.resize(EDGES, 599)
-    pieces = {
-        "matrix": (LowerTriangularMatrix.from_json, {"T": 100, "rows": rows.tolist()}),
-        "model": (DiagonalSsm.from_json, {
-            "T": 600, "N": 17, "A_diag": gains.tolist(),
-            "b": _hard_doubles(rng, (600, 17)).tolist(), "c": rng.standard_normal((600, 17)).tolist(),
-        }),
-        "sequence": (sequence_from_json, {"X": np.resize(_hard_doubles(rng), (4000, 2)).tolist()}),
-    }
-    flat = np.ravel(pieces["sequence"][1]["X"]).tolist()
-    pieces["sequence-1d"] = (sequence_from_json, {"X": flat})
-    for name, (read, obj) in pieces.items():
-        canonical = json.dumps(obj)
-        cases = {
-            "": canonical,
-            "/row-per-line": canonical.replace("], [", "],\n ["),
-            "/number-per-line": canonical.replace(", ", ",\n "),
-            "/indented": json.dumps(obj, indent=2),
-        }
-        for size in (2**63, 2**64):
-            if "T" in obj:
-                cases[f"/declared-{size}"] = json.dumps({**obj, "T": size})
-        if name == "sequence-1d":  # JSON reads an integer -0 as +0.0, read by pieces or whole
-            cases["/integer-negative-zero"] = canonical.replace(", ", ", -0, ", 1)
-        for case, case_text in cases.items():
-            for field, value in fields(read, case_text).items():
-                out[f"json-pieces/{name}{case}{field}"] = value
+    b = _hard_doubles(rng, (600, 17))
+    i.pieces_model = {"T": 600, "N": 17, "A_diag": gains.tolist(), "b": b.tolist(),
+                      "c": rng.standard_normal((600, 17)).tolist()}
+    i.pieces_sequence = {"X": np.resize(_hard_doubles(rng), (4000, 2)).tolist()}
+    i.pieces_flat = {"X": np.ravel(i.pieces_sequence["X"]).tolist()}
+    return i
+
+
+# What the probes run.
+
+def _forward(path: str, model, x: np.ndarray) -> np.ndarray:
+    return ssdlab.ssm.FORWARD_PATHS[path](model, x)
+
+
+def _counted(path: str, model, x: np.ndarray) -> dict[str, object]:
+    """``bench.counted_forward``'s output, and its multiply-adds, additions and peak live
+    elements, which the counts ``bench`` writes alone would not show a reordered reduction in."""
+    y, counter = ssdlab.bench.counted_forward(path, model, x)
+    return {"": y, "/counts": (counter.madds, counter.adds, counter.peak_live)}
+
+
+def _summed_terms(model) -> np.ndarray:
+    """Sum of the per-mode materializations of ``attention_like_decomposition``."""
+    terms = ssdlab.duality.attention_like_decomposition(model)
+    return sum(term.materialize().values for term in terms)
+
+
+def _full_rank_residual(model) -> np.ndarray:
+    """``kernel_residual`` of ``model`` and its ``full_rank_one_ss_dual``, as an array, so a
+    difference is reported with its relative size."""
+    dual = ssdlab.duality.full_rank_one_ss_dual(model)
+    return np.array([ssdlab.duality.kernel_residual(model, dual)])
+
+
+def _attrs(record, names: str) -> dict[str, object]:
+    return {name: getattr(record, name) for name in names.split()}
+
+
+@contextlib.contextmanager
+def _warning_texts(out: dict[str, object], key: str):
+    """Record the texts of the warnings raised inside, in order, as ``out[key]``; an error
+    raised inside still records them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            out[key] = [str(w.message) for w in caught]
+
+
+def _main(argv: list[str]) -> tuple[int, str, str, list[str]]:
+    """``cli.main``'s exit code, stdout, stderr and warning texts, which are kept apart from
+    stderr: their text names the source file."""
+    printed, errors, caught = io.StringIO(), io.StringIO(), {}
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors), _warning_texts(
+        caught, ""
+    ):
+        code = ssdlab.cli.main(argv)
+    return code, printed.getvalue(), errors.getvalue(), caught[""]
+
+
+def _new_columns(m) -> dict[str, object]:
+    """The per-block new-column verdicts of ``count_block_new_columns``, their span-fit
+    coefficients (a block's column t adds t, a None column none) and the warnings' texts."""
+    out: dict[str, object] = {}
+    with _warning_texts(out, "/warnings"):
+        blocks = ssdlab.duality.count_block_new_columns(m)
+    out[""] = [(b.start, b.end, b.new) for b in blocks]
+    coeffs = [np.zeros(0) if c is None else c for b in blocks for c in b.coeffs]
+    out["/coeffs"] = np.concatenate(coeffs)
     return out
 
+
+def _theory_outcomes(matrices, width: int) -> dict[str, object]:
+    """Per matrix: the new-column verdicts, the exit code of ``check-dual --mode
+    representability`` and the ranks ``extract_sss`` gives, or the class of the error it
+    raises, each with the texts of the warnings the call raised, in order."""
+    out: dict[str, object] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "m.csv"
+        for key, m in matrices:
+            verdicts = _new_columns(m)
+            del verdicts["/coeffs"]
+            out.update({f"{key}/new-columns{field}": value for field, value in verdicts.items()})
+            csv.write_text(m.to_csv())
+            argv = ["check-dual", "--mode", "representability", "--matrix", str(csv),
+                    "--N", str(width), "--out", str(Path(tmp) / "out.json")]
+            code, _, _, out[f"{key}/check-dual/warnings"] = _main(argv)
+            out[f"{key}/check-dual"] = code
+            with _warning_texts(out, f"{key}/extract/warnings"):
+                try:
+                    out[f"{key}/extract"] = ssdlab.sss_extract.extract_sss(m, width).r
+                except ssdlab.errors.SsdError as exc:
+                    out[f"{key}/extract"] = type(exc).__name__
+    return out
+
+
+#: The counted kernels' points (T, N, d) and the paths run at each: every path at two small
+#: points; the linear paths at bench-counts' largest point and at T=600, where they run two
+#: full chunks of 256 steps and a ragged one of 88; the materialized path at bench-counts' grid
+#: points and at T=100, where its last block of kernel columns is ragged.
+COUNTED = [((40, 17, 1), EVERY), ((33, 8, 2), EVERY), ((1024, 8, 2), LINEAR),
+           ((600, 17, 5), LINEAR), *[((T, 8, 2), ("materialized",)) for T in (64, 128, 256, 100)]]
+
+#: Library calls: (key, the inputs read, the call, which takes those inputs). A call whose key
+#: holds ``{field}`` returns a dict, and each of its entries is one output. A key holding
+#: ``{seed}`` is run on each seed's inputs, any other once on the shared inputs.
+CALLS = [
+    # At T=600 the kernel build walks 18 panels of 32 rows and a ragged one of 24.
+    *[(f"one_ss/{size}{{seed}}", name, lambda gains: ssdlab.duality.one_ss(gains).values)
+      for size, name in (("", "gains"), ("600/", "gains600"))],
+    *[(f"materialize_kernel/{case}{{seed}}", name,
+       lambda model: ssdlab.ssm.materialize_kernel(model).values)
+      for case, name in (("", "model"), ("zero-gains/", "zero_gains"), ("zero-gains/600/", "wide"),
+                         ("underflow/600/", "underflow"))],
+    ("forward_ssd/{seed}", "model x", partial(_forward, "ssd")),
+    ("forward_ssd/zero-gains/{seed}", "zero_gains x", lambda m, x: _forward("ssd", m, x[:64])),
+    # At T=600 the linear paths run two full chunks of 256 steps and a ragged one of 88.
+    *[(f"forward_{path}/600/{N}x{d}/{{seed}}", "seed",
+       lambda seed, path=path, N=N, d=d: _forward(path, *_instance(seed, 600, N, d)))
+      for path in LINEAR for N, d in itertools.product((1, 17), (1, 5))],
+    *[(f"forward_{path}/zero-steps/600/{{seed}}", "zero_steps zero_steps_x",
+       partial(_forward, path)) for path in LINEAR],
+    ("forward_materialized/near-one-zeros/600/{seed}", "near_one near_one_x",
+     partial(_forward, "materialized")),
+    ("attention_like_decomposition/{seed}", "model", _summed_terms),
+    ("attention_like_decomposition/zero-gains/{seed}", "zero_gains", _summed_terms),
+    ("construct_one_ss_dual/{field}/{seed}", "kernel",
+     lambda m: _attrs(ssdlab.duality.construct_one_ss_dual(m, 3), "p Q K")),
+    ("materialize_sss/{seed}", "seed", lambda seed: _random_sss(seed, 96, 4).values),
+    # Two full panels of 32 rows and a ragged one.
+    ("materialize_sss/70/{seed}", "seed", lambda seed: _random_sss(seed, 70, 3).values),
+    ("kernel_residual/600/{seed}", "residual_model", _full_rank_residual),
+    *[(f"counted_forward/{path}/{T}x{N}x{d}/{{seed}}{{field}}", "seed",
+       lambda seed, path=path, dims=(T, N, d): _counted(path, *_instance(seed, *dims)))
+      for (T, N, d), paths in COUNTED for path in paths],
+    *[(f"counted_forward/{path}/zero-steps/600/{{seed}}{{field}}", "zero_steps zero_steps_x",
+       partial(_counted, path)) for path in EVERY],
+    *[(f"counted_forward/materialized/{T}x1x2/signed-zeros/{{seed}}{{field}}", "signed_zeros",
+       lambda instances, T=T: _counted("materialized", *instances[T])) for T in (1, 63, 65, 129)],
+    *[(f"extract_sss/{name}/{{field}}", name,
+       lambda m: _attrs(ssdlab.sss_extract.extract_sss(m, 4), "A b c r"))
+      for name in ("random", "masked")],
+    *[(f"semiseparable_rank/{name}", name, lambda m: ssdlab.ss_matrix.semiseparable_rank(m))
+      for name in ("random", "masked")],
+    *[(f"count_block_new_columns/{name.replace('_', '-')}{{field}}", name, _new_columns)
+      for name in ("random", "masked", "big_row", "planted_band")],
+    ("theory/{field}", "theory theory_width", _theory_outcomes),
+]
+
+#: The files the CLI probes read: each the text of one per-seed input (``_file_text``).
+FILES = {
+    "ssm.json": "model", "x.csv": "x",
+    "ssm600.json": "long_model", "x600.csv": "long_x",
+    "ssm-underflow.json": "underflow", "x-underflow.csv": "underflow_x",
+    "ssm-overflow.json": "overflowing", "x-overflow.csv": "overflow_x",
+    "ssm-straddle.json": "straddle", "x-straddle.csv": "straddle_x",
+    "kernel.csv": "kernel", "corner.csv": "corner", "graded.csv": "graded",
+    "diag.csv": "decaying", "diag-upper-negative.csv": "upper_negative",
+    "diag-upper-integer.csv": "upper_integer",
+    "diag-integer-negative-zero.csv": "integer_negative_zero",
+    "ssm-scalar.json": "scalar", "ssm-calm.json": "calm",
+    "ssm-spread.json": "spread", "ssm-cut.json": "cut",
+    "forward.json": "forward_config",
+}
+
+FORWARD = "forward --ssm ssm.json --input x.csv --path"
+STRADDLE = "forward --ssm ssm-straddle.json --input x-straddle.csv --path"
+REPRESENTABILITY = "check-dual --mode representability --matrix"
+BENCH = "bench --seed {seed} --out counts.csv --summary-out summary.json"
+
+#: CLI commands, run once per seed in a directory holding ``FILES``: name -> argv, whose
+#: ``{seed}`` is the seed. A command with no ``--out`` writes ``out.json``.
+CLI = {
+    "forward": f"{FORWARD} all",
+    # The kernel panel walk runs 18 full panels and a ragged one.
+    "forward/600": "forward --ssm ssm600.json --input x600.csv --path all",
+    "forward/underflow/600": "forward --ssm ssm-underflow.json --input x-underflow.csv --path all",
+    # Refused on the recurrence's output.
+    "forward/overflow": "forward --ssm ssm-overflow.json --input x-overflow.csv --path all",
+    "forward/straddle": f"{STRADDLE} all --format json",
+    "forward/straddle/ssd-json": f"{STRADDLE} ssd --format json",
+    "forward/straddle/ssd-csv": f"{STRADDLE} ssd --out y-straddle.csv",
+    "check-dual": f"{REPRESENTABILITY} kernel.csv --N 3",
+    "check-dual/refused": f"{REPRESENTABILITY} corner.csv --N 2",
+    "check-dual/spread-decay": f"{REPRESENTABILITY} diag.csv --N 4",
+    **{f"{name}/{spelling}": f"{command} diag-{spelling}.csv --N 4"
+       for name, command in (("check-dual", REPRESENTABILITY), ("extract", "extract --matrix"))
+       for spelling in ("upper-negative", "upper-integer", "integer-negative-zero")},
+    "extract": "extract --matrix kernel.csv --N 3",
+    "extract/graded": "extract --matrix graded.csv --N 3",
+    "counterexample": "counterexample non-dualizable --T 8",
+    # Every T that limits.SOFTMAX_MAX_T allows.
+    **{f"counterexample/softmax/{t}": f"counterexample softmax --T {t}" for t in range(2, 9)},
+    "check-dual/scalar-identity": "check-dual --mode scalar-identity --ssm ssm-scalar.json",
+    "check-dual/full-rank": "check-dual --mode full-rank --ssm ssm-calm.json",
+    "check-dual/full-rank/default-gains": "check-dual --mode full-rank --ssm ssm-spread.json",
+    "check-dual/full-rank/zero-step": "check-dual --mode full-rank --ssm ssm-cut.json",
+    "forward/ssd-csv": f"{FORWARD} ssd --out y.csv",
+    "forward/config": "forward --ssm ssm.json --input x.csv --config forward.json",
+    "gen/ssm": "gen ssm --seed {seed} --T 16 --a-min 0.5",
+    "gen/sequence": "gen sequence --seed {seed} --T 24 --out seq.csv",
+    "gen/matrix": "gen matrix --seed {seed} --T 8",
+    "gen/matrix-csv": "gen matrix --seed {seed} --T 8 --out m.csv",
+    "gen/sequence/64": "gen sequence --seed {seed} --T 64 --d 3",
+    "gen/sequence-csv/64": "gen sequence --seed {seed} --T 64 --d 3 --out seq64.csv",
+    "gen/matrix/64": "gen matrix --seed {seed} --T 64",
+    "gen/matrix-csv/64": "gen matrix --seed {seed} --T 64 --out m64.csv",
+    "bench": f"{BENCH} --path materialized --T 16",
+    "bench/grid": f"{BENCH} --path recurrence --T 8,16,32 --N 2",
+    "bench/ssd": f"{BENCH} --path ssd --T 12 --N 3 --d 1,2,4",
+}
+
+
+#: The text readers, by what they read: each returns an array or a record.
+READERS = {
+    "csv-matrix": lambda text: ssdlab.ss_matrix.LowerTriangularMatrix.from_csv(text).values,
+    "csv-sequence": lambda text: ssdlab.ssm.sequence_from_csv(text),
+    "matrix": lambda text: ssdlab.ss_matrix.LowerTriangularMatrix.from_json(text),
+    "model": lambda text: ssdlab.ssm.DiagonalSsm.from_json(text),
+    "representation": lambda text: ssdlab.sss_extract.GeneralSssRepresentation.from_json(text),
+    "sequence": lambda text: ssdlab.ssm.sequence_from_json(text),
+}
+
+
+def _blank_lines(text: str) -> str:
+    """``text`` with two lines holding only whitespace in its middle, and no final line break."""
+    lines = text.splitlines()
+    middle = len(lines) // 2
+    return "\n".join(lines[:middle] + ["", " \t "] + lines[middle:])
+
+
+def _with_literal(text: str, literal: str) -> str:
+    """``text`` with ``literal`` as its first array's second number."""
+    number = text.index(", ", text.index("[[")) + 2
+    return text[:number] + literal + text[text.index(",", number):]
+
+
+AS_IS = {"": lambda text: text}
+
+#: A canonical CSV text respelled with CRLF line breaks, with lines holding only whitespace
+#: between rows (both read by np.loadtxt) and with trailing blank lines (read by orjson).
+LINE_BREAKS = {
+    "-crlf": lambda text: text.replace("\n", "\r\n"),
+    "-blank-lines": _blank_lines,
+    "-trailing-blank-lines": lambda text: text + "\n \t\n\n",
+}
+
+#: A JSON text as it is, with a non-finite literal, and broken.
+JSON_BREAKS = {
+    **AS_IS,
+    **{f"/{literal}": partial(_with_literal, literal=literal)
+       for literal in ("NaN", "Infinity", "-Infinity", "1e400")},
+    "/unterminated": lambda text: text[:-2],
+    "/trailing-comma": lambda text: text[:-1] + ",}",
+    "/empty": lambda text: "",
+    "/bom": lambda text: "\ufeff" + text,
+    "/single-quotes": lambda text: text.replace('"', "'"),
+}
+
+#: A JSON object of several 64 KiB pieces as ``json.dumps`` writes it, and respelled with a row
+#: or a number a line or indented, which are read whole.
+PIECES = {
+    "": json.dumps,
+    "/row-per-line": lambda obj: json.dumps(obj).replace("], [", "],\n ["),
+    "/number-per-line": lambda obj: json.dumps(obj).replace(", ", ",\n "),
+    "/indented": partial(json.dumps, indent=2),
+}
+
+#: Declared sizes that orjson reads as an int and as a float.
+DECLARED = {f"/declared-{2**63}": lambda obj: json.dumps({**obj, "T": 2**63}),
+            f"/declared-{2**64}": lambda obj: json.dumps({**obj, "T": 2**64})}
+
+#: Text reads of shared inputs: (key, reader, input, respellings: suffix -> the text read).
+READS = [
+    ("csv/matrix", "csv-matrix", "csv_matrix", AS_IS),
+    ("csv/matrix-orjson", "csv-matrix", "csv_orjson", AS_IS),
+    # JSON would read the integer -0 as +0.0.
+    ("csv/negative-zero-integer", "csv-matrix", "csv_integer_zero", AS_IS),
+    ("csv/sequence", "csv-sequence", "csv_sequence_text", AS_IS),
+    ("csv/matrix", "csv-matrix", "csv_panels_canonical", LINE_BREAKS),
+    ("csv/sequence", "csv-sequence", "csv_sequence_canonical", LINE_BREAKS),
+    *[(f"json/{name}", name, f"json_{name}", JSON_BREAKS)
+      for name in ("matrix", "model", "representation", "sequence")],
+    ("json-pieces/matrix", "matrix", "pieces_matrix", PIECES | DECLARED),
+    ("json-pieces/model", "model", "pieces_model", PIECES | DECLARED),
+    ("json-pieces/sequence", "sequence", "pieces_sequence", PIECES),
+    # The same 8000 numbers as one 1-D array; JSON reads an integer -0 among them as +0.0.
+    ("json-pieces/sequence-1d", "sequence", "pieces_flat",
+     PIECES | {"/integer-negative-zero": lambda obj: json.dumps(obj).replace(", ", ", -0, ", 1)}),
+]
+
+
+# The loops: one per kind of probe.
+
+def _run_calls(out: dict[str, object], i: SimpleNamespace, seed: int | None = None) -> None:
+    """Run on the inputs ``i`` each call whose key holds ``{seed}`` if ``seed`` is given, else
+    each other call."""
+    for key, reads, call in CALLS:
+        if ("{seed}" in key) == (seed is not None):
+            result = call(*(getattr(i, name) for name in reads.split()))
+            for field, value in result.items() if "{field}" in key else [("", result)]:
+                out[key.format(seed=seed, field=field)] = value
+
+
+def _file_text(value, name: str) -> str:
+    """An input as a file: a text as it is, an array as CSV, a record as CSV or JSON by ``name``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, np.ndarray):
+        return ssdlab.ss_matrix.array_to_csv(value)
+    return value.to_csv() if name.endswith(".csv") else value.to_json()
+
+
+def _run_cli(out: dict[str, object], i: SimpleNamespace) -> None:
+    """Each command's ``_main`` and output file (None when it wrote none), and a summary file
+    when it wrote one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work, cwd = Path(tmp), os.getcwd()
+        for name, input_name in FILES.items():
+            (work / name).write_text(_file_text(getattr(i, input_name), name))
+        os.chdir(work)
+        try:
+            for name, argv in CLI.items():
+                argv = argv.format(seed=i.seed).split()
+                if "--out" not in argv:
+                    argv = [*argv, "--out", "out.json"]
+                written, summary = work / argv[argv.index("--out") + 1], work / "summary.json"
+                for stale in (written, summary):
+                    stale.unlink(missing_ok=True)
+                result = _main(argv)
+                file = written.read_bytes() if written.exists() else None
+                out[f"cli/{name}/{i.seed}"] = (*result, file)
+                if summary.exists():
+                    out[f"cli/{name}/{i.seed}/summary"] = summary.read_bytes()
+        finally:
+            os.chdir(cwd)
+
+
+def _read_fields(read, text: str) -> dict[str, object]:
+    """What ``read`` makes of ``text``: an array, a record's arrays by attribute, or the class
+    and message of its refusal."""
+    try:
+        record = read(text)
+    except ValueError as exc:
+        return {"": (type(exc).__name__, str(exc))}
+    if isinstance(record, np.ndarray):
+        return {"": record}
+    attrs = ("values", "a_diag", "A", "b", "c")
+    return {f"/{attr}": getattr(record, attr) for attr in attrs if hasattr(record, attr)}
+
+
+def _run_reads(out: dict[str, object], i: SimpleNamespace) -> None:
+    for key, reader, name, respellings in READS:
+        for case, spell in respellings.items():
+            for field, value in _read_fields(READERS[reader], spell(getattr(i, name))).items():
+                out[f"{key}{case}{field}"] = value
+
+
+def dump() -> dict[str, object]:
+    out: dict[str, object] = {}
+    for seed in SEEDS:
+        inputs = seed_inputs(seed)
+        _run_calls(out, inputs, seed)
+        _run_cli(out, inputs)
+    shared = shared_inputs()
+    _run_calls(out, shared)
+    _run_reads(out, shared)
+    return out
+
+
+# The comparison.
 
 def _rel_fro(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
@@ -756,13 +735,48 @@ def _file_field_diffs(a: bytes | None, b: bytes | None) -> str | None:
     return ", ".join(fields) or "none, same JSON values"
 
 
-def run_side(src: str) -> dict[str, object]:
+def _verdict(key: str, base: dict[str, object], head: dict[str, object]) -> tuple[bool, str]:
+    """Whether the two outputs under ``key`` are the same, and how they compare."""
+    if key not in base or key not in head:
+        return False, f"DIFFERENT (only in {'HEAD' if key in head else 'BASE'})"
+    a, b = base[key], head[key]
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.shape != b.shape:
+            return False, f"DIFFERENT (shape {a.shape}, then {b.shape})"
+        if a.tobytes() == b.tobytes():
+            return True, "bitwise equal"
+        if np.array_equal(a, b):
+            return False, "equal values, zero signs differ"
+        return False, f"DIFFERENT (relative Frobenius difference {_rel_fro(a, b):.1e})"
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return False, "DIFFERENT"
+    if a == b:
+        return True, "byte-identical"
+    both_tuples = isinstance(a, tuple) and isinstance(b, tuple)
+    fields = _file_field_diffs(a[-1], b[-1]) if both_tuples else None
+    if fields is None:
+        return False, "DIFFERENT"
+    return False, f"DIFFERENT (differing fields of the file, relative Frobenius: {fields})"
+
+
+def compare(base: dict[str, object], head: dict[str, object]) -> int:
+    """Print every output's verdict and the count that differ; return 1 if any differs, else 0."""
+    keys = sorted(base.keys() | head.keys())
+    differ = 0
+    for key in keys:
+        same, verdict = _verdict(key, base, head)
+        differ += not same
+        print(f"{key}: {verdict}")
+    print(f"{differ} of {len(keys)} outputs differ")
+    return 1 if differ else 0
+
+
+def run_side(src: str) -> subprocess.CompletedProcess:
+    """``--dump`` run on the tree ``src`` in a child interpreter, with BLAS pinned to one thread."""
     # No bytecode is written, so importing perfbench/ leaves no file there.
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True,
-                          check=True)
-    return pickle.loads(proc.stdout)
+    return subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True)
 
 
 def main(argv: list[str]) -> int:
@@ -772,33 +786,16 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
-    head_src = argv[1] if len(argv) == 2 else str(Path(__file__).resolve().parent.parent / "src")
-    base, head = run_side(argv[0]), run_side(head_src)
-    differ = 0
-    for key in sorted(base.keys() | head.keys()):
-        a, b = base.get(key), head.get(key)
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            if a.shape == b.shape and a.tobytes() == b.tobytes():
-                verdict = "bitwise equal"
-            elif a.shape == b.shape and np.array_equal(a, b):
-                verdict = "equal values, zero signs differ"
-                differ += 1
-            elif a.shape == b.shape:
-                verdict = f"DIFFERENT (relative Frobenius difference {_rel_fro(a, b):.1e})"
-                differ += 1
-            else:
-                verdict = "DIFFERENT"
-                differ += 1
-        else:
-            verdict = "byte-identical" if a == b else "DIFFERENT"
-            differ += a != b
-            if isinstance(a, tuple) and isinstance(b, tuple) and a != b:
-                fields = _file_field_diffs(a[-1], b[-1])
-                if fields is not None:
-                    verdict += f" (differing fields of the file, relative Frobenius: {fields})"
-        print(f"{key}: {verdict}")
-    print(f"{differ} of {len(base.keys() | head.keys())} outputs differ")
-    return 1 if differ else 0
+    sides = {"BASE_SRC": argv[0], "HEAD_SRC": argv[1] if len(argv) == 2 else str(ROOT / "src")}
+    dumps = []
+    for side, src in sides.items():
+        proc = run_side(src)
+        if proc.returncode:
+            print(f"{side} {src} failed (exit status {proc.returncode}):", file=sys.stderr)
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
+            return 2
+        dumps.append(pickle.loads(proc.stdout))
+    return compare(*dumps)
 
 
 if __name__ == "__main__":

@@ -204,8 +204,10 @@ def ascending_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     The order is fixed, so the sum is reproducible; ``np.sum`` adds pairwise
     and would change the bits. This is the package's one ordered reduction.
     """
-    # Moved only off axis 0: np.moveaxis slowed the counted materialized kernel's axis-0 calls.
-    terms = np.asarray(terms) if axis == 0 else np.moveaxis(terms, axis, 0)
+    terms = np.asarray(terms)
+    if axis:  # a transposed view: np.moveaxis makes the same one at about five times the cost
+        axis %= terms.ndim
+        terms = terms.transpose(axis, *range(axis), *range(axis + 1, terms.ndim))
     total = np.zeros(terms.shape[1:])
     for term in terms:
         total += term
