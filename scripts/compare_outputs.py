@@ -201,7 +201,8 @@ def _hard_doubles(rng: np.random.Generator, shape: tuple[int, int] = (32, 8)) ->
     column 1 is all subnormals."""
     values = rng.integers(0, 2**63, shape, dtype=np.int64).view(float)
     values[:, 1] = rng.integers(1, 2**52, len(values), dtype=np.int64).view(float)
-    values *= rng.choice([-1.0, 1.0], values.shape)
+    with np.errstate(invalid="ignore"):  # some patterns are NaNs; the next line drops them
+        values *= rng.choice([-1.0, 1.0], values.shape)
     values[~np.isfinite(values)] = 1.0
     return values
 

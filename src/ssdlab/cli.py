@@ -20,12 +20,13 @@ import sys
 
 import numpy as np
 
-from . import bench, duality, limits, ssm as ssm_mod
+from . import ssm as ssm_mod
 from .errors import PreconditionError, ReconstructionError
 from .ss_matrix import (
     DEFAULT_EPS, LowerTriangularMatrix, check_sizes, json_dumps, json_loads, rel_err,
 )
-from .sss_extract import extract_sss, materialize_sss  # noqa: F401 -- perfbench/spans.py times it
+# Imported eagerly, unlike duality, limits and bench: perfbench/spans.py times these names here.
+from .sss_extract import extract_sss, materialize_sss  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -227,6 +228,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 
 def cmd_check_dual(args: argparse.Namespace) -> int:
+    from . import duality  # imported here, so that only the commands that run it load it
     mode = args.mode
     write = _writer(args.out, f"a {mode} report", json=json_dumps)
     if mode == "representability":
@@ -247,6 +249,7 @@ def cmd_check_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from . import duality  # imported here, so that only the commands that run it load it
     write = _writer(args.out, "an extraction report", json=json_dumps)
     matrix = _load_matrix(args.matrix)
     rep = extract_sss(matrix, args.N, args.eps)
@@ -260,6 +263,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
+    from . import limits  # imported here, so that only the commands that run it load it
     report_json = limits.CounterexampleReport.to_json
     write = _writer(args.out, "a counterexample report", json=report_json)
     if args.kind == "softmax":
@@ -279,6 +283,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench  # imported here, so that only the commands that run it load it
     table = _writer(args.out, "the bench table", csv=bench.ScalingResult.to_csv)
     summary = _writer(args.summary_out, "the bench summary", json=bench.ScalingResult.summary_json)
     grid = [_parse_int_list(values) for values in (args.T, args.N, args.d)]
@@ -382,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="count operations and fit scaling exponents")
     grid_help = "comma-separated grid values (default %(default)s)"
     p_bench.add_argument(
-        "--path", choices=bench.PATHS, default="ssd", help="counted path (default %(default)s)"
+        "--path", choices=tuple(ssm_mod.FORWARD_PATHS), default="ssd",
+        help="counted path (default %(default)s)",
     )
     p_bench.add_argument("--T", default="64", help=grid_help)
     p_bench.add_argument("--N", default="4", help=grid_help)
